@@ -23,9 +23,8 @@ from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
                        WalkSolution, drop_vertices, evaluate_walk, restrict,
                        time_reversed, window_stats)
 from .metric import Metric
-from .modular import (assemble_walk, blocks_from_identical_windows,
-                      ensure_reachable_anchors, entry_time, harvest_labels, pos_key,
-                      push_label, solve_reward_indexed, start_position, verify_modular)
+from .modular import (assemble_walk, blocks_from_identical_windows, chain_dp,
+                      ensure_reachable_anchors, solve_reward_indexed, verify_modular)
 from .oracles import (EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle,
                       MonotoneDeadlineOracle, OrienteeringOracle)
 from .rational import HALF, ONE, ZERO, floor_log2, is_finite, is_integral
@@ -47,7 +46,6 @@ class SolveReport:
     beta: int  # number of restricted versions actually present
     alpha: Fraction  # declared ratio of the point-to-point oracle
     bound: Fraction
-    elapsed: float = 0.0
 
 
 def _require_wait(x: TwInstance):
@@ -74,6 +72,18 @@ def _length_split(x: TwInstance) -> Tuple[List[int], List[int]]:
         if x.rewards[v] > 0:
             (zero if x.windows[v].length == 0 else pos).append(v)
     return zero, pos
+
+
+def _split_zero_windows(x: TwInstance) -> Tuple[list, Optional[TwInstance]]:
+    """The exact "Z" version over the zero-length windows (an empty version
+    list when there are none) and the instance that keeps only the
+    positive-length windows (None when there are none)."""
+    zero, pos = _length_split(x)
+    versions = []
+    if zero:
+        rz = zero_window_dp(restrict(x, {v: None for v in pos}))
+        versions.append(("Z", _claims_of(rz.walk), ONE))
+    return versions, (restrict(x, {v: None for v in zero}) if pos else None)
 
 
 def _report(name: str, x: TwInstance, versions, alpha: Fraction) -> SolveReport:
@@ -185,13 +195,8 @@ def solve_integer_endpoints(x: TwInstance,
             raise PreconditionError(
                 "vertex %d window [%s, %s] has fractional endpoints" % (v, w.release, w.deadline))
     ensure_reachable_anchors(x)
-    zero, pos = _length_split(x)
-    versions = []
-    if zero:
-        rz = zero_window_dp(restrict(x, {v: None for v in pos}))
-        versions.append(("Z", _claims_of(rz.walk), ONE))
-    if pos:
-        xp = restrict(x, {v: None for v in zero})
+    versions, xp = _split_zero_windows(x)
+    if xp is not None:
         direct = blocks_from_identical_windows(xp)
         if not verify_modular(xp, direct):
             res = solve_reward_indexed(xp, direct, oracle)
@@ -262,25 +267,21 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
     ensure_reachable_anchors(x)
     groups = _release_groups(x)
     mono = MonotoneDeadlineOracle(deadline_oracle)
-    labels: Dict[object, list] = {start_position(x): [(ZERO, ZERO, None)]}
-    for gi, (rel, members, dmax) in enumerate(groups):
-        eligible = {v: (x.rewards[v], x.windows[v].deadline) for v in members}
-        new_labels = {p: list(ls) for p, ls in labels.items()}
-        for p in sorted(labels, key=pos_key):
-            for (tau, rew, backp) in labels[p]:
-                for u in members:
-                    e = entry_time(x, p, tau, u, rel)
-                    if e is None or e > dmax:
+
+    def steps():
+        for gi, (rel, members, dmax) in enumerate(groups):
+            eligible = {v: (x.rewards[v], x.windows[v].deadline) for v in members}
+
+            def moves(u, e):
+                for (w, h) in _exit_candidates(x, eligible, u, e):
+                    res = mono.query(x.metric, eligible, u, e, w, h)
+                    if not res.feasible or res.reward <= 0:
                         continue
-                    for (w, h) in _exit_candidates(x, eligible, u, e):
-                        res = mono.query(x.metric, eligible, u, e, w, h)
-                        if not res.feasible or res.reward <= 0:
-                            continue
-                        entry = (e + res.duration, rew + res.reward,
-                                 (p, tau, rew, gi, res.order, backp))
-                        push_label(new_labels.setdefault(w, []), entry)
-        labels = new_labels
-    return harvest_labels(x, labels)
+                    yield w, res.duration, res.reward, res.order
+
+            yield gi, rel, dmax, members, moves
+
+    return chain_dp(x, steps())
 
 
 # ----- window lengths within a factor two ------------------------------------
@@ -298,13 +299,8 @@ def solve_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     if x.mode != ANCHORED:
         raise PreconditionError("this solver needs both anchors")
     ensure_reachable_anchors(x)
-    zero, pos = _length_split(x)
-    versions = []
-    if zero:
-        rz = zero_window_dp(restrict(x, {v: None for v in pos}))
-        versions.append(("Z", _claims_of(rz.walk), ONE))
-    if pos:
-        xp = restrict(x, {v: None for v in zero})
+    versions, xp = _split_zero_windows(x)
+    if xp is not None:
         fam = three_split_floor(xp)
         for (label, ver) in fam.versions:
             if label == "B2":
@@ -336,13 +332,8 @@ def solve_general(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     if x.mode != ANCHORED:
         raise PreconditionError("this solver needs both anchors")
     ensure_reachable_anchors(x)
-    zero, pos = _length_split(x)
-    versions = []
-    if zero:
-        rz = zero_window_dp(restrict(x, {v: None for v in pos}))
-        versions.append(("Z", _claims_of(rz.walk), ONE))
-    if pos:
-        xp = restrict(x, {v: None for v in zero})
+    versions, xp = _split_zero_windows(x)
+    if xp is not None:
         fam = three_split_ceil(xp)
         for (label, ver) in fam.versions:
             if label == "B2":
@@ -385,13 +376,8 @@ def solve_free_l_le_2(x: TwInstance,
     _require_wait(x)
     if x.mode != FREE:
         raise PreconditionError("free-endpoint solver needs unanchored ends")
-    zero, pos = _length_split(x)
-    versions = []
-    if zero:
-        rz = zero_window_dp(restrict(x, {v: None for v in pos}))
-        versions.append(("Z", _claims_of(rz.walk), ONE))
-    if pos:
-        xp = restrict(x, {v: None for v in zero})
+    versions, xp = _split_zero_windows(x)
+    if xp is not None:
         fam = five_split(xp)
         for (label, ver) in fam.versions:
             if label == "B1":
@@ -414,16 +400,11 @@ def solve_free_general(x: TwInstance,
     _require_wait(x)
     if x.mode != FREE:
         raise PreconditionError("free-endpoint solver needs unanchored ends")
-    zero, pos = _length_split(x)
-    versions = []
-    if zero:
-        rz = zero_window_dp(restrict(x, {v: None for v in pos}))
-        versions.append(("Z", _claims_of(rz.walk), ONE))
-    if pos:
-        xp = restrict(x, {v: None for v in zero})
+    versions, xp = _split_zero_windows(x)
+    if xp is not None:
         stats = window_stats(xp)
         bands: Dict[int, List[int]] = {}
-        for v in pos:
+        for v in xp.positive_vertices():
             j = floor_log2(xp.windows[v].length / stats.l_min)
             bands.setdefault(j, []).append(v)
         for j in sorted(bands):

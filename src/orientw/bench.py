@@ -15,7 +15,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .algorithms import ALGORITHMS, run_algorithm
 from .errors import PreconditionError
 from .instance import TwInstance, brute_force_opt, window_stats
-from .oracles import MonotoneDeadlineOracle  # noqa: F401  (re-export convenience)
 
 # Exhaustive search beyond this many vertices is not worth the wait.
 BRUTE_LIMIT = 12

@@ -9,13 +9,13 @@ then loses at most a factor beta = len(versions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
 from .instance import TimeWindow, TwInstance, restrict, scale_times, window_stats
-from .rational import HALF, ONE, ZERO, is_integral
+from .rational import ONE, is_integral
 
 # version labels are stable strings: "B<slot>_<level>" for dyadic versions,
 # "B1".."B5" for the split constructions.
@@ -54,9 +54,6 @@ class RestrictedFamily:
     @property
     def beta(self) -> int:
         return len(self.versions)
-
-    def labels(self) -> List[str]:
-        return [label for (label, _v) in self.versions]
 
 
 # ----- dyadic partition ------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContainmentError, InfeasibleInstanceError, PreconditionError
 from .metric import Metric
-from .rational import INF, ZERO, as_fraction, is_finite
+from .rational import ZERO, as_fraction, is_finite
 
 WAIT = "wait"
 NO_WAIT = "no-wait"
@@ -135,10 +135,6 @@ class WalkSolution:
     @property
     def order(self) -> tuple:
         return tuple(v for (v, _t, _c) in self.schedule)
-
-    @property
-    def end_time(self) -> Fraction:
-        return self.schedule[-1][1] if self.schedule else ZERO
 
 
 def _infeasible(reason: str) -> WalkSolution:

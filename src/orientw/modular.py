@@ -4,12 +4,13 @@ A modular partition splits the positive-reward vertices into blocks with
 time intervals that appear in order along the timeline; every member's
 window must contain its block's interval.  Any feasible walk then collects
 each block's vertices in one contiguous stretch, so the instance solves by
-sequencing per-block point-to-point walks, which is what the three DPs
-below do.  They differ in what the state tracks:
+sequencing per-block point-to-point walks.  chain_dp runs that sequencing
+once for every composition; the three DPs below only say which in-block
+walks each block offers:
 
-* solve_time_indexed   - (position, clock) -> best reward; integral data only
-* solve_reward_indexed - (position, reward) -> earliest clock; any rationals
-* solve_exact_pareto   - labels carry both, pruned to the Pareto frontier
+* solve_time_indexed   - one oracle walk per integral budget; integral data only
+* solve_reward_indexed - the shortest certified walk per reward level; any rationals
+* solve_exact_pareto   - every undominated walk of the block's Pareto profile
 
 The first two take a point-to-point orienteering oracle and inherit its
 ratio; the third is exact and oracle-free.
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InfeasibleInstanceError, PreconditionError
-from .instance import ANCHORED, FREE, START_ONLY, TwInstance, WalkSolution, evaluate_walk
+from .instance import ANCHORED, FREE, TwInstance, WalkSolution, evaluate_walk
 from .metric import Metric
 from .oracles import (MonotoneOracle, OrienteeringOracle, WalkResult, pareto_profiles)
 from .rational import ZERO, fraction_gcd, is_finite, is_integral
@@ -38,9 +39,6 @@ class ModularBlock:
 @dataclass(frozen=True)
 class ModularPartition:
     blocks: tuple
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 def verify_modular(x: TwInstance, part: ModularPartition) -> List[str]:
@@ -194,83 +192,53 @@ def finishable(x: TwInstance, p, tau: Fraction) -> bool:
     return True
 
 
-def _block_eligible(x: TwInstance, b: ModularBlock) -> Dict[int, Fraction]:
-    return {v: x.rewards[v] for v in sorted(b.members) if x.rewards[v] > 0}
+def _eligible_blocks(x: TwInstance, part: ModularPartition):
+    """(index, block, member rewards, sorted member ids) for every block
+    with a positive-reward member; the others offer the chain DP nothing."""
+    for bi, b in enumerate(part.blocks):
+        eligible = {v: x.rewards[v] for v in sorted(b.members) if x.rewards[v] > 0}
+        if eligible:
+            yield bi, b, eligible, sorted(eligible)
 
 
 def pos_key(p) -> tuple:
     return (p is not None, p if p is not None else -1)
 
 
-# ----- time-indexed DP -------------------------------------------------------
+# ----- the chain DP ----------------------------------------------------------
 
-def solve_time_indexed(x: TwInstance, part: ModularPartition,
-                       oracle: OrienteeringOracle) -> DpResult:
-    """Label DP over (position, clock) states, integral data only.
+def chain_dp(x: TwInstance, steps) -> DpResult:
+    """Label DP over blocks in timeline order, shared by every composition.
 
-    Block entry times and oracle budgets stay integral, so the state space
-    is finite without any rounding.  With an exact oracle this solves the
-    modular instance exactly.
+    A label (time, reward, back) at a position is a partial walk; each
+    position keeps a Pareto frontier of them.  steps yields (index, release,
+    deadline, entries, moves) per block: a label may enter at any u in
+    entries by the deadline, and moves(u, e) yields the in-block walks
+    (exit, duration, reward gain, visit order) open from u at time e.
+    A block's moves is called only before the next block is drawn, so it
+    may close over per-block state.
     """
-    require_modular(x, part)
-    ensure_reachable_anchors(x)
-    _require_integral(x, part)
-    mono = MonotoneOracle(oracle)
-
-    # labels[p] = list of (time, reward, back) on the Pareto frontier
     labels: Dict[object, List[tuple]] = {start_position(x): [(ZERO, ZERO, None)]}
-
-    for bi, b in enumerate(part.blocks):
-        eligible = _block_eligible(x, b)
-        if not eligible:
-            continue
+    for (bi, release, deadline, entries, moves) in steps:
         new_labels = {p: list(ls) for p, ls in labels.items()}
         for p in sorted(labels, key=pos_key):
             for (tau, rew, back) in labels[p]:
-                for u in sorted(eligible):
-                    e = entry_time(x, p, tau, u, b.release)
-                    if e is None or e > b.deadline:
+                for u in entries:
+                    e = entry_time(x, p, tau, u, release)
+                    if e is None or e > deadline:
                         continue
-                    cap = b.deadline - e
-                    for w in sorted(eligible):
-                        seen = set()
-                        for budget in _int_budgets(cap):
-                            res = mono.query(x.metric, eligible, u, w, budget)
-                            if not res.feasible or res.order in seen:
-                                continue
-                            seen.add(res.order)
-                            entry = (e + res.duration, rew + res.reward,
-                                     (p, tau, rew, bi, res.order, back))
-                            push_label(new_labels.setdefault(w, []), entry)
+                    for (w, duration, gain, order) in moves(u, e):
+                        push_label(new_labels.setdefault(w, []),
+                                   (e + duration, rew + gain, (bi, order, back)))
         labels = new_labels
-
     return harvest_labels(x, labels)
-
-
-def _int_budgets(cap: Fraction):
-    if cap < 0:
-        return []
-    return [Fraction(b) for b in range(int(cap) + 1)]
-
-
-def _require_integral(x: TwInstance, part: ModularPartition):
-    ok = is_integral(x.budget)
-    for row in x.metric.d:
-        for v in row:
-            if is_finite(v) and not is_integral(v):
-                ok = False
-    for b in part.blocks:
-        if not (is_integral(b.release) and is_integral(b.deadline)):
-            ok = False
-    if not ok:
-        raise PreconditionError(
-            "time-indexed DP needs integral distances and block bounds; "
-            "use solve_reward_indexed for rational data")
 
 
 def push_label(frontier: List[tuple], entry: tuple):
     """Insert a (time, reward, back) label, keeping the frontier minimal:
-    no label may be as late and as poor as another."""
+    no label may be as late and as poor as another.  The frontier stays
+    strictly increasing in both time and reward, and a label equal to one
+    already there is rejected, so the first back-pointer pushed wins."""
     t, r = entry[0], entry[1]
     for (t2, r2, _b) in frontier:
         if t2 <= t and r2 >= r:
@@ -297,7 +265,7 @@ def harvest_labels(x: TwInstance, labels) -> DpResult:
     segments: List[Tuple[int, tuple]] = []
     back = best[1][2]
     while back is not None:
-        (_p, _tau, _rew, bi, order, prev) = back
+        (bi, order, prev) = back
         segments.append((bi, order))
         back = prev
     segments.reverse()
@@ -306,11 +274,67 @@ def harvest_labels(x: TwInstance, labels) -> DpResult:
     return DpResult(walk, claimed, tuple(segments))
 
 
+# ----- time-indexed DP -------------------------------------------------------
+
+def solve_time_indexed(x: TwInstance, part: ModularPartition,
+                       oracle: OrienteeringOracle) -> DpResult:
+    """Chain DP whose block walks are one oracle answer per integral budget,
+    integral data only.
+
+    Block entry times and oracle budgets stay integral, so the state space
+    is finite without any rounding.  With an exact oracle this solves the
+    modular instance exactly.
+    """
+    require_modular(x, part)
+    ensure_reachable_anchors(x)
+    _require_integral(x, part)
+    mono = MonotoneOracle(oracle)
+
+    def steps():
+        for bi, b, eligible, ids in _eligible_blocks(x, part):
+            def moves(u, e):
+                cap = b.deadline - e
+                for w in ids:
+                    seen = set()
+                    for budget in _int_budgets(cap):
+                        res = mono.query(x.metric, eligible, u, w, budget)
+                        if not res.feasible or res.order in seen:
+                            continue
+                        seen.add(res.order)
+                        yield w, res.duration, res.reward, res.order
+
+            yield bi, b.release, b.deadline, ids, moves
+
+    return chain_dp(x, steps())
+
+
+def _int_budgets(cap: Fraction):
+    if cap < 0:
+        return []
+    return [Fraction(b) for b in range(int(cap) + 1)]
+
+
+def _require_integral(x: TwInstance, part: ModularPartition):
+    ok = is_integral(x.budget)
+    for row in x.metric.d:
+        for v in row:
+            if is_finite(v) and not is_integral(v):
+                ok = False
+    for b in part.blocks:
+        if not (is_integral(b.release) and is_integral(b.deadline)):
+            ok = False
+    if not ok:
+        raise PreconditionError(
+            "time-indexed DP needs integral distances and block bounds; "
+            "use solve_reward_indexed for rational data")
+
+
 # ----- reward-indexed DP -----------------------------------------------------
 
 def solve_reward_indexed(x: TwInstance, part: ModularPartition,
                          oracle: OrienteeringOracle) -> DpResult:
-    """Label DP over (position, accumulated reward) -> earliest completion.
+    """Chain DP whose block walks are the earliest completion per reward
+    level.
 
     Reward levels walk a grid of multiples of the gcd of the member rewards,
     so rational data needs no scaling.  Per (entry, exit, level) the block
@@ -329,36 +353,25 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
     rewards = [x.rewards[v] for b in part.blocks for v in b.members if x.rewards[v] > 0]
     grain = fraction_gcd(rewards) if rewards else Fraction(1)
 
-    # same (time, reward, back) labels; reward levels drive the transitions
-    labels: Dict[object, List[tuple]] = {start_position(x): [(ZERO, ZERO, None)]}
+    def steps():
+        for bi, b, eligible, ids in _eligible_blocks(x, part):
+            span = b.deadline - b.release
+            total = sum(eligible.values(), ZERO)
+            levels = _levels(total, grain)
+            finder = _BlockTimes(x.metric, eligible, span, mono, alpha)
 
-    for bi, b in enumerate(part.blocks):
-        eligible = _block_eligible(x, b)
-        if not eligible:
-            continue
-        span = b.deadline - b.release
-        total = sum(eligible.values(), ZERO)
-        levels = _levels(total, grain)
-        finder = _BlockTimes(x.metric, eligible, span, mono, alpha)
-        new_labels = {p: list(ls) for p, ls in labels.items()}
-        for p in sorted(labels, key=pos_key):
-            for (tau, k, back) in labels[p]:
-                for u in sorted(eligible):
-                    e = entry_time(x, p, tau, u, b.release)
-                    if e is None or e > b.deadline:
-                        continue
-                    cap = b.deadline - e
-                    for w in sorted(eligible):
-                        for level in levels:
-                            found = finder.min_time(u, w, level)
-                            if found is None or found.duration > cap:
-                                continue
-                            entry = (e + found.duration, k + level,
-                                     (p, tau, k, bi, found.order, back))
-                            push_label(new_labels.setdefault(w, []), entry)
-        labels = new_labels
+            def moves(u, e):
+                cap = b.deadline - e
+                for w in ids:
+                    for level in levels:
+                        found = finder.min_time(u, w, level)
+                        if found is None or found.duration > cap:
+                            continue
+                        yield w, found.duration, level, found.order
 
-    return harvest_labels(x, labels)
+            yield bi, b.release, b.deadline, ids, moves
+
+    return chain_dp(x, steps())
 
 
 def _levels(total: Fraction, grain: Fraction) -> List[Fraction]:
@@ -416,37 +429,27 @@ class _BlockTimes:
 
 def solve_exact_pareto(x: TwInstance, part: ModularPartition) -> DpResult:
     """Oracle-free exact solve: per-block Pareto profiles (every undominated
-    duration/reward pair between each entry and exit) fed into the same
-    label DP.  Exponential in the largest block, fine at desk scale."""
+    duration/reward pair between each entry and exit) fed into the chain
+    DP.  Exponential in the largest block, fine at desk scale."""
     require_modular(x, part)
     ensure_reachable_anchors(x)
 
-    labels: Dict[object, List[tuple]] = {start_position(x): [(ZERO, ZERO, None)]}
+    def steps():
+        for bi, b, eligible, ids in _eligible_blocks(x, part):
+            span = b.deadline - b.release
+            profiles: Dict[Tuple[int, int], tuple] = {}
+            for u in ids:
+                for w in ids:
+                    profiles[(u, w)] = pareto_profiles(x.metric, eligible, u, w, span).entries
 
-    for bi, b in enumerate(part.blocks):
-        eligible = _block_eligible(x, b)
-        if not eligible:
-            continue
-        span = b.deadline - b.release
-        profiles: Dict[Tuple[int, int], tuple] = {}
-        for u in sorted(eligible):
-            for w in sorted(eligible):
-                profiles[(u, w)] = pareto_profiles(x.metric, eligible, u, w, span).entries
-        new_labels = {p: list(ls) for p, ls in labels.items()}
-        for p in sorted(labels, key=pos_key):
-            for (tau, rew, back) in labels[p]:
-                for u in sorted(eligible):
-                    e = entry_time(x, p, tau, u, b.release)
-                    if e is None or e > b.deadline:
-                        continue
-                    cap = b.deadline - e
-                    for w in sorted(eligible):
-                        for pe in profiles[(u, w)]:
-                            if pe.duration > cap:
-                                break
-                            entry = (e + pe.duration, rew + pe.reward,
-                                     (p, tau, rew, bi, pe.order, back))
-                            push_label(new_labels.setdefault(w, []), entry)
-        labels = new_labels
+            def moves(u, e):
+                cap = b.deadline - e
+                for w in ids:
+                    for pe in profiles[(u, w)]:
+                        if pe.duration > cap:
+                            break
+                        yield w, pe.duration, pe.reward, pe.order
 
-    return harvest_labels(x, labels)
+            yield bi, b.release, b.deadline, ids, moves
+
+    return chain_dp(x, steps())

@@ -10,7 +10,7 @@ stand-ins with no proven ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -130,15 +130,12 @@ def exact_orienteering(q: OrienteeringQuery) -> WalkResult:
     u, v, budget = q.u, q.v, q.budget
     if u == v:
         direct: Tuple[int, ...] = (u,)
-        base_dur = ZERO
     else:
         if not is_finite(d[u][v]) or d[u][v] > budget:
             return INFEASIBLE_RESULT
         direct = (u, v)
-        base_dur = d[u][v]
     cand = sorted(w for w in q.eligible if w != u and w != v)
     base_reward = result_reward(q.eligible, direct)
-    del base_dur
 
     best = [base_reward, direct]
 
@@ -234,15 +231,16 @@ GREEDY_ORACLE = OrienteeringOracle(OracleSpec("greedy", ONE, guaranteed=False), 
 ORIENTEERING_ORACLES = {"exact": EXACT_ORACLE, "greedy": GREEDY_ORACLE}
 
 
-class MonotoneOracle:
-    """Per-solve cache that makes an oracle's reward monotone in the budget.
+class _MonotoneCache:
+    """Per-solve cache that makes an oracle's answer monotone in one limit
+    (a budget or a horizon).
 
-    Each query key remembers every probed budget; the answer for budget b is
-    the best result seen at any probed budget <= b.  Confined to a single
+    Each query key remembers every probed limit; the answer for limit b is
+    the best result seen at any probed limit <= b.  Confined to a single
     solve context so caching never leaks across instances.
     """
 
-    def __init__(self, oracle: OrienteeringOracle):
+    def __init__(self, oracle):
         self.oracle = oracle
         self._probes: Dict[tuple, List[Tuple[Fraction, WalkResult]]] = {}
 
@@ -250,26 +248,34 @@ class MonotoneOracle:
     def spec(self) -> OracleSpec:
         return self.oracle.spec
 
-    def query(self, metric: Metric, eligible: Dict[int, Fraction], u: int, v: int,
-              budget: Fraction) -> WalkResult:
-        key = (id(metric), u, v, tuple(sorted(eligible.items())))
+    def _probe(self, key: tuple, limit: Fraction,
+               ask: Callable[[], WalkResult]) -> WalkResult:
+        """Cached answer for (key, limit); ask() runs the oracle on a miss."""
         probes = self._probes.setdefault(key, [])
         for (b, res) in probes:
-            if b == budget:
+            if b == limit:
                 return res
-        raw = best_orienteering_walk(self.oracle,
-                                     OrienteeringQuery(metric, eligible, u, v, budget))
-        best = raw
+        best = ask()
         for (b, res) in probes:
-            if b <= budget and _result_better(res, best):
+            if b <= limit and _result_better(res, best):
                 best = res
-        probes.append((budget, best))
+        probes.append((limit, best))
         probes.sort(key=lambda br: br[0])
         # earlier probes never worsen later answers: refresh cached entries
         for i, (b, res) in enumerate(probes):
-            if b >= budget and _result_better(best, res):
+            if b >= limit and _result_better(best, res):
                 probes[i] = (b, best)
         return best
+
+
+class MonotoneOracle(_MonotoneCache):
+    """Budget-monotone cache around an orienteering oracle."""
+
+    def query(self, metric: Metric, eligible: Dict[int, Fraction], u: int, v: int,
+              budget: Fraction) -> WalkResult:
+        key = (id(metric), u, v, tuple(sorted(eligible.items())))
+        return self._probe(key, budget, lambda: best_orienteering_walk(
+            self.oracle, OrienteeringQuery(metric, eligible, u, v, budget)))
 
 
 def _result_better(a: WalkResult, b: WalkResult) -> bool:
@@ -476,36 +482,14 @@ def deadline_oracle_by_name(name: str, oracle: OrienteeringOracle) -> DeadlineOr
     raise PreconditionError("unknown deadline oracle %r" % name)
 
 
-class MonotoneDeadlineOracle:
+class MonotoneDeadlineOracle(_MonotoneCache):
     """Horizon-monotone cache around a deadline oracle (per solve context)."""
-
-    def __init__(self, oracle: DeadlineOracle):
-        self.oracle = oracle
-        self._probes: Dict[tuple, List[Tuple[Fraction, WalkResult]]] = {}
-
-    @property
-    def spec(self) -> OracleSpec:
-        return self.oracle.spec
 
     def query(self, metric: Metric, eligible, u: int, t0: Fraction, end: Optional[int],
               horizon: Fraction) -> WalkResult:
         key = (id(metric), u, t0, end, tuple(sorted(eligible.items())))
-        probes = self._probes.setdefault(key, [])
-        for (h, res) in probes:
-            if h == horizon:
-                return res
-        raw = best_deadline_walk(self.oracle,
-                                 DeadlineQuery(metric, eligible, u, t0, end, horizon))
-        best = raw
-        for (h, res) in probes:
-            if h <= horizon and _result_better(res, best):
-                best = res
-        probes.append((horizon, best))
-        probes.sort(key=lambda hr: hr[0])
-        for i, (h, res) in enumerate(probes):
-            if h >= horizon and _result_better(best, res):
-                probes[i] = (h, best)
-        return best
+        return self._probe(key, horizon, lambda: best_deadline_walk(
+            self.oracle, DeadlineQuery(metric, eligible, u, t0, end, horizon)))
 
 
 # ----- Pareto profiles -------------------------------------------------------

@@ -47,16 +47,6 @@ def floor_log2(x: Fraction) -> int:
     return j
 
 
-def ceil_log2(x: Fraction) -> int:
-    """Smallest j >= 0 with 2**j >= x.  Requires x > 0."""
-    if x <= 0:
-        raise ValueError("ceil_log2 needs a positive value")
-    if x <= 1:
-        return 0
-    j = floor_log2(x)
-    return j if _pow2(j) == x else j + 1
-
-
 def _pow2(j: int) -> Fraction:
     return Fraction(2) ** j
 

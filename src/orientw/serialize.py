@@ -19,12 +19,12 @@ import json
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional
+from typing import List
 
 from .errors import ParseError, PreconditionError
 from .instance import NO_WAIT, WAIT, TimeWindow, TwInstance
-from .metric import Graph, Metric, metric_closure
-from .rational import ONE, ZERO, is_finite, is_integral
+from .metric import Graph, metric_closure
+from .rational import ONE, is_finite
 
 _DECIMAL = re.compile(r"^-?\d+(\.\d{1,6})?$")
 

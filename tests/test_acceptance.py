@@ -27,7 +27,14 @@ from orientw.bench import bench_rows, rows_to_csv
 from orientw.generate import (gen_deadline_instance, gen_general_instance,
                               gen_integer_instance, gen_modular_instance,
                               gen_ratio2_instance, gen_zero_window_instance)
-from orientw.rational import ceil_log2
+
+
+def ceil_log2(x: F) -> int:
+    """Smallest j >= 0 with 2**j >= x; the dyadic depth in the stated bounds."""
+    j = 0
+    while 2 ** j < x:
+        j += 1
+    return j
 
 
 def _stopwatch(limit_s):

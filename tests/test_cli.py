@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -275,3 +276,13 @@ def test_bench_general_never_beats_its_bound():
 def test_bench_with_no_instances_is_header_only():
     from orientw.bench import bench_rows, rows_to_csv, HEADER
     assert rows_to_csv(bench_rows([])) == HEADER + "\n"
+
+
+def test_readme_lists_exactly_the_registered_algorithms():
+    from orientw import ALGORITHMS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("(`--algorithm`):", 1)[1].split("Oracles:", 1)[0]
+    names = set(re.findall(r"`([a-z0-9-]+)`", listed))
+    names |= set(re.findall(r"--algorithm ([a-z0-9-]+)", readme))
+    assert sorted(names - set(ALGORITHMS)) == []
+    assert sorted(set(ALGORITHMS) - names) == []

@@ -92,7 +92,7 @@ def test_dyadic_family_label_shape():
                                 window(2, 3), window(0, 8)),
                        rewards=(0, 1, 1, 0))
     fam = dyadic_family(x)
-    for label in fam.labels():
+    for (label, _ver) in fam.versions:
         assert label.startswith("B")
         slot, level = label[1:].split("_")
         assert slot in ("1", "2")

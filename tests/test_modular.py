@@ -9,7 +9,7 @@ from orientw import (EXACT_ORACLE, InfeasibleInstanceError, ModularBlock,
                      blocks_from_identical_windows, solve_exact_pareto,
                      solve_reward_indexed, solve_time_indexed, verify_modular)
 from orientw.generate import gen_modular_instance
-from orientw.modular import ensure_reachable_anchors, require_modular
+from orientw.modular import ensure_reachable_anchors, push_label, require_modular
 from orientw.oracles import exact_orienteering
 
 from conftest import build_instance, line4_instance, window
@@ -31,7 +31,7 @@ def _two_block_line():
 def test_blocks_from_identical_windows():
     x, part = _two_block_line()
     got = blocks_from_identical_windows(x)
-    assert len(got) == 2
+    assert len(got.blocks) == 2
     assert [b.members for b in got.blocks] == [frozenset({1}), frozenset({2, 3})]
     assert [(b.release, b.deadline) for b in got.blocks] == [(1, 2), (3, 4)]
     assert verify_modular(x, got) == []
@@ -188,3 +188,28 @@ def test_ratio_two_oracle_earns_half_rounded_up():
         opt = brute_force_opt(x).reward
         res = solve_time_indexed(x, part, loose)
         assert res.walk.reward >= math.ceil(opt / 2), seed
+
+
+def test_push_label_keeps_a_strict_frontier_and_the_first_back():
+    # chain_dp's determinism rests on this: among equal labels the first
+    # back-pointer pushed is the one that survives
+    frontier = []
+    push_label(frontier, (F(2), F(3), "first"))
+    push_label(frontier, (F(2), F(3), "second"))
+    assert frontier == [(F(2), F(3), "first")]
+    rng = random.Random(11)
+    for _ in range(200):
+        frontier, pushed = [], []
+        for i in range(rng.randint(1, 12)):
+            entry = (F(rng.randint(0, 6)), F(rng.randint(0, 6)), i)
+            push_label(frontier, entry)
+            pushed.append(entry)
+        times = [e[0] for e in frontier]
+        rewards = [e[1] for e in frontier]
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert all(a < b for a, b in zip(rewards, rewards[1:]))
+        undominated = {}
+        for (t, r, i) in pushed:
+            if not any(t2 <= t and r2 >= r and (t2, r2) != (t, r) for (t2, r2, _j) in pushed):
+                undominated.setdefault((t, r), i)
+        assert {(t, r): i for (t, r, i) in frontier} == undominated
