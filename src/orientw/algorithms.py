@@ -27,10 +27,11 @@ from .modular import (assemble_walk, blocks_from_identical_windows, chain_dp,
                       ensure_reachable_anchors, solve_reward_indexed, verify_modular)
 from .oracles import (EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle,
                       MonotoneDeadlineOracle, OrienteeringOracle)
-from .rational import HALF, ONE, ZERO, floor_log2, is_finite, is_integral
+from .rational import (HALF, ONE, ZERO, floor_log2, is_finite, is_integral,
+                       shared_fraction)
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
     """What a solver hands back.
 
@@ -100,7 +101,8 @@ def _report(name: str, x: TwInstance, versions, alpha: Fraction) -> SolveReport:
     if best is None:
         best = _finish(x, ())
         bound = ONE
-    return SolveReport(name, best, tuple(rewards), max(len(versions), 1), alpha, bound)
+    return SolveReport(name, best, tuple(rewards), max(len(versions), 1), alpha,
+                       shared_fraction(bound))
 
 
 # ----- fixed-instant vertices ------------------------------------------------

@@ -9,6 +9,7 @@ then loses at most a factor beta = len(versions).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -18,7 +19,9 @@ from .instance import TimeWindow, TwInstance, restrict, scale_times, window_stat
 from .rational import ONE, is_integral
 
 # version labels are stable strings: "B<slot>_<level>" for dyadic versions,
-# "B1".."B5" for the split constructions.
+# "B1".."B5" for the split constructions.  Every SolveReport keeps its
+# versions' labels, so they are shared strings rather than a fresh copy per
+# solve.
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ def dyadic_family(x: TwInstance) -> RestrictedFamily:
     for (level, slot) in sorted(groups):
         assignment: Dict[int, Optional[TimeWindow]] = {v: None for v in carriers + dropped}
         assignment.update(groups[(level, slot)])
-        versions.append(("B%d_%d" % (slot, level), restrict(x, assignment)))
+        versions.append((sys.intern("B%d_%d" % (slot, level)), restrict(x, assignment)))
     return RestrictedFamily(x, tuple(versions))
 
 
@@ -239,7 +242,7 @@ def five_split(x: TwInstance) -> RestrictedFamily:
         maps[4][v] = pieces[-1]
         for j, mid in enumerate(pieces[1:-1]):
             maps[1 + j][v] = mid
-    labeled = [("B%d" % (i + 1), maps[i]) for i in range(5)]
+    labeled = list(zip(("B1", "B2", "B3", "B4", "B5"), maps))
     return _family_from_maps(scaled, factor, carriers, labeled)
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContainmentError, InfeasibleInstanceError, PreconditionError
 from .metric import Metric
-from .rational import ZERO, as_fraction, is_finite
+from .rational import ZERO, as_fraction, is_finite, shared_fraction
 
 WAIT = "wait"
 NO_WAIT = "no-wait"
@@ -25,7 +25,7 @@ START_ONLY = "start-only"  # s fixed, end free; everything done by time T
 FREE = "free"              # both ends free; windows alone bound the walk
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeWindow:
     release: Fraction
     deadline: Fraction
@@ -45,7 +45,7 @@ class TimeWindow:
         return self.release <= other.release and other.deadline <= self.deadline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwInstance:
     """One problem instance.
 
@@ -118,7 +118,7 @@ class WindowStats:
     d_max: Optional[Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalkSolution:
     """A scored walk: schedule of (vertex, time, collected) triples.
 
@@ -251,7 +251,7 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
             arrived = sched_times[-1] + step
             if waiting and flag:
                 arrived = max(arrived, x.windows[v].release)
-            sched_times.append(arrived)
+            sched_times.append(shared_fraction(arrived))
     else:
         if len(times) != len(order):
             return _infeasible("times must match the walk length")
@@ -293,7 +293,7 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
     schedule = tuple((v, tv, flag and v in collected and tv >= x.windows[v].release
                       and tv <= x.windows[v].deadline)
                      for (v, flag), tv in zip(order, sched_times))
-    reward = sum((x.rewards[v] for v in collected), ZERO)
+    reward = shared_fraction(sum((x.rewards[v] for v in collected), ZERO))
     return WalkSolution(schedule, frozenset(collected), reward)
 
 

@@ -6,12 +6,13 @@ infinity marker from orientw.rational), never a large finite sentinel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .errors import GraphError
-from .rational import INF, ZERO, as_fraction, is_finite
+from .rational import INF, as_fraction, is_finite
 
 
 @dataclass(frozen=True)
@@ -36,32 +37,88 @@ class Graph:
         return Graph(directed, n, tuple(norm))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Metric:
     """Immutable n x n table of exact shortest-walk distances.
 
     d[u][v] is a Fraction for reachable pairs and INF otherwise.  The table
     satisfies the triangle inequality by construction; symmetric inputs give
     a symmetric table.
+
+    The same table in integer units rides along for the search kernels:
+    ints[u][v] is an int, or None where d[u][v] is INF, and
+    d[u][v] == Fraction(ints[u][v], scale) for every reachable pair.  Both
+    are derived from d and take no part in equality.  A Metric built from d
+    alone computes them once, and rejects any float entry other than the
+    INF marker itself; closure, scaled() and transposed() hand them over.
     """
 
     directed: bool
     n: int
     d: tuple
+    scale: int = field(default=1, compare=False, repr=False)
+    ints: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.ints is None:
+            scale, ints = _integer_table(self.d)
+            object.__setattr__(self, "scale", scale)
+            object.__setattr__(self, "ints", ints)
 
     def dist(self, u: int, v: int):
         return self.d[u][v]
 
     def transposed(self) -> "Metric":
         n = self.n
-        table = tuple(tuple(self.d[v][u] for v in range(n)) for u in range(n))
-        return Metric(self.directed, n, table)
+        table = tuple(tuple(row[u] for row in self.d) for u in range(n))
+        ints = tuple(tuple(row[u] for row in self.ints) for u in range(n))
+        return Metric(self.directed, n, table, self.scale, ints)
 
     def scaled(self, c: Fraction) -> "Metric":
-        rows = []
-        for row in self.d:
-            rows.append(tuple(x * c if is_finite(x) else INF for x in row))
-        return Metric(self.directed, self.n, tuple(rows))
+        """Every distance times c > 0; ints times c's numerator over a scale
+        times its denominator, with their common factor cancelled."""
+        scale = self.scale * c.denominator
+        g = gcd(c.numerator, scale)
+        factor = c.numerator // g
+        scale //= g
+        ints = tuple(tuple(None if x is None else x * factor for x in row)
+                     for row in self.ints)
+        return _from_ints(self.directed, self.n, scale, ints)
+
+
+def _integer_table(d) -> tuple:
+    """(scale, ints) for a table given in Fractions and INF."""
+    dens = []
+    for row in d:
+        for x in row:
+            if isinstance(x, float):
+                if x is not INF:
+                    raise GraphError("distance %r is a float; use a Fraction, "
+                                     "or orientw.INF for an unreachable pair" % (x,))
+            else:
+                dens.append(as_fraction(x).denominator)
+    scale = lcm(*dens)
+    ints = tuple(tuple(None if x is INF else x.numerator * (scale // x.denominator)
+                       for x in row) for row in d)
+    return scale, ints
+
+
+def _from_ints(directed: bool, n: int, scale: int, ints: tuple) -> Metric:
+    """Metric whose Fraction table is read off an integer table."""
+    fractions: dict = {}
+    rows = []
+    for row in ints:
+        out = []
+        for x in row:
+            if x is None:
+                out.append(INF)
+                continue
+            f = fractions.get(x)
+            if f is None:
+                f = fractions[x] = Fraction(x, scale)
+            out.append(f)
+        rows.append(tuple(out))
+    return Metric(directed, n, tuple(rows), scale, ints)
 
 
 def _check_graph(g: Graph) -> None:
@@ -77,31 +134,38 @@ def _check_graph(g: Graph) -> None:
 def metric_closure(g: Graph) -> Metric:
     """All-pairs shortest-walk distances of g, as an exact Metric.
 
-    Raises GraphError on malformed input.  Cubic in n, which is fine at the
-    instance sizes this package targets.
+    Floyd-Warshall runs on integers: every weight is scaled by the lcm of
+    the weights' denominators.  Raises GraphError on malformed input.  Cubic
+    in n, which is fine at the instance sizes this package targets.
     """
     _check_graph(g)
     n = g.n
-    d = [[INF] * n for _ in range(n)]
+    weights = [(u, v, as_fraction(w)) for (u, v, w) in g.edges]
+    scale = lcm(*(w.denominator for (_u, _v, w) in weights))
+    d: list = [[None] * n for _ in range(n)]
     for i in range(n):
-        d[i][i] = ZERO
-    for (u, v, w) in g.edges:
-        if w < d[u][v]:
-            d[u][v] = w
-        if not g.directed and w < d[v][u]:
-            d[v][u] = w
+        d[i][i] = 0
+    for (u, v, w) in weights:
+        x = w.numerator * (scale // w.denominator)
+        if d[u][v] is None or x < d[u][v]:
+            d[u][v] = x
+        if not g.directed and (d[v][u] is None or x < d[v][u]):
+            d[v][u] = x
     for k in range(n):
         dk = d[k]
         for i in range(n):
             dik = d[i][k]
-            if not is_finite(dik):
+            if dik is None:
                 continue
             row = d[i]
             for j in range(n):
                 dkj = dk[j]
-                if is_finite(dkj) and dik + dkj < row[j]:
-                    row[j] = dik + dkj
-    return Metric(g.directed, n, tuple(tuple(row) for row in d))
+                if dkj is not None:
+                    x = dik + dkj
+                    old = row[j]
+                    if old is None or x < old:
+                        row[j] = x
+    return _from_ints(g.directed, n, scale, tuple(tuple(row) for row in d))
 
 
 def validate_graph(g: Graph, source: Optional[int] = None) -> list:

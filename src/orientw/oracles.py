@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
@@ -79,6 +80,44 @@ def result_reward(eligible: Dict[int, Fraction], order) -> Fraction:
     return sum((eligible[v] for v in set(order) if v in eligible), ZERO)
 
 
+# ----- integer units ---------------------------------------------------------
+#
+# The exact searches below run on integers: distances come from metric.ints,
+# query times and rewards are converted once per query, and Fractions are
+# rebuilt only for the WalkResult they return.
+
+def _time_units(metric: Metric, times, rows) -> tuple:
+    """(table, scale) with table[r][w] == metric.d[r][w] * scale for every r in
+    rows, and every time in times a whole number of 1/scale units.  Only
+    when some time's denominator does not divide metric.scale are the
+    listed rows multiplied up; the table is metric.ints otherwise."""
+    scale = metric.scale
+    for t in times:
+        if scale % t.denominator:
+            scale = lcm(scale, t.denominator)
+    ints = metric.ints
+    if scale == metric.scale:
+        return ints, scale
+    factor = scale // metric.scale
+    table = list(ints)
+    for r in rows:
+        table[r] = tuple(None if x is None else x * factor for x in ints[r])
+    return table, scale
+
+
+def _units(value: Fraction, scale: int) -> int:
+    """value in 1/scale units; scale must be a multiple of its denominator."""
+    return value.numerator * (scale // value.denominator)
+
+
+def _reward_scale(rewards) -> int:
+    return lcm(*(r.denominator for r in rewards))
+
+
+def _walk_duration(table, order, scale: int) -> Fraction:
+    return Fraction(sum(table[a][b] for a, b in zip(order, order[1:])), scale)
+
+
 @dataclass(frozen=True)
 class OrienteeringOracle:
     spec: OracleSpec
@@ -135,27 +174,35 @@ def exact_orienteering(q: OrienteeringQuery) -> WalkResult:
             return INFEASIBLE_RESULT
         direct = (u, v)
     cand = sorted(w for w in q.eligible if w != u and w != v)
-    base_reward = result_reward(q.eligible, direct)
+    if not cand:
+        return WalkResult(direct, result_reward(q.eligible, direct),
+                          result_duration(q.metric, direct))
 
-    best = [base_reward, direct]
+    table, scale = _time_units(q.metric, (budget,), [u] + cand)
+    limit = _units(budget, scale)
+    rscale = _reward_scale(q.eligible.values())
+    gain = {w: _units(r, rscale) for w, r in q.eligible.items()}
+    home = {w: table[w][v] for w in cand}
+    best = [sum(gain[w] for w in set(direct) if w in gain), direct]
 
-    def dfs(cur: int, time: Fraction, used: List[int], acc: Fraction):
+    def dfs(cur: int, time: int, used: List[int], acc: int):
+        row = table[cur]
         avail = []
         for w in cand:
             if w in used:
                 continue
-            leg = d[cur][w]
-            if not is_finite(leg):
+            leg = row[w]
+            tail = home[w]
+            if leg is None or tail is None:
                 continue
             t2 = time + leg
-            tail = d[w][v]
-            if is_finite(tail) and t2 + tail <= budget:
+            if t2 + tail <= limit:
                 avail.append((w, t2))
-        bound = acc + sum((q.eligible[w] for (w, _t) in avail), ZERO)
+        bound = acc + sum(gain[w] for (w, _t) in avail)
         if bound <= best[0]:
             return
         for (w, t2) in avail:
-            acc2 = acc + q.eligible[w]
+            acc2 = acc + gain[w]
             used.append(w)
             if acc2 > best[0]:
                 best[0] = acc2
@@ -163,9 +210,9 @@ def exact_orienteering(q: OrienteeringQuery) -> WalkResult:
             dfs(w, t2, used, acc2)
             used.pop()
 
-    dfs(u, ZERO, [], base_reward)
-    order = tuple(best[1])
-    return WalkResult(order, best[0], result_duration(q.metric, order))
+    dfs(u, 0, [], best[0])
+    order = best[1]
+    return WalkResult(order, Fraction(best[0], rscale), _walk_duration(table, order, scale))
 
 
 def greedy_orienteering(q: OrienteeringQuery) -> WalkResult:
@@ -364,71 +411,77 @@ def exact_deadline(q: DeadlineQuery) -> WalkResult:
     """Exact branch and bound for deadline walks; same search shape as
     exact_orienteering with the per-vertex deadline added to the pruning.
 
-    The end anchor's own credit depends on the final arrival time, so every
-    candidate order is rescored exactly instead of trusting the running sum.
+    Every candidate order is scored as it is extended: the running sum of
+    the interior credits, plus the end anchor's credit when the walk's
+    final arrival there is a first visit by its deadline.
     """
-    d = q.metric.d
-    u, t0, horizon = q.u, q.t0, q.horizon
+    u, end = q.u, q.end
+    cand = sorted(w for w in q.eligible if w != u)
+    if not cand:
+        return _deadline_base(q)
 
-    def tail_ok(w: int, tw: Fraction) -> bool:
-        if q.end is None:
+    times = [q.t0, q.horizon] + [dl for (_r, dl) in q.eligible.values()]
+    table, scale = _time_units(q.metric, times, [u] + cand)
+    t0, horizon = _units(q.t0, scale), _units(q.horizon, scale)
+    rscale = _reward_scale(r for (r, _dl) in q.eligible.values())
+    gain = {w: _units(r, rscale) for w, (r, _dl) in q.eligible.items()}
+    due = {w: _units(dl, scale) for w, (_r, dl) in q.eligible.items()}
+    home = {w: table[w][end] for w in [u] + cand} if end is not None else None
+
+    def tail_ok(w: int, tw: int) -> bool:
+        if end is None:
             return tw <= horizon
-        leg = d[w][q.end]
-        return is_finite(leg) and tw + leg <= horizon
+        leg = home[w]
+        return leg is not None and tw + leg <= horizon
 
     if not tail_ok(u, t0):
         return INFEASIBLE_RESULT
 
-    base = _deadline_base(q)
     # the end anchor may pay off as an early interior visit too (hit its
-    # deadline, wander, come back), so it stays in the candidate pool
-    cand = sorted(w for w in q.eligible if w != u)
-    tail = () if q.end is None else (q.end,)
-    # end credit is bounded by its reward; counting it in full keeps the
-    # prune bound admissible even when the actual arrival misses the deadline
-    end_bonus = ZERO
-    if q.end is not None and q.end != u and q.end in q.eligible:
-        end_bonus = q.eligible[q.end][0]
-    u_credit = ZERO
-    if u in q.eligible and t0 <= q.eligible[u][1]:
-        u_credit = q.eligible[u][0]
+    # deadline, wander, come back), so it stays in the candidate pool; its
+    # full reward keeps the prune bound admissible while it is unvisited
+    end_bonus = gain[end] if end is not None and end != u and end in gain else 0
 
-    best = [base.reward, base.order]
+    def end_credit(w: int, tw: int, used: List[int]) -> int:
+        if end_bonus and end not in used and tw + home[w] <= due[end]:
+            return end_bonus
+        return 0
 
-    def consider(used: List[int]):
-        order = (u,) + tuple(used) + tail
-        rew = _deadline_reward(q.metric, q.eligible, order, t0)
-        if rew > best[0]:
-            best[0] = rew
-            best[1] = order
+    u_credit = gain[u] if u in gain and t0 <= due[u] else 0
+    tail = () if end is None else (end,)
+    base_order = (u,) if end is None or end == u else (u, end)
+    best = [u_credit + end_credit(u, t0, []), base_order]
 
-    def dfs(cur: int, time: Fraction, used: List[int], acc: Fraction):
+    def dfs(cur: int, time: int, used: List[int], acc: int):
+        row = table[cur]
         avail = []
         for w in cand:
             if w in used:
                 continue
-            leg = d[cur][w]
-            if not is_finite(leg):
+            leg = row[w]
+            if leg is None:
                 continue
             t2 = time + leg
-            if t2 <= q.eligible[w][1] and tail_ok(w, t2):
+            if t2 <= due[w] and tail_ok(w, t2):
                 avail.append((w, t2))
-        bound = acc + sum((q.eligible[w][0] for (w, _t) in avail), ZERO)
-        if q.end not in used:
+        bound = acc + sum(gain[w] for (w, _t) in avail)
+        if end not in used:
             bound += end_bonus
         if bound <= best[0]:
             return
         for (w, t2) in avail:
-            acc2 = acc + q.eligible[w][0]
+            acc2 = acc + gain[w]
             used.append(w)
-            consider(used)
+            score = acc2 + end_credit(w, t2, used)
+            if score > best[0]:
+                best[0] = score
+                best[1] = (u,) + tuple(used) + tail
             dfs(w, t2, used, acc2)
             used.pop()
 
     dfs(u, t0, [], u_credit)
-    order = tuple(best[1])
-    return WalkResult(order, _deadline_reward(q.metric, q.eligible, order, t0),
-                      result_duration(q.metric, order))
+    order = best[1]
+    return WalkResult(order, Fraction(best[0], rscale), _walk_duration(table, order, scale))
 
 
 def layered_deadline_fn(oracle: OrienteeringOracle):
@@ -515,29 +568,34 @@ def pareto_profiles(metric: Metric, eligible: Dict[int, Fraction], u: int, v: in
 
     Empty profile when v is unreachable from u within the horizon.
     """
-    d = metric.d
     cand = sorted(w for w in eligible if w != u and w != v)
     m = len(cand)
     if m > 16:
         raise PreconditionError("pareto_profiles supports at most 16 eligible vertices")
-    base_reward = result_reward(eligible, (u, v) if u != v else (u,))
+    direct_order = (u, v) if u != v else (u,)
+    table, scale = _time_units(metric, (horizon,), [u] + cand)
+    limit = _units(horizon, scale)
+    rscale = _reward_scale(eligible.values())
+    gains = [_units(eligible[w], rscale) for w in cand]
+    base_reward = sum(_units(eligible[w], rscale) for w in set(direct_order) if w in eligible)
 
     # dp[mask][i]: min duration of a walk u -> cand[i] visiting exactly mask
-    dp: List[Dict[int, Fraction]] = [dict() for _ in range(1 << m)]
+    dp: List[Dict[int, int]] = [dict() for _ in range(1 << m)]
     parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(1 << m)]
     for i, w in enumerate(cand):
-        leg = d[u][w]
-        if is_finite(leg):
+        leg = table[u][w]
+        if leg is not None:
             dp[1 << i][i] = leg
             parent[1 << i][i] = None
     for mask in range(1, 1 << m):
         for i, ti in sorted(dp[mask].items()):
+            row = table[cand[i]]
             for j, w in enumerate(cand):
                 bit = 1 << j
                 if mask & bit:
                     continue
-                leg = d[cand[i]][w]
-                if not is_finite(leg):
+                leg = row[w]
+                if leg is None:
                     continue
                 t2 = ti + leg
                 nm = mask | bit
@@ -545,18 +603,20 @@ def pareto_profiles(metric: Metric, eligible: Dict[int, Fraction], u: int, v: in
                     dp[nm][j] = t2
                     parent[nm][j] = i
 
-    raw: List[Tuple[Fraction, Fraction, tuple]] = []
-    direct = d[u][v] if u != v else ZERO
-    if is_finite(direct) and direct <= horizon:
-        raw.append((direct, base_reward, (u, v) if u != v else (u,)))
+    raw: List[Tuple[int, int, tuple]] = []
+    direct = table[u][v] if u != v else 0
+    if direct is not None and direct <= limit:
+        raw.append((direct, base_reward, direct_order))
     for mask in range(1, 1 << m):
-        rew = base_reward + sum((eligible[cand[i]] for i in range(m) if mask & (1 << i)), ZERO)
+        if not dp[mask]:
+            continue
+        rew = base_reward + sum(gains[i] for i in range(m) if mask & (1 << i))
         for i, ti in dp[mask].items():
-            tail = d[cand[i]][v]
-            if not is_finite(tail):
+            tail = table[cand[i]][v]
+            if tail is None:
                 continue
             total = ti + tail
-            if total > horizon:
+            if total > limit:
                 continue
             seq = []
             mm, ii = mask, i
@@ -574,6 +634,6 @@ def pareto_profiles(metric: Metric, eligible: Dict[int, Fraction], u: int, v: in
     for (dur, rew, order) in raw:
         if best_rew is not None and rew <= best_rew:
             continue
-        entries.append(ParetoEntry(dur, rew, order))
+        entries.append(ParetoEntry(Fraction(dur, scale), Fraction(rew, rscale), order))
         best_rew = rew
     return ParetoProfile(tuple(entries))

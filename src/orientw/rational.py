@@ -1,8 +1,15 @@
 """Small helpers for exact rational arithmetic.
 
-Finite quantities are always fractions.Fraction; the only non-Fraction value
-that ever flows through distance tables is INF (float infinity), which is
-used purely as an unreachable marker and never enters arithmetic.
+Finite quantities are always fractions.Fraction at the API; the only
+non-Fraction value that ever flows through distance tables is INF (float
+infinity), which is used purely as an unreachable marker and never enters
+arithmetic.  It is compared by identity: Metric rejects any other float.
+
+Inside the search kernels times run in integer units instead.  A Metric
+carries scale and ints with d[u][v] == Fraction(ints[u][v], scale) (ints
+holds None where d holds INF); a query time t enters as
+t.numerator * (scale // t.denominator) once scale is a multiple of
+t.denominator, and rewards likewise over the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -18,7 +25,21 @@ HALF = Fraction(1, 2)
 
 
 def is_finite(value) -> bool:
-    return value != INF
+    return value is not INF
+
+
+# Fraction(0) .. Fraction(255), shared the way CPython shares small ints.
+# Walk times, rewards and bounds are mostly small integers, and callers keep
+# reports by the thousand, so equal values in them share one object.
+_SMALL = tuple(Fraction(i) for i in range(256))
+
+
+def shared_fraction(value: Fraction) -> Fraction:
+    """value, or the shared equal object when it is a small nonnegative
+    integer."""
+    if value.denominator == 1 and 0 <= value.numerator < len(_SMALL):
+        return _SMALL[value.numerator]
+    return value
 
 
 def as_fraction(value) -> Fraction:

@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import orientw
 from orientw import ParseError, serialize
 from orientw.generate import (gen_deadline_instance, gen_integer_instance,
                               gen_ratio2_instance, gen_zero_window_instance)
@@ -13,9 +15,15 @@ from orientw.generate import (gen_deadline_instance, gen_integer_instance,
 from conftest import line4_instance, window
 
 
+# the CLI subprocess imports the same orientw as this test process
+SRC = os.path.dirname(os.path.dirname(orientw.__file__))
+
+
 def _run(*args, cwd=None):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "orientw.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 # ----- serialization ---------------------------------------------------------

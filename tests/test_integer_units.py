@@ -1,0 +1,324 @@
+"""Referee tests for the integer-unit kernel.
+
+metric_closure, Metric and the exact oracles run on integers scaled from
+the exact rationals.  The referees here are the plain Fraction versions:
+a Fraction Floyd-Warshall, and the exact oracles as they were before the
+integer kernel (exact_deadline among them rescoring the whole visit order
+at every search node).  Integer arithmetic is exact, so every answer must
+be identical, not merely close.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+from typing import List
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orientw import (INF, DeadlineQuery, Graph, GraphError, Metric, OrienteeringQuery,
+                     TimeWindow, TwInstance, metric_closure, pareto_profiles,
+                     reduce_deadline_to_tw, scale_times, serialize, time_reversed)
+from orientw.oracles import (INFEASIBLE_RESULT, ParetoEntry, ParetoProfile, WalkResult,
+                             exact_deadline, exact_orienteering)
+
+DENOMINATORS = (1, 3, 7, 2)  # edge weights such as 1/3, 1/7 and 5/2
+ODD_DENOMINATORS = (11, 13)  # never divide an edge scale built from DENOMINATORS
+
+
+# ----- referees --------------------------------------------------------------
+
+def reference_closure(g: Graph) -> list:
+    n = g.n
+    d = [[INF] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = F(0)
+    for (u, v, w) in g.edges:
+        if w < d[u][v]:
+            d[u][v] = w
+        if not g.directed and w < d[v][u]:
+            d[v][u] = w
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] != INF and d[k][j] != INF and d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return d
+
+
+def ref_duration(m: Metric, order) -> F:
+    total = F(0)
+    for a, b in zip(order, order[1:]):
+        if m.d[a][b] == INF:
+            return INF
+        total += m.d[a][b]
+    return total
+
+
+def ref_reward(eligible, order) -> F:
+    return sum((eligible[v] for v in set(order) if v in eligible), F(0))
+
+
+def ref_deadline_reward(m: Metric, eligible, order, t0) -> F:
+    reward, seen, time = F(0), set(), t0
+    for i, v in enumerate(order):
+        if i:
+            time += m.d[order[i - 1]][v]
+        if v in eligible and v not in seen and time <= eligible[v][1]:
+            seen.add(v)
+            reward += eligible[v][0]
+    return reward
+
+
+def ref_exact_orienteering(q: OrienteeringQuery) -> WalkResult:
+    d, u, v, budget = q.metric.d, q.u, q.v, q.budget
+    if u == v:
+        direct = (u,)
+    else:
+        if d[u][v] == INF or d[u][v] > budget:
+            return INFEASIBLE_RESULT
+        direct = (u, v)
+    cand = sorted(w for w in q.eligible if w != u and w != v)
+    best = [ref_reward(q.eligible, direct), direct]
+
+    def dfs(cur, time, used: List[int], acc):
+        avail = [(w, time + d[cur][w]) for w in cand
+                 if w not in used and d[cur][w] != INF and d[w][v] != INF
+                 and time + d[cur][w] + d[w][v] <= budget]
+        if acc + sum((q.eligible[w] for (w, _t) in avail), F(0)) <= best[0]:
+            return
+        for (w, t2) in avail:
+            used.append(w)
+            if acc + q.eligible[w] > best[0]:
+                best[:] = [acc + q.eligible[w], (u,) + tuple(used) + (v,)]
+            dfs(w, t2, used, acc + q.eligible[w])
+            used.pop()
+
+    dfs(u, F(0), [], best[0])
+    return WalkResult(best[1], best[0], ref_duration(q.metric, best[1]))
+
+
+def ref_exact_deadline(q: DeadlineQuery) -> WalkResult:
+    d, u, t0, horizon, end = q.metric.d, q.u, q.t0, q.horizon, q.end
+
+    def tail_ok(w, tw):
+        if end is None:
+            return tw <= horizon
+        return d[w][end] != INF and tw + d[w][end] <= horizon
+
+    if not tail_ok(u, t0):
+        return INFEASIBLE_RESULT
+    base = (u,) if end is None or end == u else (u, end)
+    cand = sorted(w for w in q.eligible if w != u)
+    tail = () if end is None else (end,)
+    end_bonus = q.eligible[end][0] if end is not None and end != u and end in q.eligible else 0
+    u_credit = q.eligible[u][0] if u in q.eligible and t0 <= q.eligible[u][1] else F(0)
+    best = [ref_deadline_reward(q.metric, q.eligible, base, t0), base]
+
+    def dfs(cur, time, used: List[int], acc):
+        avail = [(w, time + d[cur][w]) for w in cand
+                 if w not in used and d[cur][w] != INF
+                 and time + d[cur][w] <= q.eligible[w][1] and tail_ok(w, time + d[cur][w])]
+        bound = acc + sum((q.eligible[w][0] for (w, _t) in avail), F(0))
+        if end not in used:
+            bound += end_bonus
+        if bound <= best[0]:
+            return
+        for (w, t2) in avail:
+            used.append(w)
+            order = (u,) + tuple(used) + tail
+            rew = ref_deadline_reward(q.metric, q.eligible, order, t0)
+            if rew > best[0]:
+                best[:] = [rew, order]
+            dfs(w, t2, used, acc + q.eligible[w][0])
+            used.pop()
+
+    dfs(u, t0, [], u_credit)
+    return WalkResult(best[1], ref_deadline_reward(q.metric, q.eligible, best[1], t0),
+                      ref_duration(q.metric, best[1]))
+
+
+def ref_pareto(m: Metric, eligible, u, v, horizon) -> ParetoProfile:
+    """The subset DP over Fractions: dp[mask][i] is the shortest walk
+    u -> cand[i] visiting exactly mask, first found on ties."""
+    d = m.d
+    cand = sorted(w for w in eligible if w != u and w != v)
+    k = len(cand)
+    dp = [dict() for _ in range(1 << k)]
+    parent = [dict() for _ in range(1 << k)]
+    for i, w in enumerate(cand):
+        if d[u][w] != INF:
+            dp[1 << i][i], parent[1 << i][i] = d[u][w], None
+    for mask in range(1, 1 << k):
+        for i, ti in sorted(dp[mask].items()):
+            for j, w in enumerate(cand):
+                nm = mask | (1 << j)
+                if nm == mask or d[cand[i]][w] == INF:
+                    continue
+                if j not in dp[nm] or ti + d[cand[i]][w] < dp[nm][j]:
+                    dp[nm][j], parent[nm][j] = ti + d[cand[i]][w], i
+    direct = (u, v) if u != v else (u,)
+    raw = []
+    dur = d[u][v] if u != v else F(0)
+    if dur != INF and dur <= horizon:
+        raw.append((dur, ref_reward(eligible, direct), direct))
+    for mask in range(1, 1 << k):
+        for i, ti in dp[mask].items():
+            if d[cand[i]][v] == INF or ti + d[cand[i]][v] > horizon:
+                continue
+            seq, mm, ii = [], mask, i
+            while ii is not None:
+                seq.append(cand[ii])
+                mm, ii = mm & ~(1 << ii), parent[mm][ii]
+            order = (u,) + tuple(reversed(seq)) + (v,)
+            raw.append((ti + d[cand[i]][v], ref_reward(eligible, order), order))
+    raw.sort(key=lambda e: (e[0], -e[1], e[2]))
+    entries, best = [], None
+    for (dur, rew, order) in raw:
+        if best is None or rew > best:
+            entries.append(ParetoEntry(dur, rew, order))
+            best = rew
+    return ParetoProfile(tuple(entries))
+
+
+def assert_integer_table(m: Metric):
+    """d == Fraction(ints, scale) entry by entry, None exactly where INF."""
+    assert isinstance(m.scale, int) and m.scale >= 1
+    assert len(m.ints) == m.n
+    for row, irow in zip(m.d, m.ints):
+        assert len(irow) == m.n
+        for x, i in zip(row, irow):
+            if x is INF:
+                assert i is None
+            else:
+                assert isinstance(i, int) and F(i, m.scale) == x
+
+
+# ----- strategies ------------------------------------------------------------
+
+weights = st.builds(F, st.integers(0, 12), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def graphs(draw, n_max=6):
+    n = draw(st.integers(1, n_max))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, weights), max_size=3 * n))
+    return Graph.build(draw(st.booleans()), n, edges)
+
+
+def times(odd: bool):
+    dens = ODD_DENOMINATORS if odd else DENOMINATORS
+    return st.builds(F, st.integers(0, 60), st.sampled_from(dens))
+
+
+rewards = st.builds(F, st.integers(0, 9), st.sampled_from((1, 2, 3, 5)))
+
+
+# ----- the metric's integer table ------------------------------------------
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(graphs())
+def test_integer_closure_matches_fraction_floyd_warshall(g):
+    m = metric_closure(g)
+    assert [list(row) for row in m.d] == reference_closure(g)
+    assert all(x is INF or isinstance(x, F) for row in m.d for x in row)
+    assert_integer_table(m)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(graphs(), st.builds(F, st.integers(1, 20), st.integers(1, 12)))
+def test_every_derived_metric_keeps_its_integer_table(g, c):
+    m = metric_closure(g)
+    for derived in (m.scaled(c), m.transposed(), m.scaled(c).transposed(),
+                    Metric(m.directed, m.n, m.d)):
+        assert_integer_table(derived)
+    assert m.scaled(c).d == tuple(tuple(x * c if x is not INF else INF for x in row)
+                                  for row in m.d)
+    assert Metric(m.directed, m.n, m.d) == m
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(graphs(), st.data())
+def test_instance_transforms_keep_the_integer_table(g, data):
+    m = metric_closure(g)
+    n = m.n
+    budget = data.draw(times(False)) + 1
+    windows = tuple(TimeWindow(F(0), data.draw(st.builds(F, st.integers(0, 4), st.just(4)))
+                               * budget) for _ in range(n))
+    x = TwInstance(m, windows, (F(1),) * n, 0, data.draw(st.integers(0, n - 1)), budget)
+    for y in (x, serialize.loads(serialize.dumps(x)), time_reversed(x),
+              reduce_deadline_to_tw(x), scale_times(x, F(3, 7))):
+        assert_integer_table(y.metric)
+
+
+def test_metric_built_from_a_table_computes_its_integers():
+    m = Metric(True, 2, ((F(0), F(5, 2)), (INF, 3)))
+    assert m.scale == 2
+    assert m.ints == ((0, 5), (None, 6))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), 1.5])
+def test_metric_rejects_float_entries_other_than_inf(bad):
+    with pytest.raises(GraphError):
+        Metric(False, 2, ((F(0), bad), (bad, F(0))))
+
+
+# ----- the exact oracles against their Fraction referees -------------------
+
+@st.composite
+def eligible_sets(draw, n, odd):
+    members = draw(st.sets(st.integers(0, n - 1)))
+    return {v: (draw(rewards), draw(times(odd))) for v in sorted(members)}
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("u_eligible", [False, True])
+@pytest.mark.parametrize("end_kind", ["none", "start", "eligible", "ineligible"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_deadline_matches_the_rescoring_referee(end_kind, u_eligible, odd, data):
+    m = metric_closure(data.draw(graphs(n_max=7)))
+    n = m.n
+    eligible = data.draw(eligible_sets(n, odd))
+    u = data.draw(st.integers(0, n - 1))
+    if u_eligible:
+        eligible.setdefault(u, (data.draw(rewards), data.draw(times(odd))))
+    else:
+        eligible.pop(u, None)
+    others = [v for v in range(n) if v != u]
+    if end_kind == "none":
+        end = None
+    elif end_kind == "start":
+        end = u
+    else:
+        if not others:
+            return
+        end = data.draw(st.sampled_from(others))
+        if end_kind == "eligible":
+            eligible.setdefault(end, (data.draw(rewards), data.draw(times(odd))))
+        else:
+            eligible.pop(end, None)
+    t0 = data.draw(times(odd))
+    horizon = t0 + data.draw(times(odd))
+    q = DeadlineQuery(m, eligible, u, t0, end, horizon)
+    if odd:
+        assert m.scale % 11 and m.scale % 13
+    assert exact_deadline(q) == ref_exact_deadline(q)
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exact_orienteering_and_pareto_match_their_referees(odd, data):
+    m = metric_closure(data.draw(graphs(n_max=6)))
+    n = m.n
+    members = data.draw(st.sets(st.integers(0, n - 1)))
+    eligible = {v: data.draw(rewards) for v in sorted(members)}
+    u = data.draw(st.integers(0, n - 1))
+    v = data.draw(st.integers(0, n - 1))
+    budget = data.draw(times(odd))
+    q = OrienteeringQuery(m, eligible, u, v, budget)
+    assert exact_orienteering(q) == ref_exact_orienteering(q)
+    assert pareto_profiles(m, eligible, u, v, budget) == ref_pareto(m, eligible, u, v, budget)
