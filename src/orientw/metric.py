@@ -65,9 +65,6 @@ class Metric:
             object.__setattr__(self, "scale", scale)
             object.__setattr__(self, "ints", ints)
 
-    def dist(self, u: int, v: int):
-        return self.d[u][v]
-
     def transposed(self) -> "Metric":
         n = self.n
         table = tuple(tuple(row[u] for row in self.d) for u in range(n))

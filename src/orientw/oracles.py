@@ -2,10 +2,13 @@
 
 Two query shapes: plain orienteering (visit as much eligible reward as
 possible within a travel budget, no windows) and deadline walks (every
-credited visit must happen by that vertex's deadline).  Exact branch-and-
-bound implementations are the default at desk scale; a greedy insertion
-heuristic and a layered deadline heuristic are provided as scalable
-stand-ins with no proven ratio.
+credited visit must happen by that vertex's deadline).  Both share one
+contract: the walk has the query's endpoints, fits its time limit, and its
+duration and reward re-evaluate exactly.  The two wrappers enforce it with
+one check in integer units, and the two exact oracles are input builders
+for one branch and bound on integers; they are the default at desk scale.
+A greedy insertion heuristic and a layered deadline heuristic are provided
+as scalable stand-ins with no proven ratio.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
 from .metric import Metric
-from .rational import INF, ONE, ZERO, floor_log2, is_finite
+from .rational import ONE, ZERO, floor_log2, is_finite
 
 
 @dataclass(frozen=True)
@@ -66,25 +69,14 @@ class WalkResult:
 INFEASIBLE_RESULT = WalkResult((), ZERO, ZERO)
 
 
-def result_duration(metric: Metric, order) -> Fraction:
-    total = ZERO
-    for i in range(1, len(order)):
-        step = metric.d[order[i - 1]][order[i]]
-        if not is_finite(step):
-            return INF
-        total += step
-    return total
-
-
-def result_reward(eligible: Dict[int, Fraction], order) -> Fraction:
-    return sum((eligible[v] for v in set(order) if v in eligible), ZERO)
-
-
 # ----- integer units ---------------------------------------------------------
 #
-# The exact searches below run on integers: distances come from metric.ints,
-# query times and rewards are converted once per query, and Fractions are
-# rebuilt only for the WalkResult they return.
+# Both query shapes share one contract and are checked in integer units: a
+# walk leaves u at t0 and must end (at end, when given) by limit, and each
+# vertex of a credit map v -> (reward, due) pays at its first visit by its
+# due time.  An orienteering query is the case t0 = 0, end = v and every due
+# the budget.  Distances come from metric.ints, times and rewards are
+# converted once per call, and Fractions are rebuilt only for the results.
 
 def _time_units(metric: Metric, times, rows) -> tuple:
     """(table, scale) with table[r][w] == metric.d[r][w] * scale for every r in
@@ -114,8 +106,129 @@ def _reward_scale(rewards) -> int:
     return lcm(*(r.denominator for r in rewards))
 
 
-def _walk_duration(table, order, scale: int) -> Fraction:
-    return Fraction(sum(table[a][b] for a, b in zip(order, order[1:])), scale)
+def _evaluate(metric: Metric, credit, order, t0: Fraction) -> tuple:
+    """(reward, duration) of the walk order leaving order[0] at t0; duration
+    is None when some leg is unreachable."""
+    paid = [credit[v] for v in order if v in credit]
+    table, scale = _time_units(metric, [t0] + [dl for (_r, dl) in paid], order[:-1])
+    rscale = _reward_scale([r for (r, _dl) in paid])
+    time = start = _units(t0, scale)
+    reward, seen, prev = 0, set(), None
+    for v in order:
+        if prev is not None:
+            leg = table[prev][v]
+            if leg is None:
+                return ZERO, None
+            time += leg
+        prev = v
+        if v in credit and v not in seen and time <= _units(credit[v][1], scale):
+            seen.add(v)
+            reward += _units(credit[v][0], rscale)
+    return Fraction(reward, rscale), Fraction(time - start, scale)
+
+
+def _base_walk(metric: Metric, credit, u: int, end: Optional[int], t0: Fraction,
+               limit: Fraction) -> WalkResult:
+    """The walk that stays at u, or goes straight to end; infeasible when it
+    does not fit [t0, limit]."""
+    order = (u,) if end is None or end == u else (u, end)
+    reward, duration = _evaluate(metric, credit, order, t0)
+    if duration is None or t0 + duration > limit:
+        return INFEASIBLE_RESULT
+    return WalkResult(order, reward, duration)
+
+
+def _checked(name: str, ask: Callable[[], WalkResult], metric: Metric, credit, u: int,
+             end: Optional[int], t0: Fraction, limit: Fraction) -> WalkResult:
+    """The contract both wrappers enforce.
+
+    When the base walk does not fit, nothing does and the oracle is not
+    asked.  Otherwise ask()'s walk is checked against the query (endpoints,
+    fits [t0, limit], duration and reward re-evaluate exactly) and the
+    better of it and the base walk is returned.  An answer equal to the
+    base walk needs no second evaluation.
+    """
+    base = _base_walk(metric, credit, u, end, t0, limit)
+    if not base.feasible:
+        return base
+    res = ask()
+    if not res.feasible or res == base:
+        return base
+    if res.order[0] != u or (end is not None and res.order[-1] != end):
+        raise PreconditionError("oracle %s returned a walk with wrong endpoints" % name)
+    reward, duration = _evaluate(metric, credit, res.order, t0)
+    if duration != res.duration or t0 + duration > limit:
+        raise PreconditionError("oracle %s misreported its duration or overruns its limit"
+                                % name)
+    if reward != res.reward:
+        raise PreconditionError("oracle %s misreported its reward" % name)
+    return base if _result_better(base, res) else res
+
+
+def _exact_walk(metric: Metric, credit, u: int, end: Optional[int], t0: Fraction,
+                limit: Fraction, pool: List[int], paid) -> WalkResult:
+    """Branch and bound behind both exact oracles.
+
+    pool lists, in ascending id, the vertices the search may visit; paid
+    lists the vertices outside it that every fitting walk is credited for.
+    An end anchor in the pool pays only when the walk's final arrival there
+    is a first visit by its due time; its full reward keeps the prune bound
+    admissible while it is unvisited.  Pruning is admissible and updates are
+    strict, so the first optimum found in ascending-id order is returned.
+    """
+    if not pool:
+        return _base_walk(metric, credit, u, end, t0, limit)
+    table, scale = _time_units(metric, [t0, limit] + [dl for (_r, dl) in credit.values()],
+                               [u] + pool)
+    rscale = _reward_scale(r for (r, _dl) in credit.values())
+    gain = {w: _units(r, rscale) for w, (r, _dl) in credit.items()}
+    due = {w: _units(dl, scale) for w, (_r, dl) in credit.items()}
+    start, limit = _units(t0, scale), _units(limit, scale)
+    home = {w: 0 if end is None else table[w][end] for w in [u] + pool}
+    if home[u] is None or start + home[u] > limit:
+        return INFEASIBLE_RESULT
+    bonus = gain[end] if end in pool else 0
+
+    def end_credit(w: int, tw: int, used) -> int:
+        if bonus and end not in used and tw + home[w] <= due[end]:
+            return bonus
+        return 0
+
+    base = sum(gain[w] for w in paid)
+    tail = () if end is None else (end,)
+    best = [base + end_credit(u, start, ()), (u,) if end is None or end == u else (u, end)]
+
+    def dfs(cur: int, time: int, used: List[int], acc: int):
+        row = table[cur]
+        avail = []
+        for w in pool:
+            if w in used:
+                continue
+            leg, back = row[w], home[w]
+            if leg is None or back is None:
+                continue
+            t2 = time + leg
+            if t2 <= due[w] and t2 + back <= limit:
+                avail.append((w, t2))
+        bound = acc + sum(gain[w] for (w, _t) in avail)
+        if bonus and end not in used:
+            bound += bonus
+        if bound <= best[0]:
+            return
+        for (w, t2) in avail:
+            acc2 = acc + gain[w]
+            used.append(w)
+            score = acc2 + end_credit(w, t2, used)
+            if score > best[0]:
+                best[0] = score
+                best[1] = (u,) + tuple(used) + tail
+            dfs(w, t2, used, acc2)
+            used.pop()
+
+    dfs(u, start, [], base)
+    order = best[1]
+    duration = sum(table[a][b] for a, b in zip(order, order[1:]))
+    return WalkResult(order, Fraction(best[0], rscale), Fraction(duration, scale))
 
 
 @dataclass(frozen=True)
@@ -125,94 +238,27 @@ class OrienteeringOracle:
 
 
 def best_orienteering_walk(oracle: OrienteeringOracle, q: OrienteeringQuery) -> WalkResult:
-    """Contract wrapper around an orienteering oracle.
-
-    Handles the degenerate cases uniformly (u = v with budget >= 0 collects
-    u's own reward; an unreachable endpoint is an infeasible result), then
-    checks the returned walk against the query: endpoints, budget, and that
-    reward/duration re-evaluate exactly.
-    """
-    if q.budget < 0:
-        return INFEASIBLE_RESULT
-    if q.u == q.v:
-        base = WalkResult((q.u,), result_reward(q.eligible, (q.u,)), ZERO)
-    else:
-        leg = q.metric.d[q.u][q.v]
-        if not is_finite(leg) or leg > q.budget:
-            return INFEASIBLE_RESULT
-        base = WalkResult((q.u, q.v), result_reward(q.eligible, (q.u, q.v)), leg)
-    res = oracle.fn(q)
-    if not res.feasible:
-        return base
-    if res.order[0] != q.u or res.order[-1] != q.v:
-        raise PreconditionError("oracle %s returned a walk with wrong endpoints" % oracle.spec.name)
-    dur = result_duration(q.metric, res.order)
-    if dur != res.duration or dur > q.budget:
-        raise PreconditionError("oracle %s returned a walk that does not fit its budget"
-                                % oracle.spec.name)
-    if result_reward(q.eligible, res.order) != res.reward:
-        raise PreconditionError("oracle %s misreported its reward" % oracle.spec.name)
-    if res.reward < base.reward:
-        return base
-    return res
+    """Contract wrapper around an orienteering oracle: the walk runs from u
+    at time 0 to v by the budget.  The base walk is u alone when u = v,
+    else u then v."""
+    credit = {w: (r, q.budget) for w, r in q.eligible.items()}
+    return _checked(oracle.spec.name, lambda: oracle.fn(q), q.metric, credit,
+                    q.u, q.v, ZERO, q.budget)
 
 
 def exact_orienteering(q: OrienteeringQuery) -> WalkResult:
     """Exact branch and bound over ordered subsets of eligible vertices.
 
-    Admissible pruning only (a vertex is dropped once it cannot be reached
-    and still allow reaching v in budget), so the first optimum found in
-    ascending-id order is the lexicographically smallest one.  Intended for
-    roughly a dozen eligible vertices.
+    v stays out of the search pool and every due is the budget, so u's and
+    v's rewards are paid up front.  The first optimum found in ascending-id
+    order is the lexicographically smallest one.  Intended for roughly a
+    dozen eligible vertices.
     """
-    d = q.metric.d
-    u, v, budget = q.u, q.v, q.budget
-    if u == v:
-        direct: Tuple[int, ...] = (u,)
-    else:
-        if not is_finite(d[u][v]) or d[u][v] > budget:
-            return INFEASIBLE_RESULT
-        direct = (u, v)
-    cand = sorted(w for w in q.eligible if w != u and w != v)
-    if not cand:
-        return WalkResult(direct, result_reward(q.eligible, direct),
-                          result_duration(q.metric, direct))
-
-    table, scale = _time_units(q.metric, (budget,), [u] + cand)
-    limit = _units(budget, scale)
-    rscale = _reward_scale(q.eligible.values())
-    gain = {w: _units(r, rscale) for w, r in q.eligible.items()}
-    home = {w: table[w][v] for w in cand}
-    best = [sum(gain[w] for w in set(direct) if w in gain), direct]
-
-    def dfs(cur: int, time: int, used: List[int], acc: int):
-        row = table[cur]
-        avail = []
-        for w in cand:
-            if w in used:
-                continue
-            leg = row[w]
-            tail = home[w]
-            if leg is None or tail is None:
-                continue
-            t2 = time + leg
-            if t2 + tail <= limit:
-                avail.append((w, t2))
-        bound = acc + sum(gain[w] for (w, _t) in avail)
-        if bound <= best[0]:
-            return
-        for (w, t2) in avail:
-            acc2 = acc + gain[w]
-            used.append(w)
-            if acc2 > best[0]:
-                best[0] = acc2
-                best[1] = (u,) + tuple(used) + (v,)
-            dfs(w, t2, used, acc2)
-            used.pop()
-
-    dfs(u, 0, [], best[0])
-    order = best[1]
-    return WalkResult(order, Fraction(best[0], rscale), _walk_duration(table, order, scale))
+    u, v = q.u, q.v
+    credit = {w: (r, q.budget) for w, r in q.eligible.items()}
+    return _exact_walk(q.metric, credit, u, v, ZERO, q.budget,
+                       sorted(w for w in credit if w != u and w != v),
+                       [w for w in {u, v} if w in credit])
 
 
 def greedy_orienteering(q: OrienteeringQuery) -> WalkResult:
@@ -258,7 +304,8 @@ def greedy_orienteering(q: OrienteeringQuery) -> WalkResult:
         remaining.remove(w)
     if u == v and len(order) == 2:
         order = [u]  # nothing inserted, stay put
-    return WalkResult(tuple(order), result_reward(q.eligible, order), duration)
+    reward = sum((q.eligible[w] for w in set(order) if w in q.eligible), ZERO)
+    return WalkResult(tuple(order), reward, duration)
 
 
 def _ratio_better(r1: Fraction, d1: Fraction, r2: Fraction, d2: Fraction) -> bool:
@@ -356,132 +403,29 @@ class DeadlineOracle:
 
 
 def best_deadline_walk(oracle: DeadlineOracle, q: DeadlineQuery) -> WalkResult:
-    """Contract wrapper for deadline oracles; mirrors best_orienteering_walk.
+    """Contract wrapper for deadline oracles; the same check as
+    best_orienteering_walk, after dropping vertices whose deadline is
+    before t0.
 
     Durations in the result exclude t0: the walk occupies [t0, t0 + duration].
     """
-    if q.horizon < q.t0:
-        return INFEASIBLE_RESULT
     live = {v: rd for v, rd in q.eligible.items() if rd[1] >= q.t0}
-    if q.end is not None and q.end != q.u:
-        leg = q.metric.d[q.u][q.end]
-        if not is_finite(leg) or q.t0 + leg > q.horizon:
-            return INFEASIBLE_RESULT
     trimmed = DeadlineQuery(q.metric, live, q.u, q.t0, q.end, q.horizon)
-    res = oracle.fn(trimmed)
-    if not res.feasible:
-        return _deadline_base(trimmed)
-    if res.order[0] != q.u or (q.end is not None and res.order[-1] != q.end):
-        raise PreconditionError("deadline oracle %s returned wrong endpoints" % oracle.spec.name)
-    if result_duration(q.metric, res.order) != res.duration or q.t0 + res.duration > q.horizon:
-        raise PreconditionError("deadline oracle %s overran its horizon" % oracle.spec.name)
-    if _deadline_reward(q.metric, live, res.order, q.t0) != res.reward:
-        raise PreconditionError("deadline oracle %s misreported its reward" % oracle.spec.name)
-    base = _deadline_base(trimmed)
-    return res if not _result_better(base, res) else base
-
-
-def _deadline_base(q: DeadlineQuery) -> WalkResult:
-    if q.end is None or q.end == q.u:
-        order: Tuple[int, ...] = (q.u,)
-    else:
-        order = (q.u, q.end)
-    dur = result_duration(q.metric, order)
-    if not is_finite(dur) or q.t0 + dur > q.horizon:
-        return INFEASIBLE_RESULT
-    return WalkResult(order, _deadline_reward(q.metric, q.eligible, order, q.t0), dur)
-
-
-def _deadline_reward(metric: Metric, eligible, order, t0: Fraction) -> Fraction:
-    """Re-evaluate a deadline walk: credit each eligible vertex at its first
-    visit time along the order."""
-    reward = ZERO
-    seen = set()
-    time = t0
-    for i, v in enumerate(order):
-        if i:
-            time += metric.d[order[i - 1]][v]
-        if v in eligible and v not in seen and time <= eligible[v][1]:
-            seen.add(v)
-            reward += eligible[v][0]
-    return reward
+    return _checked(oracle.spec.name, lambda: oracle.fn(trimmed), q.metric, live,
+                    q.u, q.end, q.t0, q.horizon)
 
 
 def exact_deadline(q: DeadlineQuery) -> WalkResult:
-    """Exact branch and bound for deadline walks; same search shape as
-    exact_orienteering with the per-vertex deadline added to the pruning.
+    """Exact branch and bound for deadline walks.
 
-    Every candidate order is scored as it is extended: the running sum of
-    the interior credits, plus the end anchor's credit when the walk's
-    final arrival there is a first visit by its deadline.
+    The end anchor may pay off as an early interior visit too (hit its
+    deadline, wander, come back), so it stays in the search pool.  Every
+    candidate order is scored as it is extended.
     """
-    u, end = q.u, q.end
-    cand = sorted(w for w in q.eligible if w != u)
-    if not cand:
-        return _deadline_base(q)
-
-    times = [q.t0, q.horizon] + [dl for (_r, dl) in q.eligible.values()]
-    table, scale = _time_units(q.metric, times, [u] + cand)
-    t0, horizon = _units(q.t0, scale), _units(q.horizon, scale)
-    rscale = _reward_scale(r for (r, _dl) in q.eligible.values())
-    gain = {w: _units(r, rscale) for w, (r, _dl) in q.eligible.items()}
-    due = {w: _units(dl, scale) for w, (_r, dl) in q.eligible.items()}
-    home = {w: table[w][end] for w in [u] + cand} if end is not None else None
-
-    def tail_ok(w: int, tw: int) -> bool:
-        if end is None:
-            return tw <= horizon
-        leg = home[w]
-        return leg is not None and tw + leg <= horizon
-
-    if not tail_ok(u, t0):
-        return INFEASIBLE_RESULT
-
-    # the end anchor may pay off as an early interior visit too (hit its
-    # deadline, wander, come back), so it stays in the candidate pool; its
-    # full reward keeps the prune bound admissible while it is unvisited
-    end_bonus = gain[end] if end is not None and end != u and end in gain else 0
-
-    def end_credit(w: int, tw: int, used: List[int]) -> int:
-        if end_bonus and end not in used and tw + home[w] <= due[end]:
-            return end_bonus
-        return 0
-
-    u_credit = gain[u] if u in gain and t0 <= due[u] else 0
-    tail = () if end is None else (end,)
-    base_order = (u,) if end is None or end == u else (u, end)
-    best = [u_credit + end_credit(u, t0, []), base_order]
-
-    def dfs(cur: int, time: int, used: List[int], acc: int):
-        row = table[cur]
-        avail = []
-        for w in cand:
-            if w in used:
-                continue
-            leg = row[w]
-            if leg is None:
-                continue
-            t2 = time + leg
-            if t2 <= due[w] and tail_ok(w, t2):
-                avail.append((w, t2))
-        bound = acc + sum(gain[w] for (w, _t) in avail)
-        if end not in used:
-            bound += end_bonus
-        if bound <= best[0]:
-            return
-        for (w, t2) in avail:
-            acc2 = acc + gain[w]
-            used.append(w)
-            score = acc2 + end_credit(w, t2, used)
-            if score > best[0]:
-                best[0] = score
-                best[1] = (u,) + tuple(used) + tail
-            dfs(w, t2, used, acc2)
-            used.pop()
-
-    dfs(u, t0, [], u_credit)
-    order = best[1]
-    return WalkResult(order, Fraction(best[0], rscale), _walk_duration(table, order, scale))
+    u = q.u
+    paid = [u] if u in q.eligible and q.t0 <= q.eligible[u][1] else []
+    return _exact_walk(q.metric, q.eligible, u, q.end, q.t0, q.horizon,
+                       sorted(w for w in q.eligible if w != u), paid)
 
 
 def layered_deadline_fn(oracle: OrienteeringOracle):
@@ -494,7 +438,7 @@ def layered_deadline_fn(oracle: OrienteeringOracle):
         for v, (rew, dl) in q.eligible.items():
             j = floor_log2(dl) if dl > 0 else None
             classes.setdefault(j, {})[v] = rew
-        best = _deadline_base(q)
+        best = _base_walk(q.metric, q.eligible, q.u, q.end, q.t0, q.horizon)
         if not best.feasible:
             return best
         for j in sorted(classes, key=lambda k: (k is None, k)):
@@ -509,9 +453,8 @@ def layered_deadline_fn(oracle: OrienteeringOracle):
                     oracle, OrienteeringQuery(q.metric, members, q.u, end, budget))
                 if not res.feasible:
                     continue
-                scored = WalkResult(res.order,
-                                    _deadline_reward(q.metric, q.eligible, res.order, q.t0),
-                                    res.duration)
+                reward, _dur = _evaluate(q.metric, q.eligible, res.order, q.t0)
+                scored = WalkResult(res.order, reward, res.duration)
                 if _result_better(scored, best):
                     best = scored
         return best

@@ -70,6 +70,8 @@ def loads(text: str) -> TwInstance:
     if not isinstance(directed, bool):
         raise ParseError("directed must be true or false")
 
+    if not isinstance(raw["edges"], list):
+        raise ParseError("edges must be a list")
     edges = []
     for i, e in enumerate(raw["edges"]):
         if not (isinstance(e, list) and len(e) == 3):

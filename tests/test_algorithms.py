@@ -322,7 +322,7 @@ def test_reduce_deadline_frozen_shape():
     assert y.n == 3 and y.s == 2
     assert y.windows[0] == window(0, 3)
     assert y.windows[1] == window(0, 4)
-    assert y.metric.dist(2, 0) == F(2)
+    assert y.metric.d[2][0] == F(2)
     assert y.budget == F(4)
     assert brute_force_opt(y).reward == _opt(x)
 

@@ -38,7 +38,7 @@ def _same_instance(x, y):
     assert y.metric.directed == x.metric.directed
     for u in range(x.n):
         for v in range(x.n):
-            assert y.metric.dist(u, v) == x.metric.dist(u, v)
+            assert y.metric.d[u][v] == x.metric.d[u][v]
 
 
 @pytest.mark.parametrize("maker,seed", [
@@ -86,6 +86,27 @@ def test_loads_rejects_float_exponents():
     text = json.dumps(data).replace('"budget": 5', '"budget": 5e0')
     with pytest.raises(ParseError):
         serialize.loads(text)
+
+
+@pytest.mark.parametrize("bad", [5, None, {}, "edges"])
+def test_loads_rejects_edges_that_are_not_a_list(bad):
+    import json
+    data = json.loads(serialize.dumps(line4_instance()))
+    data["edges"] = bad
+    with pytest.raises(ParseError, match="edges must be a list"):
+        serialize.loads(json.dumps(data))
+
+
+def test_non_list_edges_are_exit_1_without_traceback(tmp_path):
+    import json
+    data = json.loads(serialize.dumps(line4_instance()))
+    data["edges"] = 5
+    inst = tmp_path / "a.json"
+    inst.write_text(json.dumps(data))
+    r = _run("solve", str(inst))
+    assert r.returncode == 1
+    assert "error: edges must be a list" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_time_scale_validation():
@@ -261,7 +282,7 @@ def test_directed_family_is_actually_asymmetric():
     for seed in range(10):
         x = generate_instance("directed-random", 5, seed)
         m = x.metric
-        if any(m.dist(u, v) != m.dist(v, u)
+        if any(m.d[u][v] != m.d[v][u]
                for u in range(5) for v in range(5)):
             found = True
             break

@@ -198,7 +198,7 @@ def test_scale_times_round_trip(line4):
     y = scale_times(line4, F(3))
     assert y.budget == F(15)
     assert y.windows[1] == window(3, 6)
-    assert y.metric.dist(0, 3) == F(9)
+    assert y.metric.d[0][3] == F(9)
     z = scale_times(y, F(1, 3))
     assert z.windows == line4.windows
     assert brute_force_opt(y).reward == brute_force_opt(line4).reward
@@ -224,7 +224,7 @@ def test_time_reversed_swaps_anchors(line4):
     y = time_reversed(line4)
     assert (y.s, y.t) == (3, 0)
     assert y.windows[1] == window(3, 4)    # [1,2] around pivot 5
-    assert y.metric.dist(0, 1) == F(1)
+    assert y.metric.d[0][1] == F(1)
     assert brute_force_opt(y).reward == brute_force_opt(line4).reward
     back = time_reversed(y)
     assert back.windows == line4.windows

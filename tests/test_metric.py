@@ -10,40 +10,40 @@ from conftest import line_metric
 
 def test_line_closure_distances():
     m = line_metric(4)
-    assert m.dist(0, 3) == F(3)
-    assert m.dist(3, 0) == F(3)
-    assert m.dist(1, 2) == F(1)
+    assert m.d[0][3] == F(3)
+    assert m.d[3][0] == F(3)
+    assert m.d[1][2] == F(1)
     for v in range(4):
-        assert m.dist(v, v) == 0
+        assert m.d[v][v] == 0
 
 
 def test_directed_cycle_closure():
     g = Graph.build(True, 3, [(0, 1, F(1)), (1, 2, F(3)), (2, 0, F(2))])
     m = metric_closure(g)
-    assert m.dist(0, 1) == F(1)
-    assert m.dist(1, 0) == F(5)   # must go the long way round: 1 -> 2 -> 0
-    assert m.dist(0, 2) == F(4)
-    assert m.dist(2, 1) == F(3)
+    assert m.d[0][1] == F(1)
+    assert m.d[1][0] == F(5)   # must go the long way round: 1 -> 2 -> 0
+    assert m.d[0][2] == F(4)
+    assert m.d[2][1] == F(3)
 
 
 def test_closure_repairs_triangle_violation():
     g = Graph.build(False, 3, [(0, 1, F(1)), (1, 2, F(1)), (0, 2, F(10))])
     m = metric_closure(g)
-    assert m.dist(0, 2) == F(2)
+    assert m.d[0][2] == F(2)
 
 
 def test_unreachable_is_infinite():
     g = Graph.build(False, 4, [(0, 1, F(2))])
     m = metric_closure(g)
-    assert not is_finite(m.dist(0, 3))
-    assert m.dist(0, 3) == INF
-    assert m.dist(0, 1) == F(2)
+    assert not is_finite(m.d[0][3])
+    assert m.d[0][3] == INF
+    assert m.d[0][1] == F(2)
 
 
 def test_parallel_edges_keep_cheapest():
     g = Graph.build(False, 2, [(0, 1, F(5)), (0, 1, F(2))])
     m = metric_closure(g)
-    assert m.dist(0, 1) == F(2)
+    assert m.d[0][1] == F(2)
 
 
 @pytest.mark.parametrize("edges", [
@@ -58,8 +58,8 @@ def test_bad_graphs_rejected(edges):
 def test_self_loop_is_inert():
     g = Graph.build(False, 2, [(0, 1, F(2)), (0, 0, F(7))])
     m = metric_closure(g)
-    assert m.dist(0, 0) == 0
-    assert m.dist(0, 1) == F(2)
+    assert m.d[0][0] == 0
+    assert m.d[0][1] == F(2)
 
 
 def test_empty_vertex_set_rejected():
@@ -78,10 +78,10 @@ def test_validate_graph_reports_disconnection():
 def test_scaled_and_transposed():
     g = Graph.build(True, 2, [(0, 1, F(3))])
     m = metric_closure(g)
-    assert m.scaled(F(2)).dist(0, 1) == F(6)
+    assert m.scaled(F(2)).d[0][1] == F(6)
     mt = m.transposed()
-    assert mt.dist(1, 0) == F(3)
-    assert not is_finite(mt.dist(0, 1))
+    assert mt.d[1][0] == F(3)
+    assert not is_finite(mt.d[0][1])
 
 
 def test_complete_graph_round_trip():
@@ -89,7 +89,7 @@ def test_complete_graph_round_trip():
     again = metric_closure(complete_graph_of(m))
     for u in range(4):
         for v in range(4):
-            assert again.dist(u, v) == m.dist(u, v)
+            assert again.d[u][v] == m.d[u][v]
 
 
 def test_validate_graph_flags_negative_weight():

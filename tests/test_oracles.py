@@ -10,10 +10,11 @@ from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
                      best_deadline_walk, best_orienteering_walk, is_finite,
                      layered_deadline_oracle, pareto_profiles)
 from orientw.generate import random_metric
-from orientw.oracles import (MonotoneDeadlineOracle, MonotoneOracle,
-                             WalkResult, result_duration, result_reward)
+from orientw.oracles import (DeadlineOracle, MonotoneDeadlineOracle, MonotoneOracle,
+                             WalkResult)
 
 from conftest import line_metric
+from test_integer_units import ref_deadline_reward, ref_duration, ref_reward
 
 
 # ----- straight-line enumeration, no pruning, used as the referee -----------------
@@ -28,10 +29,10 @@ def _all_walks(metric, eligible, u, v, budget):
                 order = (u,) + perm + ((v,) if v != u or perm else ())
                 if len(order) == 1:
                     order = (u,)
-                dur = result_duration(metric, order)
+                dur = ref_duration(metric, order)
                 if not is_finite(dur) or dur > budget:
                     continue
-                rew = result_reward(eligible, order)
+                rew = ref_reward(eligible, order)
                 if best is None or rew > best[0]:
                     best = (rew, order, dur)
     return best
@@ -87,6 +88,36 @@ def test_contract_rejects_cheating_oracle():
     m = line_metric(4)
     with pytest.raises(PreconditionError):
         best_orienteering_walk(oracle, OrienteeringQuery(m, {1: F(1)}, 0, 3, F(5)))
+
+
+def _deadline_cheat(walk):
+    return DeadlineOracle(OracleSpec("cheat", F(1)), lambda q: walk)
+
+
+@pytest.mark.parametrize("walk,what", [
+    (WalkResult((1, 2, 3), F(2), F(2)), "wrong endpoints"),        # starts at 1, not 0
+    (WalkResult((0, 1, 2), F(2), F(2)), "wrong endpoints"),        # ends at 2, not 3
+    (WalkResult((0, 1, 2, 3), F(2), F(2)), "its duration"),         # duration is 3
+    (WalkResult((0, 1, 2, 1, 2, 3), F(2), F(5)), "overruns"),       # 5 > horizon 4
+    (WalkResult((0, 1, 2, 3), F(3), F(3)), "its reward"),           # vertex 2 is late
+])
+def test_deadline_contract_rejects_cheating_oracle(walk, what):
+    q = DeadlineQuery(line_metric(4), {1: (F(1), F(2)), 2: (F(1), F(1))}, 0, F(0), 3, F(4))
+    assert best_deadline_walk(EXACT_DEADLINE, q).reward == F(1)
+    with pytest.raises(PreconditionError, match=what):
+        best_deadline_walk(_deadline_cheat(walk), q)
+
+
+def test_both_wrappers_prefer_the_base_walk_to_an_equal_longer_one():
+    m = line_metric(4)
+    # 0 -> 1 -> 0 -> 2 collects nothing more than 0 -> 2 and takes 4, not 2
+    detour = WalkResult((0, 1, 0, 2), F(1), F(4))
+    oracle = OrienteeringOracle(OracleSpec("detour", F(1)), lambda q: detour)
+    got = best_orienteering_walk(oracle, OrienteeringQuery(m, {2: F(1)}, 0, 2, F(5)))
+    assert (got.order, got.reward, got.duration) == ((0, 2), F(1), F(2))
+    q = DeadlineQuery(m, {2: (F(1), F(5))}, 0, F(0), 2, F(5))
+    got = best_deadline_walk(_deadline_cheat(detour), q)
+    assert (got.order, got.reward, got.duration) == ((0, 2), F(1), F(2))
 
 
 def test_greedy_line4_frozen():
@@ -172,7 +203,6 @@ def test_monotone_wrapper_caches_and_grows():
 
 def _all_deadline_walks(metric, eligible, u, t0, end, horizon):
     """Referee for deadline queries: enumerate orders, score first visits."""
-    from orientw.oracles import _deadline_reward
     pool = sorted(set(eligible) - {u})
     ends = [end] if end is not None else sorted(set(list(eligible) + [u]))
     best = None
@@ -183,10 +213,10 @@ def _all_deadline_walks(metric, eligible, u, t0, end, horizon):
                     order = (u,) + perm + ((w,) if w != u or perm else ())
                     if len(order) == 1:
                         order = (u,)
-                    dur = result_duration(metric, order)
+                    dur = ref_duration(metric, order)
                     if not is_finite(dur) or (horizon is not None and t0 + dur > horizon):
                         continue
-                    rew = _deadline_reward(metric, eligible, order, t0)
+                    rew = ref_deadline_reward(metric, eligible, order, t0)
                     if best is None or rew > best[0]:
                         best = (rew, order)
     return best

@@ -26,3 +26,38 @@ def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported_names(tree) - used) == []
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """Top-level functions and classes named _x (dunder names excluded)."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _read_names(node: ast.AST) -> set:
+    """Every name and attribute that node reads."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_private_definition_is_used():
+    # a helper that only its own body mentions is as dead as one nobody does
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    dead = []
+    for name, tree in trees.items():
+        for definition in _private_definitions(tree):
+            used = any(definition.name in _read_names(node)
+                       for other, t in trees.items() for node in t.body
+                       if not (other == name and node is definition))
+            if not used:
+                dead.append("%s:%s" % (name, definition.name))
+    assert dead == []
