@@ -55,6 +55,12 @@ def _require_wait(x: TwInstance):
                                 "no-wait only changes walk evaluation")
 
 
+def _require_ratio_two(x: TwInstance):
+    ratio = window_stats(x).l_ratio
+    if ratio is not None and ratio > 2:
+        raise PreconditionError("window length ratio %s exceeds 2" % ratio)
+
+
 def _claims_of(walk: WalkSolution) -> tuple:
     return tuple(v for (v, _t, c) in walk.schedule if c)
 
@@ -107,80 +113,40 @@ def _report(name: str, x: TwInstance, versions, alpha: Fraction) -> SolveReport:
 
 # ----- fixed-instant vertices ------------------------------------------------
 
-def zero_window_dp(x: TwInstance) -> SolveReport:
+def zero_window_dp(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
+                   deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
     """Exact solver for instances whose positive-reward vertices all have
     zero-length windows: each must be hit at one fixed instant, so feasible
-    claim sets are chains in a DAG ordered by time, and a longest-chain pass
-    over vertices sorted by (instant, id) is exact."""
+    claim sets are chains in a DAG ordered by time.  Every vertex is a
+    one-member block at its instant, in (instant, id) order, and the chain
+    DP over those blocks is exact without any oracle."""
     _require_wait(x)
+    zero, pos = _length_split(x)
+    if pos:
+        raise PreconditionError(
+            "vertex %d has a positive-length window; this solver needs "
+            "fixed visit instants" % pos[0])
     ensure_reachable_anchors(x)
-    nodes: List[Tuple[Fraction, int]] = []
-    for v in range(x.n):
-        if x.rewards[v] <= 0:
-            continue
-        w = x.windows[v]
-        if w.length != 0:
-            raise PreconditionError(
-                "vertex %d has a positive-length window; this solver needs "
-                "fixed visit instants" % v)
-        nodes.append((w.release, v))
-    nodes.sort()
-    d = x.metric.d
 
-    def entry_ok(i: int) -> bool:
-        tv, v = nodes[i]
-        if x.mode == FREE:
-            return True
-        leg = d[x.s][v]
-        return is_finite(leg) and leg <= tv
+    def claim(u, e):
+        yield u, ZERO, x.rewards[u], (u,)
 
-    def exit_ok(i: int) -> bool:
-        tv, v = nodes[i]
-        if x.mode == ANCHORED:
-            leg = d[v][x.t]
-            return is_finite(leg) and tv + leg <= x.budget
-        return True
+    def steps():
+        for v in sorted(zero, key=lambda v: (x.windows[v].release, v)):
+            at = x.windows[v].release
+            yield v, at, at, (v,), claim
 
-    m = len(nodes)
-    gain = [ZERO] * m
-    back: List[Optional[int]] = [None] * m
-    alive = [False] * m
-    for i in range(m):
-        ti, vi = nodes[i]
-        if entry_ok(i):
-            alive[i] = True
-            gain[i] = x.rewards[vi]
-        for j in range(i):
-            if not alive[j]:
-                continue
-            tj, vj = nodes[j]
-            leg = d[vj][vi]
-            if not is_finite(leg) or tj + leg > ti:
-                continue
-            cand = gain[j] + x.rewards[vi]
-            if not alive[i] or cand > gain[i]:
-                alive[i] = True
-                gain[i] = cand
-                back[i] = j
-
-    end = None
-    for i in range(m):
-        if alive[i] and exit_ok(i) and (end is None or gain[i] > gain[end]):
-            end = i
-    claims: List[int] = []
-    while end is not None:
-        claims.append(nodes[end][1])
-        end = back[end]
-    claims.reverse()
-    walk = _finish(x, claims)
+    walk = chain_dp(x, steps()).walk
     return SolveReport("zero-window", walk, (("Z", walk.reward),), 1, ONE, ONE)
 
 
 # ----- integral window endpoints ---------------------------------------------
 
-def solve_integer_endpoints(x: TwInstance,
-                            oracle: OrienteeringOracle = EXACT_ORACLE) -> SolveReport:
-    """Anchored solver for integral window endpoints.
+def solve_integer_endpoints(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
+                            deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
+    """Anchored solver for integral endpoints on every positive-length
+    window; fixed instants go to the exact "Z" version and may be
+    fractional.
 
     When the windows of the positive-reward vertices already form a valid
     modular partition (identical windows per block, e.g. all lengths <= 1)
@@ -193,7 +159,7 @@ def solve_integer_endpoints(x: TwInstance,
         raise PreconditionError("integer-endpoints solver needs both anchors")
     for v in x.positive_vertices():
         w = x.windows[v]
-        if not (is_integral(w.release) and is_integral(w.deadline)):
+        if w.length > 0 and not (is_integral(w.release) and is_integral(w.deadline)):
             raise PreconditionError(
                 "vertex %d window [%s, %s] has fractional endpoints" % (v, w.release, w.deadline))
     ensure_reachable_anchors(x)
@@ -300,6 +266,7 @@ def solve_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     _require_wait(x)
     if x.mode != ANCHORED:
         raise PreconditionError("this solver needs both anchors")
+    _require_ratio_two(x)
     ensure_reachable_anchors(x)
     versions, xp = _split_zero_windows(x)
     if xp is not None:
@@ -369,15 +336,17 @@ def _shift_version(base: TwInstance, ver: TwInstance, head: bool) -> TwInstance:
     return restrict(base, assignment)
 
 
-def solve_free_l_le_2(x: TwInstance,
-                      oracle: OrienteeringOracle = EXACT_ORACLE) -> SolveReport:
+def solve_free_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
+                      deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
     """Free-endpoint solver when positive window lengths agree within a
     factor 2: cut at the interior half-grid, keep the middle versions as-is
     (half-unit cells are modular), and shift the head and tail versions onto
-    adjacent half-cells, which a free walk reaches by sliding half a unit."""
+    adjacent half-cells, which a free walk reaches by sliding half a unit.
+    Free walks need no deadline oracle."""
     _require_wait(x)
     if x.mode != FREE:
         raise PreconditionError("free-endpoint solver needs unanchored ends")
+    _require_ratio_two(x)
     versions, xp = _split_zero_windows(x)
     if xp is not None:
         fam = five_split(xp)
@@ -394,8 +363,8 @@ def solve_free_l_le_2(x: TwInstance,
     return _report("free-l2", x, versions, oracle.spec.ratio)
 
 
-def solve_free_general(x: TwInstance,
-                       oracle: OrienteeringOracle = EXACT_ORACLE) -> SolveReport:
+def solve_free_general(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
+                       deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
     """Free-endpoint solver without length restrictions: band the vertices
     by the power of two their window length falls in (relative to the
     shortest), then run the factor-2 free solver per band."""
@@ -459,47 +428,54 @@ def reduce_deadline_to_tw(x: TwInstance) -> TwInstance:
 
 def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
                deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
-    """Run every solver whose precondition the instance meets and keep the
-    best report.  Start-anchored instances without an end anchor reduce to
-    one anchored solve per candidate end vertex."""
+    """Try every solver of the instance's anchor mode, keep the first report
+    with the highest reward, and raise only when every solver refuses.
+    Start-anchored instances without an end anchor reduce to one anchored
+    solve per candidate end vertex."""
     _require_wait(x)
     if x.mode == START_ONLY:
         return _auto_start_only(x, oracle, deadline_oracle)
-    zero, pos = _length_split(x)
-    reports: List[SolveReport] = []
+    _zero, pos = _length_split(x)
+    # built per call from the module globals, so a patched global sees its calls
     if not pos:
-        reports.append(zero_window_dp(x))
+        candidates = (("zero-window", zero_window_dp),)
+    elif x.mode == ANCHORED:
+        candidates = (("integer-endpoints", solve_integer_endpoints),
+                      ("l2", solve_l_le_2), ("general", solve_general))
     else:
-        stats = window_stats(x)
-        if x.mode == ANCHORED:
-            if all(is_integral(x.windows[v].release) and is_integral(x.windows[v].deadline)
-                   for v in pos):
-                reports.append(solve_integer_endpoints(x, oracle))
-            if stats.l_ratio is not None and stats.l_ratio <= 2:
-                reports.append(solve_l_le_2(x, oracle, deadline_oracle))
-            reports.append(solve_general(x, oracle, deadline_oracle))
-        else:
-            if stats.l_ratio is not None and stats.l_ratio <= 2:
-                reports.append(solve_free_l_le_2(x, oracle))
-            reports.append(solve_free_general(x, oracle))
-    best = reports[0]
-    for rep in reports[1:]:
-        if rep.walk.reward > best.walk.reward:
+        candidates = (("free-l2", solve_free_l_le_2), ("free-general", solve_free_general))
+    best: Optional[SolveReport] = None
+    refusals = []
+    for (name, solver) in candidates:
+        try:
+            rep = solver(x, oracle, deadline_oracle)
+        except PreconditionError as exc:
+            refusals.append("%s: %s" % (name, exc))
+            continue
+        if best is None or rep.walk.reward > best.walk.reward:
             best = rep
+    if best is None:
+        raise PreconditionError("every solver refused (%s)" % "; ".join(refusals))
     return best
 
 
 def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
                      deadline_oracle: DeadlineOracle) -> SolveReport:
     """A walk that may end anywhere ends somewhere: solve the anchored
-    variant for every reachable end vertex and keep the best."""
+    variant for every reachable end vertex and keep the best.  An end vertex
+    whose anchored solve is refused is skipped like an unreachable one."""
     best: Optional[SolveReport] = None
+    refusals = []
     for t2 in range(x.n):
         leg = x.metric.d[x.s][t2]
         if not is_finite(leg) or leg > x.budget:
             continue
         x2 = TwInstance(x.metric, x.windows, x.rewards, x.s, t2, x.budget, x.wait_policy)
-        sub = solve_auto(x2, oracle, deadline_oracle)
+        try:
+            sub = solve_auto(x2, oracle, deadline_oracle)
+        except PreconditionError as exc:
+            refusals.append("end %d: %s" % (t2, exc))
+            continue
         order = [(v, c) for (v, _t, c) in sub.walk.schedule]
         sol = evaluate_walk(x, order)
         if not sol.feasible:
@@ -509,7 +485,8 @@ def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
         if best is None or rep.walk.reward > best.walk.reward:
             best = rep
     if best is None:
-        raise PreconditionError("no end vertex is reachable from the start anchor")
+        raise PreconditionError("no end vertex yields a walk (%s)" % (
+            "; ".join(refusals) or "none is reachable from the start anchor"))
     return best
 
 
@@ -520,32 +497,13 @@ def run_algorithm(name: str, x: TwInstance, oracle: OrienteeringOracle = EXACT_O
     return ALGORITHMS[name](x, oracle, deadline_oracle)
 
 
-def _run_int(x, oracle, dl):
-    return solve_integer_endpoints(x, oracle)
-
-
-def _run_l2(x, oracle, dl):
-    return solve_l_le_2(x, oracle, dl)
-
-
-def _run_free_l2(x, oracle, dl):
-    return solve_free_l_le_2(x, oracle)
-
-
-def _run_free_general(x, oracle, dl):
-    return solve_free_general(x, oracle)
-
-
-def _run_zero(x, oracle, dl):
-    return zero_window_dp(x)
-
-
+# every solver takes (x, oracle, deadline_oracle) and checks its own precondition
 ALGORITHMS = {
-    "integer-endpoints": _run_int,
-    "l2": _run_l2,
+    "integer-endpoints": solve_integer_endpoints,
+    "l2": solve_l_le_2,
     "general": solve_general,
-    "free-l2": _run_free_l2,
-    "free-general": _run_free_general,
-    "zero-window": _run_zero,
+    "free-l2": solve_free_l_le_2,
+    "free-general": solve_free_general,
+    "zero-window": zero_window_dp,
     "auto": solve_auto,
 }

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .algorithms import ALGORITHMS, run_algorithm
 from .errors import PreconditionError
 from .instance import TwInstance, brute_force_opt, window_stats
+from .oracles import ORIENTEERING_ORACLES, deadline_oracle_by_name
 
 # Exhaustive search beyond this many vertices is not worth the wait.
 BRUTE_LIMIT = 12
@@ -67,8 +68,6 @@ def bench_rows(instances: Sequence[Tuple[str, TwInstance]],
     Algorithms whose preconditions an instance does not meet are skipped
     silently; that is data, not an error.
     """
-    from .oracles import ORIENTEERING_ORACLES, deadline_oracle_by_name
-
     if algorithms is None:
         algorithms = sorted(ALGORITHMS)
     oracle = ORIENTEERING_ORACLES[oracle_name]

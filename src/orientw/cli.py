@@ -20,7 +20,7 @@ from .errors import (GraphError, InfeasibleInstanceError, ParseError,
                      PreconditionError)
 from .generate import FAMILIES, generate_instance
 from .instance import WalkSolution, brute_force_opt
-from .oracles import ORIENTEERING_ORACLES, deadline_oracle_by_name
+from .oracles import DEADLINE_ORACLES, ORIENTEERING_ORACLES, deadline_oracle_by_name
 
 _CONSTRUCTIONS = {
     "dyadic": dyadic_family,
@@ -53,7 +53,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("instance", help="instance JSON file")
     solve.add_argument("--algorithm", default="auto", choices=sorted(ALGORITHMS))
     solve.add_argument("--oracle", default="exact", choices=sorted(ORIENTEERING_ORACLES))
-    solve.add_argument("--deadline-oracle", default="exact", choices=["exact", "layered"])
+    solve.add_argument("--deadline-oracle", default="exact", choices=sorted(DEADLINE_ORACLES))
     solve.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     exact = sub.add_parser("exact", help="exhaustive optimum (small instances)")
@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("--algorithms", default=None,
                        help="comma-separated subset of: %s" % ",".join(sorted(ALGORITHMS)))
     bench.add_argument("--oracle", default="exact", choices=sorted(ORIENTEERING_ORACLES))
-    bench.add_argument("--deadline-oracle", default="exact", choices=["exact", "layered"])
+    bench.add_argument("--deadline-oracle", default="exact", choices=sorted(DEADLINE_ORACLES))
     bench.add_argument("--measure-time", action="store_true")
     bench.add_argument("--summary", action="store_true",
                        help="append worst-ratio lines after the CSV")

@@ -470,12 +470,14 @@ def layered_deadline_oracle(oracle: OrienteeringOracle) -> DeadlineOracle:
                           layered_deadline_fn(oracle))
 
 
+# deadline oracles by name, each built around the point-to-point oracle in use
+DEADLINE_ORACLES = {"exact": lambda oracle: EXACT_DEADLINE, "layered": layered_deadline_oracle}
+
+
 def deadline_oracle_by_name(name: str, oracle: OrienteeringOracle) -> DeadlineOracle:
-    if name == "exact":
-        return EXACT_DEADLINE
-    if name == "layered":
-        return layered_deadline_oracle(oracle)
-    raise PreconditionError("unknown deadline oracle %r" % name)
+    if name not in DEADLINE_ORACLES:
+        raise PreconditionError("unknown deadline oracle %r" % name)
+    return DEADLINE_ORACLES[name](oracle)
 
 
 class MonotoneDeadlineOracle(_MonotoneCache):

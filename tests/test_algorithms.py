@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction as F
@@ -10,9 +11,10 @@ from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE,
                      solve_auto, solve_free_general, solve_free_l_le_2,
                      solve_general, solve_integer_endpoints, solve_l_le_2,
                      window_stats, zero_window_dp)
+import orientw.algorithms as algorithms
 from orientw.generate import (gen_deadline_instance, gen_general_instance,
                               gen_integer_instance, gen_ratio2_instance,
-                              gen_zero_window_instance)
+                              gen_zero_window_instance, generate_instance)
 
 from conftest import build_instance, line4_instance, window
 
@@ -223,6 +225,78 @@ def test_registry_names():
     assert rep.walk.feasible
     with pytest.raises(PreconditionError):
         run_algorithm("nope", x, EXACT_ORACLE, EXACT_DEADLINE)
+
+
+def test_every_registered_solver_takes_one_signature():
+    for name, solver in ALGORITHMS.items():
+        params = inspect.signature(solver).parameters
+        assert list(params) == ["x", "oracle", "deadline_oracle"], name
+        assert params["oracle"].default is EXACT_ORACLE, name
+        assert params["deadline_oracle"].default is EXACT_DEADLINE, name
+
+
+def test_integer_endpoints_accepts_a_fractional_fixed_instant():
+    # only positive-length windows need integral endpoints; vertex 1's
+    # instant 3/2 goes to the exact "Z" version
+    x = build_instance(4, [(i, i + 1, 1) for i in range(3)],
+                       [(0, 8), (F(3, 2), F(3, 2)), (2, 4), (0, 8)],
+                       [1] * 4, 0, 3, F(8))
+    rep = solve_integer_endpoints(x)
+    assert rep.version_rewards[0][0] == "Z"
+    auto = solve_auto(x)
+    assert auto.walk.reward == max(rep.walk.reward, solve_general(x).walk.reward) == F(3)
+    assert auto.walk.reward * auto.bound >= _opt(x)
+
+
+def _dense16(integral):
+    return generate_instance("random-metric", 16, 3, horizon=F(20), l_low=F(8),
+                             l_high=F(16), integral=integral)
+
+
+def test_auto_keeps_the_solvers_that_succeed():
+    # l2 and general hit the release-group size limit; integer-endpoints does not
+    x = _dense16(integral=True)
+    for name in ("l2", "general"):
+        with pytest.raises(PreconditionError, match="release group too large"):
+            run_algorithm(name, x)
+    rep = solve_auto(x)
+    assert rep.algorithm == "integer-endpoints"
+    assert (rep.walk.reward, rep.bound) == (F(10), F(7))
+
+
+def test_auto_names_every_refusal():
+    x = _dense16(integral=False)
+    with pytest.raises(PreconditionError) as info:
+        solve_auto(x)
+    text = str(info.value)
+    assert "integer-endpoints: vertex 1 window [19/4, 18] has fractional endpoints" in text
+    assert "l2: release group too large" in text
+    assert "general: release group too large" in text
+
+
+def test_start_only_skips_a_refused_end_vertex(monkeypatch):
+    x = gen_ratio2_instance(5, mode="start-only")
+    best = solve_auto(x)
+    end = best.walk.schedule[-1][0]
+    real = algorithms.solve_auto
+
+    def refuse_best_end(y, oracle, deadline_oracle):
+        if y.t == end:
+            raise PreconditionError("refused for the test")
+        return real(y, oracle, deadline_oracle)
+
+    monkeypatch.setattr(algorithms, "solve_auto", refuse_best_end)
+    rep = real(x)
+    assert rep.walk.schedule[-1][0] != end
+    assert rep.walk.feasible and rep.walk.reward <= best.walk.reward
+
+
+def test_start_only_raises_when_every_end_vertex_refuses():
+    x = _dense16(integral=False)
+    x = TwInstance(x.metric, x.windows, x.rewards, x.s, None, x.budget, x.wait_policy)
+    with pytest.raises(PreconditionError, match="no end vertex yields a walk") as info:
+        solve_auto(x)
+    assert "end 1: every solver refused" in str(info.value)
 
 
 def test_every_algorithm_bound_dominates_optimum():

@@ -315,3 +315,16 @@ def test_readme_lists_exactly_the_registered_algorithms():
     names |= set(re.findall(r"--algorithm ([a-z0-9-]+)", readme))
     assert sorted(names - set(ALGORITHMS)) == []
     assert sorted(set(ALGORITHMS) - names) == []
+
+
+def test_every_deadline_oracle_choice_resolves():
+    from orientw.cli import _build_parser
+    from orientw.oracles import (DEADLINE_ORACLES, EXACT_ORACLE,
+                                 deadline_oracle_by_name)
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    for command in ("solve", "bench"):
+        action = next(a for a in commands[command]._actions
+                      if a.dest == "deadline_oracle")
+        assert sorted(action.choices) == sorted(DEADLINE_ORACLES), command
+        for name in action.choices:
+            assert deadline_oracle_by_name(name, EXACT_ORACLE).spec.name == name

@@ -1,0 +1,64 @@
+"""Checks that need no referee.
+
+Each test compares solvers with one another instead of with the brute-force
+optimum, so it runs at sizes brute force cannot reach.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+import pytest
+
+from orientw import (ALGORITHMS, PreconditionError, TwInstance, evaluate_walk,
+                     is_finite, run_algorithm, solve_auto)
+from orientw.generate import generate_instance
+
+DENSE = dict(horizon=F(20), l_low=F(8), l_high=F(16))
+
+# (family, n, generator options); the generator's default horizon is 4n
+SHAPES = [
+    ("random-metric", 6, DENSE),
+    ("directed-random", 14, {}),
+    ("euclidean-grid", 20, {}),
+    ("line", 20, {}),
+]
+
+
+def _rivals(x: TwInstance) -> dict:
+    """Reward of every registered solver other than auto that accepts x."""
+    out = {}
+    for name in sorted(ALGORITHMS):
+        if name == "auto":
+            continue
+        try:
+            out[name] = run_algorithm(name, x).walk.reward
+        except PreconditionError:
+            continue
+    return out
+
+
+def _anchored_variants(x: TwInstance):
+    """A start-only instance with its end anchored at each reachable vertex;
+    a start-only walk may end at any of them."""
+    for t in range(x.n):
+        leg = x.metric.d[x.s][t]
+        if is_finite(leg) and leg <= x.budget:
+            yield TwInstance(x.metric, x.windows, x.rewards, x.s, t, x.budget, x.wait_policy)
+
+
+@pytest.mark.parametrize("integral", [True, False], ids=["integral", "quarter"])
+@pytest.mark.parametrize("mode", ["anchored", "free", "start-only"])
+def test_auto_is_at_least_every_solver_that_succeeds(mode, integral):
+    for i, (family, n, options) in enumerate(SHAPES):
+        x = generate_instance(family, n, 40 + i, mode=mode, integral=integral, **options)
+        rep = solve_auto(x)
+        again = evaluate_walk(x, [(v, c) for (v, _t, c) in rep.walk.schedule])
+        assert again.feasible and again.reward == rep.walk.reward, (family, n)
+        targets = list(_anchored_variants(x)) if mode == "start-only" else [x]
+        compared = 0
+        for y in targets:
+            for name, reward in _rivals(y).items():
+                assert rep.walk.reward >= reward, (family, n, y.t, name)
+                compared += 1
+        assert compared, (family, n)
