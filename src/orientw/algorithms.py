@@ -26,7 +26,7 @@ from .metric import Metric
 from .modular import (assemble_walk, blocks_from_identical_windows, chain_dp,
                       ensure_reachable_anchors, solve_reward_indexed, verify_modular)
 from .oracles import (EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle,
-                      MonotoneDeadlineOracle, OrienteeringOracle)
+                      MonotoneDeadlineOracle, OrienteeringOracle, earliest_limits)
 from .rational import (HALF, ONE, ZERO, floor_log2, is_finite, is_integral,
                        shared_fraction)
 
@@ -199,39 +199,17 @@ def _release_groups(x: TwInstance):
     return out
 
 
-def _exit_candidates(x: TwInstance, eligible, u: int, e: Fraction):
-    """(vertex, time) endpoints of every deadline-respecting claim sequence
-    from u at time e.  The optimal pass through the group leaves from its
-    last claim, so its exit state is in this set."""
-    d = x.metric.d
-    out = {(u, e)}
-    members = sorted(eligible)
-    if len(members) > 12:
-        raise PreconditionError("release group too large for exact enumeration")
-
-    def dfs(cur: int, t: Fraction, visited: set):
-        for w in members:
-            if w in visited:
-                continue
-            leg = d[cur][w]
-            if not is_finite(leg):
-                continue
-            t2 = t + leg
-            if t2 > eligible[w][1]:
-                continue
-            out.add((w, t2))
-            visited.add(w)
-            dfs(w, t2, visited)
-            visited.discard(w)
-
-    dfs(u, e, {u})
-    return sorted(out)
-
-
 def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
-    """Label DP across release groups; the deadline oracle fills in the best
-    walk between an entry vertex and each candidate exit state.  Exact when
-    the oracle is exact."""
+    """Label DP across release groups; the deadline oracle fills in the
+    walks between an entry (u, e) and each exit vertex w.
+
+    A pass through a group ends at its last claim, so it ends at w by w's
+    deadline (w = u stays put at e).  Per entry and exit the oracle, wrapped
+    to be monotone in its horizon, is walked down the time grid from that
+    bound (earliest_limits), which yields the earliest end of every reward
+    it reaches.  With an exact oracle these are the Pareto frontier of the
+    passes ending at w, so the DP is exact.
+    """
     ensure_reachable_anchors(x)
     groups = _release_groups(x)
     mono = MonotoneDeadlineOracle(deadline_oracle)
@@ -241,11 +219,13 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
             eligible = {v: (x.rewards[v], x.windows[v].deadline) for v in members}
 
             def moves(u, e):
-                for (w, h) in _exit_candidates(x, eligible, u, e):
-                    res = mono.query(x.metric, eligible, u, e, w, h)
-                    if not res.feasible or res.reward <= 0:
-                        continue
-                    yield w, res.duration, res.reward, res.order
+                for w in members:
+                    hi = e if w == u else eligible[w][1]
+                    for res in earliest_limits(
+                            lambda h: mono.query(x.metric, eligible, u, e, w, h),
+                            e, hi, x.metric.scale):
+                        if res.reward > 0:
+                            yield w, res.duration, res.reward, res.order
 
             yield gi, rel, dmax, members, moves
 

@@ -9,7 +9,7 @@ once for every composition; the three DPs below only say which in-block
 walks each block offers:
 
 * solve_time_indexed   - one oracle walk per integral budget; integral data only
-* solve_reward_indexed - the shortest certified walk per reward level; any rationals
+* solve_reward_indexed - the earliest walk per reward the oracle reaches; any rationals
 * solve_exact_pareto   - every undominated walk of the block's Pareto profile
 
 The first two take a point-to-point orienteering oracle and inherit its
@@ -24,9 +24,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InfeasibleInstanceError, PreconditionError
 from .instance import ANCHORED, FREE, TwInstance, WalkSolution, evaluate_walk
-from .metric import Metric
-from .oracles import (MonotoneOracle, OrienteeringOracle, WalkResult, pareto_profiles)
-from .rational import ZERO, fraction_gcd, is_finite, is_integral
+from .oracles import (MonotoneOracle, OrienteeringOracle, WalkResult, earliest_limits,
+                      pareto_profiles)
+from .rational import ZERO, is_finite, is_integral
 
 
 @dataclass(frozen=True)
@@ -333,96 +333,46 @@ def _require_integral(x: TwInstance, part: ModularPartition):
 
 def solve_reward_indexed(x: TwInstance, part: ModularPartition,
                          oracle: OrienteeringOracle) -> DpResult:
-    """Chain DP whose block walks are the earliest completion per reward
-    level.
+    """Chain DP whose block walks are the earliest completion of every
+    reward the oracle reaches.
 
-    Reward levels walk a grid of multiples of the gcd of the member rewards,
-    so rational data needs no scaling.  Per (entry, exit, level) the block
-    time is the leftmost achievable duration at which the oracle certifies
-    the level, found by binary search; the oracle is wrapped to be monotone
-    in its budget first, which keeps the search sound.
+    Per block and (entry, exit) the oracle, wrapped to be monotone in its
+    budget, is walked down the block's time grid once (earliest_limits),
+    one query per distinct answer.  No reward grid is involved, so rational
+    data needs no scaling and the cost does not grow with reward precision.
+    With an exact oracle the answers are the block's Pareto frontier, which
+    makes the DP exact.
 
-    With a ratio-a oracle the returned walk collects at least claimed / a,
-    and claimed is at least the modular optimum.
+    With a ratio-a oracle each answer is claimed at a times its reward.  For
+    any budget b the walk-down holds an answer that ends by b and was the
+    oracle's answer at a budget of at least b, so claimed is at least the
+    modular optimum, and the returned walk collects at least claimed / a.
     """
     require_modular(x, part)
     ensure_reachable_anchors(x)
     mono = MonotoneOracle(oracle)
     alpha = oracle.spec.ratio
 
-    rewards = [x.rewards[v] for b in part.blocks for v in b.members if x.rewards[v] > 0]
-    grain = fraction_gcd(rewards) if rewards else Fraction(1)
-
     def steps():
         for bi, b, eligible, ids in _eligible_blocks(x, part):
             span = b.deadline - b.release
-            total = sum(eligible.values(), ZERO)
-            levels = _levels(total, grain)
-            finder = _BlockTimes(x.metric, eligible, span, mono, alpha)
+            stairs: Dict[Tuple[int, int], List[WalkResult]] = {}
 
             def moves(u, e):
                 cap = b.deadline - e
                 for w in ids:
-                    for level in levels:
-                        found = finder.min_time(u, w, level)
-                        if found is None or found.duration > cap:
-                            continue
-                        yield w, found.duration, level, found.order
+                    if (u, w) not in stairs:
+                        stairs[(u, w)] = earliest_limits(
+                            lambda budget: mono.query(x.metric, eligible, u, w, budget),
+                            ZERO, span, x.metric.scale)
+                    for res in stairs[(u, w)]:
+                        if res.duration > cap:
+                            break
+                        yield w, res.duration, res.reward * alpha, res.order
 
             yield bi, b.release, b.deadline, ids, moves
 
     return chain_dp(x, steps())
-
-
-def _levels(total: Fraction, grain: Fraction) -> List[Fraction]:
-    levels = []
-    k = grain
-    while k <= total:
-        levels.append(k)
-        k += grain
-    return levels
-
-
-class _BlockTimes:
-    """Binary search, per (entry, exit, level), for the leftmost achievable
-    in-block duration the oracle certifies.  Durations come from the exact
-    Pareto profile of the block's sub-metric, which contains the duration of
-    every duration-minimal member walk, in particular the optimal one."""
-
-    def __init__(self, metric: Metric, eligible: Dict[int, Fraction], span: Fraction,
-                 mono: MonotoneOracle, alpha: Fraction):
-        self.metric = metric
-        self.eligible = eligible
-        self.span = span
-        self.mono = mono
-        self.alpha = alpha
-        self._grids: Dict[Tuple[int, int], List[Fraction]] = {}
-        self._found: Dict[Tuple[int, int, Fraction], Optional[WalkResult]] = {}
-
-    def _grid(self, u: int, w: int) -> List[Fraction]:
-        key = (u, w)
-        if key not in self._grids:
-            profile = pareto_profiles(self.metric, self.eligible, u, w, self.span)
-            self._grids[key] = [entry.duration for entry in profile.entries]
-        return self._grids[key]
-
-    def min_time(self, u: int, w: int, level: Fraction) -> Optional[WalkResult]:
-        key = (u, w, level)
-        if key in self._found:
-            return self._found[key]
-        grid = self._grid(u, w)
-        lo, hi = 0, len(grid) - 1
-        best: Optional[WalkResult] = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            res = self.mono.query(self.metric, self.eligible, u, w, grid[mid])
-            if res.feasible and res.reward * self.alpha >= level:
-                best = res
-                hi = mid - 1
-            else:
-                lo = mid + 1
-        self._found[key] = best
-        return best
 
 
 # ----- exact Pareto DP -------------------------------------------------------

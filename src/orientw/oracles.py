@@ -372,7 +372,47 @@ class MonotoneOracle(_MonotoneCache):
             self.oracle, OrienteeringQuery(metric, eligible, u, v, budget)))
 
 
+def earliest_limits(probe: Callable[[Fraction], WalkResult], start: Fraction, hi: Fraction,
+                    unit: int) -> List[WalkResult]:
+    """The answer at the earliest limit of every reward that a monotone probe
+    reaches with a limit in [start, hi], in increasing reward.
+
+    probe(limit) answers a query whose walk leaves at start and ends at a
+    fixed vertex by limit.  An answer ends at start + duration, and every
+    duration is a multiple of 1/unit.  An exact answer's reward is the
+    optimum at every limit from where its walk ends up to where it was
+    asked, so the walk down the grid asks at hi, then one unit below where
+    the last answer ends, and keeps the last answer of each reward.  It
+    stops at an infeasible answer or at the straight walk (an order of at
+    most two vertices): with a fixed end and shortest-walk distances nothing
+    ends sooner.  That is one probe per distinct answer, and with an exact
+    oracle the answers are the Pareto frontier of (duration, reward).  A
+    free end is outside this contract: a two-vertex walk need not end
+    soonest there.
+    """
+    found: List[WalkResult] = []
+    step = Fraction(1, unit)
+    limit = hi
+    while limit >= start:
+        res = probe(limit)
+        if not res.feasible:
+            break
+        if found and found[-1].reward == res.reward:
+            found[-1] = res
+        else:
+            found.append(res)
+        if len(res.order) <= 2:
+            break
+        limit = start + res.duration - step
+    found.reverse()
+    return found
+
+
 def _result_better(a: WalkResult, b: WalkResult) -> bool:
+    """Any walk beats an infeasible answer, even one collecting nothing;
+    then more reward, a shorter walk and the smaller order win."""
+    if a.feasible != b.feasible:
+        return a.feasible
     if a.reward != b.reward:
         return a.reward > b.reward
     if a.duration != b.duration:

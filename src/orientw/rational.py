@@ -71,16 +71,3 @@ def floor_log2(x: Fraction) -> int:
 def _pow2(j: int) -> Fraction:
     return Fraction(2) ** j
 
-
-def fraction_gcd(values) -> Fraction:
-    """gcd of a collection of positive Fractions: gcd of numerators over
-    lcm of denominators."""
-    values = list(values)
-    if not values:
-        raise ValueError("gcd of an empty collection")
-    num = 0
-    den = 1
-    for v in values:
-        num = math.gcd(num, v.numerator)
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return Fraction(num, den)

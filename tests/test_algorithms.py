@@ -5,13 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE,
-                     PreconditionError, TwInstance, brute_force_opt,
-                     evaluate_walk, reduce_deadline_to_tw, run_algorithm,
-                     solve_auto, solve_free_general, solve_free_l_le_2,
-                     solve_general, solve_integer_endpoints, solve_l_le_2,
-                     window_stats, zero_window_dp)
+from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
+                     DeadlineOracle, OrienteeringOracle, PreconditionError, TwInstance,
+                     brute_force_opt, evaluate_walk, layered_deadline_oracle,
+                     reduce_deadline_to_tw, run_algorithm, solve_auto, solve_free_general,
+                     solve_free_l_le_2, solve_general, solve_integer_endpoints,
+                     solve_l_le_2, window_stats, zero_window_dp)
 import orientw.algorithms as algorithms
+import orientw.oracles as oracles
 from orientw.generate import (gen_deadline_instance, gen_general_instance,
                               gen_integer_instance, gen_ratio2_instance,
                               gen_zero_window_instance, generate_instance)
@@ -254,24 +255,76 @@ def _dense16(integral):
 
 
 def test_auto_keeps_the_solvers_that_succeed():
-    # l2 and general hit the release-group size limit; integer-endpoints does not
-    x = _dense16(integral=True)
-    for name in ("l2", "general"):
-        with pytest.raises(PreconditionError, match="release group too large"):
-            run_algorithm(name, x)
-    rep = solve_auto(x)
-    assert rep.algorithm == "integer-endpoints"
-    assert (rep.walk.reward, rep.bound) == (F(10), F(7))
+    # integer-endpoints refuses the quarter grid; l2 and general both solve it
+    x = _dense16(integral=False)
+    layered = layered_deadline_oracle(GREEDY_ORACLE)
+    with pytest.raises(PreconditionError, match="fractional endpoints"):
+        run_algorithm("integer-endpoints", x, GREEDY_ORACLE, layered)
+    got = {name: run_algorithm(name, x, GREEDY_ORACLE, layered) for name in ("l2", "general")}
+    assert {n: (r.walk.reward, r.bound) for n, r in got.items()} == {
+        "l2": (F(9), F(3)), "general": (F(10), F(4))}
+    rep = solve_auto(x, GREEDY_ORACLE, layered)
+    assert rep.algorithm == "general"
+    assert (rep.walk.reward, rep.bound) == (F(10), F(4))
 
 
-def test_auto_names_every_refusal():
+def _refuse_l2_and_general(monkeypatch):
+    """Make the two release-group solvers refuse, as solve_auto calls them
+    by their module-level names."""
+    def refuse(x, oracle, deadline_oracle):
+        raise PreconditionError("refused for the test")
+
+    monkeypatch.setattr(algorithms, "solve_l_le_2", refuse)
+    monkeypatch.setattr(algorithms, "solve_general", refuse)
+
+
+def test_auto_names_every_refusal(monkeypatch):
+    _refuse_l2_and_general(monkeypatch)
     x = _dense16(integral=False)
     with pytest.raises(PreconditionError) as info:
         solve_auto(x)
     text = str(info.value)
     assert "integer-endpoints: vertex 1 window [19/4, 18] has fractional endpoints" in text
-    assert "l2: release group too large" in text
-    assert "general: release group too large" in text
+    assert "l2: refused for the test" in text
+    assert "general: refused for the test" in text
+
+
+def _with_reward(x, v, reward):
+    rewards = list(x.rewards)
+    rewards[v] = reward
+    return TwInstance(x.metric, x.windows, tuple(rewards), x.s, x.t, x.budget, x.wait_policy)
+
+
+def test_reward_precision_adds_no_oracle_work(monkeypatch):
+    # vertex 1 worth 1/1000 instead of 1: the same oracle calls, and the same
+    # monotone-cache probes, since the cache would absorb repeated searches
+    probes = [0]
+    real_probe = oracles._MonotoneCache._probe
+
+    def counted_probe(self, *args):
+        probes[0] += 1
+        return real_probe(self, *args)
+
+    monkeypatch.setattr(oracles._MonotoneCache, "_probe", counted_probe)
+    calls = [0]
+
+    def counted(fn):
+        def wrapped(q):
+            calls[0] += 1
+            return fn(q)
+        return wrapped
+
+    oracle = OrienteeringOracle(EXACT_ORACLE.spec, counted(EXACT_ORACLE.fn))
+    deadline_oracle = DeadlineOracle(EXACT_DEADLINE.spec, counted(EXACT_DEADLINE.fn))
+
+    def cost(x):
+        calls[0] = probes[0] = 0
+        solve_auto(x, oracle, deadline_oracle)
+        return calls[0], probes[0]
+
+    for seed in range(10):
+        x = generate_instance("random-metric", 7, seed, integral=True)
+        assert cost(_with_reward(x, 1, F(1, 1000))) == cost(x), seed
 
 
 def test_start_only_skips_a_refused_end_vertex(monkeypatch):
@@ -291,7 +344,8 @@ def test_start_only_skips_a_refused_end_vertex(monkeypatch):
     assert rep.walk.feasible and rep.walk.reward <= best.walk.reward
 
 
-def test_start_only_raises_when_every_end_vertex_refuses():
+def test_start_only_raises_when_every_end_vertex_refuses(monkeypatch):
+    _refuse_l2_and_general(monkeypatch)
     x = _dense16(integral=False)
     x = TwInstance(x.metric, x.windows, x.rewards, x.s, None, x.budget, x.wait_policy)
     with pytest.raises(PreconditionError, match="no end vertex yields a walk") as info:

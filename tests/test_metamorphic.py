@@ -10,8 +10,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from orientw import (ALGORITHMS, PreconditionError, TwInstance, evaluate_walk,
-                     is_finite, run_algorithm, solve_auto)
+from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
+                     PreconditionError, TwInstance, evaluate_walk, is_finite,
+                     layered_deadline_oracle, run_algorithm, solve_auto)
 from orientw.generate import generate_instance
 
 DENSE = dict(horizon=F(20), l_low=F(8), l_high=F(16))
@@ -25,14 +26,14 @@ SHAPES = [
 ]
 
 
-def _rivals(x: TwInstance) -> dict:
+def _rivals(x: TwInstance, oracle=EXACT_ORACLE, deadline_oracle=EXACT_DEADLINE) -> dict:
     """Reward of every registered solver other than auto that accepts x."""
     out = {}
     for name in sorted(ALGORITHMS):
         if name == "auto":
             continue
         try:
-            out[name] = run_algorithm(name, x).walk.reward
+            out[name] = run_algorithm(name, x, oracle, deadline_oracle).walk.reward
         except PreconditionError:
             continue
     return out
@@ -62,3 +63,17 @@ def test_auto_is_at_least_every_solver_that_succeeds(mode, integral):
                 assert rep.walk.reward >= reward, (family, n, y.t, name)
                 compared += 1
         assert compared, (family, n)
+
+
+@pytest.mark.parametrize("n", [16, 20, 30])
+def test_auto_scales_on_dense_quarter_grids(n):
+    # no step around the oracle caps the size: with greedy and layered oracles
+    # l2 and general both run in about a second, where exact oracles take minutes
+    x = generate_instance("random-metric", n, 3, **DENSE)
+    layered = layered_deadline_oracle(GREEDY_ORACLE)
+    rep = solve_auto(x, GREEDY_ORACLE, layered)
+    again = evaluate_walk(x, [(v, c) for (v, _t, c) in rep.walk.schedule])
+    assert again.feasible and again.reward == rep.walk.reward
+    rivals = _rivals(x, GREEDY_ORACLE, layered)
+    assert {"l2", "general"} <= set(rivals)
+    assert all(rep.walk.reward >= reward for reward in rivals.values()), rivals

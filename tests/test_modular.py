@@ -146,17 +146,22 @@ def test_segments_claim_what_the_walk_collects():
     assert visited & members <= set(res.walk.collected)
 
 
-def test_block_times_finds_leftmost_durations():
-    from orientw.modular import _BlockTimes
-    from orientw.oracles import MonotoneOracle
+def test_earliest_limits_finds_leftmost_durations():
+    from orientw.oracles import MonotoneOracle, earliest_limits
     from conftest import line_metric
     m = line_metric(4)
-    finder = _BlockTimes(m, {1: F(1), 2: F(1)}, F(6),
-                         MonotoneOracle(EXACT_ORACLE), F(1))
-    assert finder.min_time(1, 2, F(0)).duration == F(1)
-    assert finder.min_time(1, 2, F(2)).duration == F(1)
-    assert finder.min_time(1, 2, F(3)) is None
-    assert finder.min_time(0, 3, F(2)).duration == F(3)
+    mono = MonotoneOracle(EXACT_ORACLE)
+    eligible = {1: F(1), 2: F(1)}
+
+    def min_time(u, w, level):
+        stairs = earliest_limits(lambda budget: mono.query(m, eligible, u, w, budget),
+                                 F(0), F(6), m.scale)
+        return next((res.duration for res in stairs if res.reward >= level), None)
+
+    assert min_time(1, 2, F(0)) == F(1)
+    assert min_time(1, 2, F(2)) == F(1)
+    assert min_time(1, 2, F(3)) is None
+    assert min_time(0, 3, F(2)) == F(3)
 
 
 def test_empty_partition_walks_straight_through():

@@ -3,18 +3,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
-                     DeadlineQuery, OracleSpec, OrienteeringOracle,
+                     DeadlineQuery, Graph, OracleSpec, OrienteeringOracle,
                      OrienteeringQuery, PreconditionError,
                      best_deadline_walk, best_orienteering_walk, is_finite,
-                     layered_deadline_oracle, pareto_profiles)
+                     layered_deadline_oracle, metric_closure, pareto_profiles)
 from orientw.generate import random_metric
 from orientw.oracles import (DeadlineOracle, MonotoneDeadlineOracle, MonotoneOracle,
-                             WalkResult)
+                             WalkResult, earliest_limits)
 
 from conftest import line_metric
-from test_integer_units import ref_deadline_reward, ref_duration, ref_reward
+from test_integer_units import (DENOMINATORS, ref_deadline_reward, ref_duration, ref_reward,
+                                rewards, times)
 
 
 # ----- straight-line enumeration, no pruning, used as the referee -----------------
@@ -197,6 +200,82 @@ def test_monotone_wrapper_caches_and_grows():
     r3 = mono.query(m, eligible, 0, 3, F(3))
     assert r1.reward == r3.reward == F(2)
     assert r2.reward >= r1.reward
+
+
+def test_monotone_wrapper_never_lets_an_infeasible_probe_win():
+    # the walk 0 -> 1 collects nothing, but it is a walk; the probe below it is not
+    m = line_metric(2)
+    mono = MonotoneOracle(EXACT_ORACLE)
+    assert not mono.query(m, {}, 0, 1, F(0)).feasible
+    assert mono.query(m, {}, 0, 1, F(1)) == WalkResult((0, 1), F(0), F(1))
+
+
+# ----- earliest limit per reward ----------------------------------------------------
+
+def _full_scan(probe, start, hi, unit):
+    """Referee for earliest_limits: ask every grid limit from start to hi
+    and keep the first answer of each new reward."""
+    found = []
+    limit = start
+    while limit <= hi:
+        res = probe(limit)
+        if res.feasible and (not found or res.reward > found[-1].reward):
+            found.append(res)
+        limit += F(1, unit)
+    return found
+
+
+# dense small metrics, so that several rewards fit one limit range
+short_weights = st.builds(F, st.integers(1, 4), st.sampled_from(DENOMINATORS))
+spans = st.builds(F, st.integers(0, 24), st.sampled_from((4, 11)))
+
+
+@st.composite
+def dense_metrics(draw):
+    n = draw(st.integers(2, 5))
+    edges = [(a, b, draw(short_weights)) for a in range(n) for b in range(a + 1, n)]
+    return metric_closure(Graph.build(False, n, edges))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_earliest_limits_match_a_full_scan_for_orienteering(data):
+    m = data.draw(dense_metrics())
+    eligible = {v: data.draw(rewards) for v in sorted(data.draw(st.sets(st.integers(0, m.n - 1))))}
+    u = data.draw(st.integers(0, m.n - 1))
+    v = data.draw(st.integers(0, m.n - 1))
+    span = data.draw(spans)
+
+    def probe_with(mono):
+        return lambda budget: mono.query(m, eligible, u, v, budget)
+
+    walked = earliest_limits(probe_with(MonotoneOracle(EXACT_ORACLE)), F(0), span, m.scale)
+    assert walked == _full_scan(probe_with(MonotoneOracle(EXACT_ORACLE)), F(0), span, m.scale)
+    profile = pareto_profiles(m, eligible, u, v, span).entries
+    assert [(r.duration, r.reward) for r in walked] == [(e.duration, e.reward) for e in profile]
+
+
+@pytest.mark.parametrize("end_kind", ["start", "other"])
+@pytest.mark.parametrize("odd", [False, True])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_earliest_limits_match_a_full_scan_for_deadline_walks(odd, end_kind, data):
+    m = data.draw(dense_metrics())
+    u = data.draw(st.integers(0, m.n - 1))
+    end = u if end_kind == "start" else data.draw(
+        st.sampled_from([w for w in range(m.n) if w != u]))
+    t0 = data.draw(times(odd))
+    hi = t0 + data.draw(spans)
+    members = data.draw(st.sets(st.integers(0, m.n - 1)))
+    eligible = {w: (data.draw(rewards), t0 + data.draw(spans)) for w in sorted(members)}
+
+    def probe_with(mono):
+        return lambda horizon: mono.query(m, eligible, u, t0, end, horizon)
+
+    walked = earliest_limits(probe_with(MonotoneDeadlineOracle(EXACT_DEADLINE)), t0, hi,
+                             m.scale)
+    assert walked == _full_scan(probe_with(MonotoneDeadlineOracle(EXACT_DEADLINE)), t0, hi,
+                                m.scale)
 
 
 # ----- deadline oracle ----------------------------------------------------------
