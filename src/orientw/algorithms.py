@@ -25,8 +25,8 @@ from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
 from .metric import Metric
 from .modular import (assemble_walk, blocks_from_identical_windows, chain_dp,
                       ensure_reachable_anchors, solve_reward_indexed, verify_modular)
-from .oracles import (EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle,
-                      MonotoneDeadlineOracle, OrienteeringOracle, earliest_limits)
+from .oracles import (EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, DeadlineQuery,
+                      OrienteeringOracle, WalkResult, best_deadline_walk, earliest_limits)
 from .rational import (HALF, ONE, ZERO, floor_log2, is_finite, is_integral,
                        shared_fraction)
 
@@ -204,26 +204,29 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
     walks between an entry (u, e) and each exit vertex w.
 
     A pass through a group ends at its last claim, so it ends at w by w's
-    deadline (w = u stays put at e).  Per entry and exit the oracle, wrapped
-    to be monotone in its horizon, is walked down the time grid from that
-    bound (earliest_limits), which yields the earliest end of every reward
-    it reaches.  With an exact oracle these are the Pareto frontier of the
-    passes ending at w, so the DP is exact.
+    deadline (w = u stays put at e).  Per entry and exit the oracle is
+    walked down the time grid from that bound (earliest_limits), which
+    yields the earliest end of every reward it reaches; the group keeps each
+    staircase for labels that enter at the same (u, e).  With an exact
+    oracle these are the Pareto frontier of the passes ending at w, so the
+    DP is exact.
     """
     ensure_reachable_anchors(x)
     groups = _release_groups(x)
-    mono = MonotoneDeadlineOracle(deadline_oracle)
 
     def steps():
         for gi, (rel, members, dmax) in enumerate(groups):
             eligible = {v: (x.rewards[v], x.windows[v].deadline) for v in members}
+            stairs: Dict[Tuple[int, Fraction, int], List[WalkResult]] = {}
 
             def moves(u, e):
                 for w in members:
-                    hi = e if w == u else eligible[w][1]
-                    for res in earliest_limits(
-                            lambda h: mono.query(x.metric, eligible, u, e, w, h),
-                            e, hi, x.metric.scale):
+                    if (u, e, w) not in stairs:
+                        stairs[(u, e, w)] = earliest_limits(
+                            lambda h: best_deadline_walk(
+                                deadline_oracle, DeadlineQuery(x.metric, eligible, u, e, w, h)),
+                            e, e if w == u else eligible[w][1], x.metric.scale)
+                    for res in stairs[(u, e, w)]:
                         if res.reward > 0:
                             yield w, res.duration, res.reward, res.order
 

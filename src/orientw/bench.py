@@ -43,8 +43,6 @@ class BenchRow:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -70,6 +68,9 @@ def bench_rows(instances: Sequence[Tuple[str, TwInstance]],
     """
     if algorithms is None:
         algorithms = sorted(ALGORITHMS)
+    for name in algorithms:
+        if name not in ALGORITHMS:
+            raise PreconditionError("unknown algorithm %r" % name)
     oracle = ORIENTEERING_ORACLES[oracle_name]
     dl = deadline_oracle_by_name(deadline_oracle_name, oracle)
     rows: List[BenchRow] = []
@@ -79,8 +80,6 @@ def bench_rows(instances: Sequence[Tuple[str, TwInstance]],
         if x.n <= BRUTE_LIMIT:
             brute = brute_force_opt(x).reward
         for name in algorithms:
-            if name not in ALGORITHMS:
-                raise PreconditionError("unknown algorithm %r" % name)
             started = time.perf_counter()
             try:
                 report = run_algorithm(name, x, oracle, dl)

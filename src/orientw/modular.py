@@ -8,12 +8,13 @@ sequencing per-block point-to-point walks.  chain_dp runs that sequencing
 once for every composition; the three DPs below only say which in-block
 walks each block offers:
 
-* solve_time_indexed   - one oracle walk per integral budget; integral data only
+* solve_time_indexed   - the best oracle walk up to each integral budget; integral data only
 * solve_reward_indexed - the earliest walk per reward the oracle reaches; any rationals
 * solve_exact_pareto   - every undominated walk of the block's Pareto profile
 
 The first two take a point-to-point orienteering oracle and inherit its
-ratio; the third is exact and oracle-free.
+ratio; each block keeps its own oracle answers, so none outlives the block.
+The third is exact and oracle-free.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InfeasibleInstanceError, PreconditionError
 from .instance import ANCHORED, FREE, TwInstance, WalkSolution, evaluate_walk
-from .oracles import (MonotoneOracle, OrienteeringOracle, WalkResult, earliest_limits,
+from .oracles import (INFEASIBLE_RESULT, OrienteeringOracle, OrienteeringQuery, WalkResult,
+                      _result_better, best_orienteering_walk, earliest_limits,
                       pareto_profiles)
 from .rational import ZERO, is_finite, is_integral
 
@@ -282,22 +284,31 @@ def solve_time_indexed(x: TwInstance, part: ModularPartition,
     integral data only.
 
     Block entry times and oracle budgets stay integral, so the state space
-    is finite without any rounding.  With an exact oracle this solves the
+    is finite without any rounding.  Per block and (entry, exit) the answers
+    at ascending budgets are kept as a running best, so a larger budget
+    never offers a worse walk.  With an exact oracle this solves the
     modular instance exactly.
     """
     require_modular(x, part)
     ensure_reachable_anchors(x)
     _require_integral(x, part)
-    mono = MonotoneOracle(oracle)
 
     def steps():
         for bi, b, eligible, ids in _eligible_blocks(x, part):
+            # (u, w) -> running best at budgets 0, 1, 2, ...
+            answers: Dict[Tuple[int, int], List[WalkResult]] = {}
+
             def moves(u, e):
-                cap = b.deadline - e
+                budgets = _int_budgets(b.deadline - e)
                 for w in ids:
+                    best = answers.setdefault((u, w), [])
+                    for budget in budgets[len(best):]:
+                        res = best_orienteering_walk(
+                            oracle, OrienteeringQuery(x.metric, eligible, u, w, budget))
+                        prev = best[-1] if best else INFEASIBLE_RESULT
+                        best.append(prev if _result_better(prev, res) else res)
                     seen = set()
-                    for budget in _int_budgets(cap):
-                        res = mono.query(x.metric, eligible, u, w, budget)
+                    for res in best[:len(budgets)]:
                         if not res.feasible or res.order in seen:
                             continue
                         seen.add(res.order)
@@ -336,21 +347,21 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
     """Chain DP whose block walks are the earliest completion of every
     reward the oracle reaches.
 
-    Per block and (entry, exit) the oracle, wrapped to be monotone in its
-    budget, is walked down the block's time grid once (earliest_limits),
-    one query per distinct answer.  No reward grid is involved, so rational
-    data needs no scaling and the cost does not grow with reward precision.
-    With an exact oracle the answers are the block's Pareto frontier, which
-    makes the DP exact.
+    Per block and (entry, exit) the oracle is walked down the block's time
+    grid once (earliest_limits), one query per answer, and the staircase is
+    kept for the block's later entries.  No reward grid is involved, so
+    rational data needs no scaling and the cost does not grow with reward
+    precision.  With an exact oracle the answers are the block's Pareto
+    frontier, which makes the DP exact.
 
     With a ratio-a oracle each answer is claimed at a times its reward.  For
-    any budget b the walk-down holds an answer that ends by b and was the
-    oracle's answer at a budget of at least b, so claimed is at least the
-    modular optimum, and the returned walk collects at least claimed / a.
+    any budget b the staircase holds an answer that ends by b and earns at
+    least the oracle's answer at some budget of at least b, so claimed is at
+    least the modular optimum, and the returned walk collects at least
+    claimed / a.
     """
     require_modular(x, part)
     ensure_reachable_anchors(x)
-    mono = MonotoneOracle(oracle)
     alpha = oracle.spec.ratio
 
     def steps():
@@ -363,7 +374,8 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
                 for w in ids:
                     if (u, w) not in stairs:
                         stairs[(u, w)] = earliest_limits(
-                            lambda budget: mono.query(x.metric, eligible, u, w, budget),
+                            lambda budget: best_orienteering_walk(
+                                oracle, OrienteeringQuery(x.metric, eligible, u, w, budget)),
                             ZERO, span, x.metric.scale)
                     for res in stairs[(u, w)]:
                         if res.duration > cap:

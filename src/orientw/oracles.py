@@ -325,70 +325,25 @@ GREEDY_ORACLE = OrienteeringOracle(OracleSpec("greedy", ONE, guaranteed=False), 
 ORIENTEERING_ORACLES = {"exact": EXACT_ORACLE, "greedy": GREEDY_ORACLE}
 
 
-class _MonotoneCache:
-    """Per-solve cache that makes an oracle's answer monotone in one limit
-    (a budget or a horizon).
-
-    Each query key remembers every probed limit; the answer for limit b is
-    the best result seen at any probed limit <= b.  Confined to a single
-    solve context so caching never leaks across instances.
-    """
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self._probes: Dict[tuple, List[Tuple[Fraction, WalkResult]]] = {}
-
-    @property
-    def spec(self) -> OracleSpec:
-        return self.oracle.spec
-
-    def _probe(self, key: tuple, limit: Fraction,
-               ask: Callable[[], WalkResult]) -> WalkResult:
-        """Cached answer for (key, limit); ask() runs the oracle on a miss."""
-        probes = self._probes.setdefault(key, [])
-        for (b, res) in probes:
-            if b == limit:
-                return res
-        best = ask()
-        for (b, res) in probes:
-            if b <= limit and _result_better(res, best):
-                best = res
-        probes.append((limit, best))
-        probes.sort(key=lambda br: br[0])
-        # earlier probes never worsen later answers: refresh cached entries
-        for i, (b, res) in enumerate(probes):
-            if b >= limit and _result_better(best, res):
-                probes[i] = (b, best)
-        return best
-
-
-class MonotoneOracle(_MonotoneCache):
-    """Budget-monotone cache around an orienteering oracle."""
-
-    def query(self, metric: Metric, eligible: Dict[int, Fraction], u: int, v: int,
-              budget: Fraction) -> WalkResult:
-        key = (id(metric), u, v, tuple(sorted(eligible.items())))
-        return self._probe(key, budget, lambda: best_orienteering_walk(
-            self.oracle, OrienteeringQuery(metric, eligible, u, v, budget)))
-
-
 def earliest_limits(probe: Callable[[Fraction], WalkResult], start: Fraction, hi: Fraction,
                     unit: int) -> List[WalkResult]:
-    """The answer at the earliest limit of every reward that a monotone probe
-    reaches with a limit in [start, hi], in increasing reward.
+    """The staircase of earliest ends per reward that probe reaches with a
+    limit in [start, hi], strictly increasing in duration and in reward.
 
-    probe(limit) answers a query whose walk leaves at start and ends at a
+    probe(limit) is a contract wrapper's answer (best_orienteering_walk or
+    best_deadline_walk) to a query whose walk leaves at start and ends at a
     fixed vertex by limit.  An answer ends at start + duration, and every
-    duration is a multiple of 1/unit.  An exact answer's reward is the
-    optimum at every limit from where its walk ends up to where it was
-    asked, so the walk down the grid asks at hi, then one unit below where
-    the last answer ends, and keeps the last answer of each reward.  It
-    stops at an infeasible answer or at the straight walk (an order of at
-    most two vertices): with a fixed end and shortest-walk distances nothing
-    ends sooner.  That is one probe per distinct answer, and with an exact
-    oracle the answers are the Pareto frontier of (duration, reward).  A
-    free end is outside this contract: a two-vertex walk need not end
-    soonest there.
+    duration is a multiple of 1/unit, so the walk down the grid asks at hi,
+    then one unit below where the last answer ends: each answer ends
+    sooner than the one before.  Every kept answer whose reward a sooner
+    one matches or beats is dropped, so the staircase is monotone for any
+    oracle.  The walk stops at an infeasible answer or at the straight walk
+    (an order of at most two vertices): with a fixed end and shortest-walk
+    distances nothing ends sooner.  That is one probe per answer.  An exact
+    answer's reward is the optimum at every limit from where its walk ends
+    up to where it was asked, so with an exact oracle the staircase is the
+    Pareto frontier of (duration, reward).  A free end is outside this
+    contract: a two-vertex walk need not end soonest there.
     """
     found: List[WalkResult] = []
     step = Fraction(1, unit)
@@ -397,10 +352,9 @@ def earliest_limits(probe: Callable[[Fraction], WalkResult], start: Fraction, hi
         res = probe(limit)
         if not res.feasible:
             break
-        if found and found[-1].reward == res.reward:
-            found[-1] = res
-        else:
-            found.append(res)
+        while found and found[-1].reward <= res.reward:
+            found.pop()
+        found.append(res)
         if len(res.order) <= 2:
             break
         limit = start + res.duration - step
@@ -518,16 +472,6 @@ def deadline_oracle_by_name(name: str, oracle: OrienteeringOracle) -> DeadlineOr
     if name not in DEADLINE_ORACLES:
         raise PreconditionError("unknown deadline oracle %r" % name)
     return DEADLINE_ORACLES[name](oracle)
-
-
-class MonotoneDeadlineOracle(_MonotoneCache):
-    """Horizon-monotone cache around a deadline oracle (per solve context)."""
-
-    def query(self, metric: Metric, eligible, u: int, t0: Fraction, end: Optional[int],
-              horizon: Fraction) -> WalkResult:
-        key = (id(metric), u, t0, end, tuple(sorted(eligible.items())))
-        return self._probe(key, horizon, lambda: best_deadline_walk(
-            self.oracle, DeadlineQuery(metric, eligible, u, t0, end, horizon)))
 
 
 # ----- Pareto profiles -------------------------------------------------------

@@ -59,15 +59,8 @@ def floor_log2(x: Fraction) -> int:
     """Largest j with 2**j <= x.  Requires x > 0."""
     if x <= 0:
         raise ValueError("floor_log2 needs a positive value")
-    j = x.numerator.bit_length() - x.denominator.bit_length()
-    # bit_length gives an estimate off by at most one; fix up exactly.
-    while _pow2(j) > x:
-        j -= 1
-    while _pow2(j + 1) <= x:
-        j += 1
-    return j
-
-
-def _pow2(j: int) -> Fraction:
-    return Fraction(2) ** j
-
+    n, d = x.numerator, x.denominator
+    # x lies in (2**(j-1), 2**(j+1)), so the answer is j or j - 1
+    j = n.bit_length() - d.bit_length()
+    fits = n >= d << j if j >= 0 else n << -j >= d
+    return j if fits else j - 1

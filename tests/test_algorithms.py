@@ -12,6 +12,7 @@ from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
                      solve_free_l_le_2, solve_general, solve_integer_endpoints,
                      solve_l_le_2, window_stats, zero_window_dp)
 import orientw.algorithms as algorithms
+import orientw.modular as modular
 import orientw.oracles as oracles
 from orientw.generate import (gen_deadline_instance, gen_general_instance,
                               gen_integer_instance, gen_ratio2_instance,
@@ -297,15 +298,18 @@ def _with_reward(x, v, reward):
 
 def test_reward_precision_adds_no_oracle_work(monkeypatch):
     # vertex 1 worth 1/1000 instead of 1: the same oracle calls, and the same
-    # monotone-cache probes, since the cache would absorb repeated searches
+    # wrapper calls from the walk-downs, since the per-block staircases would
+    # absorb repeated searches
     probes = [0]
-    real_probe = oracles._MonotoneCache._probe
 
-    def counted_probe(self, *args):
-        probes[0] += 1
-        return real_probe(self, *args)
+    def counted_walk_down(probe, *args):
+        def counted_probe(limit):
+            probes[0] += 1
+            return probe(limit)
+        return oracles.earliest_limits(counted_probe, *args)
 
-    monkeypatch.setattr(oracles._MonotoneCache, "_probe", counted_probe)
+    monkeypatch.setattr(algorithms, "earliest_limits", counted_walk_down)
+    monkeypatch.setattr(modular, "earliest_limits", counted_walk_down)
     calls = [0]
 
     def counted(fn):
@@ -325,6 +329,37 @@ def test_reward_precision_adds_no_oracle_work(monkeypatch):
     for seed in range(10):
         x = generate_instance("random-metric", 7, seed, integral=True)
         assert cost(_with_reward(x, 1, F(1, 1000))) == cost(x), seed
+
+
+def test_release_group_walks_each_entry_down_the_grid_once(monkeypatch):
+    # groups released at 0 ({1, 2}) and 5 ({3, 4}) on the unit path 0-...-5:
+    # labels at 0, 1 and 2 all reach 3 before 5, so they enter (3, 5) alike
+    x = build_instance(6, [(i, i + 1, 1) for i in range(5)],
+                       [(0, 10), (0, 2), (0, 2), (5, 7), (5, 7), (0, 10)],
+                       [0, 1, 1, 1, 1, 0], 0, 5, 10)
+    entries, queries = [], []
+
+    def counted(q):
+        queries.append((q.u, q.t0, q.end, q.horizon))
+        return EXACT_DEADLINE.fn(q)
+
+    real_chain_dp = algorithms.chain_dp
+
+    def recording_chain_dp(x, steps):
+        def recorded(step):
+            gi, release, deadline, members, moves = step
+
+            def recorded_moves(u, e):
+                entries.append((gi, u, e))
+                return moves(u, e)
+            return gi, release, deadline, members, recorded_moves
+        return real_chain_dp(x, map(recorded, steps))
+
+    monkeypatch.setattr(algorithms, "chain_dp", recording_chain_dp)
+    res = algorithms._release_group_solve(x, DeadlineOracle(EXACT_DEADLINE.spec, counted))
+    assert res.walk.reward == _opt(x) == 4
+    assert entries.count((1, 3, F(5))) == 3
+    assert len(queries) == len(set(queries))
 
 
 def test_start_only_skips_a_refused_end_vertex(monkeypatch):

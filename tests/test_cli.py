@@ -307,6 +307,13 @@ def test_bench_with_no_instances_is_header_only():
     assert rows_to_csv(bench_rows([])) == HEADER + "\n"
 
 
+def test_bench_rejects_an_unknown_algorithm_even_with_no_instances():
+    from orientw import PreconditionError
+    from orientw.bench import bench_rows
+    with pytest.raises(PreconditionError, match="unknown algorithm 'nope'"):
+        bench_rows([], algorithms=["general", "nope"])
+
+
 def test_readme_lists_exactly_the_registered_algorithms():
     from orientw import ALGORITHMS
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -22,6 +22,7 @@ from orientw import (INF, DeadlineQuery, Graph, GraphError, Metric, Orienteering
                      reduce_deadline_to_tw, scale_times, serialize, time_reversed)
 from orientw.oracles import (INFEASIBLE_RESULT, ParetoEntry, ParetoProfile, WalkResult,
                              exact_deadline, exact_orienteering)
+from orientw.rational import floor_log2
 
 DENOMINATORS = (1, 3, 7, 2)  # edge weights such as 1/3, 1/7 and 5/2
 ODD_DENOMINATORS = (11, 13)  # never divide an edge scale built from DENOMINATORS
@@ -322,3 +323,31 @@ def test_exact_orienteering_and_pareto_match_their_referees(odd, data):
     q = OrienteeringQuery(m, eligible, u, v, budget)
     assert exact_orienteering(q) == ref_exact_orienteering(q)
     assert pareto_profiles(m, eligible, u, v, budget) == ref_pareto(m, eligible, u, v, budget)
+
+
+# ----- floor_log2 on integers ----------------------------------------------------
+
+def reference_floor_log2(x: F) -> int:
+    """Largest j with 2**j <= x, found by stepping Fraction powers of two."""
+    j = 0
+    while F(2) ** j > x:
+        j -= 1
+    while F(2) ** (j + 1) <= x:
+        j += 1
+    return j
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(1, 10 ** 12), d=st.integers(1, 10 ** 12))
+def test_floor_log2_matches_the_fraction_referee(n, d):
+    # fractions above and below 1, with numerators and denominators of any size
+    assert floor_log2(F(n, d)) == reference_floor_log2(F(n, d))
+    assert floor_log2(F(d, n)) == reference_floor_log2(F(d, n))
+
+
+@pytest.mark.parametrize("j", range(-70, 71, 7))
+def test_floor_log2_on_exact_powers_of_two(j):
+    power = F(2) ** j
+    assert floor_log2(power) == j
+    assert floor_log2(power * F(2 ** 40 - 1, 2 ** 40)) == j - 1
+    assert floor_log2(power * F(2 ** 40 + 1, 2 ** 40)) == j

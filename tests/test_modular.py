@@ -147,21 +147,60 @@ def test_segments_claim_what_the_walk_collects():
 
 
 def test_earliest_limits_finds_leftmost_durations():
-    from orientw.oracles import MonotoneOracle, earliest_limits
+    from orientw import OrienteeringQuery, best_orienteering_walk
+    from orientw.oracles import earliest_limits
     from conftest import line_metric
     m = line_metric(4)
-    mono = MonotoneOracle(EXACT_ORACLE)
     eligible = {1: F(1), 2: F(1)}
 
     def min_time(u, w, level):
-        stairs = earliest_limits(lambda budget: mono.query(m, eligible, u, w, budget),
-                                 F(0), F(6), m.scale)
+        stairs = earliest_limits(lambda budget: best_orienteering_walk(
+            EXACT_ORACLE, OrienteeringQuery(m, eligible, u, w, budget)), F(0), F(6), m.scale)
         return next((res.duration for res in stairs if res.reward >= level), None)
 
     assert min_time(1, 2, F(0)) == F(1)
     assert min_time(1, 2, F(2)) == F(1)
     assert min_time(1, 2, F(3)) is None
     assert min_time(0, 3, F(2)) == F(3)
+
+
+def test_time_indexed_offers_a_running_best_over_ascending_budgets(monkeypatch):
+    # block {1, 2, 3} on the unit path 0-1-2-3-4; from budget 5 on, the
+    # oracle answers 1 -> 3 with the detour 1 -> 0 -> 1 -> 3, longer and
+    # poorer than 1 -> 2 -> 3, which a larger budget must not offer
+    import orientw.modular as modular
+    from orientw.oracles import WalkResult, _result_better
+    detour = WalkResult((1, 0, 1, 3), F(2), F(4))
+    asked = []
+
+    def erratic(q):
+        if q.budget >= 5 and (q.u, q.v) == (1, 3):
+            asked.append(q.budget)
+            return detour
+        return exact_orienteering(q)
+
+    oracle = OrienteeringOracle(OracleSpec("erratic", F(1), guaranteed=False), erratic)
+    x = build_instance(5, [(i, i + 1, 1) for i in range(4)],
+                       [(0, 10), (1, 7), (1, 7), (1, 7), (0, 10)], [0, 1, 1, 1, 0], 0, 4, 10)
+    offered = []  # one {exit: answers} per moves call
+
+    def offers(x, steps):
+        for (_bi, release, _deadline, entries, moves) in steps:
+            for u in entries:
+                for e in (release, release + 1, release):
+                    by_exit = {}
+                    for (w, duration, reward, order) in moves(u, e):
+                        by_exit.setdefault(w, []).append(WalkResult(order, reward, duration))
+                    offered.append(((u, e), by_exit))
+
+    monkeypatch.setattr(modular, "chain_dp", offers)
+    solve_time_indexed(x, blocks_from_identical_windows(x), oracle)
+    assert asked == [F(5), F(6)]  # once each: later entries reuse the block's answers
+    assert [by_exit[3] for (entry, by_exit) in offered if entry == (1, 1)] == \
+        [[WalkResult((1, 2, 3), F(3), F(2))]] * 2
+    for (_entry, by_exit) in offered:
+        for answers in by_exit.values():
+            assert all(_result_better(b, a) for a, b in zip(answers, answers[1:]))
 
 
 def test_empty_partition_walks_straight_through():
@@ -218,3 +257,24 @@ def test_push_label_keeps_a_strict_frontier_and_the_first_back():
             if not any(t2 <= t and r2 >= r and (t2, r2) != (t, r) for (t2, r2, _j) in pushed):
                 undominated.setdefault((t, r), i)
         assert {(t, r): i for (t, r, i) in frontier} == undominated
+
+
+# sha256 of (claimed, reward, schedule, segments) of both oracle DPs with the
+# greedy oracle on seeded gen_modular_instance; solve_auto's pin in
+# test_regression.py never reaches solve_time_indexed
+MODULAR_GREEDY_PIN = "7e57f431739d11575c1c725133c038379c3fca61d4e9c7e13efc77037ad4de35"
+
+
+def test_modular_dps_with_the_greedy_oracle_match_the_pinned_digest():
+    import hashlib
+    from orientw import GREEDY_ORACLE
+    h = hashlib.sha256()
+    for seed in range(60):
+        x, part = gen_modular_instance(seed)
+        for solver in (solve_time_indexed, solve_reward_indexed):
+            res = solver(x, part, GREEDY_ORACLE)
+            schedule = ";".join("%d@%s%s" % (v, t, "+" if c else "")
+                                for (v, t, c) in res.walk.schedule)
+            h.update(("%s|%s|%s|%s\n" % (res.claimed, res.walk.reward, schedule,
+                                         res.segments)).encode("utf-8"))
+    assert h.hexdigest() == MODULAR_GREEDY_PIN

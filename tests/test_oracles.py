@@ -12,8 +12,8 @@ from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
                      best_deadline_walk, best_orienteering_walk, is_finite,
                      layered_deadline_oracle, metric_closure, pareto_profiles)
 from orientw.generate import random_metric
-from orientw.oracles import (DeadlineOracle, MonotoneDeadlineOracle, MonotoneOracle,
-                             WalkResult, earliest_limits)
+from orientw.oracles import (INFEASIBLE_RESULT, DeadlineOracle, WalkResult, _result_better,
+                             earliest_limits)
 
 from conftest import line_metric
 from test_integer_units import (DENOMINATORS, ref_deadline_reward, ref_duration, ref_reward,
@@ -172,42 +172,66 @@ def test_oracle_spec_validation():
     assert not GREEDY_ORACLE.spec.guaranteed
 
 
-# ----- monotone wrapper -------------------------------------------------------
+# ----- monotone staircases ----------------------------------------------------
 
-def test_monotone_wrapper_fixes_nonmonotone_fn():
-    m = line_metric(4)
-    # a deliberately erratic rule: returns nothing once the budget passes 3
+def _orienteering_probe(oracle, m, eligible, u, v):
+    return lambda budget: best_orienteering_walk(
+        oracle, OrienteeringQuery(m, eligible, u, v, budget))
+
+
+def _erratic_oracle():
+    """Exact up to budget 4; from budget 5 on, a detour 0 -> 1 -> 0 -> 3 on
+    the unit line that is longer and poorer than the exact walk."""
     def erratic(q):
-        if q.budget > F(3):
-            return WalkResult((), F(0), F(0))
-        return exact_fn(q)
-    exact_fn = EXACT_ORACLE.fn
-    oracle = OrienteeringOracle(OracleSpec("erratic", F(1), guaranteed=False), erratic)
-    mono = MonotoneOracle(oracle)
-    eligible = {1: F(1), 2: F(1)}
-    small = mono.query(m, eligible, 0, 3, F(3))
-    big = mono.query(m, eligible, 0, 3, F(5))
-    assert small.reward == F(2)
-    assert big.reward >= small.reward
+        if q.budget >= 5 and (q.u, q.v) == (0, 3):
+            return WalkResult((0, 1, 0, 3), F(1), F(5))
+        return EXACT_ORACLE.fn(q)
+    return OrienteeringOracle(OracleSpec("erratic", F(1), guaranteed=False), erratic)
 
 
-def test_monotone_wrapper_caches_and_grows():
+def _assert_strict_staircase(stairs):
+    durations = [res.duration for res in stairs]
+    rewards = [res.reward for res in stairs]
+    assert all(a < b for a, b in zip(durations, durations[1:])), stairs
+    assert all(a < b for a, b in zip(rewards, rewards[1:])), stairs
+
+
+def test_staircase_drops_a_longer_poorer_answer_of_an_erratic_oracle():
     m = line_metric(4)
-    mono = MonotoneOracle(EXACT_ORACLE)
     eligible = {1: F(1), 2: F(1)}
-    r1 = mono.query(m, eligible, 0, 3, F(3))
-    r2 = mono.query(m, eligible, 0, 3, F(4))
-    r3 = mono.query(m, eligible, 0, 3, F(3))
-    assert r1.reward == r3.reward == F(2)
-    assert r2.reward >= r1.reward
+    probe = _orienteering_probe(_erratic_oracle(), m, eligible, 0, 3)
+    assert probe(F(6)) == WalkResult((0, 1, 0, 3), F(1), F(5))
+    stairs = earliest_limits(probe, F(0), F(6), m.scale)
+    assert stairs == [WalkResult((0, 1, 2, 3), F(2), F(3))]
 
 
-def test_monotone_wrapper_never_lets_an_infeasible_probe_win():
-    # the walk 0 -> 1 collects nothing, but it is a walk; the probe below it is not
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_staircase_is_strictly_monotone_with_heuristic_oracles(data):
+    m = data.draw(dense_metrics())
+    u = data.draw(st.integers(0, m.n - 1))
+    v = data.draw(st.integers(0, m.n - 1))
+    span = data.draw(spans)
+    eligible = {w: data.draw(rewards) for w in sorted(data.draw(st.sets(st.integers(0, m.n - 1))))}
+    _assert_strict_staircase(earliest_limits(
+        _orienteering_probe(GREEDY_ORACLE, m, eligible, u, v), F(0), span, m.scale))
+    t0 = data.draw(times(False))
+    timed = {w: (r, t0 + data.draw(spans)) for w, r in eligible.items()}
+    layered = layered_deadline_oracle(GREEDY_ORACLE)
+    _assert_strict_staircase(earliest_limits(
+        lambda horizon: best_deadline_walk(layered, DeadlineQuery(m, timed, u, t0, v, horizon)),
+        t0, t0 + span, m.scale))
+
+
+def test_a_feasible_walk_collecting_nothing_beats_an_infeasible_one():
+    # the walk 0 -> 1 collects nothing, but it is a walk; the limit below it has none
     m = line_metric(2)
-    mono = MonotoneOracle(EXACT_ORACLE)
-    assert not mono.query(m, {}, 0, 1, F(0)).feasible
-    assert mono.query(m, {}, 0, 1, F(1)) == WalkResult((0, 1), F(0), F(1))
+    walk = WalkResult((0, 1), F(0), F(1))
+    probe = _orienteering_probe(EXACT_ORACLE, m, {}, 0, 1)
+    assert not probe(F(0)).feasible
+    assert earliest_limits(probe, F(0), F(3), m.scale) == [walk]
+    assert _result_better(walk, INFEASIBLE_RESULT)
+    assert not _result_better(INFEASIBLE_RESULT, walk)
 
 
 # ----- earliest limit per reward ----------------------------------------------------
@@ -245,12 +269,10 @@ def test_earliest_limits_match_a_full_scan_for_orienteering(data):
     u = data.draw(st.integers(0, m.n - 1))
     v = data.draw(st.integers(0, m.n - 1))
     span = data.draw(spans)
+    probe = _orienteering_probe(EXACT_ORACLE, m, eligible, u, v)
 
-    def probe_with(mono):
-        return lambda budget: mono.query(m, eligible, u, v, budget)
-
-    walked = earliest_limits(probe_with(MonotoneOracle(EXACT_ORACLE)), F(0), span, m.scale)
-    assert walked == _full_scan(probe_with(MonotoneOracle(EXACT_ORACLE)), F(0), span, m.scale)
+    walked = earliest_limits(probe, F(0), span, m.scale)
+    assert walked == _full_scan(probe, F(0), span, m.scale)
     profile = pareto_profiles(m, eligible, u, v, span).entries
     assert [(r.duration, r.reward) for r in walked] == [(e.duration, e.reward) for e in profile]
 
@@ -269,13 +291,11 @@ def test_earliest_limits_match_a_full_scan_for_deadline_walks(odd, end_kind, dat
     members = data.draw(st.sets(st.integers(0, m.n - 1)))
     eligible = {w: (data.draw(rewards), t0 + data.draw(spans)) for w in sorted(members)}
 
-    def probe_with(mono):
-        return lambda horizon: mono.query(m, eligible, u, t0, end, horizon)
+    def probe(horizon):
+        return best_deadline_walk(EXACT_DEADLINE, DeadlineQuery(m, eligible, u, t0, end, horizon))
 
-    walked = earliest_limits(probe_with(MonotoneDeadlineOracle(EXACT_DEADLINE)), t0, hi,
-                             m.scale)
-    assert walked == _full_scan(probe_with(MonotoneDeadlineOracle(EXACT_DEADLINE)), t0, hi,
-                                m.scale)
+    walked = earliest_limits(probe, t0, hi, m.scale)
+    assert walked == _full_scan(probe, t0, hi, m.scale)
 
 
 # ----- deadline oracle ----------------------------------------------------------
@@ -342,14 +362,17 @@ def test_layered_deadline_stays_feasible_and_sane():
             assert got.reward <= ref.reward
 
 
-def test_monotone_deadline_wrapper():
+def test_deadline_wrapper_grows_with_the_horizon():
     m = line_metric(4)
-    mono = MonotoneDeadlineOracle(EXACT_DEADLINE)
     eligible = {1: (F(1), F(4)), 2: (F(1), F(4))}
-    r1 = mono.query(m, eligible, 0, F(0), 3, F(3))
-    r2 = mono.query(m, eligible, 0, F(0), 3, F(6))
+
+    def probe(horizon):
+        return best_deadline_walk(EXACT_DEADLINE, DeadlineQuery(m, eligible, 0, F(0), 3, horizon))
+
+    r1, r2 = probe(F(3)), probe(F(6))
     assert r1.reward <= r2.reward
     assert r2.reward == F(2)
+    assert earliest_limits(probe, F(0), F(6), m.scale) == [r1]
 
 
 # ----- reward/duration frontier ----------------------------------------------------
