@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .decompose import dyadic_family, five_split, three_split_ceil, three_split_floor
+from .decompose import (dyadic_family, five_split, require_ratio_two, three_split_ceil,
+                        three_split_floor)
 from .errors import PreconditionError
 from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
                        WalkSolution, drop_vertices, evaluate_walk, restrict,
@@ -45,7 +46,6 @@ class SolveReport:
     walk: WalkSolution
     version_rewards: tuple  # ((label, reward on the original instance), ...)
     beta: int  # number of restricted versions actually present
-    alpha: Fraction  # declared ratio of the point-to-point oracle
     bound: Fraction
 
 
@@ -53,12 +53,6 @@ def _require_wait(x: TwInstance):
     if x.wait_policy != WAIT:
         raise PreconditionError("solvers require the wait policy; "
                                 "no-wait only changes walk evaluation")
-
-
-def _require_ratio_two(x: TwInstance):
-    ratio = window_stats(x).l_ratio
-    if ratio is not None and ratio > 2:
-        raise PreconditionError("window length ratio %s exceeds 2" % ratio)
 
 
 def _claims_of(walk: WalkSolution) -> tuple:
@@ -93,7 +87,7 @@ def _split_zero_windows(x: TwInstance) -> Tuple[list, Optional[TwInstance]]:
     return versions, (restrict(x, {v: None for v in zero}) if pos else None)
 
 
-def _report(name: str, x: TwInstance, versions, alpha: Fraction) -> SolveReport:
+def _report(name: str, x: TwInstance, versions) -> SolveReport:
     """Evaluate every version's claims on x; best one wins, bound sums up."""
     best: Optional[WalkSolution] = None
     rewards = []
@@ -107,7 +101,7 @@ def _report(name: str, x: TwInstance, versions, alpha: Fraction) -> SolveReport:
     if best is None:
         best = _finish(x, ())
         bound = ONE
-    return SolveReport(name, best, tuple(rewards), max(len(versions), 1), alpha,
+    return SolveReport(name, best, tuple(rewards), max(len(versions), 1),
                        shared_fraction(bound))
 
 
@@ -137,7 +131,7 @@ def zero_window_dp(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
             yield v, at, at, (v,), claim
 
     walk = chain_dp(x, steps()).walk
-    return SolveReport("zero-window", walk, (("Z", walk.reward),), 1, ONE, ONE)
+    return SolveReport("zero-window", walk, (("Z", walk.reward),), 1, ONE)
 
 
 # ----- integral window endpoints ---------------------------------------------
@@ -175,7 +169,7 @@ def solve_integer_endpoints(x: TwInstance, oracle: OrienteeringOracle = EXACT_OR
                 part = blocks_from_identical_windows(ver)
                 res = solve_reward_indexed(ver, part, oracle)
                 versions.append((label, _claims_of(res.walk), oracle.spec.ratio))
-    return _report("integer-endpoints", x, versions, oracle.spec.ratio)
+    return _report("integer-endpoints", x, versions)
 
 
 # ----- release groups ---------------------------------------------------------
@@ -249,7 +243,7 @@ def solve_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     _require_wait(x)
     if x.mode != ANCHORED:
         raise PreconditionError("this solver needs both anchors")
-    _require_ratio_two(x)
+    require_ratio_two(window_stats(x))
     ensure_reachable_anchors(x)
     versions, xp = _split_zero_windows(x)
     if xp is not None:
@@ -269,7 +263,7 @@ def solve_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
                 res = _release_group_solve(rev, deadline_oracle)
                 claims = tuple(reversed(_claims_of(res.walk)))
                 versions.append((label, claims, deadline_oracle.spec.ratio))
-    return _report("l2", x, versions, oracle.spec.ratio)
+    return _report("l2", x, versions)
 
 
 # ----- general window lengths -------------------------------------------------
@@ -293,7 +287,7 @@ def solve_general(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
             else:
                 sub = solve_l_le_2(ver, oracle, deadline_oracle)
             versions.append((label, _claims_of(sub.walk), sub.bound))
-    return _report("general", x, versions, oracle.spec.ratio)
+    return _report("general", x, versions)
 
 
 # ----- free endpoints ----------------------------------------------------------
@@ -329,7 +323,7 @@ def solve_free_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     _require_wait(x)
     if x.mode != FREE:
         raise PreconditionError("free-endpoint solver needs unanchored ends")
-    _require_ratio_two(x)
+    require_ratio_two(window_stats(x))
     versions, xp = _split_zero_windows(x)
     if xp is not None:
         fam = five_split(xp)
@@ -343,7 +337,7 @@ def solve_free_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
             part = blocks_from_identical_windows(mver)
             res = solve_reward_indexed(mver, part, oracle)
             versions.append((label, _claims_of(res.walk), oracle.spec.ratio))
-    return _report("free-l2", x, versions, oracle.spec.ratio)
+    return _report("free-l2", x, versions)
 
 
 def solve_free_general(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
@@ -365,7 +359,7 @@ def solve_free_general(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
             bver = drop_vertices(xp, set(bands[j]))
             sub = solve_free_l_le_2(bver, oracle)
             versions.append(("band%d" % j, _claims_of(sub.walk), sub.bound))
-    return _report("free-general", x, versions, oracle.spec.ratio)
+    return _report("free-general", x, versions)
 
 
 # ----- deadline-only reduction -------------------------------------------------
@@ -385,10 +379,7 @@ def reduce_deadline_to_tw(x: TwInstance) -> TwInstance:
         if x.rewards[v] > 0 and x.windows[v].release != 0:
             raise PreconditionError(
                 "vertex %d has a nonzero release; not a deadline-only instance" % v)
-    dmax = ZERO
-    for v in range(x.n):
-        if x.rewards[v] > 0 and x.windows[v].deadline > dmax:
-            dmax = x.windows[v].deadline
+    dmax = window_stats(x).d_max or ZERO
     n2 = x.n + 1
     rows = []
     for i in range(x.n):
@@ -463,8 +454,7 @@ def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
         sol = evaluate_walk(x, order)
         if not sol.feasible:
             continue
-        rep = SolveReport(sub.algorithm, sol, sub.version_rewards, sub.beta,
-                          sub.alpha, sub.bound)
+        rep = SolveReport(sub.algorithm, sol, sub.version_rewards, sub.beta, sub.bound)
         if best is None or rep.walk.reward > best.walk.reward:
             best = rep
     if best is None:

@@ -19,7 +19,7 @@ from .decompose import dyadic_family, five_split, three_split_ceil, three_split_
 from .errors import (GraphError, InfeasibleInstanceError, ParseError,
                      PreconditionError)
 from .generate import FAMILIES, generate_instance
-from .instance import WalkSolution, brute_force_opt
+from .instance import ANCHORED, FREE, START_ONLY, WalkSolution, brute_force_opt
 from .oracles import DEADLINE_ORACLES, ORIENTEERING_ORACLES, deadline_oracle_by_name
 
 _CONSTRUCTIONS = {
@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--family", default="random-metric", choices=sorted(FAMILIES))
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--mode", default="anchored", choices=["anchored", "start-only", "free"])
+    gen.add_argument("--mode", default=ANCHORED, choices=[ANCHORED, START_ONLY, FREE])
     gen.add_argument("--horizon", type=_frac, default=None)
     gen.add_argument("--integral", action="store_true",
                      help="integer weights and window endpoints")

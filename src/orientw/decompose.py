@@ -4,6 +4,11 @@ Each construction takes an instance and returns a RestrictedFamily: a list of
 labeled restricted versions whose windows, per vertex, exactly cover that
 vertex's original window.  Solving every version and keeping the best answer
 then loses at most a factor beta = len(versions).
+
+Every construction is one cut rule on one skeleton (_family): the rule cuts
+each positive-length window into keyed, labeled pieces, and each key becomes
+one version.  The three splits also share their scaling and refusals
+(_split) and key their versions by label.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
-from .instance import TimeWindow, TwInstance, restrict, scale_times, window_stats
+from .instance import (TimeWindow, TwInstance, WindowStats, restrict, scale_times,
+                       window_stats)
 from .rational import ONE, is_integral
 
 # version labels are stable strings: "B<slot>_<level>" for dyadic versions,
@@ -106,66 +112,66 @@ def dyadic_family(x: TwInstance) -> RestrictedFamily:
     here (the fixed-time DP path handles them); the affected vertices are
     simply dropped from every version.
     """
-    carriers = []
-    dropped = []
-    for v in x.positive_vertices():
-        w = x.windows[v]
-        if w.length == 0:
-            dropped.append(v)
-            continue
+
+    def cut(v: int, w: TimeWindow):
         if not (is_integral(w.release) and is_integral(w.deadline)):
             raise PreconditionError(
                 "vertex %d: window [%s, %s] does not have integer endpoints"
                 % (v, w.release, w.deadline))
-        carriers.append(v)
-
-    groups: Dict[Tuple[int, int], Dict[int, TimeWindow]] = {}
-    for v in carriers:
-        w = x.windows[v]
         for piece in dyadic_partition(int(w.release), int(w.deadline)):
-            key = (piece.level, piece.slot)
-            groups.setdefault(key, {})[v] = TimeWindow(Fraction(piece.lo), Fraction(piece.hi))
+            yield ((piece.level, piece.slot), sys.intern("B%d_%d" % (piece.slot, piece.level)),
+                   TimeWindow(Fraction(piece.lo), Fraction(piece.hi)))
 
+    return _family(x, ONE, cut)
+
+
+# ----- the construction skeleton ---------------------------------------------
+
+def _family(base: TwInstance, factor: Fraction, cut) -> RestrictedFamily:
+    """The family that cut describes, one version per key in sorted order.
+
+    cut(v, window) yields (key, label, piece) for every positive-reward
+    vertex with a positive-length window.  A version keeps its key's pieces
+    and zeroes every other positive-reward vertex, those with zero-length
+    windows included.
+    """
+    positive = base.positive_vertices()
+    groups: Dict[object, Tuple[str, Dict[int, TimeWindow]]] = {}
+    for v in positive:
+        w = base.windows[v]
+        if w.length > 0:
+            for (key, label, piece) in cut(v, w):
+                groups.setdefault(key, (label, {}))[1][v] = piece
+    zeroed: Dict[int, Optional[TimeWindow]] = dict.fromkeys(positive)
     versions = []
-    for (level, slot) in sorted(groups):
-        assignment: Dict[int, Optional[TimeWindow]] = {v: None for v in carriers + dropped}
-        assignment.update(groups[(level, slot)])
-        versions.append((sys.intern("B%d_%d" % (slot, level)), restrict(x, assignment)))
-    return RestrictedFamily(x, tuple(versions))
-
-
-# ----- scaling helper --------------------------------------------------------
-
-def _scaled_for_splits(x: TwInstance, max_ratio: Optional[Fraction]) -> Tuple[TwInstance, Fraction, List[int]]:
-    """Scale so the shortest positive window has length 1; returns the scaled
-    instance, the factor, and the carrier vertices (positive reward, positive
-    window length).  Zero-length windows are routed elsewhere and dropped."""
-    stats = window_stats(x)
-    if stats.l_min is None:
-        raise PreconditionError("no positive-length windows to split")
-    if max_ratio is not None and stats.l_ratio > max_ratio:
-        raise PreconditionError(
-            "window length ratio %s exceeds %s" % (stats.l_ratio, max_ratio))
-    factor = ONE / stats.l_min
-    scaled = scale_times(x, factor) if factor != 1 else x
-    carriers = [v for v in scaled.positive_vertices() if scaled.windows[v].length > 0]
-    return scaled, factor, carriers
-
-
-def _family_from_maps(base: TwInstance, factor: Fraction, carriers: List[int],
-                      labeled_maps: List[Tuple[str, Dict[int, TimeWindow]]]) -> RestrictedFamily:
-    zeroed = [v for v in base.positive_vertices() if base.windows[v].length == 0]
-    versions = []
-    for label, mapping in labeled_maps:
-        if not mapping:
-            continue
-        assignment: Dict[int, Optional[TimeWindow]] = {v: None for v in carriers + zeroed}
-        assignment.update(mapping)
-        versions.append((label, restrict(base, assignment)))
+    for key in sorted(groups):
+        label, pieces = groups[key]
+        versions.append((label, restrict(base, {**zeroed, **pieces})))
     return RestrictedFamily(base, tuple(versions), scale=factor)
 
 
-# ----- three-way splits ------------------------------------------------------
+def require_ratio_two(stats: WindowStats):
+    """Refuse windows whose positive lengths differ by more than a factor 2."""
+    if stats.l_ratio is not None and stats.l_ratio > 2:
+        raise PreconditionError("window length ratio %s exceeds 2" % stats.l_ratio)
+
+
+def _split(x: TwInstance, cut, ratio_two: bool) -> RestrictedFamily:
+    """A split family: scale so the shortest positive window has length 1,
+    then cut(window) yields (label, piece) per carrier, and the label is the
+    version's key."""
+    stats = window_stats(x)
+    if stats.l_min is None:
+        raise PreconditionError("no positive-length windows to split")
+    if ratio_two:
+        require_ratio_two(stats)
+    factor = ONE / stats.l_min
+    scaled = scale_times(x, factor) if factor != 1 else x
+    return _family(scaled, factor,
+                   lambda v, w: ((label, label, piece) for (label, piece) in cut(w)))
+
+
+# ----- the splits ------------------------------------------------------------
 
 def three_split_floor(x: TwInstance) -> RestrictedFamily:
     """Split for instances whose window lengths vary by at most 2.
@@ -178,24 +184,18 @@ def three_split_floor(x: TwInstance) -> RestrictedFamily:
     a single point and is dropped; when a = b + 1 (exactly the integral
     unit-length windows) the whole window goes to B1 only.
     """
-    scaled, factor, carriers = _scaled_for_splits(x, Fraction(2))
-    b1: Dict[int, TimeWindow] = {}
-    b2: Dict[int, TimeWindow] = {}
-    b3: Dict[int, TimeWindow] = {}
-    for v in carriers:
-        w = scaled.windows[v]
+
+    def cut(w: TimeWindow):
         a = Fraction(math.floor(w.release) + 1)
         b = Fraction(math.ceil(w.deadline) - 1)
+        yield "B1", TimeWindow(w.release, a)
         if a == b + 1:
-            # integral release with length exactly 1; [R, a] is the window
-            b1[v] = TimeWindow(w.release, a)
-            continue
-        b1[v] = TimeWindow(w.release, a)
-        b3[v] = TimeWindow(b, w.deadline)
+            return
+        yield "B3", TimeWindow(b, w.deadline)
         if a < b:
-            b2[v] = TimeWindow(a, b)
-    return _family_from_maps(scaled, factor, carriers,
-                             [("B1", b1), ("B2", b2), ("B3", b3)])
+            yield "B2", TimeWindow(a, b)
+
+    return _split(x, cut, ratio_two=True)
 
 
 def three_split_ceil(x: TwInstance) -> RestrictedFamily:
@@ -207,20 +207,16 @@ def three_split_ceil(x: TwInstance) -> RestrictedFamily:
     may overlap; B2 = [a, b] has integer endpoints and appears only when
     a < b.  Unioned per vertex the three cover [R, D] exactly.
     """
-    scaled, factor, carriers = _scaled_for_splits(x, None)
-    b1: Dict[int, TimeWindow] = {}
-    b2: Dict[int, TimeWindow] = {}
-    b3: Dict[int, TimeWindow] = {}
-    for v in carriers:
-        w = scaled.windows[v]
+
+    def cut(w: TimeWindow):
         a = Fraction(math.ceil(w.release + 1))
         b = Fraction(math.floor(w.deadline - 1))
-        b1[v] = TimeWindow(w.release, min(a, w.deadline))
-        b3[v] = TimeWindow(max(b, w.release), w.deadline)
+        yield "B1", TimeWindow(w.release, min(a, w.deadline))
+        yield "B3", TimeWindow(max(b, w.release), w.deadline)
         if a < b:
-            b2[v] = TimeWindow(a, b)
-    return _family_from_maps(scaled, factor, carriers,
-                             [("B1", b1), ("B2", b2), ("B3", b3)])
+            yield "B2", TimeWindow(a, b)
+
+    return _split(x, cut, ratio_two=False)
 
 
 def five_split(x: TwInstance) -> RestrictedFamily:
@@ -231,19 +227,15 @@ def five_split(x: TwInstance) -> RestrictedFamily:
     between two and five pieces.  The first piece is always B1 and the last
     always B5; the (half-aligned, length-1/2) middles fill B2..B4 in order.
     """
-    scaled, factor, carriers = _scaled_for_splits(x, Fraction(2))
-    maps: List[Dict[int, TimeWindow]] = [{}, {}, {}, {}, {}]
-    for v in carriers:
-        w = scaled.windows[v]
-        cuts = _half_grid_interior(w.release, w.deadline)
-        bounds = [w.release] + cuts + [w.deadline]
-        pieces = [TimeWindow(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-        maps[0][v] = pieces[0]
-        maps[4][v] = pieces[-1]
-        for j, mid in enumerate(pieces[1:-1]):
-            maps[1 + j][v] = mid
-    labeled = list(zip(("B1", "B2", "B3", "B4", "B5"), maps))
-    return _family_from_maps(scaled, factor, carriers, labeled)
+
+    def cut(w: TimeWindow):
+        bounds = [w.release] + _half_grid_interior(w.release, w.deadline) + [w.deadline]
+        pieces = [TimeWindow(lo, hi) for (lo, hi) in zip(bounds, bounds[1:])]
+        yield "B1", pieces[0]
+        yield "B5", pieces[-1]
+        yield from zip(("B2", "B3", "B4"), pieces[1:-1])
+
+    return _split(x, cut, ratio_two=True)
 
 
 def _half_grid_interior(lo: Fraction, hi: Fraction) -> List[Fraction]:

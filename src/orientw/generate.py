@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import PreconditionError
-from .instance import WAIT, TimeWindow, TwInstance
+from .instance import ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance
 from .metric import Graph, Metric, metric_closure
 from .modular import ModularBlock, ModularPartition
 from .rational import ONE, ZERO
@@ -84,17 +84,17 @@ def _anchored_shell(metric: Metric, windows: List[TimeWindow], rewards: List[Fra
     n = metric.n
     s: Optional[int] = 0
     t: Optional[int] = n - 1
-    if mode == "free":
+    if mode == FREE:
         s = t = None
-    elif mode == "start-only":
+    elif mode == START_ONLY:
         t = None
     return TwInstance(metric, tuple(windows), tuple(rewards), s, t, horizon, WAIT)
 
 
 def _interior(n: int, mode: str) -> List[int]:
-    if mode == "free":
+    if mode == FREE:
         return list(range(n))
-    if mode == "start-only":
+    if mode == START_ONLY:
         return list(range(1, n))
     return list(range(1, n - 1))
 
@@ -120,7 +120,7 @@ def _windowed_instance(rng: random.Random, metric: Metric, horizon: Fraction,
 # ----- shaped instance generators -------------------------------------------------
 
 def gen_integer_instance(seed: int, n_low: int = 4, n_high: int = 8,
-                         l_max: int = 16, mode: str = "anchored") -> TwInstance:
+                         l_max: int = 16, mode: str = ANCHORED) -> TwInstance:
     """Integral weights and window endpoints; every fifth seed forces all
     window lengths to 1, which is the exactly-solvable regime."""
     rng = random.Random("int-%d" % seed)
@@ -135,7 +135,7 @@ def gen_integer_instance(seed: int, n_low: int = 4, n_high: int = 8,
 
 
 def gen_ratio2_instance(seed: int, n_low: int = 4, n_high: int = 8,
-                        mode: str = "anchored") -> TwInstance:
+                        mode: str = ANCHORED) -> TwInstance:
     """Quarter-grid windows with lengths in [1, 2]."""
     rng = random.Random("ratio2-%d" % seed)
     n = rng.randint(n_low, n_high)
@@ -153,7 +153,7 @@ def gen_general_instance(seed: int, n_low: int = 4, n_high: int = 8,
     metric = random_metric(rng, n, integral=(seed % 2 == 0))
     horizon = Fraction(l_cap + 6)
     lengths = [Fraction(rng.randint(4, 4 * l_cap), 4) for _ in range(4)]
-    return _windowed_instance(rng, metric, horizon, lengths, "anchored", integral=False)
+    return _windowed_instance(rng, metric, horizon, lengths, ANCHORED, integral=False)
 
 
 def gen_modular_instance(seed: int, n_low: int = 5,
@@ -211,7 +211,7 @@ def gen_zero_window_instance(seed: int, n_low: int = 5, n_high: int = 10) -> TwI
     n = rng.randint(n_low, n_high)
     metric = random_metric(rng, n, integral=(seed % 2 == 0))
     horizon = Fraction(12)
-    mode = ("anchored", "start-only", "free")[seed % 3]
+    mode = (ANCHORED, START_ONLY, FREE)[seed % 3]
     windows = [TimeWindow(ZERO, horizon) for _ in range(n)]
     rewards = [ZERO] * n
     for v in _interior(n, mode):
@@ -224,12 +224,12 @@ def gen_zero_window_instance(seed: int, n_low: int = 5, n_high: int = 10) -> TwI
 # ----- command-line entry --------------------------------------------------------
 
 def generate_instance(family: str, n: int, seed: int, horizon: Optional[Fraction] = None,
-                      mode: str = "anchored", integral: bool = False,
+                      mode: str = ANCHORED, integral: bool = False,
                       l_low: Fraction = ONE, l_high: Fraction = Fraction(2)) -> TwInstance:
     if n < 2:
         raise PreconditionError("need at least two vertices")
-    if mode not in ("anchored", "start-only", "free"):
-        raise PreconditionError("mode must be anchored, start-only or free")
+    if mode not in (ANCHORED, START_ONLY, FREE):
+        raise PreconditionError("mode must be %s, %s or %s" % (ANCHORED, START_ONLY, FREE))
     rng = random.Random("%s-%d-%d" % (family, seed, n))
     metric = _metric_for(family, rng, n, integral)
     if horizon is None:

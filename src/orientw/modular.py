@@ -14,21 +14,23 @@ walks each block offers:
 
 The first two take a point-to-point orienteering oracle and inherit its
 ratio; each block keeps its own oracle answers, so none outlives the block.
-The third is exact and oracle-free.
+The third is exact and oracle-free.  The last two share one front end,
+_staircase_dp: each only names the staircase a block fills per (entry,
+exit) and the ratio its steps are claimed at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InfeasibleInstanceError, PreconditionError
 from .instance import ANCHORED, FREE, TwInstance, WalkSolution, evaluate_walk
 from .oracles import (INFEASIBLE_RESULT, OrienteeringOracle, OrienteeringQuery, WalkResult,
                       _result_better, best_orienteering_walk, earliest_limits,
                       pareto_profiles)
-from .rational import ZERO, is_finite, is_integral
+from .rational import ONE, ZERO, is_finite, is_integral
 
 
 @dataclass(frozen=True)
@@ -340,7 +342,40 @@ def _require_integral(x: TwInstance, part: ModularPartition):
             "use solve_reward_indexed for rational data")
 
 
-# ----- reward-indexed DP -----------------------------------------------------
+# ----- staircase DPs ---------------------------------------------------------
+
+def _staircase_dp(x: TwInstance, part: ModularPartition, staircase,
+                  alpha: Fraction) -> DpResult:
+    """Chain DP whose block walks come from one staircase per (entry, exit).
+
+    staircase(metric, eligible, u, w, span) returns walks from u to w that
+    fit the block's span, ascending in duration.  A block fills its
+    staircase for (u, w) the first time a label enters at u, and offers
+    every step that still ends by the block deadline, claimed at alpha times
+    its reward.
+    """
+    require_modular(x, part)
+    ensure_reachable_anchors(x)
+
+    def steps():
+        for bi, b, eligible, ids in _eligible_blocks(x, part):
+            span = b.deadline - b.release
+            stairs: Dict[Tuple[int, int], Sequence[WalkResult]] = {}
+
+            def moves(u, e):
+                cap = b.deadline - e
+                for w in ids:
+                    if (u, w) not in stairs:
+                        stairs[(u, w)] = staircase(x.metric, eligible, u, w, span)
+                    for res in stairs[(u, w)]:
+                        if res.duration > cap:
+                            break
+                        yield w, res.duration, res.reward * alpha, res.order
+
+            yield bi, b.release, b.deadline, ids, moves
+
+    return chain_dp(x, steps())
+
 
 def solve_reward_indexed(x: TwInstance, part: ModularPartition,
                          oracle: OrienteeringOracle) -> DpResult:
@@ -360,58 +395,20 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
     least the modular optimum, and the returned walk collects at least
     claimed / a.
     """
-    require_modular(x, part)
-    ensure_reachable_anchors(x)
-    alpha = oracle.spec.ratio
 
-    def steps():
-        for bi, b, eligible, ids in _eligible_blocks(x, part):
-            span = b.deadline - b.release
-            stairs: Dict[Tuple[int, int], List[WalkResult]] = {}
+    def walk_down(metric, eligible, u, w, span):
+        return earliest_limits(
+            lambda budget: best_orienteering_walk(
+                oracle, OrienteeringQuery(metric, eligible, u, w, budget)),
+            ZERO, span, metric.scale)
 
-            def moves(u, e):
-                cap = b.deadline - e
-                for w in ids:
-                    if (u, w) not in stairs:
-                        stairs[(u, w)] = earliest_limits(
-                            lambda budget: best_orienteering_walk(
-                                oracle, OrienteeringQuery(x.metric, eligible, u, w, budget)),
-                            ZERO, span, x.metric.scale)
-                    for res in stairs[(u, w)]:
-                        if res.duration > cap:
-                            break
-                        yield w, res.duration, res.reward * alpha, res.order
+    return _staircase_dp(x, part, walk_down, oracle.spec.ratio)
 
-            yield bi, b.release, b.deadline, ids, moves
-
-    return chain_dp(x, steps())
-
-
-# ----- exact Pareto DP -------------------------------------------------------
 
 def solve_exact_pareto(x: TwInstance, part: ModularPartition) -> DpResult:
-    """Oracle-free exact solve: per-block Pareto profiles (every undominated
-    duration/reward pair between each entry and exit) fed into the chain
-    DP.  Exponential in the largest block, fine at desk scale."""
-    require_modular(x, part)
-    ensure_reachable_anchors(x)
-
-    def steps():
-        for bi, b, eligible, ids in _eligible_blocks(x, part):
-            span = b.deadline - b.release
-            profiles: Dict[Tuple[int, int], tuple] = {}
-            for u in ids:
-                for w in ids:
-                    profiles[(u, w)] = pareto_profiles(x.metric, eligible, u, w, span).entries
-
-            def moves(u, e):
-                cap = b.deadline - e
-                for w in ids:
-                    for pe in profiles[(u, w)]:
-                        if pe.duration > cap:
-                            break
-                        yield w, pe.duration, pe.reward, pe.order
-
-            yield bi, b.release, b.deadline, ids, moves
-
-    return chain_dp(x, steps())
+    """Oracle-free exact solve: the chain DP over each block's Pareto
+    profiles (every undominated duration/reward pair between an entry and
+    an exit, from pareto_profiles).  Exponential in the largest block that
+    a label enters, fine at desk scale: pareto_profiles refuses an entry and
+    exit with more than 16 other members between them."""
+    return _staircase_dp(x, part, pareto_profiles, ONE)

@@ -476,26 +476,16 @@ def deadline_oracle_by_name(name: str, oracle: OrienteeringOracle) -> DeadlineOr
 
 # ----- Pareto profiles -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParetoEntry:
-    duration: Fraction
-    reward: Fraction
-    order: tuple
-
-
-@dataclass(frozen=True)
-class ParetoProfile:
-    """All non-dominated (duration, reward) pairs for u -> v walks within a
-    horizon, strictly increasing in both coordinates, each with a witness."""
-
-    entries: tuple
-
-
 def pareto_profiles(metric: Metric, eligible: Dict[int, Fraction], u: int, v: int,
-                    horizon: Fraction) -> ParetoProfile:
-    """Exact profile by subset DP over eligible vertices (desk scale).
+                    horizon: Fraction) -> Tuple[WalkResult, ...]:
+    """Every non-dominated (duration, reward) pair of the u -> v walks within
+    the horizon, strictly increasing in both, each with a witness walk.
 
-    Empty profile when v is unreachable from u within the horizon.
+    Exact, by subset DP over the eligible vertices other than u and v, of
+    which there may be at most 16 (desk scale).  The profile is empty when
+    v is unreachable from u within the horizon.  It is the exact method
+    that does not go through the walk down the time grid, so the tests use
+    it as earliest_limits' referee.
     """
     cand = sorted(w for w in eligible if w != u and w != v)
     m = len(cand)
@@ -563,6 +553,6 @@ def pareto_profiles(metric: Metric, eligible: Dict[int, Fraction], u: int, v: in
     for (dur, rew, order) in raw:
         if best_rew is not None and rew <= best_rew:
             continue
-        entries.append(ParetoEntry(Fraction(dur, scale), Fraction(rew, rscale), order))
+        entries.append(WalkResult(order, Fraction(rew, rscale), Fraction(dur, scale)))
         best_rew = rew
-    return ParetoProfile(tuple(entries))
+    return tuple(entries)

@@ -237,6 +237,24 @@ def test_every_registered_solver_takes_one_signature():
         assert params["deadline_oracle"].default is EXACT_DEADLINE, name
 
 
+def test_every_solver_walks_the_bare_anchors_when_nothing_pays():
+    # no version is built, so each report is the anchors-only walk at bound 1
+    accepting = {(0, 3): {"integer-endpoints", "l2", "general", "zero-window", "auto"},
+                 (0, None): {"zero-window", "auto"},
+                 (None, None): {"free-l2", "free-general", "zero-window", "auto"}}
+    for (s, t), names in accepting.items():
+        x = line4_instance(rewards=(F(0),) * 4, s=s, t=t)
+        for name, solver in ALGORITHMS.items():
+            if name not in names:
+                with pytest.raises(PreconditionError):
+                    solver(x)
+                continue
+            rep = solver(x)
+            assert (rep.walk.reward, rep.bound, rep.beta) == (0, 1, 1), (name, x.mode)
+            assert rep.walk.feasible and rep.walk.collected == frozenset(), (name, x.mode)
+            assert set(rep.walk.order) == {v for v in (s, t) if v is not None}, (name, x.mode)
+
+
 def test_integer_endpoints_accepts_a_fractional_fixed_instant():
     # only positive-length windows need integral endpoints; vertex 1's
     # instant 3/2 goes to the exact "Z" version

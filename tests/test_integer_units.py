@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from orientw import (INF, DeadlineQuery, Graph, GraphError, Metric, OrienteeringQuery,
                      TimeWindow, TwInstance, metric_closure, pareto_profiles,
                      reduce_deadline_to_tw, scale_times, serialize, time_reversed)
-from orientw.oracles import (INFEASIBLE_RESULT, ParetoEntry, ParetoProfile, WalkResult,
-                             exact_deadline, exact_orienteering)
+from orientw.oracles import INFEASIBLE_RESULT, WalkResult, exact_deadline, exact_orienteering
 from orientw.rational import floor_log2
 
 DENOMINATORS = (1, 3, 7, 2)  # edge weights such as 1/3, 1/7 and 5/2
@@ -140,7 +139,7 @@ def ref_exact_deadline(q: DeadlineQuery) -> WalkResult:
                       ref_duration(q.metric, best[1]))
 
 
-def ref_pareto(m: Metric, eligible, u, v, horizon) -> ParetoProfile:
+def ref_pareto(m: Metric, eligible, u, v, horizon) -> tuple:
     """The subset DP over Fractions: dp[mask][i] is the shortest walk
     u -> cand[i] visiting exactly mask, first found on ties."""
     d = m.d
@@ -178,9 +177,9 @@ def ref_pareto(m: Metric, eligible, u, v, horizon) -> ParetoProfile:
     entries, best = [], None
     for (dur, rew, order) in raw:
         if best is None or rew > best:
-            entries.append(ParetoEntry(dur, rew, order))
+            entries.append(WalkResult(order, rew, dur))
             best = rew
-    return ParetoProfile(tuple(entries))
+    return tuple(entries)
 
 
 def assert_integer_table(m: Metric):

@@ -215,6 +215,23 @@ def test_empty_partition_walks_straight_through():
     assert res.walk.reward == F(2)
 
 
+def test_exact_pareto_refuses_an_oversized_block_only_once_entered():
+    # twenty members, all 10 away from the start anchor and from each other
+    # via the anchors, so every (entry, exit) pair leaves over 16 to search
+    members = range(1, 21)
+    edges = [(0, v, 10) for v in members] + [(v, 21, 10) for v in members] + [(0, 21, 1)]
+
+    def solve(release, deadline):
+        windows = [(0, 60)] + [(release, deadline)] * 20 + [(0, 60)]
+        x = build_instance(22, edges, windows, [0] + [1] * 20 + [0], 0, 21, 60)
+        return solve_exact_pareto(x, blocks_from_identical_windows(x))
+
+    with pytest.raises(PreconditionError, match="pareto_profiles supports at most 16"):
+        solve(10, 40)
+    # the block closes before any member is reachable, so no label enters it
+    assert solve(0, 5).claimed == 0
+
+
 def test_single_block_is_one_oracle_call_worth():
     x = build_instance(5, [(i, i + 1, 1) for i in range(4)],
                        [(0, 8)] * 5, [0, 1, 1, 1, 0], 0, 4, F(8))

@@ -273,7 +273,7 @@ def test_earliest_limits_match_a_full_scan_for_orienteering(data):
 
     walked = earliest_limits(probe, F(0), span, m.scale)
     assert walked == _full_scan(probe, F(0), span, m.scale)
-    profile = pareto_profiles(m, eligible, u, v, span).entries
+    profile = pareto_profiles(m, eligible, u, v, span)
     assert [(r.duration, r.reward) for r in walked] == [(e.duration, e.reward) for e in profile]
 
 
@@ -380,7 +380,7 @@ def test_deadline_wrapper_grows_with_the_horizon():
 def test_pareto_line4_frozen():
     m = line_metric(4)
     prof = pareto_profiles(m, {1: F(1), 2: F(1)}, 0, 3, F(10))
-    got = [(e.duration, e.reward) for e in prof.entries]
+    got = [(e.duration, e.reward) for e in prof]
     assert got == [(F(3), F(2))]
 
 
@@ -393,7 +393,7 @@ def test_pareto_frontier_is_strictly_monotone():
         u = rng.randrange(n)
         v = rng.randrange(n)
         prof = pareto_profiles(m, eligible, u, v, F(20))
-        ent = prof.entries
+        ent = prof
         for a, b in zip(ent, ent[1:]):
             assert a.duration < b.duration
             assert a.reward < b.reward
@@ -407,7 +407,7 @@ def test_pareto_empty_when_unreachable():
     g = Graph.build(False, 3, [(0, 1, F(1))])
     m = metric_closure(g)
     prof = pareto_profiles(m, {1: F(1)}, 0, 2, F(10))
-    assert prof.entries == ()
+    assert prof == ()
 
 
 def test_exact_frozen_small_queries():
@@ -449,4 +449,4 @@ def test_deadline_oracle_matches_brute_on_instances():
 
 def test_pareto_profile_with_no_eligible_vertices():
     p = pareto_profiles(line_metric(4), {}, 0, 2, F(5))
-    assert [(e.duration, e.reward) for e in p.entries] == [(F(2), F(0))]
+    assert [(e.duration, e.reward) for e in p] == [(F(2), F(0))]
