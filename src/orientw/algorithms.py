@@ -24,10 +24,10 @@ from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
                        WalkSolution, drop_vertices, evaluate_walk, restrict,
                        time_reversed, window_stats)
 from .metric import Metric
-from .modular import (assemble_walk, blocks_from_identical_windows, chain_dp,
+from .modular import (assemble_walk, blocks_from_identical_windows, chain_dp, dp_units,
                       ensure_reachable_anchors, solve_reward_indexed, verify_modular)
 from .oracles import (EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, DeadlineQuery,
-                      OrienteeringOracle, WalkResult, best_deadline_walk, earliest_limits)
+                      OrienteeringOracle, best_deadline_walk, earliest_limits)
 from .rational import (HALF, ONE, ZERO, floor_log2, is_finite, is_integral,
                        shared_fraction)
 
@@ -121,16 +121,17 @@ def zero_window_dp(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
             "vertex %d has a positive-length window; this solver needs "
             "fixed visit instants" % pos[0])
     ensure_reachable_anchors(x)
+    units = dp_units(x)
 
     def claim(u, e):
-        yield u, ZERO, x.rewards[u], (u,)
+        yield u, 0, units.reward(x.rewards[u]), (u,)
 
     def steps():
         for v in sorted(zero, key=lambda v: (x.windows[v].release, v)):
-            at = x.windows[v].release
+            at = units.time(x.windows[v].release)
             yield v, at, at, (v,), claim
 
-    walk = chain_dp(x, steps()).walk
+    walk = chain_dp(x, units, steps()).walk
     return SolveReport("zero-window", walk, (("Z", walk.reward),), 1, ONE)
 
 
@@ -207,26 +208,32 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
     """
     ensure_reachable_anchors(x)
     groups = _release_groups(x)
+    units = dp_units(x)
 
     def steps():
         for gi, (rel, members, dmax) in enumerate(groups):
             eligible = {v: (x.rewards[v], x.windows[v].deadline) for v in members}
-            stairs: Dict[Tuple[int, Fraction, int], List[WalkResult]] = {}
+            # (u, e, w) -> the staircase's paying steps as moves in units, e
+            # being the entry time in units too
+            stairs: Dict[Tuple[int, int, int], List[tuple]] = {}
 
             def moves(u, e):
                 for w in members:
                     if (u, e, w) not in stairs:
-                        stairs[(u, e, w)] = earliest_limits(
-                            lambda h: best_deadline_walk(
-                                deadline_oracle, DeadlineQuery(x.metric, eligible, u, e, w, h)),
-                            e, e if w == u else eligible[w][1], x.metric.scale)
-                    for res in stairs[(u, e, w)]:
-                        if res.reward > 0:
-                            yield w, res.duration, res.reward, res.order
+                        t0 = Fraction(e, units.tscale)
+                        stairs[(u, e, w)] = [
+                            (w, units.time(res.duration), units.reward(res.reward), res.order)
+                            for res in earliest_limits(
+                                lambda h: best_deadline_walk(
+                                    deadline_oracle,
+                                    DeadlineQuery(x.metric, eligible, u, t0, w, h)),
+                                t0, t0 if w == u else eligible[w][1], x.metric.scale)
+                            if res.reward > 0]
+                    yield from stairs[(u, e, w)]
 
-            yield gi, rel, dmax, members, moves
+            yield gi, units.time(rel), units.time(dmax), members, moves
 
-    return chain_dp(x, steps())
+    return chain_dp(x, units, steps())
 
 
 # ----- window lengths within a factor two ------------------------------------

@@ -127,7 +127,6 @@ class WalkSolution:
     """
 
     schedule: tuple
-    collected: frozenset
     reward: Fraction
     feasible: bool = True
     reason: Optional[str] = None
@@ -136,9 +135,14 @@ class WalkSolution:
     def order(self) -> tuple:
         return tuple(v for (v, _t, _c) in self.schedule)
 
+    @property
+    def collected(self) -> frozenset:
+        """The vertices the walk is credited for."""
+        return frozenset(v for (v, _t, c) in self.schedule if c)
+
 
 def _infeasible(reason: str) -> WalkSolution:
-    return WalkSolution((), frozenset(), ZERO, feasible=False, reason=reason)
+    return WalkSolution((), ZERO, feasible=False, reason=reason)
 
 
 def window_stats(x: TwInstance) -> WindowStats:
@@ -225,7 +229,7 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
     if not order:
         if x.mode != FREE:
             return _infeasible("an anchored walk cannot be empty")
-        return WalkSolution((), frozenset(), ZERO)
+        return WalkSolution((), ZERO)
     if x.s is not None and order[0][0] != x.s:
         return _infeasible("walk must start at vertex %d" % x.s)
     if x.t is not None and order[-1][0] != x.t:
@@ -294,7 +298,7 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
                       and tv <= x.windows[v].deadline)
                      for (v, flag), tv in zip(order, sched_times))
     reward = shared_fraction(sum((x.rewards[v] for v in collected), ZERO))
-    return WalkSolution(schedule, frozenset(collected), reward)
+    return WalkSolution(schedule, reward)
 
 
 # ----- exact search ----------------------------------------------------------

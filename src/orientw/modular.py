@@ -17,19 +17,23 @@ ratio; each block keeps its own oracle answers, so none outlives the block.
 The third is exact and oracle-free.  The last two share one front end,
 _staircase_dp: each only names the staircase a block fills per (entry,
 exit) and the ratio its steps are claimed at.
+
+The chain DP runs on ints.  Each DP fixes its units once (dp_units), and a
+block converts an oracle answer to them when it stores the answer, so the
+label loop does no Fraction arithmetic; only claimed is a Fraction again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InfeasibleInstanceError, PreconditionError
 from .instance import ANCHORED, FREE, TwInstance, WalkSolution, evaluate_walk
 from .oracles import (INFEASIBLE_RESULT, OrienteeringOracle, OrienteeringQuery, WalkResult,
-                      _result_better, best_orienteering_walk, earliest_limits,
-                      pareto_profiles)
+                      _result_better, _reward_scale, _time_units, best_orienteering_walk,
+                      earliest_limits, pareto_profiles)
 from .rational import ONE, ZERO, is_finite, is_integral
 
 
@@ -176,24 +180,32 @@ def start_position(x: TwInstance):
     return x.s
 
 
-def entry_time(x: TwInstance, p, tau: Fraction, u: int, release: Fraction):
-    """Earliest usable time at entry u of a block released at `release`,
-    coming from position p at time tau.  None when u is unreachable."""
-    if p is None:
-        return release
-    leg = x.metric.d[p][u]
-    if not is_finite(leg):
-        return None
-    arr = tau + leg
-    return arr if arr > release else release
+@dataclass(frozen=True)
+class DpUnits:
+    """The integer units one chain DP runs in: a time t is t * tscale and a
+    reward r is r * rscale, both whole numbers, and table[u][v] is the
+    distance d[u][v] in time units (None where it is INF)."""
+
+    tscale: int
+    rscale: int
+    table: tuple
+
+    def time(self, t: Fraction) -> int:
+        return t.numerator * (self.tscale // t.denominator)
+
+    def reward(self, r: Fraction) -> int:
+        return r.numerator * (self.rscale // r.denominator)
 
 
-def finishable(x: TwInstance, p, tau: Fraction) -> bool:
-    if x.mode == ANCHORED:
-        pos = x.s if p is None else p
-        leg = x.metric.d[pos][x.t]
-        return is_finite(leg) and tau + leg <= x.budget
-    return True
+def dp_units(x: TwInstance, alpha: Fraction = ONE, times=()) -> DpUnits:
+    """Units in which every time the DP meets on x is whole: distances, the
+    budget, every window endpoint and the extra times (block bounds), and
+    every sum of them.  Rewards are whole over the lcm of their
+    denominators, times alpha's so that each reward claimed at alpha times
+    its value is whole too."""
+    bounds = [x.budget] + [t for w in x.windows for t in (w.release, w.deadline)]
+    table, tscale = _time_units(x.metric, bounds + list(times), range(x.n))
+    return DpUnits(tscale, _reward_scale(x.rewards) * alpha.denominator, tuple(table))
 
 
 def _eligible_blocks(x: TwInstance, part: ModularPartition):
@@ -211,7 +223,7 @@ def pos_key(p) -> tuple:
 
 # ----- the chain DP ----------------------------------------------------------
 
-def chain_dp(x: TwInstance, steps) -> DpResult:
+def chain_dp(x: TwInstance, units: DpUnits, steps) -> DpResult:
     """Label DP over blocks in timeline order, shared by every composition.
 
     A label (time, reward, back) at a position is a partial walk; each
@@ -221,21 +233,35 @@ def chain_dp(x: TwInstance, steps) -> DpResult:
     (exit, duration, reward gain, visit order) open from u at time e.
     A block's moves is called only before the next block is drawn, so it
     may close over per-block state.
+
+    Every time and reward, in the labels and in what steps yields, is an
+    int in units; the conversion preserves order and sums, so the DP picks
+    what it would pick on Fractions.  Only claimed is converted back.
     """
-    labels: Dict[object, List[tuple]] = {start_position(x): [(ZERO, ZERO, None)]}
+    table = units.table
+    labels: Dict[object, List[tuple]] = {start_position(x): [(0, 0, None)]}
     for (bi, release, deadline, entries, moves) in steps:
         new_labels = {p: list(ls) for p, ls in labels.items()}
         for p in sorted(labels, key=pos_key):
+            row = None if p is None else table[p]
             for (tau, rew, back) in labels[p]:
                 for u in entries:
-                    e = entry_time(x, p, tau, u, release)
-                    if e is None or e > deadline:
+                    if row is None:
+                        e = release
+                    else:
+                        leg = row[u]
+                        if leg is None:
+                            continue
+                        e = tau + leg
+                        if e < release:
+                            e = release
+                    if e > deadline:
                         continue
                     for (w, duration, gain, order) in moves(u, e):
                         push_label(new_labels.setdefault(w, []),
                                    (e + duration, rew + gain, (bi, order, back)))
         labels = new_labels
-    return harvest_labels(x, labels)
+    return harvest_labels(x, units, labels)
 
 
 def push_label(frontier: List[tuple], entry: tuple):
@@ -252,13 +278,21 @@ def push_label(frontier: List[tuple], entry: tuple):
     frontier.sort(key=lambda e: (e[0], -e[1]))
 
 
-def harvest_labels(x: TwInstance, labels) -> DpResult:
-    """Pick the best finishable label and rebuild its segment list."""
+def harvest_labels(x: TwInstance, units: DpUnits, labels) -> DpResult:
+    """Pick the best label that can still reach the end anchor by the
+    budget and rebuild its segment list."""
+    budget = units.time(x.budget)
     best = None
     for p in sorted(labels, key=pos_key):
+        latest = None  # the latest time a label here may end at; None: any
+        if x.mode == ANCHORED:
+            leg = units.table[x.s if p is None else p][x.t]
+            if leg is None:
+                continue
+            latest = budget - leg
         for entry in labels[p]:
             tau, rew = entry[0], entry[1]
-            if not finishable(x, p, tau):
+            if latest is not None and tau > latest:
                 continue
             key = (rew, -tau)
             if best is None or key > best[0]:
@@ -274,8 +308,7 @@ def harvest_labels(x: TwInstance, labels) -> DpResult:
         back = prev
     segments.reverse()
     walk = assemble_walk(x, segments)
-    claimed = best[1][1]
-    return DpResult(walk, claimed, tuple(segments))
+    return DpResult(walk, Fraction(best[1][1], units.rscale), tuple(segments))
 
 
 # ----- time-indexed DP -------------------------------------------------------
@@ -295,36 +328,41 @@ def solve_time_indexed(x: TwInstance, part: ModularPartition,
     ensure_reachable_anchors(x)
     _require_integral(x, part)
 
+    units = _block_units(x, part, ONE)
+
     def steps():
         for bi, b, eligible, ids in _eligible_blocks(x, part):
-            # (u, w) -> running best at budgets 0, 1, 2, ...
-            answers: Dict[Tuple[int, int], List[WalkResult]] = {}
+            deadline = units.time(b.deadline)
+            # (u, w) -> (running best at budgets 0, 1, 2, ..., each new walk in
+            # it as (the first budget it is best at, its move in units))
+            answers: Dict[Tuple[int, int], Tuple[List[WalkResult], List[tuple]]] = {}
 
             def moves(u, e):
-                budgets = _int_budgets(b.deadline - e)
+                budgets = (deadline - e) // units.tscale + 1  # budgets 0 .. budgets - 1 fit
                 for w in ids:
-                    best = answers.setdefault((u, w), [])
-                    for budget in budgets[len(best):]:
+                    best, offers = answers.setdefault((u, w), ([], []))
+                    for budget in range(len(best), budgets):
                         res = best_orienteering_walk(
-                            oracle, OrienteeringQuery(x.metric, eligible, u, w, budget))
+                            oracle, OrienteeringQuery(x.metric, eligible, u, w, Fraction(budget)))
                         prev = best[-1] if best else INFEASIBLE_RESULT
-                        best.append(prev if _result_better(prev, res) else res)
-                    seen = set()
-                    for res in best[:len(budgets)]:
-                        if not res.feasible or res.order in seen:
-                            continue
-                        seen.add(res.order)
-                        yield w, res.duration, res.reward, res.order
+                        if _result_better(prev, res):
+                            res = prev
+                        elif res.feasible and res.order != prev.order:
+                            offers.append((budget, (w, units.time(res.duration),
+                                                    units.reward(res.reward), res.order)))
+                        best.append(res)
+                    for (first, move) in offers:
+                        if first >= budgets:
+                            break
+                        yield move
 
-            yield bi, b.release, b.deadline, ids, moves
+            yield bi, units.time(b.release), deadline, ids, moves
 
-    return chain_dp(x, steps())
+    return chain_dp(x, units, steps())
 
 
-def _int_budgets(cap: Fraction):
-    if cap < 0:
-        return []
-    return [Fraction(b) for b in range(int(cap) + 1)]
+def _block_units(x: TwInstance, part: ModularPartition, alpha: Fraction) -> DpUnits:
+    return dp_units(x, alpha, [t for b in part.blocks for t in (b.release, b.deadline)])
 
 
 def _require_integral(x: TwInstance, part: ModularPartition):
@@ -357,24 +395,31 @@ def _staircase_dp(x: TwInstance, part: ModularPartition, staircase,
     require_modular(x, part)
     ensure_reachable_anchors(x)
 
+    units = _block_units(x, part, alpha)
+
     def steps():
         for bi, b, eligible, ids in _eligible_blocks(x, part):
             span = b.deadline - b.release
-            stairs: Dict[Tuple[int, int], Sequence[WalkResult]] = {}
+            deadline = units.time(b.deadline)
+            # (u, w) -> the staircase as moves in units, gains claimed at alpha
+            stairs: Dict[Tuple[int, int], List[tuple]] = {}
 
             def moves(u, e):
-                cap = b.deadline - e
+                cap = deadline - e
                 for w in ids:
                     if (u, w) not in stairs:
-                        stairs[(u, w)] = staircase(x.metric, eligible, u, w, span)
-                    for res in stairs[(u, w)]:
-                        if res.duration > cap:
+                        stairs[(u, w)] = [
+                            (w, units.time(res.duration), units.reward(res.reward * alpha),
+                             res.order)
+                            for res in staircase(x.metric, eligible, u, w, span)]
+                    for move in stairs[(u, w)]:
+                        if move[1] > cap:
                             break
-                        yield w, res.duration, res.reward * alpha, res.order
+                        yield move
 
-            yield bi, b.release, b.deadline, ids, moves
+            yield bi, units.time(b.release), deadline, ids, moves
 
-    return chain_dp(x, steps())
+    return chain_dp(x, units, steps())
 
 
 def solve_reward_indexed(x: TwInstance, part: ModularPartition,

@@ -143,13 +143,16 @@ def _checked(name: str, ask: Callable[[], WalkResult], metric: Metric, credit, u
     """The contract both wrappers enforce.
 
     When the base walk does not fit, nothing does and the oracle is not
-    asked.  Otherwise ask()'s walk is checked against the query (endpoints,
-    fits [t0, limit], duration and reward re-evaluate exactly) and the
-    better of it and the base walk is returned.  An answer equal to the
-    base walk needs no second evaluation.
+    asked.  Nor is it asked when only u and end can pay: the base walk
+    then collects all there is, as soon as possible, so it is returned as
+    it stands, and no oracle, built in or custom, sees such a query.
+    Otherwise ask()'s walk is checked against the query (endpoints, fits
+    [t0, limit], duration and reward re-evaluate exactly) and the better of
+    it and the base walk is returned.  An answer equal to the base walk
+    needs no second evaluation.
     """
     base = _base_walk(metric, credit, u, end, t0, limit)
-    if not base.feasible:
+    if not base.feasible or all(w == u or w == end for w in credit):
         return base
     res = ask()
     if not res.feasible or res == base:
@@ -240,7 +243,8 @@ class OrienteeringOracle:
 def best_orienteering_walk(oracle: OrienteeringOracle, q: OrienteeringQuery) -> WalkResult:
     """Contract wrapper around an orienteering oracle: the walk runs from u
     at time 0 to v by the budget.  The base walk is u alone when u = v,
-    else u then v."""
+    else u then v.  The oracle is asked only when the base walk fits and a
+    vertex other than u and v can pay (see _checked)."""
     credit = {w: (r, q.budget) for w, r in q.eligible.items()}
     return _checked(oracle.spec.name, lambda: oracle.fn(q), q.metric, credit,
                     q.u, q.v, ZERO, q.budget)

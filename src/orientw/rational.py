@@ -5,11 +5,13 @@ non-Fraction value that ever flows through distance tables is INF (float
 infinity), which is used purely as an unreachable marker and never enters
 arithmetic.  It is compared by identity: Metric rejects any other float.
 
-Inside the search kernels times run in integer units instead.  A Metric
-carries scale and ints with d[u][v] == Fraction(ints[u][v], scale) (ints
-holds None where d holds INF); a query time t enters as
-t.numerator * (scale // t.denominator) once scale is a multiple of
-t.denominator, and rewards likewise over the lcm of their denominators.
+Inside the search kernels and the label DP times run in integer units
+instead.  A Metric carries scale and ints with
+d[u][v] == Fraction(ints[u][v], scale) (ints holds None where d holds INF);
+a time t enters as t.numerator * (scale // t.denominator) once scale is a
+multiple of t.denominator, and rewards likewise over the lcm of their
+denominators.  The oracles convert once per query; the chain DP converts
+once per DP (modular.dp_units) and keeps every label as ints.
 """
 
 from __future__ import annotations

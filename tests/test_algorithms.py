@@ -355,7 +355,7 @@ def test_release_group_walks_each_entry_down_the_grid_once(monkeypatch):
     x = build_instance(6, [(i, i + 1, 1) for i in range(5)],
                        [(0, 10), (0, 2), (0, 2), (5, 7), (5, 7), (0, 10)],
                        [0, 1, 1, 1, 1, 0], 0, 5, 10)
-    entries, queries = [], []
+    entries, queries, tscales = [], [], []
 
     def counted(q):
         queries.append((q.u, q.t0, q.end, q.horizon))
@@ -363,20 +363,23 @@ def test_release_group_walks_each_entry_down_the_grid_once(monkeypatch):
 
     real_chain_dp = algorithms.chain_dp
 
-    def recording_chain_dp(x, steps):
+    def recording_chain_dp(x, units, steps):
+        tscales.append(units.tscale)
+
         def recorded(step):
             gi, release, deadline, members, moves = step
 
             def recorded_moves(u, e):
+                assert type(e) is int  # entry times are in the DP's integer units
                 entries.append((gi, u, e))
                 return moves(u, e)
             return gi, release, deadline, members, recorded_moves
-        return real_chain_dp(x, map(recorded, steps))
+        return real_chain_dp(x, units, map(recorded, steps))
 
     monkeypatch.setattr(algorithms, "chain_dp", recording_chain_dp)
     res = algorithms._release_group_solve(x, DeadlineOracle(EXACT_DEADLINE.spec, counted))
     assert res.walk.reward == _opt(x) == 4
-    assert entries.count((1, 3, F(5))) == 3
+    assert entries.count((1, 3, 5 * tscales[0])) == 3
     assert len(queries) == len(set(queries))
 
 

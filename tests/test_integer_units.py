@@ -10,6 +10,8 @@ be identical, not merely close.
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 from typing import List
 
@@ -17,9 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orientw import (INF, DeadlineQuery, Graph, GraphError, Metric, OrienteeringQuery,
-                     TimeWindow, TwInstance, metric_closure, pareto_profiles,
-                     reduce_deadline_to_tw, scale_times, serialize, time_reversed)
+import orientw.algorithms as algorithms
+from orientw import (EXACT_DEADLINE, INF, DeadlineQuery, Graph, GraphError, Metric,
+                     ModularBlock, ModularPartition, OracleSpec, OrienteeringOracle,
+                     OrienteeringQuery, TimeWindow, TwInstance, brute_force_opt,
+                     metric_closure, pareto_profiles, reduce_deadline_to_tw, scale_times,
+                     serialize, solve_exact_pareto, solve_free_l_le_2, solve_reward_indexed,
+                     time_reversed, zero_window_dp)
+from orientw.generate import gen_modular_instance, gen_ratio2_instance, random_metric
+from orientw.modular import dp_units
 from orientw.oracles import INFEASIBLE_RESULT, WalkResult, exact_deadline, exact_orienteering
 from orientw.rational import floor_log2
 
@@ -350,3 +358,110 @@ def test_floor_log2_on_exact_powers_of_two(j):
     assert floor_log2(power) == j
     assert floor_log2(power * F(2 ** 40 - 1, 2 ** 40)) == j - 1
     assert floor_log2(power * F(2 ** 40 + 1, 2 ** 40)) == j
+
+
+# ----- the label DP in integer units ---------------------------------------
+#
+# chain_dp runs in the units of dp_units: times over the lcm of the metric's
+# scale and every window endpoint's denominator, rewards over the lcm of
+# their denominators times the claimed ratio's.  Every case below puts
+# windows off the metric's grid, the last one also claims at a ratio with a
+# denominator, and each checks the DP against an exact referee.
+
+THIRD = F(1, 3)
+
+
+def _thirds_metric(rng):
+    return random_metric(rng, rng.randint(5, 7), integral=True)
+
+
+def _zero_window_thirds(seed: int) -> TwInstance:
+    rng = random.Random("thirds-zero-%d" % seed)
+    m = _thirds_metric(rng)
+    n, budget = m.n, F(8)
+    windows = [TimeWindow(F(0), budget)] * n
+    rewards = [F(0)] * n
+    anchored = seed % 2 == 0
+    for v in range(1, n - 1) if anchored else range(n):
+        at = F(rng.randint(0, 24), 3)
+        windows[v] = TimeWindow(at, at)
+        rewards[v] = F(rng.randint(1, 5), rng.randint(1, 3))
+    ends = (0, n - 1) if anchored else (None, None)
+    return TwInstance(m, tuple(windows), tuple(rewards), ends[0], ends[1], budget)
+
+
+def _release_groups_thirds(seed: int) -> TwInstance:
+    rng = random.Random("thirds-groups-%d" % seed)
+    m = _thirds_metric(rng)
+    n = m.n
+    windows = [None] * n
+    rewards = [F(0)] * n
+    cur = F(rng.randint(0, 3), 3)
+    groups = []
+    for _ in range(rng.randint(2, 3)):
+        end = cur + F(rng.randint(3, 12), 3)
+        groups.append((cur, end))
+        cur = end + F(rng.randint(0, 3), 3)
+    budget = cur + 2
+    for v in range(1, n - 1):
+        rel, end = rng.choice(groups)
+        windows[v] = TimeWindow(rel, rel + F(rng.randint(0, int(3 * (end - rel))), 3))
+        rewards[v] = F(rng.randint(1, 5), rng.randint(1, 3))
+    windows[0] = windows[n - 1] = TimeWindow(F(0), budget)
+    return TwInstance(m, tuple(windows), tuple(rewards), 0, n - 1, budget)
+
+
+def test_zero_window_dp_on_thirds_matches_brute_force():
+    for seed in range(12):
+        x = _zero_window_thirds(seed)
+        assert (x.metric.scale, dp_units(x).tscale) == (1, 3), seed
+        assert zero_window_dp(x).walk.reward == brute_force_opt(x).reward, seed
+
+
+def test_release_groups_on_thirds_claim_the_optimum():
+    for seed in range(12):
+        x = _release_groups_thirds(seed)
+        assert dp_units(x).tscale == 3 * x.metric.scale, seed
+        res = algorithms._release_group_solve(x, EXACT_DEADLINE)
+        assert res.claimed == res.walk.reward == brute_force_opt(x).reward, seed
+
+
+def test_free_l2_shifted_versions_solve_exactly_in_units(monkeypatch):
+    # the head and tail versions sit on the half-grid, off the metric's grid
+    solved = []
+    real = algorithms.solve_reward_indexed
+
+    def recorded(x, part, oracle):
+        res = real(x, part, oracle)
+        solved.append((x, part, res))
+        return res
+
+    monkeypatch.setattr(algorithms, "solve_reward_indexed", recorded)
+    for seed in range(0, 12, 2):
+        solve_free_l_le_2(gen_ratio2_instance(seed, mode="free"))
+    off_grid = 0
+    for (x, part, res) in solved:
+        opt = brute_force_opt(x).reward
+        assert res.claimed == res.walk.reward == solve_exact_pareto(x, part).claimed == opt
+        off_grid += dp_units(x).tscale > x.metric.scale
+    assert off_grid >= 3
+
+
+def test_ratio_three_halves_oracle_claims_its_ratio_on_thirds():
+    alpha = F(3, 2)
+    loose = OrienteeringOracle(OracleSpec("three-halves", alpha), exact_orienteering)
+    for seed in range(10):
+        x, part = gen_modular_instance(seed, n_low=4, n_high=7)
+        # move every block a third later and pay rewards in thirds
+        windows = tuple(TimeWindow(w.release + THIRD, w.deadline + THIRD) if x.rewards[v] else w
+                        for v, w in enumerate(x.windows))
+        rewards = tuple(r * F(v % 4 + 1, 3) for v, r in enumerate(x.rewards))
+        x = replace(x, windows=windows, rewards=rewards, budget=x.budget + THIRD)
+        part = ModularPartition(tuple(ModularBlock(b.members, b.release + THIRD,
+                                                   b.deadline + THIRD) for b in part.blocks))
+        units = dp_units(x, alpha, [t for b in part.blocks for t in (b.release, b.deadline)])
+        assert (units.tscale, units.rscale) == (3 * x.metric.scale, 6), seed
+        opt = brute_force_opt(x).reward
+        assert solve_exact_pareto(x, part).claimed == opt, seed
+        res = solve_reward_indexed(x, part, loose)
+        assert res.claimed == alpha * opt and res.walk.reward == opt, seed

@@ -184,14 +184,17 @@ def test_time_indexed_offers_a_running_best_over_ascending_budgets(monkeypatch):
                        [(0, 10), (1, 7), (1, 7), (1, 7), (0, 10)], [0, 1, 1, 1, 0], 0, 4, 10)
     offered = []  # one {exit: answers} per moves call
 
-    def offers(x, steps):
+    def offers(x, units, steps):
+        # moves takes and yields integer units; read the answers back in Fractions
         for (_bi, release, _deadline, entries, moves) in steps:
             for u in entries:
-                for e in (release, release + 1, release):
+                for e in (release, release + units.tscale, release):
                     by_exit = {}
-                    for (w, duration, reward, order) in moves(u, e):
-                        by_exit.setdefault(w, []).append(WalkResult(order, reward, duration))
-                    offered.append(((u, e), by_exit))
+                    for (w, duration, gain, order) in moves(u, e):
+                        assert type(duration) is int and type(gain) is int
+                        by_exit.setdefault(w, []).append(WalkResult(
+                            order, F(gain, units.rscale), F(duration, units.tscale)))
+                    offered.append(((u, F(e, units.tscale)), by_exit))
 
     monkeypatch.setattr(modular, "chain_dp", offers)
     solve_time_indexed(x, blocks_from_identical_windows(x), oracle)
@@ -259,10 +262,11 @@ def test_push_label_keeps_a_strict_frontier_and_the_first_back():
     push_label(frontier, (F(2), F(3), "second"))
     assert frontier == [(F(2), F(3), "first")]
     rng = random.Random(11)
-    for _ in range(200):
+    # chain_dp pushes labels in integer units; Fractions order the same way
+    for num in [F] * 200 + [int] * 200:
         frontier, pushed = [], []
         for i in range(rng.randint(1, 12)):
-            entry = (F(rng.randint(0, 6)), F(rng.randint(0, 6)), i)
+            entry = (num(rng.randint(0, 6)), num(rng.randint(0, 6)), i)
             push_label(frontier, entry)
             pushed.append(entry)
         times = [e[0] for e in frontier]

@@ -123,6 +123,30 @@ def test_both_wrappers_prefer_the_base_walk_to_an_equal_longer_one():
     assert (got.order, got.reward, got.duration) == ((0, 2), F(1), F(2))
 
 
+def test_no_oracle_is_asked_when_only_the_endpoints_can_pay():
+    # the base walk 0 -> 2 then collects all there is, as early as possible;
+    # one more payable vertex, even out of reach (4), and the oracle is asked,
+    # and its equally rewarding detour still loses to the base walk
+    m = line_metric(5)
+    detour = WalkResult((0, 1, 0, 2), F(1), F(4))
+    asked = []
+
+    def spy(q):
+        asked.append(q)
+        return detour
+
+    oracle = OrienteeringOracle(OracleSpec("spy", F(1)), spy)
+    deadline_oracle = DeadlineOracle(OracleSpec("spy", F(1)), spy)
+    for eligible, reward, calls in (({0: F(1), 2: F(1)}, F(2), 0), ({2: F(1), 4: F(1)}, F(1), 1)):
+        del asked[:]
+        got = best_orienteering_walk(oracle, OrienteeringQuery(m, eligible, 0, 2, F(5)))
+        assert (got.order, got.reward, got.duration) == ((0, 2), reward, F(2))
+        q = DeadlineQuery(m, {v: (r, F(5)) for v, r in eligible.items()}, 0, F(0), 2, F(5))
+        got = best_deadline_walk(deadline_oracle, q)
+        assert (got.order, got.reward, got.duration) == ((0, 2), reward, F(2))
+        assert len(asked) == 2 * calls
+
+
 def test_greedy_line4_frozen():
     m = line_metric(4)
     res = best_orienteering_walk(
