@@ -1,11 +1,14 @@
 """Composed approximation algorithms.
 
-Each solver follows the same recipe: split the instance into restricted
-versions whose optima together cover the original optimum, solve every
-version through a structure that a modular or group DP handles, evaluate
-each version's claims back on the original instance, and keep the best.
-The reported bound is the sum of the per-version ratios, which by the
-pigeonhole argument is a proven divisor: reward >= optimum / bound.
+Every solver follows one recipe, written once in _compose.  Fixed-instant
+vertices form an exact "Z" version.  The positive-length windows are split
+into restricted versions whose optima together cover the original optimum,
+and each version is solved by a block DP from modular (over identical
+windows or release groups) or by another composed solver.  Each version's
+claims are evaluated back on the original instance and the best walk wins.
+The reported bound is the sum of the versions' ratios, which by the
+pigeonhole argument is a proven divisor: reward >= optimum / bound.  A
+solver only adds its precondition, its split and how it solves a version.
 
 All solvers need waiting allowed; the no-wait policy only changes walk
 evaluation, not the solvers.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .decompose import (dyadic_family, five_split, require_ratio_two, three_split_ceil,
@@ -24,10 +28,10 @@ from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
                        WalkSolution, drop_vertices, evaluate_walk, restrict,
                        time_reversed, window_stats)
 from .metric import Metric
-from .modular import (assemble_walk, blocks_from_identical_windows, chain_dp, dp_units,
-                      ensure_reachable_anchors, solve_reward_indexed, verify_modular)
-from .oracles import (EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, DeadlineQuery,
-                      OrienteeringOracle, best_deadline_walk, earliest_limits)
+from .modular import (ModularBlock, ModularPartition, _release_group_solve, assemble_walk,
+                      blocks_from_identical_windows, ensure_reachable_anchors,
+                      solve_exact_pareto, solve_reward_indexed, verify_modular)
+from .oracles import EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle
 from .rational import (HALF, ONE, ZERO, floor_log2, is_finite, is_integral,
                        shared_fraction)
 
@@ -45,8 +49,12 @@ class SolveReport:
     algorithm: str
     walk: WalkSolution
     version_rewards: tuple  # ((label, reward on the original instance), ...)
-    beta: int  # number of restricted versions actually present
     bound: Fraction
+
+    @property
+    def beta(self) -> int:
+        """Number of restricted versions actually present (1 when none is)."""
+        return max(len(self.version_rewards), 1)
 
 
 def _require_wait(x: TwInstance):
@@ -59,14 +67,9 @@ def _claims_of(walk: WalkSolution) -> tuple:
     return tuple(v for (v, _t, c) in walk.schedule if c)
 
 
-def _finish(x: TwInstance, claims) -> WalkSolution:
-    segments = [(0, tuple(claims))] if claims else []
-    return assemble_walk(x, segments)
-
-
 def _length_split(x: TwInstance) -> Tuple[List[int], List[int]]:
     """Positive-reward vertices split by window length: fixed-instant ones
-    go to the exact chain DP, the rest to the window decompositions."""
+    go to the exact "Z" version, the rest to the window decompositions."""
     zero: List[int] = []
     pos: List[int] = []
     for v in range(x.n):
@@ -75,34 +78,53 @@ def _length_split(x: TwInstance) -> Tuple[List[int], List[int]]:
     return zero, pos
 
 
-def _split_zero_windows(x: TwInstance) -> Tuple[list, Optional[TwInstance]]:
-    """The exact "Z" version over the zero-length windows (an empty version
-    list when there are none) and the instance that keeps only the
-    positive-length windows (None when there are none)."""
-    zero, pos = _length_split(x)
-    versions = []
-    if zero:
-        rz = zero_window_dp(restrict(x, {v: None for v in pos}))
-        versions.append(("Z", _claims_of(rz.walk), ONE))
-    return versions, (restrict(x, {v: None for v in zero}) if pos else None)
+def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
+    """The recipe of every composed solver, run after its precondition.
 
+    The fixed instants form the exact "Z" version at ratio 1.  When some
+    window has positive length, split takes the instance that keeps only
+    those windows and yields (label, version) pairs, and
+    solve_version(label, version) returns the version's claims and ratio.
+    Every version's claims are evaluated on x: the first best walk wins and
+    the bound sums the ratios.  With no version at all the report is the
+    bare anchor walk at bound 1.
+    """
+    ensure_reachable_anchors(x)
 
-def _report(name: str, x: TwInstance, versions) -> SolveReport:
-    """Evaluate every version's claims on x; best one wins, bound sums up."""
+    def versions():
+        zero, pos = _length_split(x)
+        if zero:
+            rz = zero_window_dp(restrict(x, {v: None for v in pos}))
+            yield "Z", _claims_of(rz.walk), ONE
+        if pos:
+            for (label, ver) in split(restrict(x, {v: None for v in zero})):
+                yield (label,) + solve_version(label, ver)
+
     best: Optional[WalkSolution] = None
     rewards = []
     bound = ZERO
-    for (label, claims, ratio) in versions:
-        sol = _finish(x, claims)
+    for (label, claims, ratio) in versions():
+        sol = assemble_walk(x, [(0, claims)] if claims else [])
         rewards.append((label, sol.reward))
         bound += ratio
         if best is None or sol.reward > best.reward:
             best = sol
     if best is None:
-        best = _finish(x, ())
+        best = assemble_walk(x, [])
         bound = ONE
-    return SolveReport(name, best, tuple(rewards), max(len(versions), 1),
-                       shared_fraction(bound))
+    return SolveReport(name, best, tuple(rewards), shared_fraction(bound))
+
+
+def _modular_version(ver: TwInstance, oracle: OrienteeringOracle) -> tuple:
+    """A version whose blocks are its identical windows: the claims of the
+    reward-indexed DP over them, at the oracle's ratio."""
+    res = solve_reward_indexed(ver, blocks_from_identical_windows(ver), oracle)
+    return _claims_of(res.walk), oracle.spec.ratio
+
+
+def _sub_version(sub: SolveReport) -> tuple:
+    """A version solved by another composed solver, at that solver's bound."""
+    return _claims_of(sub.walk), sub.bound
 
 
 # ----- fixed-instant vertices ------------------------------------------------
@@ -112,27 +134,18 @@ def zero_window_dp(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     """Exact solver for instances whose positive-reward vertices all have
     zero-length windows: each must be hit at one fixed instant, so feasible
     claim sets are chains in a DAG ordered by time.  Every vertex is a
-    one-member block at its instant, in (instant, id) order, and the chain
-    DP over those blocks is exact without any oracle."""
+    one-member block at its instant, in (instant, id) order, and the exact
+    Pareto DP over those blocks needs no oracle."""
     _require_wait(x)
     zero, pos = _length_split(x)
     if pos:
         raise PreconditionError(
             "vertex %d has a positive-length window; this solver needs "
             "fixed visit instants" % pos[0])
-    ensure_reachable_anchors(x)
-    units = dp_units(x)
-
-    def claim(u, e):
-        yield u, 0, units.reward(x.rewards[u]), (u,)
-
-    def steps():
-        for v in sorted(zero, key=lambda v: (x.windows[v].release, v)):
-            at = units.time(x.windows[v].release)
-            yield v, at, at, (v,), claim
-
-    walk = chain_dp(x, units, steps()).walk
-    return SolveReport("zero-window", walk, (("Z", walk.reward),), 1, ONE)
+    instants = sorted((x.windows[v].release, v) for v in zero)
+    part = ModularPartition(tuple(ModularBlock(frozenset((v,)), at, at) for (at, v) in instants))
+    walk = solve_exact_pareto(x, part).walk
+    return SolveReport("zero-window", walk, (("Z", walk.reward),), ONE)
 
 
 # ----- integral window endpoints ---------------------------------------------
@@ -157,83 +170,14 @@ def solve_integer_endpoints(x: TwInstance, oracle: OrienteeringOracle = EXACT_OR
         if w.length > 0 and not (is_integral(w.release) and is_integral(w.deadline)):
             raise PreconditionError(
                 "vertex %d window [%s, %s] has fractional endpoints" % (v, w.release, w.deadline))
-    ensure_reachable_anchors(x)
-    versions, xp = _split_zero_windows(x)
-    if xp is not None:
-        direct = blocks_from_identical_windows(xp)
-        if not verify_modular(xp, direct):
-            res = solve_reward_indexed(xp, direct, oracle)
-            versions.append(("direct", _claims_of(res.walk), oracle.spec.ratio))
-        else:
-            fam = dyadic_family(xp)
-            for (label, ver) in fam.versions:
-                part = blocks_from_identical_windows(ver)
-                res = solve_reward_indexed(ver, part, oracle)
-                versions.append((label, _claims_of(res.walk), oracle.spec.ratio))
-    return _report("integer-endpoints", x, versions)
 
+    def split(xp):
+        if not verify_modular(xp, blocks_from_identical_windows(xp)):
+            return [("direct", xp)]
+        return dyadic_family(xp).versions
 
-# ----- release groups ---------------------------------------------------------
-
-def _release_groups(x: TwInstance):
-    """Positive-reward vertices grouped by a shared release; each group's
-    windows must end by the next group's release."""
-    grouped: Dict[Fraction, List[int]] = {}
-    for v in range(x.n):
-        if x.rewards[v] > 0:
-            grouped.setdefault(x.windows[v].release, []).append(v)
-    out = []
-    for rel in sorted(grouped):
-        members = sorted(grouped[rel])
-        dmax = max(x.windows[v].deadline for v in members)
-        out.append((rel, members, dmax))
-    for i in range(len(out) - 1):
-        if out[i][2] > out[i + 1][0]:
-            raise PreconditionError(
-                "windows released at %s overrun the next release" % out[i][0])
-    return out
-
-
-def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
-    """Label DP across release groups; the deadline oracle fills in the
-    walks between an entry (u, e) and each exit vertex w.
-
-    A pass through a group ends at its last claim, so it ends at w by w's
-    deadline (w = u stays put at e).  Per entry and exit the oracle is
-    walked down the time grid from that bound (earliest_limits), which
-    yields the earliest end of every reward it reaches; the group keeps each
-    staircase for labels that enter at the same (u, e).  With an exact
-    oracle these are the Pareto frontier of the passes ending at w, so the
-    DP is exact.
-    """
-    ensure_reachable_anchors(x)
-    groups = _release_groups(x)
-    units = dp_units(x)
-
-    def steps():
-        for gi, (rel, members, dmax) in enumerate(groups):
-            eligible = {v: (x.rewards[v], x.windows[v].deadline) for v in members}
-            # (u, e, w) -> the staircase's paying steps as moves in units, e
-            # being the entry time in units too
-            stairs: Dict[Tuple[int, int, int], List[tuple]] = {}
-
-            def moves(u, e):
-                for w in members:
-                    if (u, e, w) not in stairs:
-                        t0 = Fraction(e, units.tscale)
-                        stairs[(u, e, w)] = [
-                            (w, units.time(res.duration), units.reward(res.reward), res.order)
-                            for res in earliest_limits(
-                                lambda h: best_deadline_walk(
-                                    deadline_oracle,
-                                    DeadlineQuery(x.metric, eligible, u, t0, w, h)),
-                                t0, t0 if w == u else eligible[w][1], x.metric.scale)
-                            if res.reward > 0]
-                    yield from stairs[(u, e, w)]
-
-            yield gi, units.time(rel), units.time(dmax), members, moves
-
-    return chain_dp(x, units, steps())
+    return _compose("integer-endpoints", x, split,
+                    lambda _label, ver: _modular_version(ver, oracle))
 
 
 # ----- window lengths within a factor two ------------------------------------
@@ -251,26 +195,20 @@ def solve_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     if x.mode != ANCHORED:
         raise PreconditionError("this solver needs both anchors")
     require_ratio_two(window_stats(x))
-    ensure_reachable_anchors(x)
-    versions, xp = _split_zero_windows(x)
-    if xp is not None:
-        fam = three_split_floor(xp)
-        for (label, ver) in fam.versions:
-            if label == "B2":
-                part = blocks_from_identical_windows(ver)
-                res = solve_reward_indexed(ver, part, oracle)
-                versions.append((label, _claims_of(res.walk), oracle.spec.ratio))
-            elif label == "B3":
-                res = _release_group_solve(ver, deadline_oracle)
-                versions.append((label, _claims_of(res.walk), deadline_oracle.spec.ratio))
-            else:
-                # B1 windows share deadlines per group; reversed in time they
-                # share releases, which the same composition handles
-                rev = time_reversed(ver)
-                res = _release_group_solve(rev, deadline_oracle)
-                claims = tuple(reversed(_claims_of(res.walk)))
-                versions.append((label, claims, deadline_oracle.spec.ratio))
-    return _report("l2", x, versions)
+
+    def solve_version(label, ver):
+        if label == "B2":
+            return _modular_version(ver, oracle)
+        if label == "B3":
+            claims = _claims_of(_release_group_solve(ver, deadline_oracle).walk)
+        else:
+            # B1 windows share deadlines per group; reversed in time they
+            # share releases, which the same DP handles
+            rev = _release_group_solve(time_reversed(ver), deadline_oracle)
+            claims = tuple(reversed(_claims_of(rev.walk)))
+        return claims, deadline_oracle.spec.ratio
+
+    return _compose("l2", x, lambda xp: three_split_floor(xp).versions, solve_version)
 
 
 # ----- general window lengths -------------------------------------------------
@@ -284,17 +222,13 @@ def solve_general(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     _require_wait(x)
     if x.mode != ANCHORED:
         raise PreconditionError("this solver needs both anchors")
-    ensure_reachable_anchors(x)
-    versions, xp = _split_zero_windows(x)
-    if xp is not None:
-        fam = three_split_ceil(xp)
-        for (label, ver) in fam.versions:
-            if label == "B2":
-                sub = solve_integer_endpoints(ver, oracle)
-            else:
-                sub = solve_l_le_2(ver, oracle, deadline_oracle)
-            versions.append((label, _claims_of(sub.walk), sub.bound))
-    return _report("general", x, versions)
+
+    def solve_version(label, ver):
+        if label == "B2":
+            return _sub_version(solve_integer_endpoints(ver, oracle))
+        return _sub_version(solve_l_le_2(ver, oracle, deadline_oracle))
+
+    return _compose("general", x, lambda xp: three_split_ceil(xp).versions, solve_version)
 
 
 # ----- free endpoints ----------------------------------------------------------
@@ -331,20 +265,15 @@ def solve_free_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     if x.mode != FREE:
         raise PreconditionError("free-endpoint solver needs unanchored ends")
     require_ratio_two(window_stats(x))
-    versions, xp = _split_zero_windows(x)
-    if xp is not None:
+
+    def split(xp):
         fam = five_split(xp)
         for (label, ver) in fam.versions:
-            if label == "B1":
-                mver = _shift_version(fam.base, ver, head=True)
-            elif label == "B5":
-                mver = _shift_version(fam.base, ver, head=False)
-            else:
-                mver = ver
-            part = blocks_from_identical_windows(mver)
-            res = solve_reward_indexed(mver, part, oracle)
-            versions.append((label, _claims_of(res.walk), oracle.spec.ratio))
-    return _report("free-l2", x, versions)
+            if label in ("B1", "B5"):
+                ver = _shift_version(fam.base, ver, head=label == "B1")
+            yield label, ver
+
+    return _compose("free-l2", x, split, lambda _label, ver: _modular_version(ver, oracle))
 
 
 def solve_free_general(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
@@ -355,18 +284,18 @@ def solve_free_general(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     _require_wait(x)
     if x.mode != FREE:
         raise PreconditionError("free-endpoint solver needs unanchored ends")
-    versions, xp = _split_zero_windows(x)
-    if xp is not None:
+
+    def split(xp):
         stats = window_stats(xp)
         bands: Dict[int, List[int]] = {}
         for v in xp.positive_vertices():
             j = floor_log2(xp.windows[v].length / stats.l_min)
             bands.setdefault(j, []).append(v)
         for j in sorted(bands):
-            bver = drop_vertices(xp, set(bands[j]))
-            sub = solve_free_l_le_2(bver, oracle)
-            versions.append(("band%d" % j, _claims_of(sub.walk), sub.bound))
-    return _report("free-general", x, versions)
+            yield "band%d" % j, drop_vertices(xp, set(bands[j]))
+
+    return _compose("free-general", x, split,
+                    lambda _label, ver: _sub_version(solve_free_l_le_2(ver, oracle)))
 
 
 # ----- deadline-only reduction -------------------------------------------------
@@ -407,6 +336,27 @@ def reduce_deadline_to_tw(x: TwInstance) -> TwInstance:
 
 # ----- dispatch -----------------------------------------------------------------
 
+def _keep_best(tries, failure: str, nothing: str = "") -> SolveReport:
+    """Run each (name, attempt) of tries and keep the first report with the
+    highest reward.  An attempt may return None to drop out; one that raises
+    PreconditionError is noted as "name: text".  When no report is left,
+    raise PreconditionError("failure (notes)"), with nothing standing in for
+    the notes when there are none."""
+    best: Optional[SolveReport] = None
+    refusals = []
+    for (name, attempt) in tries:
+        try:
+            rep = attempt()
+        except PreconditionError as exc:
+            refusals.append("%s: %s" % (name, exc))
+            continue
+        if rep is not None and (best is None or rep.walk.reward > best.walk.reward):
+            best = rep
+    if best is None:
+        raise PreconditionError("%s (%s)" % (failure, "; ".join(refusals) or nothing))
+    return best
+
+
 def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
                deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
     """Try every solver of the instance's anchor mode, keep the first report
@@ -425,19 +375,8 @@ def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
                       ("l2", solve_l_le_2), ("general", solve_general))
     else:
         candidates = (("free-l2", solve_free_l_le_2), ("free-general", solve_free_general))
-    best: Optional[SolveReport] = None
-    refusals = []
-    for (name, solver) in candidates:
-        try:
-            rep = solver(x, oracle, deadline_oracle)
-        except PreconditionError as exc:
-            refusals.append("%s: %s" % (name, exc))
-            continue
-        if best is None or rep.walk.reward > best.walk.reward:
-            best = rep
-    if best is None:
-        raise PreconditionError("every solver refused (%s)" % "; ".join(refusals))
-    return best
+    return _keep_best(((name, partial(solver, x, oracle, deadline_oracle))
+                       for (name, solver) in candidates), "every solver refused")
 
 
 def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
@@ -445,29 +384,24 @@ def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
     """A walk that may end anywhere ends somewhere: solve the anchored
     variant for every reachable end vertex and keep the best.  An end vertex
     whose anchored solve is refused is skipped like an unreachable one."""
-    best: Optional[SolveReport] = None
-    refusals = []
-    for t2 in range(x.n):
-        leg = x.metric.d[x.s][t2]
-        if not is_finite(leg) or leg > x.budget:
-            continue
+
+    def ending_at(t2):
         x2 = TwInstance(x.metric, x.windows, x.rewards, x.s, t2, x.budget, x.wait_policy)
-        try:
-            sub = solve_auto(x2, oracle, deadline_oracle)
-        except PreconditionError as exc:
-            refusals.append("end %d: %s" % (t2, exc))
-            continue
+        sub = solve_auto(x2, oracle, deadline_oracle)
         order = [(v, c) for (v, _t, c) in sub.walk.schedule]
+        # the end anchor repeats a walk that already ends there; d[v][v] = 0,
+        # so dropping the repeat moves no time and no reward
+        if len(order) > 1 and order[-1] == (order[-2][0], False):
+            order.pop()
         sol = evaluate_walk(x, order)
         if not sol.feasible:
-            continue
-        rep = SolveReport(sub.algorithm, sol, sub.version_rewards, sub.beta, sub.bound)
-        if best is None or rep.walk.reward > best.walk.reward:
-            best = rep
-    if best is None:
-        raise PreconditionError("no end vertex yields a walk (%s)" % (
-            "; ".join(refusals) or "none is reachable from the start anchor"))
-    return best
+            return None
+        return SolveReport(sub.algorithm, sol, sub.version_rewards, sub.bound)
+
+    reachable = (t2 for t2 in range(x.n)
+                 if is_finite(x.metric.d[x.s][t2]) and x.metric.d[x.s][t2] <= x.budget)
+    return _keep_best((("end %d" % t2, partial(ending_at, t2)) for t2 in reachable),
+                      "no end vertex yields a walk", "none is reachable from the start anchor")
 
 
 def run_algorithm(name: str, x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,

@@ -118,24 +118,17 @@ def _from_ints(directed: bool, n: int, scale: int, ints: tuple) -> Metric:
     return Metric(directed, n, tuple(rows), scale, ints)
 
 
-def _check_graph(g: Graph) -> None:
-    if g.n < 1:
-        raise GraphError("graph needs at least one vertex, got n=%d" % g.n)
-    for (u, v, w) in g.edges:
-        if not (0 <= u < g.n) or not (0 <= v < g.n):
-            raise GraphError("edge (%r, %r) uses a vertex id outside 0..%d" % (u, v, g.n - 1))
-        if w < 0:
-            raise GraphError("edge (%r, %r) has negative weight %s" % (u, v, w))
-
-
 def metric_closure(g: Graph) -> Metric:
     """All-pairs shortest-walk distances of g, as an exact Metric.
 
     Floyd-Warshall runs on integers: every weight is scaled by the lcm of
-    the weights' denominators.  Raises GraphError on malformed input.  Cubic
-    in n, which is fine at the instance sizes this package targets.
+    the weights' denominators.  Raises GraphError with validate_graph's
+    first finding on malformed input.  Cubic in n, which is fine at the
+    instance sizes this package targets.
     """
-    _check_graph(g)
+    findings = validate_graph(g)
+    if findings:
+        raise GraphError(findings[0])
     n = g.n
     weights = [(u, v, as_fraction(w)) for (u, v, w) in g.edges]
     scale = lcm(*(w.denominator for (_u, _v, w) in weights))

@@ -18,6 +18,11 @@ The third is exact and oracle-free.  The last two share one front end,
 _staircase_dp: each only names the staircase a block fills per (entry,
 exit) and the ratio its steps are claimed at.
 
+The release-group DP (_release_group_solve) feeds chain_dp the same way,
+with groups of windows that share a release as its blocks and a deadline
+oracle for the walks inside a group.  The composed solvers in algorithms
+call these four DPs only; the step protocol stays in this module.
+
 The chain DP runs on ints.  Each DP fixes its units once (dp_units), and a
 block converts an oracle answer to them when it stores the answer, so the
 label loop does no Fraction arithmetic; only claimed is a Fraction again.
@@ -31,8 +36,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InfeasibleInstanceError, PreconditionError
 from .instance import ANCHORED, FREE, TwInstance, WalkSolution, evaluate_walk
-from .oracles import (INFEASIBLE_RESULT, OrienteeringOracle, OrienteeringQuery, WalkResult,
-                      _result_better, _reward_scale, _time_units, best_orienteering_walk,
+from .oracles import (INFEASIBLE_RESULT, DeadlineOracle, DeadlineQuery, OrienteeringOracle,
+                      OrienteeringQuery, WalkResult, _result_better, _reward_scale,
+                      _time_units, best_deadline_walk, best_orienteering_walk,
                       earliest_limits, pareto_profiles)
 from .rational import ONE, ZERO, is_finite, is_integral
 
@@ -457,3 +463,66 @@ def solve_exact_pareto(x: TwInstance, part: ModularPartition) -> DpResult:
     a label enters, fine at desk scale: pareto_profiles refuses an entry and
     exit with more than 16 other members between them."""
     return _staircase_dp(x, part, pareto_profiles, ONE)
+
+
+# ----- release-group DP ------------------------------------------------------
+
+def _release_groups(x: TwInstance):
+    """Positive-reward vertices grouped by a shared release; each group's
+    windows must end by the next group's release."""
+    grouped: Dict[Fraction, List[int]] = {}
+    for v in range(x.n):
+        if x.rewards[v] > 0:
+            grouped.setdefault(x.windows[v].release, []).append(v)
+    out = []
+    for rel in sorted(grouped):
+        members = sorted(grouped[rel])
+        dmax = max(x.windows[v].deadline for v in members)
+        out.append((rel, members, dmax))
+    for i in range(len(out) - 1):
+        if out[i][2] > out[i + 1][0]:
+            raise PreconditionError(
+                "windows released at %s overrun the next release" % out[i][0])
+    return out
+
+
+def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
+    """Label DP across release groups; the deadline oracle fills in the
+    walks between an entry (u, e) and each exit vertex w.
+
+    A pass through a group ends at its last claim, so it ends at w by w's
+    deadline (w = u stays put at e).  Per entry and exit the oracle is
+    walked down the time grid from that bound (earliest_limits), which
+    yields the earliest end of every reward it reaches; the group keeps each
+    staircase for labels that enter at the same (u, e).  With an exact
+    oracle these are the Pareto frontier of the passes ending at w, so the
+    DP is exact.
+    """
+    ensure_reachable_anchors(x)
+    groups = _release_groups(x)
+    units = dp_units(x)
+
+    def steps():
+        for gi, (rel, members, dmax) in enumerate(groups):
+            eligible = {v: (x.rewards[v], x.windows[v].deadline) for v in members}
+            # (u, e, w) -> the staircase's paying steps as moves in units, e
+            # being the entry time in units too
+            stairs: Dict[Tuple[int, int, int], List[tuple]] = {}
+
+            def moves(u, e):
+                for w in members:
+                    if (u, e, w) not in stairs:
+                        t0 = Fraction(e, units.tscale)
+                        stairs[(u, e, w)] = [
+                            (w, units.time(res.duration), units.reward(res.reward), res.order)
+                            for res in earliest_limits(
+                                lambda h: best_deadline_walk(
+                                    deadline_oracle,
+                                    DeadlineQuery(x.metric, eligible, u, t0, w, h)),
+                                t0, t0 if w == u else eligible[w][1], x.metric.scale)
+                            if res.reward > 0]
+                    yield from stairs[(u, e, w)]
+
+            yield gi, units.time(rel), units.time(dmax), members, moves
+
+    return chain_dp(x, units, steps())

@@ -8,9 +8,9 @@ import pytest
 from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
                      DeadlineOracle, OrienteeringOracle, PreconditionError, TwInstance,
                      brute_force_opt, evaluate_walk, layered_deadline_oracle,
-                     reduce_deadline_to_tw, run_algorithm, solve_auto, solve_free_general,
-                     solve_free_l_le_2, solve_general, solve_integer_endpoints,
-                     solve_l_le_2, window_stats, zero_window_dp)
+                     reduce_deadline_to_tw, restrict, run_algorithm, solve_auto,
+                     solve_free_general, solve_free_l_le_2, solve_general,
+                     solve_integer_endpoints, solve_l_le_2, window_stats, zero_window_dp)
 import orientw.algorithms as algorithms
 import orientw.modular as modular
 import orientw.oracles as oracles
@@ -252,7 +252,29 @@ def test_every_solver_walks_the_bare_anchors_when_nothing_pays():
             rep = solver(x)
             assert (rep.walk.reward, rep.bound, rep.beta) == (0, 1, 1), (name, x.mode)
             assert rep.walk.feasible and rep.walk.collected == frozenset(), (name, x.mode)
-            assert set(rep.walk.order) == {v for v in (s, t) if v is not None}, (name, x.mode)
+            assert rep.walk.order == tuple(v for v in (s, t) if v is not None), (name, x.mode)
+
+
+def _fixed_instants_among_windows(s, t):
+    # vertices 1 and 3 are fixed instants; the others hold integral windows
+    # of length 2 or 3, which every composed solver of either mode accepts
+    return build_instance(6, [(i, i + 1, 1) for i in range(5)],
+                          [(0, 2), (1, 1), (2, 4), (3, 3), (4, 7), (6, 9)],
+                          [1] * 6, s, t, 10)
+
+
+@pytest.mark.parametrize("name, s, t", [
+    ("integer-endpoints", 0, 5), ("l2", 0, 5), ("general", 0, 5),
+    ("free-l2", None, None), ("free-general", None, None)])
+def test_every_composed_solver_adds_the_z_version(name, s, t):
+    x = _fixed_instants_among_windows(s, t)
+    rep = ALGORITHMS[name](x)
+    # the same solver without the fixed instants builds every other version
+    rest = ALGORITHMS[name](restrict(x, {1: None, 3: None}))
+    assert rep.version_rewards[0][0] == "Z"
+    assert [l for l, _ in rep.version_rewards[1:]] == [l for l, _ in rest.version_rewards]
+    assert rep.bound == 1 + rest.bound
+    assert rep.walk.reward * rep.bound >= _opt(x)
 
 
 def test_integer_endpoints_accepts_a_fractional_fixed_instant():
@@ -326,7 +348,6 @@ def test_reward_precision_adds_no_oracle_work(monkeypatch):
             return probe(limit)
         return oracles.earliest_limits(counted_probe, *args)
 
-    monkeypatch.setattr(algorithms, "earliest_limits", counted_walk_down)
     monkeypatch.setattr(modular, "earliest_limits", counted_walk_down)
     calls = [0]
 
@@ -361,7 +382,7 @@ def test_release_group_walks_each_entry_down_the_grid_once(monkeypatch):
         queries.append((q.u, q.t0, q.end, q.horizon))
         return EXACT_DEADLINE.fn(q)
 
-    real_chain_dp = algorithms.chain_dp
+    real_chain_dp = modular.chain_dp
 
     def recording_chain_dp(x, units, steps):
         tscales.append(units.tscale)
@@ -376,8 +397,8 @@ def test_release_group_walks_each_entry_down_the_grid_once(monkeypatch):
             return gi, release, deadline, members, recorded_moves
         return real_chain_dp(x, units, map(recorded, steps))
 
-    monkeypatch.setattr(algorithms, "chain_dp", recording_chain_dp)
-    res = algorithms._release_group_solve(x, DeadlineOracle(EXACT_DEADLINE.spec, counted))
+    monkeypatch.setattr(modular, "chain_dp", recording_chain_dp)
+    res = modular._release_group_solve(x, DeadlineOracle(EXACT_DEADLINE.spec, counted))
     assert res.walk.reward == _opt(x) == 4
     assert entries.count((1, 3, 5 * tscales[0])) == 3
     assert len(queries) == len(set(queries))

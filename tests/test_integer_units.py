@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orientw.algorithms as algorithms
+import orientw.modular as modular
 from orientw import (EXACT_DEADLINE, INF, DeadlineQuery, Graph, GraphError, Metric,
                      ModularBlock, ModularPartition, OracleSpec, OrienteeringOracle,
                      OrienteeringQuery, TimeWindow, TwInstance, brute_force_opt,
@@ -422,7 +423,7 @@ def test_release_groups_on_thirds_claim_the_optimum():
     for seed in range(12):
         x = _release_groups_thirds(seed)
         assert dp_units(x).tscale == 3 * x.metric.scale, seed
-        res = algorithms._release_group_solve(x, EXACT_DEADLINE)
+        res = modular._release_group_solve(x, EXACT_DEADLINE)
         assert res.claimed == res.walk.reward == brute_force_opt(x).reward, seed
 
 

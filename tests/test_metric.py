@@ -51,8 +51,10 @@ def test_parallel_edges_keep_cheapest():
     [(0, 5, F(1))],           # endpoint out of range
 ])
 def test_bad_graphs_rejected(edges):
-    with pytest.raises(GraphError):
-        metric_closure(Graph.build(False, 3, edges))
+    g = Graph.build(False, 3, edges)
+    with pytest.raises(GraphError) as info:
+        metric_closure(g)
+    assert str(info.value) == validate_graph(g)[0]
 
 
 def test_self_loop_is_inert():
@@ -63,8 +65,10 @@ def test_self_loop_is_inert():
 
 
 def test_empty_vertex_set_rejected():
-    with pytest.raises(GraphError):
-        metric_closure(Graph.build(False, 0, []))
+    g = Graph.build(False, 0, [])
+    with pytest.raises(GraphError) as info:
+        metric_closure(g)
+    assert str(info.value) == validate_graph(g)[0] == "graph has no vertices"
 
 
 def test_validate_graph_reports_disconnection():

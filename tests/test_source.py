@@ -61,3 +61,15 @@ def test_every_private_definition_is_used():
             if not used:
                 dead.append("%s:%s" % (name, definition.name))
     assert dead == []
+
+
+def test_only_modular_runs_the_chain_dp():
+    # the step protocol (int units, (index, release, deadline, entries, moves))
+    # stays behind modular's block DPs
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "modular.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            offenders += ["%s:%s" % (path.name, name)
+                          for name in sorted(_read_names(tree) & {"chain_dp", "dp_units"})]
+    assert offenders == []
