@@ -21,11 +21,10 @@ from .oracles import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
                       ORIENTEERING_ORACLES, DeadlineOracle, DeadlineQuery,
                       OracleSpec, OrienteeringOracle, OrienteeringQuery,
                       WalkResult, best_deadline_walk, best_orienteering_walk,
-                      deadline_oracle_by_name, layered_deadline_oracle,
-                      pareto_profiles)
+                      deadline_oracle_by_name, layered_deadline_oracle)
 from .modular import (ModularBlock, ModularPartition,
-                      blocks_from_identical_windows, solve_exact_pareto,
-                      solve_reward_indexed, solve_time_indexed, verify_modular)
+                      blocks_from_identical_windows, solve_reward_indexed,
+                      solve_time_indexed, verify_modular)
 from .algorithms import (ALGORITHMS, SolveReport, reduce_deadline_to_tw,
                          run_algorithm, solve_auto, solve_free_general,
                          solve_free_l_le_2, solve_general,
@@ -48,11 +47,10 @@ __all__ = [
     "brute_force_opt", "deadline_oracle_by_name", "drop_vertices",
     "dyadic_family", "dyadic_partition", "evaluate_walk", "five_split",
     "is_finite", "layered_deadline_oracle", "metric_closure",
-    "pareto_profiles", "reduce_deadline_to_tw", "restrict", "run_algorithm",
-    "scale_times", "serialize", "solve_auto", "solve_exact_pareto",
-    "solve_free_general", "solve_free_l_le_2", "solve_general",
-    "solve_integer_endpoints", "solve_l_le_2", "solve_reward_indexed",
-    "solve_time_indexed", "time_reversed", "three_split_ceil",
-    "three_split_floor", "validate_graph", "verify_modular", "walk_from_claims",
-    "window_stats", "zero_window_dp",
+    "reduce_deadline_to_tw", "restrict", "run_algorithm", "scale_times",
+    "serialize", "solve_auto", "solve_free_general", "solve_free_l_le_2",
+    "solve_general", "solve_integer_endpoints", "solve_l_le_2",
+    "solve_reward_indexed", "solve_time_indexed", "time_reversed",
+    "three_split_ceil", "three_split_floor", "validate_graph",
+    "verify_modular", "walk_from_claims", "window_stats", "zero_window_dp",
 ]

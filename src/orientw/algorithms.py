@@ -30,7 +30,7 @@ from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
 from .metric import Metric
 from .modular import (ModularBlock, ModularPartition, _release_group_solve, assemble_walk,
                       blocks_from_identical_windows, ensure_reachable_anchors,
-                      solve_exact_pareto, solve_reward_indexed, verify_modular)
+                      solve_reward_indexed, verify_modular)
 from .oracles import EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle
 from .rational import (HALF, ONE, ZERO, floor_log2, is_finite, is_integral,
                        shared_fraction)
@@ -134,8 +134,10 @@ def zero_window_dp(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     """Exact solver for instances whose positive-reward vertices all have
     zero-length windows: each must be hit at one fixed instant, so feasible
     claim sets are chains in a DAG ordered by time.  Every vertex is a
-    one-member block at its instant, in (instant, id) order, and the exact
-    Pareto DP over those blocks needs no oracle."""
+    one-member block at its instant, in (instant, id) order, and the
+    reward-indexed DP on the exact oracle solves those blocks exactly
+    without asking it: a block's only walk stays at its member, which the
+    oracle contract answers from the base walk."""
     _require_wait(x)
     zero, pos = _length_split(x)
     if pos:
@@ -144,7 +146,7 @@ def zero_window_dp(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
             "fixed visit instants" % pos[0])
     instants = sorted((x.windows[v].release, v) for v in zero)
     part = ModularPartition(tuple(ModularBlock(frozenset((v,)), at, at) for (at, v) in instants))
-    walk = solve_exact_pareto(x, part).walk
+    walk = solve_reward_indexed(x, part, EXACT_ORACLE).walk
     return SolveReport("zero-window", walk, (("Z", walk.reward),), ONE)
 
 

@@ -5,23 +5,22 @@ time intervals that appear in order along the timeline; every member's
 window must contain its block's interval.  Any feasible walk then collects
 each block's vertices in one contiguous stretch, so the instance solves by
 sequencing per-block point-to-point walks.  chain_dp runs that sequencing
-once for every composition; the three DPs below only say which in-block
+once for every composition; the two DPs below only say which in-block
 walks each block offers:
 
 * solve_time_indexed   - the best oracle walk up to each integral budget; integral data only
 * solve_reward_indexed - the earliest walk per reward the oracle reaches; any rationals
-* solve_exact_pareto   - every undominated walk of the block's Pareto profile
 
-The first two take a point-to-point orienteering oracle and inherit its
-ratio; each block keeps its own oracle answers, so none outlives the block.
-The third is exact and oracle-free.  The last two share one front end,
-_staircase_dp: each only names the staircase a block fills per (entry,
-exit) and the ratio its steps are claimed at.
+Both take a point-to-point orienteering oracle and inherit its ratio;
+each block keeps its own oracle answers, so none outlives the block.  With
+EXACT_ORACLE (ratio 1) either DP is exact, so the exact modular DP is
+solve_reward_indexed on that oracle and needs no search of its own.
 
 The release-group DP (_release_group_solve) feeds chain_dp the same way,
 with groups of windows that share a release as its blocks and a deadline
 oracle for the walks inside a group.  The composed solvers in algorithms
-call these four DPs only; the step protocol stays in this module.
+call solve_reward_indexed and this DP only; the step protocol stays in
+this module.
 
 The chain DP runs on ints.  Each DP fixes its units once (dp_units), and a
 block converts an oracle answer to them when it stores the answer, so the
@@ -39,7 +38,7 @@ from .instance import ANCHORED, FREE, TwInstance, WalkSolution, evaluate_walk
 from .oracles import (INFEASIBLE_RESULT, DeadlineOracle, DeadlineQuery, OrienteeringOracle,
                       OrienteeringQuery, WalkResult, _result_better, _reward_scale,
                       _time_units, best_deadline_walk, best_orienteering_walk,
-                      earliest_limits, pareto_profiles)
+                      earliest_limits)
 from .rational import ONE, ZERO, is_finite, is_integral
 
 
@@ -386,21 +385,32 @@ def _require_integral(x: TwInstance, part: ModularPartition):
             "use solve_reward_indexed for rational data")
 
 
-# ----- staircase DPs ---------------------------------------------------------
+# ----- reward-indexed DP -----------------------------------------------------
 
-def _staircase_dp(x: TwInstance, part: ModularPartition, staircase,
-                  alpha: Fraction) -> DpResult:
-    """Chain DP whose block walks come from one staircase per (entry, exit).
+def solve_reward_indexed(x: TwInstance, part: ModularPartition,
+                         oracle: OrienteeringOracle) -> DpResult:
+    """Chain DP whose block walks are the earliest completion of every
+    reward the oracle reaches.
 
-    staircase(metric, eligible, u, w, span) returns walks from u to w that
-    fit the block's span, ascending in duration.  A block fills its
-    staircase for (u, w) the first time a label enters at u, and offers
-    every step that still ends by the block deadline, claimed at alpha times
-    its reward.
+    Per block and (entry, exit) the oracle is walked down the block's time
+    grid once (earliest_limits), one query per answer, the first time a
+    label enters at that entry, and the staircase is kept for the block's
+    later entries; each entry is offered every step that still ends by the
+    block deadline.  No reward grid is involved, so rational data needs no
+    scaling and the cost does not grow with reward precision.  With an
+    exact oracle the answers are the block's Pareto frontier, which makes
+    the DP exact.
+
+    With a ratio-a oracle each answer is claimed at a times its reward.  For
+    any budget b the staircase holds an answer that ends by b and earns at
+    least the oracle's answer at some budget of at least b, so claimed is at
+    least the modular optimum, and the returned walk collects at least
+    claimed / a.
     """
     require_modular(x, part)
     ensure_reachable_anchors(x)
 
+    alpha = oracle.spec.ratio
     units = _block_units(x, part, alpha)
 
     def steps():
@@ -417,7 +427,10 @@ def _staircase_dp(x: TwInstance, part: ModularPartition, staircase,
                         stairs[(u, w)] = [
                             (w, units.time(res.duration), units.reward(res.reward * alpha),
                              res.order)
-                            for res in staircase(x.metric, eligible, u, w, span)]
+                            for res in earliest_limits(
+                                lambda budget: best_orienteering_walk(
+                                    oracle, OrienteeringQuery(x.metric, eligible, u, w, budget)),
+                                ZERO, span, x.metric.scale)]
                     for move in stairs[(u, w)]:
                         if move[1] > cap:
                             break
@@ -426,43 +439,6 @@ def _staircase_dp(x: TwInstance, part: ModularPartition, staircase,
             yield bi, units.time(b.release), deadline, ids, moves
 
     return chain_dp(x, units, steps())
-
-
-def solve_reward_indexed(x: TwInstance, part: ModularPartition,
-                         oracle: OrienteeringOracle) -> DpResult:
-    """Chain DP whose block walks are the earliest completion of every
-    reward the oracle reaches.
-
-    Per block and (entry, exit) the oracle is walked down the block's time
-    grid once (earliest_limits), one query per answer, and the staircase is
-    kept for the block's later entries.  No reward grid is involved, so
-    rational data needs no scaling and the cost does not grow with reward
-    precision.  With an exact oracle the answers are the block's Pareto
-    frontier, which makes the DP exact.
-
-    With a ratio-a oracle each answer is claimed at a times its reward.  For
-    any budget b the staircase holds an answer that ends by b and earns at
-    least the oracle's answer at some budget of at least b, so claimed is at
-    least the modular optimum, and the returned walk collects at least
-    claimed / a.
-    """
-
-    def walk_down(metric, eligible, u, w, span):
-        return earliest_limits(
-            lambda budget: best_orienteering_walk(
-                oracle, OrienteeringQuery(metric, eligible, u, w, budget)),
-            ZERO, span, metric.scale)
-
-    return _staircase_dp(x, part, walk_down, oracle.spec.ratio)
-
-
-def solve_exact_pareto(x: TwInstance, part: ModularPartition) -> DpResult:
-    """Oracle-free exact solve: the chain DP over each block's Pareto
-    profiles (every undominated duration/reward pair between an entry and
-    an exit, from pareto_profiles).  Exponential in the largest block that
-    a label enters, fine at desk scale: pareto_profiles refuses an entry and
-    exit with more than 16 other members between them."""
-    return _staircase_dp(x, part, pareto_profiles, ONE)
 
 
 # ----- release-group DP ------------------------------------------------------

@@ -7,8 +7,14 @@ contract: the walk has the query's endpoints, fits its time limit, and its
 duration and reward re-evaluate exactly.  The two wrappers enforce it with
 one check in integer units, and the two exact oracles are input builders
 for one branch and bound on integers; they are the default at desk scale.
-A greedy insertion heuristic and a layered deadline heuristic are provided
+That branch and bound is the only exhaustive search in the solvers.  A
+greedy insertion heuristic and a layered deadline heuristic are provided
 as scalable stand-ins with no proven ratio.
+
+earliest_limits walks any oracle down a time grid to the staircase of
+earliest ends per reward it reaches; on an exact oracle that staircase is
+the Pareto frontier of (duration, reward), so the block DPs need no
+profile enumeration of their own.
 """
 
 from __future__ import annotations
@@ -477,86 +483,3 @@ def deadline_oracle_by_name(name: str, oracle: OrienteeringOracle) -> DeadlineOr
         raise PreconditionError("unknown deadline oracle %r" % name)
     return DEADLINE_ORACLES[name](oracle)
 
-
-# ----- Pareto profiles -------------------------------------------------------
-
-def pareto_profiles(metric: Metric, eligible: Dict[int, Fraction], u: int, v: int,
-                    horizon: Fraction) -> Tuple[WalkResult, ...]:
-    """Every non-dominated (duration, reward) pair of the u -> v walks within
-    the horizon, strictly increasing in both, each with a witness walk.
-
-    Exact, by subset DP over the eligible vertices other than u and v, of
-    which there may be at most 16 (desk scale).  The profile is empty when
-    v is unreachable from u within the horizon.  It is the exact method
-    that does not go through the walk down the time grid, so the tests use
-    it as earliest_limits' referee.
-    """
-    cand = sorted(w for w in eligible if w != u and w != v)
-    m = len(cand)
-    if m > 16:
-        raise PreconditionError("pareto_profiles supports at most 16 eligible vertices")
-    direct_order = (u, v) if u != v else (u,)
-    table, scale = _time_units(metric, (horizon,), [u] + cand)
-    limit = _units(horizon, scale)
-    rscale = _reward_scale(eligible.values())
-    gains = [_units(eligible[w], rscale) for w in cand]
-    base_reward = sum(_units(eligible[w], rscale) for w in set(direct_order) if w in eligible)
-
-    # dp[mask][i]: min duration of a walk u -> cand[i] visiting exactly mask
-    dp: List[Dict[int, int]] = [dict() for _ in range(1 << m)]
-    parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(1 << m)]
-    for i, w in enumerate(cand):
-        leg = table[u][w]
-        if leg is not None:
-            dp[1 << i][i] = leg
-            parent[1 << i][i] = None
-    for mask in range(1, 1 << m):
-        for i, ti in sorted(dp[mask].items()):
-            row = table[cand[i]]
-            for j, w in enumerate(cand):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                leg = row[w]
-                if leg is None:
-                    continue
-                t2 = ti + leg
-                nm = mask | bit
-                if j not in dp[nm] or t2 < dp[nm][j]:
-                    dp[nm][j] = t2
-                    parent[nm][j] = i
-
-    raw: List[Tuple[int, int, tuple]] = []
-    direct = table[u][v] if u != v else 0
-    if direct is not None and direct <= limit:
-        raw.append((direct, base_reward, direct_order))
-    for mask in range(1, 1 << m):
-        if not dp[mask]:
-            continue
-        rew = base_reward + sum(gains[i] for i in range(m) if mask & (1 << i))
-        for i, ti in dp[mask].items():
-            tail = table[cand[i]][v]
-            if tail is None:
-                continue
-            total = ti + tail
-            if total > limit:
-                continue
-            seq = []
-            mm, ii = mask, i
-            while ii is not None:
-                seq.append(cand[ii])
-                pi = parent[mm][ii]
-                mm &= ~(1 << ii)
-                ii = pi
-            order = (u,) + tuple(reversed(seq)) + (v,)
-            raw.append((total, rew, order))
-
-    raw.sort(key=lambda e: (e[0], -e[1], e[2]))
-    entries = []
-    best_rew = None
-    for (dur, rew, order) in raw:
-        if best_rew is not None and rew <= best_rew:
-            continue
-        entries.append(WalkResult(order, Fraction(rew, rscale), Fraction(dur, scale)))
-        best_rew = rew
-    return tuple(entries)

@@ -18,7 +18,7 @@ from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE,
                      PreconditionError, TwInstance, brute_force_opt,
                      dyadic_family, dyadic_partition, evaluate_walk,
                      five_split, reduce_deadline_to_tw, run_algorithm,
-                     solve_exact_pareto, solve_free_l_le_2, solve_general,
+                     solve_free_l_le_2, solve_general,
                      solve_integer_endpoints, solve_l_le_2,
                      solve_reward_indexed, solve_time_indexed,
                      three_split_ceil, three_split_floor, window_stats,
@@ -96,8 +96,6 @@ def test_criterion_03_modular_dp_exactness_suite():
             res = solver(x, part, EXACT_ORACLE)
             assert res.claimed == opt, (seed, solver.__name__, res.claimed, opt)
             assert res.walk.feasible and res.walk.reward == opt
-        res = solve_exact_pareto(x, part)
-        assert res.claimed == opt and res.walk.reward == opt, seed
     done()
 
 

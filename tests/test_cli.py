@@ -324,6 +324,17 @@ def test_readme_lists_exactly_the_registered_algorithms():
     assert sorted(set(ALGORITHMS) - names) == []
 
 
+def test_readme_python_session_runs_as_quoted():
+    # a README that imports a removed name fails here, not in a reader's shell
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    session = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", session], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["4 2", "4"]
+
+
 def test_every_deadline_oracle_choice_resolves():
     from orientw.cli import _build_parser
     from orientw.oracles import (DEADLINE_ORACLES, EXACT_ORACLE,

@@ -21,16 +21,17 @@ from hypothesis import strategies as st
 
 import orientw.algorithms as algorithms
 import orientw.modular as modular
-from orientw import (EXACT_DEADLINE, INF, DeadlineQuery, Graph, GraphError, Metric,
-                     ModularBlock, ModularPartition, OracleSpec, OrienteeringOracle,
+from orientw import (EXACT_DEADLINE, EXACT_ORACLE, INF, DeadlineQuery, Graph, GraphError,
+                     Metric, ModularBlock, ModularPartition, OracleSpec, OrienteeringOracle,
                      OrienteeringQuery, TimeWindow, TwInstance, brute_force_opt,
-                     metric_closure, pareto_profiles, reduce_deadline_to_tw, scale_times,
-                     serialize, solve_exact_pareto, solve_free_l_le_2, solve_reward_indexed,
-                     time_reversed, zero_window_dp)
+                     metric_closure, reduce_deadline_to_tw, scale_times, serialize,
+                     solve_free_l_le_2, solve_reward_indexed, time_reversed, zero_window_dp)
 from orientw.generate import gen_modular_instance, gen_ratio2_instance, random_metric
 from orientw.modular import dp_units
 from orientw.oracles import INFEASIBLE_RESULT, WalkResult, exact_deadline, exact_orienteering
 from orientw.rational import floor_log2
+
+from conftest import exact_profile, ref_pareto, ref_reward
 
 DENOMINATORS = (1, 3, 7, 2)  # edge weights such as 1/3, 1/7 and 5/2
 ODD_DENOMINATORS = (11, 13)  # never divide an edge scale built from DENOMINATORS
@@ -63,10 +64,6 @@ def ref_duration(m: Metric, order) -> F:
             return INF
         total += m.d[a][b]
     return total
-
-
-def ref_reward(eligible, order) -> F:
-    return sum((eligible[v] for v in set(order) if v in eligible), F(0))
 
 
 def ref_deadline_reward(m: Metric, eligible, order, t0) -> F:
@@ -146,49 +143,6 @@ def ref_exact_deadline(q: DeadlineQuery) -> WalkResult:
     dfs(u, t0, [], u_credit)
     return WalkResult(best[1], ref_deadline_reward(q.metric, q.eligible, best[1], t0),
                       ref_duration(q.metric, best[1]))
-
-
-def ref_pareto(m: Metric, eligible, u, v, horizon) -> tuple:
-    """The subset DP over Fractions: dp[mask][i] is the shortest walk
-    u -> cand[i] visiting exactly mask, first found on ties."""
-    d = m.d
-    cand = sorted(w for w in eligible if w != u and w != v)
-    k = len(cand)
-    dp = [dict() for _ in range(1 << k)]
-    parent = [dict() for _ in range(1 << k)]
-    for i, w in enumerate(cand):
-        if d[u][w] != INF:
-            dp[1 << i][i], parent[1 << i][i] = d[u][w], None
-    for mask in range(1, 1 << k):
-        for i, ti in sorted(dp[mask].items()):
-            for j, w in enumerate(cand):
-                nm = mask | (1 << j)
-                if nm == mask or d[cand[i]][w] == INF:
-                    continue
-                if j not in dp[nm] or ti + d[cand[i]][w] < dp[nm][j]:
-                    dp[nm][j], parent[nm][j] = ti + d[cand[i]][w], i
-    direct = (u, v) if u != v else (u,)
-    raw = []
-    dur = d[u][v] if u != v else F(0)
-    if dur != INF and dur <= horizon:
-        raw.append((dur, ref_reward(eligible, direct), direct))
-    for mask in range(1, 1 << k):
-        for i, ti in dp[mask].items():
-            if d[cand[i]][v] == INF or ti + d[cand[i]][v] > horizon:
-                continue
-            seq, mm, ii = [], mask, i
-            while ii is not None:
-                seq.append(cand[ii])
-                mm, ii = mm & ~(1 << ii), parent[mm][ii]
-            order = (u,) + tuple(reversed(seq)) + (v,)
-            raw.append((ti + d[cand[i]][v], ref_reward(eligible, order), order))
-    raw.sort(key=lambda e: (e[0], -e[1], e[2]))
-    entries, best = [], None
-    for (dur, rew, order) in raw:
-        if best is None or rew > best:
-            entries.append(WalkResult(order, rew, dur))
-            best = rew
-    return tuple(entries)
 
 
 def assert_integer_table(m: Metric):
@@ -330,7 +284,13 @@ def test_exact_orienteering_and_pareto_match_their_referees(odd, data):
     budget = data.draw(times(odd))
     q = OrienteeringQuery(m, eligible, u, v, budget)
     assert exact_orienteering(q) == ref_exact_orienteering(q)
-    assert pareto_profiles(m, eligible, u, v, budget) == ref_pareto(m, eligible, u, v, budget)
+    # the exact walk-down is the Pareto frontier; witnesses may differ on ties
+    stairs = exact_profile(m, eligible, u, v, budget)
+    assert [(r.duration, r.reward) for r in stairs] == \
+        [(e.duration, e.reward) for e in ref_pareto(m, eligible, u, v, budget)]
+    for r in stairs:
+        assert (r.order[0], r.order[-1]) == (u, v)
+        assert (ref_duration(m, r.order), ref_reward(eligible, r.order)) == (r.duration, r.reward)
 
 
 # ----- floor_log2 on integers ----------------------------------------------------
@@ -443,7 +403,7 @@ def test_free_l2_shifted_versions_solve_exactly_in_units(monkeypatch):
     off_grid = 0
     for (x, part, res) in solved:
         opt = brute_force_opt(x).reward
-        assert res.claimed == res.walk.reward == solve_exact_pareto(x, part).claimed == opt
+        assert res.claimed == res.walk.reward == opt
         off_grid += dp_units(x).tscale > x.metric.scale
     assert off_grid >= 3
 
@@ -463,6 +423,6 @@ def test_ratio_three_halves_oracle_claims_its_ratio_on_thirds():
         units = dp_units(x, alpha, [t for b in part.blocks for t in (b.release, b.deadline)])
         assert (units.tscale, units.rscale) == (3 * x.metric.scale, 6), seed
         opt = brute_force_opt(x).reward
-        assert solve_exact_pareto(x, part).claimed == opt, seed
+        assert solve_reward_indexed(x, part, EXACT_ORACLE).claimed == opt, seed
         res = solve_reward_indexed(x, part, loose)
         assert res.claimed == alpha * opt and res.walk.reward == opt, seed

@@ -12,7 +12,7 @@ import pytest
 
 from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
                      PreconditionError, TwInstance, evaluate_walk, is_finite,
-                     layered_deadline_oracle, run_algorithm, solve_auto)
+                     layered_deadline_oracle, run_algorithm, scale_times, solve_auto)
 from orientw.generate import generate_instance
 
 DENSE = dict(horizon=F(20), l_low=F(8), l_high=F(16))
@@ -77,3 +77,29 @@ def test_auto_scales_on_dense_quarter_grids(n):
     rivals = _rivals(x, GREEDY_ORACLE, layered)
     assert {"l2", "general"} <= set(rivals)
     assert all(rep.walk.reward >= reward for reward in rivals.values()), rivals
+
+
+def _outcome(name: str, x: TwInstance) -> tuple:
+    try:
+        rep = run_algorithm(name, x)
+    except PreconditionError as exc:
+        return ("refused", str(exc))
+    return (rep.walk.reward, rep.bound, rep.version_rewards)
+
+
+@pytest.mark.parametrize("c", [F(3), F(2, 5)], ids=["3", "2/5"])
+def test_scaling_time_leaves_every_outcome_unchanged(c):
+    # windows, budget and distances all scale by c, so every window ratio and
+    # every feasible claim set stays the same; integer-endpoints is left out
+    # because integral endpoints need not stay integral
+    solved = 0
+    for seed in range(30):
+        for mode in ("anchored", "free"):
+            for integral in (True, False):
+                x = generate_instance("random-metric", 7, seed, mode=mode, integral=integral)
+                y = scale_times(x, c)
+                for name in ("l2", "general", "free-l2", "free-general"):
+                    got = _outcome(name, x)
+                    assert _outcome(name, y) == got, (name, seed, mode, integral)
+                    solved += got[0] != "refused"
+    assert solved == 240

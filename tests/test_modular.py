@@ -3,13 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from orientw import (EXACT_ORACLE, InfeasibleInstanceError, ModularBlock,
-                     ModularPartition, OracleSpec, OrienteeringOracle,
+from orientw import (EXACT_DEADLINE, EXACT_ORACLE, InfeasibleInstanceError,
+                     ModularBlock, ModularPartition, OracleSpec, OrienteeringOracle,
                      PreconditionError, TimeWindow, brute_force_opt,
-                     blocks_from_identical_windows, solve_exact_pareto,
-                     solve_reward_indexed, solve_time_indexed, verify_modular)
-from orientw.generate import gen_modular_instance
-from orientw.modular import ensure_reachable_anchors, push_label, require_modular
+                     blocks_from_identical_windows, solve_reward_indexed,
+                     solve_time_indexed, verify_modular, zero_window_dp)
+from orientw.generate import gen_modular_instance, gen_zero_window_instance
+from orientw.modular import (_release_group_solve, ensure_reachable_anchors, push_label,
+                             require_modular)
 from orientw.oracles import exact_orienteering
 
 from conftest import build_instance, line4_instance, window
@@ -85,7 +86,7 @@ def test_all_three_dps_on_the_line():
     x, part = _two_block_line()
     _assert_exact(x, part, solve_time_indexed(x, part, EXACT_ORACLE))
     _assert_exact(x, part, solve_reward_indexed(x, part, EXACT_ORACLE))
-    _assert_exact(x, part, solve_exact_pareto(x, part))
+    _assert_exact(x, part, _release_group_solve(x, EXACT_DEADLINE))
 
 
 def test_all_three_dps_on_seeded_instances():
@@ -96,8 +97,26 @@ def test_all_three_dps_on_seeded_instances():
             res = solver(x, part, EXACT_ORACLE)
             assert res.claimed == opt, (seed, solver.__name__, res.claimed, opt)
             assert res.walk.reward == opt
-        res = solve_exact_pareto(x, part)
+        # member windows equal their block's interval, so the blocks are
+        # release groups too
+        res = _release_group_solve(x, EXACT_DEADLINE)
         assert res.claimed == opt and res.walk.reward == opt
+
+
+def test_exact_dps_agree_past_brute_force_sizes():
+    # 20-30 vertices, too many for brute_force_opt; the time-indexed DP is
+    # the independent exact side
+    compared = 0
+    for seed in range(40):
+        x, part = gen_modular_instance(seed, 20, 30)
+        if max(len(b.members) for b in part.blocks) > 14:
+            continue
+        by_time = solve_time_indexed(x, part, EXACT_ORACLE)
+        by_reward = solve_reward_indexed(x, part, EXACT_ORACLE)
+        assert (by_reward.claimed, by_reward.walk.reward) == \
+            (by_time.claimed, by_time.walk.reward), seed
+        compared += 1
+    assert compared >= 20
 
 
 def test_time_indexed_needs_integral_data():
@@ -218,21 +237,38 @@ def test_empty_partition_walks_straight_through():
     assert res.walk.reward == F(2)
 
 
-def test_exact_pareto_refuses_an_oversized_block_only_once_entered():
+def test_exact_walk_down_solves_a_wide_block_only_once_entered():
     # twenty members, all 10 away from the start anchor and from each other
-    # via the anchors, so every (entry, exit) pair leaves over 16 to search
+    # via the anchors: no size cap stops the exact walk-down
     members = range(1, 21)
     edges = [(0, v, 10) for v in members] + [(v, 21, 10) for v in members] + [(0, 21, 1)]
 
-    def solve(release, deadline):
+    def solve(release, deadline, oracle):
         windows = [(0, 60)] + [(release, deadline)] * 20 + [(0, 60)]
         x = build_instance(22, edges, windows, [0] + [1] * 20 + [0], 0, 21, 60)
-        return solve_exact_pareto(x, blocks_from_identical_windows(x))
+        return solve_reward_indexed(x, blocks_from_identical_windows(x), oracle)
 
-    with pytest.raises(PreconditionError, match="pareto_profiles supports at most 16"):
-        solve(10, 40)
+    # the first member is reached at 10, a second at 30 <= 40, a third at 50 > 40
+    assert solve(10, 40, EXACT_ORACLE).claimed == 2
     # the block closes before any member is reachable, so no label enters it
-    assert solve(0, 5).claimed == 0
+    asked = []
+    counting = OrienteeringOracle(OracleSpec("counting", F(1)),
+                                  lambda q: asked.append(q) or exact_orienteering(q))
+    assert solve(0, 5, counting).claimed == 0
+    assert asked == []
+
+
+def test_zero_window_blocks_never_ask_the_oracle():
+    def refuse(q):
+        raise AssertionError("asked %r" % (q,))
+
+    never = OrienteeringOracle(OracleSpec("never", F(1)), refuse)
+    for seed in range(100):
+        x = gen_zero_window_instance(seed)
+        instants = sorted((x.windows[v].release, v) for v in x.positive_vertices())
+        part = ModularPartition(tuple(ModularBlock(frozenset((v,)), at, at)
+                                      for (at, v) in instants))
+        assert solve_reward_indexed(x, part, never).walk == zero_window_dp(x).walk, seed
 
 
 def test_single_block_is_one_oracle_call_worth():

@@ -10,14 +10,13 @@ from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
                      DeadlineQuery, Graph, OracleSpec, OrienteeringOracle,
                      OrienteeringQuery, PreconditionError,
                      best_deadline_walk, best_orienteering_walk, is_finite,
-                     layered_deadline_oracle, metric_closure, pareto_profiles)
+                     layered_deadline_oracle, metric_closure)
 from orientw.generate import random_metric
 from orientw.oracles import (INFEASIBLE_RESULT, DeadlineOracle, WalkResult, _result_better,
                              earliest_limits)
 
-from conftest import line_metric
-from test_integer_units import (DENOMINATORS, ref_deadline_reward, ref_duration, ref_reward,
-                                rewards, times)
+from conftest import exact_profile, line_metric, ref_pareto, ref_reward
+from test_integer_units import DENOMINATORS, ref_deadline_reward, ref_duration, rewards, times
 
 
 # ----- straight-line enumeration, no pruning, used as the referee -----------------
@@ -297,7 +296,7 @@ def test_earliest_limits_match_a_full_scan_for_orienteering(data):
 
     walked = earliest_limits(probe, F(0), span, m.scale)
     assert walked == _full_scan(probe, F(0), span, m.scale)
-    profile = pareto_profiles(m, eligible, u, v, span)
+    profile = ref_pareto(m, eligible, u, v, span)
     assert [(r.duration, r.reward) for r in walked] == [(e.duration, e.reward) for e in profile]
 
 
@@ -403,7 +402,7 @@ def test_deadline_wrapper_grows_with_the_horizon():
 
 def test_pareto_line4_frozen():
     m = line_metric(4)
-    prof = pareto_profiles(m, {1: F(1), 2: F(1)}, 0, 3, F(10))
+    prof = exact_profile(m, {1: F(1), 2: F(1)}, 0, 3, F(10))
     got = [(e.duration, e.reward) for e in prof]
     assert got == [(F(3), F(2))]
 
@@ -416,8 +415,9 @@ def test_pareto_frontier_is_strictly_monotone():
         eligible = {v: F(rng.randint(1, 3)) for v in range(n) if rng.random() < 0.6}
         u = rng.randrange(n)
         v = rng.randrange(n)
-        prof = pareto_profiles(m, eligible, u, v, F(20))
-        ent = prof
+        ent = exact_profile(m, eligible, u, v, F(20))
+        assert [(e.duration, e.reward) for e in ent] == \
+            [(e.duration, e.reward) for e in ref_pareto(m, eligible, u, v, F(20))]
         for a, b in zip(ent, ent[1:]):
             assert a.duration < b.duration
             assert a.reward < b.reward
@@ -430,8 +430,8 @@ def test_pareto_empty_when_unreachable():
     from orientw import Graph, metric_closure
     g = Graph.build(False, 3, [(0, 1, F(1))])
     m = metric_closure(g)
-    prof = pareto_profiles(m, {1: F(1)}, 0, 2, F(10))
-    assert prof == ()
+    prof = exact_profile(m, {1: F(1)}, 0, 2, F(10))
+    assert prof == []
 
 
 def test_exact_frozen_small_queries():
@@ -472,5 +472,5 @@ def test_deadline_oracle_matches_brute_on_instances():
 
 
 def test_pareto_profile_with_no_eligible_vertices():
-    p = pareto_profiles(line_metric(4), {}, 0, 2, F(5))
+    p = exact_profile(line_metric(4), {}, 0, 2, F(5))
     assert [(e.duration, e.reward) for e in p] == [(F(2), F(0))]

@@ -1,6 +1,7 @@
 """Source checks that need no linter, run over every package module."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,20 @@ def test_only_modular_runs_the_chain_dp():
             offenders += ["%s:%s" % (path.name, name)
                           for name in sorted(_read_names(tree) & {"chain_dp", "dp_units"})]
     assert offenders == []
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    # README promises no runtime dependencies and pyproject lists none
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += ["%s:%s" % (path.name, top) for top in tops
+                        if top not in sys.stdlib_module_names]
+    assert foreign == []

@@ -1,21 +1,23 @@
 """Regression pin for the restricted-version constructions and the exact
-Pareto DP.
+modular DP.
 
 The first digest is the sha256 of every version (label, scale, windows and
 rewards), or the refusal text, that the four constructions build from
 seeded instances: integral, ratio-two and general windows, free ratio-two
 windows, integral windows with some fixed instants mixed in, and fixed
-instants only.  The second is the sha256 of solve_exact_pareto's (claimed,
-reward, schedule, segments) on the seeded modular instances.  A change that
-is meant to move either digest must say why and record the new value.
+instants only.  The second is the sha256 of the exact modular DP's
+(claimed, reward, schedule, segments), solve_reward_indexed on
+EXACT_ORACLE, on the seeded modular instances.  A change that is meant to
+move either digest must say why and record the new value.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from orientw import (FREE, PreconditionError, TimeWindow, dyadic_family, five_split,
-                     restrict, solve_exact_pareto, three_split_ceil, three_split_floor)
+from orientw import (EXACT_ORACLE, FREE, PreconditionError, TimeWindow, dyadic_family,
+                     five_split, restrict, solve_reward_indexed, three_split_ceil,
+                     three_split_floor)
 from orientw.generate import (gen_general_instance, gen_integer_instance,
                               gen_modular_instance, gen_ratio2_instance,
                               gen_zero_window_instance)
@@ -71,7 +73,7 @@ def test_exact_pareto_dp_matches_the_pinned_digest():
     h = hashlib.sha256()
     for seed in range(60):
         x, part = gen_modular_instance(seed)
-        res = solve_exact_pareto(x, part)
+        res = solve_reward_indexed(x, part, EXACT_ORACLE)
         schedule = ";".join("%d@%s%s" % (v, t, "+" if c else "")
                             for (v, t, c) in res.walk.schedule)
         h.update(("%s|%s|%s|%s\n" % (res.claimed, res.walk.reward, schedule,
