@@ -16,6 +16,7 @@ evaluation, not the solvers.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -33,7 +34,12 @@ from .modular import (ModularBlock, ModularPartition, _release_group_solve, asse
                       solve_reward_indexed, verify_modular)
 from .oracles import EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle
 from .rational import (HALF, ONE, ZERO, floor_log2, is_finite, is_integral,
-                       shared_fraction)
+                       shared_fraction, shared_pair)
+
+
+# every live report's walk, mapped to a weak reference to itself: a new
+# report finds the equal walk by value, and an entry leaves with its walk
+_LIVE_WALKS = weakref.WeakKeyDictionary()
 
 
 @dataclass(slots=True)
@@ -50,6 +56,17 @@ class SolveReport:
     walk: WalkSolution
     version_rewards: tuple  # ((label, reward on the original instance), ...)
     bound: Fraction
+
+    def __post_init__(self):
+        # callers keep reports by the thousand: a report holds the live walk
+        # equal to its own when there is one, and shared small pairs
+        ref = _LIVE_WALKS.get(self.walk)
+        live = None if ref is None else ref()
+        if live is None:
+            _LIVE_WALKS[self.walk] = weakref.ref(self.walk)
+        else:
+            self.walk = live
+        self.version_rewards = tuple(shared_pair(label, r) for (label, r) in self.version_rewards)
 
     @property
     def beta(self) -> int:

@@ -118,12 +118,20 @@ class WindowStats:
     d_max: Optional[Fraction]
 
 
+class _WeaklyReferable:
+    """A base that gives slotted dataclasses a weak-reference slot (Python
+    3.10's dataclass has no weakref_slot)."""
+
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(frozen=True, slots=True)
-class WalkSolution:
+class WalkSolution(_WeaklyReferable):
     """A scored walk: schedule of (vertex, time, collected) triples.
 
     Infeasible evaluations come back as a WalkSolution with feasible=False
-    and the reason filled in, rather than as an exception.
+    and the reason filled in, rather than as an exception.  A walk can be
+    weakly referenced, so that equal live walks can share one object.
     """
 
     schedule: tuple

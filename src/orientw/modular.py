@@ -38,7 +38,7 @@ from .instance import ANCHORED, FREE, TwInstance, WalkSolution, evaluate_walk
 from .oracles import (INFEASIBLE_RESULT, DeadlineOracle, DeadlineQuery, OrienteeringOracle,
                       OrienteeringQuery, WalkResult, _result_better, _reward_scale,
                       _time_units, best_deadline_walk, best_orienteering_walk,
-                      earliest_limits)
+                      earliest_limits, exit_staircases)
 from .rational import ONE, ZERO, is_finite, is_integral
 
 
@@ -467,10 +467,12 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
     walks between an entry (u, e) and each exit vertex w.
 
     A pass through a group ends at its last claim, so it ends at w by w's
-    deadline (w = u stays put at e).  Per entry and exit the oracle is
-    walked down the time grid from that bound (earliest_limits), which
-    yields the earliest end of every reward it reaches; the group keeps each
-    staircase for labels that enter at the same (u, e).  With an exact
+    deadline (w = u stays put at e).  An oracle with a staircase search
+    (EXACT_DEADLINE) hands over every exit's staircase of an entry at once,
+    checked by exit_staircases; any other oracle is walked down the time
+    grid from each exit's bound (earliest_limits), which yields the earliest
+    end of every reward it reaches.  The group keeps one move list per
+    entry for the labels that enter at the same (u, e).  With an exact
     oracle these are the Pareto frontier of the passes ending at w, so the
     DP is exact.
     """
@@ -481,23 +483,29 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
     def steps():
         for gi, (rel, members, dmax) in enumerate(groups):
             eligible = {v: (x.rewards[v], x.windows[v].deadline) for v in members}
-            # (u, e, w) -> the staircase's paying steps as moves in units, e
-            # being the entry time in units too
-            stairs: Dict[Tuple[int, int, int], List[tuple]] = {}
+            credit = {v: (units.reward(r), units.time(dl)) for v, (r, dl) in eligible.items()}
+
+            # (u, e) -> every exit's paying steps as moves in units, e being
+            # the entry time in units too
+            stairs: Dict[Tuple[int, int], List[tuple]] = {}
 
             def moves(u, e):
-                for w in members:
-                    if (u, e, w) not in stairs:
-                        t0 = Fraction(e, units.tscale)
-                        stairs[(u, e, w)] = [
-                            (w, units.time(res.duration), units.reward(res.reward), res.order)
-                            for res in earliest_limits(
-                                lambda h: best_deadline_walk(
-                                    deadline_oracle,
-                                    DeadlineQuery(x.metric, eligible, u, t0, w, h)),
-                                t0, t0 if w == u else eligible[w][1], x.metric.scale)
-                            if res.reward > 0]
-                    yield from stairs[(u, e, w)]
+                if (u, e) in stairs:
+                    return stairs[(u, e)]
+                if deadline_oracle.staircases is not None:
+                    found = exit_staircases(deadline_oracle, units.table, credit, u, e)
+                    steps = [(w,) + step for w in members for step in found[w]]
+                else:
+                    t0 = Fraction(e, units.tscale)
+                    steps = [
+                        (w, units.time(res.duration), units.reward(res.reward), res.order)
+                        for w in members
+                        for res in earliest_limits(
+                            lambda h: best_deadline_walk(
+                                deadline_oracle, DeadlineQuery(x.metric, eligible, u, t0, w, h)),
+                            t0, t0 if w == u else eligible[w][1], x.metric.scale)]
+                stairs[(u, e)] = [move for move in steps if move[2] > 0]
+                return stairs[(u, e)]
 
             yield gi, units.time(rel), units.time(dmax), members, moves
 

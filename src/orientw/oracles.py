@@ -7,14 +7,18 @@ contract: the walk has the query's endpoints, fits its time limit, and its
 duration and reward re-evaluate exactly.  The two wrappers enforce it with
 one check in integer units, and the two exact oracles are input builders
 for one branch and bound on integers; they are the default at desk scale.
-That branch and bound is the only exhaustive search in the solvers.  A
-greedy insertion heuristic and a layered deadline heuristic are provided
+A greedy insertion heuristic and a layered deadline heuristic are provided
 as scalable stand-ins with no proven ratio.
 
 earliest_limits walks any oracle down a time grid to the staircase of
 earliest ends per reward it reaches; on an exact oracle that staircase is
 the Pareto frontier of (duration, reward), so the block DPs need no
-profile enumeration of their own.
+profile enumeration of their own.  A deadline oracle may also hand over
+every exit's staircase of a release-group entry at once (exit_staircases,
+checked against the same contract); EXACT_DEADLINE does so with one subset
+DP per entry (exact_staircases) instead of a walk-down per exit.  That DP
+and the branch and bound, which still answers every point query, are the
+exhaustive searches in the solvers.
 """
 
 from __future__ import annotations
@@ -402,8 +406,13 @@ class DeadlineQuery:
 
 @dataclass(frozen=True)
 class DeadlineOracle:
+    """fn answers one deadline query.  staircases, when given, answers every
+    exit of a release-group entry at once (see exit_staircases); without
+    it the release-group DP walks fn down the time grid per exit."""
+
     spec: OracleSpec
     fn: Callable[[DeadlineQuery], WalkResult]
+    staircases: Optional[Callable[..., Dict[int, List[tuple]]]] = None
 
 
 def best_deadline_walk(oracle: DeadlineOracle, q: DeadlineQuery) -> WalkResult:
@@ -430,6 +439,137 @@ def exact_deadline(q: DeadlineQuery) -> WalkResult:
     paid = [u] if u in q.eligible and q.t0 <= q.eligible[u][1] else []
     return _exact_walk(q.metric, q.eligible, u, q.end, q.t0, q.horizon,
                        sorted(w for w in q.eligible if w != u), paid)
+
+
+# ----- release-group exits ---------------------------------------------------
+#
+# A release-group entry leaves u at t0 and may end at any vertex w of its
+# credit map, by w's bound: w's due time, or t0 for the stay-put exit w == u.
+# Every exit's staircase is asked for at once, in the integer units of the
+# caller's DP: table[a][b] is a distance, credit maps v -> (reward, due), and
+# a step is (duration, reward, order), strictly increasing in the first two.
+
+def _exit_bound(credit, u: int, t0: int, w: int) -> int:
+    return t0 if w == u else credit[w][1]
+
+
+def exact_staircases(table, credit, u: int, t0: int) -> Dict[int, List[tuple]]:
+    """Every exit's Pareto staircase from one subset DP, each step with the
+    witness exact_deadline's walk down the grid would keep.
+
+    The DP runs over (credited set, last vertex), starting at u alone, and
+    each state keeps its earliest arrival; on a tie, the smallest tuple of
+    credited visits, which is the branch and bound's ascending-id order.  A
+    visit is kept only when it pays by its due time and some exit can
+    still meet its bound from it.  Exit w reads off the states that credit
+    w: a state that ends with w's visit is the walk that goes on to w and
+    stops (order (u,) + visits), and any other state may return to w by
+    w's due time (order (u,) + visits + (w,)).  The stay-put exit reads off
+    every state that is back at u by t0, and (u,) alone.  Per reward the
+    earliest arrival wins, then the smallest visit tuple.  The walk-down
+    keeps, for each step, the first order in ascending-id order among those
+    with exactly that step's reward and duration, and an earlier arrival at
+    any state would reach that reward sooner, so both keep the same witness.
+    """
+    live = {v: rd for v, rd in credit.items() if rd[1] >= t0}
+    bound = {w: _exit_bound(credit, u, t0, w) for w in credit}
+    exits = [w for w in sorted(credit) if bound[w] >= t0]
+    # per visitable vertex x: its bit, its reward, and the latest arrival
+    # that still pays and still reaches some exit by its bound
+    visitable = []
+    for i, x in enumerate(sorted(v for v in live if v != u)):
+        reach = [bound[w] - table[x][w] for w in exits if table[x][w] is not None]
+        if reach:
+            visitable.append((x, 1 << i, live[x][0], min(live[x][1], max(reach))))
+    # per vertex v, the visits open from it as (latest departure, x, bit,
+    # leg, reward), latest first, so a scan stops at the first one missed
+    hops = {}
+    for v in [u] + [x for (x, _b, _g, _cap) in visitable]:
+        hops[v] = sorted(((cap - table[v][x], x, b, table[v][x], gain)
+                          for (x, b, gain, cap) in visitable
+                          if x != v and table[v][x] is not None and t0 + table[v][x] <= cap),
+                         reverse=True)
+    # per exit: reward -> (arrival, visits), the earliest and then smallest
+    best: Dict[int, Dict[int, tuple]] = {w: {} for w in exits}
+    shift = len(table).bit_length()
+    layer = [(t0, (), live[u][0] if u in live else 0, 0, u)]  # (arrival, visits, reward, set, last)
+    while layer:
+        kept: Dict[int, tuple] = {}
+        for (at, visits, got, mask, v) in layer:
+            row = table[v]
+            # offer every exit the state credits, and u, to which it may return
+            for w in visits + (u,):
+                if w == v:  # the walk stops at w's visit
+                    arrive, walk = at, visits[:-1]
+                elif row[w] is None or at + row[w] > bound[w]:
+                    continue
+                else:
+                    arrive, walk = at + row[w], visits
+                old = best[w].get(got)
+                if old is None or arrive < old[0] or (arrive == old[0] and walk < old[1]):
+                    best[w][got] = (arrive, walk)
+            for (late, x, b, leg, gain) in hops[v]:
+                if at > late:
+                    break
+                if mask & b:
+                    continue
+                key = (mask | b) << shift | x
+                old = kept.get(key)
+                if old is None or at + leg < old[0] or (at + leg == old[0]
+                                                         and visits < old[1][:-1]):
+                    kept[key] = (at + leg, visits + (x,), got + gain, mask | b, x)
+        layer = list(kept.values())
+    out: Dict[int, List[tuple]] = {w: [] for w in credit}
+    for w in exits:
+        for reward in sorted(best[w], reverse=True):
+            at, visits = best[w][reward]
+            if out[w] and at - t0 >= out[w][-1][0]:
+                continue
+            order = (u,) if w == u and not visits else (u,) + visits + (w,)
+            out[w].append((at - t0, reward, order))
+        out[w].reverse()
+    return out
+
+
+def _rewalk(table, credit, order, t0: int) -> tuple:
+    """_evaluate's walk on a table and credit map already in units: (reward,
+    duration) of order leaving order[0] at t0, duration None when some leg
+    is unreachable.  _evaluate converts each visited vertex as it goes,
+    which costs less on the short walks of the point queries."""
+    time, reward, seen, prev = t0, 0, set(), None
+    for v in order:
+        if prev is not None:
+            if table[prev][v] is None:
+                return 0, None
+            time += table[prev][v]
+        prev = v
+        if v in credit and v not in seen and time <= credit[v][1]:
+            seen.add(v)
+            reward += credit[v][0]
+    return reward, time - t0
+
+
+def exit_staircases(oracle: DeadlineOracle, table, credit, u: int,
+                    t0: int) -> Dict[int, List[tuple]]:
+    """Contract wrapper around oracle.staircases: every exit w of credit,
+    u among them, maps to its steps, each re-walked in integer units.  A
+    step must run from u to w, end by w's bound, and re-walk to its
+    duration and reward, or PreconditionError is raised."""
+    name = oracle.spec.name
+    found = oracle.staircases(table, credit, u, t0)
+    out = {}
+    for w in credit:
+        out[w] = found.get(w, [])
+        for (duration, reward, order) in out[w]:
+            if not order or order[0] != u or order[-1] != w:
+                raise PreconditionError("oracle %s returned a walk with wrong endpoints" % name)
+            rewalked, took = _rewalk(table, credit, order, t0)
+            if took != duration or t0 + duration > _exit_bound(credit, u, t0, w):
+                raise PreconditionError("oracle %s misreported its duration or overruns its limit"
+                                        % name)
+            if rewalked != reward:
+                raise PreconditionError("oracle %s misreported its reward" % name)
+    return out
 
 
 def layered_deadline_fn(oracle: OrienteeringOracle):
@@ -466,7 +606,7 @@ def layered_deadline_fn(oracle: OrienteeringOracle):
     return fn
 
 
-EXACT_DEADLINE = DeadlineOracle(OracleSpec("exact", ONE), exact_deadline)
+EXACT_DEADLINE = DeadlineOracle(OracleSpec("exact", ONE), exact_deadline, exact_staircases)
 
 
 def layered_deadline_oracle(oracle: OrienteeringOracle) -> DeadlineOracle:

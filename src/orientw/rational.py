@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 INF = math.inf
 
@@ -42,6 +43,19 @@ def shared_fraction(value: Fraction) -> Fraction:
     if value.denominator == 1 and 0 <= value.numerator < len(_SMALL):
         return _SMALL[value.numerator]
     return value
+
+
+@lru_cache(maxsize=1024)
+def _small_pair(label, numerator: int) -> tuple:
+    return (label, _SMALL[numerator])
+
+
+def shared_pair(label, value: Fraction) -> tuple:
+    """(label, value), one shared pair per label when value is a small
+    nonnegative integer; the table keeps at most 1024 pairs."""
+    if value.denominator == 1 and 0 <= value.numerator < len(_SMALL):
+        return _small_pair(label, value.numerator)
+    return (label, value)
 
 
 def as_fraction(value) -> Fraction:

@@ -1,6 +1,8 @@
+import gc
 import inspect
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -547,3 +549,40 @@ def test_zero_window_skips_a_broken_arc():
                        [0, 1, 1, 0], 0, 3, F(3))
     rep = zero_window_dp(x)
     assert rep.walk.reward == _opt(x) == F(1)
+
+
+# ----- kept reports ---------------------------------------------------------------
+
+def _dense_six():
+    return generate_instance("random-metric", 6, 1, horizon=F(20), l_low=F(8), l_high=F(16))
+
+
+def test_live_reports_share_an_equal_walk_until_released():
+    x = _dense_six()
+    tracked = len(algorithms._LIVE_WALKS)
+    a, b = solve_auto(x), solve_auto(x)
+    assert a.walk is b.walk
+    assert a.version_rewards and all(p is q for p, q in zip(a.version_rewards, b.version_rewards))
+    assert len(algorithms._LIVE_WALKS) == tracked + 1
+    del a, b
+    gc.collect()
+    assert len(algorithms._LIVE_WALKS) == tracked
+
+
+def test_kept_reports_of_one_instance_retain_little_memory():
+    # each kept report holds its own version tuple and nothing else: its walk
+    # (about 0.8 kB of schedule on this instance) and its small
+    # (label, reward) pairs are shared with the first report
+    x = _dense_six()
+    first = solve_auto(x)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = [solve_auto(x) for _ in range(200)]
+        gc.collect()
+        per_report = (tracemalloc.get_traced_memory()[0] - base) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert all(rep.walk is first.walk for rep in kept)
+    assert per_report < 256, per_report

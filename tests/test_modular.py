@@ -3,15 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from orientw import (EXACT_DEADLINE, EXACT_ORACLE, InfeasibleInstanceError,
+import orientw.modular as modular
+import orientw.oracles as oracles
+from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE, InfeasibleInstanceError,
                      ModularBlock, ModularPartition, OracleSpec, OrienteeringOracle,
                      PreconditionError, TimeWindow, brute_force_opt,
-                     blocks_from_identical_windows, solve_reward_indexed,
-                     solve_time_indexed, verify_modular, zero_window_dp)
+                     blocks_from_identical_windows, layered_deadline_oracle,
+                     solve_reward_indexed, solve_time_indexed, verify_modular,
+                     zero_window_dp)
 from orientw.generate import gen_modular_instance, gen_zero_window_instance
 from orientw.modular import (_release_group_solve, ensure_reachable_anchors, push_label,
                              require_modular)
-from orientw.oracles import exact_orienteering
+from orientw.oracles import DeadlineOracle, exact_orienteering, exact_staircases
 
 from conftest import build_instance, line4_instance, window
 
@@ -101,6 +104,60 @@ def test_all_three_dps_on_seeded_instances():
         # release groups too
         res = _release_group_solve(x, EXACT_DEADLINE)
         assert res.claimed == opt and res.walk.reward == opt
+
+
+def test_exact_release_groups_take_every_exit_from_one_search(monkeypatch):
+    # EXACT_DEADLINE's staircase search answers every entry (u, e) at once:
+    # neither its branch and bound nor the walk-down runs, and the DP
+    # returns what the walk-down of the same oracle gives, segment for
+    # segment
+    instances = [gen_modular_instance(seed, n_low=5, n_high=9)[0] for seed in range(12)]
+    walked_down = DeadlineOracle(EXACT_DEADLINE.spec, EXACT_DEADLINE.fn)
+    expected = [_release_group_solve(x, walked_down) for x in instances]
+    calls = []
+
+    def refused(name):
+        def fn(*args):
+            calls.append(name)
+            raise AssertionError(name)
+        return fn
+
+    monkeypatch.setattr(oracles, "_exact_walk", refused("exact_deadline"))
+    monkeypatch.setattr(modular, "earliest_limits", refused("earliest_limits"))
+    assert [_release_group_solve(x, EXACT_DEADLINE) for x in instances] == expected
+    assert calls == []
+
+
+def test_layered_release_groups_still_walk_each_exit_down(monkeypatch):
+    walks = []
+    real = modular.earliest_limits
+
+    def counted(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modular, "earliest_limits", counted)
+    x, _part = _two_block_line()
+    res = _release_group_solve(x, layered_deadline_oracle(GREEDY_ORACLE))
+    assert res.walk.feasible and walks
+
+
+@pytest.mark.parametrize("lie, message", [("duration", "duration"), ("reward", "reward"),
+                                          ("endpoint", "endpoints")])
+def test_a_misreporting_staircase_search_is_refused(lie, message):
+    def lying(table, credit, u, t0):
+        found = exact_staircases(table, credit, u, t0)
+        for w in sorted(found):
+            if w != u and found[w]:
+                d, r, order = found[w][-1]
+                found[w][-1] = {"duration": (d + 1, r, order), "reward": (d, r + 1, order),
+                                "endpoint": (d, r, order[:-1])}[lie]
+        return found
+
+    x, _part = _two_block_line()
+    liar = DeadlineOracle(OracleSpec("liar", F(1)), EXACT_DEADLINE.fn, lying)
+    with pytest.raises(PreconditionError, match="liar .*%s" % message):
+        _release_group_solve(x, liar)
 
 
 def test_exact_dps_agree_past_brute_force_sizes():

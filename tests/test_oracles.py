@@ -13,7 +13,8 @@ from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
                      layered_deadline_oracle, metric_closure)
 from orientw.generate import random_metric
 from orientw.oracles import (INFEASIBLE_RESULT, DeadlineOracle, WalkResult, _result_better,
-                             earliest_limits)
+                             _reward_scale, _time_units, _units, earliest_limits,
+                             exit_staircases)
 
 from conftest import exact_profile, line_metric, ref_pareto, ref_reward
 from test_integer_units import DENOMINATORS, ref_deadline_reward, ref_duration, rewards, times
@@ -474,3 +475,79 @@ def test_deadline_oracle_matches_brute_on_instances():
 def test_pareto_profile_with_no_eligible_vertices():
     p = exact_profile(line_metric(4), {}, 0, 2, F(5))
     assert [(e.duration, e.reward) for e in p] == [(F(2), F(0))]
+
+
+# ----- every exit of a release-group entry at once ------------------------------
+
+def _exit_query(rng, n, k, directed, quarter, spread):
+    """A release-group entry: k members of an n-vertex metric, each with a
+    reward and a due time around the entry time t0, and an entry vertex u
+    among them.  Directed graphs drop about 30% of their arcs, so some legs
+    are unreachable.  Below 10 members some edges have length 0, so a walk
+    can leave u and be back by t0."""
+    lo = 1 if k >= 10 else 0
+    edges = []
+    for a in range(n):
+        for b in range(n):
+            if a == b or (not directed and a > b) or (directed and rng.random() < 0.3):
+                continue
+            edges.append((a, b, F(rng.randint(3 * lo, 12), 4) if quarter else F(rng.randint(lo, 4))))
+    m = metric_closure(Graph.build(directed, n, edges))
+    members = sorted(rng.sample(range(n), k))
+    t0 = F(rng.randint(0, 12), 4 if quarter else 1)
+    eligible = {v: (F(rng.randint(1, 3), rng.choice([1, 1, 2, 3])),
+                    max(F(0), t0 + F(rng.randint(-3, spread), 4 if quarter else 1)))
+                for v in members}
+    return m, eligible, rng.choice(members), t0
+
+
+def _exits_in_units(m, eligible, u, t0):
+    """exit_staircases(EXACT_DEADLINE, ...) on the query, and every exit's
+    walk-down of best_deadline_walk(EXACT_DEADLINE, ...) in the same units."""
+    table, scale = _time_units(m, [t0] + [dl for (_r, dl) in eligible.values()], range(m.n))
+    rscale = _reward_scale(r for (r, _dl) in eligible.values())
+    credit = {v: (_units(r, rscale), _units(dl, scale)) for v, (r, dl) in eligible.items()}
+    found = exit_staircases(EXACT_DEADLINE, table, credit, u, _units(t0, scale))
+    walked = {}
+    for w, (_r, dl) in eligible.items():
+        walked[w] = [(_units(res.duration, scale), _units(res.reward, rscale), res.order)
+                     for res in earliest_limits(
+                         lambda h: best_deadline_walk(
+                             EXACT_DEADLINE, DeadlineQuery(m, eligible, u, t0, w, h)),
+                         t0, t0 if w == u else dl, m.scale)]
+    return found, walked, table
+
+
+def test_exit_staircases_equal_the_walk_down_of_every_exit():
+    # orders included.  An exit credited earlier in the walk shows as w
+    # inside the order; an order that ends w, w is never kept, since
+    # stopping at w's first visit ties it with fewer visits
+    rng = random.Random(12)
+    seen = set()
+    queries = []
+    for trial in range(400):
+        n = rng.randint(2, 8)
+        queries.append(_exit_query(rng, n, rng.randint(1, n), rng.random() < 0.4,
+                                   trial % 2 == 1, 14))
+    # past brute-force size: 10 to 14 members, deadlines close enough to t0
+    # that the walk-down stays quick
+    for trial in range(10):
+        k = 10 + trial % 5
+        queries.append(_exit_query(rng, k + 1, k, False, trial % 2 == 1, 12))
+    for (m, eligible, u, t0) in queries:
+        found, walked, table = _exits_in_units(m, eligible, u, t0)
+        assert found == walked, (u, t0, eligible)
+        if len(eligible) >= 10:
+            seen.add("10-14 members")
+        if t0.denominator > 1:
+            seen.add("quarter-grid entry")
+        if any(table[a][b] is None for a in eligible for b in eligible):
+            seen.add("unreachable leg")
+        if any(dl < t0 for (_r, dl) in eligible.values()):
+            seen.add("exit due before t0")
+        if any(len(order) > 1 for (_d, _r, order) in found[u]):
+            seen.add("stay-put exit that visits")
+        if any(w in order[1:-1] for w in found if w != u for (_d, _r, order) in found[w]):
+            seen.add("exit credited earlier")
+    assert seen == {"10-14 members", "quarter-grid entry", "unreachable leg", "exit due before t0",
+                    "stay-put exit that visits", "exit credited earlier"}
