@@ -152,9 +152,9 @@ def zero_window_dp(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     zero-length windows: each must be hit at one fixed instant, so feasible
     claim sets are chains in a DAG ordered by time.  Every vertex is a
     one-member block at its instant, in (instant, id) order, and the
-    reward-indexed DP on the exact oracle solves those blocks exactly
-    without asking it: a block's only walk stays at its member, which the
-    oracle contract answers from the base walk."""
+    reward-indexed DP on the exact oracle solves those blocks exactly: a
+    block's only walk stays at its member, the one walk its staircase
+    search starts from."""
     _require_wait(x)
     zero, pos = _length_split(x)
     if pos:

@@ -14,7 +14,9 @@ walks each block offers:
 Both take a point-to-point orienteering oracle and inherit its ratio;
 each block keeps its own oracle answers, so none outlives the block.  With
 EXACT_ORACLE (ratio 1) either DP is exact, so the exact modular DP is
-solve_reward_indexed on that oracle and needs no search of its own.
+solve_reward_indexed on that oracle: each block entry takes every exit's
+staircase from the oracle's one search (exit_staircases) and asks no point
+query.
 
 The release-group DP (_release_group_solve) feeds chain_dp the same way,
 with groups of windows that share a release as its blocks and a deadline
@@ -392,14 +394,15 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
     """Chain DP whose block walks are the earliest completion of every
     reward the oracle reaches.
 
-    Per block and (entry, exit) the oracle is walked down the block's time
-    grid once (earliest_limits), one query per answer, the first time a
-    label enters at that entry, and the staircase is kept for the block's
-    later entries; each entry is offered every step that still ends by the
-    block deadline.  No reward grid is involved, so rational data needs no
-    scaling and the cost does not grow with reward precision.  With an
-    exact oracle the answers are the block's Pareto frontier, which makes
-    the DP exact.
+    The first time a label enters a block at u, every exit's staircase is
+    built and kept for the block's later entries at u, each of which is
+    offered every step that still ends by the block deadline.  An oracle
+    with a staircase search (EXACT_ORACLE) hands them over at once, checked
+    by exit_staircases; any other is walked down the block's time grid per
+    exit (earliest_limits), one query per answer.  No reward grid is
+    involved, so rational data needs no scaling and the cost does not grow
+    with reward precision.  With an exact oracle the staircases are the
+    block's Pareto frontier, which makes the DP exact.
 
     With a ratio-a oracle each answer is claimed at a times its reward.  For
     any budget b the staircase holds an answer that ends by b and earns at
@@ -415,28 +418,29 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
 
     def steps():
         for bi, b, eligible, ids in _eligible_blocks(x, part):
-            span = b.deadline - b.release
-            deadline = units.time(b.deadline)
-            # (u, w) -> the staircase as moves in units, gains claimed at alpha
-            stairs: Dict[Tuple[int, int], List[tuple]] = {}
+            release, deadline = units.time(b.release), units.time(b.deadline)
+            credit = {v: (units.reward(r), deadline - release) for v, r in eligible.items()}
+            # u -> every exit's staircase as moves in units, gains claimed at alpha
+            stairs: Dict[int, List[tuple]] = {}
+
+            def staircases(u):
+                if oracle.staircases is not None:
+                    found = exit_staircases(oracle, units.table, credit, u, 0)
+                    # a reward in units is a multiple of alpha's denominator
+                    return [(w, d, r * alpha.numerator // alpha.denominator, order)
+                            for w in ids for (d, r, order) in found[w]]
+                return [(w, units.time(res.duration), units.reward(res.reward * alpha), res.order)
+                        for w in ids for res in earliest_limits(
+                            lambda budget: best_orienteering_walk(
+                                oracle, OrienteeringQuery(x.metric, eligible, u, w, budget)),
+                            ZERO, b.deadline - b.release, x.metric.scale)]
 
             def moves(u, e):
-                cap = deadline - e
-                for w in ids:
-                    if (u, w) not in stairs:
-                        stairs[(u, w)] = [
-                            (w, units.time(res.duration), units.reward(res.reward * alpha),
-                             res.order)
-                            for res in earliest_limits(
-                                lambda budget: best_orienteering_walk(
-                                    oracle, OrienteeringQuery(x.metric, eligible, u, w, budget)),
-                                ZERO, span, x.metric.scale)]
-                    for move in stairs[(u, w)]:
-                        if move[1] > cap:
-                            break
-                        yield move
+                if u not in stairs:
+                    stairs[u] = staircases(u)
+                return [move for move in stairs[u] if e + move[1] <= deadline]
 
-            yield bi, units.time(b.release), deadline, ids, moves
+            yield bi, release, deadline, ids, moves
 
     return chain_dp(x, units, steps())
 

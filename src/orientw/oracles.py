@@ -5,26 +5,24 @@ possible within a travel budget, no windows) and deadline walks (every
 credited visit must happen by that vertex's deadline).  Both share one
 contract: the walk has the query's endpoints, fits its time limit, and its
 duration and reward re-evaluate exactly.  The two wrappers enforce it with
-one check in integer units, and the two exact oracles are input builders
-for one branch and bound on integers; they are the default at desk scale.
-A greedy insertion heuristic and a layered deadline heuristic are provided
-as scalable stand-ins with no proven ratio.
+one check in integer units.  The exact oracles, the default at desk scale,
+read every answer off one subset DP on integers (exact_staircases), the
+only exhaustive search in the solvers.  A greedy insertion heuristic and a
+layered deadline heuristic are provided as scalable stand-ins with no
+proven ratio.
 
-earliest_limits walks any oracle down a time grid to the staircase of
-earliest ends per reward it reaches; on an exact oracle that staircase is
-the Pareto frontier of (duration, reward), so the block DPs need no
-profile enumeration of their own.  A deadline oracle may also hand over
-every exit's staircase of a release-group entry at once (exit_staircases,
-checked against the same contract); EXACT_DEADLINE does so with one subset
-DP per entry (exact_staircases) instead of a walk-down per exit.  That DP
-and the branch and bound, which still answers every point query, are the
-exhaustive searches in the solvers.
+Either oracle may hand over every exit's staircase of a block or
+release-group entry at once (exit_staircases, checked against the same
+contract); both exact oracles do so with one search per entry.  For any
+other oracle earliest_limits walks the point queries down a time grid to
+the staircase of earliest ends per reward it reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -116,9 +114,27 @@ def _reward_scale(rewards) -> int:
     return lcm(*(r.denominator for r in rewards))
 
 
+def _rewalk(table, credit, order, t0: int) -> tuple:
+    """(reward, duration) of the walk order leaving order[0] at t0, on a
+    table and credit map in units; duration is None when some leg is
+    unreachable."""
+    time, reward, seen, prev = t0, 0, set(), None
+    for v in order:
+        if prev is not None:
+            if table[prev][v] is None:
+                return 0, None
+            time += table[prev][v]
+        prev = v
+        if v in credit and v not in seen and time <= credit[v][1]:
+            seen.add(v)
+            reward += credit[v][0]
+    return reward, time - t0
+
+
 def _evaluate(metric: Metric, credit, order, t0: Fraction) -> tuple:
-    """(reward, duration) of the walk order leaving order[0] at t0; duration
-    is None when some leg is unreachable."""
+    """_rewalk on Fractions.  Only the visited vertices are converted, as
+    the walk meets them, which costs less on the short walks of the checked
+    point queries."""
     paid = [credit[v] for v in order if v in credit]
     table, scale = _time_units(metric, [t0] + [dl for (_r, dl) in paid], order[:-1])
     rscale = _reward_scale([r for (r, _dl) in paid])
@@ -148,6 +164,21 @@ def _base_walk(metric: Metric, credit, u: int, end: Optional[int], t0: Fraction,
     return WalkResult(order, reward, duration)
 
 
+def _require_honest(name: str, order, u: int, end: Optional[int], claimed: tuple, rewalk,
+                    t0, limit):
+    """Raise PreconditionError unless order runs from u to end (to any
+    vertex when end is None) and rewalk(order) gives the claimed (reward,
+    duration), ending by limit."""
+    if not order or order[0] != u or (end is not None and order[-1] != end):
+        raise PreconditionError("oracle %s returned a walk with wrong endpoints" % name)
+    reward, duration = rewalk(order)
+    if duration != claimed[1] or t0 + duration > limit:
+        raise PreconditionError("oracle %s misreported its duration or overruns its limit"
+                                % name)
+    if reward != claimed[0]:
+        raise PreconditionError("oracle %s misreported its reward" % name)
+
+
 def _checked(name: str, ask: Callable[[], WalkResult], metric: Metric, credit, u: int,
              end: Optional[int], t0: Fraction, limit: Fraction) -> WalkResult:
     """The contract both wrappers enforce.
@@ -167,87 +198,158 @@ def _checked(name: str, ask: Callable[[], WalkResult], metric: Metric, credit, u
     res = ask()
     if not res.feasible or res == base:
         return base
-    if res.order[0] != u or (end is not None and res.order[-1] != end):
-        raise PreconditionError("oracle %s returned a walk with wrong endpoints" % name)
-    reward, duration = _evaluate(metric, credit, res.order, t0)
-    if duration != res.duration or t0 + duration > limit:
-        raise PreconditionError("oracle %s misreported its duration or overruns its limit"
-                                % name)
-    if reward != res.reward:
-        raise PreconditionError("oracle %s misreported its reward" % name)
+    _require_honest(name, res.order, u, end, (res.reward, res.duration),
+                    lambda order: _evaluate(metric, credit, order, t0), t0, limit)
     return base if _result_better(base, res) else res
 
 
-def _exact_walk(metric: Metric, credit, u: int, end: Optional[int], t0: Fraction,
-                limit: Fraction, pool: List[int], paid) -> WalkResult:
-    """Branch and bound behind both exact oracles.
+# ----- the exact search ------------------------------------------------------
+#
+# Both exact oracles read every answer off one subset DP in integer units:
+# table[a][b] is a distance, credit maps v -> (reward, due), the walk leaves
+# u at t0, and exits maps each vertex the walk may end at (None: anywhere)
+# to its bound, the latest time the walk may end there.  A step is
+# (duration, reward, order), and each exit's steps are strictly increasing
+# in the first two.
 
-    pool lists, in ascending id, the vertices the search may visit; paid
-    lists the vertices outside it that every fitting walk is credited for.
-    An end anchor in the pool pays only when the walk's final arrival there
-    is a first visit by its due time; its full reward keeps the prune bound
-    admissible while it is unvisited.  Pruning is admissible and updates are
-    strict, so the first optimum found in ascending-id order is returned.
+def _entry_exits(credit, u: int, t0: int, closed: bool) -> Dict[int, int]:
+    """The exits of a block or release-group entry: every vertex of credit,
+    bounded by its due.  u's exit is a tour back to u by u's due when
+    closed (a block), else the walk stays put at u by t0 (a release group)."""
+    return {w: due if closed or w != u else t0 for w, (_r, due) in credit.items()}
+
+
+def exact_staircases(table, credit, u: int, t0: int, exits=None,
+                     revisit: bool = True) -> Dict[Optional[int], List[tuple]]:
+    """Every exit's Pareto staircase from one subset DP, each step's
+    witness the smallest order among the walks that earn its reward soonest.
+
+    With revisit a walk may credit an exit before its final arrival there
+    (deadline walks); without it no walk passes an exit before it ends
+    there (orienteering).  exits defaults to a release-group entry's with
+    revisit, and to a block entry's without.
+
+    The DP runs over (credited set, last vertex), starting at u alone, and
+    each state keeps its earliest arrival; on a tie, the smallest tuple of
+    credited visits.  A visit is kept only when it pays by its due time and
+    some exit can still meet its bound from it; without revisit, some exit
+    other than the visited vertex.  An exit the walk credits on the way
+    reads off the states that hold it: the walk stops at its visit, or,
+    with revisit, comes back to it later.  Every other exit reads off each
+    state that does not hold it with one last leg, paid when it arrives by
+    the exit's due; a free end, and u before the walk leaves it, need no
+    leg.  Per exit and reward the earliest end wins, then the smallest
+    order.  A winning walk is built from kept states only: an earlier
+    arrival at any of its states would end it sooner, and a smaller visit
+    tuple there would make its order smaller.
     """
-    if not pool:
-        return _base_walk(metric, credit, u, end, t0, limit)
+    if exits is None:
+        exits = _entry_exits(credit, u, t0, not revisit)
+    ends = {w: bound for w, bound in exits.items() if bound >= t0}
+    live = {v: rd for v, rd in credit.items() if rd[1] >= t0}
+    # per visitable vertex x: its bit, its reward, and the latest arrival
+    # that still pays and still reaches some exit by its bound
+    visitable = []
+    for i, x in enumerate(sorted(v for v in live if v != u)):
+        reach = {w: bound if w is None else bound - table[x][w]
+                 for w, bound in ends.items() if w is None or table[x][w] is not None}
+        if reach and (revisit or set(reach) - {x}):
+            visitable.append((x, 1 << i, live[x][0], min(live[x][1], max(reach.values()))))
+    bit = {x: b for (x, b, _g, _cap) in visitable}
+    # exits the states hold are read from them; the others as (exit, bound,
+    # bit or 0, reward paid on a final arrival by due, due)
+    held = {w for w in ends if w in bit}
+    finals = []
+    for w, bound in ends.items():
+        gain, due = live[w] if w in live and w != u else (0, bound)
+        if w not in bit or due < bound:
+            finals.append((w, bound, bit.get(w, 0), gain, due))
+    # per vertex v, the visits open from it as (latest departure, x, bit,
+    # leg, reward), latest first, so a scan stops at the first one missed
+    hops = {}
+    for v in [u] + [x for (x, _b, _g, _cap) in visitable]:
+        hops[v] = sorted(((cap - table[v][x], x, b, table[v][x], gain)
+                          for (x, b, gain, cap) in visitable
+                          if x != v and table[v][x] is not None and t0 + table[v][x] <= cap),
+                         reverse=True)
+    # per exit: reward -> (end time, order after u), the earliest and then
+    # smallest; an order is built only when it may win
+    best: Dict[Optional[int], Dict[int, tuple]] = {w: {} for w in ends}
+
+    def offer(w, reward, end, visits, tail=()):
+        old = best[w].get(reward)
+        if old is None or end < old[0] or (end == old[0] and visits + tail < old[1]):
+            best[w][reward] = (end, visits + tail)
+
+    shift = len(table).bit_length()
+    layer = [(t0, (), live[u][0] if u in live else 0, 0, u)]  # (arrival, visits, reward, set, last)
+    while layer:
+        kept: Dict[int, tuple] = {}
+        for (at, visits, got, mask, v) in layer:
+            row = table[v]
+            for w in visits if revisit else visits[-1:]:
+                if w not in held:
+                    continue
+                if w == v:  # the walk stops at w's visit
+                    offer(w, got, at, visits)
+                elif row[w] is not None and at + row[w] <= ends[w]:
+                    offer(w, got, at + row[w], visits, (w,))
+            for (w, bound, b, gain, due) in finals:
+                if mask & b:
+                    continue
+                if w is None or w == v:
+                    offer(w, got, at, visits)
+                elif row[w] is not None and at + row[w] <= bound:
+                    end = at + row[w]
+                    offer(w, got + gain if end <= due else got, end, visits, (w,))
+            for (late, x, b, leg, gain) in hops[v]:
+                if at > late:
+                    break
+                if mask & b:
+                    continue
+                key = (mask | b) << shift | x
+                old = kept.get(key)
+                if old is None or at + leg < old[0] or (at + leg == old[0]
+                                                         and visits < old[1][:-1]):
+                    kept[key] = (at + leg, visits + (x,), got + gain, mask | b, x)
+        layer = list(kept.values())
+    out: Dict[Optional[int], List[tuple]] = {w: [] for w in exits}
+    for w in ends:
+        for reward in sorted(best[w], reverse=True):
+            end, order = best[w][reward]
+            if out[w] and end - t0 >= out[w][-1][0]:
+                continue
+            out[w].append((end - t0, reward, (u,) + order))
+        out[w].reverse()
+    return out
+
+
+def _exact_point(metric: Metric, credit, u: int, end: Optional[int], t0: Fraction,
+                 limit: Fraction, revisit: bool) -> WalkResult:
+    """A point query read off the search: the top step of its one exit's
+    staircase, which is the optimal walk that ends soonest and, on a tie,
+    has the smallest order (the ranking of _result_better)."""
     table, scale = _time_units(metric, [t0, limit] + [dl for (_r, dl) in credit.values()],
-                               [u] + pool)
+                               [u] + list(credit))
     rscale = _reward_scale(r for (r, _dl) in credit.values())
-    gain = {w: _units(r, rscale) for w, (r, _dl) in credit.items()}
-    due = {w: _units(dl, scale) for w, (_r, dl) in credit.items()}
-    start, limit = _units(t0, scale), _units(limit, scale)
-    home = {w: 0 if end is None else table[w][end] for w in [u] + pool}
-    if home[u] is None or start + home[u] > limit:
+    units = {w: (_units(r, rscale), _units(dl, scale)) for w, (r, dl) in credit.items()}
+    steps = exact_staircases(table, units, u, _units(t0, scale), {end: _units(limit, scale)},
+                             revisit)[end]
+    if not steps:
         return INFEASIBLE_RESULT
-    bonus = gain[end] if end in pool else 0
-
-    def end_credit(w: int, tw: int, used) -> int:
-        if bonus and end not in used and tw + home[w] <= due[end]:
-            return bonus
-        return 0
-
-    base = sum(gain[w] for w in paid)
-    tail = () if end is None else (end,)
-    best = [base + end_credit(u, start, ()), (u,) if end is None or end == u else (u, end)]
-
-    def dfs(cur: int, time: int, used: List[int], acc: int):
-        row = table[cur]
-        avail = []
-        for w in pool:
-            if w in used:
-                continue
-            leg, back = row[w], home[w]
-            if leg is None or back is None:
-                continue
-            t2 = time + leg
-            if t2 <= due[w] and t2 + back <= limit:
-                avail.append((w, t2))
-        bound = acc + sum(gain[w] for (w, _t) in avail)
-        if bonus and end not in used:
-            bound += bonus
-        if bound <= best[0]:
-            return
-        for (w, t2) in avail:
-            acc2 = acc + gain[w]
-            used.append(w)
-            score = acc2 + end_credit(w, t2, used)
-            if score > best[0]:
-                best[0] = score
-                best[1] = (u,) + tuple(used) + tail
-            dfs(w, t2, used, acc2)
-            used.pop()
-
-    dfs(u, start, [], base)
-    order = best[1]
-    duration = sum(table[a][b] for a, b in zip(order, order[1:]))
-    return WalkResult(order, Fraction(best[0], rscale), Fraction(duration, scale))
+    duration, reward, order = steps[-1]
+    return WalkResult(order, Fraction(reward, rscale), Fraction(duration, scale))
 
 
 @dataclass(frozen=True)
 class OrienteeringOracle:
+    """fn answers one orienteering query.  staircases, when given, answers
+    every exit of a block entry at once (see exit_staircases); without it
+    the block DP walks fn down the time grid per exit."""
+
     spec: OracleSpec
     fn: Callable[[OrienteeringQuery], WalkResult]
+    staircases: Optional[Callable[..., Dict[int, List[tuple]]]] = None
 
 
 def best_orienteering_walk(oracle: OrienteeringOracle, q: OrienteeringQuery) -> WalkResult:
@@ -261,18 +363,14 @@ def best_orienteering_walk(oracle: OrienteeringOracle, q: OrienteeringQuery) -> 
 
 
 def exact_orienteering(q: OrienteeringQuery) -> WalkResult:
-    """Exact branch and bound over ordered subsets of eligible vertices.
+    """Exact orienteering, read off the subset DP with v as the one exit.
 
-    v stays out of the search pool and every due is the budget, so u's and
-    v's rewards are paid up front.  The first optimum found in ascending-id
-    order is the lexicographically smallest one.  Intended for roughly a
-    dozen eligible vertices.
+    Every due is the budget and no walk passes v before it ends there.  Of
+    the optimal walks the one that ends soonest is returned, then the
+    smallest order.  Intended for roughly a dozen eligible vertices.
     """
-    u, v = q.u, q.v
     credit = {w: (r, q.budget) for w, r in q.eligible.items()}
-    return _exact_walk(q.metric, credit, u, v, ZERO, q.budget,
-                       sorted(w for w in credit if w != u and w != v),
-                       [w for w in {u, v} if w in credit])
+    return _exact_point(q.metric, credit, q.u, q.v, ZERO, q.budget, False)
 
 
 def greedy_orienteering(q: OrienteeringQuery) -> WalkResult:
@@ -333,7 +431,8 @@ def _ratio_better(r1: Fraction, d1: Fraction, r2: Fraction, d2: Fraction) -> boo
     return r1 * d2 > r2 * d1
 
 
-EXACT_ORACLE = OrienteeringOracle(OracleSpec("exact", ONE), exact_orienteering)
+EXACT_ORACLE = OrienteeringOracle(OracleSpec("exact", ONE), exact_orienteering,
+                                  partial(exact_staircases, revisit=False))
 GREEDY_ORACLE = OrienteeringOracle(OracleSpec("greedy", ONE, guaranteed=False), greedy_orienteering)
 
 ORIENTEERING_ORACLES = {"exact": EXACT_ORACLE, "greedy": GREEDY_ORACLE}
@@ -429,146 +528,39 @@ def best_deadline_walk(oracle: DeadlineOracle, q: DeadlineQuery) -> WalkResult:
 
 
 def exact_deadline(q: DeadlineQuery) -> WalkResult:
-    """Exact branch and bound for deadline walks.
+    """Exact deadline walk, read off the subset DP with the end anchor (or a
+    free end) as the one exit.
 
     The end anchor may pay off as an early interior visit too (hit its
-    deadline, wander, come back), so it stays in the search pool.  Every
-    candidate order is scored as it is extended.
+    deadline, wander, come back).  Of the optimal walks the one that ends
+    soonest is returned, then the smallest order.
     """
-    u = q.u
-    paid = [u] if u in q.eligible and q.t0 <= q.eligible[u][1] else []
-    return _exact_walk(q.metric, q.eligible, u, q.end, q.t0, q.horizon,
-                       sorted(w for w in q.eligible if w != u), paid)
+    return _exact_point(q.metric, q.eligible, q.u, q.end, q.t0, q.horizon, True)
 
 
-# ----- release-group exits ---------------------------------------------------
+# ----- block and release-group exits ------------------------------------------
 #
-# A release-group entry leaves u at t0 and may end at any vertex w of its
-# credit map, by w's bound: w's due time, or t0 for the stay-put exit w == u.
-# Every exit's staircase is asked for at once, in the integer units of the
-# caller's DP: table[a][b] is a distance, credit maps v -> (reward, due), and
-# a step is (duration, reward, order), strictly increasing in the first two.
+# A block or release-group entry leaves u at t0 and may end at any vertex of
+# its credit map (_entry_exits gives the bounds).  Every exit's staircase is
+# asked for at once, in the integer units of the caller's DP.
 
-def _exit_bound(credit, u: int, t0: int, w: int) -> int:
-    return t0 if w == u else credit[w][1]
-
-
-def exact_staircases(table, credit, u: int, t0: int) -> Dict[int, List[tuple]]:
-    """Every exit's Pareto staircase from one subset DP, each step with the
-    witness exact_deadline's walk down the grid would keep.
-
-    The DP runs over (credited set, last vertex), starting at u alone, and
-    each state keeps its earliest arrival; on a tie, the smallest tuple of
-    credited visits, which is the branch and bound's ascending-id order.  A
-    visit is kept only when it pays by its due time and some exit can
-    still meet its bound from it.  Exit w reads off the states that credit
-    w: a state that ends with w's visit is the walk that goes on to w and
-    stops (order (u,) + visits), and any other state may return to w by
-    w's due time (order (u,) + visits + (w,)).  The stay-put exit reads off
-    every state that is back at u by t0, and (u,) alone.  Per reward the
-    earliest arrival wins, then the smallest visit tuple.  The walk-down
-    keeps, for each step, the first order in ascending-id order among those
-    with exactly that step's reward and duration, and an earlier arrival at
-    any state would reach that reward sooner, so both keep the same witness.
-    """
-    live = {v: rd for v, rd in credit.items() if rd[1] >= t0}
-    bound = {w: _exit_bound(credit, u, t0, w) for w in credit}
-    exits = [w for w in sorted(credit) if bound[w] >= t0]
-    # per visitable vertex x: its bit, its reward, and the latest arrival
-    # that still pays and still reaches some exit by its bound
-    visitable = []
-    for i, x in enumerate(sorted(v for v in live if v != u)):
-        reach = [bound[w] - table[x][w] for w in exits if table[x][w] is not None]
-        if reach:
-            visitable.append((x, 1 << i, live[x][0], min(live[x][1], max(reach))))
-    # per vertex v, the visits open from it as (latest departure, x, bit,
-    # leg, reward), latest first, so a scan stops at the first one missed
-    hops = {}
-    for v in [u] + [x for (x, _b, _g, _cap) in visitable]:
-        hops[v] = sorted(((cap - table[v][x], x, b, table[v][x], gain)
-                          for (x, b, gain, cap) in visitable
-                          if x != v and table[v][x] is not None and t0 + table[v][x] <= cap),
-                         reverse=True)
-    # per exit: reward -> (arrival, visits), the earliest and then smallest
-    best: Dict[int, Dict[int, tuple]] = {w: {} for w in exits}
-    shift = len(table).bit_length()
-    layer = [(t0, (), live[u][0] if u in live else 0, 0, u)]  # (arrival, visits, reward, set, last)
-    while layer:
-        kept: Dict[int, tuple] = {}
-        for (at, visits, got, mask, v) in layer:
-            row = table[v]
-            # offer every exit the state credits, and u, to which it may return
-            for w in visits + (u,):
-                if w == v:  # the walk stops at w's visit
-                    arrive, walk = at, visits[:-1]
-                elif row[w] is None or at + row[w] > bound[w]:
-                    continue
-                else:
-                    arrive, walk = at + row[w], visits
-                old = best[w].get(got)
-                if old is None or arrive < old[0] or (arrive == old[0] and walk < old[1]):
-                    best[w][got] = (arrive, walk)
-            for (late, x, b, leg, gain) in hops[v]:
-                if at > late:
-                    break
-                if mask & b:
-                    continue
-                key = (mask | b) << shift | x
-                old = kept.get(key)
-                if old is None or at + leg < old[0] or (at + leg == old[0]
-                                                         and visits < old[1][:-1]):
-                    kept[key] = (at + leg, visits + (x,), got + gain, mask | b, x)
-        layer = list(kept.values())
-    out: Dict[int, List[tuple]] = {w: [] for w in credit}
-    for w in exits:
-        for reward in sorted(best[w], reverse=True):
-            at, visits = best[w][reward]
-            if out[w] and at - t0 >= out[w][-1][0]:
-                continue
-            order = (u,) if w == u and not visits else (u,) + visits + (w,)
-            out[w].append((at - t0, reward, order))
-        out[w].reverse()
-    return out
-
-
-def _rewalk(table, credit, order, t0: int) -> tuple:
-    """_evaluate's walk on a table and credit map already in units: (reward,
-    duration) of order leaving order[0] at t0, duration None when some leg
-    is unreachable.  _evaluate converts each visited vertex as it goes,
-    which costs less on the short walks of the point queries."""
-    time, reward, seen, prev = t0, 0, set(), None
-    for v in order:
-        if prev is not None:
-            if table[prev][v] is None:
-                return 0, None
-            time += table[prev][v]
-        prev = v
-        if v in credit and v not in seen and time <= credit[v][1]:
-            seen.add(v)
-            reward += credit[v][0]
-    return reward, time - t0
-
-
-def exit_staircases(oracle: DeadlineOracle, table, credit, u: int,
-                    t0: int) -> Dict[int, List[tuple]]:
+def exit_staircases(oracle, table, credit, u: int, t0: int) -> Dict[int, List[tuple]]:
     """Contract wrapper around oracle.staircases: every exit w of credit,
     u among them, maps to its steps, each re-walked in integer units.  A
     step must run from u to w, end by w's bound, and re-walk to its
-    duration and reward, or PreconditionError is raised."""
-    name = oracle.spec.name
+    duration and reward, or PreconditionError is raised.  An orienteering
+    oracle's u closes a tour by u's due; a deadline oracle's stays put."""
+    exits = _entry_exits(credit, u, t0, isinstance(oracle, OrienteeringOracle))
     found = oracle.staircases(table, credit, u, t0)
+
+    def rewalk(order):
+        return _rewalk(table, credit, order, t0)
+
     out = {}
-    for w in credit:
+    for w, bound in exits.items():
         out[w] = found.get(w, [])
         for (duration, reward, order) in out[w]:
-            if not order or order[0] != u or order[-1] != w:
-                raise PreconditionError("oracle %s returned a walk with wrong endpoints" % name)
-            rewalked, took = _rewalk(table, credit, order, t0)
-            if took != duration or t0 + duration > _exit_bound(credit, u, t0, w):
-                raise PreconditionError("oracle %s misreported its duration or overruns its limit"
-                                        % name)
-            if rewalked != reward:
-                raise PreconditionError("oracle %s misreported its reward" % name)
+            _require_honest(oracle.spec.name, order, u, w, (reward, duration), rewalk, t0, bound)
     return out
 
 

@@ -372,6 +372,35 @@ def test_reward_precision_adds_no_oracle_work(monkeypatch):
         assert cost(_with_reward(x, 1, F(1, 1000))) == cost(x), seed
 
 
+def test_exact_oracles_never_walk_down_the_grid(monkeypatch):
+    # every block and release-group entry takes its staircases from one
+    # search; the searches seen show that each kind of instance reached the
+    # modular blocks (integer-endpoints, l2's B2, the free solvers) and the
+    # anchored ones the release groups too
+    def refused(*args):
+        raise AssertionError("earliest_limits")
+
+    real = modular.exit_staircases
+    searched = set()
+
+    def recorded(oracle, *args):
+        searched.add((kind, isinstance(oracle, OrienteeringOracle)))
+        return real(oracle, *args)
+
+    monkeypatch.setattr(modular, "earliest_limits", refused)
+    monkeypatch.setattr(modular, "exit_staircases", recorded)
+    for seed in range(4):
+        for kind, mode, integral in (("integral", "anchored", True),
+                                     ("quarter", "anchored", False),
+                                     ("free", "free", seed % 2 == 0),
+                                     ("start-only", "start-only", seed % 2 == 0)):
+            x = generate_instance("random-metric", 7, seed, mode=mode, integral=integral,
+                                  horizon=F(20), l_low=F(8), l_high=F(16))
+            assert solve_auto(x, EXACT_ORACLE, EXACT_DEADLINE).walk.feasible
+    assert searched >= {("integral", True), ("integral", False), ("quarter", True),
+                        ("quarter", False), ("free", True), ("start-only", True)}
+
+
 def test_release_group_walks_each_entry_down_the_grid_once(monkeypatch):
     # groups released at 0 ({1, 2}) and 5 ({3, 4}) on the unit path 0-...-5:
     # labels at 0, 1 and 2 all reach 3 before 5, so they enter (3, 5) alike

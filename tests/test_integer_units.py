@@ -2,10 +2,11 @@
 
 metric_closure, Metric and the exact oracles run on integers scaled from
 the exact rationals.  The referees here are the plain Fraction versions:
-a Fraction Floyd-Warshall, and the exact oracles as they were before the
-integer kernel (exact_deadline among them rescoring the whole visit order
-at every search node).  Integer arithmetic is exact, so every answer must
-be identical, not merely close.
+a Fraction Floyd-Warshall, and Fraction searches over the visit orders the
+exact oracles answer from (the deadline one rescoring the whole order at
+every node), ranked as the exact oracles rank them: most reward, then the
+soonest end, then the smallest order.  Integer arithmetic is exact, so
+every answer must be identical, not merely close.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import orientw.algorithms as algorithms
 import orientw.modular as modular
 from orientw import (EXACT_DEADLINE, EXACT_ORACLE, INF, DeadlineQuery, Graph, GraphError,
                      Metric, ModularBlock, ModularPartition, OracleSpec, OrienteeringOracle,
-                     OrienteeringQuery, TimeWindow, TwInstance, brute_force_opt,
-                     metric_closure, reduce_deadline_to_tw, scale_times, serialize,
-                     solve_free_l_le_2, solve_reward_indexed, time_reversed, zero_window_dp)
+                     OrienteeringQuery, TimeWindow, TwInstance, best_orienteering_walk,
+                     brute_force_opt, metric_closure, reduce_deadline_to_tw, scale_times,
+                     serialize, solve_free_l_le_2, solve_reward_indexed, time_reversed,
+                     zero_window_dp)
 from orientw.generate import gen_modular_instance, gen_ratio2_instance, random_metric
 from orientw.modular import dp_units
 from orientw.oracles import INFEASIBLE_RESULT, WalkResult, exact_deadline, exact_orienteering
@@ -77,6 +79,12 @@ def ref_deadline_reward(m: Metric, eligible, order, t0) -> F:
     return reward
 
 
+def _better(a: WalkResult, b: WalkResult) -> bool:
+    """The exact oracles' ranking: most reward, then the soonest end, then
+    the smallest order."""
+    return (-a.reward, a.duration, a.order) < (-b.reward, b.duration, b.order)
+
+
 def ref_exact_orienteering(q: OrienteeringQuery) -> WalkResult:
     d, u, v, budget = q.metric.d, q.u, q.v, q.budget
     if u == v:
@@ -86,23 +94,25 @@ def ref_exact_orienteering(q: OrienteeringQuery) -> WalkResult:
             return INFEASIBLE_RESULT
         direct = (u, v)
     cand = sorted(w for w in q.eligible if w != u and w != v)
-    best = [ref_reward(q.eligible, direct), direct]
+    best = [WalkResult(direct, ref_reward(q.eligible, direct), ref_duration(q.metric, direct))]
 
     def dfs(cur, time, used: List[int], acc):
         avail = [(w, time + d[cur][w]) for w in cand
                  if w not in used and d[cur][w] != INF and d[w][v] != INF
                  and time + d[cur][w] + d[w][v] <= budget]
-        if acc + sum((q.eligible[w] for (w, _t) in avail), F(0)) <= best[0]:
+        if acc + sum((q.eligible[w] for (w, _t) in avail), F(0)) < best[0].reward:
             return
         for (w, t2) in avail:
             used.append(w)
-            if acc + q.eligible[w] > best[0]:
-                best[:] = [acc + q.eligible[w], (u,) + tuple(used) + (v,)]
+            order = (u,) + tuple(used) + (v,)
+            walk = WalkResult(order, acc + q.eligible[w], ref_duration(q.metric, order))
+            if _better(walk, best[0]):
+                best[0] = walk
             dfs(w, t2, used, acc + q.eligible[w])
             used.pop()
 
-    dfs(u, F(0), [], best[0])
-    return WalkResult(best[1], best[0], ref_duration(q.metric, best[1]))
+    dfs(u, F(0), [], best[0].reward)
+    return best[0]
 
 
 def ref_exact_deadline(q: DeadlineQuery) -> WalkResult:
@@ -113,6 +123,10 @@ def ref_exact_deadline(q: DeadlineQuery) -> WalkResult:
             return tw <= horizon
         return d[w][end] != INF and tw + d[w][end] <= horizon
 
+    def scored(order):
+        return WalkResult(order, ref_deadline_reward(q.metric, q.eligible, order, t0),
+                          ref_duration(q.metric, order))
+
     if not tail_ok(u, t0):
         return INFEASIBLE_RESULT
     base = (u,) if end is None or end == u else (u, end)
@@ -120,7 +134,7 @@ def ref_exact_deadline(q: DeadlineQuery) -> WalkResult:
     tail = () if end is None else (end,)
     end_bonus = q.eligible[end][0] if end is not None and end != u and end in q.eligible else 0
     u_credit = q.eligible[u][0] if u in q.eligible and t0 <= q.eligible[u][1] else F(0)
-    best = [ref_deadline_reward(q.metric, q.eligible, base, t0), base]
+    best = [scored(base)]
 
     def dfs(cur, time, used: List[int], acc):
         avail = [(w, time + d[cur][w]) for w in cand
@@ -129,20 +143,18 @@ def ref_exact_deadline(q: DeadlineQuery) -> WalkResult:
         bound = acc + sum((q.eligible[w][0] for (w, _t) in avail), F(0))
         if end not in used:
             bound += end_bonus
-        if bound <= best[0]:
+        if bound < best[0].reward:
             return
         for (w, t2) in avail:
             used.append(w)
-            order = (u,) + tuple(used) + tail
-            rew = ref_deadline_reward(q.metric, q.eligible, order, t0)
-            if rew > best[0]:
-                best[:] = [rew, order]
+            walk = scored((u,) + tuple(used) + tail)
+            if _better(walk, best[0]):
+                best[0] = walk
             dfs(w, t2, used, acc + q.eligible[w][0])
             used.pop()
 
     dfs(u, t0, [], u_credit)
-    return WalkResult(best[1], ref_deadline_reward(q.metric, q.eligible, best[1], t0),
-                      ref_duration(q.metric, best[1]))
+    return best[0]
 
 
 def assert_integer_table(m: Metric):
@@ -293,6 +305,19 @@ def test_exact_orienteering_and_pareto_match_their_referees(odd, data):
         assert (ref_duration(m, r.order), ref_reward(eligible, r.order)) == (r.duration, r.reward)
 
 
+def test_exact_point_queries_prefer_the_walk_that_ends_soonest():
+    # 0 - 2 - 1 - 3: (0, 1, 2, 3) also collects both rewards within the
+    # budget, but goes 0 -> 1 through 2 and ends at 5; the smaller order
+    # only breaks a tie in reward and duration
+    m = metric_closure(Graph.build(False, 4, [(0, 2, F(1)), (2, 1, F(1)), (1, 3, F(1))]))
+    q = OrienteeringQuery(m, {1: F(1), 2: F(1)}, 0, 3, F(5))
+    walk = WalkResult((0, 2, 1, 3), F(2), F(3))
+    assert exact_orienteering(q) == ref_exact_orienteering(q) == walk
+    assert best_orienteering_walk(EXACT_ORACLE, q) == walk
+    dq = DeadlineQuery(m, {1: (F(1), F(5)), 2: (F(1), F(5))}, 0, F(0), 3, F(5))
+    assert exact_deadline(dq) == ref_exact_deadline(dq) == walk
+
+
 # ----- floor_log2 on integers ----------------------------------------------------
 
 def reference_floor_log2(x: F) -> int:
@@ -411,6 +436,8 @@ def test_free_l2_shifted_versions_solve_exactly_in_units(monkeypatch):
 def test_ratio_three_halves_oracle_claims_its_ratio_on_thirds():
     alpha = F(3, 2)
     loose = OrienteeringOracle(OracleSpec("three-halves", alpha), exact_orienteering)
+    # the same claim when every block entry's staircases come from one search
+    searched = OrienteeringOracle(loose.spec, exact_orienteering, EXACT_ORACLE.staircases)
     for seed in range(10):
         x, part = gen_modular_instance(seed, n_low=4, n_high=7)
         # move every block a third later and pay rewards in thirds
@@ -426,3 +453,4 @@ def test_ratio_three_halves_oracle_claims_its_ratio_on_thirds():
         assert solve_reward_indexed(x, part, EXACT_ORACLE).claimed == opt, seed
         res = solve_reward_indexed(x, part, loose)
         assert res.claimed == alpha * opt and res.walk.reward == opt, seed
+        assert solve_reward_indexed(x, part, searched) == res, seed

@@ -108,9 +108,8 @@ def test_all_three_dps_on_seeded_instances():
 
 def test_exact_release_groups_take_every_exit_from_one_search(monkeypatch):
     # EXACT_DEADLINE's staircase search answers every entry (u, e) at once:
-    # neither its branch and bound nor the walk-down runs, and the DP
-    # returns what the walk-down of the same oracle gives, segment for
-    # segment
+    # neither a point query nor the walk-down runs, and the DP returns what
+    # the walk-down of the same oracle gives, segment for segment
     instances = [gen_modular_instance(seed, n_low=5, n_high=9)[0] for seed in range(12)]
     walked_down = DeadlineOracle(EXACT_DEADLINE.spec, EXACT_DEADLINE.fn)
     expected = [_release_group_solve(x, walked_down) for x in instances]
@@ -122,7 +121,7 @@ def test_exact_release_groups_take_every_exit_from_one_search(monkeypatch):
             raise AssertionError(name)
         return fn
 
-    monkeypatch.setattr(oracles, "_exact_walk", refused("exact_deadline"))
+    monkeypatch.setattr(oracles, "_exact_point", refused("exact_deadline"))
     monkeypatch.setattr(modular, "earliest_limits", refused("earliest_limits"))
     assert [_release_group_solve(x, EXACT_DEADLINE) for x in instances] == expected
     assert calls == []

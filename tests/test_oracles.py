@@ -551,3 +551,31 @@ def test_exit_staircases_equal_the_walk_down_of_every_exit():
             seen.add("exit credited earlier")
     assert seen == {"10-14 members", "quarter-grid entry", "unreachable leg", "exit due before t0",
                     "stay-put exit that visits", "exit credited earlier"}
+
+
+def test_block_staircases_equal_the_walk_down_of_every_exit():
+    # EXACT_ORACLE's search per block entry u against the walk-down of its
+    # point queries per exit, orders included; u's exit is the tour back to u
+    rng = random.Random(13)
+    seen = set()
+    for trial in range(300):
+        n = rng.randint(2, 8)
+        quarter = trial % 2 == 1
+        m, eligible, u, _t0 = _exit_query(rng, n, rng.randint(1, n), rng.random() < 0.4,
+                                          quarter, 14)
+        gains = {v: r for v, (r, _dl) in eligible.items()}
+        span = F(rng.randint(0, 40), 4 if quarter else 1)
+        table, scale = _time_units(m, [span], range(m.n))
+        rscale = _reward_scale(gains.values())
+        credit = {v: (_units(r, rscale), _units(span, scale)) for v, r in gains.items()}
+        found = exit_staircases(EXACT_ORACLE, table, credit, u, 0)
+        for w in gains:
+            assert found[w] == [(_units(res.duration, scale), _units(res.reward, rscale), res.order)
+                                for res in exact_profile(m, gains, u, w, span)], (u, w, span)
+        if any(len(order) > 1 for (_d, _r, order) in found[u]):
+            seen.add("tour back to u")
+        if any(table[a][b] is None for a in gains for b in gains):
+            seen.add("unreachable leg")
+        if any(len(found[w]) > 1 for w in gains):
+            seen.add("staircase of two steps or more")
+    assert seen == {"tour back to u", "unreachable leg", "staircase of two steps or more"}
