@@ -17,7 +17,7 @@ evaluation, not the solvers.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -29,8 +29,8 @@ from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
                        WalkSolution, drop_vertices, evaluate_walk, restrict,
                        time_reversed, window_stats)
 from .metric import Metric
-from .modular import (ModularBlock, ModularPartition, _release_group_solve, assemble_walk,
-                      blocks_from_identical_windows, ensure_reachable_anchors,
+from .modular import (_SHARED, ModularBlock, ModularPartition, _release_group_solve, _shared,
+                      assemble_walk, blocks_from_identical_windows, ensure_reachable_anchors,
                       solve_reward_indexed, verify_modular)
 from .oracles import EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle
 from .rational import (HALF, ONE, ZERO, floor_log2, is_finite, is_integral,
@@ -104,18 +104,22 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     solve_version(label, version) returns the version's claims and ratio.
     Every version's claims are evaluated on x: the first best walk wins and
     the bound sums the ratios.  With no version at all the report is the
-    bare anchor walk at bound 1.
+    bare anchor walk at bound 1.  The split reads no anchor, so the ends of
+    a start-only solve share it and re-anchor its versions.
     """
     ensure_reachable_anchors(x)
 
-    def versions():
+    def build():
         zero, pos = _length_split(x)
-        if zero:
-            rz = zero_window_dp(restrict(x, {v: None for v in pos}))
-            yield "Z", _claims_of(rz.walk), ONE
-        if pos:
-            for (label, ver) in split(restrict(x, {v: None for v in zero})):
-                yield (label,) + solve_version(label, ver)
+        z = restrict(x, {v: None for v in pos}) if zero else None
+        return z, tuple(split(restrict(x, {v: None for v in zero}))) if pos else ()
+
+    def versions():
+        z, split_versions = _shared(("split", name), x, build)
+        if z is not None:
+            yield "Z", _claims_of(zero_window_dp(_anchored(z, x.s, x.t)).walk), ONE
+        for (label, ver) in split_versions:
+            yield (label,) + solve_version(label, _anchored(ver, x.s, x.t))
 
     best: Optional[WalkSolution] = None
     rewards = []
@@ -130,6 +134,11 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
         best = assemble_walk(x, [])
         bound = ONE
     return SolveReport(name, best, tuple(rewards), shared_fraction(bound))
+
+
+def _anchored(x: TwInstance, s: Optional[int], t: Optional[int]) -> TwInstance:
+    """x with anchors s and t (a shared instance keeps those it was built with)."""
+    return x if (x.s, x.t) == (s, t) else replace(x, s=s, t=t)
 
 
 def _modular_version(ver: TwInstance, oracle: OrienteeringOracle) -> tuple:
@@ -213,7 +222,7 @@ def solve_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     _require_wait(x)
     if x.mode != ANCHORED:
         raise PreconditionError("this solver needs both anchors")
-    require_ratio_two(window_stats(x))
+    require_ratio_two(_shared(("stats",), x, lambda: window_stats(x)))
 
     def solve_version(label, ver):
         if label == "B2":
@@ -222,8 +231,9 @@ def solve_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
             claims = _claims_of(_release_group_solve(ver, deadline_oracle).walk)
         else:
             # B1 windows share deadlines per group; reversed in time they
-            # share releases, which the same DP handles
-            rev = _release_group_solve(time_reversed(ver), deadline_oracle)
+            # share releases, which the same DP handles starting at the end anchor
+            rev = _shared(("reversed",), ver, lambda: time_reversed(ver))
+            rev = _release_group_solve(_anchored(rev, ver.t, ver.s), deadline_oracle)
             claims = tuple(reversed(_claims_of(rev.walk)))
         return claims, deadline_oracle.spec.ratio
 
@@ -381,7 +391,8 @@ def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     """Try every solver of the instance's anchor mode, keep the first report
     with the highest reward, and raise only when every solver refuses.
     Start-anchored instances without an end anchor reduce to one anchored
-    solve per candidate end vertex."""
+    solve per candidate end vertex, and those share every result that no end
+    anchor moves (see _auto_start_only)."""
     _require_wait(x)
     if x.mode == START_ONLY:
         return _auto_start_only(x, oracle, deadline_oracle)
@@ -402,11 +413,13 @@ def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
                      deadline_oracle: DeadlineOracle) -> SolveReport:
     """A walk that may end anywhere ends somewhere: solve the anchored
     variant for every reachable end vertex and keep the best.  An end vertex
-    whose anchored solve is refused is skipped like an unreachable one."""
+    whose anchored solve is refused is skipped like an unreachable one.  The
+    ends share every split, forward label loop and l2's reversed B1 version
+    with its release-group moves (modular._shared); per end run only the
+    harvests, the walks' assembly and the reversed B1 label loop."""
 
     def ending_at(t2):
-        x2 = TwInstance(x.metric, x.windows, x.rewards, x.s, t2, x.budget, x.wait_policy)
-        sub = solve_auto(x2, oracle, deadline_oracle)
+        sub = solve_auto(_anchored(x, x.s, t2), oracle, deadline_oracle)
         order = [(v, c) for (v, _t, c) in sub.walk.schedule]
         # the end anchor repeats a walk that already ends there; d[v][v] = 0,
         # so dropping the repeat moves no time and no reward
@@ -419,8 +432,12 @@ def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
 
     reachable = (t2 for t2 in range(x.n)
                  if is_finite(x.metric.d[x.s][t2]) and x.metric.d[x.s][t2] <= x.budget)
-    return _keep_best((("end %d" % t2, partial(ending_at, t2)) for t2 in reachable),
-                      "no end vertex yields a walk", "none is reachable from the start anchor")
+    token = _SHARED.set({})
+    try:
+        return _keep_best((("end %d" % t2, partial(ending_at, t2)) for t2 in reachable),
+                          "no end vertex yields a walk", "none is reachable from the start anchor")
+    finally:
+        _SHARED.reset(token)
 
 
 def run_algorithm(name: str, x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,

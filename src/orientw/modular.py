@@ -12,7 +12,8 @@ walks each block offers:
 * solve_reward_indexed - the earliest walk per reward the oracle reaches; any rationals
 
 Both take a point-to-point orienteering oracle and inherit its ratio;
-each block keeps its own oracle answers, so none outlives the block.  With
+each block keeps its own oracle answers, and none outlives the block but
+where the ends of one start-only solve share them (_shared).  With
 EXACT_ORACLE (ratio 1) either DP is exact, so the exact modular DP is
 solve_reward_indexed on that oracle: each block entry takes every exit's
 staircase from the oracle's one search (exit_staircases) and asks no point
@@ -31,6 +32,7 @@ label loop does no Fraction arithmetic; only claimed is a Fraction again.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -228,6 +230,33 @@ def pos_key(p) -> tuple:
     return (p is not None, p if p is not None else -1)
 
 
+# the share table of the start-only solve under way (see _shared), else None
+_SHARED: ContextVar[Optional[dict]] = ContextVar("orientw_shared", default=None)
+
+
+def _shared(key: tuple, x: TwInstance, build, *same):
+    """build(), or what it built earlier in the same start-only solve (whose
+    table _SHARED holds) for x's metric and windows objects, at equal
+    rewards, budget and same.  The key takes the objects' ids and the table
+    keeps x alive, so no id is reused and no Fraction is hashed."""
+    table = _SHARED.get()
+    if table is None:
+        return build()
+    key, check = key + (id(x.metric), id(x.windows)), (x.rewards, x.budget) + same
+    hit = table.get(key)
+    if hit is None or hit[1] != check:
+        hit = table[key] = (x, check, build())
+    return hit[2]
+
+
+def _chain(key: tuple, x: TwInstance, units: DpUnits, steps, *same) -> DpResult:
+    """chain_dp(x, units, steps); the ends of a start-only solve share its label loop."""
+    if _SHARED.get() is None:
+        return chain_dp(x, units, steps)
+    labels = _shared(key + (x.s,), x, lambda: _label_loop(x, units, steps), *same)
+    return harvest_labels(x, units, labels)
+
+
 # ----- the chain DP ----------------------------------------------------------
 
 def chain_dp(x: TwInstance, units: DpUnits, steps) -> DpResult:
@@ -245,6 +274,11 @@ def chain_dp(x: TwInstance, units: DpUnits, steps) -> DpResult:
     int in units; the conversion preserves order and sums, so the DP picks
     what it would pick on Fractions.  Only claimed is converted back.
     """
+    return harvest_labels(x, units, _label_loop(x, units, steps))
+
+
+def _label_loop(x: TwInstance, units: DpUnits, steps) -> dict:
+    """chain_dp's frontier per position after the last block; x's end anchor plays no part."""
     table = units.table
     labels: Dict[object, List[tuple]] = {start_position(x): [(0, 0, None)]}
     for (bi, release, deadline, entries, moves) in steps:
@@ -268,7 +302,7 @@ def chain_dp(x: TwInstance, units: DpUnits, steps) -> DpResult:
                         push_label(new_labels.setdefault(w, []),
                                    (e + duration, rew + gain, (bi, order, back)))
         labels = new_labels
-    return harvest_labels(x, units, labels)
+    return labels
 
 
 def push_label(frontier: List[tuple], entry: tuple):
@@ -442,7 +476,7 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
 
             yield bi, release, deadline, ids, moves
 
-    return chain_dp(x, units, steps())
+    return _chain(("reward-indexed", id(oracle)), x, units, steps(), part)
 
 
 # ----- release-group DP ------------------------------------------------------
@@ -475,27 +509,25 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
     (EXACT_DEADLINE) hands over every exit's staircase of an entry at once,
     checked by exit_staircases; any other oracle is walked down the time
     grid from each exit's bound (earliest_limits), which yields the earliest
-    end of every reward it reaches.  The group keeps one move list per
-    entry for the labels that enter at the same (u, e).  With an exact
+    end of every reward it reaches.  The DP keeps one move list per group
+    entry for the labels that enter it at the same (u, e).  With an exact
     oracle these are the Pareto frontier of the passes ending at w, so the
     DP is exact.
     """
     ensure_reachable_anchors(x)
-    groups = _release_groups(x)
-    units = dp_units(x)
+    # (group, u, e) -> every exit's paying steps as moves in units, e being
+    # the entry time in units too; none reads an anchor, so ends share them
+    groups, units, stairs = _shared(("groups", id(deadline_oracle)), x,
+                                    lambda: (_release_groups(x), dp_units(x), {}))
 
     def steps():
         for gi, (rel, members, dmax) in enumerate(groups):
             eligible = {v: (x.rewards[v], x.windows[v].deadline) for v in members}
             credit = {v: (units.reward(r), units.time(dl)) for v, (r, dl) in eligible.items()}
 
-            # (u, e) -> every exit's paying steps as moves in units, e being
-            # the entry time in units too
-            stairs: Dict[Tuple[int, int], List[tuple]] = {}
-
             def moves(u, e):
-                if (u, e) in stairs:
-                    return stairs[(u, e)]
+                if (gi, u, e) in stairs:
+                    return stairs[(gi, u, e)]
                 if deadline_oracle.staircases is not None:
                     found = exit_staircases(deadline_oracle, units.table, credit, u, e)
                     steps = [(w,) + step for w in members for step in found[w]]
@@ -508,9 +540,9 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
                             lambda h: best_deadline_walk(
                                 deadline_oracle, DeadlineQuery(x.metric, eligible, u, t0, w, h)),
                             t0, t0 if w == u else eligible[w][1], x.metric.scale)]
-                stairs[(u, e)] = [move for move in steps if move[2] > 0]
-                return stairs[(u, e)]
+                stairs[(gi, u, e)] = [move for move in steps if move[2] > 0]
+                return stairs[(gi, u, e)]
 
             yield gi, units.time(rel), units.time(dmax), members, moves
 
-    return chain_dp(x, units, steps())
+    return _chain(("release-group", id(deadline_oracle)), x, units, steps())

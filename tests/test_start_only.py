@@ -1,0 +1,140 @@
+"""Start-only solves: one anchored solve per reachable end vertex, sharing
+every result that no end anchor moves.
+
+The reference below is the plain fan-out, written out here: per end an
+anchored solve_auto, the repeated end dropped, the walk re-evaluated on the
+start-only instance, the first best kept.  Anchored solves never share, so
+it computes every end from scratch.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+
+from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE, PreconditionError,
+                     TwInstance, evaluate_walk, is_finite, layered_deadline_oracle,
+                     solve_auto)
+import orientw.algorithms as algorithms
+import orientw.modular as modular
+from orientw.generate import FAMILIES, generate_instance
+
+DENSE = dict(horizon=F(20), l_low=F(8), l_high=F(16))
+ORACLES = ((EXACT_ORACLE, EXACT_DEADLINE),
+           (GREEDY_ORACLE, layered_deadline_oracle(GREEDY_ORACLE)))
+
+
+def _fan_out(x, oracle, deadline_oracle):
+    best = None
+    for t2 in range(x.n):
+        leg = x.metric.d[x.s][t2]
+        if not is_finite(leg) or leg > x.budget:
+            continue
+        x2 = TwInstance(x.metric, x.windows, x.rewards, x.s, t2, x.budget, x.wait_policy)
+        try:
+            sub = solve_auto(x2, oracle, deadline_oracle)
+        except PreconditionError:
+            continue
+        order = [(v, c) for (v, _t, c) in sub.walk.schedule]
+        if len(order) > 1 and order[-1] == (order[-2][0], False):
+            order.pop()
+        sol = evaluate_walk(x, order)
+        if sol.feasible and (best is None or sol.reward > best[1].reward):
+            best = (sub, sol)
+    sub, sol = best
+    return (sub.algorithm, sol.schedule, sol.reward, sub.bound, sub.version_rewards)
+
+
+def _instance(i):
+    # shapes cycle by 3, grids by 6, oracle pairs by 12 and families by 48
+    n, dense = ((6, True), (9, False), (12, False))[i % 3]
+    x = generate_instance(FAMILIES[(i // 12) % 4], n, i, mode="start-only",
+                          integral=(i // 3) % 2 == 0, **(DENSE if dense else {}))
+    return x, ORACLES[(i // 6) % 2]
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_start_only_equals_the_plain_fan_out(block):
+    for i in range(block * 26, block * 26 + 26):
+        x, (oracle, deadline_oracle) = _instance(i)
+        rep = solve_auto(x, oracle, deadline_oracle)
+        got = (rep.algorithm, rep.walk.schedule, rep.walk.reward, rep.bound,
+               rep.version_rewards)
+        assert got == _fan_out(x, oracle, deadline_oracle), i
+
+
+def _record_label_loops(monkeypatch):
+    """Every label loop run, as (instance, share table at the time)."""
+    runs = []
+    real = modular._label_loop
+
+    def recorded(x, units, steps):
+        runs.append((x, modular._SHARED.get()))
+        return real(x, units, steps)
+
+    monkeypatch.setattr(modular, "_label_loop", recorded)
+    return runs
+
+
+def test_each_label_loop_runs_once_per_start_only_solve(monkeypatch):
+    x = generate_instance("random-metric", 6, 3, mode="start-only", **DENSE)
+    ends = sum(1 for t2 in range(x.n) if x.metric.d[x.s][t2] <= x.budget)
+    runs = _record_label_loops(monkeypatch)
+    reversed_versions = []
+    real_reversed = algorithms.time_reversed
+
+    def recorded(y):
+        reversed_versions.append(real_reversed(y))
+        return reversed_versions[-1]
+
+    monkeypatch.setattr(algorithms, "time_reversed", recorded)
+    rep = solve_auto(x)
+    assert ends > 2 and all(table is not None for (_y, table) in runs)
+    # a shared version keeps its windows object at every end; l2's B1
+    # versions, reversed in time, start at the end vertex
+    backward = {id(y.windows) for y in reversed_versions}
+    loops = Counter((id(y.windows), y.s) for (y, _table) in runs)
+    forward = [key for key in loops if key[0] not in backward]
+    assert forward and all(loops[key] == 1 for key in forward)
+    starts = Counter(key[0] for key in loops if key[0] in backward)
+    assert sorted(starts.values()) == [ends] * len(reversed_versions)
+    assert max(loops.values()) == 1
+
+    # the plain fan-out runs every loop and reversal once per end
+    runs.clear()
+    reversed_versions.clear()
+    assert _fan_out(x, EXACT_ORACLE, EXACT_DEADLINE)[2] == rep.walk.reward
+    assert all(table is None for (_y, table) in runs)
+    assert len(runs) == len(forward) * ends + sum(starts.values())
+    assert len(reversed_versions) == len(starts) * ends
+    assert modular._SHARED.get() is None
+
+
+def test_anchored_and_free_solves_never_open_the_share_table(monkeypatch):
+    runs = _record_label_loops(monkeypatch)
+    for mode in ("anchored", "free"):
+        for integral in (True, False):
+            x = generate_instance("random-metric", 6, 3, mode=mode, integral=integral, **DENSE)
+            solve_auto(x)
+            solve_auto(x, *ORACLES[1])
+    assert runs and all(table is None for (_y, table) in runs)
+
+
+def test_the_share_table_closes_when_every_end_vertex_refuses(monkeypatch):
+    opened = []
+
+    def refuse(y, oracle, deadline_oracle):
+        opened.append(modular._SHARED.get())
+        raise PreconditionError("refused for the test")
+
+    monkeypatch.setattr(algorithms, "solve_l_le_2", refuse)
+    monkeypatch.setattr(algorithms, "solve_general", refuse)
+    x = generate_instance("random-metric", 16, 3, horizon=F(20), l_low=F(8), l_high=F(16))
+    x = TwInstance(x.metric, x.windows, x.rewards, x.s, None, x.budget, x.wait_policy)
+    with pytest.raises(PreconditionError, match="no end vertex yields a walk"):
+        solve_auto(x)
+    assert opened and all(table is opened[0] for table in opened)
+    assert isinstance(opened[0], dict)
+    assert modular._SHARED.get() is None
