@@ -8,6 +8,7 @@ the interior vertices.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -72,11 +73,12 @@ def _metric_for(family: str, rng: random.Random, n: int, integral: bool) -> Metr
 
 # ----- window helpers -----------------------------------------------------------
 
-def _quarter(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    """Uniform quarter-grid point in [lo, hi]."""
-    a = int(lo * 4)
-    b = int(hi * 4)
-    return Fraction(rng.randint(a, b), 4)
+def _on_grid(rng: random.Random, grid: int, lo: Fraction, hi: Fraction) -> Fraction:
+    """Uniform point of the 1/grid grid in [lo, hi]."""
+    low, high = math.ceil(lo * grid), math.floor(hi * grid)
+    if low > high:
+        raise PreconditionError("no point of the 1/%d grid lies in [%s, %s]" % (grid, lo, hi))
+    return Fraction(rng.randint(low, high), grid)
 
 
 def _anchored_shell(metric: Metric, windows: List[TimeWindow], rewards: List[Fraction],
@@ -108,10 +110,7 @@ def _windowed_instance(rng: random.Random, metric: Metric, horizon: Fraction,
     rewards = [ZERO] * n
     for v in _interior(n, mode):
         length = rng.choice(lengths)
-        if integral:
-            rel = Fraction(rng.randint(0, int(horizon - length)))
-        else:
-            rel = _quarter(rng, ZERO, horizon - length)
+        rel = _on_grid(rng, 1 if integral else 4, ZERO, horizon - length)
         windows[v] = TimeWindow(rel, rel + length)
         rewards[v] = ONE
     return _anchored_shell(metric, windows, rewards, horizon, mode)
@@ -215,7 +214,7 @@ def gen_zero_window_instance(seed: int, n_low: int = 5, n_high: int = 10) -> TwI
     windows = [TimeWindow(ZERO, horizon) for _ in range(n)]
     rewards = [ZERO] * n
     for v in _interior(n, mode):
-        at = Fraction(rng.randint(0, 12)) if seed % 2 == 0 else _quarter(rng, ZERO, horizon)
+        at = Fraction(rng.randint(0, 12)) if seed % 2 == 0 else _on_grid(rng, 4, ZERO, horizon)
         windows[v] = TimeWindow(at, at)
         rewards[v] = ONE
     return _anchored_shell(metric, windows, rewards, horizon, mode)
@@ -236,8 +235,7 @@ def generate_instance(family: str, n: int, seed: int, horizon: Optional[Fraction
         horizon = Fraction(4 * n)
     if l_high > horizon:
         raise PreconditionError("window length bound exceeds the horizon")
-    if integral:
-        lengths = [Fraction(rng.randint(int(l_low), int(l_high))) for _ in range(4)]
-    else:
-        lengths = [_quarter(rng, l_low, l_high) for _ in range(4)]
+    if not 0 <= l_low <= l_high:
+        raise PreconditionError("window length bounds need 0 <= l_low <= l_high")
+    lengths = [_on_grid(rng, 1 if integral else 4, l_low, l_high) for _ in range(4)]
     return _windowed_instance(rng, metric, horizon, lengths, mode, integral)

@@ -15,15 +15,15 @@ Both take a point-to-point orienteering oracle and inherit its ratio;
 each block keeps its own oracle answers, and none outlives the block but
 where the ends of one start-only solve share them (_shared).  With
 EXACT_ORACLE (ratio 1) either DP is exact, so the exact modular DP is
-solve_reward_indexed on that oracle: each block entry takes every exit's
-staircase from the oracle's one search (exit_staircases) and asks no point
-query.
+solve_reward_indexed on that oracle.
 
 The release-group DP (_release_group_solve) feeds chain_dp the same way,
 with groups of windows that share a release as its blocks and a deadline
-oracle for the walks inside a group.  The composed solvers in algorithms
-call solve_reward_indexed and this DP only; the step protocol stays in
-this module.
+oracle for the walks inside a group.  Both it and solve_reward_indexed
+reach their oracle through oracles.exit_staircases only, one call per
+entry; how an oracle answers is decided there.  The composed solvers in
+algorithms call solve_reward_indexed and this DP only; the step protocol
+stays in this module.
 
 The chain DP runs on ints.  Each DP fixes its units once (dp_units), and a
 block converts an oracle answer to them when it stores the answer, so the
@@ -39,11 +39,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InfeasibleInstanceError, PreconditionError
 from .instance import ANCHORED, FREE, TwInstance, WalkSolution, evaluate_walk
-from .oracles import (INFEASIBLE_RESULT, DeadlineOracle, DeadlineQuery, OrienteeringOracle,
-                      OrienteeringQuery, WalkResult, _result_better, _reward_scale,
-                      _time_units, best_deadline_walk, best_orienteering_walk,
-                      earliest_limits, exit_staircases)
-from .rational import ONE, ZERO, is_finite, is_integral
+from .oracles import (INFEASIBLE_RESULT, DeadlineOracle, OrienteeringOracle, OrienteeringQuery,
+                      WalkResult, _result_better, best_orienteering_walk, exit_staircases)
+from .rational import ONE, ZERO, Units, is_finite, is_integral, units_for
 
 
 @dataclass(frozen=True)
@@ -189,32 +187,14 @@ def start_position(x: TwInstance):
     return x.s
 
 
-@dataclass(frozen=True)
-class DpUnits:
-    """The integer units one chain DP runs in: a time t is t * tscale and a
-    reward r is r * rscale, both whole numbers, and table[u][v] is the
-    distance d[u][v] in time units (None where it is INF)."""
-
-    tscale: int
-    rscale: int
-    table: tuple
-
-    def time(self, t: Fraction) -> int:
-        return t.numerator * (self.tscale // t.denominator)
-
-    def reward(self, r: Fraction) -> int:
-        return r.numerator * (self.rscale // r.denominator)
-
-
-def dp_units(x: TwInstance, alpha: Fraction = ONE, times=()) -> DpUnits:
-    """Units in which every time the DP meets on x is whole: distances, the
-    budget, every window endpoint and the extra times (block bounds), and
-    every sum of them.  Rewards are whole over the lcm of their
-    denominators, times alpha's so that each reward claimed at alpha times
-    its value is whole too."""
+def dp_units(x: TwInstance, alpha: Fraction = ONE, times=()) -> Units:
+    """The units one chain DP runs in: distances, the budget, every window
+    endpoint, the extra times (block bounds) and every sum of them are
+    whole, and rewards are whole over the lcm of their denominators, times
+    alpha's so that each reward claimed at alpha times its value is too."""
     bounds = [x.budget] + [t for w in x.windows for t in (w.release, w.deadline)]
-    table, tscale = _time_units(x.metric, bounds + list(times), range(x.n))
-    return DpUnits(tscale, _reward_scale(x.rewards) * alpha.denominator, tuple(table))
+    units = units_for(x.metric, bounds + list(times), x.rewards, range(x.n))
+    return Units(units.tscale, units.rscale * alpha.denominator, units.table)
 
 
 def _eligible_blocks(x: TwInstance, part: ModularPartition):
@@ -249,17 +229,15 @@ def _shared(key: tuple, x: TwInstance, build, *same):
     return hit[2]
 
 
-def _chain(key: tuple, x: TwInstance, units: DpUnits, steps, *same) -> DpResult:
+def _chain(key: tuple, x: TwInstance, units: Units, steps, *same) -> DpResult:
     """chain_dp(x, units, steps); the ends of a start-only solve share its label loop."""
-    if _SHARED.get() is None:
-        return chain_dp(x, units, steps)
     labels = _shared(key + (x.s,), x, lambda: _label_loop(x, units, steps), *same)
     return harvest_labels(x, units, labels)
 
 
 # ----- the chain DP ----------------------------------------------------------
 
-def chain_dp(x: TwInstance, units: DpUnits, steps) -> DpResult:
+def chain_dp(x: TwInstance, units: Units, steps) -> DpResult:
     """Label DP over blocks in timeline order, shared by every composition.
 
     A label (time, reward, back) at a position is a partial walk; each
@@ -277,7 +255,7 @@ def chain_dp(x: TwInstance, units: DpUnits, steps) -> DpResult:
     return harvest_labels(x, units, _label_loop(x, units, steps))
 
 
-def _label_loop(x: TwInstance, units: DpUnits, steps) -> dict:
+def _label_loop(x: TwInstance, units: Units, steps) -> dict:
     """chain_dp's frontier per position after the last block; x's end anchor plays no part."""
     table = units.table
     labels: Dict[object, List[tuple]] = {start_position(x): [(0, 0, None)]}
@@ -319,7 +297,7 @@ def push_label(frontier: List[tuple], entry: tuple):
     frontier.sort(key=lambda e: (e[0], -e[1]))
 
 
-def harvest_labels(x: TwInstance, units: DpUnits, labels) -> DpResult:
+def harvest_labels(x: TwInstance, units: Units, labels) -> DpResult:
     """Pick the best label that can still reach the end anchor by the
     budget and rebuild its segment list."""
     budget = units.time(x.budget)
@@ -402,7 +380,7 @@ def solve_time_indexed(x: TwInstance, part: ModularPartition,
     return chain_dp(x, units, steps())
 
 
-def _block_units(x: TwInstance, part: ModularPartition, alpha: Fraction) -> DpUnits:
+def _block_units(x: TwInstance, part: ModularPartition, alpha: Fraction) -> Units:
     return dp_units(x, alpha, [t for b in part.blocks for t in (b.release, b.deadline)])
 
 
@@ -429,14 +407,12 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
     reward the oracle reaches.
 
     The first time a label enters a block at u, every exit's staircase is
-    built and kept for the block's later entries at u, each of which is
-    offered every step that still ends by the block deadline.  An oracle
-    with a staircase search (EXACT_ORACLE) hands them over at once, checked
-    by exit_staircases; any other is walked down the block's time grid per
-    exit (earliest_limits), one query per answer.  No reward grid is
-    involved, so rational data needs no scaling and the cost does not grow
-    with reward precision.  With an exact oracle the staircases are the
-    block's Pareto frontier, which makes the DP exact.
+    asked for (exit_staircases) and kept for the block's later entries at
+    u, each of which is offered every step that still ends by the block
+    deadline.  No reward grid is involved, so rational data needs no
+    scaling and the cost does not grow with reward precision.  With an
+    exact oracle the staircases are the block's Pareto frontier, which
+    makes the DP exact.
 
     With a ratio-a oracle each answer is claimed at a times its reward.  For
     any budget b the staircase holds an answer that ends by b and earns at
@@ -457,21 +433,12 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
             # u -> every exit's staircase as moves in units, gains claimed at alpha
             stairs: Dict[int, List[tuple]] = {}
 
-            def staircases(u):
-                if oracle.staircases is not None:
-                    found = exit_staircases(oracle, units.table, credit, u, 0)
-                    # a reward in units is a multiple of alpha's denominator
-                    return [(w, d, r * alpha.numerator // alpha.denominator, order)
-                            for w in ids for (d, r, order) in found[w]]
-                return [(w, units.time(res.duration), units.reward(res.reward * alpha), res.order)
-                        for w in ids for res in earliest_limits(
-                            lambda budget: best_orienteering_walk(
-                                oracle, OrienteeringQuery(x.metric, eligible, u, w, budget)),
-                            ZERO, b.deadline - b.release, x.metric.scale)]
-
             def moves(u, e):
                 if u not in stairs:
-                    stairs[u] = staircases(u)
+                    found = exit_staircases(oracle, x.metric, units, credit, u, 0)
+                    # a reward in units is a multiple of alpha's denominator
+                    stairs[u] = [(w, d, r * alpha.numerator // alpha.denominator, order)
+                                 for w in ids for (d, r, order) in found[w]]
                 return [move for move in stairs[u] if e + move[1] <= deadline]
 
             yield bi, release, deadline, ids, moves
@@ -505,14 +472,11 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
     walks between an entry (u, e) and each exit vertex w.
 
     A pass through a group ends at its last claim, so it ends at w by w's
-    deadline (w = u stays put at e).  An oracle with a staircase search
-    (EXACT_DEADLINE) hands over every exit's staircase of an entry at once,
-    checked by exit_staircases; any other oracle is walked down the time
-    grid from each exit's bound (earliest_limits), which yields the earliest
-    end of every reward it reaches.  The DP keeps one move list per group
-    entry for the labels that enter it at the same (u, e).  With an exact
-    oracle these are the Pareto frontier of the passes ending at w, so the
-    DP is exact.
+    deadline (w = u stays put at e).  Each group entry (u, e) asks for
+    every exit's staircase of earliest ends per reward (exit_staircases),
+    and the DP keeps the paying steps as one move list for the labels that
+    enter at the same (u, e).  With an exact oracle these are the Pareto
+    frontier of the passes ending at w, so the DP is exact.
     """
     ensure_reachable_anchors(x)
     # (group, u, e) -> every exit's paying steps as moves in units, e being
@@ -522,25 +486,14 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
 
     def steps():
         for gi, (rel, members, dmax) in enumerate(groups):
-            eligible = {v: (x.rewards[v], x.windows[v].deadline) for v in members}
-            credit = {v: (units.reward(r), units.time(dl)) for v, (r, dl) in eligible.items()}
+            credit = {v: (units.reward(x.rewards[v]), units.time(x.windows[v].deadline))
+                      for v in members}
 
             def moves(u, e):
-                if (gi, u, e) in stairs:
-                    return stairs[(gi, u, e)]
-                if deadline_oracle.staircases is not None:
-                    found = exit_staircases(deadline_oracle, units.table, credit, u, e)
-                    steps = [(w,) + step for w in members for step in found[w]]
-                else:
-                    t0 = Fraction(e, units.tscale)
-                    steps = [
-                        (w, units.time(res.duration), units.reward(res.reward), res.order)
-                        for w in members
-                        for res in earliest_limits(
-                            lambda h: best_deadline_walk(
-                                deadline_oracle, DeadlineQuery(x.metric, eligible, u, t0, w, h)),
-                            t0, t0 if w == u else eligible[w][1], x.metric.scale)]
-                stairs[(gi, u, e)] = [move for move in steps if move[2] > 0]
+                if (gi, u, e) not in stairs:
+                    found = exit_staircases(deadline_oracle, x.metric, units, credit, u, e)
+                    stairs[(gi, u, e)] = [(w,) + step for w in members for step in found[w]
+                                          if step[1] > 0]
                 return stairs[(gi, u, e)]
 
             yield gi, units.time(rel), units.time(dmax), members, moves

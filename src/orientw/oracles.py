@@ -11,11 +11,13 @@ only exhaustive search in the solvers.  A greedy insertion heuristic and a
 layered deadline heuristic are provided as scalable stand-ins with no
 proven ratio.
 
-Either oracle may hand over every exit's staircase of a block or
-release-group entry at once (exit_staircases, checked against the same
-contract); both exact oracles do so with one search per entry.  For any
-other oracle earliest_limits walks the point queries down a time grid to
-the staircase of earliest ends per reward it reaches.
+A block or release-group entry reaches an oracle only through
+exit_staircases, which asks for every exit's staircase at once.  An oracle
+with a staircase search hands them over (both exact oracles do, with one
+search per entry), and exit_staircases re-walks each step against the same
+contract; for any other oracle it walks the checked point queries down a
+time grid (earliest_limits) to the staircase of earliest ends per reward
+it reaches.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
 from .metric import Metric
-from .rational import ONE, ZERO, floor_log2, is_finite
+from .rational import ONE, ZERO, Units, floor_log2, is_finite, units_for
 
 
 @dataclass(frozen=True)
@@ -86,34 +87,6 @@ INFEASIBLE_RESULT = WalkResult((), ZERO, ZERO)
 # the budget.  Distances come from metric.ints, times and rewards are
 # converted once per call, and Fractions are rebuilt only for the results.
 
-def _time_units(metric: Metric, times, rows) -> tuple:
-    """(table, scale) with table[r][w] == metric.d[r][w] * scale for every r in
-    rows, and every time in times a whole number of 1/scale units.  Only
-    when some time's denominator does not divide metric.scale are the
-    listed rows multiplied up; the table is metric.ints otherwise."""
-    scale = metric.scale
-    for t in times:
-        if scale % t.denominator:
-            scale = lcm(scale, t.denominator)
-    ints = metric.ints
-    if scale == metric.scale:
-        return ints, scale
-    factor = scale // metric.scale
-    table = list(ints)
-    for r in rows:
-        table[r] = tuple(None if x is None else x * factor for x in ints[r])
-    return table, scale
-
-
-def _units(value: Fraction, scale: int) -> int:
-    """value in 1/scale units; scale must be a multiple of its denominator."""
-    return value.numerator * (scale // value.denominator)
-
-
-def _reward_scale(rewards) -> int:
-    return lcm(*(r.denominator for r in rewards))
-
-
 def _rewalk(table, credit, order, t0: int) -> tuple:
     """(reward, duration) of the walk order leaving order[0] at t0, on a
     table and credit map in units; duration is None when some leg is
@@ -136,21 +109,21 @@ def _evaluate(metric: Metric, credit, order, t0: Fraction) -> tuple:
     the walk meets them, which costs less on the short walks of the checked
     point queries."""
     paid = [credit[v] for v in order if v in credit]
-    table, scale = _time_units(metric, [t0] + [dl for (_r, dl) in paid], order[:-1])
-    rscale = _reward_scale([r for (r, _dl) in paid])
-    time = start = _units(t0, scale)
+    units = units_for(metric, [t0] + [dl for (_r, dl) in paid], [r for (r, _dl) in paid],
+                      order[:-1])
+    time = start = units.time(t0)
     reward, seen, prev = 0, set(), None
     for v in order:
         if prev is not None:
-            leg = table[prev][v]
+            leg = units.table[prev][v]
             if leg is None:
                 return ZERO, None
             time += leg
         prev = v
-        if v in credit and v not in seen and time <= _units(credit[v][1], scale):
+        if v in credit and v not in seen and time <= units.time(credit[v][1]):
             seen.add(v)
-            reward += _units(credit[v][0], rscale)
-    return Fraction(reward, rscale), Fraction(time - start, scale)
+            reward += units.reward(credit[v][0])
+    return Fraction(reward, units.rscale), Fraction(time - start, units.tscale)
 
 
 def _base_walk(metric: Metric, credit, u: int, end: Optional[int], t0: Fraction,
@@ -329,23 +302,22 @@ def _exact_point(metric: Metric, credit, u: int, end: Optional[int], t0: Fractio
     """A point query read off the search: the top step of its one exit's
     staircase, which is the optimal walk that ends soonest and, on a tie,
     has the smallest order (the ranking of _result_better)."""
-    table, scale = _time_units(metric, [t0, limit] + [dl for (_r, dl) in credit.values()],
-                               [u] + list(credit))
-    rscale = _reward_scale(r for (r, _dl) in credit.values())
-    units = {w: (_units(r, rscale), _units(dl, scale)) for w, (r, dl) in credit.items()}
-    steps = exact_staircases(table, units, u, _units(t0, scale), {end: _units(limit, scale)},
+    units = units_for(metric, [t0, limit] + [dl for (_r, dl) in credit.values()],
+                      [r for (r, _dl) in credit.values()], [u] + list(credit))
+    scaled = {w: (units.reward(r), units.time(dl)) for w, (r, dl) in credit.items()}
+    steps = exact_staircases(units.table, scaled, u, units.time(t0), {end: units.time(limit)},
                              revisit)[end]
     if not steps:
         return INFEASIBLE_RESULT
     duration, reward, order = steps[-1]
-    return WalkResult(order, Fraction(reward, rscale), Fraction(duration, scale))
+    return WalkResult(order, Fraction(reward, units.rscale), Fraction(duration, units.tscale))
 
 
 @dataclass(frozen=True)
 class OrienteeringOracle:
     """fn answers one orienteering query.  staircases, when given, answers
-    every exit of a block entry at once (see exit_staircases); without it
-    the block DP walks fn down the time grid per exit."""
+    every exit of a block entry at once; without it exit_staircases walks
+    fn down the time grid per exit."""
 
     spec: OracleSpec
     fn: Callable[[OrienteeringQuery], WalkResult]
@@ -506,8 +478,8 @@ class DeadlineQuery:
 @dataclass(frozen=True)
 class DeadlineOracle:
     """fn answers one deadline query.  staircases, when given, answers every
-    exit of a release-group entry at once (see exit_staircases); without
-    it the release-group DP walks fn down the time grid per exit."""
+    exit of a release-group entry at once; without it exit_staircases
+    walks fn down the time grid per exit."""
 
     spec: OracleSpec
     fn: Callable[[DeadlineQuery], WalkResult]
@@ -541,20 +513,44 @@ def exact_deadline(q: DeadlineQuery) -> WalkResult:
 # ----- block and release-group exits ------------------------------------------
 #
 # A block or release-group entry leaves u at t0 and may end at any vertex of
-# its credit map (_entry_exits gives the bounds).  Every exit's staircase is
-# asked for at once, in the integer units of the caller's DP.
+# its credit map (_entry_exits gives the bounds).  exit_staircases is the one
+# way such an entry reaches an oracle, in the integer units of the caller's DP.
 
-def exit_staircases(oracle, table, credit, u: int, t0: int) -> Dict[int, List[tuple]]:
-    """Contract wrapper around oracle.staircases: every exit w of credit,
-    u among them, maps to its steps, each re-walked in integer units.  A
-    step must run from u to w, end by w's bound, and re-walk to its
-    duration and reward, or PreconditionError is raised.  An orienteering
-    oracle's u closes a tour by u's due; a deadline oracle's stays put."""
-    exits = _entry_exits(credit, u, t0, isinstance(oracle, OrienteeringOracle))
-    found = oracle.staircases(table, credit, u, t0)
+def exit_staircases(oracle, metric: Metric, units: Units, credit, u: int,
+                    t0: int) -> Dict[int, List[tuple]]:
+    """Every exit w of credit, u among them, mapped to its staircase of
+    (duration, reward, order) steps in units, strictly increasing in the
+    first two.  An orienteering oracle's u closes a tour by u's due; a
+    deadline oracle's stays put.
+
+    A staircase search answers every exit at once, and each step must run
+    from u to w, end by w's bound and re-walk in units to its duration and
+    reward, or PreconditionError is raised.  Any other oracle's checked
+    point queries are walked down the time grid from each exit's bound
+    (earliest_limits), one query per answer.
+    """
+    closed = isinstance(oracle, OrienteeringOracle)
+    exits = _entry_exits(credit, u, t0, closed)
+    if oracle.staircases is None:
+        # an orienteering query's limit is a budget from t0, a deadline query's a time
+        start, shift = (ZERO, t0) if closed else (Fraction(t0, units.tscale), 0)
+        eligible = {v: Fraction(r, units.rscale) if closed
+                    else (Fraction(r, units.rscale), Fraction(due, units.tscale))
+                    for v, (r, due) in credit.items()}
+
+        def ask(w, limit):
+            if closed:
+                return best_orienteering_walk(
+                    oracle, OrienteeringQuery(metric, eligible, u, w, limit))
+            return best_deadline_walk(oracle, DeadlineQuery(metric, eligible, u, start, w, limit))
+        return {w: [(units.time(res.duration), units.reward(res.reward), res.order)
+                    for res in earliest_limits(partial(ask, w), start,
+                                               Fraction(bound - shift, units.tscale), metric.scale)]
+                for w, bound in exits.items()}
+    found = oracle.staircases(units.table, credit, u, t0)
 
     def rewalk(order):
-        return _rewalk(table, credit, order, t0)
+        return _rewalk(units.table, credit, order, t0)
 
     out = {}
     for w, bound in exits.items():

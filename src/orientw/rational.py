@@ -10,8 +10,9 @@ instead.  A Metric carries scale and ints with
 d[u][v] == Fraction(ints[u][v], scale) (ints holds None where d holds INF);
 a time t enters as t.numerator * (scale // t.denominator) once scale is a
 multiple of t.denominator, and rewards likewise over the lcm of their
-denominators.  The oracles convert once per query; the chain DP converts
-once per DP (modular.dp_units) and keeps every label as ints.
+denominators.  Units holds both scales and the distances in time units
+(units_for builds it).  The oracles convert once per query; the chain DP
+converts once per DP (modular.dp_units) and keeps every label as ints.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 INF = math.inf
 
@@ -80,3 +82,37 @@ def floor_log2(x: Fraction) -> int:
     j = n.bit_length() - d.bit_length()
     fits = n >= d << j if j >= 0 else n << -j >= d
     return j if fits else j - 1
+
+
+class Units:
+    """Integer units: a time t is t * tscale and a reward r is r * rscale,
+    both whole numbers, and table[u][v] is the distance d[u][v] in time
+    units (None where it is INF).  A class with slots, not a NamedTuple:
+    the contract check builds one per query, and this one builds faster."""
+
+    __slots__ = ("tscale", "rscale", "table")
+
+    def __init__(self, tscale: int, rscale: int, table: Sequence[tuple]):
+        self.tscale, self.rscale, self.table = tscale, rscale, table
+
+    def time(self, t: Fraction) -> int:
+        return t.numerator * (self.tscale // t.denominator)
+
+    def reward(self, r: Fraction) -> int:
+        return r.numerator * (self.rscale // r.denominator)
+
+
+def units_for(metric, times, rewards, rows) -> Units:
+    """Units making every distance of metric, time in times and reward in
+    rewards whole.  The table is metric.ints unless a time's denominator
+    does not divide metric.scale; then only rows are multiplied up and read."""
+    tscale = metric.scale
+    for t in times:
+        if tscale % t.denominator:
+            tscale = math.lcm(tscale, t.denominator)
+    table = metric.ints
+    if tscale != metric.scale:
+        factor, table = tscale // metric.scale, list(table)
+        for r in rows:
+            table[r] = tuple(None if d is None else d * factor for d in metric.ints[r])
+    return Units(tscale, math.lcm(*(r.denominator for r in rewards)), table)

@@ -343,14 +343,15 @@ def test_reward_precision_adds_no_oracle_work(monkeypatch):
     # wrapper calls from the walk-downs, since the per-block staircases would
     # absorb repeated searches
     probes = [0]
+    real = oracles.earliest_limits
 
     def counted_walk_down(probe, *args):
         def counted_probe(limit):
             probes[0] += 1
             return probe(limit)
-        return oracles.earliest_limits(counted_probe, *args)
+        return real(counted_probe, *args)
 
-    monkeypatch.setattr(modular, "earliest_limits", counted_walk_down)
+    monkeypatch.setattr(oracles, "earliest_limits", counted_walk_down)
     calls = [0]
 
     def counted(fn):
@@ -387,7 +388,7 @@ def test_exact_oracles_never_walk_down_the_grid(monkeypatch):
         searched.add((kind, isinstance(oracle, OrienteeringOracle)))
         return real(oracle, *args)
 
-    monkeypatch.setattr(modular, "earliest_limits", refused)
+    monkeypatch.setattr(oracles, "earliest_limits", refused)
     monkeypatch.setattr(modular, "exit_staircases", recorded)
     for seed in range(4):
         for kind, mode, integral in (("integral", "anchored", True),
@@ -413,9 +414,9 @@ def test_release_group_walks_each_entry_down_the_grid_once(monkeypatch):
         queries.append((q.u, q.t0, q.end, q.horizon))
         return EXACT_DEADLINE.fn(q)
 
-    real_chain_dp = modular.chain_dp
+    real_label_loop = modular._label_loop
 
-    def recording_chain_dp(x, units, steps):
+    def recording_label_loop(x, units, steps):
         tscales.append(units.tscale)
 
         def recorded(step):
@@ -426,9 +427,9 @@ def test_release_group_walks_each_entry_down_the_grid_once(monkeypatch):
                 entries.append((gi, u, e))
                 return moves(u, e)
             return gi, release, deadline, members, recorded_moves
-        return real_chain_dp(x, units, map(recorded, steps))
+        return real_label_loop(x, units, map(recorded, steps))
 
-    monkeypatch.setattr(modular, "chain_dp", recording_chain_dp)
+    monkeypatch.setattr(modular, "_label_loop", recording_label_loop)
     res = modular._release_group_solve(x, DeadlineOracle(EXACT_DEADLINE.spec, counted))
     assert res.walk.reward == _opt(x) == 4
     assert entries.count((1, 3, 5 * tscales[0])) == 3

@@ -289,6 +289,32 @@ def test_directed_family_is_actually_asymmetric():
     assert found
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (("--l-low", "3", "--l-high", "2"), "0 <= l_low <= l_high"),
+    (("--l-low", "-2"), "0 <= l_low <= l_high"),
+    (("--l-low", "1/3", "--l-high", "1/2", "--integral"),
+     "no point of the 1/1 grid lies in [1/3, 1/2]"),
+    (("--l-low", "1/3", "--l-high", "2/5"), "no point of the 1/4 grid lies in [1/3, 2/5]"),
+])
+def test_gen_refuses_window_length_bounds_it_cannot_meet(bounds, message):
+    r = _run("gen", "--n", "5", *bounds)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and message in r.stderr, r.stderr
+
+
+@pytest.mark.parametrize("integral, low, high", [
+    (False, F(1, 3), F(2, 3)), (False, F(1, 5), F(9, 10)), (False, F(0), F(1, 4)),
+    (True, F(1, 2), F(5, 2)), (True, F(0), F(1)),
+])
+def test_generated_window_lengths_stay_within_their_bounds(integral, low, high):
+    from orientw.generate import generate_instance
+    for seed in range(20):
+        x = generate_instance("random-metric", 6, seed, integral=integral, l_low=low, l_high=high)
+        for v in x.positive_vertices():
+            w = x.windows[v]
+            assert low <= w.deadline - w.release <= high, (seed, v, w)
+
+
 def test_bench_general_never_beats_its_bound():
     from orientw.bench import bench_rows
     from orientw.generate import generate_instance

@@ -122,20 +122,20 @@ def test_exact_release_groups_take_every_exit_from_one_search(monkeypatch):
         return fn
 
     monkeypatch.setattr(oracles, "_exact_point", refused("exact_deadline"))
-    monkeypatch.setattr(modular, "earliest_limits", refused("earliest_limits"))
+    monkeypatch.setattr(oracles, "earliest_limits", refused("earliest_limits"))
     assert [_release_group_solve(x, EXACT_DEADLINE) for x in instances] == expected
     assert calls == []
 
 
 def test_layered_release_groups_still_walk_each_exit_down(monkeypatch):
     walks = []
-    real = modular.earliest_limits
+    real = oracles.earliest_limits
 
     def counted(*args):
         walks.append(args)
         return real(*args)
 
-    monkeypatch.setattr(modular, "earliest_limits", counted)
+    monkeypatch.setattr(oracles, "earliest_limits", counted)
     x, _part = _two_block_line()
     res = _release_group_solve(x, layered_deadline_oracle(GREEDY_ORACLE))
     assert res.walk.feasible and walks

@@ -13,8 +13,8 @@ from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
                      layered_deadline_oracle, metric_closure)
 from orientw.generate import random_metric
 from orientw.oracles import (INFEASIBLE_RESULT, DeadlineOracle, WalkResult, _result_better,
-                             _reward_scale, _time_units, _units, earliest_limits,
-                             exit_staircases)
+                             earliest_limits, exit_staircases)
+from orientw.rational import units_for
 
 from conftest import exact_profile, line_metric, ref_pareto, ref_reward
 from test_integer_units import DENOMINATORS, ref_deadline_reward, ref_duration, rewards, times
@@ -501,21 +501,29 @@ def _exit_query(rng, n, k, directed, quarter, spread):
     return m, eligible, rng.choice(members), t0
 
 
+# the exact oracles without their staircase search: exit_staircases walks
+# their checked point queries down the grid instead
+POINT_DEADLINE = DeadlineOracle(EXACT_DEADLINE.spec, EXACT_DEADLINE.fn)
+POINT_ORACLE = OrienteeringOracle(EXACT_ORACLE.spec, EXACT_ORACLE.fn)
+
+
 def _exits_in_units(m, eligible, u, t0):
-    """exit_staircases(EXACT_DEADLINE, ...) on the query, and every exit's
-    walk-down of best_deadline_walk(EXACT_DEADLINE, ...) in the same units."""
-    table, scale = _time_units(m, [t0] + [dl for (_r, dl) in eligible.values()], range(m.n))
-    rscale = _reward_scale(r for (r, _dl) in eligible.values())
-    credit = {v: (_units(r, rscale), _units(dl, scale)) for v, (r, dl) in eligible.items()}
-    found = exit_staircases(EXACT_DEADLINE, table, credit, u, _units(t0, scale))
+    """exit_staircases on the query for EXACT_DEADLINE and for
+    POINT_DEADLINE, and every exit's walk-down of
+    best_deadline_walk(EXACT_DEADLINE, ...) in the same units."""
+    units = units_for(m, [t0] + [dl for (_r, dl) in eligible.values()],
+                      [r for (r, _dl) in eligible.values()], range(m.n))
+    credit = {v: (units.reward(r), units.time(dl)) for v, (r, dl) in eligible.items()}
+    found = exit_staircases(EXACT_DEADLINE, m, units, credit, u, units.time(t0))
+    by_points = exit_staircases(POINT_DEADLINE, m, units, credit, u, units.time(t0))
     walked = {}
     for w, (_r, dl) in eligible.items():
-        walked[w] = [(_units(res.duration, scale), _units(res.reward, rscale), res.order)
+        walked[w] = [(units.time(res.duration), units.reward(res.reward), res.order)
                      for res in earliest_limits(
                          lambda h: best_deadline_walk(
                              EXACT_DEADLINE, DeadlineQuery(m, eligible, u, t0, w, h)),
                          t0, t0 if w == u else dl, m.scale)]
-    return found, walked, table
+    return found, by_points, walked, units.table
 
 
 def test_exit_staircases_equal_the_walk_down_of_every_exit():
@@ -535,8 +543,9 @@ def test_exit_staircases_equal_the_walk_down_of_every_exit():
         k = 10 + trial % 5
         queries.append(_exit_query(rng, k + 1, k, False, trial % 2 == 1, 12))
     for (m, eligible, u, t0) in queries:
-        found, walked, table = _exits_in_units(m, eligible, u, t0)
+        found, by_points, walked, table = _exits_in_units(m, eligible, u, t0)
         assert found == walked, (u, t0, eligible)
+        assert by_points == found, (u, t0, eligible)
         if len(eligible) >= 10:
             seen.add("10-14 members")
         if t0.denominator > 1:
@@ -565,12 +574,13 @@ def test_block_staircases_equal_the_walk_down_of_every_exit():
                                           quarter, 14)
         gains = {v: r for v, (r, _dl) in eligible.items()}
         span = F(rng.randint(0, 40), 4 if quarter else 1)
-        table, scale = _time_units(m, [span], range(m.n))
-        rscale = _reward_scale(gains.values())
-        credit = {v: (_units(r, rscale), _units(span, scale)) for v, r in gains.items()}
-        found = exit_staircases(EXACT_ORACLE, table, credit, u, 0)
+        units = units_for(m, [span], gains.values(), range(m.n))
+        table = units.table
+        credit = {v: (units.reward(r), units.time(span)) for v, r in gains.items()}
+        found = exit_staircases(EXACT_ORACLE, m, units, credit, u, 0)
+        assert exit_staircases(POINT_ORACLE, m, units, credit, u, 0) == found, (u, span)
         for w in gains:
-            assert found[w] == [(_units(res.duration, scale), _units(res.reward, rscale), res.order)
+            assert found[w] == [(units.time(res.duration), units.reward(res.reward), res.order)
                                 for res in exact_profile(m, gains, u, w, span)], (u, w, span)
         if any(len(order) > 1 for (_d, _r, order) in found[u]):
             seen.add("tour back to u")

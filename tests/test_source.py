@@ -76,6 +76,19 @@ def test_only_modular_runs_the_chain_dp():
     assert offenders == []
 
 
+def test_only_oracles_walks_the_point_queries_down():
+    # a block or release-group entry reaches an oracle through
+    # oracles.exit_staircases alone, which decides how the oracle answers;
+    # __init__.py is excluded, as its imports are the package's re-exports
+    offenders = []
+    for path in MODULES:
+        if path.name != "oracles.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            offenders += ["%s:%s" % (path.name, name) for name in sorted(
+                _read_names(tree) & {"earliest_limits", "best_deadline_walk", "DeadlineQuery"})]
+    assert offenders == []
+
+
 def test_package_imports_only_itself_and_the_standard_library():
     # README promises no runtime dependencies and pyproject lists none
     foreign = []
