@@ -49,13 +49,16 @@ class SolveReport:
     walk is re-evaluated on the instance the caller passed in, so its reward
     is certified independently of any internal bookkeeping.  bound is the
     proven worst-case divisor for this run: walk.reward >= optimum / bound
-    whenever the supplied oracles honor their declared ratios.
+    whenever the supplied oracles honor their declared ratios.  optimal is
+    set by solve_auto alone: True when the reward meets the reachability
+    bound of the caller's instance, which certifies it as the optimum.
     """
 
     algorithm: str
     walk: WalkSolution
     version_rewards: tuple  # ((label, reward on the original instance), ...)
     bound: Fraction
+    optimal: bool = False
 
     def __post_init__(self):
         # callers keep reports by the thousand: a report holds the live walk
@@ -365,12 +368,41 @@ def reduce_deadline_to_tw(x: TwInstance) -> TwInstance:
 
 # ----- dispatch -----------------------------------------------------------------
 
-def _keep_best(tries, failure: str, nothing: str = "") -> SolveReport:
+def _reach(x: TwInstance) -> Fraction:
+    """The reachability bound: the sum of the positive rewards of the
+    vertices that a walk could collect on its own, so OPT(x) <= _reach(x).
+
+    With a start anchor, v counts when d[s][v] <= D(v) and, anchored, when
+    max(d[s][v], R(v)) + d[v][t] <= budget; a start-only walk then always
+    ends in time, because R(v) <= D(v) <= budget.  On a free instance every
+    positive reward counts."""
+    if x.s is None:
+        return sum(x.rewards, ZERO)
+    d = x.metric.d
+    total = ZERO
+    for v in x.positive_vertices():
+        leg = d[x.s][v]
+        w = x.windows[v]
+        if not is_finite(leg) or leg > w.deadline:
+            continue
+        if x.t is not None:
+            back = d[v][x.t]
+            if not is_finite(back) or max(leg, w.release) + back > x.budget:
+                continue
+        total += x.rewards[v]
+    return total
+
+
+def _keep_best(tries, failure: str, ceiling: Fraction, nothing: str = "") -> SolveReport:
     """Run each (name, attempt) of tries and keep the first report with the
     highest reward.  An attempt may return None to drop out; one that raises
     PreconditionError is noted as "name: text".  When no report is left,
     raise PreconditionError("failure (notes)"), with nothing standing in for
-    the notes when there are none."""
+    the notes when there are none.
+
+    ceiling is an upper bound on every report's reward: once the best
+    reward meets it no later attempt can beat it, so none is run, and the
+    report returned is marked optimal exactly when its reward meets it."""
     best: Optional[SolveReport] = None
     refusals = []
     for (name, attempt) in tries:
@@ -381,8 +413,11 @@ def _keep_best(tries, failure: str, nothing: str = "") -> SolveReport:
             continue
         if rep is not None and (best is None or rep.walk.reward > best.walk.reward):
             best = rep
+            if best.walk.reward == ceiling:
+                break
     if best is None:
         raise PreconditionError("%s (%s)" % (failure, "; ".join(refusals) or nothing))
+    best.optimal = best.walk.reward == ceiling
     return best
 
 
@@ -390,6 +425,8 @@ def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
                deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
     """Try every solver of the instance's anchor mode, keep the first report
     with the highest reward, and raise only when every solver refuses.
+    Once a report's reward meets the reachability bound (_reach) it is
+    optimal: no later solver runs and the report says so.
     Start-anchored instances without an end anchor reduce to one anchored
     solve per candidate end vertex, and those share every result that no end
     anchor moves (see _auto_start_only)."""
@@ -406,17 +443,19 @@ def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     else:
         candidates = (("free-l2", solve_free_l_le_2), ("free-general", solve_free_general))
     return _keep_best(((name, partial(solver, x, oracle, deadline_oracle))
-                       for (name, solver) in candidates), "every solver refused")
+                       for (name, solver) in candidates), "every solver refused", _reach(x))
 
 
 def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
                      deadline_oracle: DeadlineOracle) -> SolveReport:
     """A walk that may end anywhere ends somewhere: solve the anchored
-    variant for every reachable end vertex and keep the best.  An end vertex
-    whose anchored solve is refused is skipped like an unreachable one.  The
-    ends share every split, forward label loop and l2's reversed B1 version
-    with its release-group moves (modular._shared); per end run only the
-    harvests, the walks' assembly and the reversed B1 label loop."""
+    variant for every reachable end vertex and keep the best, stopping at
+    the first end whose walk meets the start-only instance's reachability
+    bound.  An end vertex whose anchored solve is refused is skipped like an
+    unreachable one.  The ends share every split, forward label loop and
+    l2's reversed B1 version with its release-group moves (modular._shared);
+    per end run only the harvests, the walks' assembly and the reversed B1
+    label loop."""
 
     def ending_at(t2):
         sub = solve_auto(_anchored(x, x.s, t2), oracle, deadline_oracle)
@@ -435,7 +474,8 @@ def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
     token = _SHARED.set({})
     try:
         return _keep_best((("end %d" % t2, partial(ending_at, t2)) for t2 in reachable),
-                          "no end vertex yields a walk", "none is reachable from the start anchor")
+                          "no end vertex yields a walk", _reach(x),
+                          "none is reachable from the start anchor")
     finally:
         _SHARED.reset(token)
 

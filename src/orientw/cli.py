@@ -124,6 +124,8 @@ def _cmd_solve(args) -> int:
     if report.version_rewards:
         parts = ["%s=%s" % (label, reward) for label, reward in report.version_rewards]
         lines.append("versions: %s" % ",".join(parts))
+    # only solve_auto checks the reward against the reachability bound
+    lines.append("optimal: %s" % ("yes" if report.optimal else "unknown"))
     lines.extend(_walk_lines(report.walk))
     _emit("\n".join(lines), args.out)
     return 0

@@ -80,8 +80,18 @@ def _record_label_loops(monkeypatch):
 
 def test_each_label_loop_runs_once_per_start_only_solve(monkeypatch):
     x = generate_instance("random-metric", 6, 3, mode="start-only", **DENSE)
-    ends = sum(1 for t2 in range(x.n) if x.metric.d[x.s][t2] <= x.budget)
+    reachable = sum(1 for t2 in range(x.n) if x.metric.d[x.s][t2] <= x.budget)
     runs = _record_label_loops(monkeypatch)
+    # the ends actually solved: the start-only solve stops at the first end
+    # whose walk meets the reachability bound
+    solved = []
+    real_auto = algorithms.solve_auto
+
+    def recorded_auto(y, *args):
+        solved.append(y.t)
+        return real_auto(y, *args)
+
+    monkeypatch.setattr(algorithms, "solve_auto", recorded_auto)
     reversed_versions = []
     real_reversed = algorithms.time_reversed
 
@@ -91,7 +101,8 @@ def test_each_label_loop_runs_once_per_start_only_solve(monkeypatch):
 
     monkeypatch.setattr(algorithms, "time_reversed", recorded)
     rep = solve_auto(x)
-    assert ends > 2 and all(table is not None for (_y, table) in runs)
+    ends = len(solved)
+    assert reachable > 2 and all(table is not None for (_y, table) in runs)
     # a shared version keeps its windows object at every end; l2's B1
     # versions, reversed in time, start at the end vertex
     backward = {id(y.windows) for y in reversed_versions}
@@ -102,13 +113,14 @@ def test_each_label_loop_runs_once_per_start_only_solve(monkeypatch):
     assert sorted(starts.values()) == [ends] * len(reversed_versions)
     assert max(loops.values()) == 1
 
-    # the plain fan-out runs every loop and reversal once per end
+    # the plain fan-out solves every reachable end, and runs every loop and
+    # reversal once per end
     runs.clear()
     reversed_versions.clear()
     assert _fan_out(x, EXACT_ORACLE, EXACT_DEADLINE)[2] == rep.walk.reward
     assert all(table is None for (_y, table) in runs)
-    assert len(runs) == len(forward) * ends + sum(starts.values())
-    assert len(reversed_versions) == len(starts) * ends
+    assert len(runs) == (len(forward) + len(starts)) * reachable
+    assert len(reversed_versions) == len(starts) * reachable
     assert modular._SHARED.get() is None
 
 
@@ -138,3 +150,10 @@ def test_the_share_table_closes_when_every_end_vertex_refuses(monkeypatch):
     assert opened and all(table is opened[0] for table in opened)
     assert isinstance(opened[0], dict)
     assert modular._SHARED.get() is None
+
+
+def test_every_end_shares_its_label_loops_when_nothing_stops(monkeypatch):
+    # the first end meets the reachability bound above; without the stop
+    # every reachable end is solved, and each forward loop still runs once
+    monkeypatch.setattr(algorithms, "_reach", lambda x: None)
+    test_each_label_loop_runs_once_per_start_only_solve(monkeypatch)
