@@ -24,7 +24,7 @@ from .oracles import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
                       deadline_oracle_by_name, layered_deadline_oracle)
 from .modular import (ModularBlock, ModularPartition,
                       blocks_from_identical_windows, solve_reward_indexed,
-                      solve_time_indexed, verify_modular)
+                      verify_modular)
 from .algorithms import (ALGORITHMS, SolveReport, reduce_deadline_to_tw,
                          run_algorithm, solve_auto, solve_free_general,
                          solve_free_l_le_2, solve_general,
@@ -50,7 +50,7 @@ __all__ = [
     "reduce_deadline_to_tw", "restrict", "run_algorithm", "scale_times",
     "serialize", "solve_auto", "solve_free_general", "solve_free_l_le_2",
     "solve_general", "solve_integer_endpoints", "solve_l_le_2",
-    "solve_reward_indexed", "solve_time_indexed", "time_reversed",
+    "solve_reward_indexed", "time_reversed",
     "three_split_ceil", "three_split_floor", "validate_graph",
     "verify_modular", "walk_from_claims", "window_stats", "zero_window_dp",
 ]

@@ -71,6 +71,8 @@ def bench_rows(instances: Sequence[Tuple[str, TwInstance]],
     for name in algorithms:
         if name not in ALGORITHMS:
             raise PreconditionError("unknown algorithm %r" % name)
+    if oracle_name not in ORIENTEERING_ORACLES:
+        raise PreconditionError("unknown oracle %r" % oracle_name)
     oracle = ORIENTEERING_ORACLES[oracle_name]
     dl = deadline_oracle_by_name(deadline_oracle_name, oracle)
     rows: List[BenchRow] = []

@@ -4,30 +4,29 @@ A modular partition splits the positive-reward vertices into blocks with
 time intervals that appear in order along the timeline; every member's
 window must contain its block's interval.  Any feasible walk then collects
 each block's vertices in one contiguous stretch, so the instance solves by
-sequencing per-block point-to-point walks.  chain_dp runs that sequencing
-once for every composition; the two DPs below only say which in-block
-walks each block offers:
+sequencing per-block point-to-point walks.  _label_loop runs that
+sequencing once for every composition; a block DP only says which in-block
+walks each block offers.  solve_reward_indexed offers the earliest walk
+per reward the oracle reaches, on any rationals.
 
-* solve_time_indexed   - the best oracle walk up to each integral budget; integral data only
-* solve_reward_indexed - the earliest walk per reward the oracle reaches; any rationals
-
-Both take a point-to-point orienteering oracle and inherit its ratio;
+It takes a point-to-point orienteering oracle and inherits its ratio;
 each block keeps its own oracle answers, and none outlives the block but
 where the ends of one start-only solve share them (_shared).  With
-EXACT_ORACLE (ratio 1) either DP is exact, so the exact modular DP is
+EXACT_ORACLE (ratio 1) the DP is exact, so the exact modular DP is
 solve_reward_indexed on that oracle.
 
-The release-group DP (_release_group_solve) feeds chain_dp the same way,
-with groups of windows that share a release as its blocks and a deadline
-oracle for the walks inside a group.  Both it and solve_reward_indexed
-reach their oracle through oracles.exit_staircases only, one call per
-entry; how an oracle answers is decided there.  The composed solvers in
-algorithms call solve_reward_indexed and this DP only; the step protocol
-stays in this module.
+The release-group DP (_release_group_solve) feeds _label_loop the same
+way, with groups of windows that share a release as its blocks and a
+deadline oracle for the walks inside a group.  Both it and
+solve_reward_indexed reach their oracle through oracles.exit_staircases
+only, one call per entry; how an oracle answers is decided there.  The
+composed solvers in algorithms call solve_reward_indexed and this DP only;
+the step protocol stays in this module.
 
-The chain DP runs on ints.  Each DP fixes its units once (dp_units), and a
-block converts an oracle answer to them when it stores the answer, so the
-label loop does no Fraction arithmetic; only claimed is a Fraction again.
+The label loop runs on ints.  Each DP fixes its units once (dp_units), and
+a block converts an oracle answer to them when it stores the answer, so
+the label loop does no Fraction arithmetic; only claimed is a Fraction
+again.
 """
 
 from __future__ import annotations
@@ -39,9 +38,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InfeasibleInstanceError, PreconditionError
 from .instance import ANCHORED, FREE, TwInstance, WalkSolution, evaluate_walk
-from .oracles import (INFEASIBLE_RESULT, DeadlineOracle, OrienteeringOracle, OrienteeringQuery,
-                      WalkResult, _result_better, best_orienteering_walk, exit_staircases)
-from .rational import ONE, ZERO, Units, is_finite, is_integral, units_for
+from .oracles import DeadlineOracle, OrienteeringOracle, exit_staircases
+from .rational import ONE, ZERO, Units, is_finite, units_for
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,7 @@ def start_position(x: TwInstance):
 
 
 def dp_units(x: TwInstance, alpha: Fraction = ONE, times=()) -> Units:
-    """The units one chain DP runs in: distances, the budget, every window
+    """The units one label loop runs in: distances, the budget, every window
     endpoint, the extra times (block bounds) and every sum of them are
     whole, and rewards are whole over the lcm of their denominators, times
     alpha's so that each reward claimed at alpha times its value is too."""
@@ -199,7 +197,7 @@ def dp_units(x: TwInstance, alpha: Fraction = ONE, times=()) -> Units:
 
 def _eligible_blocks(x: TwInstance, part: ModularPartition):
     """(index, block, member rewards, sorted member ids) for every block
-    with a positive-reward member; the others offer the chain DP nothing."""
+    with a positive-reward member; the others offer the label loop nothing."""
     for bi, b in enumerate(part.blocks):
         eligible = {v: x.rewards[v] for v in sorted(b.members) if x.rewards[v] > 0}
         if eligible:
@@ -230,15 +228,17 @@ def _shared(key: tuple, x: TwInstance, build, *same):
 
 
 def _chain(key: tuple, x: TwInstance, units: Units, steps, *same) -> DpResult:
-    """chain_dp(x, units, steps); the ends of a start-only solve share its label loop."""
+    """The label loop's best walk; the ends of a start-only solve share the loop."""
     labels = _shared(key + (x.s,), x, lambda: _label_loop(x, units, steps), *same)
     return harvest_labels(x, units, labels)
 
 
-# ----- the chain DP ----------------------------------------------------------
+# ----- the label loop --------------------------------------------------------
 
-def chain_dp(x: TwInstance, units: Units, steps) -> DpResult:
-    """Label DP over blocks in timeline order, shared by every composition.
+def _label_loop(x: TwInstance, units: Units, steps) -> dict:
+    """Label DP over blocks in timeline order, shared by every composition;
+    its frontier per position after the last block (harvest_labels picks
+    the walk).  x's end anchor plays no part.
 
     A label (time, reward, back) at a position is a partial walk; each
     position keeps a Pareto frontier of them.  steps yields (index, release,
@@ -252,11 +252,6 @@ def chain_dp(x: TwInstance, units: Units, steps) -> DpResult:
     int in units; the conversion preserves order and sums, so the DP picks
     what it would pick on Fractions.  Only claimed is converted back.
     """
-    return harvest_labels(x, units, _label_loop(x, units, steps))
-
-
-def _label_loop(x: TwInstance, units: Units, steps) -> dict:
-    """chain_dp's frontier per position after the last block; x's end anchor plays no part."""
     table = units.table
     labels: Dict[object, List[tuple]] = {start_position(x): [(0, 0, None)]}
     for (bi, release, deadline, entries, moves) in steps:
@@ -330,75 +325,6 @@ def harvest_labels(x: TwInstance, units: Units, labels) -> DpResult:
     return DpResult(walk, Fraction(best[1][1], units.rscale), tuple(segments))
 
 
-# ----- time-indexed DP -------------------------------------------------------
-
-def solve_time_indexed(x: TwInstance, part: ModularPartition,
-                       oracle: OrienteeringOracle) -> DpResult:
-    """Chain DP whose block walks are one oracle answer per integral budget,
-    integral data only.
-
-    Block entry times and oracle budgets stay integral, so the state space
-    is finite without any rounding.  Per block and (entry, exit) the answers
-    at ascending budgets are kept as a running best, so a larger budget
-    never offers a worse walk.  With an exact oracle this solves the
-    modular instance exactly.
-    """
-    require_modular(x, part)
-    ensure_reachable_anchors(x)
-    _require_integral(x, part)
-
-    units = _block_units(x, part, ONE)
-
-    def steps():
-        for bi, b, eligible, ids in _eligible_blocks(x, part):
-            deadline = units.time(b.deadline)
-            # (u, w) -> (running best at budgets 0, 1, 2, ..., each new walk in
-            # it as (the first budget it is best at, its move in units))
-            answers: Dict[Tuple[int, int], Tuple[List[WalkResult], List[tuple]]] = {}
-
-            def moves(u, e):
-                budgets = (deadline - e) // units.tscale + 1  # budgets 0 .. budgets - 1 fit
-                for w in ids:
-                    best, offers = answers.setdefault((u, w), ([], []))
-                    for budget in range(len(best), budgets):
-                        res = best_orienteering_walk(
-                            oracle, OrienteeringQuery(x.metric, eligible, u, w, Fraction(budget)))
-                        prev = best[-1] if best else INFEASIBLE_RESULT
-                        if _result_better(prev, res):
-                            res = prev
-                        elif res.feasible and res.order != prev.order:
-                            offers.append((budget, (w, units.time(res.duration),
-                                                    units.reward(res.reward), res.order)))
-                        best.append(res)
-                    for (first, move) in offers:
-                        if first >= budgets:
-                            break
-                        yield move
-
-            yield bi, units.time(b.release), deadline, ids, moves
-
-    return chain_dp(x, units, steps())
-
-
-def _block_units(x: TwInstance, part: ModularPartition, alpha: Fraction) -> Units:
-    return dp_units(x, alpha, [t for b in part.blocks for t in (b.release, b.deadline)])
-
-
-def _require_integral(x: TwInstance, part: ModularPartition):
-    ok = is_integral(x.budget)
-    for row in x.metric.d:
-        for v in row:
-            if is_finite(v) and not is_integral(v):
-                ok = False
-    for b in part.blocks:
-        if not (is_integral(b.release) and is_integral(b.deadline)):
-            ok = False
-    if not ok:
-        raise PreconditionError(
-            "time-indexed DP needs integral distances and block bounds; "
-            "use solve_reward_indexed for rational data")
-
-
 # ----- reward-indexed DP -----------------------------------------------------
 
 def solve_reward_indexed(x: TwInstance, part: ModularPartition,
@@ -424,7 +350,7 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
     ensure_reachable_anchors(x)
 
     alpha = oracle.spec.ratio
-    units = _block_units(x, part, alpha)
+    units = dp_units(x, alpha, [t for b in part.blocks for t in (b.release, b.deadline)])
 
     def steps():
         for bi, b, eligible, ids in _eligible_blocks(x, part):

@@ -2,7 +2,10 @@
 
 The four-vertex unit path shows up everywhere: it is the smallest instance
 where ordering, windows and the budget all interact.  ref_pareto is the
-exhaustive referee of the Pareto staircases the block DPs build.
+exhaustive referee of the Pareto staircases the block DPs build, and
+solve_time_indexed the independent referee of the modular DP the solvers
+run (modular.solve_reward_indexed): one oracle point query per integral
+budget instead of one staircase search per entry.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ from typing import Optional, Sequence, Tuple
 
 import pytest
 
-from orientw import (EXACT_ORACLE, INF, WAIT, Graph, Metric, OrienteeringQuery,
-                     TimeWindow, TwInstance, WalkResult, best_orienteering_walk,
-                     metric_closure)
-from orientw.oracles import earliest_limits
+import orientw.modular as modular
+from orientw import (EXACT_ORACLE, INF, WAIT, Graph, Metric, ModularPartition,
+                     OrienteeringOracle, OrienteeringQuery, TimeWindow, TwInstance,
+                     WalkResult, best_orienteering_walk, metric_closure)
+from orientw.modular import DpResult
+from orientw.oracles import INFEASIBLE_RESULT, _result_better, earliest_limits
 
 
 def line_metric(n: int = 4) -> Metric:
@@ -113,3 +118,56 @@ def ref_pareto(m: Metric, eligible, u, v, horizon) -> tuple:
             entries.append(WalkResult(order, rew, dur))
             best = rew
     return tuple(entries)
+
+
+# ----- the time-indexed modular DP, referee of solve_reward_indexed ---------
+
+def solve_time_indexed(x: TwInstance, part: ModularPartition,
+                       oracle: OrienteeringOracle) -> DpResult:
+    """The modular label loop whose block walks are one oracle answer per
+    integral budget, integral data only.
+
+    Block entry times and oracle budgets stay integral, so the state space
+    is finite without any rounding.  Per block and (entry, exit) the answers
+    at ascending budgets are kept as a running best, so a larger budget
+    never offers a worse walk.  With an exact oracle this solves the
+    modular instance exactly.  It reads modular._label_loop at call time,
+    so a test may patch the loop to watch the moves offered.
+    """
+    modular.require_modular(x, part)
+    modular.ensure_reachable_anchors(x)
+    bounds = [t for b in part.blocks for t in (b.release, b.deadline)]
+    assert all(t.denominator == 1 for t in bounds + [x.budget] +
+               [d for row in x.metric.d for d in row if d != INF]), \
+        "the time-indexed DP needs integral distances, budget and block bounds"
+    units = modular.dp_units(x, times=bounds)
+
+    def steps():
+        for bi, b, eligible, ids in modular._eligible_blocks(x, part):
+            deadline = units.time(b.deadline)
+            # (u, w) -> (running best at budgets 0, 1, 2, ..., each new walk in
+            # it as (the first budget it is best at, its move in units))
+            answers = {}
+
+            def moves(u, e):
+                budgets = (deadline - e) // units.tscale + 1  # budgets 0 .. budgets - 1 fit
+                for w in ids:
+                    best, offers = answers.setdefault((u, w), ([], []))
+                    for budget in range(len(best), budgets):
+                        res = best_orienteering_walk(
+                            oracle, OrienteeringQuery(x.metric, eligible, u, w, F(budget)))
+                        prev = best[-1] if best else INFEASIBLE_RESULT
+                        if _result_better(prev, res):
+                            res = prev
+                        elif res.feasible and res.order != prev.order:
+                            offers.append((budget, (w, units.time(res.duration),
+                                                    units.reward(res.reward), res.order)))
+                        best.append(res)
+                    for (first, move) in offers:
+                        if first >= budgets:
+                            break
+                        yield move
+
+            yield bi, units.time(b.release), deadline, ids, moves
+
+    return modular.harvest_labels(x, units, modular._label_loop(x, units, steps()))

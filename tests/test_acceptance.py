@@ -20,13 +20,14 @@ from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE,
                      five_split, reduce_deadline_to_tw, run_algorithm,
                      solve_free_l_le_2, solve_general,
                      solve_integer_endpoints, solve_l_le_2,
-                     solve_reward_indexed, solve_time_indexed,
-                     three_split_ceil, three_split_floor, window_stats,
-                     zero_window_dp)
+                     solve_reward_indexed, three_split_ceil,
+                     three_split_floor, window_stats, zero_window_dp)
 from orientw.bench import bench_rows, rows_to_csv
 from orientw.generate import (gen_deadline_instance, gen_general_instance,
                               gen_integer_instance, gen_modular_instance,
                               gen_ratio2_instance, gen_zero_window_instance)
+
+from conftest import solve_time_indexed
 
 
 def ceil_log2(x: F) -> int:

@@ -340,6 +340,18 @@ def test_bench_rejects_an_unknown_algorithm_even_with_no_instances():
         bench_rows([], algorithms=["general", "nope"])
 
 
+@pytest.mark.parametrize("names, message", [
+    ({"oracle_name": "bogus"}, "unknown oracle 'bogus'"),
+    ({"deadline_oracle_name": "bogus"}, "unknown deadline oracle 'bogus'"),
+])
+def test_bench_rejects_an_unknown_oracle_even_with_no_instances(names, message):
+    # an unknown name is a precondition, like an unknown algorithm, not a KeyError
+    from orientw import PreconditionError
+    from orientw.bench import bench_rows
+    with pytest.raises(PreconditionError, match=message):
+        bench_rows([], **names)
+
+
 def test_readme_lists_exactly_the_registered_algorithms():
     from orientw import ALGORITHMS
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

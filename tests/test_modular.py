@@ -9,14 +9,13 @@ from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE, InfeasibleInst
                      ModularBlock, ModularPartition, OracleSpec, OrienteeringOracle,
                      PreconditionError, TimeWindow, brute_force_opt,
                      blocks_from_identical_windows, layered_deadline_oracle,
-                     solve_reward_indexed, solve_time_indexed, verify_modular,
-                     zero_window_dp)
+                     solve_reward_indexed, verify_modular, zero_window_dp)
 from orientw.generate import gen_modular_instance, gen_zero_window_instance
 from orientw.modular import (_release_group_solve, ensure_reachable_anchors, push_label,
                              require_modular)
 from orientw.oracles import DeadlineOracle, exact_orienteering, exact_staircases
 
-from conftest import build_instance, line4_instance, window
+from conftest import build_instance, line4_instance, solve_time_indexed, window
 
 
 def _two_block_line():
@@ -160,8 +159,8 @@ def test_a_misreporting_staircase_search_is_refused(lie, message):
 
 
 def test_exact_dps_agree_past_brute_force_sizes():
-    # 20-30 vertices, too many for brute_force_opt; the time-indexed DP is
-    # the independent exact side
+    # 20-30 vertices, too many for brute_force_opt; the time-indexed DP of
+    # conftest is the independent exact side
     compared = 0
     for seed in range(40):
         x, part = gen_modular_instance(seed, 20, 30)
@@ -175,14 +174,12 @@ def test_exact_dps_agree_past_brute_force_sizes():
     assert compared >= 20
 
 
-def test_time_indexed_needs_integral_data():
+def test_reward_indexed_takes_rational_block_bounds():
     x = build_instance(
         3, [(0, 1, 1), (1, 2, 1)],
         [(0, 6), (F(3, 2), F(5, 2)), (0, 6)],
         [0, 1, 0], 0, 2, 6)
     part = ModularPartition((ModularBlock(frozenset({1}), F(3, 2), F(5, 2)),))
-    with pytest.raises(PreconditionError):
-        solve_time_indexed(x, part, EXACT_ORACLE)
     res = solve_reward_indexed(x, part, EXACT_ORACLE)
     assert res.claimed == brute_force_opt(x).reward
 
@@ -243,7 +240,6 @@ def test_time_indexed_offers_a_running_best_over_ascending_budgets(monkeypatch):
     # block {1, 2, 3} on the unit path 0-1-2-3-4; from budget 5 on, the
     # oracle answers 1 -> 3 with the detour 1 -> 0 -> 1 -> 3, longer and
     # poorer than 1 -> 2 -> 3, which a larger budget must not offer
-    import orientw.modular as modular
     from orientw.oracles import WalkResult, _result_better
     detour = WalkResult((1, 0, 1, 3), F(2), F(4))
     asked = []
@@ -270,8 +266,9 @@ def test_time_indexed_offers_a_running_best_over_ascending_budgets(monkeypatch):
                         by_exit.setdefault(w, []).append(WalkResult(
                             order, F(gain, units.rscale), F(duration, units.tscale)))
                     offered.append(((u, F(e, units.tscale)), by_exit))
+        return {}
 
-    monkeypatch.setattr(modular, "chain_dp", offers)
+    monkeypatch.setattr(modular, "_label_loop", offers)
     solve_time_indexed(x, blocks_from_identical_windows(x), oracle)
     assert asked == [F(5), F(6)]  # once each: later entries reuse the block's answers
     assert [by_exit[3] for (entry, by_exit) in offered if entry == (1, 1)] == \
@@ -347,14 +344,14 @@ def test_ratio_two_oracle_earns_half_rounded_up():
 
 
 def test_push_label_keeps_a_strict_frontier_and_the_first_back():
-    # chain_dp's determinism rests on this: among equal labels the first
+    # the label loop's determinism rests on this: among equal labels the first
     # back-pointer pushed is the one that survives
     frontier = []
     push_label(frontier, (F(2), F(3), "first"))
     push_label(frontier, (F(2), F(3), "second"))
     assert frontier == [(F(2), F(3), "first")]
     rng = random.Random(11)
-    # chain_dp pushes labels in integer units; Fractions order the same way
+    # the label loop pushes labels in integer units; Fractions order the same way
     for num in [F] * 200 + [int] * 200:
         frontier, pushed = [], []
         for i in range(rng.randint(1, 12)):
@@ -372,9 +369,10 @@ def test_push_label_keeps_a_strict_frontier_and_the_first_back():
         assert {(t, r): i for (t, r, i) in frontier} == undominated
 
 
-# sha256 of (claimed, reward, schedule, segments) of both oracle DPs with the
-# greedy oracle on seeded gen_modular_instance; solve_auto's pin in
-# test_regression.py never reaches solve_time_indexed
+# sha256 of (claimed, reward, schedule, segments) of both oracle DPs (conftest's
+# time-indexed referee and solve_reward_indexed) with the greedy oracle on
+# seeded gen_modular_instance; solve_auto's pin in test_regression.py never
+# reaches the referee
 MODULAR_GREEDY_PIN = "7e57f431739d11575c1c725133c038379c3fca61d4e9c7e13efc77037ad4de35"
 
 

@@ -66,26 +66,29 @@ def test_every_private_definition_is_used():
 
 def test_only_modular_runs_the_chain_dp():
     # the step protocol (int units, (index, release, deadline, entries, moves))
-    # stays behind modular's block DPs
+    # stays behind modular's block DPs: no other module runs the label loop,
+    # harvests its labels or fixes its units
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "modular.py":
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             offenders += ["%s:%s" % (path.name, name)
-                          for name in sorted(_read_names(tree) & {"chain_dp", "dp_units"})]
+                          for name in sorted(_read_names(tree) & {"_label_loop", "harvest_labels", "dp_units"})]
     assert offenders == []
 
 
 def test_only_oracles_walks_the_point_queries_down():
     # a block or release-group entry reaches an oracle through
-    # oracles.exit_staircases alone, which decides how the oracle answers;
-    # __init__.py is excluded, as its imports are the package's re-exports
+    # oracles.exit_staircases alone, which decides how the oracle answers,
+    # with no point wrapper of either oracle kind beside it; __init__.py is
+    # excluded, as its imports are the package's re-exports
     offenders = []
     for path in MODULES:
         if path.name != "oracles.py":
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             offenders += ["%s:%s" % (path.name, name) for name in sorted(
-                _read_names(tree) & {"earliest_limits", "best_deadline_walk", "DeadlineQuery"})]
+                _read_names(tree) & {"earliest_limits", "best_deadline_walk", "DeadlineQuery",
+                                     "best_orienteering_walk", "OrienteeringQuery"})]
     assert offenders == []
 
 
