@@ -17,7 +17,7 @@ evaluation, not the solvers.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -26,7 +26,7 @@ from .decompose import (dyadic_family, five_split, require_ratio_two, three_spli
                         three_split_floor)
 from .errors import PreconditionError
 from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
-                       WalkSolution, drop_vertices, evaluate_walk, restrict,
+                       WalkSolution, _derived, drop_vertices, evaluate_walk, restrict,
                        time_reversed, window_stats)
 from .metric import Metric
 from .modular import (_SHARED, ModularBlock, ModularPartition, _release_group_solve, _shared,
@@ -92,9 +92,9 @@ def _length_split(x: TwInstance) -> Tuple[List[int], List[int]]:
     go to the exact "Z" version, the rest to the window decompositions."""
     zero: List[int] = []
     pos: List[int] = []
-    for v in range(x.n):
-        if x.rewards[v] > 0:
-            (zero if x.windows[v].length == 0 else pos).append(v)
+    for v in x.positive_vertices():
+        w = x.windows[v]
+        (zero if w.release == w.deadline else pos).append(v)
     return zero, pos
 
 
@@ -141,7 +141,7 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
 
 def _anchored(x: TwInstance, s: Optional[int], t: Optional[int]) -> TwInstance:
     """x with anchors s and t (a shared instance keeps those it was built with)."""
-    return x if (x.s, x.t) == (s, t) else replace(x, s=s, t=t)
+    return x if (x.s, x.t) == (s, t) else _derived(x, x.windows, x.rewards, s, t)
 
 
 def _modular_version(ver: TwInstance, oracle: OrienteeringOracle) -> tuple:
@@ -198,7 +198,7 @@ def solve_integer_endpoints(x: TwInstance, oracle: OrienteeringOracle = EXACT_OR
         raise PreconditionError("integer-endpoints solver needs both anchors")
     for v in x.positive_vertices():
         w = x.windows[v]
-        if w.length > 0 and not (is_integral(w.release) and is_integral(w.deadline)):
+        if w.release < w.deadline and not (is_integral(w.release) and is_integral(w.deadline)):
             raise PreconditionError(
                 "vertex %d window [%s, %s] has fractional endpoints" % (v, w.release, w.deadline))
 

@@ -139,7 +139,7 @@ def _family(base: TwInstance, factor: Fraction, cut) -> RestrictedFamily:
     groups: Dict[object, Tuple[str, Dict[int, TimeWindow]]] = {}
     for v in positive:
         w = base.windows[v]
-        if w.length > 0:
+        if w.release < w.deadline:
             for (key, label, piece) in cut(v, w):
                 groups.setdefault(key, (label, {}))[1][v] = piece
     zeroed: Dict[int, Optional[TimeWindow]] = dict.fromkeys(positive)

@@ -4,17 +4,26 @@ A TwInstance bundles an exact metric, one window and one reward per vertex,
 optional start/end anchors, a time budget, and the waiting policy.  Walks are
 scored by evaluate_walk; brute_force_opt is the exact desk-scale oracle the
 rest of the package is verified against.
+
+evaluate_walk is where a walk's times enter integer units: one rational.Units
+per call, over the metric's scale and the denominators of the budget, the
+flagged vertices' windows and any explicit times, with distances read off
+metric.ints; Fractions come back only for the schedule and the reward.
+The public constructor checks every field.  restrict, drop_vertices and the
+solvers' re-anchoring derive from a checked instance through _derived, which
+checks only what changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContainmentError, InfeasibleInstanceError, PreconditionError
 from .metric import Metric
-from .rational import ZERO, as_fraction, is_finite, shared_fraction
+from .rational import ZERO, as_fraction, is_finite, shared_fraction, units_for
 
 WAIT = "wait"
 NO_WAIT = "no-wait"
@@ -72,11 +81,7 @@ class TwInstance:
             raise PreconditionError("rewards must be nonnegative")
         if self.wait_policy not in (WAIT, NO_WAIT):
             raise PreconditionError("wait_policy must be %r or %r" % (WAIT, NO_WAIT))
-        if self.s is None and self.t is not None:
-            raise PreconditionError("an end anchor without a start anchor is not supported")
-        for anchor in (self.s, self.t):
-            if anchor is not None and not (0 <= anchor < n):
-                raise PreconditionError("anchor vertex %r outside 0..%d" % (anchor, n - 1))
+        _check_anchors(n, self.s, self.t)
         if self.budget < 0:
             raise PreconditionError("budget must be nonnegative")
         for v, w in enumerate(self.windows):
@@ -100,7 +105,32 @@ class TwInstance:
         return ANCHORED
 
     def positive_vertices(self) -> list:
-        return [v for v in range(self.n) if self.rewards[v] > 0]
+        return [v for v, r in enumerate(self.rewards) if r.numerator > 0]
+
+
+def _check_anchors(n: int, s: Optional[int], t: Optional[int]):
+    if s is None and t is not None:
+        raise PreconditionError("an end anchor without a start anchor is not supported")
+    for anchor in (s, t):
+        if anchor is not None and not (0 <= anchor < n):
+            raise PreconditionError("anchor vertex %r outside 0..%d" % (anchor, n - 1))
+
+
+def _derived(x: TwInstance, windows: tuple, rewards: tuple,
+             s: Optional[int], t: Optional[int]) -> TwInstance:
+    """x with new windows, rewards or anchors, checking only what changed.
+
+    x passed TwInstance's checks, and the caller keeps every window inside
+    x's (restrict checks containment) and every reward x's or zero, so
+    only new anchors are checked here."""
+    if (s, t) != (x.s, x.t):
+        _check_anchors(x.n, s, t)
+    y = object.__new__(TwInstance)
+    for name, value in (("metric", x.metric), ("windows", windows), ("rewards", rewards),
+                        ("s", s), ("t", t), ("budget", x.budget),
+                        ("wait_policy", x.wait_policy)):
+        object.__setattr__(y, name, value)
+    return y
 
 
 @dataclass(frozen=True)
@@ -149,6 +179,13 @@ class WalkSolution(_WeaklyReferable):
         return frozenset(v for (v, _t, c) in self.schedule if c)
 
 
+@lru_cache(maxsize=4096)
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator), shared: walks repeat their times
+    and rewards, so the table keeps the last 4096 of them."""
+    return shared_fraction(Fraction(numerator, denominator))
+
+
 def _infeasible(reason: str) -> WalkSolution:
     return WalkSolution((), ZERO, feasible=False, reason=reason)
 
@@ -160,7 +197,7 @@ def window_stats(x: TwInstance) -> WindowStats:
         w = x.windows[v]
         if d_max is None or w.deadline > d_max:
             d_max = w.deadline
-        if w.length > 0:
+        if w.release < w.deadline:
             lengths.append(w.length)
     if not lengths:
         return WindowStats(None, None, None, d_max)
@@ -196,14 +233,14 @@ def restrict(x: TwInstance, new_windows: Mapping[int, Optional[TimeWindow]]) -> 
                 "vertex %d: window [%s, %s] escapes [%s, %s]"
                 % (v, w.release, w.deadline, x.windows[v].release, x.windows[v].deadline))
         windows[v] = w
-    return replace(x, windows=tuple(windows), rewards=tuple(rewards))
+    return _derived(x, tuple(windows), tuple(rewards), x.s, x.t)
 
 
 def drop_vertices(x: TwInstance, keep) -> TwInstance:
     """Zero out rewards outside `keep`; windows are left untouched."""
     keep = set(keep)
     rewards = tuple(r if v in keep else ZERO for v, r in enumerate(x.rewards))
-    return replace(x, rewards=rewards)
+    return _derived(x, x.windows, rewards, x.s, x.t)
 
 
 def time_reversed(x: TwInstance, pivot: Optional[Fraction] = None) -> TwInstance:
@@ -232,81 +269,98 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
     (the caller should not have flagged it); under no-wait it is simply not
     credited.  With explicit times the gaps must cover the travel distances
     (exactly equal them under no-wait).
+
+    One pass in integer units: times run over the lcm of the metric's scale
+    and the denominators of the budget, the flagged vertices' windows and
+    the explicit times, and distances are read off metric.ints.  Fractions
+    are built only for the schedule's times, the reward and a reason's
+    numbers.
     """
     order = [(v, bool(flag)) for (v, flag) in order]
     if not order:
         if x.mode != FREE:
             return _infeasible("an anchored walk cannot be empty")
         return WalkSolution((), ZERO)
+    n = x.n
+    for (v, _flag) in order:
+        if not 0 <= v < n:
+            return _infeasible("unknown vertex %r" % (v,))
     if x.s is not None and order[0][0] != x.s:
         return _infeasible("walk must start at vertex %d" % x.s)
     if x.t is not None and order[-1][0] != x.t:
         return _infeasible("walk must end at vertex %d" % x.t)
+    if times is not None:
+        if len(times) != len(order):
+            return _infeasible("times must match the walk length")
+        times = [as_fraction(t) for t in times]
 
-    d = x.metric.d
+    windows, rewards = x.windows, x.rewards
+    flagged = [v for (v, flag) in order if flag]
+    bounds = [x.budget] + (times or [])
+    for v in flagged:
+        bounds += (windows[v].release, windows[v].deadline)
+    units = units_for(x.metric, bounds, [rewards[v] for v in flagged],
+                      (v for (v, _flag) in order))
+    time, table, tscale = units.time, units.table, units.tscale
+    # each flagged vertex's window in units
+    span = {v: (time(windows[v].release), time(windows[v].deadline)) for v in flagged}
     waiting = x.wait_policy == WAIT
 
     if times is None:
-        sched_times = []
-        for i, (v, flag) in enumerate(order):
-            if i == 0:
-                if x.mode == FREE:
-                    t0 = max(ZERO, x.windows[v].release) if flag else ZERO
-                else:
-                    t0 = ZERO
-                sched_times.append(t0)
-                continue
-            prev = order[i - 1][0]
-            step = d[prev][v]
-            if not is_finite(step):
-                return _infeasible("no path from %d to %d" % (prev, v))
-            arrived = sched_times[-1] + step
-            if waiting and flag:
-                arrived = max(arrived, x.windows[v].release)
-            sched_times.append(shared_fraction(arrived))
+        # a free walk starts at its first vertex's release when it collects
+        # it (releases are nonnegative); an anchored one at 0
+        u, flag = order[0]
+        now = span[u][0] if flag and x.s is None else 0
+        ticks = [now]
+        for (v, flag) in order[1:]:
+            step = table[u][v]
+            if step is None:
+                return _infeasible("no path from %d to %d" % (u, v))
+            now += step
+            if waiting and flag and span[v][0] > now:
+                now = span[v][0]
+            ticks.append(now)
+            u = v
     else:
-        if len(times) != len(order):
-            return _infeasible("times must match the walk length")
-        sched_times = [as_fraction(t) for t in times]
-        first = sched_times[0]
-        if x.mode == FREE:
-            if first < 0:
+        ticks = [time(t) for t in times]
+        if x.s is None:
+            if ticks[0] < 0:
                 return _infeasible("walk cannot start before time 0")
-        elif first != 0:
+        elif ticks[0] != 0:
             return _infeasible("anchored walks start at time 0")
         for i in range(1, len(order)):
-            step = d[order[i - 1][0]][order[i][0]]
-            if not is_finite(step):
-                return _infeasible("no path from %d to %d" % (order[i - 1][0], order[i][0]))
-            gap = sched_times[i] - sched_times[i - 1]
+            u, v = order[i - 1][0], order[i][0]
+            step = table[u][v]
+            if step is None:
+                return _infeasible("no path from %d to %d" % (u, v))
+            gap = ticks[i] - ticks[i - 1]
             if waiting:
                 if gap < step:
-                    return _infeasible("gap %s shorter than travel %s at step %d" % (gap, step, i))
+                    return _infeasible("gap %s shorter than travel %s at step %d"
+                                       % (Fraction(gap, tscale), x.metric.d[u][v], i))
             elif gap != step:
                 return _infeasible("no-wait gaps must equal travel exactly (step %d)" % i)
 
-    collected = set()
-    for (v, flag), tv in zip(order, sched_times):
-        if not flag:
-            continue
-        w = x.windows[v]
-        inside = w.release <= tv <= w.deadline
-        if inside:
-            collected.add(v)
-        elif waiting:
-            return _infeasible(
-                "vertex %d flagged at time %s outside its window [%s, %s]"
-                % (v, tv, w.release, w.deadline))
+    credited = []
+    for (v, flag), now in zip(order, ticks):
+        if flag and not span[v][0] <= now <= span[v][1]:
+            if waiting:
+                w = windows[v]
+                return _infeasible(
+                    "vertex %d flagged at time %s outside its window [%s, %s]"
+                    % (v, Fraction(now, tscale), w.release, w.deadline))
+            flag = False
+        credited.append(flag)
 
-    end = sched_times[-1]
-    if x.mode != FREE and end > x.budget:
-        return _infeasible("walk ends at %s, after the budget %s" % (end, x.budget))
+    if x.s is not None and ticks[-1] > time(x.budget):
+        return _infeasible("walk ends at %s, after the budget %s"
+                           % (Fraction(ticks[-1], tscale), x.budget))
 
-    schedule = tuple((v, tv, flag and v in collected and tv >= x.windows[v].release
-                      and tv <= x.windows[v].deadline)
-                     for (v, flag), tv in zip(order, sched_times))
-    reward = shared_fraction(sum((x.rewards[v] for v in collected), ZERO))
-    return WalkSolution(schedule, reward)
+    schedule = tuple((v, _fraction(now, tscale), c)
+                     for (v, _flag), now, c in zip(order, ticks, credited))
+    collected = {v for (v, _flag), c in zip(order, credited) if c}
+    total = sum(units.reward(rewards[v]) for v in collected)
+    return WalkSolution(schedule, _fraction(total, units.rscale))
 
 
 # ----- exact search ----------------------------------------------------------

@@ -11,8 +11,9 @@ d[u][v] == Fraction(ints[u][v], scale) (ints holds None where d holds INF);
 a time t enters as t.numerator * (scale // t.denominator) once scale is a
 multiple of t.denominator, and rewards likewise over the lcm of their
 denominators.  Units holds both scales and the distances in time units
-(units_for builds it).  The oracles convert once per query; the chain DP
-converts once per DP (modular.dp_units) and keeps every label as ints.
+(units_for builds it).  Times enter units in three places: the oracles
+convert once per query, the chain DP once per DP (modular.dp_units) and
+keeps every label as ints, and instance.evaluate_walk once per walk.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ def is_integral(value: Fraction) -> bool:
 
 def floor_log2(x: Fraction) -> int:
     """Largest j with 2**j <= x.  Requires x > 0."""
-    if x <= 0:
-        raise ValueError("floor_log2 needs a positive value")
     n, d = x.numerator, x.denominator
+    if n <= 0:
+        raise ValueError("floor_log2 needs a positive value")
     # x lies in (2**(j-1), 2**(j+1)), so the answer is j or j - 1
     j = n.bit_length() - d.bit_length()
     fits = n >= d << j if j >= 0 else n << -j >= d

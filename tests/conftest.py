@@ -1,11 +1,12 @@
 """Shared builders for the test suite.
 
 The four-vertex unit path shows up everywhere: it is the smallest instance
-where ordering, windows and the budget all interact.  ref_pareto is the
-exhaustive referee of the Pareto staircases the block DPs build, and
-solve_time_indexed the independent referee of the modular DP the solvers
-run (modular.solve_reward_indexed): one oracle point query per integral
-budget instead of one staircase search per entry.
+where ordering, windows and the budget all interact.  ref_evaluate_walk is
+the Fraction referee of evaluate_walk, which runs in integer units;
+ref_pareto is the exhaustive referee of the Pareto staircases the block DPs
+build, and solve_time_indexed the independent referee of the modular DP the
+solvers run (modular.solve_reward_indexed): one oracle point query per
+integral budget instead of one staircase search per entry.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import pytest
 import orientw.modular as modular
 from orientw import (EXACT_ORACLE, INF, WAIT, Graph, Metric, ModularPartition,
                      OrienteeringOracle, OrienteeringQuery, TimeWindow, TwInstance,
-                     WalkResult, best_orienteering_walk, metric_closure)
+                     WalkResult, WalkSolution, best_orienteering_walk, metric_closure)
+from orientw.instance import FREE
 from orientw.modular import DpResult
 from orientw.oracles import INFEASIBLE_RESULT, _result_better, earliest_limits
+from orientw.rational import ZERO, as_fraction, is_finite, shared_fraction
 
 
 def line_metric(n: int = 4) -> Metric:
@@ -55,6 +58,96 @@ def build_instance(n: int, edges, windows, rewards, s, t, budget,
     wins = tuple(window(a, b) for (a, b) in windows)
     rews = tuple(F(r) for r in rewards)
     return TwInstance(metric, wins, rews, s, t, F(budget), policy)
+
+
+# ----- walk evaluation in Fractions, referee of evaluate_walk -------------
+
+def _infeasible(reason: str) -> WalkSolution:
+    return WalkSolution((), ZERO, feasible=False, reason=reason)
+
+
+def ref_evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = None
+                      ) -> WalkSolution:
+    """evaluate_walk in Fraction arithmetic on the distance table d, step by
+    step: the same schedule rule, checks in the same order and the same
+    reasons."""
+    order = [(v, bool(flag)) for (v, flag) in order]
+    if not order:
+        if x.mode != FREE:
+            return _infeasible("an anchored walk cannot be empty")
+        return WalkSolution((), ZERO)
+    for (v, _flag) in order:
+        if not 0 <= v < x.n:
+            return _infeasible("unknown vertex %r" % (v,))
+    if x.s is not None and order[0][0] != x.s:
+        return _infeasible("walk must start at vertex %d" % x.s)
+    if x.t is not None and order[-1][0] != x.t:
+        return _infeasible("walk must end at vertex %d" % x.t)
+
+    d = x.metric.d
+    waiting = x.wait_policy == WAIT
+
+    if times is None:
+        sched_times = []
+        for i, (v, flag) in enumerate(order):
+            if i == 0:
+                if x.mode == FREE:
+                    t0 = max(ZERO, x.windows[v].release) if flag else ZERO
+                else:
+                    t0 = ZERO
+                sched_times.append(t0)
+                continue
+            prev = order[i - 1][0]
+            step = d[prev][v]
+            if not is_finite(step):
+                return _infeasible("no path from %d to %d" % (prev, v))
+            arrived = sched_times[-1] + step
+            if waiting and flag:
+                arrived = max(arrived, x.windows[v].release)
+            sched_times.append(shared_fraction(arrived))
+    else:
+        if len(times) != len(order):
+            return _infeasible("times must match the walk length")
+        sched_times = [as_fraction(t) for t in times]
+        first = sched_times[0]
+        if x.mode == FREE:
+            if first < 0:
+                return _infeasible("walk cannot start before time 0")
+        elif first != 0:
+            return _infeasible("anchored walks start at time 0")
+        for i in range(1, len(order)):
+            step = d[order[i - 1][0]][order[i][0]]
+            if not is_finite(step):
+                return _infeasible("no path from %d to %d" % (order[i - 1][0], order[i][0]))
+            gap = sched_times[i] - sched_times[i - 1]
+            if waiting:
+                if gap < step:
+                    return _infeasible("gap %s shorter than travel %s at step %d" % (gap, step, i))
+            elif gap != step:
+                return _infeasible("no-wait gaps must equal travel exactly (step %d)" % i)
+
+    collected = set()
+    for (v, flag), tv in zip(order, sched_times):
+        if not flag:
+            continue
+        w = x.windows[v]
+        inside = w.release <= tv <= w.deadline
+        if inside:
+            collected.add(v)
+        elif waiting:
+            return _infeasible(
+                "vertex %d flagged at time %s outside its window [%s, %s]"
+                % (v, tv, w.release, w.deadline))
+
+    end = sched_times[-1]
+    if x.mode != FREE and end > x.budget:
+        return _infeasible("walk ends at %s, after the budget %s" % (end, x.budget))
+
+    schedule = tuple((v, tv, flag and v in collected and tv >= x.windows[v].release
+                      and tv <= x.windows[v].deadline)
+                     for (v, flag), tv in zip(order, sched_times))
+    reward = shared_fraction(sum((x.rewards[v] for v in collected), ZERO))
+    return WalkSolution(schedule, reward)
 
 
 # ----- the exact Pareto frontier and its referee ----------------------------

@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,8 @@ from orientw import (ContainmentError, InfeasibleInstanceError, NO_WAIT,
                      brute_force_opt, drop_vertices, evaluate_walk, restrict,
                      scale_times, time_reversed, walk_from_claims,
                      window_stats)
+from orientw.algorithms import _anchored
+from orientw.generate import FAMILIES, generate_instance
 
 from conftest import build_instance, line4_instance, window
 
@@ -140,6 +144,16 @@ def test_no_wait_policy_never_waits():
     assert sol2.schedule[1][1] == F(3)
 
 
+def test_unknown_vertex_ids_are_infeasible():
+    x = generate_instance("random-metric", 5, 1, mode="free")
+    for v in (-1, 5, 7):
+        sol = evaluate_walk(x, [(v, True)])
+        assert (sol.feasible, sol.reward, sol.reason) == (False, 0, "unknown vertex %d" % v)
+    y = generate_instance("random-metric", 5, 1)
+    sol = evaluate_walk(y, [(y.s, False), (-1, True), (y.t, False)])
+    assert sol.reason == "unknown vertex -1"
+
+
 def test_explicit_times_checked():
     x = line4_instance()
     ok = evaluate_walk(x, [(0, True), (1, True), (3, False)],
@@ -218,6 +232,66 @@ def test_drop_vertices(line4):
     y = drop_vertices(line4, {1, 3})
     assert [float(r) for r in y.rewards] == [0.0, 1.0, 0.0, 1.0]
     assert y.windows == line4.windows
+
+
+def revalidated(y: TwInstance) -> TwInstance:
+    """y rebuilt through the public constructor, which checks every field."""
+    return TwInstance(y.metric, y.windows, y.rewards, y.s, y.t, y.budget, y.wait_policy)
+
+
+def random_subwindow(rng: random.Random, w: TimeWindow) -> TimeWindow:
+    lo, hi = sorted(w.release + w.length * F(rng.randint(0, 4), 4) for _ in range(2))
+    return TimeWindow(lo, hi)
+
+
+@pytest.mark.parametrize("mode", ["anchored", "start-only", "free"])
+def test_derived_instances_equal_what_replace_builds(mode):
+    rng = random.Random("derived-" + mode)
+    for family in FAMILIES:
+        for integral in (False, True):
+            x = generate_instance(family, 6, 2, mode=mode, integral=integral)
+            for _ in range(5):
+                picked = rng.sample(range(x.n), rng.randint(0, x.n))
+                new = {v: None if rng.random() < 0.3 else random_subwindow(rng, x.windows[v])
+                       for v in picked}
+                y = restrict(x, new)
+                windows = tuple(new.get(v) or w for v, w in enumerate(x.windows))
+                rewards = tuple(F(0) if v in new and new[v] is None else r
+                                for v, r in enumerate(x.rewards))
+                assert y == replace(x, windows=windows, rewards=rewards) == revalidated(y)
+                keep = set(rng.sample(range(x.n), rng.randint(0, x.n)))
+                y = drop_vertices(x, keep)
+                rewards = tuple(r if v in keep else F(0) for v, r in enumerate(x.rewards))
+                assert y == replace(x, rewards=rewards) == revalidated(y)
+            ends = [None] + list(range(x.n))
+            for (s, t) in [(None, None)] + [(s, t) for s in range(x.n) for t in ends]:
+                y = _anchored(x, s, t)
+                assert y == replace(x, s=s, t=t) == revalidated(y)
+
+
+@pytest.mark.parametrize("s, t", [(6, None), (-1, 2), (0, 6), (None, 2), (None, 0)])
+def test_anchored_refuses_what_the_constructor_refuses(s, t):
+    x = generate_instance("random-metric", 6, 1)
+    with pytest.raises(PreconditionError) as full:
+        replace(x, s=s, t=t)
+    with pytest.raises(PreconditionError) as mine:
+        _anchored(x, s, t)
+    assert str(mine.value) == str(full.value)
+
+
+def test_derived_instances_skip_the_full_validation(monkeypatch):
+    x = generate_instance("random-metric", 6, 1)
+
+    def refuse(self):
+        raise AssertionError("validated again")
+
+    monkeypatch.setattr(TwInstance, "__post_init__", refuse)
+    restrict(x, {1: None, 2: TimeWindow(x.windows[2].release, x.windows[2].release)})
+    drop_vertices(x, {1, 3})
+    _anchored(x, x.s, None)
+    # time_reversed keeps the full checks: a custom pivot can make a release negative
+    with pytest.raises(AssertionError, match="validated again"):
+        time_reversed(x)
 
 
 def test_time_reversed_swaps_anchors(line4):

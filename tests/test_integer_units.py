@@ -1,12 +1,13 @@
 """Referee tests for the integer-unit kernel.
 
-metric_closure, Metric and the exact oracles run on integers scaled from
-the exact rationals.  The referees here are the plain Fraction versions:
-a Fraction Floyd-Warshall, and Fraction searches over the visit orders the
-exact oracles answer from (the deadline one rescoring the whole order at
-every node), ranked as the exact oracles rank them: most reward, then the
-soonest end, then the smallest order.  Integer arithmetic is exact, so
-every answer must be identical, not merely close.
+metric_closure, Metric, the exact oracles and evaluate_walk run on integers
+scaled from the exact rationals.  The referees here are the plain Fraction
+versions: a Fraction Floyd-Warshall, Fraction searches over the visit
+orders the exact oracles answer from (the deadline one rescoring the whole
+order at every node), ranked as the exact oracles rank them: most reward,
+then the soonest end, then the smallest order, and conftest's
+ref_evaluate_walk.  Integer arithmetic is exact, so every answer must be
+identical, not merely close.
 """
 
 from __future__ import annotations
@@ -22,18 +23,21 @@ from hypothesis import strategies as st
 
 import orientw.algorithms as algorithms
 import orientw.modular as modular
-from orientw import (EXACT_DEADLINE, EXACT_ORACLE, INF, DeadlineQuery, Graph, GraphError,
-                     Metric, ModularBlock, ModularPartition, OracleSpec, OrienteeringOracle,
-                     OrienteeringQuery, TimeWindow, TwInstance, best_orienteering_walk,
-                     brute_force_opt, metric_closure, reduce_deadline_to_tw, scale_times,
-                     serialize, solve_free_l_le_2, solve_reward_indexed, time_reversed,
-                     zero_window_dp)
-from orientw.generate import gen_modular_instance, gen_ratio2_instance, random_metric
+from orientw import (EXACT_DEADLINE, EXACT_ORACLE, INF, NO_WAIT, WAIT, DeadlineQuery, Graph,
+                     GraphError, Metric, ModularBlock, ModularPartition, OracleSpec,
+                     OrienteeringOracle, OrienteeringQuery, TimeWindow, TwInstance,
+                     best_orienteering_walk, brute_force_opt, evaluate_walk, metric_closure,
+                     reduce_deadline_to_tw, scale_times, serialize, solve_free_l_le_2,
+                     solve_reward_indexed, time_reversed, zero_window_dp)
+from orientw.generate import (FAMILIES, gen_modular_instance, gen_ratio2_instance,
+                              generate_instance, random_metric)
+from orientw.instance import ANCHORED, FREE, START_ONLY
 from orientw.modular import dp_units
 from orientw.oracles import INFEASIBLE_RESULT, WalkResult, exact_deadline, exact_orienteering
 from orientw.rational import floor_log2
 
-from conftest import exact_profile, ref_pareto, ref_reward
+from conftest import (exact_profile, line4_instance, ref_evaluate_walk, ref_pareto, ref_reward,
+                      window)
 
 DENOMINATORS = (1, 3, 7, 2)  # edge weights such as 1/3, 1/7 and 5/2
 ODD_DENOMINATORS = (11, 13)  # never divide an edge scale built from DENOMINATORS
@@ -344,6 +348,133 @@ def test_floor_log2_on_exact_powers_of_two(j):
     assert floor_log2(power) == j
     assert floor_log2(power * F(2 ** 40 - 1, 2 ** 40)) == j - 1
     assert floor_log2(power * F(2 ** 40 + 1, 2 ** 40)) == j
+
+
+@pytest.mark.parametrize("x", [F(0), F(-1), F(-3, 7), 0, -5])
+def test_floor_log2_refuses_what_is_not_positive(x):
+    with pytest.raises(ValueError):
+        floor_log2(x)
+
+
+# ----- walk evaluation against its Fraction referee --------------------------
+
+def random_order(rng: random.Random, x: TwInstance) -> list:
+    """Up to seven visits with repeats and random flags, usually between
+    x's anchors, whose flags are random too."""
+    order = [(rng.randrange(x.n), rng.random() < 0.6) for _ in range(rng.randrange(8))]
+    if rng.random() < 0.85:
+        if x.s is not None:
+            order.insert(0, (x.s, rng.random() < 0.3))
+        if x.t is not None:
+            order.append((x.t, rng.random() < 0.3))
+    return order
+
+
+def random_times(rng: random.Random, x: TwInstance, order: list) -> list:
+    """Explicit times for order: each gap the travel time plus a wait that
+    is mostly none, sometimes a quarter, a third or more, and sometimes
+    negative; a start that is mostly 0; ints where they are whole; now and
+    then one time too few."""
+    at = rng.choice((F(0), F(0), F(0), F(1, 3), F(-1, 4)))
+    times = [at]
+    for (u, _f), (v, _g) in zip(order, order[1:]):
+        step = x.metric.d[u][v]
+        at += (F(1) if step is INF else step) + rng.choice(
+            (F(0), F(0), F(0), F(1, 4), F(1, 3), F(2), F(-1, 4)))
+        times.append(at)
+    if rng.random() < 0.1:
+        times.pop()
+    return [int(t) if t.denominator == 1 and rng.random() < 0.5 else t for t in times]
+
+
+# the reasons each anchor mode's seeded walks must reach; "no path" needs a
+# graph that is not strongly connected, which the odd-window test draws
+SEEDED_REASONS = {
+    ANCHORED: ("walk must start", "walk must end", "vertex", "walk ends at", "gap",
+               "no-wait gaps", "times must match", "anchored walks start"),
+    START_ONLY: ("walk must start", "vertex", "walk ends at", "gap", "no-wait gaps",
+                 "times must match", "anchored walks start"),
+    FREE: ("vertex", "gap", "no-wait gaps", "times must match", "walk cannot start"),
+}
+
+
+@pytest.mark.parametrize("integral", [True, False])
+@pytest.mark.parametrize("mode", [ANCHORED, START_ONLY, FREE])
+def test_evaluate_walk_matches_the_fraction_referee_on_seeded_instances(mode, integral):
+    rng = random.Random("walks-%s-%s" % (mode, integral))
+    reasons, feasible = set(), 0
+    for family in FAMILIES:
+        for seed in range(3):
+            x = generate_instance(family, 6, seed, mode=mode, integral=integral)
+            for y in (x, replace(x, wait_policy=NO_WAIT)):
+                for _ in range(30):
+                    order = random_order(rng, y)
+                    for times in (None, random_times(rng, y, order)):
+                        got = evaluate_walk(y, order, times)
+                        assert got == ref_evaluate_walk(y, order, times), (family, seed, order,
+                                                                         times)
+                        feasible += got.feasible
+                        reasons.update(r for r in SEEDED_REASONS[mode]
+                                       if (got.reason or "").startswith(r))
+    assert reasons == set(SEEDED_REASONS[mode])
+    assert feasible > 300
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(odd=st.booleans(), data=st.data())
+def test_evaluate_walk_matches_the_fraction_referee_on_odd_windows(odd, data):
+    # window ends in 11ths or 13ths never divide the metric's scale; the
+    # drawn graphs leave some legs unreachable, and ids -1 and n are unknown
+    m = metric_closure(data.draw(graphs()))
+    n = m.n
+    windows = tuple(TimeWindow(*sorted((data.draw(times(odd)), data.draw(times(odd)))))
+                    for _ in range(n))
+    budget = max(w.deadline for w in windows) + data.draw(times(odd))
+    s = data.draw(st.none() | st.integers(0, n - 1))
+    t = None if s is None else data.draw(st.none() | st.integers(0, n - 1))
+    x = TwInstance(m, windows, tuple(data.draw(rewards) for _ in range(n)), s, t, budget,
+                   data.draw(st.sampled_from((WAIT, NO_WAIT))))
+    order = data.draw(st.lists(st.tuples(st.integers(-1, n), st.booleans()), max_size=7))
+    if data.draw(st.booleans()):
+        order = [(v, f) for (v, f) in order if 0 <= v < n]
+        order = [(s, data.draw(st.booleans()))] * (s is not None) + order
+        order += [(t, data.draw(st.booleans()))] * (t is not None)
+    walks = [None, [at for (_v, at, _c) in ref_evaluate_walk(x, order).schedule]]
+    walks.append(data.draw(st.lists(times(odd), min_size=len(order), max_size=len(order))))
+    for explicit in walks:
+        assert evaluate_walk(x, order, explicit or None) == ref_evaluate_walk(
+            x, order, explicit or None)
+
+
+def test_a_flagged_start_anchor_does_not_wait_for_its_window():
+    # an anchored walk leaves s at time 0, so flagging s before its window
+    # opens is infeasible; a free walk starts at the release instead
+    windows = (window(1, 5), window(1, 2), window(2, 3), window(0, 5))
+    x = line4_instance(windows=windows)
+    order = [(0, True), (1, True), (3, False)]
+    got = evaluate_walk(x, order)
+    assert got == ref_evaluate_walk(x, order)
+    assert got.reason == "vertex 0 flagged at time 0 outside its window [1, 5]"
+    assert evaluate_walk(x, [(0, False)] + order[1:]).reward == 1
+    free = line4_instance(windows=windows, s=None, t=None)
+    got = evaluate_walk(free, order)
+    assert got == ref_evaluate_walk(free, order)
+    assert [at for (_v, at, _c) in got.schedule] == [1, 2, 4] and got.reward == 2
+
+
+def test_windows_in_thirds_on_an_integral_metric():
+    # the metric's scale is 1; the walk waits until 4/3 and ends by 14/3
+    x = line4_instance(budget=F(14, 3),
+                       windows=(window(0, 1), window(F(4, 3), 2), window(0, F(7, 3)),
+                                window(0, F(14, 3))))
+    order = [(0, True), (1, True), (2, True), (3, True)]
+    got = evaluate_walk(x, order)
+    assert got == ref_evaluate_walk(x, order)
+    assert [at for (_v, at, _c) in got.schedule] == [0, F(4, 3), F(7, 3), F(10, 3)]
+    assert got.reward == 4
+    late = evaluate_walk(x, order, [0, F(4, 3), F(8, 3), F(11, 3)])
+    assert late == ref_evaluate_walk(x, order, [0, F(4, 3), F(8, 3), F(11, 3)])
+    assert late.reason == "vertex 2 flagged at time 8/3 outside its window [0, 7/3]"
 
 
 # ----- the label DP in integer units ---------------------------------------
