@@ -4,12 +4,14 @@ Two query shapes: plain orienteering (visit as much eligible reward as
 possible within a travel budget, no windows) and deadline walks (every
 credited visit must happen by that vertex's deadline).  Both share one
 contract: the walk has the query's endpoints, fits its time limit, and its
-duration and reward re-evaluate exactly.  The two wrappers enforce it with
-one check in integer units.  The exact oracles, the default at desk scale,
-read every answer off one subset DP on integers (exact_staircases), the
-only exhaustive search in the solvers.  A greedy insertion heuristic and a
-layered deadline heuristic are provided as scalable stand-ins with no
-proven ratio.
+duration and reward re-evaluate exactly, checked in integer units.  The
+exact oracles, the default at desk scale, read every answer off one subset
+DP on integers (exact_staircases), the only exhaustive search in the
+solvers.  A greedy insertion heuristic and a layered deadline heuristic
+are provided as scalable stand-ins with no proven ratio.  All of them
+compute in integer units: a public Fraction query is converted once
+(_answer), and a block or release-group entry comes in the units its DP
+already fixed.  Only a custom fn sees Fractions, built at each probe.
 
 A block or release-group entry reaches an oracle only through
 exit_staircases, which asks for every exit's staircase at once.  An oracle
@@ -29,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
 from .metric import Metric
-from .rational import ONE, ZERO, Units, floor_log2, is_finite, units_for
+from .rational import ONE, ZERO, Units, floor_log2, units_for
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,8 @@ class OrienteeringQuery:
 @dataclass(frozen=True)
 class WalkResult:
     """Oracle answer: the visit order, its metric length, and the reward it
-    re-evaluates to.  An infeasible query yields the empty order."""
+    re-evaluates to.  An infeasible query yields the empty order.  Inside
+    this module the same type holds a walk in integer units."""
 
     order: tuple
     reward: Fraction
@@ -84,8 +87,7 @@ INFEASIBLE_RESULT = WalkResult((), ZERO, ZERO)
 # walk leaves u at t0 and must end (at end, when given) by limit, and each
 # vertex of a credit map v -> (reward, due) pays at its first visit by its
 # due time.  An orienteering query is the case t0 = 0, end = v and every due
-# the budget.  Distances come from metric.ints, times and rewards are
-# converted once per call, and Fractions are rebuilt only for the results.
+# the budget.  Distances come from units.table.
 
 def _rewalk(table, credit, order, t0: int) -> tuple:
     """(reward, duration) of the walk order leaving order[0] at t0, on a
@@ -104,34 +106,11 @@ def _rewalk(table, credit, order, t0: int) -> tuple:
     return reward, time - t0
 
 
-def _evaluate(metric: Metric, credit, order, t0: Fraction) -> tuple:
-    """_rewalk on Fractions.  Only the visited vertices are converted, as
-    the walk meets them, which costs less on the short walks of the checked
-    point queries."""
-    paid = [credit[v] for v in order if v in credit]
-    units = units_for(metric, [t0] + [dl for (_r, dl) in paid], [r for (r, _dl) in paid],
-                      order[:-1])
-    time = start = units.time(t0)
-    reward, seen, prev = 0, set(), None
-    for v in order:
-        if prev is not None:
-            leg = units.table[prev][v]
-            if leg is None:
-                return ZERO, None
-            time += leg
-        prev = v
-        if v in credit and v not in seen and time <= units.time(credit[v][1]):
-            seen.add(v)
-            reward += units.reward(credit[v][0])
-    return Fraction(reward, units.rscale), Fraction(time - start, units.tscale)
-
-
-def _base_walk(metric: Metric, credit, u: int, end: Optional[int], t0: Fraction,
-               limit: Fraction) -> WalkResult:
-    """The walk that stays at u, or goes straight to end; infeasible when it
-    does not fit [t0, limit]."""
+def _base_walk(table, credit, u: int, end: Optional[int], t0: int, limit: int) -> WalkResult:
+    """The walk that stays at u, or goes straight to end, in units;
+    infeasible when it does not fit [t0, limit]."""
     order = (u,) if end is None or end == u else (u, end)
-    reward, duration = _evaluate(metric, credit, order, t0)
+    reward, duration = _rewalk(table, credit, order, t0)
     if duration is None or t0 + duration > limit:
         return INFEASIBLE_RESULT
     return WalkResult(order, reward, duration)
@@ -152,28 +131,60 @@ def _require_honest(name: str, order, u: int, end: Optional[int], claimed: tuple
         raise PreconditionError("oracle %s misreported its reward" % name)
 
 
-def _checked(name: str, ask: Callable[[], WalkResult], metric: Metric, credit, u: int,
-             end: Optional[int], t0: Fraction, limit: Fraction) -> WalkResult:
-    """The contract both wrappers enforce.
+def _checked(oracle, metric: Metric, units: Units, credit, u: int, t0: int):
+    """oracle's point query (end, limit) -> WalkResult from an entry that
+    leaves u at t0 with credit, in units, held to the contract.  What is due
+    before t0 is dropped first: no visit can pay it.
 
     When the base walk does not fit, nothing does and the oracle is not
     asked.  Nor is it asked when only u and end can pay: the base walk
     then collects all there is, as soon as possible, so it is returned as
     it stands, and no oracle, built in or custom, sees such a query.
-    Otherwise ask()'s walk is checked against the query (endpoints, fits
-    [t0, limit], duration and reward re-evaluate exactly) and the better of
-    it and the base walk is returned.  An answer equal to the base walk
-    needs no second evaluation.
+    Otherwise the oracle's walk is checked against the query (endpoints,
+    fits [t0, limit], duration and reward re-walk exactly) and the better
+    of it and the base walk is returned.  An answer equal to the base walk
+    needs no second walk.
     """
-    base = _base_walk(metric, credit, u, end, t0, limit)
-    if not base.feasible or all(w == u or w == end for w in credit):
-        return base
-    res = ask()
-    if not res.feasible or res == base:
-        return base
-    _require_honest(name, res.order, u, end, (res.reward, res.duration),
-                    lambda order: _evaluate(metric, credit, order, t0), t0, limit)
-    return base if _result_better(base, res) else res
+    credit = {v: rd for v, rd in credit.items() if rd[1] >= t0}
+    ask = _entry_ask(oracle, metric, units, credit, u, t0)
+    name, table = oracle.spec.name, units.table
+
+    def point(end, limit):
+        base = _base_walk(table, credit, u, end, t0, limit)
+        if not base.feasible or all(w == u or w == end for w in credit):
+            return base
+        res = ask(end, limit)
+        if not res.feasible or res == base:
+            return base
+        _require_honest(name, res.order, u, end, (res.reward, res.duration),
+                        lambda order: _rewalk(table, credit, order, t0), t0, limit)
+        return base if _result_better(base, res) else res
+    return point
+
+
+def _answer(make, q) -> WalkResult:
+    """make's answer to a Fraction query, converted into units once and
+    back.  make(metric, units, credit, u, t0) builds an entry's point query
+    (end, limit); an orienteering query is the deadline query from u at 0
+    to v by the budget, every due the budget."""
+    if isinstance(q, OrienteeringQuery):
+        q = DeadlineQuery(q.metric, {w: (r, q.budget) for w, r in q.eligible.items()}, q.u,
+                          ZERO, q.v, q.budget)
+    units = units_for(q.metric, [q.t0, q.horizon] + [dl for (_r, dl) in q.eligible.values()],
+                      [r for (r, _dl) in q.eligible.values()], range(q.metric.n))
+    credit = {v: (units.reward(r), units.time(dl)) for v, (r, dl) in q.eligible.items()}
+    res = make(q.metric, units, credit, q.u, units.time(q.t0))(q.end, units.time(q.horizon))
+    if not res.feasible:
+        return INFEASIBLE_RESULT
+    return WalkResult(res.order, Fraction(res.reward, units.rscale),
+                      Fraction(res.duration, units.tscale))
+
+
+def _whole(value, scale: int):
+    """A custom oracle's value in units: an int when whole, as every honest
+    answer's is, else a Fraction, which no re-walk matches."""
+    value = Fraction(value) * scale
+    return value.numerator if value.denominator == 1 else value
 
 
 # ----- the exact search ------------------------------------------------------
@@ -297,20 +308,16 @@ def exact_staircases(table, credit, u: int, t0: int, exits=None,
     return out
 
 
-def _exact_point(metric: Metric, credit, u: int, end: Optional[int], t0: Fraction,
-                 limit: Fraction, revisit: bool) -> WalkResult:
-    """A point query read off the search: the top step of its one exit's
-    staircase, which is the optimal walk that ends soonest and, on a tie,
-    has the smallest order (the ranking of _result_better)."""
-    units = units_for(metric, [t0, limit] + [dl for (_r, dl) in credit.values()],
-                      [r for (r, _dl) in credit.values()], [u] + list(credit))
-    scaled = {w: (units.reward(r), units.time(dl)) for w, (r, dl) in credit.items()}
-    steps = exact_staircases(units.table, scaled, u, units.time(t0), {end: units.time(limit)},
-                             revisit)[end]
+def _exact_point(table, credit, u: int, t0: int, end: Optional[int], limit: int,
+                 revisit: bool) -> WalkResult:
+    """A point query in units read off the search: the top step of its one
+    exit's staircase, which is the optimal walk that ends soonest and, on a
+    tie, has the smallest order (the ranking of _result_better)."""
+    steps = exact_staircases(table, credit, u, t0, {end: limit}, revisit)[end]
     if not steps:
         return INFEASIBLE_RESULT
     duration, reward, order = steps[-1]
-    return WalkResult(order, Fraction(reward, units.rscale), Fraction(duration, units.tscale))
+    return WalkResult(order, reward, duration)
 
 
 @dataclass(frozen=True)
@@ -329,9 +336,7 @@ def best_orienteering_walk(oracle: OrienteeringOracle, q: OrienteeringQuery) -> 
     at time 0 to v by the budget.  The base walk is u alone when u = v,
     else u then v.  The oracle is asked only when the base walk fits and a
     vertex other than u and v can pay (see _checked)."""
-    credit = {w: (r, q.budget) for w, r in q.eligible.items()}
-    return _checked(oracle.spec.name, lambda: oracle.fn(q), q.metric, credit,
-                    q.u, q.v, ZERO, q.budget)
+    return _answer(partial(_checked, oracle), q)
 
 
 def exact_orienteering(q: OrienteeringQuery) -> WalkResult:
@@ -341,8 +346,7 @@ def exact_orienteering(q: OrienteeringQuery) -> WalkResult:
     the optimal walks the one that ends soonest is returned, then the
     smallest order.  Intended for roughly a dozen eligible vertices.
     """
-    credit = {w: (r, q.budget) for w, r in q.eligible.items()}
-    return _exact_point(q.metric, credit, q.u, q.v, ZERO, q.budget, False)
+    return _answer(partial(_entry_ask, EXACT_ORACLE), q)
 
 
 def greedy_orienteering(q: OrienteeringQuery) -> WalkResult:
@@ -350,35 +354,42 @@ def greedy_orienteering(q: OrienteeringQuery) -> WalkResult:
     best reward-per-detour at its cheapest feasible position.
 
     No approximation guarantee; kept as the scalable stand-in.  All ties
-    break deterministically (smaller detour, then smaller vertex id, then
-    leftmost position).
+    break deterministically: on an equal reward per detour the smaller
+    vertex id wins, even when its detour is larger, and per vertex the
+    smallest detour wins, then the leftmost position.  The search runs in
+    integer units (_greedy).
     """
-    d = q.metric.d
-    u, v, budget = q.u, q.v, q.budget
-    if not is_finite(d[u][v]) or d[u][v] > budget:
+    return _answer(partial(_entry_ask, GREEDY_ORACLE), q)
+
+
+def _greedy(table, credit, u: int, t0: int, v: int, limit: int) -> WalkResult:
+    """greedy_orienteering in units: a walk from u at t0 to v by limit,
+    each vertex of credit paying its reward; dues are not read."""
+    budget = limit - t0
+    if table[u][v] is None or table[u][v] > budget:
         return INFEASIBLE_RESULT
-    # u == v is the closed-walk case: both ends pinned to u, d[u][u] = 0
+    # u == v is the closed-walk case: both ends pinned to u, table[u][u] = 0
     order = [u, v]
-    duration = d[u][v]
-    remaining = sorted(w for w in q.eligible if w != u and w != v)
+    duration = table[u][v]
+    remaining = sorted(w for w in credit if w != u and w != v)
     while True:
         best_pick = None  # (w, pos, detour)
         for w in remaining:
             w_best = None
             for pos in range(len(order) - 1):
                 a, b = order[pos], order[pos + 1]
-                da, db = d[a][w], d[w][b]
-                if not (is_finite(da) and is_finite(db)):
+                da, db = table[a][w], table[w][b]
+                if da is None or db is None:
                     continue
-                detour = da + db - d[a][b]
+                detour = da + db - table[a][b]
                 if duration + detour > budget:
                     continue
                 if w_best is None or detour < w_best[2]:
                     w_best = (w, pos, detour)
             if w_best is None:
                 continue
-            if best_pick is None or _ratio_better(q.eligible[w_best[0]], w_best[2],
-                                                  q.eligible[best_pick[0]], best_pick[2]):
+            if best_pick is None or _ratio_better(credit[w][0], w_best[2],
+                                                  credit[best_pick[0]][0], best_pick[2]):
                 best_pick = w_best
         if best_pick is None:
             break
@@ -388,18 +399,14 @@ def greedy_orienteering(q: OrienteeringQuery) -> WalkResult:
         remaining.remove(w)
     if u == v and len(order) == 2:
         order = [u]  # nothing inserted, stay put
-    reward = sum((q.eligible[w] for w in set(order) if w in q.eligible), ZERO)
+    reward = sum(credit[w][0] for w in set(order) if w in credit)
     return WalkResult(tuple(order), reward, duration)
 
 
-def _ratio_better(r1: Fraction, d1: Fraction, r2: Fraction, d2: Fraction) -> bool:
+def _ratio_better(r1: int, d1: int, r2: int, d2: int) -> bool:
     """Is reward r1 per detour d1 strictly better than r2 per d2?"""
-    if d1 == 0 and d2 == 0:
-        return r1 > r2
-    if d1 == 0:
-        return True
-    if d2 == 0:
-        return False
+    if d1 == 0 or d2 == 0:  # a zero detour beats any other
+        return d2 != 0 or (d1 == 0 and r1 > r2)
     return r1 * d2 > r2 * d1
 
 
@@ -410,28 +417,26 @@ GREEDY_ORACLE = OrienteeringOracle(OracleSpec("greedy", ONE, guaranteed=False), 
 ORIENTEERING_ORACLES = {"exact": EXACT_ORACLE, "greedy": GREEDY_ORACLE}
 
 
-def earliest_limits(probe: Callable[[Fraction], WalkResult], start: Fraction, hi: Fraction,
-                    unit: int) -> List[WalkResult]:
+def earliest_limits(probe: Callable, start, hi, step) -> List[WalkResult]:
     """The staircase of earliest ends per reward that probe reaches with a
     limit in [start, hi], strictly increasing in duration and in reward.
 
-    probe(limit) is a contract wrapper's answer (best_orienteering_walk or
-    best_deadline_walk) to a query whose walk leaves at start and ends at a
-    fixed vertex by limit.  An answer ends at start + duration, and every
-    duration is a multiple of 1/unit, so the walk down the grid asks at hi,
-    then one unit below where the last answer ends: each answer ends
-    sooner than the one before.  Every kept answer whose reward a sooner
-    one matches or beats is dropped, so the staircase is monotone for any
-    oracle.  The walk stops at an infeasible answer or at the straight walk
-    (an order of at most two vertices): with a fixed end and shortest-walk
-    distances nothing ends sooner.  That is one probe per answer.  An exact
-    answer's reward is the optimum at every limit from where its walk ends
-    up to where it was asked, so with an exact oracle the staircase is the
-    Pareto frontier of (duration, reward).  A free end is outside this
-    contract: a two-vertex walk need not end soonest there.
+    probe(limit) is a checked point query's answer to a query whose walk
+    leaves at start and ends at a fixed vertex by limit, in Fractions or in
+    units.  An answer ends at start + duration, and every duration is a
+    multiple of step (1/metric.scale in the same numbers), so the walk down
+    the grid asks at hi, then one step below where the last answer ends:
+    each answer ends sooner than the one before.  Every kept answer whose
+    reward a sooner one matches or beats is dropped, so the staircase is
+    monotone for any oracle.  The walk stops at an infeasible answer or at
+    the straight walk (an order of at most two vertices): with a fixed end
+    and shortest-walk distances nothing ends sooner.  That is one probe per
+    answer.  An exact answer's reward is the optimum at every limit from
+    where its walk ends up to where it was asked, so with an exact oracle
+    the staircase is the Pareto frontier of (duration, reward).  A free end
+    is outside this contract: a two-vertex walk need not end soonest there.
     """
     found: List[WalkResult] = []
-    step = Fraction(1, unit)
     limit = hi
     while limit >= start:
         res = probe(limit)
@@ -493,10 +498,7 @@ def best_deadline_walk(oracle: DeadlineOracle, q: DeadlineQuery) -> WalkResult:
 
     Durations in the result exclude t0: the walk occupies [t0, t0 + duration].
     """
-    live = {v: rd for v, rd in q.eligible.items() if rd[1] >= q.t0}
-    trimmed = DeadlineQuery(q.metric, live, q.u, q.t0, q.end, q.horizon)
-    return _checked(oracle.spec.name, lambda: oracle.fn(trimmed), q.metric, live,
-                    q.u, q.end, q.t0, q.horizon)
+    return _answer(partial(_checked, oracle), q)
 
 
 def exact_deadline(q: DeadlineQuery) -> WalkResult:
@@ -507,7 +509,33 @@ def exact_deadline(q: DeadlineQuery) -> WalkResult:
     deadline, wander, come back).  Of the optimal walks the one that ends
     soonest is returned, then the smallest order.
     """
-    return _exact_point(q.metric, q.eligible, q.u, q.end, q.t0, q.horizon, True)
+    return _answer(partial(_entry_ask, EXACT_DEADLINE), q)
+
+
+def _entry_ask(oracle, metric: Metric, units: Units, credit, u: int, t0: int):
+    """oracle's unchecked point query (end, limit) -> WalkResult from an
+    entry, in units: the built-in fns' own searches, or a custom fn on a
+    Fraction query built at the probe and its answer converted back."""
+    fn, table, tscale, rscale = oracle.fn, units.table, units.tscale, units.rscale
+    if fn is greedy_orienteering:
+        return partial(_greedy, table, credit, u, t0)
+    if fn is exact_orienteering or fn is exact_deadline:
+        return partial(_exact_point, table, credit, u, t0, revisit=fn is exact_deadline)
+    if isinstance(fn, partial) and fn.func is _answer:  # such as layered_deadline_fn's
+        return fn.args[0](metric, units, credit, u, t0)
+    closed = isinstance(oracle, OrienteeringOracle)
+    eligible = {v: Fraction(r, rscale) if closed else (Fraction(r, rscale), Fraction(due, tscale))
+                for v, (r, due) in credit.items()}
+    start = Fraction(t0, tscale)
+
+    def ask(end, limit):
+        if closed:
+            q = OrienteeringQuery(metric, eligible, u, end, Fraction(limit - t0, tscale))
+        else:
+            q = DeadlineQuery(metric, eligible, u, start, end, Fraction(limit, tscale))
+        res = fn(q)
+        return WalkResult(res.order, _whole(res.reward, rscale), _whole(res.duration, tscale))
+    return ask
 
 
 # ----- block and release-group exits ------------------------------------------
@@ -527,25 +555,15 @@ def exit_staircases(oracle, metric: Metric, units: Units, credit, u: int,
     from u to w, end by w's bound and re-walk in units to its duration and
     reward, or PreconditionError is raised.  Any other oracle's checked
     point queries are walked down the time grid from each exit's bound
-    (earliest_limits), one query per answer.
+    (earliest_limits), one query per answer, in the same units.
     """
     closed = isinstance(oracle, OrienteeringOracle)
     exits = _entry_exits(credit, u, t0, closed)
     if oracle.staircases is None:
-        # an orienteering query's limit is a budget from t0, a deadline query's a time
-        start, shift = (ZERO, t0) if closed else (Fraction(t0, units.tscale), 0)
-        eligible = {v: Fraction(r, units.rscale) if closed
-                    else (Fraction(r, units.rscale), Fraction(due, units.tscale))
-                    for v, (r, due) in credit.items()}
-
-        def ask(w, limit):
-            if closed:
-                return best_orienteering_walk(
-                    oracle, OrienteeringQuery(metric, eligible, u, w, limit))
-            return best_deadline_walk(oracle, DeadlineQuery(metric, eligible, u, start, w, limit))
-        return {w: [(units.time(res.duration), units.reward(res.reward), res.order)
-                    for res in earliest_limits(partial(ask, w), start,
-                                               Fraction(bound - shift, units.tscale), metric.scale)]
+        point = _checked(oracle, metric, units, credit, u, t0)
+        step = units.tscale // metric.scale
+        return {w: [(res.duration, res.reward, res.order)
+                    for res in earliest_limits(partial(point, w), t0, bound, step)]
                 for w, bound in exits.items()}
     found = oracle.staircases(units.table, credit, u, t0)
 
@@ -560,38 +578,49 @@ def exit_staircases(oracle, metric: Metric, units: Units, credit, u: int,
     return out
 
 
-def layered_deadline_fn(oracle: OrienteeringOracle):
+def layered_deadline_fn(oracle: OrienteeringOracle) -> Callable[[DeadlineQuery], WalkResult]:
     """Deadline heuristic: split eligible vertices into geometric deadline
     classes [2**j, 2**(j+1)), answer one orienteering query per class with
     budget 2**j - t0 (clamped to the horizon), and keep the best class."""
+    return partial(_answer, partial(_layered_entry, oracle))
 
-    def fn(q: DeadlineQuery) -> WalkResult:
-        classes: Dict[Optional[int], Dict[int, Fraction]] = {}
-        for v, (rew, dl) in q.eligible.items():
-            j = floor_log2(dl) if dl > 0 else None
-            classes.setdefault(j, {})[v] = rew
-        best = _base_walk(q.metric, q.eligible, q.u, q.end, q.t0, q.horizon)
+
+def _layered_entry(oracle, metric: Metric, units: Units, credit, u: int, t0: int):
+    """layered_deadline_fn(oracle)'s point query from an entry, in units.
+    The classes are computed once per entry, and class j's cutoff 2**j is
+    floored into units, which decides every comparison with a whole
+    duration as 2**j would."""
+    classes: Dict[Optional[int], Dict[int, int]] = {}
+    for v, (r, due) in credit.items():
+        classes.setdefault(floor_log2(Fraction(due, units.tscale)) if due > 0 else None, {})[v] = r
+    layers = []  # (cutoff, ends of a free walk, checked orienteering query)
+    for j in sorted(classes, key=lambda k: (k is None, k)):
+        cutoff = t0 if j is None else (units.tscale << j if j >= 0 else units.tscale >> -j)
+        if cutoff >= t0:  # else no limit leaves the class a budget
+            members = {v: (r, cutoff - t0) for v, r in classes[j].items()}
+            layers.append((cutoff, sorted(set(members) | {u}),
+                           _checked(oracle, metric, units, members, u, 0)))
+    table = units.table
+
+    def ask(end, limit):
+        best = _base_walk(table, credit, u, end, t0, limit)
         if not best.feasible:
             return best
-        for j in sorted(classes, key=lambda k: (k is None, k)):
-            members = classes[j]
-            cutoff = min(Fraction(2) ** j, q.horizon) if j is not None else q.t0
-            budget = cutoff - q.t0
+        for cutoff, free_ends, point in layers:
+            budget = min(cutoff, limit) - t0
             if budget < 0:
                 continue
-            ends = [q.end] if q.end is not None else sorted(set(members) | {q.u})
-            for end in ends:
-                res = best_orienteering_walk(
-                    oracle, OrienteeringQuery(q.metric, members, q.u, end, budget))
+            for e in (free_ends if end is None else (end,)):
+                res = point(e, budget)
                 if not res.feasible:
                     continue
-                reward, _dur = _evaluate(q.metric, q.eligible, res.order, q.t0)
-                scored = WalkResult(res.order, reward, res.duration)
+                scored = WalkResult(res.order, _rewalk(table, credit, res.order, t0)[0],
+                                    res.duration)
                 if _result_better(scored, best):
                     best = scored
         return best
 
-    return fn
+    return ask
 
 
 EXACT_DEADLINE = DeadlineOracle(OracleSpec("exact", ONE), exact_deadline, exact_staircases)
@@ -610,4 +639,3 @@ def deadline_oracle_by_name(name: str, oracle: OrienteeringOracle) -> DeadlineOr
     if name not in DEADLINE_ORACLES:
         raise PreconditionError("unknown deadline oracle %r" % name)
     return DEADLINE_ORACLES[name](oracle)
-

@@ -11,9 +11,10 @@ d[u][v] == Fraction(ints[u][v], scale) (ints holds None where d holds INF);
 a time t enters as t.numerator * (scale // t.denominator) once scale is a
 multiple of t.denominator, and rewards likewise over the lcm of their
 denominators.  Units holds both scales and the distances in time units
-(units_for builds it).  Times enter units in three places: the oracles
-convert once per query, the chain DP once per DP (modular.dp_units) and
-keeps every label as ints, and instance.evaluate_walk once per walk.
+(units_for builds it).  Times enter units in three places: a public
+oracle query once (oracles._answer), the chain DP once per DP
+(modular.dp_units), whose oracles and labels then stay in those units,
+and instance.evaluate_walk once per walk.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class Units:
     """Integer units: a time t is t * tscale and a reward r is r * rscale,
     both whole numbers, and table[u][v] is the distance d[u][v] in time
     units (None where it is INF).  A class with slots, not a NamedTuple:
-    the contract check builds one per query, and this one builds faster."""
+    every public oracle query builds one, and this one builds faster."""
 
     __slots__ = ("tscale", "rscale", "table")
 

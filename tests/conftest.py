@@ -2,7 +2,9 @@
 
 The four-vertex unit path shows up everywhere: it is the smallest instance
 where ordering, windows and the budget all interact.  ref_evaluate_walk is
-the Fraction referee of evaluate_walk, which runs in integer units;
+the Fraction referee of evaluate_walk, which runs in integer units, and
+ref_greedy_orienteering, ref_layered_deadline and ref_checked those of the
+greedy and layered heuristics and their contract check, which do too;
 ref_pareto is the exhaustive referee of the Pareto staircases the block DPs
 build, and solve_time_indexed the independent referee of the modular DP the
 solvers run (modular.solve_reward_indexed): one oracle point query per
@@ -17,13 +19,13 @@ from typing import Optional, Sequence, Tuple
 import pytest
 
 import orientw.modular as modular
-from orientw import (EXACT_ORACLE, INF, WAIT, Graph, Metric, ModularPartition,
+from orientw import (EXACT_ORACLE, INF, WAIT, DeadlineQuery, Graph, Metric, ModularPartition,
                      OrienteeringOracle, OrienteeringQuery, TimeWindow, TwInstance,
                      WalkResult, WalkSolution, best_orienteering_walk, metric_closure)
 from orientw.instance import FREE
 from orientw.modular import DpResult
 from orientw.oracles import INFEASIBLE_RESULT, _result_better, earliest_limits
-from orientw.rational import ZERO, as_fraction, is_finite, shared_fraction
+from orientw.rational import ZERO, as_fraction, floor_log2, is_finite, shared_fraction
 
 
 def line_metric(n: int = 4) -> Metric:
@@ -150,6 +152,143 @@ def ref_evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] 
     return WalkSolution(schedule, reward)
 
 
+# ----- the heuristics in Fractions, referees of greedy and layered -----------
+
+def ref_duration(m: Metric, order) -> F:
+    total = F(0)
+    for a, b in zip(order, order[1:]):
+        if m.d[a][b] == INF:
+            return INF
+        total += m.d[a][b]
+    return total
+
+
+def ref_deadline_reward(m: Metric, eligible, order, t0) -> F:
+    reward, seen, time = F(0), set(), t0
+    for i, v in enumerate(order):
+        if i:
+            time += m.d[order[i - 1]][v]
+        if v in eligible and v not in seen and time <= eligible[v][1]:
+            seen.add(v)
+            reward += eligible[v][0]
+    return reward
+
+
+def _ref_ratio_better(r1: F, d1: F, r2: F, d2: F) -> bool:
+    """Is reward r1 per detour d1 strictly better than r2 per d2?"""
+    if d1 == 0 and d2 == 0:
+        return r1 > r2
+    if d1 == 0:
+        return True
+    if d2 == 0:
+        return False
+    return r1 * d2 > r2 * d1
+
+
+def ref_greedy_orienteering(q: OrienteeringQuery) -> WalkResult:
+    """greedy_orienteering in Fraction arithmetic on the distance table d:
+    the same insertions and the same tie rules (on an equal reward per
+    detour the smaller id, per vertex the smallest detour, then the
+    leftmost position)."""
+    d = q.metric.d
+    u, v, budget = q.u, q.v, q.budget
+    if not is_finite(d[u][v]) or d[u][v] > budget:
+        return INFEASIBLE_RESULT
+    order = [u, v]
+    duration = d[u][v]
+    remaining = sorted(w for w in q.eligible if w != u and w != v)
+    while True:
+        best_pick = None  # (w, pos, detour)
+        for w in remaining:
+            w_best = None
+            for pos in range(len(order) - 1):
+                a, b = order[pos], order[pos + 1]
+                da, db = d[a][w], d[w][b]
+                if not (is_finite(da) and is_finite(db)):
+                    continue
+                detour = da + db - d[a][b]
+                if duration + detour > budget:
+                    continue
+                if w_best is None or detour < w_best[2]:
+                    w_best = (w, pos, detour)
+            if w_best is None:
+                continue
+            if best_pick is None or _ref_ratio_better(q.eligible[w_best[0]], w_best[2],
+                                                      q.eligible[best_pick[0]], best_pick[2]):
+                best_pick = w_best
+        if best_pick is None:
+            break
+        w, pos, detour = best_pick
+        order.insert(pos + 1, w)
+        duration += detour
+        remaining.remove(w)
+    if u == v and len(order) == 2:
+        order = [u]
+    reward = sum((q.eligible[w] for w in set(order) if w in q.eligible), ZERO)
+    return WalkResult(tuple(order), reward, duration)
+
+
+def ref_checked(fn, q) -> WalkResult:
+    """The oracle contract in Fractions around an honest fn: vertices due
+    before t0 dropped, the base walk (u alone, or u then the end), the fn
+    asked only when a vertex other than the ends can pay, and the better of
+    its answer and the base walk."""
+    if isinstance(q, OrienteeringQuery):
+        eligible = {w: (r, q.budget) for w, r in q.eligible.items()}
+        t0, end, limit = ZERO, q.v, q.budget
+    else:
+        q = DeadlineQuery(q.metric, {v: rd for v, rd in q.eligible.items() if rd[1] >= q.t0},
+                          q.u, q.t0, q.end, q.horizon)
+        eligible, t0, end, limit = q.eligible, q.t0, q.end, q.horizon
+    base = _ref_base_walk(q.metric, eligible, q.u, end, t0, limit)
+    if not base.feasible or all(w in (q.u, end) for w in eligible):
+        return base
+    res = fn(q)
+    return res if res.feasible and _result_better(res, base) else base
+
+
+def _ref_base_walk(m: Metric, eligible, u, end, t0, limit) -> WalkResult:
+    order = (u,) if end is None or end == u else (u, end)
+    duration = ref_duration(m, order)
+    if duration == INF or t0 + duration > limit:
+        return INFEASIBLE_RESULT
+    return WalkResult(order, ref_deadline_reward(m, eligible, order, t0), duration)
+
+
+def ref_layered_deadline(fn):
+    """layered_deadline_fn in Fraction arithmetic around an orienteering fn:
+    classes floor(log2(deadline)), class j asked with the budget
+    min(2**j, horizon) - t0 (the deadline-0 class with budget 0) through
+    ref_checked, each answer rescored on the deadlines, the best kept."""
+
+    def layered(q: DeadlineQuery) -> WalkResult:
+        classes = {}
+        for v, (rew, dl) in q.eligible.items():
+            classes.setdefault(floor_log2(dl) if dl > 0 else None, {})[v] = rew
+        best = _ref_base_walk(q.metric, q.eligible, q.u, q.end, q.t0, q.horizon)
+        if not best.feasible:
+            return best
+        for j in sorted(classes, key=lambda k: (k is None, k)):
+            members = classes[j]
+            cutoff = min(F(2) ** j, q.horizon) if j is not None else q.t0
+            budget = cutoff - q.t0
+            if budget < 0:
+                continue
+            ends = [q.end] if q.end is not None else sorted(set(members) | {q.u})
+            for end in ends:
+                res = ref_checked(fn, OrienteeringQuery(q.metric, members, q.u, end, budget))
+                if not res.feasible:
+                    continue
+                scored = WalkResult(res.order,
+                                    ref_deadline_reward(q.metric, q.eligible, res.order, q.t0),
+                                    res.duration)
+                if _result_better(scored, best):
+                    best = scored
+        return best
+
+    return layered
+
+
 # ----- the exact Pareto frontier and its referee ----------------------------
 
 def exact_profile(m: Metric, eligible, u, v, span) -> list:
@@ -158,7 +297,7 @@ def exact_profile(m: Metric, eligible, u, v, span) -> list:
     return earliest_limits(
         lambda budget: best_orienteering_walk(
             EXACT_ORACLE, OrienteeringQuery(m, eligible, u, v, budget)),
-        F(0), span, m.scale)
+        F(0), span, F(1, m.scale))
 
 
 def ref_reward(eligible, order) -> F:

@@ -36,8 +36,8 @@ from orientw.modular import dp_units
 from orientw.oracles import INFEASIBLE_RESULT, WalkResult, exact_deadline, exact_orienteering
 from orientw.rational import floor_log2
 
-from conftest import (exact_profile, line4_instance, ref_evaluate_walk, ref_pareto, ref_reward,
-                      window)
+from conftest import (exact_profile, line4_instance, ref_deadline_reward, ref_duration,
+                      ref_evaluate_walk, ref_pareto, ref_reward, window)
 
 DENOMINATORS = (1, 3, 7, 2)  # edge weights such as 1/3, 1/7 and 5/2
 ODD_DENOMINATORS = (11, 13)  # never divide an edge scale built from DENOMINATORS
@@ -61,26 +61,6 @@ def reference_closure(g: Graph) -> list:
                 if d[i][k] != INF and d[k][j] != INF and d[i][k] + d[k][j] < d[i][j]:
                     d[i][j] = d[i][k] + d[k][j]
     return d
-
-
-def ref_duration(m: Metric, order) -> F:
-    total = F(0)
-    for a, b in zip(order, order[1:]):
-        if m.d[a][b] == INF:
-            return INF
-        total += m.d[a][b]
-    return total
-
-
-def ref_deadline_reward(m: Metric, eligible, order, t0) -> F:
-    reward, seen, time = F(0), set(), t0
-    for i, v in enumerate(order):
-        if i:
-            time += m.d[order[i - 1]][v]
-        if v in eligible and v not in seen and time <= eligible[v][1]:
-            seen.add(v)
-            reward += eligible[v][0]
-    return reward
 
 
 def _better(a: WalkResult, b: WalkResult) -> bool:

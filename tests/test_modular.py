@@ -13,7 +13,7 @@ from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE, InfeasibleInst
 from orientw.generate import gen_modular_instance, gen_zero_window_instance
 from orientw.modular import (_release_group_solve, ensure_reachable_anchors, push_label,
                              require_modular)
-from orientw.oracles import DeadlineOracle, exact_orienteering, exact_staircases
+from orientw.oracles import DeadlineOracle, WalkResult, exact_orienteering, exact_staircases
 
 from conftest import build_instance, line4_instance, solve_time_indexed, window
 
@@ -158,6 +158,38 @@ def test_a_misreporting_staircase_search_is_refused(lie, message):
         _release_group_solve(x, liar)
 
 
+def _lying(fn, lie):
+    """fn with one lie in each answer it gives: its order starting one
+    vertex further on, its duration or its reward one more."""
+    def told(q):
+        res = fn(q)
+        return {"endpoints": WalkResult((q.u + 1,) + res.order, res.reward, res.duration),
+                "duration": WalkResult(res.order, res.reward, res.duration + 1),
+                "reward": WalkResult(res.order, res.reward + 1, res.duration)}[lie]
+    return told
+
+
+@pytest.mark.parametrize("lie", ["endpoints", "duration", "reward"])
+def test_a_lying_point_oracle_is_refused_in_the_walk_down(lie):
+    # fn-only oracles reach the DPs through exit_staircases' walk-down: a
+    # block entry, a release-group entry, and the inner oracle of the
+    # layered heuristic each hold the lie to the contract
+    x, part = _two_block_line()
+    spec = OracleSpec("liar", F(1), guaranteed=False)
+    liar = OrienteeringOracle(spec, _lying(exact_orienteering, lie))
+    message = "liar .*%s" % lie
+    with pytest.raises(PreconditionError, match=message):
+        solve_reward_indexed(x, part, liar)
+    with pytest.raises(PreconditionError, match=message):
+        _release_group_solve(x, DeadlineOracle(spec, _lying(EXACT_DEADLINE.fn, lie)))
+    with pytest.raises(PreconditionError, match=message):
+        _release_group_solve(x, layered_deadline_oracle(liar))
+    # told the truth, the same oracles pass
+    honest = OrienteeringOracle(spec, exact_orienteering)
+    assert solve_reward_indexed(x, part, honest).walk.feasible
+    assert _release_group_solve(x, layered_deadline_oracle(honest)).walk.feasible
+
+
 def test_exact_dps_agree_past_brute_force_sizes():
     # 20-30 vertices, too many for brute_force_opt; the time-indexed DP of
     # conftest is the independent exact side
@@ -227,7 +259,7 @@ def test_earliest_limits_finds_leftmost_durations():
 
     def min_time(u, w, level):
         stairs = earliest_limits(lambda budget: best_orienteering_walk(
-            EXACT_ORACLE, OrienteeringQuery(m, eligible, u, w, budget)), F(0), F(6), m.scale)
+            EXACT_ORACLE, OrienteeringQuery(m, eligible, u, w, budget)), F(0), F(6), F(1, m.scale))
         return next((res.duration for res in stairs if res.reward >= level), None)
 
     assert min_time(1, 2, F(0)) == F(1)

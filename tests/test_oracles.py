@@ -12,12 +12,14 @@ from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
                      best_deadline_walk, best_orienteering_walk, is_finite,
                      layered_deadline_oracle, metric_closure)
 from orientw.generate import random_metric
-from orientw.oracles import (INFEASIBLE_RESULT, DeadlineOracle, WalkResult, _result_better,
-                             earliest_limits, exit_staircases)
+from orientw.oracles import (INFEASIBLE_RESULT, DeadlineOracle, WalkResult, _greedy,
+                             _result_better, earliest_limits, exit_staircases,
+                             greedy_orienteering)
 from orientw.rational import units_for
 
-from conftest import exact_profile, line_metric, ref_pareto, ref_reward
-from test_integer_units import DENOMINATORS, ref_deadline_reward, ref_duration, rewards, times
+from conftest import (exact_profile, line_metric, ref_checked, ref_deadline_reward, ref_duration,
+                      ref_greedy_orienteering, ref_layered_deadline, ref_pareto, ref_reward)
+from test_integer_units import DENOMINATORS, ref_exact_orienteering, rewards, times
 
 
 # ----- straight-line enumeration, no pruning, used as the referee -----------------
@@ -196,6 +198,82 @@ def test_oracle_spec_validation():
     assert not GREEDY_ORACLE.spec.guaranteed
 
 
+# ----- the heuristics in units against their Fraction referees --------------------
+
+def test_greedy_breaks_an_equal_ratio_tie_by_the_smaller_id():
+    # closed walk at 0: vertex 1 pays 2 for a detour of 2, vertex 2 pays 1
+    # for a detour of 1.  The ratios tie and the smaller id wins, although
+    # its detour is larger; vertex 2 then no longer fits the budget 2
+    m = metric_closure(Graph.build(False, 3, [(0, 1, F(1)), (0, 2, F(1, 2)), (1, 2, F(3, 2))]))
+    q = OrienteeringQuery(m, {1: F(2), 2: F(1)}, 0, 0, F(2))
+    assert greedy_orienteering(q) == WalkResult((0, 1, 0), F(2), F(2))
+    assert ref_greedy_orienteering(q) == WalkResult((0, 1, 0), F(2), F(2))
+    units = units_for(m, [q.budget], q.eligible.values(), range(m.n))
+    assert units.tscale == 2 and units.rscale == 1
+    # the integer kernel: budget 4 half-units, each due the budget
+    assert _greedy(units.table, {1: (2, 4), 2: (1, 4)}, 0, 0, 0, 4) == WalkResult((0, 1, 0), 2, 4)
+
+
+edge_weights = st.builds(F, st.integers(1, 12), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def heuristic_metrics(draw, uniform: bool, thirds: bool = False):
+    """2-7 vertices, edges weighted over 1, 3, 7 and 2 (over 1, 3 and 7
+    with thirds); a directed graph drops about half its arcs, so some legs
+    are unreachable.  uniform gives every edge one weight, so an insertion
+    between two distinct vertices always costs that weight."""
+    n = draw(st.integers(2, 7))
+    directed = draw(st.booleans())
+    weights = st.builds(F, st.integers(1, 12), st.sampled_from((1, 3, 7))) if thirds else edge_weights
+    same = draw(weights)
+    edges = [(a, b, same if uniform else draw(weights))
+             for a in range(n) for b in range(n)
+             if (a < b or (directed and a != b)) and (not directed or draw(st.booleans()))]
+    return metric_closure(Graph.build(directed, n, edges))
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_greedy_matches_its_fraction_referee(uniform, data):
+    # uniform: one edge weight and rewards 1, so every insertion of one
+    # step ties with every other on reward per detour
+    m = data.draw(heuristic_metrics(uniform))
+    gains = st.just(F(1)) if uniform else st.builds(F, st.integers(1, 4), st.sampled_from((1, 2)))
+    eligible = {w: data.draw(gains) for w in sorted(data.draw(st.sets(st.integers(0, m.n - 1))))}
+    u, v = data.draw(st.integers(0, m.n - 1)), data.draw(st.integers(0, m.n - 1))
+    budget = data.draw(st.builds(F, st.integers(-1, 40), st.sampled_from((1, 2, 4, 7))))
+    q = OrienteeringQuery(m, eligible, u, v, budget)
+    assert greedy_orienteering(q) == ref_greedy_orienteering(q)
+    assert best_orienteering_walk(GREEDY_ORACLE, q) == ref_checked(ref_greedy_orienteering, q)
+
+
+@pytest.mark.parametrize("end_kind", ["free", "fixed"])
+@pytest.mark.parametrize("grid", [4, 3])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_layered_matches_its_fraction_referee(grid, end_kind, data):
+    # times on the quarter grid or in thirds.  The walk leaves at t0 < 1
+    # and one vertex is due before 1, so a class 2**j with j < 0 gets a
+    # budget; in thirds, on weights over 1, 3 and 7, the time unit is odd,
+    # so such a cutoff 2**j is floored into units
+    m = data.draw(heuristic_metrics(False, thirds=grid == 3))
+    u = data.draw(st.integers(0, m.n - 1))
+    end = None if end_kind == "free" else data.draw(st.integers(0, m.n - 1))
+    t0 = F(data.draw(st.integers(0, grid - 1)), grid)
+    on_grid = st.builds(F, st.integers(0, 10 * grid), st.just(grid))
+    members = sorted(data.draw(st.sets(st.integers(0, m.n - 1), min_size=1)))
+    eligible = {w: (data.draw(rewards), data.draw(on_grid)) for w in members}
+    eligible[members[0]] = (F(1), F(data.draw(st.integers(1, grid - 1)), grid))
+    q = DeadlineQuery(m, eligible, u, t0, end, t0 + data.draw(on_grid))
+    for inner, ref_inner in ((GREEDY_ORACLE, ref_greedy_orienteering),
+                             (EXACT_ORACLE, ref_exact_orienteering)):
+        layered, ref = layered_deadline_oracle(inner), ref_layered_deadline(ref_inner)
+        assert layered.fn(q) == ref(q)
+        assert best_deadline_walk(layered, q) == ref_checked(ref, q)
+
+
 # ----- monotone staircases ----------------------------------------------------
 
 def _orienteering_probe(oracle, m, eligible, u, v):
@@ -225,7 +303,7 @@ def test_staircase_drops_a_longer_poorer_answer_of_an_erratic_oracle():
     eligible = {1: F(1), 2: F(1)}
     probe = _orienteering_probe(_erratic_oracle(), m, eligible, 0, 3)
     assert probe(F(6)) == WalkResult((0, 1, 0, 3), F(1), F(5))
-    stairs = earliest_limits(probe, F(0), F(6), m.scale)
+    stairs = earliest_limits(probe, F(0), F(6), F(1, m.scale))
     assert stairs == [WalkResult((0, 1, 2, 3), F(2), F(3))]
 
 
@@ -238,13 +316,13 @@ def test_staircase_is_strictly_monotone_with_heuristic_oracles(data):
     span = data.draw(spans)
     eligible = {w: data.draw(rewards) for w in sorted(data.draw(st.sets(st.integers(0, m.n - 1))))}
     _assert_strict_staircase(earliest_limits(
-        _orienteering_probe(GREEDY_ORACLE, m, eligible, u, v), F(0), span, m.scale))
+        _orienteering_probe(GREEDY_ORACLE, m, eligible, u, v), F(0), span, F(1, m.scale)))
     t0 = data.draw(times(False))
     timed = {w: (r, t0 + data.draw(spans)) for w, r in eligible.items()}
     layered = layered_deadline_oracle(GREEDY_ORACLE)
     _assert_strict_staircase(earliest_limits(
         lambda horizon: best_deadline_walk(layered, DeadlineQuery(m, timed, u, t0, v, horizon)),
-        t0, t0 + span, m.scale))
+        t0, t0 + span, F(1, m.scale)))
 
 
 def test_a_feasible_walk_collecting_nothing_beats_an_infeasible_one():
@@ -253,7 +331,7 @@ def test_a_feasible_walk_collecting_nothing_beats_an_infeasible_one():
     walk = WalkResult((0, 1), F(0), F(1))
     probe = _orienteering_probe(EXACT_ORACLE, m, {}, 0, 1)
     assert not probe(F(0)).feasible
-    assert earliest_limits(probe, F(0), F(3), m.scale) == [walk]
+    assert earliest_limits(probe, F(0), F(3), F(1, m.scale)) == [walk]
     assert _result_better(walk, INFEASIBLE_RESULT)
     assert not _result_better(INFEASIBLE_RESULT, walk)
 
@@ -295,7 +373,7 @@ def test_earliest_limits_match_a_full_scan_for_orienteering(data):
     span = data.draw(spans)
     probe = _orienteering_probe(EXACT_ORACLE, m, eligible, u, v)
 
-    walked = earliest_limits(probe, F(0), span, m.scale)
+    walked = earliest_limits(probe, F(0), span, F(1, m.scale))
     assert walked == _full_scan(probe, F(0), span, m.scale)
     profile = ref_pareto(m, eligible, u, v, span)
     assert [(r.duration, r.reward) for r in walked] == [(e.duration, e.reward) for e in profile]
@@ -318,7 +396,7 @@ def test_earliest_limits_match_a_full_scan_for_deadline_walks(odd, end_kind, dat
     def probe(horizon):
         return best_deadline_walk(EXACT_DEADLINE, DeadlineQuery(m, eligible, u, t0, end, horizon))
 
-    walked = earliest_limits(probe, t0, hi, m.scale)
+    walked = earliest_limits(probe, t0, hi, F(1, m.scale))
     assert walked == _full_scan(probe, t0, hi, m.scale)
 
 
@@ -396,7 +474,7 @@ def test_deadline_wrapper_grows_with_the_horizon():
     r1, r2 = probe(F(3)), probe(F(6))
     assert r1.reward <= r2.reward
     assert r2.reward == F(2)
-    assert earliest_limits(probe, F(0), F(6), m.scale) == [r1]
+    assert earliest_limits(probe, F(0), F(6), F(1, m.scale)) == [r1]
 
 
 # ----- reward/duration frontier ----------------------------------------------------
@@ -522,7 +600,7 @@ def _exits_in_units(m, eligible, u, t0):
                      for res in earliest_limits(
                          lambda h: best_deadline_walk(
                              EXACT_DEADLINE, DeadlineQuery(m, eligible, u, t0, w, h)),
-                         t0, t0 if w == u else dl, m.scale)]
+                         t0, t0 if w == u else dl, F(1, m.scale))]
     return found, by_points, walked, units.table
 
 
@@ -589,3 +667,32 @@ def test_block_staircases_equal_the_walk_down_of_every_exit():
         if any(len(found[w]) > 1 for w in gains):
             seen.add("staircase of two steps or more")
     assert seen == {"tour back to u", "unreachable leg", "staircase of two steps or more"}
+
+
+def test_heuristic_walk_downs_in_units_equal_the_fraction_referees():
+    # exit_staircases runs greedy and layered in the DP's units; the same
+    # oracles with the Fraction referees as custom fns are asked on
+    # Fraction queries built at each probe.  Staircases must match, orders
+    # included, for block and release-group entries alike
+    rng = random.Random(14)
+    spec = OracleSpec("referee", F(1), guaranteed=False)
+    greedy_ref = OrienteeringOracle(spec, ref_greedy_orienteering)
+    layered = layered_deadline_oracle(GREEDY_ORACLE)
+    layered_ref = DeadlineOracle(spec, ref_layered_deadline(ref_greedy_orienteering))
+    stepped = 0
+    for trial in range(150):
+        n = rng.randint(2, 8)
+        m, eligible, u, t0 = _exit_query(rng, n, rng.randint(1, n), rng.random() < 0.4,
+                                         trial % 2 == 1, 14)
+        units = units_for(m, [t0] + [dl for (_r, dl) in eligible.values()],
+                          [r for (r, _dl) in eligible.values()], range(m.n))
+        credit = {v: (units.reward(r), units.time(dl)) for v, (r, dl) in eligible.items()}
+        e = units.time(t0)
+        found = exit_staircases(layered, m, units, credit, u, e)
+        assert found == exit_staircases(layered_ref, m, units, credit, u, e), (u, t0, eligible)
+        span = max(dl for (_r, dl) in eligible.values())
+        block = {v: (r, units.time(span)) for v, (r, _dl) in credit.items()}
+        tours = exit_staircases(GREEDY_ORACLE, m, units, block, u, 0)
+        assert tours == exit_staircases(greedy_ref, m, units, block, u, 0), (u, span, eligible)
+        stepped += sum(len(s) > 1 for s in list(found.values()) + list(tours.values()))
+    assert stepped > 20
