@@ -22,8 +22,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from .decompose import (dyadic_family, five_split, require_ratio_two, three_split_ceil,
-                        three_split_floor)
+from .decompose import dyadic_family, five_split, three_split_ceil, three_split_floor
 from .errors import PreconditionError
 from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
                        WalkSolution, _derived, drop_vertices, evaluate_walk, restrict,
@@ -33,12 +32,12 @@ from .modular import (_SHARED, ModularBlock, ModularPartition, _release_group_so
                       assemble_walk, blocks_from_identical_windows, ensure_reachable_anchors,
                       solve_reward_indexed, verify_modular)
 from .oracles import EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle
-from .rational import (HALF, ONE, ZERO, floor_log2, is_finite, is_integral,
-                       shared_fraction, shared_pair)
+from .rational import HALF, ONE, ZERO, floor_log2, is_finite, is_integral
 
 
-# every live report's walk, mapped to a weak reference to itself: a new
-# report finds the equal walk by value, and an entry leaves with its walk
+# every live report's walk, mapped to (a weak reference to itself, the
+# version rewards and bound of the first report that held it): a new report
+# finds the equal walk by value, and an entry leaves with its walk
 _LIVE_WALKS = weakref.WeakKeyDictionary()
 
 
@@ -62,14 +61,19 @@ class SolveReport:
 
     def __post_init__(self):
         # callers keep reports by the thousand: a report holds the live walk
-        # equal to its own when there is one, and shared small pairs
-        ref = _LIVE_WALKS.get(self.walk)
-        live = None if ref is None else ref()
+        # equal to its own when there is one, and that walk's entry's version
+        # rewards and bound when they equal its own
+        entry = _LIVE_WALKS.get(self.walk)
+        live = None if entry is None else entry[0]()
         if live is None:
-            _LIVE_WALKS[self.walk] = weakref.ref(self.walk)
-        else:
-            self.walk = live
-        self.version_rewards = tuple(shared_pair(label, r) for (label, r) in self.version_rewards)
+            _LIVE_WALKS[self.walk] = (weakref.ref(self.walk), self.version_rewards, self.bound)
+            return
+        _ref, versions, bound = entry
+        self.walk = live
+        if versions == self.version_rewards:
+            self.version_rewards = versions
+        if bound == self.bound:
+            self.bound = bound
 
     @property
     def beta(self) -> int:
@@ -108,17 +112,20 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     Every version's claims are evaluated on x: the first best walk wins and
     the bound sums the ratios.  With no version at all the report is the
     bare anchor walk at bound 1.  The split reads no anchor, so the ends of
-    a start-only solve share it and re-anchor its versions.
+    a start-only solve share it and re-anchor its versions; it is built
+    before the anchors are checked, so a split's refusal (a window ratio
+    over 2, say) comes before an unreachable end anchor.
     """
-    ensure_reachable_anchors(x)
 
     def build():
         zero, pos = _length_split(x)
         z = restrict(x, {v: None for v in pos}) if zero else None
         return z, tuple(split(restrict(x, {v: None for v in zero}))) if pos else ()
 
+    z, split_versions = _shared(("split", name), x, build)
+    ensure_reachable_anchors(x)
+
     def versions():
-        z, split_versions = _shared(("split", name), x, build)
         if z is not None:
             yield "Z", _claims_of(zero_window_dp(_anchored(z, x.s, x.t)).walk), ONE
         for (label, ver) in split_versions:
@@ -136,7 +143,7 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     if best is None:
         best = assemble_walk(x, [])
         bound = ONE
-    return SolveReport(name, best, tuple(rewards), shared_fraction(bound))
+    return SolveReport(name, best, tuple(rewards), bound)
 
 
 def _anchored(x: TwInstance, s: Optional[int], t: Optional[int]) -> TwInstance:
@@ -225,7 +232,6 @@ def solve_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     _require_wait(x)
     if x.mode != ANCHORED:
         raise PreconditionError("this solver needs both anchors")
-    require_ratio_two(_shared(("stats",), x, lambda: window_stats(x)))
 
     def solve_version(label, ver):
         if label == "B2":
@@ -296,7 +302,6 @@ def solve_free_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     _require_wait(x)
     if x.mode != FREE:
         raise PreconditionError("free-endpoint solver needs unanchored ends")
-    require_ratio_two(window_stats(x))
 
     def split(xp):
         fam = five_split(xp)

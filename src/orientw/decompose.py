@@ -14,20 +14,13 @@ one version.  The three splits also share their scaling and refusals
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
-from .instance import (TimeWindow, TwInstance, WindowStats, restrict, scale_times,
-                       window_stats)
+from .instance import TimeWindow, TwInstance, restrict, scale_times, window_stats
 from .rational import ONE, is_integral
-
-# version labels are stable strings: "B<slot>_<level>" for dyadic versions,
-# "B1".."B5" for the split constructions.  Every SolveReport keeps its
-# versions' labels, so they are shared strings rather than a fresh copy per
-# solve.
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,7 @@ def dyadic_family(x: TwInstance) -> RestrictedFamily:
                 "vertex %d: window [%s, %s] does not have integer endpoints"
                 % (v, w.release, w.deadline))
         for piece in dyadic_partition(int(w.release), int(w.deadline)):
-            yield ((piece.level, piece.slot), sys.intern("B%d_%d" % (piece.slot, piece.level)),
+            yield ((piece.level, piece.slot), "B%d_%d" % (piece.slot, piece.level),
                    TimeWindow(Fraction(piece.lo), Fraction(piece.hi)))
 
     return _family(x, ONE, cut)
@@ -150,21 +143,16 @@ def _family(base: TwInstance, factor: Fraction, cut) -> RestrictedFamily:
     return RestrictedFamily(base, tuple(versions), scale=factor)
 
 
-def require_ratio_two(stats: WindowStats):
-    """Refuse windows whose positive lengths differ by more than a factor 2."""
-    if stats.l_ratio is not None and stats.l_ratio > 2:
-        raise PreconditionError("window length ratio %s exceeds 2" % stats.l_ratio)
-
-
 def _split(x: TwInstance, cut, ratio_two: bool) -> RestrictedFamily:
     """A split family: scale so the shortest positive window has length 1,
     then cut(window) yields (label, piece) per carrier, and the label is the
-    version's key."""
+    version's key.  With ratio_two, windows whose positive lengths differ by
+    more than a factor 2 are refused."""
     stats = window_stats(x)
     if stats.l_min is None:
         raise PreconditionError("no positive-length windows to split")
-    if ratio_two:
-        require_ratio_two(stats)
+    if ratio_two and stats.l_ratio > 2:
+        raise PreconditionError("window length ratio %s exceeds 2" % stats.l_ratio)
     factor = ONE / stats.l_min
     scaled = scale_times(x, factor) if factor != 1 else x
     return _family(scaled, factor,

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContainmentError, InfeasibleInstanceError, PreconditionError
 from .metric import Metric
-from .rational import ZERO, as_fraction, is_finite, shared_fraction, units_for
+from .rational import ZERO, as_fraction, is_finite, units_for
 
 WAIT = "wait"
 NO_WAIT = "no-wait"
@@ -181,9 +181,10 @@ class WalkSolution(_WeaklyReferable):
 
 @lru_cache(maxsize=4096)
 def _fraction(numerator: int, denominator: int) -> Fraction:
-    """Fraction(numerator, denominator), shared: walks repeat their times
-    and rewards, so the table keeps the last 4096 of them."""
-    return shared_fraction(Fraction(numerator, denominator))
+    """Fraction(numerator, denominator), built once per pair: walks repeat
+    their times and rewards, so the table keeps the last 4096 of them rather
+    than building a Fraction per schedule time."""
+    return Fraction(numerator, denominator)
 
 
 def _infeasible(reason: str) -> WalkSolution:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 INF = math.inf
@@ -33,33 +32,6 @@ HALF = Fraction(1, 2)
 
 def is_finite(value) -> bool:
     return value is not INF
-
-
-# Fraction(0) .. Fraction(255), shared the way CPython shares small ints.
-# Walk times, rewards and bounds are mostly small integers, and callers keep
-# reports by the thousand, so equal values in them share one object.
-_SMALL = tuple(Fraction(i) for i in range(256))
-
-
-def shared_fraction(value: Fraction) -> Fraction:
-    """value, or the shared equal object when it is a small nonnegative
-    integer."""
-    if value.denominator == 1 and 0 <= value.numerator < len(_SMALL):
-        return _SMALL[value.numerator]
-    return value
-
-
-@lru_cache(maxsize=1024)
-def _small_pair(label, numerator: int) -> tuple:
-    return (label, _SMALL[numerator])
-
-
-def shared_pair(label, value: Fraction) -> tuple:
-    """(label, value), one shared pair per label when value is a small
-    nonnegative integer; the table keeps at most 1024 pairs."""
-    if value.denominator == 1 and 0 <= value.numerator < len(_SMALL):
-        return _small_pair(label, value.numerator)
-    return (label, value)
 
 
 def as_fraction(value) -> Fraction:

@@ -25,7 +25,7 @@ from orientw import (EXACT_ORACLE, INF, WAIT, DeadlineQuery, Graph, Metric, Modu
 from orientw.instance import FREE
 from orientw.modular import DpResult
 from orientw.oracles import INFEASIBLE_RESULT, _result_better, earliest_limits
-from orientw.rational import ZERO, as_fraction, floor_log2, is_finite, shared_fraction
+from orientw.rational import ZERO, as_fraction, floor_log2, is_finite
 
 
 def line_metric(n: int = 4) -> Metric:
@@ -106,7 +106,7 @@ def ref_evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] 
             arrived = sched_times[-1] + step
             if waiting and flag:
                 arrived = max(arrived, x.windows[v].release)
-            sched_times.append(shared_fraction(arrived))
+            sched_times.append(arrived)
     else:
         if len(times) != len(order):
             return _infeasible("times must match the walk length")
@@ -148,7 +148,7 @@ def ref_evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] 
     schedule = tuple((v, tv, flag and v in collected and tv >= x.windows[v].release
                       and tv <= x.windows[v].deadline)
                      for (v, flag), tv in zip(order, sched_times))
-    reward = shared_fraction(sum((x.rewards[v] for v in collected), ZERO))
+    reward = sum((x.rewards[v] for v in collected), ZERO)
     return WalkSolution(schedule, reward)
 
 

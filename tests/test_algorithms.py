@@ -8,8 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
-                     DeadlineOracle, OrienteeringOracle, PreconditionError, TwInstance,
-                     brute_force_opt, evaluate_walk, layered_deadline_oracle,
+                     DeadlineOracle, OrienteeringOracle, PreconditionError, SolveReport,
+                     TwInstance, brute_force_opt, evaluate_walk, layered_deadline_oracle,
                      reduce_deadline_to_tw, restrict, run_algorithm, solve_auto,
                      solve_free_general, solve_free_l_le_2, solve_general,
                      solve_integer_endpoints, solve_l_le_2, window_stats, zero_window_dp)
@@ -115,6 +115,16 @@ def test_l2_guarantee_on_seeds():
 def test_l2_rejects_wide_ratio(line4):
     with pytest.raises(PreconditionError):
         solve_l_le_2(line4)
+
+
+def test_l2_refuses_a_wide_ratio_before_an_unreachable_end_anchor():
+    # the split refuses the ratio, and the split comes before the anchor
+    # check: the end anchor (3 away) lies past the budget 2, but the
+    # window lengths 2, 1, 1/2 and 2 are refused first
+    x = line4_instance(budget=F(2), windows=(window(0, 2), window(1, 2),
+                                             window(F(3, 2), 2), window(0, 2)))
+    with pytest.raises(PreconditionError, match="window length ratio 4 exceeds 2"):
+        solve_l_le_2(x)
 
 
 def test_l2_handles_zero_and_positive_mix():
@@ -587,23 +597,47 @@ def _dense_six():
     return generate_instance("random-metric", 6, 1, horizon=F(20), l_low=F(8), l_high=F(16))
 
 
+def _dense_free_eight():
+    return generate_instance("random-metric", 8, 2, horizon=F(20), l_low=F(8), l_high=F(16),
+                             mode="free")
+
+
 def test_live_reports_share_an_equal_walk_until_released():
     x = _dense_six()
     tracked = len(algorithms._LIVE_WALKS)
     a, b = solve_auto(x), solve_auto(x)
     assert a.walk is b.walk
-    assert a.version_rewards and all(p is q for p, q in zip(a.version_rewards, b.version_rewards))
+    assert a.version_rewards and a.version_rewards is b.version_rewards
+    assert a.bound is b.bound
     assert len(algorithms._LIVE_WALKS) == tracked + 1
     del a, b
     gc.collect()
     assert len(algorithms._LIVE_WALKS) == tracked
 
 
-def test_kept_reports_of_one_instance_retain_little_memory():
-    # each kept report holds its own version tuple and nothing else: its walk
-    # (about 0.8 kB of schedule on this instance) and its small
-    # (label, reward) pairs are shared with the first report
+def test_a_report_keeps_its_own_versions_and_bound_when_they_differ():
+    # the live-walk table shares a walk by value alone; versions and bound
+    # are shared only when they are equal too
     x = _dense_six()
+    a = solve_auto(x)
+
+    def equal_walk():
+        return evaluate_walk(x, [(v, c) for (v, _t, c) in a.walk.schedule])
+
+    b = SolveReport("other", equal_walk(), (("B9", F(1)),), a.bound + 1)
+    c = SolveReport("other", equal_walk(), tuple(list(a.version_rewards)), F(7))
+    assert a.walk is b.walk is c.walk
+    assert b.version_rewards == (("B9", F(1)),) and b.bound == a.bound + 1
+    assert c.version_rewards is a.version_rewards
+    assert c.bound == 7 != a.bound
+
+
+@pytest.mark.parametrize("build", [_dense_six, _dense_free_eight], ids=["anchored", "free"])
+def test_kept_reports_of_one_instance_retain_little_memory(build):
+    # each kept report holds nothing of its own but itself: its walk (about
+    # 0.8 kB of schedule on the anchored instance), its version rewards and
+    # its bound are those of the first report
+    x = build()
     first = solve_auto(x)
     gc.collect()
     tracemalloc.start()
@@ -615,4 +649,4 @@ def test_kept_reports_of_one_instance_retain_little_memory():
     finally:
         tracemalloc.stop()
     assert all(rep.walk is first.walk for rep in kept)
-    assert per_report < 256, per_report
+    assert per_report < 128, per_report

@@ -92,6 +92,21 @@ def test_only_oracles_walks_the_point_queries_down():
     assert offenders == []
 
 
+def test_only_algorithms_keeps_reports_small():
+    # reports kept by the thousand stay small by one mechanism, the
+    # live-walk table beside SolveReport: no other module weakly references
+    # or interns objects on their behalf
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "algorithms.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            names = _read_names(tree) | {node.module for node in ast.walk(tree)
+                                         if isinstance(node, ast.ImportFrom)}
+            offenders += ["%s:%s" % (path.name, name)
+                          for name in sorted(names & {"weakref", "intern"})]
+    assert offenders == []
+
+
 def test_package_imports_only_itself_and_the_standard_library():
     # README promises no runtime dependencies and pyproject lists none
     foreign = []
