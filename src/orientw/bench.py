@@ -17,7 +17,7 @@ from .errors import PreconditionError
 from .instance import TwInstance, brute_force_opt, window_stats
 from .oracles import ORIENTEERING_ORACLES, deadline_oracle_by_name
 
-# Exhaustive search beyond this many vertices is not worth the wait.
+# brute_reward is filled up to this n; raising it would change the bench CSV.
 BRUTE_LIMIT = 12
 
 HEADER = ("instance_id,n,l_min,l_max,l_ratio,algorithm,oracle,"

@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--deadline-oracle", default="exact", choices=sorted(DEADLINE_ORACLES))
     solve.add_argument("--out", default=None, help="write the report here instead of stdout")
 
-    exact = sub.add_parser("exact", help="exhaustive optimum (small instances)")
+    exact = sub.add_parser("exact", help="exact optimum by a subset DP (exponential in n)")
     exact.add_argument("instance")
     exact.add_argument("--out", default=None)
 

@@ -2,8 +2,8 @@
 
 A TwInstance bundles an exact metric, one window and one reward per vertex,
 optional start/end anchors, a time budget, and the waiting policy.  Walks are
-scored by evaluate_walk; brute_force_opt is the exact desk-scale oracle the
-rest of the package is verified against.
+scored by evaluate_walk; brute_force_opt, a subset DP in integer units, is
+the exact optimum the rest of the package is verified against.
 
 evaluate_walk is where a walk's times enter integer units: one rational.Units
 per call, over the metric's scale and the denominators of the budget, the
@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContainmentError, InfeasibleInstanceError, PreconditionError
 from .metric import Metric
-from .rational import ZERO, as_fraction, is_finite, units_for
+from .rational import ZERO, as_fraction, units_for
 
 WAIT = "wait"
 NO_WAIT = "no-wait"
@@ -367,89 +367,65 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
 # ----- exact search ----------------------------------------------------------
 
 def brute_force_opt(x: TwInstance) -> WalkSolution:
-    """Exact optimum by branch and bound over visit orders of collected
-    subsets on the metric closure, using the earliest-feasible schedule rule.
+    """Exact optimum by a subset DP in integer units on the earliest-feasible
+    schedule rule; only the waiting-allowed policy is supported.
 
-    Only the waiting-allowed policy is supported; intended for n up to about
-    twelve.  Ties break toward the lexicographically smallest visit order.
-    Raises InfeasibleInstanceError for an anchored instance where t cannot
-    be reached from s within the budget at all.
+    A state is (claimed set, last claim), plus the start: s, or nothing yet
+    for a free walk.  A claim of w arrives at max(at + leg, release) and is
+    kept when it pays by w's deadline and, when anchored, still reaches t by
+    the budget.  Each state keeps its earliest arrival, then the smaller
+    claim tuple; a later arrival never lets a later claim arrive sooner, so
+    an optimal walk is kept.  The highest reward wins, then the smallest claim
+    tuple among the kept states, which need not be the smallest optimal
+    order.  Raises InfeasibleInstanceError for an anchored instance where t
+    cannot be reached from s within the budget at all.
     """
     if x.wait_policy != WAIT:
         raise PreconditionError("brute_force_opt handles the waiting-allowed policy only")
-    d = x.metric.d
-    T = x.budget
-    mode = x.mode
-
-    if mode == ANCHORED:
-        base = d[x.s][x.t]
-        if not is_finite(base) or base > T:
-            raise InfeasibleInstanceError(
-                "cannot reach %d from %d within budget %s" % (x.t, x.s, T))
-
-    rewards = x.rewards
-    windows = x.windows
-
-    def tail_ok(v: int, tv: Fraction) -> bool:
-        # can the walk still finish after claiming v at time tv?
-        if mode == ANCHORED:
-            leg = d[v][x.t]
-            return is_finite(leg) and tv + leg <= T
-        if mode == START_ONLY:
-            return tv <= T
-        return True
-
-    cand = []
-    for v in x.positive_vertices():
-        if mode == FREE:
-            e = max(ZERO, windows[v].release)
-        else:
-            leg = d[x.s][v]
-            if not is_finite(leg):
-                continue
-            e = max(leg, windows[v].release)
-        if e <= windows[v].deadline and tail_ok(v, e):
-            cand.append(v)
-    cand.sort()
-
-    best_reward = ZERO
-    best_claims: tuple = ()
-
-    def dfs(cur: Optional[int], now: Fraction, used: set, claims: list, acc: Fraction):
-        nonlocal best_reward, best_claims
-        avail = []
-        for w in cand:
-            if w in used:
-                continue
-            if cur is None:
-                tw = max(ZERO, windows[w].release)
-            else:
-                leg = d[cur][w]
-                if not is_finite(leg):
+    s, t, windows, positive = x.s, x.t, x.windows, x.positive_vertices()
+    units = units_for(x.metric, [x.budget] + [windows[v].release for v in positive]
+                      + [windows[v].deadline for v in positive],
+                      [x.rewards[v] for v in positive], range(x.n))
+    time, table, budget = units.time, units.table, units.time(x.budget)
+    if t is not None and (table[s][t] is None or table[s][t] > budget):
+        raise InfeasibleInstanceError(
+            "cannot reach %d from %d within budget %s" % (t, s, x.budget))
+    # per claimable w: its bit, reward, release and latest arrival, which
+    # pays and, when anchored, still reaches t (-1 when t is out of reach)
+    claimable = []
+    for i, w in enumerate(positive):
+        release, cap = time(windows[w].release), time(windows[w].deadline)
+        if t is not None:
+            cap = -1 if table[w][t] is None else min(cap, budget - table[w][t])
+        if release <= cap:
+            claimable.append((w, 1 << i, units.reward(x.rewards[w]), release, cap))
+    # per start or claim v, the claims open from it as (latest departure, w,
+    # bit, leg, reward, release), latest first, so a scan stops at the first
+    # one missed; the free start leaves from nowhere at time 0
+    hops = {}
+    for v in {s} | {w for (w, _b, _g, _r, _cap) in claimable}:
+        legs = [0] * x.n if v is None else table[v]
+        hops[v] = sorted(((cap - legs[w], w, b, legs[w], gain, release)
+                          for (w, b, gain, release, cap) in claimable
+                          if legs[w] is not None and legs[w] <= cap), reverse=True)
+    best, shift = (0, ()), x.n.bit_length()  # best is (-reward, claims), the least
+    layer = [(0, (), 0, 0, s)]  # (arrival, claims, reward, set, last)
+    while layer:
+        kept = {}
+        for (at, claims, got, mask, v) in layer:
+            best = min(best, (-got, claims))
+            for (late, w, b, leg, gain, release) in hops[v]:
+                if at > late:
+                    break
+                if mask & b:
                     continue
-                tw = max(now + leg, windows[w].release)
-            if tw <= windows[w].deadline and tail_ok(w, tw):
-                avail.append((w, tw))
-        bound = acc + sum((rewards[w] for (w, _tw) in avail), ZERO)
-        if bound <= best_reward:
-            return
-        for (w, tw) in avail:
-            acc2 = acc + rewards[w]
-            claims.append(w)
-            if acc2 > best_reward:
-                best_reward = acc2
-                best_claims = tuple(claims)
-            used.add(w)
-            dfs(w, tw, used, claims, acc2)
-            used.remove(w)
-            claims.pop()
-
-    if mode == FREE:
-        dfs(None, ZERO, set(), [], ZERO)
-    else:
-        dfs(x.s, ZERO, set(), [], ZERO)
-
-    return walk_from_claims(x, best_claims)
+                arrival, key = max(at + leg, release), (mask | b) << shift | w
+                old = kept.get(key)
+                if old is None or arrival < old[0] or (arrival == old[0]
+                                                       and claims < old[1][:-1]):
+                    kept[key] = (arrival, claims + (w,), got + gain, mask | b, w)
+        layer = list(kept.values())
+    return walk_from_claims(x, best[1])
 
 
 def walk_from_claims(x: TwInstance, claims: Iterable) -> WalkSolution:

@@ -213,17 +213,24 @@ _SHARED: ContextVar[Optional[dict]] = ContextVar("orientw_shared", default=None)
 
 
 def _shared(key: tuple, x: TwInstance, build, *same):
-    """build(), or what it built earlier in the same start-only solve (whose
-    table _SHARED holds) for x's metric and windows objects, at equal
-    rewards, budget and same.  The key takes the objects' ids and the table
-    keeps x alive, so no id is reused and no Fraction is hashed."""
+    """build(), or what it built or refused earlier in the same start-only
+    solve (whose table _SHARED holds) for x's metric and windows objects, at
+    equal rewards, budget and same.  The key takes the objects' ids and the
+    table keeps x alive, so no id is reused and no Fraction is hashed."""
     table = _SHARED.get()
     if table is None:
         return build()
     key, check = key + (id(x.metric), id(x.windows)), (x.rewards, x.budget) + same
     hit = table.get(key)
     if hit is None or hit[1] != check:
-        hit = table[key] = (x, check, build())
+        try:
+            built = build()
+        except PreconditionError as refusal:
+            built = refusal.with_traceback(None)
+        hit = table[key] = (x, check, built)
+    if isinstance(hit[2], PreconditionError):
+        # a copy: the kept refusal, raised, would hold the table in its traceback
+        raise type(hit[2])(*hit[2].args)
     return hit[2]
 
 

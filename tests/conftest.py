@@ -6,9 +6,11 @@ the Fraction referee of evaluate_walk, which runs in integer units, and
 ref_greedy_orienteering, ref_layered_deadline and ref_checked those of the
 greedy and layered heuristics and their contract check, which do too;
 ref_pareto is the exhaustive referee of the Pareto staircases the block DPs
-build, and solve_time_indexed the independent referee of the modular DP the
-solvers run (modular.solve_reward_indexed): one oracle point query per
-integral budget instead of one staircase search per entry.
+build; ref_brute_force, a branch and bound over visit orders, is that of
+the subset DP brute_force_opt; and solve_time_indexed is the independent
+referee of the modular DP the solvers run (modular.solve_reward_indexed):
+one oracle point query per integral budget instead of one staircase search
+per entry.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from typing import Optional, Sequence, Tuple
 import pytest
 
 import orientw.modular as modular
-from orientw import (EXACT_ORACLE, INF, WAIT, DeadlineQuery, Graph, Metric, ModularPartition,
-                     OrienteeringOracle, OrienteeringQuery, TimeWindow, TwInstance,
-                     WalkResult, WalkSolution, best_orienteering_walk, metric_closure)
-from orientw.instance import FREE
+from orientw import (EXACT_ORACLE, INF, WAIT, DeadlineQuery, Graph, InfeasibleInstanceError,
+                     Metric, ModularPartition, OrienteeringOracle, OrienteeringQuery,
+                     PreconditionError, TimeWindow, TwInstance, WalkResult, WalkSolution,
+                     best_orienteering_walk, metric_closure, walk_from_claims)
+from orientw.instance import ANCHORED, FREE, START_ONLY
 from orientw.modular import DpResult
 from orientw.oracles import INFEASIBLE_RESULT, _result_better, earliest_limits
 from orientw.rational import ZERO, as_fraction, floor_log2, is_finite
@@ -350,6 +353,94 @@ def ref_pareto(m: Metric, eligible, u, v, horizon) -> tuple:
             entries.append(WalkResult(order, rew, dur))
             best = rew
     return tuple(entries)
+
+
+# ----- branch and bound over visit orders, referee of brute_force_opt -------
+
+def ref_brute_force(x: TwInstance) -> WalkSolution:
+    """Exact optimum by branch and bound over visit orders of collected
+    subsets on the metric closure, using the earliest-feasible schedule rule.
+
+    Only the waiting-allowed policy is supported; intended for n up to about
+    twelve.  Ties break toward the lexicographically smallest visit order.
+    Raises InfeasibleInstanceError for an anchored instance where t cannot
+    be reached from s within the budget at all.
+    """
+    if x.wait_policy != WAIT:
+        raise PreconditionError("ref_brute_force handles the waiting-allowed policy only")
+    d = x.metric.d
+    T = x.budget
+    mode = x.mode
+
+    if mode == ANCHORED:
+        base = d[x.s][x.t]
+        if not is_finite(base) or base > T:
+            raise InfeasibleInstanceError(
+                "cannot reach %d from %d within budget %s" % (x.t, x.s, T))
+
+    rewards = x.rewards
+    windows = x.windows
+
+    def tail_ok(v: int, tv: F) -> bool:
+        # can the walk still finish after claiming v at time tv?
+        if mode == ANCHORED:
+            leg = d[v][x.t]
+            return is_finite(leg) and tv + leg <= T
+        if mode == START_ONLY:
+            return tv <= T
+        return True
+
+    cand = []
+    for v in x.positive_vertices():
+        if mode == FREE:
+            e = max(ZERO, windows[v].release)
+        else:
+            leg = d[x.s][v]
+            if not is_finite(leg):
+                continue
+            e = max(leg, windows[v].release)
+        if e <= windows[v].deadline and tail_ok(v, e):
+            cand.append(v)
+    cand.sort()
+
+    best_reward = ZERO
+    best_claims: tuple = ()
+
+    def dfs(cur: Optional[int], now: F, used: set, claims: list, acc: F):
+        nonlocal best_reward, best_claims
+        avail = []
+        for w in cand:
+            if w in used:
+                continue
+            if cur is None:
+                tw = max(ZERO, windows[w].release)
+            else:
+                leg = d[cur][w]
+                if not is_finite(leg):
+                    continue
+                tw = max(now + leg, windows[w].release)
+            if tw <= windows[w].deadline and tail_ok(w, tw):
+                avail.append((w, tw))
+        bound = acc + sum((rewards[w] for (w, _tw) in avail), ZERO)
+        if bound <= best_reward:
+            return
+        for (w, tw) in avail:
+            acc2 = acc + rewards[w]
+            claims.append(w)
+            if acc2 > best_reward:
+                best_reward = acc2
+                best_claims = tuple(claims)
+            used.add(w)
+            dfs(w, tw, used, claims, acc2)
+            used.remove(w)
+            claims.pop()
+
+    if mode == FREE:
+        dfs(None, ZERO, set(), [], ZERO)
+    else:
+        dfs(x.s, ZERO, set(), [], ZERO)
+
+    return walk_from_claims(x, best_claims)
 
 
 # ----- the time-indexed modular DP, referee of solve_reward_indexed ---------

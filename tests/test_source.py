@@ -122,3 +122,18 @@ def test_package_imports_only_itself_and_the_standard_library():
             foreign += ["%s:%s" % (path.name, top) for top in tops
                         if top not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_no_function_calls_itself():
+    # the exhaustive searches are layered DPs, which no recursion-depth
+    # limit cuts short; a nested function counts as well
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = {sub.func.id for sub in ast.walk(node)
+                          if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
+                if node.name in called:
+                    offenders.append("%s:%s" % (path.name, node.name))
+    assert offenders == []

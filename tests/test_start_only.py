@@ -9,6 +9,7 @@ it computes every end from scratch.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -157,3 +158,31 @@ def test_every_end_shares_its_label_loops_when_nothing_stops(monkeypatch):
     # every reachable end is solved, and each forward loop still runs once
     monkeypatch.setattr(algorithms, "_reach", lambda x: None)
     test_each_label_loop_runs_once_per_start_only_solve(monkeypatch)
+
+
+def test_the_share_table_keeps_a_refused_split(monkeypatch):
+    # the window ratio is 10/3, so l2's split refuses at every end vertex;
+    # the table keeps the refusal as it keeps a split, so the ends do not
+    # rebuild the split up to it (12 calls when only splits were kept)
+    x = generate_instance("random-metric", 10, 4, mode="start-only", horizon=F(40),
+                          l_low=F(1), l_high=F(8))
+    splits = []
+    real = algorithms.three_split_floor
+
+    def recorded(y):
+        splits.append(y)
+        return real(y)
+
+    monkeypatch.setattr(algorithms, "three_split_floor", recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        rep = solve_auto(x)
+    finally:
+        gc.enable()
+    assert len(splits) <= 3
+    # the kept refusal holds no frame, so the table leaves with the solve
+    # rather than in a reference cycle through a traceback
+    assert gc.collect() == 0
+    got = (rep.algorithm, rep.walk.schedule, rep.walk.reward, rep.bound, rep.version_rewards)
+    assert got == _fan_out(x, EXACT_ORACLE, EXACT_DEADLINE)
