@@ -25,13 +25,14 @@ from typing import Dict, List, Optional, Tuple
 from .decompose import dyadic_family, five_split, three_split_ceil, three_split_floor
 from .errors import PreconditionError
 from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
-                       WalkSolution, _derived, drop_vertices, evaluate_walk, restrict,
+                       WalkSolution, _derived, _window, drop_vertices, evaluate_walk, restrict,
                        time_reversed, window_stats)
 from .metric import Metric
 from .modular import (_SHARED, ModularBlock, ModularPartition, _release_group_solve, _shared,
                       assemble_walk, blocks_from_identical_windows, ensure_reachable_anchors,
                       solve_reward_indexed, verify_modular)
-from .oracles import EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle
+from .oracles import (EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle,
+                      _one_solve)
 from .rational import HALF, ONE, ZERO, floor_log2, is_finite, is_integral
 
 
@@ -114,7 +115,9 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     bare anchor walk at bound 1.  The split reads no anchor, so the ends of
     a start-only solve share it and re-anchor its versions; it is built
     before the anchors are checked, so a split's refusal (a window ratio
-    over 2, say) comes before an unreachable end anchor.
+    over 2, say) comes before an unreachable end anchor.  The versions are
+    solved inside one staircase memo (oracles._one_solve): this solve's
+    when the solver is called directly, else the enclosing solve's.
     """
 
     def build():
@@ -134,12 +137,13 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     best: Optional[WalkSolution] = None
     rewards = []
     bound = ZERO
-    for (label, claims, ratio) in versions():
-        sol = assemble_walk(x, [(0, claims)] if claims else [])
-        rewards.append((label, sol.reward))
-        bound += ratio
-        if best is None or sol.reward > best.reward:
-            best = sol
+    with _one_solve():
+        for (label, claims, ratio) in versions():
+            sol = assemble_walk(x, [(0, claims)] if claims else [])
+            rewards.append((label, sol.reward))
+            bound += ratio
+            if best is None or sol.reward > best.reward:
+                best = sol
     if best is None:
         best = assemble_walk(x, [])
         bound = ONE
@@ -284,9 +288,9 @@ def _shift_version(base: TwInstance, ver: TwInstance, head: bool) -> TwInstance:
         if ver.rewards[v] > 0:
             w = ver.windows[v]
             if head:
-                assignment[v] = TimeWindow(w.deadline, w.deadline + HALF)
+                assignment[v] = _window(w.deadline, w.deadline + HALF)
             else:
-                assignment[v] = TimeWindow(w.release - HALF, w.release)
+                assignment[v] = _window(w.release - HALF, w.release)
         else:
             assignment[v] = None
     return restrict(base, assignment)
@@ -434,21 +438,24 @@ def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     optimal: no later solver runs and the report says so.
     Start-anchored instances without an end anchor reduce to one anchored
     solve per candidate end vertex, and those share every result that no end
-    anchor moves (see _auto_start_only)."""
+    anchor moves (see _auto_start_only).  Every solver tried, and every end,
+    shares one staircase memo (oracles._one_solve): each distinct block or
+    release-group entry is searched once per call."""
     _require_wait(x)
-    if x.mode == START_ONLY:
-        return _auto_start_only(x, oracle, deadline_oracle)
-    _zero, pos = _length_split(x)
-    # built per call from the module globals, so a patched global sees its calls
-    if not pos:
-        candidates = (("zero-window", zero_window_dp),)
-    elif x.mode == ANCHORED:
-        candidates = (("integer-endpoints", solve_integer_endpoints),
-                      ("l2", solve_l_le_2), ("general", solve_general))
-    else:
-        candidates = (("free-l2", solve_free_l_le_2), ("free-general", solve_free_general))
-    return _keep_best(((name, partial(solver, x, oracle, deadline_oracle))
-                       for (name, solver) in candidates), "every solver refused", _reach(x))
+    with _one_solve():
+        if x.mode == START_ONLY:
+            return _auto_start_only(x, oracle, deadline_oracle)
+        _zero, pos = _length_split(x)
+        # built per call from the module globals, so a patched global sees its calls
+        if not pos:
+            candidates = (("zero-window", zero_window_dp),)
+        elif x.mode == ANCHORED:
+            candidates = (("integer-endpoints", solve_integer_endpoints),
+                          ("l2", solve_l_le_2), ("general", solve_general))
+        else:
+            candidates = (("free-l2", solve_free_l_le_2), ("free-general", solve_free_general))
+        return _keep_best(((name, partial(solver, x, oracle, deadline_oracle))
+                           for (name, solver) in candidates), "every solver refused", _reach(x))
 
 
 def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,

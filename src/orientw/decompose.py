@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
-from .instance import TimeWindow, TwInstance, restrict, scale_times, window_stats
+from .instance import TimeWindow, TwInstance, _window, restrict, scale_times, window_stats
 from .rational import ONE, is_integral
 
 
@@ -113,7 +113,7 @@ def dyadic_family(x: TwInstance) -> RestrictedFamily:
                 % (v, w.release, w.deadline))
         for piece in dyadic_partition(int(w.release), int(w.deadline)):
             yield ((piece.level, piece.slot), "B%d_%d" % (piece.slot, piece.level),
-                   TimeWindow(Fraction(piece.lo), Fraction(piece.hi)))
+                   _window(Fraction(piece.lo), Fraction(piece.hi)))
 
     return _family(x, ONE, cut)
 
@@ -126,7 +126,8 @@ def _family(base: TwInstance, factor: Fraction, cut) -> RestrictedFamily:
     cut(v, window) yields (key, label, piece) for every positive-reward
     vertex with a positive-length window.  A version keeps its key's pieces
     and zeroes every other positive-reward vertex, those with zero-length
-    windows included.
+    windows included.  A piece is cut from a checked window, so the rules
+    build it unchecked (instance._window), and restrict checks containment.
     """
     positive = base.positive_vertices()
     groups: Dict[object, Tuple[str, Dict[int, TimeWindow]]] = {}
@@ -176,12 +177,12 @@ def three_split_floor(x: TwInstance) -> RestrictedFamily:
     def cut(w: TimeWindow):
         a = Fraction(math.floor(w.release) + 1)
         b = Fraction(math.ceil(w.deadline) - 1)
-        yield "B1", TimeWindow(w.release, a)
+        yield "B1", _window(w.release, a)
         if a == b + 1:
             return
-        yield "B3", TimeWindow(b, w.deadline)
+        yield "B3", _window(b, w.deadline)
         if a < b:
-            yield "B2", TimeWindow(a, b)
+            yield "B2", _window(a, b)
 
     return _split(x, cut, ratio_two=True)
 
@@ -199,10 +200,10 @@ def three_split_ceil(x: TwInstance) -> RestrictedFamily:
     def cut(w: TimeWindow):
         a = Fraction(math.ceil(w.release + 1))
         b = Fraction(math.floor(w.deadline - 1))
-        yield "B1", TimeWindow(w.release, min(a, w.deadline))
-        yield "B3", TimeWindow(max(b, w.release), w.deadline)
+        yield "B1", _window(w.release, min(a, w.deadline))
+        yield "B3", _window(max(b, w.release), w.deadline)
         if a < b:
-            yield "B2", TimeWindow(a, b)
+            yield "B2", _window(a, b)
 
     return _split(x, cut, ratio_two=False)
 
@@ -218,7 +219,7 @@ def five_split(x: TwInstance) -> RestrictedFamily:
 
     def cut(w: TimeWindow):
         bounds = [w.release] + _half_grid_interior(w.release, w.deadline) + [w.deadline]
-        pieces = [TimeWindow(lo, hi) for (lo, hi) in zip(bounds, bounds[1:])]
+        pieces = [_window(lo, hi) for (lo, hi) in zip(bounds, bounds[1:])]
         yield "B1", pieces[0]
         yield "B5", pieces[-1]
         yield from zip(("B2", "B3", "B4"), pieces[1:-1])

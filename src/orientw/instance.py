@@ -11,7 +11,8 @@ flagged vertices' windows and any explicit times, with distances read off
 metric.ints; Fractions come back only for the schedule and the reward.
 The public constructor checks every field.  restrict, drop_vertices and the
 solvers' re-anchoring derive from a checked instance through _derived, which
-checks only what changed.
+checks only what changed; windows derived from checked windows are built
+through _window, which checks nothing.
 """
 
 from __future__ import annotations
@@ -52,6 +53,16 @@ class TimeWindow:
 
     def contains(self, other: "TimeWindow") -> bool:
         return self.release <= other.release and other.deadline <= self.deadline
+
+
+def _window(release: Fraction, deadline: Fraction) -> TimeWindow:
+    """TimeWindow(release, deadline) without its checks, for Fractions with
+    release <= deadline: a window derived from a checked one (a cut rule's
+    piece, or a window scaled or reversed in time)."""
+    w = object.__new__(TimeWindow)
+    object.__setattr__(w, "release", release)
+    object.__setattr__(w, "deadline", deadline)
+    return w
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,7 +223,7 @@ def scale_times(x: TwInstance, c: Fraction) -> TwInstance:
     c = as_fraction(c)
     if c <= 0:
         raise PreconditionError("scale factor must be positive, got %s" % c)
-    windows = tuple(TimeWindow(w.release * c, w.deadline * c) for w in x.windows)
+    windows = tuple(_window(w.release * c, w.deadline * c) for w in x.windows)
     return replace(x, metric=x.metric.scaled(c), windows=windows, budget=x.budget * c)
 
 
@@ -254,7 +265,7 @@ def time_reversed(x: TwInstance, pivot: Optional[Fraction] = None) -> TwInstance
     if pivot is None:
         pivot = x.budget
     pivot = as_fraction(pivot)
-    windows = tuple(TimeWindow(pivot - w.deadline, pivot - w.release) for w in x.windows)
+    windows = tuple(_window(pivot - w.deadline, pivot - w.release) for w in x.windows)
     return replace(x, metric=x.metric.transposed(), windows=windows, s=x.t, t=x.s)
 
 

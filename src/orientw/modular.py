@@ -10,8 +10,10 @@ walks each block offers.  solve_reward_indexed offers the earliest walk
 per reward the oracle reaches, on any rationals.
 
 It takes a point-to-point orienteering oracle and inherits its ratio;
-each block keeps its own oracle answers, and none outlives the block but
-where the ends of one start-only solve share them (_shared).  With
+each block keeps its own oracle answers as moves, and none outlives the
+block but where the ends of one start-only solve share them (_shared).
+The answers themselves come from exit_staircases, whose memo lets every
+DP of one solve share an equal entry's answer.  With
 EXACT_ORACLE (ratio 1) the DP is exact, so the exact modular DP is
 solve_reward_indexed on that oracle.
 

@@ -19,11 +19,16 @@ with a staircase search hands them over (both exact oracles do, with one
 search per entry), and exit_staircases re-walks each step against the same
 contract; for any other oracle it walks the checked point queries down a
 time grid (earliest_limits) to the staircase of earliest ends per reward
-it reaches.
+it reaches.  Within one solve (solve_auto, or a registered solver called
+directly) equal entries share one answer, so an oracle, a custom fn among
+them, is asked once per distinct entry however many versions and solvers
+reach it.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -40,6 +45,10 @@ class OracleSpec:
 
     guaranteed=False marks an empirical heuristic: the ratio field is then
     just a label and nothing in the framework relies on it.
+
+    Equal queries within one solve may share one answer (exit_staircases),
+    so a custom fn or staircases search can be asked less often than the
+    DPs enter blocks; it must answer equal queries alike.
     """
 
     name: str
@@ -106,12 +115,27 @@ def _rewalk(table, credit, order, t0: int) -> tuple:
     return reward, time - t0
 
 
-def _base_walk(table, credit, u: int, end: Optional[int], t0: int, limit: int) -> WalkResult:
-    """The walk that stays at u, or goes straight to end, in units;
-    infeasible when it does not fit [t0, limit]."""
+def _base_walks(table, credit, u: int, t0: int):
+    """(end, limit) -> the walk that stays at u, or goes straight to end, in
+    units, leaving u at t0; infeasible when it does not fit [t0, limit].
+    Each end's walk is built once (_base_walk), and limit only decides
+    whether it fits."""
+    built = {}
+
+    def base(end, limit):
+        walk = built.get(end)
+        if walk is None:
+            walk = built[end] = _base_walk(table, credit, u, end, t0)
+        return walk if walk.feasible and t0 + walk.duration <= limit else INFEASIBLE_RESULT
+    return base
+
+
+def _base_walk(table, credit, u: int, end: Optional[int], t0: int) -> WalkResult:
+    """The walk that stays at u, or goes straight to end, leaving u at t0,
+    in units; infeasible when a leg is unreachable."""
     order = (u,) if end is None or end == u else (u, end)
     reward, duration = _rewalk(table, credit, order, t0)
-    if duration is None or t0 + duration > limit:
+    if duration is None:
         return INFEASIBLE_RESULT
     return WalkResult(order, reward, duration)
 
@@ -148,9 +172,10 @@ def _checked(oracle, metric: Metric, units: Units, credit, u: int, t0: int):
     credit = {v: rd for v, rd in credit.items() if rd[1] >= t0}
     ask = _entry_ask(oracle, metric, units, credit, u, t0)
     name, table = oracle.spec.name, units.table
+    base_walk = _base_walks(table, credit, u, t0)
 
     def point(end, limit):
-        base = _base_walk(table, credit, u, end, t0, limit)
+        base = base_walk(end, limit)
         if not base.feasible or all(w == u or w == end for w in credit):
             return base
         res = ask(end, limit)
@@ -544,6 +569,26 @@ def _entry_ask(oracle, metric: Metric, units: Units, credit, u: int, t0: int):
 # its credit map (_entry_exits gives the bounds).  exit_staircases is the one
 # way such an entry reaches an oracle, in the integer units of the caller's DP.
 
+# the staircase memo of the solve under way (see _one_solve), else None
+_STAIRS: ContextVar[Optional[tuple]] = ContextVar("orientw_stairs", default=None)
+
+
+@contextmanager
+def _one_solve():
+    """Open the staircase memo for the length of a top-level solve and close
+    it after; a solve inside an open one shares that memo."""
+    if _STAIRS.get() is not None:
+        yield
+        return
+    # (id of a table -> (table, its content's number), content -> number,
+    # key -> (oracle, every exit's staircase))
+    token = _STAIRS.set(({}, {}, {}))
+    try:
+        yield
+    finally:
+        _STAIRS.reset(token)
+
+
 def exit_staircases(oracle, metric: Metric, units: Units, credit, u: int,
                     t0: int) -> Dict[int, List[tuple]]:
     """Every exit w of credit, u among them, mapped to its staircase of
@@ -556,7 +601,31 @@ def exit_staircases(oracle, metric: Metric, units: Units, credit, u: int,
     reward, or PreconditionError is raised.  Any other oracle's checked
     point queries are walked down the time grid from each exit's bound
     (earliest_limits), one query per answer, in the same units.
+
+    Within one solve (_one_solve) equal entries share one answer: the key
+    is the oracle, both scales and the metric's, the number of the table's
+    content, the credit, u and t0.  The content is numbered once per table
+    object, and the memo holds the table and the oracle, so no id is reused.
     """
+    memo = _STAIRS.get()
+    if memo is None:
+        return _search_exits(oracle, metric, units, credit, u, t0)
+    tables, contents, answers = memo
+    table = units.table
+    held = tables.get(id(table))
+    if held is None:
+        held = tables[id(table)] = (table, contents.setdefault(tuple(table), len(contents)))
+    key = (id(oracle), units.tscale, units.rscale, metric.scale, held[1],
+           tuple(credit.items()), u, t0)
+    hit = answers.get(key)
+    if hit is None:
+        hit = answers[key] = (oracle, _search_exits(oracle, metric, units, credit, u, t0))
+    return hit[1]
+
+
+def _search_exits(oracle, metric: Metric, units: Units, credit, u: int,
+                  t0: int) -> Dict[int, List[tuple]]:
+    """exit_staircases without the memo."""
     closed = isinstance(oracle, OrienteeringOracle)
     exits = _entry_exits(credit, u, t0, closed)
     if oracle.staircases is None:
@@ -601,9 +670,10 @@ def _layered_entry(oracle, metric: Metric, units: Units, credit, u: int, t0: int
             layers.append((cutoff, sorted(set(members) | {u}),
                            _checked(oracle, metric, units, members, u, 0)))
     table = units.table
+    base_walk = _base_walks(table, credit, u, t0)
 
     def ask(end, limit):
-        best = _base_walk(table, credit, u, end, t0, limit)
+        best = base_walk(end, limit)
         if not best.feasible:
             return best
         for cutoff, free_ends, point in layers:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from orientw import (PreconditionError, TimeWindow, brute_force_opt,
                      dyadic_family, dyadic_partition, evaluate_walk,
-                     five_split, three_split_ceil, three_split_floor)
+                     five_split, solve_auto, three_split_ceil, three_split_floor)
+from orientw.generate import generate_instance
 
 from conftest import build_instance, line4_instance, line_metric, window
 
@@ -306,3 +307,34 @@ def test_dyadic_family_label_map():
     assert by_label["B2_1"].windows[1] == window(4, 6)
     # a vertex with no piece under some label keeps its whole window
     assert by_label["B1_0"].windows[0] == window(0, 6)
+
+
+def test_derived_windows_skip_the_window_check(monkeypatch):
+    # the cut rules, the splits' scaling, l2's time reversal and free-l2's
+    # half-unit shifts derive every window from a checked one, so no solve
+    # checks a window again; the public constructor still checks
+    dense = dict(horizon=F(20), l_low=F(8), l_high=F(16))
+    xs = [generate_instance("random-metric", 8, seed, mode=mode, integral=integral, **dense)
+          for seed in range(2) for integral in (True, False)
+          for mode in ("anchored", "free", "start-only")]
+    builders = (three_split_floor, three_split_ceil, five_split)
+    families = [builder(x) for x in xs for builder in builders]
+    families += [dyadic_family(x) for x in xs[:3]]
+    reports = [solve_auto(x) for x in xs]
+    for fam in families:
+        for _label, ver in fam.versions:
+            for w in ver.windows:
+                assert type(w.release) is type(w.deadline) is F
+                assert w == TimeWindow(w.release, w.deadline)
+
+    def refuse(self):
+        raise AssertionError("window checked again")
+
+    monkeypatch.setattr(TimeWindow, "__post_init__", refuse)
+    again = [builder(x) for x in xs for builder in builders]
+    again += [dyadic_family(x) for x in xs[:3]]
+    assert again == families
+    assert [solve_auto(x) for x in xs] == reports
+    monkeypatch.undo()
+    with pytest.raises(PreconditionError, match="exceeds deadline"):
+        TimeWindow(3, 1)

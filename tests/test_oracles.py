@@ -696,3 +696,37 @@ def test_heuristic_walk_downs_in_units_equal_the_fraction_referees():
         assert tours == exit_staircases(greedy_ref, m, units, block, u, 0), (u, span, eligible)
         stepped += sum(len(s) > 1 for s in list(found.values()) + list(tours.values()))
     assert stepped > 20
+
+
+def test_a_walk_down_builds_each_base_walk_once_per_exit(monkeypatch):
+    # the walk-down probes an exit once per step of its staircase, and the
+    # base walk (stay at u, or go straight to the exit) depends on the exit
+    # alone, so each entry builds it at most once per exit
+    import orientw.oracles as oracles
+
+    real = oracles._base_walk
+    built = []
+
+    def recorded(*args):
+        built.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(oracles, "_base_walk", recorded)
+    rng = random.Random(15)
+    stepped = 0
+    for trial in range(80):
+        n = rng.randint(2, 8)
+        m, eligible, u, t0 = _exit_query(rng, n, rng.randint(1, n), rng.random() < 0.4,
+                                         trial % 2 == 1, 14)
+        units = units_for(m, [t0] + [dl for (_r, dl) in eligible.values()],
+                          [r for (r, _dl) in eligible.values()], range(m.n))
+        credit = {v: (units.reward(r), units.time(dl)) for v, (r, dl) in eligible.items()}
+        span = max(dl for (_r, dl) in credit.values())
+        block = {v: (r, span) for v, (r, _dl) in credit.items()}
+        for oracle, entry, e in ((POINT_DEADLINE, credit, units.time(t0)),
+                                 (POINT_ORACLE, block, 0)):
+            built.clear()
+            found = exit_staircases(oracle, m, units, entry, u, e)
+            assert len(built) == len(set(built)) and set(built) <= set(found), (u, t0, eligible)
+            stepped += sum(len(steps) > 1 for steps in found.values())
+    assert stepped > 20

@@ -1,0 +1,134 @@
+"""One staircase search per distinct entry per solve.
+
+Within one solve, oracles.exit_staircases answers equal block and
+release-group entries once: the versions of one solver, and the solvers
+that solve_auto tries or that general composes, share the answer.  The
+counting oracles below are the exact ones with their searches wrapped, so
+they see every search that runs.
+"""
+
+from __future__ import annotations
+
+import gc
+import hashlib
+from collections import Counter
+from fractions import Fraction as F
+from functools import partial
+
+import pytest
+
+from orientw import GREEDY_ORACLE, PreconditionError, layered_deadline_oracle, solve_auto
+import orientw.algorithms as algorithms
+import orientw.oracles as oracles
+from orientw.algorithms import solve_general
+from orientw.generate import generate_instance
+from orientw.oracles import (DeadlineOracle, OracleSpec, OrienteeringOracle, exact_deadline,
+                             exact_orienteering, exact_staircases)
+from orientw.rational import ONE
+
+DENSE = dict(horizon=F(20), l_low=F(8), l_high=F(16))
+
+
+def _counting_oracles():
+    """An orienteering and a deadline oracle whose staircase searches count
+    each entry they are asked, keyed by the table's content, the credit, u
+    and t0."""
+    seen = Counter()
+
+    def counted(search, kind):
+        def staircases(table, credit, u, t0):
+            seen[(kind, tuple(table), tuple(credit.items()), u, t0)] += 1
+            return search(table, credit, u, t0)
+        return staircases
+
+    spec = OracleSpec("counted", ONE)
+    oracle = OrienteeringOracle(spec, exact_orienteering,
+                                counted(partial(exact_staircases, revisit=False), "block"))
+    deadline_oracle = DeadlineOracle(spec, exact_deadline, counted(exact_staircases, "group"))
+    return seen, oracle, deadline_oracle
+
+
+# (solver, mode, integral, n, kinds of entry searched): before the memo,
+# the anchored solve searched 7 of its 28 release-group entries twice, the
+# free one 6 of its 12 block entries two or three times, and general alone
+# each of its 15 release-group entries twice, once per inner l2 solve
+CASES = [(solve_auto, "anchored", True, 8, {"block", "group"}),
+         (solve_auto, "free", False, 6, {"block"}),
+         (solve_general, "anchored", True, 10, {"group"})]
+
+
+@pytest.mark.parametrize("solver, mode, integral, n, kinds", CASES,
+                         ids=["anchored", "free", "general-alone"])
+def test_each_entry_is_searched_once_per_solve(solver, mode, integral, n, kinds):
+    x = generate_instance("random-metric", n, 3, mode=mode, integral=integral, **DENSE)
+    seen, oracle, deadline_oracle = _counting_oracles()
+    first = solver(x, oracle, deadline_oracle)
+    assert {key[0] for key in seen} == kinds
+    assert set(seen.values()) == {1}
+    # the memo leaves with its solve: the next solve searches every entry again
+    second = solver(x, oracle, deadline_oracle)
+    assert set(seen.values()) == {2}
+    assert (second.walk.schedule, second.bound) == (first.walk.schedule, first.bound)
+
+
+def test_the_memo_closes_after_a_solve_and_leaves_no_garbage():
+    x = generate_instance("random-metric", 8, 3, mode="start-only", **DENSE)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_auto(x)
+        solve_auto(x, GREEDY_ORACLE, layered_deadline_oracle(GREEDY_ORACLE))
+    finally:
+        gc.enable()
+    assert oracles._STAIRS.get() is None
+    assert gc.collect() == 0
+
+
+def test_the_memo_closes_when_every_solver_refuses(monkeypatch):
+    # each solver runs its real body, filling the memo, and then refuses
+    opened = []
+
+    def refusing(real):
+        def solver(y, oracle, deadline_oracle):
+            real(y, oracle, deadline_oracle)
+            opened.append(oracles._STAIRS.get())
+            raise PreconditionError("refused for the test")
+        return solver
+
+    for name in ("solve_integer_endpoints", "solve_l_le_2", "solve_general"):
+        monkeypatch.setattr(algorithms, name, refusing(getattr(algorithms, name)))
+    x = generate_instance("random-metric", 8, 3, integral=True, **DENSE)
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(PreconditionError, match="every solver refused"):
+            solve_auto(x)
+    finally:
+        gc.enable()
+    assert len(opened) == 3 and all(memo is opened[0] for memo in opened)
+    assert opened[0][2]  # the solvers shared one memo, and it held answers
+    assert oracles._STAIRS.get() is None
+    assert gc.collect() == 0
+
+
+# sha256 of solve_auto's reports (algorithm, reward, bound, optimal, version
+# rewards, schedule) over every anchor mode, both grids, dense and default
+# windows, and both oracle pairs at n=6-12, recorded before the memo
+REPORT_PIN = "1627b8b94452ac6b68c1c9cf4ab80a1875e0cf9b814f6260c02677babb84f6fd"
+
+
+def test_solve_auto_reports_match_the_pinned_digest():
+    pairs = ((), (GREEDY_ORACLE, layered_deadline_oracle(GREEDY_ORACLE)))
+    h = hashlib.sha256()
+    for n in range(6, 13):
+        for shape in (DENSE, {}):
+            for mode in ("anchored", "free", "start-only"):
+                for integral in (True, False):
+                    for pair in pairs:
+                        x = generate_instance("random-metric", n, n, mode=mode,
+                                              integral=integral, **shape)
+                        rep = solve_auto(x, *pair)
+                        h.update(("%s|%s|%s|%s|%s|%s\n" % (
+                            rep.algorithm, rep.walk.reward, rep.bound, rep.optimal,
+                            rep.version_rewards, rep.walk.schedule)).encode("utf-8"))
+    assert h.hexdigest() == REPORT_PIN
