@@ -28,11 +28,11 @@ from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
                        WalkSolution, _derived, _window, drop_vertices, evaluate_walk, restrict,
                        time_reversed, window_stats)
 from .metric import Metric
-from .modular import (_SHARED, ModularBlock, ModularPartition, _release_group_solve, _shared,
+from .modular import (ModularBlock, ModularPartition, _release_group_solve, _shared,
                       assemble_walk, blocks_from_identical_windows, ensure_reachable_anchors,
                       solve_reward_indexed, verify_modular)
 from .oracles import (EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle,
-                      _one_solve)
+                      _FAN_OUT, _kept, _one_solve)
 from .rational import HALF, ONE, ZERO, floor_log2, is_finite, is_integral
 
 
@@ -103,6 +103,7 @@ def _length_split(x: TwInstance) -> Tuple[List[int], List[int]]:
     return zero, pos
 
 
+@_one_solve()
 def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     """The recipe of every composed solver, run after its precondition.
 
@@ -115,9 +116,9 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     bare anchor walk at bound 1.  The split reads no anchor, so the ends of
     a start-only solve share it and re-anchor its versions; it is built
     before the anchors are checked, so a split's refusal (a window ratio
-    over 2, say) comes before an unreachable end anchor.  The versions are
-    solved inside one staircase memo (oracles._one_solve): this solve's
-    when the solver is called directly, else the enclosing solve's.
+    over 2, say) comes before an unreachable end anchor.  The whole recipe
+    runs inside one memo (oracles._one_solve): this call's when the solver
+    is called directly, else the enclosing solve's.
     """
 
     def build():
@@ -125,7 +126,7 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
         z = restrict(x, {v: None for v in pos}) if zero else None
         return z, tuple(split(restrict(x, {v: None for v in zero}))) if pos else ()
 
-    z, split_versions = _shared(("split", name), x, build)
+    z, split_versions = _shared(("split", name), (), x, build)
     ensure_reachable_anchors(x)
 
     def versions():
@@ -137,13 +138,12 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     best: Optional[WalkSolution] = None
     rewards = []
     bound = ZERO
-    with _one_solve():
-        for (label, claims, ratio) in versions():
-            sol = assemble_walk(x, [(0, claims)] if claims else [])
-            rewards.append((label, sol.reward))
-            bound += ratio
-            if best is None or sol.reward > best.reward:
-                best = sol
+    for (label, claims, ratio) in versions():
+        sol = assemble_walk(x, [(0, claims)] if claims else [])
+        rewards.append((label, sol.reward))
+        bound += ratio
+        if best is None or sol.reward > best.reward:
+            best = sol
     if best is None:
         best = assemble_walk(x, [])
         bound = ONE
@@ -169,6 +169,7 @@ def _sub_version(sub: SolveReport) -> tuple:
 
 # ----- fixed-instant vertices ------------------------------------------------
 
+@_one_solve()
 def zero_window_dp(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
                    deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
     """Exact solver for instances whose positive-reward vertices all have
@@ -245,7 +246,7 @@ def solve_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
         else:
             # B1 windows share deadlines per group; reversed in time they
             # share releases, which the same DP handles starting at the end anchor
-            rev = _shared(("reversed",), ver, lambda: time_reversed(ver))
+            rev = _shared(("reversed",), (), ver, lambda: time_reversed(ver))
             rev = _release_group_solve(_anchored(rev, ver.t, ver.s), deadline_oracle)
             claims = tuple(reversed(_claims_of(rev.walk)))
         return claims, deadline_oracle.spec.ratio
@@ -430,6 +431,7 @@ def _keep_best(tries, failure: str, ceiling: Fraction, nothing: str = "") -> Sol
     return best
 
 
+@_one_solve()
 def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
                deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
     """Try every solver of the instance's anchor mode, keep the first report
@@ -439,23 +441,22 @@ def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     Start-anchored instances without an end anchor reduce to one anchored
     solve per candidate end vertex, and those share every result that no end
     anchor moves (see _auto_start_only).  Every solver tried, and every end,
-    shares one staircase memo (oracles._one_solve): each distinct block or
+    shares the call's one memo (oracles._one_solve): each distinct block or
     release-group entry is searched once per call."""
     _require_wait(x)
-    with _one_solve():
-        if x.mode == START_ONLY:
-            return _auto_start_only(x, oracle, deadline_oracle)
-        _zero, pos = _length_split(x)
-        # built per call from the module globals, so a patched global sees its calls
-        if not pos:
-            candidates = (("zero-window", zero_window_dp),)
-        elif x.mode == ANCHORED:
-            candidates = (("integer-endpoints", solve_integer_endpoints),
-                          ("l2", solve_l_le_2), ("general", solve_general))
-        else:
-            candidates = (("free-l2", solve_free_l_le_2), ("free-general", solve_free_general))
-        return _keep_best(((name, partial(solver, x, oracle, deadline_oracle))
-                           for (name, solver) in candidates), "every solver refused", _reach(x))
+    if x.mode == START_ONLY:
+        return _auto_start_only(x, oracle, deadline_oracle)
+    _zero, pos = _length_split(x)
+    # built per call from the module globals, so a patched global sees its calls
+    if not pos:
+        candidates = (("zero-window", zero_window_dp),)
+    elif x.mode == ANCHORED:
+        candidates = (("integer-endpoints", solve_integer_endpoints),
+                      ("l2", solve_l_le_2), ("general", solve_general))
+    else:
+        candidates = (("free-l2", solve_free_l_le_2), ("free-general", solve_free_general))
+    return _keep_best(((name, partial(solver, x, oracle, deadline_oracle))
+                       for (name, solver) in candidates), "every solver refused", _reach(x))
 
 
 def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
@@ -464,8 +465,9 @@ def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
     variant for every reachable end vertex and keep the best, stopping at
     the first end whose walk meets the start-only instance's reachability
     bound.  An end vertex whose anchored solve is refused is skipped like an
-    unreachable one.  The ends share every split, forward label loop and
-    l2's reversed B1 version with its release-group moves (modular._shared);
+    unreachable one.  The ends run inside solve_auto's memo, marked as a
+    fan-out's, so they share every split, forward label loop and l2's
+    reversed B1 version with its release-group moves (modular._shared);
     per end run only the harvests, the walks' assembly and the reversed B1
     label loop."""
 
@@ -481,15 +483,12 @@ def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
             return None
         return SolveReport(sub.algorithm, sol, sub.version_rewards, sub.bound)
 
+    _kept(_FAN_OUT, (), lambda: True)  # mark the memo as a fan-out's
     reachable = (t2 for t2 in range(x.n)
                  if is_finite(x.metric.d[x.s][t2]) and x.metric.d[x.s][t2] <= x.budget)
-    token = _SHARED.set({})
-    try:
-        return _keep_best((("end %d" % t2, partial(ending_at, t2)) for t2 in reachable),
-                          "no end vertex yields a walk", _reach(x),
-                          "none is reachable from the start anchor")
-    finally:
-        _SHARED.reset(token)
+    return _keep_best((("end %d" % t2, partial(ending_at, t2)) for t2 in reachable),
+                      "no end vertex yields a walk", _reach(x),
+                      "none is reachable from the start anchor")
 
 
 def run_algorithm(name: str, x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,

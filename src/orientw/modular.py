@@ -10,10 +10,10 @@ walks each block offers.  solve_reward_indexed offers the earliest walk
 per reward the oracle reaches, on any rationals.
 
 It takes a point-to-point orienteering oracle and inherits its ratio;
-each block keeps its own oracle answers as moves, and none outlives the
-block but where the ends of one start-only solve share them (_shared).
-The answers themselves come from exit_staircases, whose memo lets every
-DP of one solve share an equal entry's answer.  With
+each block keeps its own oracle answers as moves, and in a start-only
+fan-out the ends share a DP's label loop and moves (_shared).  The
+answers come from exit_staircases, whose memo lets every DP of one solve
+share an equal entry's answer.  With
 EXACT_ORACLE (ratio 1) the DP is exact, so the exact modular DP is
 solve_reward_indexed on that oracle.
 
@@ -33,14 +33,13 @@ again.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InfeasibleInstanceError, PreconditionError
 from .instance import ANCHORED, FREE, TwInstance, WalkSolution, evaluate_walk
-from .oracles import DeadlineOracle, OrienteeringOracle, exit_staircases
+from .oracles import DeadlineOracle, OrienteeringOracle, _fanning_out, _kept, exit_staircases
 from .rational import ONE, ZERO, Units, is_finite, units_for
 
 
@@ -210,35 +209,19 @@ def pos_key(p) -> tuple:
     return (p is not None, p if p is not None else -1)
 
 
-# the share table of the start-only solve under way (see _shared), else None
-_SHARED: ContextVar[Optional[dict]] = ContextVar("orientw_shared", default=None)
-
-
-def _shared(key: tuple, x: TwInstance, build, *same):
-    """build(), or what it built or refused earlier in the same start-only
-    solve (whose table _SHARED holds) for x's metric and windows objects, at
-    equal rewards, budget and same.  The key takes the objects' ids and the
-    table keeps x alive, so no id is reused and no Fraction is hashed."""
-    table = _SHARED.get()
-    if table is None:
+def _shared(key: tuple, held: tuple, x: TwInstance, build, *same):
+    """build(), or, in a start-only fan-out, what it built or refused
+    earlier in the fan-out (oracles._kept) at key, for the held objects and
+    x's metric and windows objects, at equal rewards, budget and same.
+    Outside a fan-out no entry would be read again, so none is kept."""
+    if not _fanning_out():
         return build()
-    key, check = key + (id(x.metric), id(x.windows)), (x.rewards, x.budget) + same
-    hit = table.get(key)
-    if hit is None or hit[1] != check:
-        try:
-            built = build()
-        except PreconditionError as refusal:
-            built = refusal.with_traceback(None)
-        hit = table[key] = (x, check, built)
-    if isinstance(hit[2], PreconditionError):
-        # a copy: the kept refusal, raised, would hold the table in its traceback
-        raise type(hit[2])(*hit[2].args)
-    return hit[2]
+    return _kept(key, held + (x.metric, x.windows), build, (x.rewards, x.budget) + same)
 
 
-def _chain(key: tuple, x: TwInstance, units: Units, steps, *same) -> DpResult:
+def _chain(key: tuple, held: tuple, x: TwInstance, units: Units, steps, *same) -> DpResult:
     """The label loop's best walk; the ends of a start-only solve share the loop."""
-    labels = _shared(key + (x.s,), x, lambda: _label_loop(x, units, steps), *same)
+    labels = _shared(key + (x.s,), held, x, lambda: _label_loop(x, units, steps), *same)
     return harvest_labels(x, units, labels)
 
 
@@ -378,7 +361,7 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
 
             yield bi, release, deadline, ids, moves
 
-    return _chain(("reward-indexed", id(oracle)), x, units, steps(), part)
+    return _chain(("reward-indexed",), (oracle,), x, units, steps(), part)
 
 
 # ----- release-group DP ------------------------------------------------------
@@ -416,7 +399,7 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
     ensure_reachable_anchors(x)
     # (group, u, e) -> every exit's paying steps as moves in units, e being
     # the entry time in units too; none reads an anchor, so ends share them
-    groups, units, stairs = _shared(("groups", id(deadline_oracle)), x,
+    groups, units, stairs = _shared(("groups",), (deadline_oracle,), x,
                                     lambda: (_release_groups(x), dp_units(x), {}))
 
     def steps():
@@ -433,4 +416,4 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
 
             yield gi, units.time(rel), units.time(dmax), members, moves
 
-    return _chain(("release-group", id(deadline_oracle)), x, units, steps())
+    return _chain(("release-group",), (deadline_oracle,), x, units, steps())

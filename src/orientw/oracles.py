@@ -20,9 +20,9 @@ search per entry), and exit_staircases re-walks each step against the same
 contract; for any other oracle it walks the checked point queries down a
 time grid (earliest_limits) to the staircase of earliest ends per reward
 it reaches.  Within one solve (solve_auto, or a registered solver called
-directly) equal entries share one answer, so an oracle, a custom fn among
-them, is asked once per distinct entry however many versions and solvers
-reach it.
+directly) equal entries share one answer, kept in the solve's one memo
+(_one_solve, _kept), so an oracle, a custom fn among them, is asked once
+per distinct entry however many versions and solvers reach it.
 """
 
 from __future__ import annotations
@@ -569,24 +569,50 @@ def _entry_ask(oracle, metric: Metric, units: Units, credit, u: int, t0: int):
 # its credit map (_entry_exits gives the bounds).  exit_staircases is the one
 # way such an entry reaches an oracle, in the integer units of the caller's DP.
 
-# the staircase memo of the solve under way (see _one_solve), else None
-_STAIRS: ContextVar[Optional[tuple]] = ContextVar("orientw_stairs", default=None)
+# the memo of the solve under way (see _one_solve), else None
+_MEMO: ContextVar[Optional[dict]] = ContextVar("orientw_memo", default=None)
 
 
 @contextmanager
 def _one_solve():
-    """Open the staircase memo for the length of a top-level solve and close
-    it after; a solve inside an open one shares that memo."""
-    if _STAIRS.get() is not None:
-        yield
-        return
-    # (id of a table -> (table, its content's number), content -> number,
-    # key -> (oracle, every exit's staircase))
-    token = _STAIRS.set(({}, {}, {}))
+    """Open the memo for the length of a top-level solve and close it after;
+    a solve inside an open one shares that memo."""
+    token = _MEMO.set({} if _MEMO.get() is None else _MEMO.get())
     try:
         yield
     finally:
-        _STAIRS.reset(token)
+        _MEMO.reset(token)
+
+
+# the memo key that marks a start-only fan-out (algorithms._auto_start_only)
+_FAN_OUT = ("fan-out",)
+
+
+def _fanning_out() -> bool:
+    """Whether the solve under way is a start-only fan-out."""
+    return _FAN_OUT in (_MEMO.get() or ())
+
+
+def _kept(key: tuple, held: tuple, build, check=None):
+    """build(), or what it built or refused earlier in the solve under way
+    (_one_solve) at key, the ids of the held objects and an equal check.
+    The memo holds the held objects, so no id is reused, and keeps a
+    refusal without its traceback, which would hold the memo in a cycle."""
+    memo = _MEMO.get()
+    if memo is None:
+        return build()
+    key += tuple(map(id, held))
+    hit = memo.get(key)
+    if hit is None or hit[1] != check:
+        try:
+            built = build()
+        except PreconditionError as refusal:
+            built = refusal.with_traceback(None)
+        hit = memo[key] = (held, check, built)
+    if isinstance(hit[2], PreconditionError):
+        # a copy: the kept refusal, raised, would hold the memo in its traceback
+        raise type(hit[2])(*hit[2].args)
+    return hit[2]
 
 
 def exit_staircases(oracle, metric: Metric, units: Units, credit, u: int,
@@ -602,25 +628,16 @@ def exit_staircases(oracle, metric: Metric, units: Units, credit, u: int,
     point queries are walked down the time grid from each exit's bound
     (earliest_limits), one query per answer, in the same units.
 
-    Within one solve (_one_solve) equal entries share one answer: the key
-    is the oracle, both scales and the metric's, the number of the table's
-    content, the credit, u and t0.  The content is numbered once per table
-    object, and the memo holds the table and the oracle, so no id is reused.
+    Within one solve (_kept) equal entries share one answer or refusal:
+    the key is the oracle, both scales and the metric's, the first table
+    of the solve with the same content, the credit, u and t0.
     """
-    memo = _STAIRS.get()
-    if memo is None:
-        return _search_exits(oracle, metric, units, credit, u, t0)
-    tables, contents, answers = memo
     table = units.table
-    held = tables.get(id(table))
-    if held is None:
-        held = tables[id(table)] = (table, contents.setdefault(tuple(table), len(contents)))
-    key = (id(oracle), units.tscale, units.rscale, metric.scale, held[1],
-           tuple(credit.items()), u, t0)
-    hit = answers.get(key)
-    if hit is None:
-        hit = answers[key] = (oracle, _search_exits(oracle, metric, units, credit, u, t0))
-    return hit[1]
+    first = _kept(("table",), (table,),
+                  lambda: _kept(("content", tuple(table)), (), lambda: table))
+    return _kept(("stairs", units.tscale, units.rscale, metric.scale, tuple(credit.items()),
+                  u, t0), (oracle, first),
+                 lambda: _search_exits(oracle, metric, units, credit, u, t0))
 
 
 def _search_exits(oracle, metric: Metric, units: Units, credit, u: int,

@@ -107,6 +107,20 @@ def test_only_algorithms_keeps_reports_small():
     assert offenders == []
 
 
+def test_only_oracles_keeps_per_solve_state():
+    # what one solve shares lives in one memo, oracles._MEMO, opened and
+    # closed by oracles._one_solve: no other module keeps a context variable
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "oracles.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            names = _read_names(tree) | {node.module for node in ast.walk(tree)
+                                         if isinstance(node, ast.ImportFrom)}
+            offenders += ["%s:%s" % (path.name, name)
+                          for name in sorted(names & {"contextvars", "ContextVar"})]
+    assert offenders == []
+
+
 def test_package_imports_only_itself_and_the_standard_library():
     # README promises no runtime dependencies and pyproject lists none
     foreign = []

@@ -17,11 +17,13 @@ from functools import partial
 
 import pytest
 
-from orientw import GREEDY_ORACLE, PreconditionError, layered_deadline_oracle, solve_auto
+from orientw import (ALGORITHMS, GREEDY_ORACLE, PreconditionError, layered_deadline_oracle,
+                     solve_auto)
 import orientw.algorithms as algorithms
+import orientw.modular as modular
 import orientw.oracles as oracles
 from orientw.algorithms import solve_general
-from orientw.generate import generate_instance
+from orientw.generate import gen_zero_window_instance, generate_instance
 from orientw.oracles import (DeadlineOracle, OracleSpec, OrienteeringOracle, exact_deadline,
                              exact_orienteering, exact_staircases)
 from orientw.rational import ONE
@@ -80,7 +82,7 @@ def test_the_memo_closes_after_a_solve_and_leaves_no_garbage():
         solve_auto(x, GREEDY_ORACLE, layered_deadline_oracle(GREEDY_ORACLE))
     finally:
         gc.enable()
-    assert oracles._STAIRS.get() is None
+    assert oracles._MEMO.get() is None
     assert gc.collect() == 0
 
 
@@ -91,7 +93,7 @@ def test_the_memo_closes_when_every_solver_refuses(monkeypatch):
     def refusing(real):
         def solver(y, oracle, deadline_oracle):
             real(y, oracle, deadline_oracle)
-            opened.append(oracles._STAIRS.get())
+            opened.append(oracles._MEMO.get())
             raise PreconditionError("refused for the test")
         return solver
 
@@ -106,8 +108,62 @@ def test_the_memo_closes_when_every_solver_refuses(monkeypatch):
     finally:
         gc.enable()
     assert len(opened) == 3 and all(memo is opened[0] for memo in opened)
-    assert opened[0][2]  # the solvers shared one memo, and it held answers
-    assert oracles._STAIRS.get() is None
+    # the solvers shared one memo, and it held staircases
+    assert any(key[0] == "stairs" for key in opened[0])
+    assert oracles._MEMO.get() is None
+    assert gc.collect() == 0
+
+
+def _accepted(name):
+    """An instance that the registered solver name accepts."""
+    if name == "zero-window":
+        return gen_zero_window_instance(3)
+    mode = "free" if name.startswith("free-") else "anchored"
+    return generate_instance("random-metric", 8, 3, mode=mode, integral=True, **DENSE)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_a_solver_called_directly_opens_the_memo(name, monkeypatch):
+    # every label loop of the call runs inside one memo, opened by the call
+    opened = []
+    real = modular._label_loop
+
+    def recorded(x, units, steps):
+        opened.append(oracles._MEMO.get())
+        return real(x, units, steps)
+
+    monkeypatch.setattr(modular, "_label_loop", recorded)
+    ALGORITHMS[name](_accepted(name))
+    assert opened and opened[0] is not None
+    assert all(memo is opened[0] for memo in opened)
+    assert oracles._MEMO.get() is None
+
+
+@pytest.mark.parametrize("seed", range(3, 8))
+def test_a_refused_entry_is_searched_once_per_solve(seed):
+    # every step over-reports its reward by 1, so the first release-group
+    # entry searched is refused; the memo keeps the refusal, so general's
+    # inner l2 does not search that entry again after l2 did
+    seen = Counter()
+
+    def lying(table, credit, u, t0):
+        seen[(tuple(table), tuple(credit.items()), u, t0)] += 1
+        found = exact_staircases(table, credit, u, t0)
+        return {w: [(d, r + 1, order) for (d, r, order) in steps]
+                for w, steps in found.items()}
+
+    liar = DeadlineOracle(OracleSpec("liar", ONE), exact_deadline, lying)
+    x = generate_instance("random-metric", 8, seed, **DENSE)
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(PreconditionError, match="l2: oracle liar misreported its reward"):
+            solve_auto(x, deadline_oracle=liar)
+    finally:
+        gc.enable()
+    assert seen and set(seen.values()) == {1}
+    # the kept refusal holds no frame, so the memo leaves with the solve
+    assert oracles._MEMO.get() is None
     assert gc.collect() == 0
 
 

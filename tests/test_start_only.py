@@ -3,8 +3,8 @@ every result that no end anchor moves.
 
 The reference below is the plain fan-out, written out here: per end an
 anchored solve_auto, the repeated end dropped, the walk re-evaluated on the
-start-only instance, the first best kept.  Anchored solves never share, so
-it computes every end from scratch.
+start-only instance, the first best kept.  Each anchored solve opens its
+own memo, so it computes every end from scratch.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE, PreconditionEr
                      solve_auto)
 import orientw.algorithms as algorithms
 import orientw.modular as modular
+import orientw.oracles as oracles
 from orientw.generate import FAMILIES, generate_instance
 
 DENSE = dict(horizon=F(20), l_low=F(8), l_high=F(16))
@@ -67,12 +68,12 @@ def test_start_only_equals_the_plain_fan_out(block):
 
 
 def _record_label_loops(monkeypatch):
-    """Every label loop run, as (instance, share table at the time)."""
+    """Every label loop run, as (instance, the memo open at the time)."""
     runs = []
     real = modular._label_loop
 
     def recorded(x, units, steps):
-        runs.append((x, modular._SHARED.get()))
+        runs.append((x, oracles._MEMO.get()))
         return real(x, units, steps)
 
     monkeypatch.setattr(modular, "_label_loop", recorded)
@@ -103,7 +104,8 @@ def test_each_label_loop_runs_once_per_start_only_solve(monkeypatch):
     monkeypatch.setattr(algorithms, "time_reversed", recorded)
     rep = solve_auto(x)
     ends = len(solved)
-    assert reachable > 2 and all(table is not None for (_y, table) in runs)
+    assert reachable > 2 and runs[0][1] is not None
+    assert all(memo is runs[0][1] for (_y, memo) in runs)
     # a shared version keeps its windows object at every end; l2's B1
     # versions, reversed in time, start at the end vertex
     backward = {id(y.windows) for y in reversed_versions}
@@ -119,27 +121,43 @@ def test_each_label_loop_runs_once_per_start_only_solve(monkeypatch):
     runs.clear()
     reversed_versions.clear()
     assert _fan_out(x, EXACT_ORACLE, EXACT_DEADLINE)[2] == rep.walk.reward
-    assert all(table is None for (_y, table) in runs)
+    # each end's solve runs its loops inside a memo of its own
+    memos = [memo for (_y, memo) in runs]
+    stretches = [m for i, m in enumerate(memos) if i == 0 or m is not memos[i - 1]]
+    assert None not in memos
+    assert len({id(m) for m in stretches}) == len(stretches) == reachable
     assert len(runs) == (len(forward) + len(starts)) * reachable
     assert len(reversed_versions) == len(starts) * reachable
-    assert modular._SHARED.get() is None
+    assert oracles._MEMO.get() is None
 
 
-def test_anchored_and_free_solves_never_open_the_share_table(monkeypatch):
+def test_every_label_loop_of_a_solve_runs_inside_one_memo(monkeypatch):
     runs = _record_label_loops(monkeypatch)
-    for mode in ("anchored", "free"):
+    memos = []
+    for mode in ("anchored", "free", "start-only"):
         for integral in (True, False):
             x = generate_instance("random-metric", 6, 3, mode=mode, integral=integral, **DENSE)
-            solve_auto(x)
-            solve_auto(x, *ORACLES[1])
-    assert runs and all(table is None for (_y, table) in runs)
+            for pair in ORACLES:
+                runs.clear()
+                solve_auto(x, *pair)
+                memo = runs[0][1] if runs else None
+                assert memo is not None, (mode, integral)
+                assert all(m is memo for (_y, m) in runs), (mode, integral)
+                # only a start-only fan-out keeps its splits, whose ends read them
+                fan_out = mode == "start-only"
+                assert (oracles._FAN_OUT in memo) == fan_out, (mode, integral)
+                assert any(key[0] == "split" for key in memo) == fan_out, (mode, integral)
+                memos.append(memo)
+    # the memo leaves with its solve: no two solves share one
+    assert len({id(memo) for memo in memos}) == len(memos) == 12
+    assert oracles._MEMO.get() is None
 
 
 def test_the_share_table_closes_when_every_end_vertex_refuses(monkeypatch):
     opened = []
 
     def refuse(y, oracle, deadline_oracle):
-        opened.append(modular._SHARED.get())
+        opened.append(oracles._MEMO.get())
         raise PreconditionError("refused for the test")
 
     monkeypatch.setattr(algorithms, "solve_l_le_2", refuse)
@@ -150,7 +168,7 @@ def test_the_share_table_closes_when_every_end_vertex_refuses(monkeypatch):
         solve_auto(x)
     assert opened and all(table is opened[0] for table in opened)
     assert isinstance(opened[0], dict)
-    assert modular._SHARED.get() is None
+    assert oracles._MEMO.get() is None
 
 
 def test_every_end_shares_its_label_loops_when_nothing_stops(monkeypatch):
@@ -162,7 +180,7 @@ def test_every_end_shares_its_label_loops_when_nothing_stops(monkeypatch):
 
 def test_the_share_table_keeps_a_refused_split(monkeypatch):
     # the window ratio is 10/3, so l2's split refuses at every end vertex;
-    # the table keeps the refusal as it keeps a split, so the ends do not
+    # the memo keeps the refusal as it keeps a split, so the ends do not
     # rebuild the split up to it (12 calls when only splits were kept)
     x = generate_instance("random-metric", 10, 4, mode="start-only", horizon=F(40),
                           l_low=F(1), l_high=F(8))
@@ -181,7 +199,7 @@ def test_the_share_table_keeps_a_refused_split(monkeypatch):
     finally:
         gc.enable()
     assert len(splits) <= 3
-    # the kept refusal holds no frame, so the table leaves with the solve
+    # the kept refusal holds no frame, so the memo leaves with the solve
     # rather than in a reference cycle through a traceback
     assert gc.collect() == 0
     got = (rep.algorithm, rep.walk.schedule, rep.walk.reward, rep.bound, rep.version_rewards)
