@@ -152,7 +152,7 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
 
 def _anchored(x: TwInstance, s: Optional[int], t: Optional[int]) -> TwInstance:
     """x with anchors s and t (a shared instance keeps those it was built with)."""
-    return x if (x.s, x.t) == (s, t) else _derived(x, x.windows, x.rewards, s, t)
+    return x if (x.s, x.t) == (s, t) else _derived(x, s=s, t=t)
 
 
 def _modular_version(ver: TwInstance, oracle: OrienteeringOracle) -> tuple:

@@ -9,15 +9,15 @@ evaluate_walk is where a walk's times enter integer units: one rational.Units
 per call, over the metric's scale and the denominators of the budget, the
 flagged vertices' windows and any explicit times, with distances read off
 metric.ints; Fractions come back only for the schedule and the reward.
-The public constructor checks every field.  restrict, drop_vertices and the
-solvers' re-anchoring derive from a checked instance through _derived, which
-checks only what changed; windows derived from checked windows are built
-through _window, which checks nothing.
+The public constructor checks every field.  Every instance derived from a
+checked one (restrict, drop_vertices, scale_times, time_reversed, the
+solvers' re-anchoring) is built by _derived, which checks only new anchors;
+derived windows are built through _window, which checks nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
@@ -127,20 +127,19 @@ def _check_anchors(n: int, s: Optional[int], t: Optional[int]):
             raise PreconditionError("anchor vertex %r outside 0..%d" % (anchor, n - 1))
 
 
-def _derived(x: TwInstance, windows: tuple, rewards: tuple,
-             s: Optional[int], t: Optional[int]) -> TwInstance:
-    """x with new windows, rewards or anchors, checking only what changed.
+def _derived(x: TwInstance, **changed) -> TwInstance:
+    """x with the changed fields, checking only new anchors.
 
-    x passed TwInstance's checks, and the caller keeps every window inside
-    x's (restrict checks containment) and every reward x's or zero, so
-    only new anchors are checked here."""
+    x passed TwInstance's checks, and each caller keeps what it changes
+    valid by construction: windows inside x's (restrict checks containment)
+    or x's scaled by c > 0 or reversed about the budget, rewards x's or
+    zero, so only new anchors are checked here."""
+    s, t = changed.get("s", x.s), changed.get("t", x.t)
     if (s, t) != (x.s, x.t):
         _check_anchors(x.n, s, t)
     y = object.__new__(TwInstance)
-    for name, value in (("metric", x.metric), ("windows", windows), ("rewards", rewards),
-                        ("s", s), ("t", t), ("budget", x.budget),
-                        ("wait_policy", x.wait_policy)):
-        object.__setattr__(y, name, value)
+    for name in TwInstance.__slots__:
+        object.__setattr__(y, name, changed.get(name, getattr(x, name)))
     return y
 
 
@@ -224,18 +223,21 @@ def scale_times(x: TwInstance, c: Fraction) -> TwInstance:
     if c <= 0:
         raise PreconditionError("scale factor must be positive, got %s" % c)
     windows = tuple(_window(w.release * c, w.deadline * c) for w in x.windows)
-    return replace(x, metric=x.metric.scaled(c), windows=windows, budget=x.budget * c)
+    return _derived(x, metric=x.metric.scaled(c), windows=windows, budget=x.budget * c)
 
 
 def restrict(x: TwInstance, new_windows: Mapping[int, Optional[TimeWindow]]) -> TwInstance:
     """Restricted version of x: each mapped vertex gets a sub-window of its
     original window, or is dropped (None: reward zeroed, window kept).
 
-    Raises ContainmentError naming the first offending vertex.
+    Raises PreconditionError naming the first id outside 0..n-1, else
+    ContainmentError naming the first offending vertex.
     """
     windows = list(x.windows)
     rewards = list(x.rewards)
     for v in sorted(new_windows):
+        if not 0 <= v < x.n:
+            raise PreconditionError("vertex %r outside 0..%d" % (v, x.n - 1))
         w = new_windows[v]
         if w is None:
             rewards[v] = ZERO
@@ -245,28 +247,25 @@ def restrict(x: TwInstance, new_windows: Mapping[int, Optional[TimeWindow]]) -> 
                 "vertex %d: window [%s, %s] escapes [%s, %s]"
                 % (v, w.release, w.deadline, x.windows[v].release, x.windows[v].deadline))
         windows[v] = w
-    return _derived(x, tuple(windows), tuple(rewards), x.s, x.t)
+    return _derived(x, windows=tuple(windows), rewards=tuple(rewards))
 
 
 def drop_vertices(x: TwInstance, keep) -> TwInstance:
     """Zero out rewards outside `keep`; windows are left untouched."""
     keep = set(keep)
     rewards = tuple(r if v in keep else ZERO for v, r in enumerate(x.rewards))
-    return _derived(x, x.windows, rewards, x.s, x.t)
+    return _derived(x, rewards=rewards)
 
 
-def time_reversed(x: TwInstance, pivot: Optional[Fraction] = None) -> TwInstance:
-    """Run time backwards around `pivot` (default: the budget).
+def time_reversed(x: TwInstance) -> TwInstance:
+    """Run time backwards around the budget.
 
-    Windows [r, d] become [pivot - d, pivot - r], the metric is transposed,
-    and the anchors swap roles.  Under the waiting-allowed policy this is
-    reward-preserving for anchored instances.
+    Windows [r, d] become [budget - d, budget - r], the metric is
+    transposed, and the anchors swap roles.  Under the waiting-allowed
+    policy this is reward-preserving for anchored instances.
     """
-    if pivot is None:
-        pivot = x.budget
-    pivot = as_fraction(pivot)
-    windows = tuple(_window(pivot - w.deadline, pivot - w.release) for w in x.windows)
-    return replace(x, metric=x.metric.transposed(), windows=windows, s=x.t, t=x.s)
+    windows = tuple(_window(x.budget - w.deadline, x.budget - w.release) for w in x.windows)
+    return _derived(x, metric=x.metric.transposed(), windows=windows, s=x.t, t=x.s)
 
 
 # ----- walk evaluation -------------------------------------------------------

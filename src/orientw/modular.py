@@ -190,10 +190,13 @@ def dp_units(x: TwInstance, alpha: Fraction = ONE, times=()) -> Units:
     """The units one label loop runs in: distances, the budget, every window
     endpoint, the extra times (block bounds) and every sum of them are
     whole, and rewards are whole over the lcm of their denominators, times
-    alpha's so that each reward claimed at alpha times its value is too."""
+    alpha's so that each reward claimed at alpha times its value is too.
+    Within one solve (oracles._kept) these are the solve's first Units of
+    equal scales and table, the object exit_staircases keys on."""
     bounds = [x.budget] + [t for w in x.windows for t in (w.release, w.deadline)]
     units = units_for(x.metric, bounds + list(times), x.rewards, range(x.n))
-    return Units(units.tscale, units.rscale * alpha.denominator, units.table)
+    units = Units(units.tscale, units.rscale * alpha.denominator, units.table)
+    return _kept(("units", units.tscale, units.rscale, tuple(units.table)), (), lambda: units)
 
 
 def _eligible_blocks(x: TwInstance, part: ModularPartition):

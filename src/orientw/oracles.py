@@ -629,14 +629,11 @@ def exit_staircases(oracle, metric: Metric, units: Units, credit, u: int,
     (earliest_limits), one query per answer, in the same units.
 
     Within one solve (_kept) equal entries share one answer or refusal:
-    the key is the oracle, both scales and the metric's, the first table
-    of the solve with the same content, the credit, u and t0.
+    the key is the oracle, the units (one object per scales and table
+    content in a solve: modular.dp_units), the metric's scale, the credit,
+    u and t0.
     """
-    table = units.table
-    first = _kept(("table",), (table,),
-                  lambda: _kept(("content", tuple(table)), (), lambda: table))
-    return _kept(("stairs", units.tscale, units.rscale, metric.scale, tuple(credit.items()),
-                  u, t0), (oracle, first),
+    return _kept(("stairs", metric.scale, tuple(credit.items()), u, t0), (oracle, units),
                  lambda: _search_exits(oracle, metric, units, credit, u, t0))
 
 

@@ -281,6 +281,8 @@ def test_anchored_refuses_what_the_constructor_refuses(s, t):
 
 def test_derived_instances_skip_the_full_validation(monkeypatch):
     x = generate_instance("random-metric", 6, 1)
+    bases = [generate_instance("random-metric", 6, seed, mode=mode, integral=integral)
+             for seed in (1, 2) for mode in ("anchored", "free") for integral in (False, True)]
 
     def refuse(self):
         raise AssertionError("validated again")
@@ -289,9 +291,29 @@ def test_derived_instances_skip_the_full_validation(monkeypatch):
     restrict(x, {1: None, 2: TimeWindow(x.windows[2].release, x.windows[2].release)})
     drop_vertices(x, {1, 3})
     _anchored(x, x.s, None)
-    # time_reversed keeps the full checks: a custom pivot can make a release negative
-    with pytest.raises(AssertionError, match="validated again"):
-        time_reversed(x)
+    derived = [(b, c, scale_times(b, c)) for b in bases for c in (F(3, 7), F(4))]
+    derived += [(b, None, time_reversed(b)) for b in bases]
+    monkeypatch.undo()
+    # each passes the constructor's full checks, rebuilt from its own fields
+    for (b, c, y) in derived:
+        assert y == revalidated(y)
+        if c is None:
+            assert (y.s, y.t, y.budget) == (b.t, b.s, b.budget)
+            assert y.windows == tuple(TimeWindow(b.budget - w.deadline, b.budget - w.release)
+                                      for w in b.windows)
+        else:
+            assert (y.s, y.t, y.budget) == (b.s, b.t, b.budget * c)
+            assert y.windows == tuple(TimeWindow(w.release * c, w.deadline * c)
+                                      for w in b.windows)
+
+
+@pytest.mark.parametrize("new", [{-2: None}, {7: None}, {5: TimeWindow(0, 1)},
+                                 {1: None, -1: TimeWindow(0, 1)}])
+def test_restrict_refuses_ids_outside_the_vertices(new):
+    # a negative id would zero a vertex through Python's negative index
+    x = generate_instance("random-metric", 5, 1)
+    with pytest.raises(PreconditionError, match=r"vertex %d outside 0\.\.4" % min(new)):
+        restrict(x, new)
 
 
 def test_time_reversed_swaps_anchors(line4):

@@ -50,19 +50,23 @@ def _counting_oracles():
     return seen, oracle, deadline_oracle
 
 
-# (solver, mode, integral, n, kinds of entry searched): before the memo,
-# the anchored solve searched 7 of its 28 release-group entries twice, the
-# free one 6 of its 12 block entries two or three times, and general alone
-# each of its 15 release-group entries twice, once per inner l2 solve
-CASES = [(solve_auto, "anchored", True, 8, {"block", "group"}),
-         (solve_auto, "free", False, 6, {"block"}),
-         (solve_general, "anchored", True, 10, {"group"})]
+# (solver, mode, integral, n, seed, kinds of entry searched): before the
+# memo, the anchored solve searched 7 of its 28 release-group entries twice,
+# the free one 6 of its 12 block entries two or three times, and general
+# alone each of its 15 release-group entries twice, once per inner l2 solve.
+# Every DP of the rebuilt-table case runs at a tscale other than the
+# metric's, so each builds its own table; only units shared by content
+# (modular.dp_units) keep its 6 entries from being searched 6 times each.
+CASES = [(solve_auto, "anchored", True, 8, 3, {"block", "group"}),
+         (solve_auto, "free", False, 6, 3, {"block"}),
+         (solve_general, "anchored", True, 10, 3, {"group"}),
+         (solve_auto, "free", False, 6, 4, {"block"})]
 
 
-@pytest.mark.parametrize("solver, mode, integral, n, kinds", CASES,
-                         ids=["anchored", "free", "general-alone"])
-def test_each_entry_is_searched_once_per_solve(solver, mode, integral, n, kinds):
-    x = generate_instance("random-metric", n, 3, mode=mode, integral=integral, **DENSE)
+@pytest.mark.parametrize("solver, mode, integral, n, seed, kinds", CASES,
+                         ids=["anchored", "free", "general-alone", "rebuilt-table"])
+def test_each_entry_is_searched_once_per_solve(solver, mode, integral, n, seed, kinds):
+    x = generate_instance("random-metric", n, seed, mode=mode, integral=integral, **DENSE)
     seen, oracle, deadline_oracle = _counting_oracles()
     first = solver(x, oracle, deadline_oracle)
     assert {key[0] for key in seen} == kinds
