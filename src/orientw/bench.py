@@ -64,7 +64,8 @@ def bench_rows(instances: Sequence[Tuple[str, TwInstance]],
     """Run each named algorithm on each instance.
 
     Algorithms whose preconditions an instance does not meet are skipped
-    silently; that is data, not an error.
+    silently, and brute_reward is left empty where brute_force_opt's are
+    not met, as above BRUTE_LIMIT; that is data, not an error.
     """
     if algorithms is None:
         algorithms = sorted(ALGORITHMS)
@@ -80,7 +81,10 @@ def bench_rows(instances: Sequence[Tuple[str, TwInstance]],
         stats = window_stats(x)
         brute: Optional[Fraction] = None
         if x.n <= BRUTE_LIMIT:
-            brute = brute_force_opt(x).reward
+            try:
+                brute = brute_force_opt(x).reward
+            except PreconditionError:
+                pass
         for name in algorithms:
             started = time.perf_counter()
             try:

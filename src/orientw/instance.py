@@ -5,10 +5,10 @@ optional start/end anchors, a time budget, and the waiting policy.  Walks are
 scored by evaluate_walk; brute_force_opt, a subset DP in integer units, is
 the exact optimum the rest of the package is verified against.
 
-evaluate_walk is where a walk's times enter integer units: one rational.Units
-per call, over the metric's scale and the denominators of the budget, the
-flagged vertices' windows and any explicit times, with distances read off
-metric.ints; Fractions come back only for the schedule and the reward.
+evaluate_walk is where a walk's times enter integer units (_scoring): one
+table over every window and reward, kept per instance per solve in the
+solve's memo (oracles._kept) for untimed walks; Fractions come back only
+for the schedule and the reward.
 The public constructor checks every field.  Every instance derived from a
 checked one (restrict, drop_vertices, scale_times, time_reversed, the
 solvers' re-anchoring) is built by _derived, which checks only new anchors;
@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContainmentError, InfeasibleInstanceError, PreconditionError
 from .metric import Metric
+from .oracles import _kept
 from .rational import ZERO, as_fraction, units_for
 
 WAIT = "wait"
@@ -270,6 +271,19 @@ def time_reversed(x: TwInstance) -> TwInstance:
 
 # ----- walk evaluation -------------------------------------------------------
 
+def _scoring(x: TwInstance, times: list):
+    """Units over x's budget, the times and every window and reward, and
+    each vertex's (release, deadline, reward) in them."""
+    windows, rewards = x.windows, x.rewards
+    bounds = [x.budget] + times
+    for w in windows:
+        bounds += (w.release, w.deadline)
+    units = units_for(x.metric, bounds, rewards, range(x.n))
+    time, reward = units.time, units.reward
+    return units, [(time(w.release), time(w.deadline), reward(r))
+                   for w, r in zip(windows, rewards)]
+
+
 def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = None) -> WalkSolution:
     """Score a walk given as (vertex, collect_flag) pairs.
 
@@ -281,11 +295,12 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
     credited.  With explicit times the gaps must cover the travel distances
     (exactly equal them under no-wait).
 
-    One pass in integer units: times run over the lcm of the metric's scale
-    and the denominators of the budget, the flagged vertices' windows and
-    the explicit times, and distances are read off metric.ints.  Fractions
-    are built only for the schedule's times, the reward and a reason's
-    numbers.
+    One pass in integer units (_scoring: the budget, every window and
+    reward, and any explicit times), with distances read off metric.ints.
+    An untimed walk reads x's table from the solve under way (oracles._kept),
+    kept per metric, windows and rewards object and checked by budget.
+    Fractions are built only for the schedule's times, the reward and a
+    reason's numbers.
     """
     order = [(v, bool(flag)) for (v, flag) in order]
     if not order:
@@ -305,16 +320,13 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
             return _infeasible("times must match the walk length")
         times = [as_fraction(t) for t in times]
 
-    windows, rewards = x.windows, x.rewards
-    flagged = [v for (v, flag) in order if flag]
-    bounds = [x.budget] + (times or [])
-    for v in flagged:
-        bounds += (windows[v].release, windows[v].deadline)
-    units = units_for(x.metric, bounds, [rewards[v] for v in flagged],
-                      (v for (v, _flag) in order))
+    windows = x.windows
+    if times is None:
+        units, span = _kept(("scoring",), (x.metric, windows, x.rewards),
+                            lambda: _scoring(x, []), x.budget)
+    else:
+        units, span = _scoring(x, times)
     time, table, tscale = units.time, units.table, units.tscale
-    # each flagged vertex's window in units
-    span = {v: (time(windows[v].release), time(windows[v].deadline)) for v in flagged}
     waiting = x.wait_policy == WAIT
 
     if times is None:
@@ -352,26 +364,25 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
             elif gap != step:
                 return _infeasible("no-wait gaps must equal travel exactly (step %d)" % i)
 
-    credited = []
+    schedule, collected = [], set()
     for (v, flag), now in zip(order, ticks):
-        if flag and not span[v][0] <= now <= span[v][1]:
-            if waiting:
+        if flag:
+            if span[v][0] <= now <= span[v][1]:
+                collected.add(v)
+            elif waiting:
                 w = windows[v]
                 return _infeasible(
                     "vertex %d flagged at time %s outside its window [%s, %s]"
                     % (v, Fraction(now, tscale), w.release, w.deadline))
-            flag = False
-        credited.append(flag)
+            else:
+                flag = False
+        schedule.append((v, _fraction(now, tscale), flag))
 
     if x.s is not None and ticks[-1] > time(x.budget):
         return _infeasible("walk ends at %s, after the budget %s"
                            % (Fraction(ticks[-1], tscale), x.budget))
-
-    schedule = tuple((v, _fraction(now, tscale), c)
-                     for (v, _flag), now, c in zip(order, ticks, credited))
-    collected = {v for (v, _flag), c in zip(order, credited) if c}
-    total = sum(units.reward(rewards[v]) for v in collected)
-    return WalkSolution(schedule, _fraction(total, units.rscale))
+    total = sum(span[v][2] for v in collected)
+    return WalkSolution(tuple(schedule), _fraction(total, units.rscale))
 
 
 # ----- exact search ----------------------------------------------------------

@@ -33,6 +33,7 @@ again.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -98,13 +99,14 @@ def verify_modular(x: TwInstance, part: ModularPartition) -> List[str]:
 def blocks_from_identical_windows(x: TwInstance) -> ModularPartition:
     """Partition built by grouping positive-reward vertices with identical
     windows.  The result is only claimed, not checked; run verify_modular."""
-    groups: Dict[Tuple[Fraction, Fraction], set] = {}
-    for v in range(x.n):
-        if x.rewards[v] > 0:
-            w = x.windows[v]
-            groups.setdefault((w.release, w.deadline), set()).add(v)
-    blocks = [ModularBlock(frozenset(mem), r, d) for (r, d), mem in sorted(groups.items())]
-    return ModularPartition(tuple(blocks))
+    # grouped on ints, which hash faster than Fractions
+    groups: Dict[Tuple[int, int, int, int], tuple] = {}
+    for v in x.positive_vertices():
+        r, d = x.windows[v].release, x.windows[v].deadline
+        groups.setdefault((r.numerator, r.denominator, d.numerator, d.denominator),
+                          (r, d, set()))[2].add(v)
+    return ModularPartition(tuple(ModularBlock(frozenset(mem), r, d) for (r, d, mem)
+                                  in sorted(groups.values(), key=lambda g: g[:2])))
 
 
 def require_modular(x: TwInstance, part: ModularPartition):
@@ -208,8 +210,9 @@ def _eligible_blocks(x: TwInstance, part: ModularPartition):
             yield bi, b, eligible, sorted(eligible)
 
 
-def pos_key(p) -> tuple:
-    return (p is not None, p if p is not None else -1)
+def _positions(labels) -> list:
+    """labels' positions as the label DP visits them: None (not started) first."""
+    return [None] * (None in labels) + sorted(p for p in labels if p is not None)
 
 
 def _shared(key: tuple, held: tuple, x: TwInstance, build, *same):
@@ -246,12 +249,15 @@ def _label_loop(x: TwInstance, units: Units, steps) -> dict:
     Every time and reward, in the labels and in what steps yields, is an
     int in units; the conversion preserves order and sums, so the DP picks
     what it would pick on Fractions.  Only claimed is converted back.
+
+    A block copies a frontier only when it first pushes to it; the others
+    stay shared with the last block's.
     """
     table = units.table
     labels: Dict[object, List[tuple]] = {start_position(x): [(0, 0, None)]}
     for (bi, release, deadline, entries, moves) in steps:
-        new_labels = {p: list(ls) for p, ls in labels.items()}
-        for p in sorted(labels, key=pos_key):
+        new_labels, copied = dict(labels), set()
+        for p in _positions(labels):
             row = None if p is None else table[p]
             for (tau, rew, back) in labels[p]:
                 for u in entries:
@@ -267,8 +273,10 @@ def _label_loop(x: TwInstance, units: Units, steps) -> dict:
                     if e > deadline:
                         continue
                     for (w, duration, gain, order) in moves(u, e):
-                        push_label(new_labels.setdefault(w, []),
-                                   (e + duration, rew + gain, (bi, order, back)))
+                        if w not in copied:
+                            copied.add(w)
+                            new_labels[w] = list(labels.get(w, ()))
+                        push_label(new_labels[w], (e + duration, rew + gain, (bi, order, back)))
         labels = new_labels
     return labels
 
@@ -277,14 +285,16 @@ def push_label(frontier: List[tuple], entry: tuple):
     """Insert a (time, reward, back) label, keeping the frontier minimal:
     no label may be as late and as poor as another.  The frontier stays
     strictly increasing in both time and reward, and a label equal to one
-    already there is rejected, so the first back-pointer pushed wins."""
+    already there is rejected, so the first back-pointer pushed wins.  One
+    scan from the first label at or after the new one's time decides."""
     t, r = entry[0], entry[1]
-    for (t2, r2, _b) in frontier:
-        if t2 <= t and r2 >= r:
-            return
-    frontier[:] = [e for e in frontier if not (t <= e[0] and r >= e[1])]
-    frontier.append(entry)
-    frontier.sort(key=lambda e: (e[0], -e[1]))
+    i, n = bisect_left(frontier, (t,)), len(frontier)  # (t,) sorts before every label at t
+    if i and frontier[i - 1][1] >= r or i < n and frontier[i][0] == t and frontier[i][1] >= r:
+        return
+    j = i
+    while j < n and frontier[j][1] <= r:
+        j += 1
+    frontier[i:j] = (entry,)
 
 
 def harvest_labels(x: TwInstance, units: Units, labels) -> DpResult:
@@ -292,7 +302,7 @@ def harvest_labels(x: TwInstance, units: Units, labels) -> DpResult:
     budget and rebuild its segment list."""
     budget = units.time(x.budget)
     best = None
-    for p in sorted(labels, key=pos_key):
+    for p in _positions(labels):
         latest = None  # the latest time a label here may end at; None: any
         if x.mode == ANCHORED:
             leg = units.table[x.s if p is None else p][x.t]
@@ -351,16 +361,21 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
         for bi, b, eligible, ids in _eligible_blocks(x, part):
             release, deadline = units.time(b.release), units.time(b.deadline)
             credit = {v: (units.reward(r), deadline - release) for v, r in eligible.items()}
-            # u -> every exit's staircase as moves in units, gains claimed at alpha
-            stairs: Dict[int, List[tuple]] = {}
+            # u -> (every exit's staircase as moves in units, gains claimed
+            # at alpha; the longest move's duration)
+            stairs: Dict[int, tuple] = {}
 
             def moves(u, e):
                 if u not in stairs:
                     found = exit_staircases(oracle, x.metric, units, credit, u, 0)
                     # a reward in units is a multiple of alpha's denominator
-                    stairs[u] = [(w, d, r * alpha.numerator // alpha.denominator, order)
-                                 for w in ids for (d, r, order) in found[w]]
-                return [move for move in stairs[u] if e + move[1] <= deadline]
+                    listed = [(w, d, r * alpha.numerator // alpha.denominator, order)
+                              for w in ids for (d, r, order) in found[w]]
+                    stairs[u] = (listed, max((move[1] for move in listed), default=0))
+                listed, longest = stairs[u]
+                if e + longest <= deadline:
+                    return listed
+                return [move for move in listed if e + move[1] <= deadline]
 
             yield bi, release, deadline, ids, moves
 

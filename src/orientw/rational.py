@@ -14,7 +14,8 @@ denominators.  Units holds both scales and the distances in time units
 (units_for builds it).  Times enter units in three places: a public
 oracle query once (oracles._answer), the chain DP once per DP
 (modular.dp_units), whose oracles and labels then stay in those units,
-and instance.evaluate_walk once per walk.
+and instance.evaluate_walk, which inside a solve scores walks from one
+table per instance per solve and otherwise builds units per walk.
 """
 
 from __future__ import annotations

@@ -7,10 +7,12 @@ ref_greedy_orienteering, ref_layered_deadline and ref_checked those of the
 greedy and layered heuristics and their contract check, which do too;
 ref_pareto is the exhaustive referee of the Pareto staircases the block DPs
 build; ref_brute_force, a branch and bound over visit orders, is that of
-the subset DP brute_force_opt; and solve_time_indexed is the independent
+the subset DP brute_force_opt; solve_time_indexed is the independent
 referee of the modular DP the solvers run (modular.solve_reward_indexed):
 one oracle point query per integral budget instead of one staircase search
-per entry.
+per entry; and ref_label_loop and ref_push_label are those of the label
+DP's loop and frontier insert: every frontier copied per block, and each
+push filtered, appended and sorted.
 """
 
 from __future__ import annotations
@@ -494,3 +496,46 @@ def solve_time_indexed(x: TwInstance, part: ModularPartition,
             yield bi, units.time(b.release), deadline, ids, moves
 
     return modular.harvest_labels(x, units, modular._label_loop(x, units, steps()))
+
+
+# ----- the label loop and its frontier insert, referees of modular's -------
+
+def ref_label_loop(x: TwInstance, units, steps) -> dict:
+    """modular._label_loop with every frontier copied per block and the
+    positions visited in key order, pushing through ref_push_label."""
+    table = units.table
+    labels = {modular.start_position(x): [(0, 0, None)]}
+    for (bi, release, deadline, entries, moves) in steps:
+        new_labels = {p: list(ls) for p, ls in labels.items()}
+        for p in sorted(labels, key=lambda p: (p is not None, p if p is not None else -1)):
+            row = None if p is None else table[p]
+            for (tau, rew, back) in labels[p]:
+                for u in entries:
+                    if row is None:
+                        e = release
+                    else:
+                        leg = row[u]
+                        if leg is None:
+                            continue
+                        e = tau + leg
+                        if e < release:
+                            e = release
+                    if e > deadline:
+                        continue
+                    for (w, duration, gain, order) in moves(u, e):
+                        ref_push_label(new_labels.setdefault(w, []),
+                                       (e + duration, rew + gain, (bi, order, back)))
+        labels = new_labels
+    return labels
+
+
+def ref_push_label(frontier: list, entry: tuple):
+    """modular.push_label by filter, append and sort: a label as late and as
+    poor as one already there is rejected, and the ones it dominates go."""
+    t, r = entry[0], entry[1]
+    for (t2, r2, _b) in frontier:
+        if t2 <= t and r2 >= r:
+            return
+    frontier[:] = [e for e in frontier if not (t <= e[0] and r >= e[1])]
+    frontier.append(entry)
+    frontier.sort(key=lambda e: (e[0], -e[1]))

@@ -328,6 +328,25 @@ def test_bench_general_never_beats_its_bound():
             assert F(row.empirical_ratio) <= row.theoretical_bound, row.instance_id
 
 
+def test_bench_leaves_the_optimum_empty_where_brute_force_refuses(tmp_path):
+    # brute_force_opt handles the waiting policy only; a no-wait instance is
+    # data for the bench, not an abort, and adds nothing to the wait one's CSV
+    from dataclasses import replace
+    from orientw.bench import bench_rows, rows_to_csv
+    from orientw.generate import generate_instance
+    wait = generate_instance("line", 5, 1)
+    no_wait = replace(wait, wait_policy=orientw.NO_WAIT)
+    rows = bench_rows([("a", wait), ("b", no_wait)])
+    assert rows == bench_rows([("a", wait)])
+    assert rows and all(r.brute_reward is not None for r in rows)
+    for name, x in (("a", wait), ("b", no_wait)):
+        (tmp_path / (name + ".json")).write_text(serialize.dumps(x))
+    both = _run("bench", str(tmp_path / "a.json"), str(tmp_path / "b.json"))
+    alone = _run("bench", str(tmp_path / "a.json"))
+    assert both.returncode == 0, both.stderr
+    assert both.stdout == alone.stdout == rows_to_csv(rows)
+
+
 def test_bench_with_no_instances_is_header_only():
     from orientw.bench import bench_rows, rows_to_csv, HEADER
     assert rows_to_csv(bench_rows([])) == HEADER + "\n"

@@ -22,16 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orientw.algorithms as algorithms
+import orientw.instance as instance
 import orientw.modular as modular
+import orientw.oracles as oracles
 from orientw import (EXACT_DEADLINE, EXACT_ORACLE, INF, NO_WAIT, WAIT, DeadlineQuery, Graph,
                      GraphError, Metric, ModularBlock, ModularPartition, OracleSpec,
                      OrienteeringOracle, OrienteeringQuery, TimeWindow, TwInstance,
                      best_orienteering_walk, brute_force_opt, evaluate_walk, metric_closure,
                      reduce_deadline_to_tw, scale_times, serialize, solve_free_l_le_2,
-                     solve_reward_indexed, time_reversed, zero_window_dp)
+                     solve_auto, solve_reward_indexed, time_reversed, zero_window_dp)
 from orientw.generate import (FAMILIES, gen_modular_instance, gen_ratio2_instance,
                               generate_instance, random_metric)
-from orientw.instance import ANCHORED, FREE, START_ONLY
+from orientw.instance import ANCHORED, FREE, START_ONLY, _derived
 from orientw.modular import dp_units
 from orientw.oracles import INFEASIBLE_RESULT, WalkResult, exact_deadline, exact_orienteering
 from orientw.rational import floor_log2
@@ -387,17 +389,80 @@ def test_evaluate_walk_matches_the_fraction_referee_on_seeded_instances(mode, in
         for seed in range(3):
             x = generate_instance(family, 6, seed, mode=mode, integral=integral)
             for y in (x, replace(x, wait_policy=NO_WAIT)):
+                walks = []
                 for _ in range(30):
                     order = random_order(rng, y)
                     for times in (None, random_times(rng, y, order)):
                         got = evaluate_walk(y, order, times)
                         assert got == ref_evaluate_walk(y, order, times), (family, seed, order,
                                                                          times)
+                        walks.append((order, times, got))
                         feasible += got.feasible
                         reasons.update(r for r in SEEDED_REASONS[mode]
                                        if (got.reason or "").startswith(r))
+                # inside a solve the untimed walks read y's one scoring table
+                with oracles._one_solve():
+                    for (order, times, got) in walks:
+                        assert evaluate_walk(y, order, times) == got, (family, seed, order,
+                                                                      times)
     assert reasons == set(SEEDED_REASONS[mode])
     assert feasible > 300
+
+
+def _scoring_keys() -> list:
+    return [key for key in oracles._MEMO.get() if key[0] == "scoring"]
+
+
+def test_one_solve_scores_instances_sharing_windows_by_their_own_budget():
+    # three instances share the metric, windows and rewards objects and
+    # differ in budget, one of them in thirds; their one table entry is
+    # rebuilt whenever the budget it was built for differs
+    x = line4_instance(budget=F(4), windows=(window(0, 4), window(1, 2), window(2, 3),
+                                             window(0, 4)))
+    budgets = (F(4), F(5), F(13, 3))
+    versions = [_derived(x, budget=b) for b in budgets]
+    orders = ([(0, False), (1, True), (2, True), (3, True)],
+              [(0, True), (1, True), (2, True), (3, False), (2, False), (3, False)],
+              [(0, False), (1, False), (0, False), (1, True), (2, False), (3, False)])
+    expected = {(i, j): ref_evaluate_walk(y, order)
+                for i, y in enumerate(versions) for j, order in enumerate(orders)}
+    assert {w.reason for w in expected.values()} == {
+        None, "walk ends at 5, after the budget 4", "walk ends at 5, after the budget 13/3",
+        "vertex 1 flagged at time 3 outside its window [1, 2]"}
+    with oracles._one_solve():
+        for _ in range(2):
+            for i, y in enumerate(versions):
+                for j, order in enumerate(orders):
+                    assert evaluate_walk(y, order) == expected[(i, j)], (budgets[i], order)
+        assert len(_scoring_keys()) == 1
+
+
+@pytest.mark.parametrize("mode", [ANCHORED, START_ONLY, FREE])
+def test_one_solve_keeps_one_scoring_table_per_metric_windows_and_rewards(monkeypatch, mode):
+    # every instance scored without times inside the solve, by every module
+    # that scores walks
+    scored = []
+
+    def recording(x, order, times=None):
+        if times is None:
+            scored.append(x)
+        return real(x, order, times)
+
+    real = instance.evaluate_walk
+    for module in (instance, modular, algorithms):
+        monkeypatch.setattr(module, "evaluate_walk", recording)
+    for seed in range(3):
+        x = generate_instance("random-metric", 8, seed, mode=mode, integral=seed % 2 == 0)
+        scored.clear()
+        token = oracles._MEMO.set({})
+        try:
+            solve_auto(x)
+            keys = _scoring_keys()
+        finally:
+            oracles._MEMO.reset(token)
+        distinct = {(id(y.metric), id(y.windows), id(y.rewards)) for y in scored}
+        assert len(scored) > len(distinct) > 1
+        assert sorted(keys) == sorted(("scoring",) + triple for triple in distinct)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

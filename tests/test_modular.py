@@ -8,14 +8,15 @@ import orientw.oracles as oracles
 from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE, InfeasibleInstanceError,
                      ModularBlock, ModularPartition, OracleSpec, OrienteeringOracle,
                      PreconditionError, TimeWindow, brute_force_opt,
-                     blocks_from_identical_windows, layered_deadline_oracle,
+                     blocks_from_identical_windows, layered_deadline_oracle, solve_auto,
                      solve_reward_indexed, verify_modular, zero_window_dp)
-from orientw.generate import gen_modular_instance, gen_zero_window_instance
+from orientw.generate import gen_modular_instance, gen_zero_window_instance, generate_instance
 from orientw.modular import (_release_group_solve, ensure_reachable_anchors, push_label,
                              require_modular)
 from orientw.oracles import DeadlineOracle, WalkResult, exact_orienteering, exact_staircases
 
-from conftest import build_instance, line4_instance, solve_time_indexed, window
+from conftest import (build_instance, line4_instance, ref_label_loop, ref_push_label,
+                      solve_time_indexed, window)
 
 
 def _two_block_line():
@@ -399,6 +400,90 @@ def test_push_label_keeps_a_strict_frontier_and_the_first_back():
             if not any(t2 <= t and r2 >= r and (t2, r2) != (t, r) for (t2, r2, _j) in pushed):
                 undominated.setdefault((t, r), i)
         assert {(t, r): i for (t, r, i) in frontier} == undominated
+
+
+def test_push_label_matches_the_filter_and_sort_referee():
+    # seeded pushes over a small grid of times and rewards, so equal and
+    # dominated labels are common; list order and back-pointers must agree
+    rng = random.Random(25)
+    for trial in range(2000):
+        frontier, expected = [], []
+        for i in range(rng.randint(1, 16)):
+            entry = (rng.randint(0, 8), rng.randint(0, 8), (trial, i))
+            push_label(frontier, entry)
+            ref_push_label(expected, entry)
+            assert frontier == expected, (trial, i)
+            assert all(a is b for a, b in zip(frontier, expected))
+
+
+def _label_loop_runs(monkeypatch, loop, x, kwargs):
+    """solve_auto's outcome on x and every label loop's labels, as position
+    and frontier pairs in dict order, with modular._label_loop replaced by
+    loop."""
+    runs = []
+
+    def recorded(x, units, steps):
+        labels = loop(x, units, steps)
+        runs.append([(p, list(ls)) for p, ls in labels.items()])
+        return labels
+
+    monkeypatch.setattr(modular, "_label_loop", recorded)
+    try:
+        report = solve_auto(x, **kwargs)
+    except (PreconditionError, InfeasibleInstanceError) as refusal:
+        return repr(refusal), runs
+    return (report.algorithm, report.walk, report.bound, report.version_rewards), runs
+
+
+@pytest.mark.parametrize("heuristic", [False, True], ids=["exact", "greedy-layered"])
+@pytest.mark.parametrize("integral", [True, False], ids=["integral", "quarter"])
+@pytest.mark.parametrize("mode", ["anchored", "start-only", "free"])
+def test_label_loop_matches_the_copy_everything_referee(monkeypatch, mode, integral, heuristic):
+    kwargs = {}
+    if heuristic:
+        kwargs = dict(oracle=GREEDY_ORACLE, deadline_oracle=layered_deadline_oracle(GREEDY_ORACLE))
+    real, loops, labels = modular._label_loop, 0, 0
+    for seed in range(6):
+        # many small blocks, then a few wide ones with frontiers of up to 36 labels
+        for x in (generate_instance("random-metric", 8, seed, mode=mode, integral=integral),
+                  generate_instance("random-metric", 6, seed, mode=mode, integral=integral,
+                                    horizon=F(20), l_low=F(8), l_high=F(16))):
+            got = _label_loop_runs(monkeypatch, real, x, kwargs)
+            assert got == _label_loop_runs(monkeypatch, ref_label_loop, x, kwargs), seed
+            loops += len(got[1])
+            labels += sum(len(ls) for run in got[1] for (_p, ls) in run)
+    assert loops >= 40 and labels >= 300
+
+
+def test_label_loop_pushes_from_the_unstarted_position_first():
+    # on a free walk, the unstarted position (None) and vertex 0 enter the
+    # second block at the same time with the same reward, so their labels
+    # tie and the first push's back-pointer is kept: None's, as in the referee
+    x = line4_instance(s=None, t=None)
+    units = modular.dp_units(x)
+
+    def steps():
+        yield 0, 0, 8, [0], lambda u, e: [(0, 0, 0, (0,))]
+        yield 1, 5, 8, [1], lambda u, e: [(1, 1, 1, (1,))]
+
+    labels = modular._label_loop(x, units, steps())
+    assert labels[1] == [(6, 1, (1, (1,), None))]
+    assert list(labels.items()) == list(ref_label_loop(x, units, steps()).items())
+
+
+def test_blocks_from_identical_windows_matches_grouping_by_fractions():
+    # integer keys group the blocks as the windows' Fractions do,
+    # on windows in halves and quarters, shared by up to all of a block
+    instances = [gen_modular_instance(seed)[0] for seed in range(20)]
+    instances += [generate_instance("random-metric", 9, seed, integral=integral, horizon=F(12),
+                                    l_low=F(2), l_high=F(3))
+                  for seed in range(20) for integral in (True, False)]
+    for x in instances:
+        groups = {}
+        for v in x.positive_vertices():
+            groups.setdefault((x.windows[v].release, x.windows[v].deadline), set()).add(v)
+        assert blocks_from_identical_windows(x) == ModularPartition(tuple(
+            ModularBlock(frozenset(mem), r, d) for (r, d), mem in sorted(groups.items())))
 
 
 # sha256 of (claimed, reward, schedule, segments) of both oracle DPs (conftest's
