@@ -25,14 +25,14 @@ from typing import Dict, List, Optional, Tuple
 from .decompose import dyadic_family, five_split, three_split_ceil, three_split_floor
 from .errors import PreconditionError
 from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
-                       WalkSolution, _derived, _window, drop_vertices, evaluate_walk, restrict,
-                       time_reversed, window_stats)
+                       WalkSolution, _derived, _view, _window, drop_vertices, evaluate_walk,
+                       restrict, time_reversed, window_stats)
+from .memo import _FAN_OUT, _kept, _one_solve
 from .metric import Metric
 from .modular import (ModularBlock, ModularPartition, _release_group_solve, _shared,
                       assemble_walk, blocks_from_identical_windows, ensure_reachable_anchors,
                       solve_reward_indexed, verify_modular)
-from .oracles import (EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle,
-                      _FAN_OUT, _kept, _one_solve)
+from .oracles import EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle
 from .rational import HALF, ONE, ZERO, floor_log2, is_finite, is_integral
 
 
@@ -94,12 +94,13 @@ def _claims_of(walk: WalkSolution) -> tuple:
 
 def _length_split(x: TwInstance) -> Tuple[List[int], List[int]]:
     """Positive-reward vertices split by window length: fixed-instant ones
-    go to the exact "Z" version, the rest to the window decompositions."""
+    go to the exact "Z" version, the rest to the window decompositions.
+    Split on x's view (instance._view)."""
     zero: List[int] = []
     pos: List[int] = []
-    for v in x.positive_vertices():
-        w = x.windows[v]
-        (zero if w.release == w.deadline else pos).append(v)
+    for v, (r, d, g) in enumerate(_view(x)[1]):
+        if g:
+            (zero if r == d else pos).append(v)
     return zero, pos
 
 
@@ -117,7 +118,7 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     a start-only solve share it and re-anchor its versions; it is built
     before the anchors are checked, so a split's refusal (a window ratio
     over 2, say) comes before an unreachable end anchor.  The whole recipe
-    runs inside one memo (oracles._one_solve): this call's when the solver
+    runs inside one memo (memo._one_solve): this call's when the solver
     is called directly, else the enclosing solve's.
     """
 
@@ -385,22 +386,21 @@ def _reach(x: TwInstance) -> Fraction:
     With a start anchor, v counts when d[s][v] <= D(v) and, anchored, when
     max(d[s][v], R(v)) + d[v][t] <= budget; a start-only walk then always
     ends in time, because R(v) <= D(v) <= budget.  On a free instance every
-    positive reward counts."""
+    positive reward counts.  Summed on x's view (instance._view)."""
+    units, span = _view(x)
     if x.s is None:
-        return sum(x.rewards, ZERO)
-    d = x.metric.d
-    total = ZERO
-    for v in x.positive_vertices():
-        leg = d[x.s][v]
-        w = x.windows[v]
-        if not is_finite(leg) or leg > w.deadline:
+        return Fraction(sum(g for (_r, _d, g) in span), units.rscale)
+    table, budget, total = units.table, units.time(x.budget), 0
+    for v, (r, d, g) in enumerate(span):
+        leg = table[x.s][v]
+        if not g or leg is None or leg > d:
             continue
         if x.t is not None:
-            back = d[v][x.t]
-            if not is_finite(back) or max(leg, w.release) + back > x.budget:
+            back = table[v][x.t]
+            if back is None or max(leg, r) + back > budget:
                 continue
-        total += x.rewards[v]
-    return total
+        total += g
+    return Fraction(total, units.rscale)
 
 
 def _keep_best(tries, failure: str, ceiling: Fraction, nothing: str = "") -> SolveReport:
@@ -441,7 +441,7 @@ def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     Start-anchored instances without an end anchor reduce to one anchored
     solve per candidate end vertex, and those share every result that no end
     anchor moves (see _auto_start_only).  Every solver tried, and every end,
-    shares the call's one memo (oracles._one_solve): each distinct block or
+    shares the call's one memo (memo._one_solve): each distinct block or
     release-group entry is searched once per call."""
     _require_wait(x)
     if x.mode == START_ONLY:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algorithms import ALGORITHMS, run_algorithm
-from .errors import PreconditionError
+from .errors import InfeasibleInstanceError, PreconditionError
 from .instance import TwInstance, brute_force_opt, window_stats
 from .oracles import ORIENTEERING_ORACLES, deadline_oracle_by_name
 
@@ -65,7 +65,9 @@ def bench_rows(instances: Sequence[Tuple[str, TwInstance]],
 
     Algorithms whose preconditions an instance does not meet are skipped
     silently, and brute_reward is left empty where brute_force_opt's are
-    not met, as above BRUTE_LIMIT; that is data, not an error.
+    not met, as above BRUTE_LIMIT; that is data, not an error.  So is an
+    instance that admits no walk (an end anchor out of reach within the
+    budget): every algorithm refuses it, and it adds no row.
     """
     if algorithms is None:
         algorithms = sorted(ALGORITHMS)
@@ -83,13 +85,13 @@ def bench_rows(instances: Sequence[Tuple[str, TwInstance]],
         if x.n <= BRUTE_LIMIT:
             try:
                 brute = brute_force_opt(x).reward
-            except PreconditionError:
+            except (PreconditionError, InfeasibleInstanceError):
                 pass
         for name in algorithms:
             started = time.perf_counter()
             try:
                 report = run_algorithm(name, x, oracle, dl)
-            except PreconditionError:
+            except (PreconditionError, InfeasibleInstanceError):
                 continue
             took = time.perf_counter() - started if measure_time else 0.0
             rows.append(BenchRow(

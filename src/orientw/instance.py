@@ -5,10 +5,13 @@ optional start/end anchors, a time budget, and the waiting policy.  Walks are
 scored by evaluate_walk; brute_force_opt, a subset DP in integer units, is
 the exact optimum the rest of the package is verified against.
 
-evaluate_walk is where a walk's times enter integer units (_scoring): one
-table over every window and reward, kept per instance per solve in the
-solve's memo (oracles._kept) for untimed walks; Fractions come back only
-for the schedule and the reward.
+An instance's times enter integer units in its one view (_view): Units over
+the budget and every window and reward, and each vertex's (release,
+deadline, reward) in them, kept per instance per solve in the solve's memo
+(memo._kept).  evaluate_walk scores untimed walks on it, and window_stats,
+the solvers' splits and reach bound (algorithms) and the block and release
+group checks and label DP units (modular) read it; Fractions come back only
+at the edges, such as a schedule, a reward or a statistic.
 The public constructor checks every field.  Every instance derived from a
 checked one (restrict, drop_vertices, scale_times, time_reversed, the
 solvers' re-anchoring) is built by _derived, which checks only new anchors;
@@ -24,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContainmentError, InfeasibleInstanceError, PreconditionError
 from .metric import Metric
-from .oracles import _kept
+from .memo import _kept
 from .rational import ZERO, as_fraction, units_for
 
 WAIT = "wait"
@@ -203,19 +206,16 @@ def _infeasible(reason: str) -> WalkSolution:
 
 
 def window_stats(x: TwInstance) -> WindowStats:
-    lengths = []
-    d_max = None
-    for v in x.positive_vertices():
-        w = x.windows[v]
-        if d_max is None or w.deadline > d_max:
-            d_max = w.deadline
-        if w.release < w.deadline:
-            lengths.append(w.length)
+    """Computed on x's view (_view), with each Fraction built once."""
+    units, span = _view(x)
+    positive = [(r, d) for (r, d, g) in span if g]
+    d_max = Fraction(max(d for (_r, d) in positive), units.tscale) if positive else None
+    lengths = [d - r for (r, d) in positive if r < d]
     if not lengths:
         return WindowStats(None, None, None, d_max)
-    l_min = min(lengths)
-    l_max = max(lengths)
-    return WindowStats(l_min, l_max, l_max / l_min, d_max)
+    l_min, l_max = min(lengths), max(lengths)
+    return WindowStats(Fraction(l_min, units.tscale), Fraction(l_max, units.tscale),
+                       Fraction(l_max, l_min), d_max)
 
 
 def scale_times(x: TwInstance, c: Fraction) -> TwInstance:
@@ -284,6 +284,12 @@ def _scoring(x: TwInstance, times: list):
                    for w, r in zip(windows, rewards)]
 
 
+def _view(x: TwInstance):
+    """x's integer view, _scoring(x, []): one per metric, windows and rewards
+    object in the solve under way (memo._kept), checked by budget."""
+    return _kept(("view",), (x.metric, x.windows, x.rewards), lambda: _scoring(x, []), x.budget)
+
+
 def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = None) -> WalkSolution:
     """Score a walk given as (vertex, collect_flag) pairs.
 
@@ -297,8 +303,7 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
 
     One pass in integer units (_scoring: the budget, every window and
     reward, and any explicit times), with distances read off metric.ints.
-    An untimed walk reads x's table from the solve under way (oracles._kept),
-    kept per metric, windows and rewards object and checked by budget.
+    An untimed walk reads x's view (_view).
     Fractions are built only for the schedule's times, the reward and a
     reason's numbers.
     """
@@ -322,8 +327,7 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
 
     windows = x.windows
     if times is None:
-        units, span = _kept(("scoring",), (x.metric, windows, x.rewards),
-                            lambda: _scoring(x, []), x.budget)
+        units, span = _view(x)
     else:
         units, span = _scoring(x, times)
     time, table, tscale = units.time, units.table, units.tscale

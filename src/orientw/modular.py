@@ -39,8 +39,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InfeasibleInstanceError, PreconditionError
-from .instance import ANCHORED, FREE, TwInstance, WalkSolution, evaluate_walk
-from .oracles import DeadlineOracle, OrienteeringOracle, _fanning_out, _kept, exit_staircases
+from .instance import ANCHORED, FREE, TwInstance, WalkSolution, _view, evaluate_walk
+from .memo import _fanning_out, _kept
+from .oracles import DeadlineOracle, OrienteeringOracle, exit_staircases
 from .rational import ONE, ZERO, Units, is_finite, units_for
 
 
@@ -64,20 +65,26 @@ def verify_modular(x: TwInstance, part: ModularPartition) -> List[str]:
     end anchors are exempt from the coverage requirement (their reward, if
     any, can be picked up at the anchor visits), but when listed as members
     they are checked like anyone else.
+
+    Members are checked on x's view (instance._view): a window [r, d] in
+    units of tscale contains a block's [p/q, p'/q'] when r * q <= p * tscale
+    and d * q' >= p' * tscale.
     """
     problems: List[str] = []
+    units, span = _view(x)
     blocks = part.blocks
     for i, b in enumerate(blocks):
         if b.release > b.deadline:
             problems.append("block %d interval is reversed" % i)
         if b.release < 0 or b.deadline > x.budget:
             problems.append("block %d interval leaves [0, budget]" % i)
+        rq, rp = b.release.denominator, b.release.numerator * units.tscale
+        dq, dp = b.deadline.denominator, b.deadline.numerator * units.tscale
         for v in sorted(b.members):
             if not (0 <= v < x.n):
                 problems.append("block %d lists unknown vertex %d" % (i, v))
                 continue
-            w = x.windows[v]
-            if w.release > b.release or w.deadline < b.deadline:
+            if span[v][0] * rq > rp or span[v][1] * dq < dp:
                 problems.append("vertex %d window does not contain block %d interval" % (v, i))
     for i in range(len(blocks) - 1):
         if blocks[i].deadline > blocks[i + 1].release:
@@ -91,22 +98,23 @@ def verify_modular(x: TwInstance, part: ModularPartition) -> List[str]:
             problems.append("vertex %d appears in %d blocks" % (v, c))
     exempt = {v for v in (x.s, x.t) if v is not None}
     for v in range(x.n):
-        if x.rewards[v] > 0 and v not in exempt and counts.get(v, 0) == 0:
+        if span[v][2] and v not in exempt and counts.get(v, 0) == 0:
             problems.append("positive-reward vertex %d is not covered by any block" % v)
     return problems
 
 
 def blocks_from_identical_windows(x: TwInstance) -> ModularPartition:
     """Partition built by grouping positive-reward vertices with identical
-    windows.  The result is only claimed, not checked; run verify_modular."""
-    # grouped on ints, which hash faster than Fractions
-    groups: Dict[Tuple[int, int, int, int], tuple] = {}
-    for v in x.positive_vertices():
-        r, d = x.windows[v].release, x.windows[v].deadline
-        groups.setdefault((r.numerator, r.denominator, d.numerator, d.denominator),
-                          (r, d, set()))[2].add(v)
-    return ModularPartition(tuple(ModularBlock(frozenset(mem), r, d) for (r, d, mem)
-                                  in sorted(groups.values(), key=lambda g: g[:2])))
+    windows.  The result is only claimed, not checked; run verify_modular.
+    Grouped and sorted on x's view (instance._view); a block's bounds are
+    its first member's window."""
+    span = _view(x)[1]
+    groups: Dict[Tuple[int, int], tuple] = {}
+    for v, (r, d, g) in enumerate(span):
+        if g:
+            groups.setdefault((r, d), (x.windows[v], set()))[1].add(v)
+    return ModularPartition(tuple(ModularBlock(frozenset(mem), w.release, w.deadline)
+                                  for (_rd, (w, mem)) in sorted(groups.items())))
 
 
 def require_modular(x: TwInstance, part: ModularPartition):
@@ -193,10 +201,17 @@ def dp_units(x: TwInstance, alpha: Fraction = ONE, times=()) -> Units:
     endpoint, the extra times (block bounds) and every sum of them are
     whole, and rewards are whole over the lcm of their denominators, times
     alpha's so that each reward claimed at alpha times its value is too.
-    Within one solve (oracles._kept) these are the solve's first Units of
-    equal scales and table, the object exit_staircases keys on."""
-    bounds = [x.budget] + [t for w in x.windows for t in (w.release, w.deadline)]
-    units = units_for(x.metric, bounds + list(times), x.rewards, range(x.n))
+    They start from x's view (instance._view), whose Units make all but the
+    extra times whole; only an extra time whose denominator does not divide
+    the view's tscale (never a block of identical or zero-length windows)
+    calls for new ones.  Within one solve (memo._kept) these are the
+    solve's first Units of equal scales and table, the object
+    exit_staircases keys on."""
+    units = _view(x)[0]
+    if any(units.tscale % t.denominator for t in times):
+        # 1 / tscale keeps every time the view makes whole
+        units = units_for(x.metric, [Fraction(1, units.tscale)] + list(times), x.rewards,
+                          range(x.n))
     units = Units(units.tscale, units.rscale * alpha.denominator, units.table)
     return _kept(("units", units.tscale, units.rscale, tuple(units.table)), (), lambda: units)
 
@@ -217,7 +232,7 @@ def _positions(labels) -> list:
 
 def _shared(key: tuple, held: tuple, x: TwInstance, build, *same):
     """build(), or, in a start-only fan-out, what it built or refused
-    earlier in the fan-out (oracles._kept) at key, for the held objects and
+    earlier in the fan-out (memo._kept) at key, for the held objects and
     x's metric and windows objects, at equal rewards, budget and same.
     Outside a fan-out no entry would be read again, so none is kept."""
     if not _fanning_out():
@@ -385,21 +400,21 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
 # ----- release-group DP ------------------------------------------------------
 
 def _release_groups(x: TwInstance):
-    """Positive-reward vertices grouped by a shared release; each group's
-    windows must end by the next group's release."""
-    grouped: Dict[Fraction, List[int]] = {}
-    for v in range(x.n):
-        if x.rewards[v] > 0:
-            grouped.setdefault(x.windows[v].release, []).append(v)
-    out = []
-    for rel in sorted(grouped):
-        members = sorted(grouped[rel])
-        dmax = max(x.windows[v].deadline for v in members)
-        out.append((rel, members, dmax))
-    for i in range(len(out) - 1):
-        if out[i][2] > out[i + 1][0]:
-            raise PreconditionError(
-                "windows released at %s overrun the next release" % out[i][0])
+    """Positive-reward vertices grouped by a shared release, as (release,
+    members, latest deadline) in the time units of x's view
+    (instance._view); each group's windows must end by the next group's
+    release."""
+    span = _view(x)[1]
+    grouped: Dict[int, List[int]] = {}
+    for v, (r, _d, g) in enumerate(span):
+        if g:
+            grouped.setdefault(r, []).append(v)
+    out = [(rel, members, max(span[v][1] for v in members))
+           for rel, members in sorted(grouped.items())]
+    for (_rel, members, dmax), later in zip(out, out[1:]):
+        if dmax > later[0]:
+            raise PreconditionError("windows released at %s overrun the next release"
+                                    % x.windows[members[0]].release)
     return out
 
 
@@ -432,6 +447,7 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
                                           if step[1] > 0]
                 return stairs[(gi, u, e)]
 
-            yield gi, units.time(rel), units.time(dmax), members, moves
+            # the groups are in the view's time units, which dp_units(x) keeps
+            yield gi, rel, dmax, members, moves
 
     return _chain(("release-group",), (deadline_oracle,), x, units, steps())

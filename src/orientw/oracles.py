@@ -21,20 +21,19 @@ contract; for any other oracle it walks the checked point queries down a
 time grid (earliest_limits) to the staircase of earliest ends per reward
 it reaches.  Within one solve (solve_auto, or a registered solver called
 directly) equal entries share one answer, kept in the solve's one memo
-(_one_solve, _kept), so an oracle, a custom fn among them, is asked once
+(memo._one_solve, memo._kept), so an oracle, a custom fn among them, is asked once
 per distinct entry however many versions and solvers reach it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
+from .memo import _kept
 from .metric import Metric
 from .rational import ONE, ZERO, Units, floor_log2, units_for
 
@@ -569,52 +568,6 @@ def _entry_ask(oracle, metric: Metric, units: Units, credit, u: int, t0: int):
 # its credit map (_entry_exits gives the bounds).  exit_staircases is the one
 # way such an entry reaches an oracle, in the integer units of the caller's DP.
 
-# the memo of the solve under way (see _one_solve), else None
-_MEMO: ContextVar[Optional[dict]] = ContextVar("orientw_memo", default=None)
-
-
-@contextmanager
-def _one_solve():
-    """Open the memo for the length of a top-level solve and close it after;
-    a solve inside an open one shares that memo."""
-    token = _MEMO.set({} if _MEMO.get() is None else _MEMO.get())
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
-# the memo key that marks a start-only fan-out (algorithms._auto_start_only)
-_FAN_OUT = ("fan-out",)
-
-
-def _fanning_out() -> bool:
-    """Whether the solve under way is a start-only fan-out."""
-    return _FAN_OUT in (_MEMO.get() or ())
-
-
-def _kept(key: tuple, held: tuple, build, check=None):
-    """build(), or what it built or refused earlier in the solve under way
-    (_one_solve) at key, the ids of the held objects and an equal check.
-    The memo holds the held objects, so no id is reused, and keeps a
-    refusal without its traceback, which would hold the memo in a cycle."""
-    memo = _MEMO.get()
-    if memo is None:
-        return build()
-    key += tuple(map(id, held))
-    hit = memo.get(key)
-    if hit is None or hit[1] != check:
-        try:
-            built = build()
-        except PreconditionError as refusal:
-            built = refusal.with_traceback(None)
-        hit = memo[key] = (held, check, built)
-    if isinstance(hit[2], PreconditionError):
-        # a copy: the kept refusal, raised, would hold the memo in its traceback
-        raise type(hit[2])(*hit[2].args)
-    return hit[2]
-
-
 def exit_staircases(oracle, metric: Metric, units: Units, credit, u: int,
                     t0: int) -> Dict[int, List[tuple]]:
     """Every exit w of credit, u among them, mapped to its staircase of
@@ -628,7 +581,7 @@ def exit_staircases(oracle, metric: Metric, units: Units, credit, u: int,
     point queries are walked down the time grid from each exit's bound
     (earliest_limits), one query per answer, in the same units.
 
-    Within one solve (_kept) equal entries share one answer or refusal:
+    Within one solve (memo._kept) equal entries share one answer or refusal:
     the key is the oracle, the units (one object per scales and table
     content in a solve: modular.dp_units), the metric's scale, the credit,
     u and t0.

@@ -12,10 +12,13 @@ a time t enters as t.numerator * (scale // t.denominator) once scale is a
 multiple of t.denominator, and rewards likewise over the lcm of their
 denominators.  Units holds both scales and the distances in time units
 (units_for builds it).  Times enter units in three places: a public
-oracle query once (oracles._answer), the chain DP once per DP
-(modular.dp_units), whose oracles and labels then stay in those units,
-and instance.evaluate_walk, which inside a solve scores walks from one
-table per instance per solve and otherwise builds units per walk.
+oracle query once (oracles._answer); an instance once per solve, in its
+integer view (instance._view), which walk scoring, the window statistics,
+the solvers' splits and reach bound and the block and release-group checks
+read, and where each chain DP's units start (modular.dp_units), its
+oracles and labels then staying in those units; and a walk with explicit
+times, or a DP whose block bounds the view's scale does not cover, which
+builds its own.  Outside a solve a view is built per call.
 """
 
 from __future__ import annotations

@@ -12,7 +12,10 @@ referee of the modular DP the solvers run (modular.solve_reward_indexed):
 one oracle point query per integral budget instead of one staircase search
 per entry; and ref_label_loop and ref_push_label are those of the label
 DP's loop and frontier insert: every frontier copied per block, and each
-push filtered, appended and sorted.
+push filtered, appended and sorted.  ref_window_stats, ref_length_split,
+ref_reach, ref_blocks_from_identical_windows, ref_verify_modular and
+ref_release_groups are the Fraction referees of the functions that read an
+instance's integer view (instance._view).
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ import pytest
 
 import orientw.modular as modular
 from orientw import (EXACT_ORACLE, INF, WAIT, DeadlineQuery, Graph, InfeasibleInstanceError,
-                     Metric, ModularPartition, OrienteeringOracle, OrienteeringQuery,
-                     PreconditionError, TimeWindow, TwInstance, WalkResult, WalkSolution,
-                     best_orienteering_walk, metric_closure, walk_from_claims)
+                     Metric, ModularBlock, ModularPartition, OrienteeringOracle,
+                     OrienteeringQuery, PreconditionError, TimeWindow, TwInstance, WalkResult,
+                     WalkSolution, WindowStats, best_orienteering_walk, metric_closure,
+                     walk_from_claims)
 from orientw.instance import ANCHORED, FREE, START_ONLY
 from orientw.modular import DpResult
 from orientw.oracles import INFEASIBLE_RESULT, _result_better, earliest_limits
@@ -539,3 +543,107 @@ def ref_push_label(frontier: list, entry: tuple):
     frontier[:] = [e for e in frontier if not (t <= e[0] and r >= e[1])]
     frontier.append(entry)
     frontier.sort(key=lambda e: (e[0], -e[1]))
+
+
+# ----- the Fraction referees of the readers of an instance's integer view ----
+
+def ref_window_stats(x: TwInstance) -> WindowStats:
+    lengths = []
+    d_max = None
+    for v in x.positive_vertices():
+        w = x.windows[v]
+        if d_max is None or w.deadline > d_max:
+            d_max = w.deadline
+        if w.release < w.deadline:
+            lengths.append(w.length)
+    if not lengths:
+        return WindowStats(None, None, None, d_max)
+    l_min = min(lengths)
+    l_max = max(lengths)
+    return WindowStats(l_min, l_max, l_max / l_min, d_max)
+
+
+def ref_length_split(x: TwInstance) -> Tuple[list, list]:
+    zero, pos = [], []
+    for v in x.positive_vertices():
+        w = x.windows[v]
+        (zero if w.release == w.deadline else pos).append(v)
+    return zero, pos
+
+
+def ref_reach(x: TwInstance) -> F:
+    if x.s is None:
+        return sum(x.rewards, ZERO)
+    d = x.metric.d
+    total = ZERO
+    for v in x.positive_vertices():
+        leg = d[x.s][v]
+        w = x.windows[v]
+        if not is_finite(leg) or leg > w.deadline:
+            continue
+        if x.t is not None:
+            back = d[v][x.t]
+            if not is_finite(back) or max(leg, w.release) + back > x.budget:
+                continue
+        total += x.rewards[v]
+    return total
+
+
+def ref_blocks_from_identical_windows(x: TwInstance) -> ModularPartition:
+    groups = {}
+    for v in x.positive_vertices():
+        r, d = x.windows[v].release, x.windows[v].deadline
+        groups.setdefault((r.numerator, r.denominator, d.numerator, d.denominator),
+                          (r, d, set()))[2].add(v)
+    return ModularPartition(tuple(ModularBlock(frozenset(mem), r, d) for (r, d, mem)
+                                  in sorted(groups.values(), key=lambda g: g[:2])))
+
+
+def ref_verify_modular(x: TwInstance, part: ModularPartition) -> list:
+    problems = []
+    blocks = part.blocks
+    for i, b in enumerate(blocks):
+        if b.release > b.deadline:
+            problems.append("block %d interval is reversed" % i)
+        if b.release < 0 or b.deadline > x.budget:
+            problems.append("block %d interval leaves [0, budget]" % i)
+        for v in sorted(b.members):
+            if not (0 <= v < x.n):
+                problems.append("block %d lists unknown vertex %d" % (i, v))
+                continue
+            w = x.windows[v]
+            if w.release > b.release or w.deadline < b.deadline:
+                problems.append("vertex %d window does not contain block %d interval" % (v, i))
+    for i in range(len(blocks) - 1):
+        if blocks[i].deadline > blocks[i + 1].release:
+            problems.append("blocks %d and %d are out of order" % (i, i + 1))
+    counts = {}
+    for b in blocks:
+        for v in b.members:
+            counts[v] = counts.get(v, 0) + 1
+    for v, c in sorted(counts.items()):
+        if c > 1:
+            problems.append("vertex %d appears in %d blocks" % (v, c))
+    exempt = {v for v in (x.s, x.t) if v is not None}
+    for v in range(x.n):
+        if x.rewards[v] > 0 and v not in exempt and counts.get(v, 0) == 0:
+            problems.append("positive-reward vertex %d is not covered by any block" % v)
+    return problems
+
+
+def ref_release_groups(x: TwInstance) -> list:
+    """(release, members, latest deadline) per group, in Fractions."""
+    grouped = {}
+    for v in range(x.n):
+        if x.rewards[v] > 0:
+            grouped.setdefault(x.windows[v].release, []).append(v)
+    out = []
+    for rel in sorted(grouped):
+        members = sorted(grouped[rel])
+        dmax = max(x.windows[v].deadline for v in members)
+        out.append((rel, members, dmax))
+    for i in range(len(out) - 1):
+        if out[i][2] > out[i + 1][0]:
+            raise PreconditionError(
+                "windows released at %s overrun the next release" % out[i][0])
+    return out

@@ -347,6 +347,32 @@ def test_bench_leaves_the_optimum_empty_where_brute_force_refuses(tmp_path):
     assert both.stdout == alone.stdout == rows_to_csv(rows)
 
 
+def test_bench_adds_no_row_for_an_instance_that_admits_no_walk(tmp_path, monkeypatch):
+    # an end anchor out of reach within the budget: brute_force_opt and
+    # every solver raise InfeasibleInstanceError, which the bench takes as
+    # data, as it does a refusal; solve and exact still exit 2 on it
+    from dataclasses import replace
+    import orientw.bench as bench
+    from orientw.generate import generate_instance
+    ok = generate_instance("line", 5, 1)
+    stuck = replace(generate_instance("line", 5, 7), budget=F(2), windows=(window(0, 2),) * 5)
+    assert stuck.metric.d[stuck.s][stuck.t] > stuck.budget
+    rows = bench.bench_rows([("a", ok), ("b", stuck)])
+    assert rows == bench.bench_rows([("a", ok)])
+    assert rows and all(r.brute_reward is not None for r in rows)
+    for name, x in (("a", ok), ("b", stuck)):
+        (tmp_path / (name + ".json")).write_text(serialize.dumps(x))
+    both = _run("bench", str(tmp_path / "a.json"), str(tmp_path / "b.json"))
+    alone = _run("bench", str(tmp_path / "a.json"))
+    assert both.returncode == 0, both.stderr
+    assert both.stdout == alone.stdout == bench.rows_to_csv(rows)
+    for command in ("solve", "exact"):
+        assert _run(command, str(tmp_path / "b.json")).returncode == 2, command
+    # past BRUTE_LIMIT only the solvers see it
+    monkeypatch.setattr(bench, "BRUTE_LIMIT", 0)
+    assert bench.bench_rows([("b", stuck)]) == []
+
+
 def test_bench_with_no_instances_is_header_only():
     from orientw.bench import bench_rows, rows_to_csv, HEADER
     assert rows_to_csv(bench_rows([])) == HEADER + "\n"

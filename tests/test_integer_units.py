@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 import orientw.algorithms as algorithms
 import orientw.instance as instance
+import orientw.memo as memo
 import orientw.modular as modular
-import orientw.oracles as oracles
 from orientw import (EXACT_DEADLINE, EXACT_ORACLE, INF, NO_WAIT, WAIT, DeadlineQuery, Graph,
                      GraphError, Metric, ModularBlock, ModularPartition, OracleSpec,
                      OrienteeringOracle, OrienteeringQuery, TimeWindow, TwInstance,
@@ -400,8 +400,8 @@ def test_evaluate_walk_matches_the_fraction_referee_on_seeded_instances(mode, in
                         feasible += got.feasible
                         reasons.update(r for r in SEEDED_REASONS[mode]
                                        if (got.reason or "").startswith(r))
-                # inside a solve the untimed walks read y's one scoring table
-                with oracles._one_solve():
+                # inside a solve the untimed walks read y's one view
+                with memo._one_solve():
                     for (order, times, got) in walks:
                         assert evaluate_walk(y, order, times) == got, (family, seed, order,
                                                                       times)
@@ -409,13 +409,13 @@ def test_evaluate_walk_matches_the_fraction_referee_on_seeded_instances(mode, in
     assert feasible > 300
 
 
-def _scoring_keys() -> list:
-    return [key for key in oracles._MEMO.get() if key[0] == "scoring"]
+def _view_keys() -> list:
+    return [key for key in memo._MEMO.get() if key[0] == "view"]
 
 
 def test_one_solve_scores_instances_sharing_windows_by_their_own_budget():
     # three instances share the metric, windows and rewards objects and
-    # differ in budget, one of them in thirds; their one table entry is
+    # differ in budget, one of them in thirds; their one view entry is
     # rebuilt whenever the budget it was built for differs
     x = line4_instance(budget=F(4), windows=(window(0, 4), window(1, 2), window(2, 3),
                                              window(0, 4)))
@@ -429,40 +429,45 @@ def test_one_solve_scores_instances_sharing_windows_by_their_own_budget():
     assert {w.reason for w in expected.values()} == {
         None, "walk ends at 5, after the budget 4", "walk ends at 5, after the budget 13/3",
         "vertex 1 flagged at time 3 outside its window [1, 2]"}
-    with oracles._one_solve():
+    with memo._one_solve():
         for _ in range(2):
             for i, y in enumerate(versions):
                 for j, order in enumerate(orders):
                     assert evaluate_walk(y, order) == expected[(i, j)], (budgets[i], order)
-        assert len(_scoring_keys()) == 1
+        assert len(_view_keys()) == 1
 
 
 @pytest.mark.parametrize("mode", [ANCHORED, START_ONLY, FREE])
 def test_one_solve_keeps_one_scoring_table_per_metric_windows_and_rewards(monkeypatch, mode):
-    # every instance scored without times inside the solve, by every module
-    # that scores walks
-    scored = []
+    # every instance whose view is read inside the solve, by every module
+    # that reads it: one entry per (metric, windows, rewards) triple, built
+    # for the budget of the instance that reads it, equal to a fresh one
+    read = []
 
-    def recording(x, order, times=None):
-        if times is None:
-            scored.append(x)
-        return real(x, order, times)
+    def recording(x):
+        view = real(x)
+        key = ("view", id(x.metric), id(x.windows), id(x.rewards))
+        assert memo._MEMO.get()[key][1] == x.budget
+        units, span = instance._scoring(x, [])
+        assert (view[0].tscale, view[0].rscale, view[1]) == (units.tscale, units.rscale, span)
+        read.append(x)
+        return view
 
-    real = instance.evaluate_walk
+    real = instance._view
     for module in (instance, modular, algorithms):
-        monkeypatch.setattr(module, "evaluate_walk", recording)
+        monkeypatch.setattr(module, "_view", recording)
     for seed in range(3):
         x = generate_instance("random-metric", 8, seed, mode=mode, integral=seed % 2 == 0)
-        scored.clear()
-        token = oracles._MEMO.set({})
+        read.clear()
+        token = memo._MEMO.set({})
         try:
             solve_auto(x)
-            keys = _scoring_keys()
+            keys = _view_keys()
         finally:
-            oracles._MEMO.reset(token)
-        distinct = {(id(y.metric), id(y.windows), id(y.rewards)) for y in scored}
-        assert len(scored) > len(distinct) > 1
-        assert sorted(keys) == sorted(("scoring",) + triple for triple in distinct)
+            memo._MEMO.reset(token)
+        distinct = {(id(y.metric), id(y.windows), id(y.rewards)) for y in read}
+        assert len(read) > len(distinct) > 1
+        assert sorted(keys) == sorted(("view",) + triple for triple in distinct)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

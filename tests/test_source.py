@@ -107,12 +107,12 @@ def test_only_algorithms_keeps_reports_small():
     assert offenders == []
 
 
-def test_only_oracles_keeps_per_solve_state():
-    # what one solve shares lives in one memo, oracles._MEMO, opened and
-    # closed by oracles._one_solve: no other module keeps a context variable
+def test_only_memo_keeps_per_solve_state():
+    # what one solve shares lives in one memo, memo._MEMO, opened and
+    # closed by memo._one_solve: no other module keeps a context variable
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "oracles.py":
+        if path.name != "memo.py":
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             names = _read_names(tree) | {node.module for node in ast.walk(tree)
                                          if isinstance(node, ast.ImportFrom)}

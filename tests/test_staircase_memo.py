@@ -20,8 +20,8 @@ import pytest
 from orientw import (ALGORITHMS, GREEDY_ORACLE, PreconditionError, layered_deadline_oracle,
                      solve_auto)
 import orientw.algorithms as algorithms
+import orientw.memo as memo
 import orientw.modular as modular
-import orientw.oracles as oracles
 from orientw.algorithms import solve_general
 from orientw.generate import gen_zero_window_instance, generate_instance
 from orientw.oracles import (DeadlineOracle, OracleSpec, OrienteeringOracle, exact_deadline,
@@ -86,7 +86,7 @@ def test_the_memo_closes_after_a_solve_and_leaves_no_garbage():
         solve_auto(x, GREEDY_ORACLE, layered_deadline_oracle(GREEDY_ORACLE))
     finally:
         gc.enable()
-    assert oracles._MEMO.get() is None
+    assert memo._MEMO.get() is None
     assert gc.collect() == 0
 
 
@@ -97,7 +97,7 @@ def test_the_memo_closes_when_every_solver_refuses(monkeypatch):
     def refusing(real):
         def solver(y, oracle, deadline_oracle):
             real(y, oracle, deadline_oracle)
-            opened.append(oracles._MEMO.get())
+            opened.append(memo._MEMO.get())
             raise PreconditionError("refused for the test")
         return solver
 
@@ -111,10 +111,10 @@ def test_the_memo_closes_when_every_solver_refuses(monkeypatch):
             solve_auto(x)
     finally:
         gc.enable()
-    assert len(opened) == 3 and all(memo is opened[0] for memo in opened)
+    assert len(opened) == 3 and all(m is opened[0] for m in opened)
     # the solvers shared one memo, and it held staircases
     assert any(key[0] == "stairs" for key in opened[0])
-    assert oracles._MEMO.get() is None
+    assert memo._MEMO.get() is None
     assert gc.collect() == 0
 
 
@@ -133,14 +133,14 @@ def test_a_solver_called_directly_opens_the_memo(name, monkeypatch):
     real = modular._label_loop
 
     def recorded(x, units, steps):
-        opened.append(oracles._MEMO.get())
+        opened.append(memo._MEMO.get())
         return real(x, units, steps)
 
     monkeypatch.setattr(modular, "_label_loop", recorded)
     ALGORITHMS[name](_accepted(name))
     assert opened and opened[0] is not None
-    assert all(memo is opened[0] for memo in opened)
-    assert oracles._MEMO.get() is None
+    assert all(m is opened[0] for m in opened)
+    assert memo._MEMO.get() is None
 
 
 @pytest.mark.parametrize("seed", range(3, 8))
@@ -167,7 +167,7 @@ def test_a_refused_entry_is_searched_once_per_solve(seed):
         gc.enable()
     assert seen and set(seen.values()) == {1}
     # the kept refusal holds no frame, so the memo leaves with the solve
-    assert oracles._MEMO.get() is None
+    assert memo._MEMO.get() is None
     assert gc.collect() == 0
 
 

@@ -19,8 +19,8 @@ from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE, PreconditionEr
                      TwInstance, evaluate_walk, is_finite, layered_deadline_oracle,
                      solve_auto)
 import orientw.algorithms as algorithms
+import orientw.memo as memo
 import orientw.modular as modular
-import orientw.oracles as oracles
 from orientw.generate import FAMILIES, generate_instance
 
 DENSE = dict(horizon=F(20), l_low=F(8), l_high=F(16))
@@ -73,7 +73,7 @@ def _record_label_loops(monkeypatch):
     real = modular._label_loop
 
     def recorded(x, units, steps):
-        runs.append((x, oracles._MEMO.get()))
+        runs.append((x, memo._MEMO.get()))
         return real(x, units, steps)
 
     monkeypatch.setattr(modular, "_label_loop", recorded)
@@ -105,7 +105,7 @@ def test_each_label_loop_runs_once_per_start_only_solve(monkeypatch):
     rep = solve_auto(x)
     ends = len(solved)
     assert reachable > 2 and runs[0][1] is not None
-    assert all(memo is runs[0][1] for (_y, memo) in runs)
+    assert all(m is runs[0][1] for (_y, m) in runs)
     # a shared version keeps its windows object at every end; l2's B1
     # versions, reversed in time, start at the end vertex
     backward = {id(y.windows) for y in reversed_versions}
@@ -122,13 +122,13 @@ def test_each_label_loop_runs_once_per_start_only_solve(monkeypatch):
     reversed_versions.clear()
     assert _fan_out(x, EXACT_ORACLE, EXACT_DEADLINE)[2] == rep.walk.reward
     # each end's solve runs its loops inside a memo of its own
-    memos = [memo for (_y, memo) in runs]
+    memos = [m for (_y, m) in runs]
     stretches = [m for i, m in enumerate(memos) if i == 0 or m is not memos[i - 1]]
     assert None not in memos
     assert len({id(m) for m in stretches}) == len(stretches) == reachable
     assert len(runs) == (len(forward) + len(starts)) * reachable
     assert len(reversed_versions) == len(starts) * reachable
-    assert oracles._MEMO.get() is None
+    assert memo._MEMO.get() is None
 
 
 def test_every_label_loop_of_a_solve_runs_inside_one_memo(monkeypatch):
@@ -140,24 +140,24 @@ def test_every_label_loop_of_a_solve_runs_inside_one_memo(monkeypatch):
             for pair in ORACLES:
                 runs.clear()
                 solve_auto(x, *pair)
-                memo = runs[0][1] if runs else None
-                assert memo is not None, (mode, integral)
-                assert all(m is memo for (_y, m) in runs), (mode, integral)
+                opened = runs[0][1] if runs else None
+                assert opened is not None, (mode, integral)
+                assert all(m is opened for (_y, m) in runs), (mode, integral)
                 # only a start-only fan-out keeps its splits, whose ends read them
                 fan_out = mode == "start-only"
-                assert (oracles._FAN_OUT in memo) == fan_out, (mode, integral)
-                assert any(key[0] == "split" for key in memo) == fan_out, (mode, integral)
-                memos.append(memo)
+                assert (memo._FAN_OUT in opened) == fan_out, (mode, integral)
+                assert any(key[0] == "split" for key in opened) == fan_out, (mode, integral)
+                memos.append(opened)
     # the memo leaves with its solve: no two solves share one
-    assert len({id(memo) for memo in memos}) == len(memos) == 12
-    assert oracles._MEMO.get() is None
+    assert len({id(m) for m in memos}) == len(memos) == 12
+    assert memo._MEMO.get() is None
 
 
 def test_the_share_table_closes_when_every_end_vertex_refuses(monkeypatch):
     opened = []
 
     def refuse(y, oracle, deadline_oracle):
-        opened.append(oracles._MEMO.get())
+        opened.append(memo._MEMO.get())
         raise PreconditionError("refused for the test")
 
     monkeypatch.setattr(algorithms, "solve_l_le_2", refuse)
@@ -168,7 +168,7 @@ def test_the_share_table_closes_when_every_end_vertex_refuses(monkeypatch):
         solve_auto(x)
     assert opened and all(table is opened[0] for table in opened)
     assert isinstance(opened[0], dict)
-    assert oracles._MEMO.get() is None
+    assert memo._MEMO.get() is None
 
 
 def test_every_end_shares_its_label_loops_when_nothing_stops(monkeypatch):

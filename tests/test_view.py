@@ -1,0 +1,216 @@
+"""An instance's integer view (instance._view) against the Fraction code it
+replaced.
+
+window_stats, algorithms._length_split and _reach, and modular's
+blocks_from_identical_windows, verify_modular and _release_groups read the
+view, which holds the instance's Units and each vertex's (release,
+deadline, reward) as ints, one per metric, windows and rewards object per
+solve.  Each is held to its Fraction referee in conftest (ref_*), results,
+messages and refusal texts included, outside a solve and inside one, on
+every instance the solvers read a view for.  Block bounds off the view's
+scale go through verify_modular and solve_reward_indexed, whose DP units
+(modular.dp_units) then leave the view's.  Once a view is built, none of
+these readers but verify_modular compares Fractions, and verify_modular
+only per block, not per member.
+"""
+
+from __future__ import annotations
+
+from contextlib import nullcontext
+from fractions import Fraction as F
+
+import pytest
+
+import orientw.algorithms as algorithms
+import orientw.instance as instance
+import orientw.memo as memo
+import orientw.modular as modular
+from orientw import (EXACT_DEADLINE, EXACT_ORACLE, ModularBlock, ModularPartition,
+                     PreconditionError, TimeWindow, TwInstance, brute_force_opt, restrict,
+                     solve_auto, window_stats)
+from orientw.algorithms import _length_split, _reach
+from orientw.generate import generate_instance
+from orientw.instance import ANCHORED, FREE, START_ONLY, _view
+from orientw.modular import (_release_group_solve, _release_groups, blocks_from_identical_windows,
+                             dp_units, solve_reward_indexed, verify_modular)
+
+from conftest import (line4_instance, line_metric, ref_blocks_from_identical_windows,
+                      ref_length_split, ref_reach, ref_release_groups, ref_verify_modular,
+                      ref_window_stats, window)
+
+SHAPES = {"sparse n=20": dict(n=20),
+          "dense n=6": dict(n=6, horizon=F(20), l_low=F(8), l_high=F(16))}
+
+
+def _outcome(f, *args):
+    """f(*args), or its refusal's text."""
+    try:
+        return f(*args)
+    except PreconditionError as exc:
+        return "refused: %s" % exc
+
+
+def _groups_in_fractions(x) -> list:
+    tscale = _view(x)[0].tscale
+    return [(F(rel, tscale), members, F(dmax, tscale))
+            for (rel, members, dmax) in _release_groups(x)]
+
+
+def _read_instances(monkeypatch, x) -> list:
+    """x and every instance whose view solve_auto(x) reads, each once."""
+    seen = {id(x): x}
+
+    def recording(y):
+        seen.setdefault(id(y), y)
+        return real(y)
+
+    real = instance._view
+    with monkeypatch.context() as patched:
+        for module in (instance, modular, algorithms):
+            patched.setattr(module, "_view", recording)
+        solve_auto(x)
+    return list(seen.values())
+
+
+def _problems_against_referees(x, other) -> list:
+    """Assert every reader of x's view equals its referee; return what
+    verify_modular found in x's own partition and in other's."""
+    stats = window_stats(x)
+    assert stats == ref_window_stats(x)
+    assert all(value is None or type(value) is F for value in vars(stats).values())
+    assert _length_split(x) == ref_length_split(x)
+    reach = _reach(x)
+    assert type(reach) is F and reach == ref_reach(x)
+    part = blocks_from_identical_windows(x)
+    assert part == ref_blocks_from_identical_windows(x)
+    # a block's bounds are its members' own window Fractions
+    assert all(any(x.windows[v].release is b.release and x.windows[v].deadline is b.deadline
+                   for v in b.members) for b in part.blocks)
+    problems = []
+    for p in (part, blocks_from_identical_windows(other)):
+        found = verify_modular(x, p)
+        assert found == ref_verify_modular(x, p)
+        problems += found
+    assert _outcome(_groups_in_fractions, x) == _outcome(ref_release_groups, x)
+    return problems
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("integral", [True, False])
+@pytest.mark.parametrize("mode", [ANCHORED, START_ONLY, FREE])
+def test_view_readers_match_their_fraction_referees(monkeypatch, mode, integral, shape):
+    x = generate_instance("random-metric", seed=1, mode=mode, integral=integral, **SHAPES[shape])
+    read = _read_instances(monkeypatch, x)
+    assert len(read) > 2
+    # each instance's partition is checked against the next one's too, so
+    # the windows of one version meet the blocks of another
+    pairs = list(zip(read, read[1:] + read[:1]))
+    outside = [_problems_against_referees(y, other) for (y, other) in pairs]
+    assert any(outside)
+    with memo._one_solve():
+        for _ in range(2):
+            assert [_problems_against_referees(y, other) for (y, other) in pairs] == outside
+
+
+def _thirds_and_sevenths():
+    """line4 with integral windows (its view's tscale is 1) and partitions
+    whose block bounds are thirds and sevenths: the members' windows
+    contain them, exactly meet them, or miss them by a seventh."""
+    x = line4_instance(rewards=(F(0), F(1), F(1), F(0)))
+    one, two = frozenset({1}), frozenset({2})
+    parts = {
+        "both": (ModularBlock(one, F(4, 3), F(5, 3)), ModularBlock(two, F(7, 3), F(8, 3))),
+        "one": (ModularBlock(one, F(4, 3), F(5, 3)), ModularBlock(two, F(15, 7), F(16, 7))),
+        "meets": (ModularBlock(one, F(1), F(2)), ModularBlock(two, F(2), F(3))),
+        "misses": (ModularBlock(one, F(6, 7), F(5, 3)), ModularBlock(two, F(15, 7), F(22, 7))),
+    }
+    return x, {name: ModularPartition(blocks) for name, blocks in parts.items()}
+
+
+def _off_scale_outcomes(x, parts) -> dict:
+    out = {}
+    for name, part in parts.items():
+        problems = verify_modular(x, part)
+        assert problems == ref_verify_modular(x, part), name
+        bounds = [t for b in part.blocks for t in (b.release, b.deadline)]
+        out[name] = (problems, dp_units(x, times=bounds).tscale)
+        if not problems:
+            res = solve_reward_indexed(x, part, EXACT_ORACLE)
+            restricted = restrict(x, {v: TimeWindow(b.release, b.deadline)
+                                      for b in part.blocks for v in b.members})
+            assert res.claimed == res.walk.reward == brute_force_opt(restricted).reward, name
+            out[name] += (res.claimed,)
+    return out
+
+
+def test_block_bounds_off_the_view_scale():
+    x, parts = _thirds_and_sevenths()
+    assert _view(x)[0].tscale == 1
+    expected = {"both": ([], 3, 2), "one": ([], 21, 1), "meets": ([], 1, 2),
+                "misses": (["vertex 1 window does not contain block 0 interval",
+                            "vertex 2 window does not contain block 1 interval"], 21)}
+    assert _off_scale_outcomes(x, parts) == expected
+    with memo._one_solve():
+        for _ in range(2):
+            assert _off_scale_outcomes(x, parts) == expected
+
+
+def test_release_groups_that_overrun_are_refused_with_their_fraction():
+    x = line4_instance(windows=(window(0, 5), TimeWindow(F(1, 3), F(5, 2)),
+                                TimeWindow(F(1, 2), F(2)), window(0, 5)),
+                       rewards=(F(0), F(1), F(1), F(0)))
+    refusal = "refused: windows released at 1/3 overrun the next release"
+    assert _outcome(ref_release_groups, x) == refusal
+    for opened in (False, True):
+        with memo._one_solve() if opened else nullcontext():
+            for _ in range(2):
+                assert _outcome(_groups_in_fractions, x) == refusal
+                assert _outcome(_release_group_solve, x, EXACT_DEADLINE) == refusal
+
+
+# ----- no Fraction comparisons once the view is built -------------------------
+
+@pytest.fixture
+def comparisons(monkeypatch) -> list:
+    """A one-item list counting the rich comparisons of Fractions made."""
+    counted = [0]
+    for name in ("__lt__", "__gt__", "__le__", "__ge__"):
+        def counting(a, b, real=getattr(F, name)):
+            counted[0] += 1
+            return real(a, b)
+        monkeypatch.setattr(F, name, counting)
+    return counted
+
+
+@pytest.mark.parametrize("mode", [ANCHORED, START_ONLY, FREE])
+def test_view_readers_compare_no_fractions_once_the_view_is_built(monkeypatch, comparisons,
+                                                                  mode):
+    for shape in sorted(SHAPES):
+        x = generate_instance("random-metric", seed=2, mode=mode, **SHAPES[shape])
+        read = _read_instances(monkeypatch, x)
+        with memo._one_solve():
+            for y in read:
+                _view(y)
+            comparisons[0] = 0
+            for y in read:
+                window_stats(y)
+                _length_split(y)
+                _reach(y)
+                blocks_from_identical_windows(y)
+                _outcome(_release_groups, y)
+            assert comparisons[0] == 0, shape
+
+
+def test_verify_modular_compares_fractions_per_block_not_per_member(comparisons):
+    n = 10
+    x = TwInstance(line_metric(n), (window(0, 9),) * n, (F(1),) * n, 0, n - 1, F(9))
+    counts = []
+    with memo._one_solve():
+        _view(x)
+        for k in range(1, n + 1):
+            part = ModularPartition((ModularBlock(frozenset(range(k)), F(1, 2), F(3)),))
+            comparisons[0] = 0
+            problems = verify_modular(x, part)
+            counts.append(comparisons[0])
+            assert problems == ref_verify_modular(x, part)
+    assert counts == [counts[0]] * n
