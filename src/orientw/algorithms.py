@@ -25,13 +25,14 @@ from typing import Dict, List, Optional, Tuple
 from .decompose import dyadic_family, five_split, three_split_ceil, three_split_floor
 from .errors import PreconditionError
 from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
-                       WalkSolution, _derived, _view, _window, drop_vertices, evaluate_walk,
-                       restrict, time_reversed, window_stats)
+                       WalkSolution, _derived, _view, _window, drop_vertices,
+                       ensure_reachable_anchors, evaluate_walk, restrict, time_reversed,
+                       window_stats)
 from .memo import _FAN_OUT, _kept, _one_solve
 from .metric import Metric
 from .modular import (ModularBlock, ModularPartition, _release_group_solve, _shared,
-                      assemble_walk, blocks_from_identical_windows, ensure_reachable_anchors,
-                      solve_reward_indexed, verify_modular)
+                      assemble_walk, blocks_from_identical_windows, solve_reward_indexed,
+                      verify_modular)
 from .oracles import EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle
 from .rational import HALF, ONE, ZERO, floor_log2, is_finite, is_integral
 

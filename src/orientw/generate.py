@@ -41,7 +41,11 @@ def random_metric(rng: random.Random, n: int, directed: bool = False,
 
 def euclidean_metric(rng: random.Random, n: int, side: int = 6) -> Metric:
     """Distinct grid points with rounded straight-line distances; rounding
-    can break the triangle inequality, closing the graph restores it."""
+    can break the triangle inequality, closing the graph restores it.  The
+    side x side grid holds at most side**2 vertices."""
+    if n > side * side:
+        raise PreconditionError("euclidean-grid holds at most %d vertices (a %dx%d grid), got %d"
+                                % (side * side, side, side, n))
     cells = [(i, j) for i in range(side) for j in range(side)]
     points = rng.sample(cells, n)
     edges = []

@@ -2,8 +2,11 @@
 
 A TwInstance bundles an exact metric, one window and one reward per vertex,
 optional start/end anchors, a time budget, and the waiting policy.  Walks are
-scored by evaluate_walk; brute_force_opt, a subset DP in integer units, is
-the exact optimum the rest of the package is verified against.
+scored by evaluate_walk.  _subset_dp, a layered subset DP in integer units,
+is the package's one exhaustive search: the exact oracles run it
+(oracles.exact_staircases), and so does brute_force_opt, the exact optimum
+the rest of the package is verified against.  ensure_reachable_anchors
+refuses an end anchor out of reach for the solvers and brute_force_opt.
 
 An instance's times enter integer units in its one view (_view): Units over
 the budget and every window and reward, and each vertex's (release,
@@ -28,7 +31,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 from .errors import ContainmentError, InfeasibleInstanceError, PreconditionError
 from .metric import Metric
 from .memo import _kept
-from .rational import ZERO, as_fraction, units_for
+from .rational import ZERO, as_fraction, is_finite, units_for
 
 WAIT = "wait"
 NO_WAIT = "no-wait"
@@ -129,6 +132,16 @@ def _check_anchors(n: int, s: Optional[int], t: Optional[int]):
     for anchor in (s, t):
         if anchor is not None and not (0 <= anchor < n):
             raise PreconditionError("anchor vertex %r outside 0..%d" % (anchor, n - 1))
+
+
+def ensure_reachable_anchors(x: TwInstance):
+    """Raise InfeasibleInstanceError when x is anchored and t cannot be
+    reached from s within the budget: no walk of x is feasible."""
+    if x.mode == ANCHORED:
+        leg = x.metric.d[x.s][x.t]
+        if not is_finite(leg) or leg > x.budget:
+            raise InfeasibleInstanceError(
+                "cannot reach %d from %d within budget %s" % (x.t, x.s, x.budget))
 
 
 def _derived(x: TwInstance, **changed) -> TwInstance:
@@ -278,7 +291,7 @@ def _scoring(x: TwInstance, times: list):
     bounds = [x.budget] + times
     for w in windows:
         bounds += (w.release, w.deadline)
-    units = units_for(x.metric, bounds, rewards, range(x.n))
+    units = units_for(x.metric, bounds, rewards)
     time, reward = units.time, units.reward
     return units, [(time(w.release), time(w.deadline), reward(r))
                    for w, r in zip(windows, rewards)]
@@ -389,67 +402,84 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
     return WalkSolution(tuple(schedule), _fraction(total, units.rscale))
 
 
-# ----- exact search ----------------------------------------------------------
+# ----- the layered subset DP --------------------------------------------------
 
-def brute_force_opt(x: TwInstance) -> WalkSolution:
-    """Exact optimum by a subset DP in integer units on the earliest-feasible
-    schedule rule; only the waiting-allowed policy is supported.
+def _subset_dp(table, candidates, start: tuple):
+    """The package's one exhaustive search, run by the exact oracles
+    (oracles.exact_staircases) and the exact optimum (brute_force_opt) in
+    integer units: yield each kept state, layer by layer from start, before
+    extending it.
 
-    A state is (claimed set, last claim), plus the start: s, or nothing yet
-    for a free walk.  A claim of w arrives at max(at + leg, release) and is
-    kept when it pays by w's deadline and, when anchored, still reaches t by
-    the budget.  Each state keeps its earliest arrival, then the smaller
-    claim tuple; a later arrival never lets a later claim arrive sooner, so
-    an optimal walk is kept.  The highest reward wins, then the smallest claim
-    tuple among the kept states, which need not be the smallest optimal
-    order.  Raises InfeasibleInstanceError for an anchored instance where t
-    cannot be reached from s within the budget at all.
+    A state (arrival, visits, reward, set, last) is a walk that made its
+    visits in order, last among them, and arrives there at arrival; set
+    holds the visits' bits.  candidates lists each vertex a walk may visit
+    as (x, bit, reward, release, cap): a visit to x arrives at at + leg, or
+    at release when that is later, and counts by cap.  start leaves its last
+    vertex, or nowhere with every leg 0 when that is None.  Layer k keeps
+    one state per (set, last) of k visits: the earliest arrival, then the
+    smallest visits tuple.  A later arrival never lets a later visit arrive sooner,
+    and a smaller tuple stays smaller after any extension, so every walk
+    that ends soonest and, on a tie, has the smallest order is built from
+    kept states only.
     """
-    if x.wait_policy != WAIT:
-        raise PreconditionError("brute_force_opt handles the waiting-allowed policy only")
-    s, t, windows, positive = x.s, x.t, x.windows, x.positive_vertices()
-    units = units_for(x.metric, [x.budget] + [windows[v].release for v in positive]
-                      + [windows[v].deadline for v in positive],
-                      [x.rewards[v] for v in positive], range(x.n))
-    time, table, budget = units.time, units.table, units.time(x.budget)
-    if t is not None and (table[s][t] is None or table[s][t] > budget):
-        raise InfeasibleInstanceError(
-            "cannot reach %d from %d within budget %s" % (t, s, x.budget))
-    # per claimable w: its bit, reward, release and latest arrival, which
-    # pays and, when anchored, still reaches t (-1 when t is out of reach)
-    claimable = []
-    for i, w in enumerate(positive):
-        release, cap = time(windows[w].release), time(windows[w].deadline)
-        if t is not None:
-            cap = -1 if table[w][t] is None else min(cap, budget - table[w][t])
-        if release <= cap:
-            claimable.append((w, 1 << i, units.reward(x.rewards[w]), release, cap))
-    # per start or claim v, the claims open from it as (latest departure, w,
-    # bit, leg, reward, release), latest first, so a scan stops at the first
-    # one missed; the free start leaves from nowhere at time 0
-    hops = {}
-    for v in {s} | {w for (w, _b, _g, _r, _cap) in claimable}:
-        legs = [0] * x.n if v is None else table[v]
-        hops[v] = sorted(((cap - legs[w], w, b, legs[w], gain, release)
-                          for (w, b, gain, release, cap) in claimable
-                          if legs[w] is not None and legs[w] <= cap), reverse=True)
-    best, shift = (0, ()), x.n.bit_length()  # best is (-reward, claims), the least
-    layer = [(0, (), 0, 0, s)]  # (arrival, claims, reward, set, last)
+    # per source, the visits open from it as (latest departure, x, bit,
+    # leg, reward, release), latest first, so a scan stops at the first one
+    # missed; a hop is listed when leaving at start's arrival makes cap
+    t0, source, hops = start[0], start[4], {}
+    for v in [source] + [x for (x, _b, _g, _r, _cap) in candidates]:
+        legs = [0] * len(table) if v is None else table[v]
+        hops[v] = sorted(((cap - legs[x], x, b, legs[x], gain, release)
+                          for (x, b, gain, release, cap) in candidates
+                          if legs[x] is not None and t0 + legs[x] <= cap), reverse=True)
+    shift = len(table).bit_length()
+    layer = [start]
     while layer:
         kept = {}
-        for (at, claims, got, mask, v) in layer:
-            best = min(best, (-got, claims))
-            for (late, w, b, leg, gain, release) in hops[v]:
+        for state in layer:
+            yield state
+            at, visits, got, mask, v = state
+            for (late, x, b, leg, gain, release) in hops[v]:
                 if at > late:
                     break
                 if mask & b:
                     continue
-                arrival, key = max(at + leg, release), (mask | b) << shift | w
+                arrival = at + leg
+                if arrival < release:
+                    arrival = release
+                key = (mask | b) << shift | x
                 old = kept.get(key)
                 if old is None or arrival < old[0] or (arrival == old[0]
-                                                       and claims < old[1][:-1]):
-                    kept[key] = (arrival, claims + (w,), got + gain, mask | b, w)
+                                                       and visits < old[1][:-1]):
+                    kept[key] = (arrival, visits + (x,), got + gain, mask | b, x)
         layer = list(kept.values())
+
+
+def brute_force_opt(x: TwInstance) -> WalkSolution:
+    """Exact optimum by the layered subset DP on x's view (_view), under the
+    earliest-feasible schedule rule; only the waiting-allowed policy is
+    supported.
+
+    A visit is a claim: it pays by its deadline and, when anchored, still
+    reaches t by the budget; the walk starts at s, or, when free, nowhere.
+    The highest reward wins, then the smallest claim tuple among the kept
+    states, which need not be the smallest optimal order.  Raises
+    InfeasibleInstanceError for an anchored instance where t cannot be
+    reached from s within the budget at all (ensure_reachable_anchors).
+    """
+    if x.wait_policy != WAIT:
+        raise PreconditionError("brute_force_opt handles the waiting-allowed policy only")
+    ensure_reachable_anchors(x)
+    units, span = _view(x)
+    s, t, table, budget = x.s, x.t, units.table, units.time(x.budget)
+    claimable = []
+    for i, w in enumerate(x.positive_vertices()):
+        release, cap, gain = span[w]
+        if t is not None:
+            cap = -1 if table[w][t] is None else min(cap, budget - table[w][t])
+        if release <= cap:
+            claimable.append((w, 1 << i, gain, release, cap))
+    best = min((-got, claims) for (_at, claims, got, _set, _last)
+               in _subset_dp(table, claimable, (0, (), 0, 0, s)))
     return walk_from_claims(x, best[1])
 
 

@@ -38,11 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InfeasibleInstanceError, PreconditionError
-from .instance import ANCHORED, FREE, TwInstance, WalkSolution, _view, evaluate_walk
+from .errors import PreconditionError
+from .instance import (ANCHORED, FREE, TwInstance, WalkSolution, _view,
+                       ensure_reachable_anchors, evaluate_walk)
 from .memo import _fanning_out, _kept
 from .oracles import DeadlineOracle, OrienteeringOracle, exit_staircases
-from .rational import ONE, ZERO, Units, is_finite, units_for
+from .rational import ONE, ZERO, Units, units_for
 
 
 @dataclass(frozen=True)
@@ -123,16 +124,6 @@ def require_modular(x: TwInstance, part: ModularPartition):
         raise PreconditionError("not a modular partition: " + problems[0])
 
 
-def ensure_reachable_anchors(x: TwInstance):
-    """Anchored instances where t cannot be reached from s in budget have no
-    feasible walk at all."""
-    if x.mode == ANCHORED:
-        leg = x.metric.d[x.s][x.t]
-        if not is_finite(leg) or leg > x.budget:
-            raise InfeasibleInstanceError(
-                "end anchor unreachable from start anchor within budget")
-
-
 @dataclass
 class DpResult:
     """Outcome of one modular solve.
@@ -210,8 +201,7 @@ def dp_units(x: TwInstance, alpha: Fraction = ONE, times=()) -> Units:
     units = _view(x)[0]
     if any(units.tscale % t.denominator for t in times):
         # 1 / tscale keeps every time the view makes whole
-        units = units_for(x.metric, [Fraction(1, units.tscale)] + list(times), x.rewards,
-                          range(x.n))
+        units = units_for(x.metric, [Fraction(1, units.tscale)] + list(times), x.rewards)
     units = Units(units.tscale, units.rscale * alpha.denominator, units.table)
     return _kept(("units", units.tscale, units.rscale, tuple(units.table)), (), lambda: units)
 
@@ -332,7 +322,6 @@ def harvest_labels(x: TwInstance, units: Units, labels) -> DpResult:
             if best is None or key > best[0]:
                 best = (key, entry)
     if best is None:
-        ensure_reachable_anchors(x)
         return DpResult(assemble_walk(x, []), ZERO, ())
     segments: List[Tuple[int, tuple]] = []
     back = best[1][2]

@@ -5,9 +5,9 @@ possible within a travel budget, no windows) and deadline walks (every
 credited visit must happen by that vertex's deadline).  Both share one
 contract: the walk has the query's endpoints, fits its time limit, and its
 duration and reward re-evaluate exactly, checked in integer units.  The
-exact oracles, the default at desk scale, read every answer off one subset
-DP on integers (exact_staircases), the only exhaustive search in the
-solvers.  A greedy insertion heuristic and a layered deadline heuristic
+exact oracles, the default at desk scale, read every answer off one run of
+the package's layered subset DP (instance._subset_dp) per entry
+(exact_staircases).  A greedy insertion heuristic and a layered deadline heuristic
 are provided as scalable stand-ins with no proven ratio.  All of them
 compute in integer units: a public Fraction query is converted once
 (_answer), and a block or release-group entry comes in the units its DP
@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
 from .memo import _kept
+from .instance import _subset_dp
 from .metric import Metric
 from .rational import ONE, ZERO, Units, floor_log2, units_for
 
@@ -195,7 +196,7 @@ def _answer(make, q) -> WalkResult:
         q = DeadlineQuery(q.metric, {w: (r, q.budget) for w, r in q.eligible.items()}, q.u,
                           ZERO, q.v, q.budget)
     units = units_for(q.metric, [q.t0, q.horizon] + [dl for (_r, dl) in q.eligible.values()],
-                      [r for (r, _dl) in q.eligible.values()], range(q.metric.n))
+                      [r for (r, _dl) in q.eligible.values()])
     credit = {v: (units.reward(r), units.time(dl)) for v, (r, dl) in q.eligible.items()}
     res = make(q.metric, units, credit, q.u, units.time(q.t0))(q.end, units.time(q.horizon))
     if not res.feasible:
@@ -237,33 +238,30 @@ def exact_staircases(table, credit, u: int, t0: int, exits=None,
     there (orienteering).  exits defaults to a release-group entry's with
     revisit, and to a block entry's without.
 
-    The DP runs over (credited set, last vertex), starting at u alone, and
-    each state keeps its earliest arrival; on a tie, the smallest tuple of
-    credited visits.  A visit is kept only when it pays by its due time and
-    some exit can still meet its bound from it; without revisit, some exit
-    other than the visited vertex.  An exit the walk credits on the way
-    reads off the states that hold it: the walk stops at its visit, or,
-    with revisit, comes back to it later.  Every other exit reads off each
-    state that does not hold it with one last leg, paid when it arrives by
-    the exit's due; a free end, and u before the walk leaves it, need no
-    leg.  Per exit and reward the earliest end wins, then the smallest
-    order.  A winning walk is built from kept states only: an earlier
-    arrival at any of its states would end it sooner, and a smaller visit
-    tuple there would make its order smaller.
+    The search is the layered subset DP (instance._subset_dp) from u
+    alone at t0, each visit a credit with no release.  A visit is kept only
+    when it pays by its due time and some exit can still meet its bound
+    from it; without revisit, some exit other than the visited vertex.  An
+    exit the walk credits on the way reads off the states that hold it: the
+    walk stops at its visit, or, with revisit, comes back to it later.
+    Every other exit reads off each state that does not hold it with one
+    last leg, paid when it arrives by the exit's due; a free end, and u
+    before the walk leaves it, need no leg.  Per exit and reward the
+    earliest end wins, then the smallest order.
     """
     if exits is None:
         exits = _entry_exits(credit, u, t0, not revisit)
     ends = {w: bound for w, bound in exits.items() if bound >= t0}
     live = {v: rd for v, rd in credit.items() if rd[1] >= t0}
-    # per visitable vertex x: its bit, its reward, and the latest arrival
-    # that still pays and still reaches some exit by its bound
+    # per visitable vertex x: its bit, its reward, no release, and the latest
+    # arrival that still pays and still reaches some exit by its bound
     visitable = []
     for i, x in enumerate(sorted(v for v in live if v != u)):
         reach = {w: bound if w is None else bound - table[x][w]
                  for w, bound in ends.items() if w is None or table[x][w] is not None}
         if reach and (revisit or set(reach) - {x}):
-            visitable.append((x, 1 << i, live[x][0], min(live[x][1], max(reach.values()))))
-    bit = {x: b for (x, b, _g, _cap) in visitable}
+            visitable.append((x, 1 << i, live[x][0], 0, min(live[x][1], max(reach.values()))))
+    bit = {x: b for (x, b, _g, _r, _cap) in visitable}
     # exits the states hold are read from them; the others as (exit, bound,
     # bit or 0, reward paid on a final arrival by due, due)
     held = {w for w in ends if w in bit}
@@ -272,14 +270,6 @@ def exact_staircases(table, credit, u: int, t0: int, exits=None,
         gain, due = live[w] if w in live and w != u else (0, bound)
         if w not in bit or due < bound:
             finals.append((w, bound, bit.get(w, 0), gain, due))
-    # per vertex v, the visits open from it as (latest departure, x, bit,
-    # leg, reward), latest first, so a scan stops at the first one missed
-    hops = {}
-    for v in [u] + [x for (x, _b, _g, _cap) in visitable]:
-        hops[v] = sorted(((cap - table[v][x], x, b, table[v][x], gain)
-                          for (x, b, gain, cap) in visitable
-                          if x != v and table[v][x] is not None and t0 + table[v][x] <= cap),
-                         reverse=True)
     # per exit: reward -> (end time, order after u), the earliest and then
     # smallest; an order is built only when it may win
     best: Dict[Optional[int], Dict[int, tuple]] = {w: {} for w in ends}
@@ -289,38 +279,24 @@ def exact_staircases(table, credit, u: int, t0: int, exits=None,
         if old is None or end < old[0] or (end == old[0] and visits + tail < old[1]):
             best[w][reward] = (end, visits + tail)
 
-    shift = len(table).bit_length()
-    layer = [(t0, (), live[u][0] if u in live else 0, 0, u)]  # (arrival, visits, reward, set, last)
-    while layer:
-        kept: Dict[int, tuple] = {}
-        for (at, visits, got, mask, v) in layer:
-            row = table[v]
-            for w in visits if revisit else visits[-1:]:
-                if w not in held:
-                    continue
-                if w == v:  # the walk stops at w's visit
-                    offer(w, got, at, visits)
-                elif row[w] is not None and at + row[w] <= ends[w]:
-                    offer(w, got, at + row[w], visits, (w,))
-            for (w, bound, b, gain, due) in finals:
-                if mask & b:
-                    continue
-                if w is None or w == v:
-                    offer(w, got, at, visits)
-                elif row[w] is not None and at + row[w] <= bound:
-                    end = at + row[w]
-                    offer(w, got + gain if end <= due else got, end, visits, (w,))
-            for (late, x, b, leg, gain) in hops[v]:
-                if at > late:
-                    break
-                if mask & b:
-                    continue
-                key = (mask | b) << shift | x
-                old = kept.get(key)
-                if old is None or at + leg < old[0] or (at + leg == old[0]
-                                                         and visits < old[1][:-1]):
-                    kept[key] = (at + leg, visits + (x,), got + gain, mask | b, x)
-        layer = list(kept.values())
+    start = (t0, (), live[u][0] if u in live else 0, 0, u)
+    for (at, visits, got, mask, v) in _subset_dp(table, visitable, start):
+        row = table[v]
+        for w in visits if revisit else visits[-1:]:
+            if w not in held:
+                continue
+            if w == v:  # the walk stops at w's visit
+                offer(w, got, at, visits)
+            elif row[w] is not None and at + row[w] <= ends[w]:
+                offer(w, got, at + row[w], visits, (w,))
+        for (w, bound, b, gain, due) in finals:
+            if mask & b:
+                continue
+            if w is None or w == v:
+                offer(w, got, at, visits)
+            elif row[w] is not None and at + row[w] <= bound:
+                end = at + row[w]
+                offer(w, got + gain if end <= due else got, end, visits, (w,))
     out: Dict[Optional[int], List[tuple]] = {w: [] for w in exits}
     for w in ends:
         for reward in sorted(best[w], reverse=True):

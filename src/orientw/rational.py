@@ -80,17 +80,16 @@ class Units:
         return r.numerator * (self.rscale // r.denominator)
 
 
-def units_for(metric, times, rewards, rows) -> Units:
+def units_for(metric, times, rewards) -> Units:
     """Units making every distance of metric, time in times and reward in
-    rewards whole.  The table is metric.ints unless a time's denominator
-    does not divide metric.scale; then only rows are multiplied up and read."""
+    rewards whole.  The table is metric.ints, every row multiplied up when a
+    time's denominator does not divide metric.scale."""
     tscale = metric.scale
     for t in times:
         if tscale % t.denominator:
             tscale = math.lcm(tscale, t.denominator)
     table = metric.ints
     if tscale != metric.scale:
-        factor, table = tscale // metric.scale, list(table)
-        for r in rows:
-            table[r] = tuple(None if d is None else d * factor for d in metric.ints[r])
+        factor = tscale // metric.scale
+        table = [tuple(None if d is None else d * factor for d in row) for row in table]
     return Units(tscale, math.lcm(*(r.denominator for r in rewards)), table)

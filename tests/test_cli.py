@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import orientw
-from orientw import ParseError, serialize
+from orientw import ParseError, PreconditionError, serialize
 from orientw.generate import (gen_deadline_instance, gen_integer_instance,
                               gen_ratio2_instance, gen_zero_window_instance)
 
@@ -229,6 +229,22 @@ def test_infeasible_is_exit_2(tmp_path):
     assert "infeasible" in r.stderr.lower()
 
 
+def test_solve_and_exact_refuse_an_unreachable_end_anchor_alike(tmp_path):
+    # one check (instance.ensure_reachable_anchors) decides for the solvers
+    # and the exact optimum, so both commands print the same refusal
+    import json
+    inst = tmp_path / "far.json"
+    inst.write_text(json.dumps({"budget": 3, "directed": False, "edges": [[0, 1, 2], [1, 2, 2]],
+                                "n": 3, "rewards": [0, 1, 0], "s": 0, "t": 2,
+                                "wait_policy": "wait", "windows": [[0, 3], [1, 2], [0, 3]]}))
+    errors = set()
+    for command in ("solve", "exact"):
+        r = _run(command, str(inst))
+        assert r.returncode == 2, (command, r.stderr)
+        errors.add(r.stderr)
+    assert errors == {"infeasible: cannot reach 2 from 0 within budget 3\n"}
+
+
 def test_bench_csv_is_byte_deterministic(tmp_path):
     files = []
     for seed in (1, 2):
@@ -300,6 +316,22 @@ def test_gen_refuses_window_length_bounds_it_cannot_meet(bounds, message):
     r = _run("gen", "--n", "5", *bounds)
     assert r.returncode == 1
     assert r.stderr.startswith("error: ") and message in r.stderr, r.stderr
+
+
+def test_euclidean_grid_refuses_more_vertices_than_its_cells():
+    # the 6x6 grid holds 36 distinct points; 37 used to end in random.sample's
+    # ValueError
+    from orientw.generate import generate_instance
+    assert generate_instance("euclidean-grid", 36, 0).n == 36
+    with pytest.raises(PreconditionError, match="at most 36 vertices"):
+        generate_instance("euclidean-grid", 37, 0)
+
+
+def test_gen_prints_the_euclidean_grid_limit_instead_of_a_traceback():
+    r = _run("gen", "--family", "euclidean-grid", "--n", "37")
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and "at most 36 vertices" in r.stderr, r.stderr
+    assert "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("integral, low, high", [

@@ -208,7 +208,7 @@ def test_greedy_breaks_an_equal_ratio_tie_by_the_smaller_id():
     q = OrienteeringQuery(m, {1: F(2), 2: F(1)}, 0, 0, F(2))
     assert greedy_orienteering(q) == WalkResult((0, 1, 0), F(2), F(2))
     assert ref_greedy_orienteering(q) == WalkResult((0, 1, 0), F(2), F(2))
-    units = units_for(m, [q.budget], q.eligible.values(), range(m.n))
+    units = units_for(m, [q.budget], q.eligible.values())
     assert units.tscale == 2 and units.rscale == 1
     # the integer kernel: budget 4 half-units, each due the budget
     assert _greedy(units.table, {1: (2, 4), 2: (1, 4)}, 0, 0, 0, 4) == WalkResult((0, 1, 0), 2, 4)
@@ -590,7 +590,7 @@ def _exits_in_units(m, eligible, u, t0):
     POINT_DEADLINE, and every exit's walk-down of
     best_deadline_walk(EXACT_DEADLINE, ...) in the same units."""
     units = units_for(m, [t0] + [dl for (_r, dl) in eligible.values()],
-                      [r for (r, _dl) in eligible.values()], range(m.n))
+                      [r for (r, _dl) in eligible.values()])
     credit = {v: (units.reward(r), units.time(dl)) for v, (r, dl) in eligible.items()}
     found = exit_staircases(EXACT_DEADLINE, m, units, credit, u, units.time(t0))
     by_points = exit_staircases(POINT_DEADLINE, m, units, credit, u, units.time(t0))
@@ -652,7 +652,7 @@ def test_block_staircases_equal_the_walk_down_of_every_exit():
                                           quarter, 14)
         gains = {v: r for v, (r, _dl) in eligible.items()}
         span = F(rng.randint(0, 40), 4 if quarter else 1)
-        units = units_for(m, [span], gains.values(), range(m.n))
+        units = units_for(m, [span], gains.values())
         table = units.table
         credit = {v: (units.reward(r), units.time(span)) for v, r in gains.items()}
         found = exit_staircases(EXACT_ORACLE, m, units, credit, u, 0)
@@ -685,7 +685,7 @@ def test_heuristic_walk_downs_in_units_equal_the_fraction_referees():
         m, eligible, u, t0 = _exit_query(rng, n, rng.randint(1, n), rng.random() < 0.4,
                                          trial % 2 == 1, 14)
         units = units_for(m, [t0] + [dl for (_r, dl) in eligible.values()],
-                          [r for (r, _dl) in eligible.values()], range(m.n))
+                          [r for (r, _dl) in eligible.values()])
         credit = {v: (units.reward(r), units.time(dl)) for v, (r, dl) in eligible.items()}
         e = units.time(t0)
         found = exit_staircases(layered, m, units, credit, u, e)
@@ -719,7 +719,7 @@ def test_a_walk_down_builds_each_base_walk_once_per_exit(monkeypatch):
         m, eligible, u, t0 = _exit_query(rng, n, rng.randint(1, n), rng.random() < 0.4,
                                          trial % 2 == 1, 14)
         units = units_for(m, [t0] + [dl for (_r, dl) in eligible.values()],
-                          [r for (r, _dl) in eligible.values()], range(m.n))
+                          [r for (r, _dl) in eligible.values()])
         credit = {v: (units.reward(r), units.time(dl)) for v, (r, dl) in eligible.items()}
         span = max(dl for (_r, dl) in credit.values())
         block = {v: (r, span) for v, (r, _dl) in credit.items()}

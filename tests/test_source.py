@@ -121,6 +121,24 @@ def test_only_memo_keeps_per_solve_state():
     assert offenders == []
 
 
+def _function(path: Path, name: str) -> ast.FunctionDef:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_the_exact_searches_run_the_one_subset_dp():
+    # the exact oracles' staircase search and the exact optimum share the
+    # layered subset DP, instance._subset_dp, and hold no loop over layers
+    # of their own
+    assert any(isinstance(sub, ast.While)
+               for sub in ast.walk(_function(PACKAGE / "instance.py", "_subset_dp")))
+    for module, name in (("oracles.py", "exact_staircases"), ("instance.py", "brute_force_opt")):
+        node = _function(PACKAGE / module, name)
+        assert "_subset_dp" in _read_names(node), name
+        assert not any(isinstance(sub, ast.While) for sub in ast.walk(node)), name
+
+
 def test_package_imports_only_itself_and_the_standard_library():
     # README promises no runtime dependencies and pyproject lists none
     foreign = []
