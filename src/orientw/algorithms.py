@@ -9,6 +9,8 @@ claims are evaluated back on the original instance and the best walk wins.
 The reported bound is the sum of the versions' ratios, which by the
 pigeonhole argument is a proven divisor: reward >= optimum / bound.  A
 solver only adds its precondition, its split and how it solves a version.
+solve_auto solves a start-only instance once, anchored at a zero-cost
+sink, and repairs the walk by insertion (_auto_start_only).
 
 All solvers need waiting allowed; the no-wait policy only changes walk
 evaluation, not the solvers.
@@ -26,15 +28,14 @@ from .decompose import dyadic_family, five_split, three_split_ceil, three_split_
 from .errors import PreconditionError
 from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
                        WalkSolution, _derived, _view, _window, drop_vertices,
-                       ensure_reachable_anchors, evaluate_walk, restrict, time_reversed,
+                       ensure_reachable_anchors, repair_by_insertion, restrict, time_reversed,
                        window_stats)
-from .memo import _FAN_OUT, _kept, _one_solve
+from .memo import _one_solve
 from .metric import Metric
-from .modular import (ModularBlock, ModularPartition, _release_group_solve, _shared,
-                      assemble_walk, blocks_from_identical_windows, solve_reward_indexed,
-                      verify_modular)
+from .modular import (ModularBlock, ModularPartition, _release_group_solve, assemble_walk,
+                      blocks_from_identical_windows, solve_reward_indexed, verify_modular)
 from .oracles import EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle
-from .rational import HALF, ONE, ZERO, floor_log2, is_finite, is_integral
+from .rational import HALF, INF, ONE, ZERO, floor_log2, is_finite, is_integral
 
 
 # every live report's walk, mapped to (a weak reference to itself, the
@@ -115,27 +116,22 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     solve_version(label, version) returns the version's claims and ratio.
     Every version's claims are evaluated on x: the first best walk wins and
     the bound sums the ratios.  With no version at all the report is the
-    bare anchor walk at bound 1.  The split reads no anchor, so the ends of
-    a start-only solve share it and re-anchor its versions; it is built
-    before the anchors are checked, so a split's refusal (a window ratio
-    over 2, say) comes before an unreachable end anchor.  The whole recipe
-    runs inside one memo (memo._one_solve): this call's when the solver
-    is called directly, else the enclosing solve's.
+    bare anchor walk at bound 1.  The split is built before the anchors
+    are checked, so a split's refusal (a window ratio over 2, say) comes
+    before an unreachable end anchor.  The whole recipe runs inside one
+    memo (memo._one_solve): this call's when the solver is called directly,
+    else the enclosing solve's.
     """
-
-    def build():
-        zero, pos = _length_split(x)
-        z = restrict(x, {v: None for v in pos}) if zero else None
-        return z, tuple(split(restrict(x, {v: None for v in zero}))) if pos else ()
-
-    z, split_versions = _shared(("split", name), (), x, build)
+    zero, pos = _length_split(x)
+    z = restrict(x, {v: None for v in pos}) if zero else None
+    split_versions = tuple(split(restrict(x, {v: None for v in zero}))) if pos else ()
     ensure_reachable_anchors(x)
 
     def versions():
         if z is not None:
-            yield "Z", _claims_of(zero_window_dp(_anchored(z, x.s, x.t)).walk), ONE
+            yield "Z", _claims_of(zero_window_dp(z).walk), ONE
         for (label, ver) in split_versions:
-            yield (label,) + solve_version(label, _anchored(ver, x.s, x.t))
+            yield (label,) + solve_version(label, ver)
 
     best: Optional[WalkSolution] = None
     rewards = []
@@ -150,11 +146,6 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
         best = assemble_walk(x, [])
         bound = ONE
     return SolveReport(name, best, tuple(rewards), bound)
-
-
-def _anchored(x: TwInstance, s: Optional[int], t: Optional[int]) -> TwInstance:
-    """x with anchors s and t (a shared instance keeps those it was built with)."""
-    return x if (x.s, x.t) == (s, t) else _derived(x, s=s, t=t)
 
 
 def _modular_version(ver: TwInstance, oracle: OrienteeringOracle) -> tuple:
@@ -248,8 +239,7 @@ def solve_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
         else:
             # B1 windows share deadlines per group; reversed in time they
             # share releases, which the same DP handles starting at the end anchor
-            rev = _shared(("reversed",), (), ver, lambda: time_reversed(ver))
-            rev = _release_group_solve(_anchored(rev, ver.t, ver.s), deadline_oracle)
+            rev = _release_group_solve(time_reversed(ver), deadline_oracle)
             claims = tuple(reversed(_claims_of(rev.walk)))
         return claims, deadline_oracle.spec.ratio
 
@@ -404,12 +394,11 @@ def _reach(x: TwInstance) -> Fraction:
     return Fraction(total, units.rscale)
 
 
-def _keep_best(tries, failure: str, ceiling: Fraction, nothing: str = "") -> SolveReport:
+def _keep_best(tries, ceiling: Fraction) -> SolveReport:
     """Run each (name, attempt) of tries and keep the first report with the
-    highest reward.  An attempt may return None to drop out; one that raises
-    PreconditionError is noted as "name: text".  When no report is left,
-    raise PreconditionError("failure (notes)"), with nothing standing in for
-    the notes when there are none.
+    highest reward.  An attempt that raises PreconditionError is noted as
+    "name: text"; when every attempt raises, raise PreconditionError("every
+    solver refused (notes)").
 
     ceiling is an upper bound on every report's reward: once the best
     reward meets it no later attempt can beat it, so none is run, and the
@@ -422,12 +411,12 @@ def _keep_best(tries, failure: str, ceiling: Fraction, nothing: str = "") -> Sol
         except PreconditionError as exc:
             refusals.append("%s: %s" % (name, exc))
             continue
-        if rep is not None and (best is None or rep.walk.reward > best.walk.reward):
+        if best is None or rep.walk.reward > best.walk.reward:
             best = rep
             if best.walk.reward == ceiling:
                 break
     if best is None:
-        raise PreconditionError("%s (%s)" % (failure, "; ".join(refusals) or nothing))
+        raise PreconditionError("every solver refused (%s)" % "; ".join(refusals))
     best.optimal = best.walk.reward == ceiling
     return best
 
@@ -439,11 +428,11 @@ def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     with the highest reward, and raise only when every solver refuses.
     Once a report's reward meets the reachability bound (_reach) it is
     optimal: no later solver runs and the report says so.
-    Start-anchored instances without an end anchor reduce to one anchored
-    solve per candidate end vertex, and those share every result that no end
-    anchor moves (see _auto_start_only).  Every solver tried, and every end,
-    shares the call's one memo (memo._one_solve): each distinct block or
-    release-group entry is searched once per call."""
+    A start-anchored instance without an end anchor is solved once, anchored
+    at a zero-cost sink, and its walk is then repaired by insertion (see
+    _auto_start_only).  Every solver tried shares the call's one memo
+    (memo._one_solve): each distinct block or release-group entry is
+    searched once per call."""
     _require_wait(x)
     if x.mode == START_ONLY:
         return _auto_start_only(x, oracle, deadline_oracle)
@@ -457,39 +446,37 @@ def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     else:
         candidates = (("free-l2", solve_free_l_le_2), ("free-general", solve_free_general))
     return _keep_best(((name, partial(solver, x, oracle, deadline_oracle))
-                       for (name, solver) in candidates), "every solver refused", _reach(x))
+                       for (name, solver) in candidates), _reach(x))
+
+
+def _with_sink(x: TwInstance) -> TwInstance:
+    """The start-only x anchored at a new end vertex n, a zero-cost sink:
+    every vertex reaches n at cost 0, n reaches no other vertex, and n has
+    reward 0 and window [0, budget].  A walk of x done by the budget
+    reaches n by then, so both instances have the same optimum and the same
+    reachability bound (_reach).  The metric extends x's ints, and its
+    Fractions, by one row and column."""
+    n, m = x.n, x.metric
+    d = tuple(tuple(row) + (ZERO,) for row in m.d) + ((INF,) * n + (ZERO,),)
+    ints = tuple(tuple(row) + (0,) for row in m.ints) + ((None,) * n + (0,),)
+    return _derived(x, metric=Metric(True, n + 1, d, m.scale, ints), t=n,
+                    windows=x.windows + (_window(ZERO, x.budget),), rewards=x.rewards + (ZERO,))
 
 
 def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
                      deadline_oracle: DeadlineOracle) -> SolveReport:
-    """A walk that may end anywhere ends somewhere: solve the anchored
-    variant for every reachable end vertex and keep the best, stopping at
-    the first end whose walk meets the start-only instance's reachability
-    bound.  An end vertex whose anchored solve is refused is skipped like an
-    unreachable one.  The ends run inside solve_auto's memo, marked as a
-    fan-out's, so they share every split, forward label loop and l2's
-    reversed B1 version with its release-group moves (modular._shared);
-    per end run only the harvests, the walks' assembly and the reversed B1
-    label loop."""
-
-    def ending_at(t2):
-        sub = solve_auto(_anchored(x, x.s, t2), oracle, deadline_oracle)
-        order = [(v, c) for (v, _t, c) in sub.walk.schedule]
-        # the end anchor repeats a walk that already ends there; d[v][v] = 0,
-        # so dropping the repeat moves no time and no reward
-        if len(order) > 1 and order[-1] == (order[-2][0], False):
-            order.pop()
-        sol = evaluate_walk(x, order)
-        if not sol.feasible:
-            return None
-        return SolveReport(sub.algorithm, sol, sub.version_rewards, sub.bound)
-
-    _kept(_FAN_OUT, (), lambda: True)  # mark the memo as a fan-out's
-    reachable = (t2 for t2 in range(x.n)
-                 if is_finite(x.metric.d[x.s][t2]) and x.metric.d[x.s][t2] <= x.budget)
-    return _keep_best((("end %d" % t2, partial(ending_at, t2)) for t2 in reachable),
-                      "no end vertex yields a walk", _reach(x),
-                      "none is reachable from the start anchor")
+    """A walk that may end anywhere ends at the sink of _with_sink(x): solve
+    that anchored instance once, drop the sink from its walk, and repair the
+    walk by insertion (instance.repair_by_insertion), which wins back the
+    vertices that no version's blocks cover, such as a rewarded last stop.
+    The report keeps the sink solve's algorithm, version rewards and bound,
+    which holds for x since both instances have the same optimum; optimal
+    is judged on x after the repair."""
+    sub = solve_auto(_with_sink(x), oracle, deadline_oracle)
+    walk = repair_by_insertion(x, [(v, c) for (v, _t, c) in sub.walk.schedule[:-1]])
+    rep = SolveReport(sub.algorithm, walk, sub.version_rewards, sub.bound)
+    rep.optimal = walk.reward == _reach(x)
+    return rep
 
 
 def run_algorithm(name: str, x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,

@@ -2,27 +2,32 @@
 
 A TwInstance bundles an exact metric, one window and one reward per vertex,
 optional start/end anchors, a time budget, and the waiting policy.  Walks are
-scored by evaluate_walk.  _subset_dp, a layered subset DP in integer units,
-is the package's one exhaustive search: the exact oracles run it
-(oracles.exact_staircases), and so does brute_force_opt, the exact optimum
-the rest of the package is verified against.  ensure_reachable_anchors
-refuses an end anchor out of reach for the solvers and brute_force_opt.
+scored by evaluate_walk, and repair_by_insertion inserts into a feasible
+walk the uncovered vertices that still fit.  _subset_dp, a layered subset
+DP in integer units, is the package's one exhaustive search: the exact
+oracles run it (oracles.exact_staircases), and so does brute_force_opt, the
+exact optimum the rest of the package is verified against.
+ensure_reachable_anchors refuses an end anchor out of reach for the solvers
+and brute_force_opt.
 
 An instance's times enter integer units in its one view (_view): Units over
 the budget and every window and reward, and each vertex's (release,
 deadline, reward) in them, kept per instance per solve in the solve's memo
 (memo._kept).  evaluate_walk scores untimed walks on it, and window_stats,
-the solvers' splits and reach bound (algorithms) and the block and release
-group checks and label DP units (modular) read it; Fractions come back only
-at the edges, such as a schedule, a reward or a statistic.
+the solvers' splits and reach bound (algorithms), the block and release
+group checks and label DP units (modular) and the insertion repair's tries
+read it; Fractions come back only at the edges, such as a schedule, a
+reward or a statistic.
 The public constructor checks every field.  Every instance derived from a
 checked one (restrict, drop_vertices, scale_times, time_reversed, the
-solvers' re-anchoring) is built by _derived, which checks only new anchors;
-derived windows are built through _window, which checks nothing.
+start-only solve's sink instance) is built by _derived, which checks only
+new anchors; derived windows are built through _window, which checks
+nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -149,14 +154,14 @@ def _derived(x: TwInstance, **changed) -> TwInstance:
 
     x passed TwInstance's checks, and each caller keeps what it changes
     valid by construction: windows inside x's (restrict checks containment)
-    or x's scaled by c > 0 or reversed about the budget, rewards x's or
-    zero, so only new anchors are checked here."""
-    s, t = changed.get("s", x.s), changed.get("t", x.t)
-    if (s, t) != (x.s, x.t):
-        _check_anchors(x.n, s, t)
+    or x's scaled by c > 0 or reversed about the budget, or one more vertex
+    with window [0, budget] (algorithms._with_sink), rewards x's or zero, so
+    only new anchors are checked here, against the new vertex count."""
     y = object.__new__(TwInstance)
     for name in TwInstance.__slots__:
         object.__setattr__(y, name, changed.get(name, getattr(x, name)))
+    if (y.s, y.t) != (x.s, x.t):
+        _check_anchors(y.n, y.s, y.t)
     return y
 
 
@@ -400,6 +405,84 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
                            % (Fraction(ticks[-1], tscale), x.budget))
     total = sum(span[v][2] for v in collected)
     return WalkSolution(tuple(schedule), _fraction(total, units.rscale))
+
+
+# ----- repair by insertion ---------------------------------------------------
+
+def _insertions(x: TwInstance, order: list):
+    """Yield (vertex, position) for every insertion, collected, of an
+    uncovered positive-reward vertex before order[position] (at the end when
+    position is len(order)) that keeps the feasible walk order of x
+    ((vertex, collect_flag) pairs, waiting allowed) feasible: the highest
+    reward first, then the smallest id, then the earliest position.
+
+    Each try takes O(1) on x's view (_view).  Per position the walk keeps
+    its visit time, as evaluate_walk schedules it, and its latest visit
+    time that still keeps every later visit in its window and the end by
+    the budget: the forward time slack of Savelsbergh (ORSA J. Comput.
+    1992), which Vansteenwegen et al. call MaxShift.  A vertex fits when it
+    is visited in its window after the visit before it, and the visit after
+    it, pushed back, stays by its latest time.
+    """
+    units, span = _view(x)
+    table = units.table
+    times, now = [], 0
+    for i, (v, flag) in enumerate(order):
+        if i:
+            now += table[order[i - 1][0]][v]
+            if flag and span[v][0] > now:
+                now = span[v][0]
+        elif flag and x.s is None:
+            now = span[v][0]  # a free walk starts at its first collected vertex's release
+        times.append(now)
+    latest = [0] * len(order)
+    # a free walk may end at any time
+    limit = math.inf if x.s is None else units.time(x.budget)
+    for i in reversed(range(len(order))):
+        v, flag = order[i]
+        if i + 1 < len(order):
+            limit -= table[v][order[i + 1][0]]
+        if flag and span[v][1] < limit:
+            limit = span[v][1]
+        latest[i] = limit
+    # nothing goes before the start anchor, nor after the end anchor
+    first, stop = x.s is not None, len(order) + (x.t is None)
+    collected = {v for (v, flag) in order if flag}
+    for (_gain, u) in sorted((-g, u) for u, (_r, _d, g) in enumerate(span)
+                             if g and u not in collected):
+        release, deadline = span[u][0], span[u][1]
+        for i in range(first, stop):
+            if i:
+                leg = table[order[i - 1][0]][u]
+                if leg is None:
+                    continue
+                at = max(times[i - 1] + leg, release)
+            else:
+                at = release
+            if at > deadline:
+                continue
+            if i < len(order):
+                leg = table[u][order[i][0]]
+                if leg is None or at + leg > latest[i]:
+                    continue
+            yield u, i
+
+
+def repair_by_insertion(x: TwInstance, order) -> WalkSolution:
+    """The feasible walk order of x ((vertex, collect_flag) pairs, waiting
+    allowed), with uncovered positive-reward vertices inserted, collected,
+    while one fits, and scored once (evaluate_walk).  Each round makes the
+    first insertion of _insertions: the highest reward, then the smallest
+    id, at its earliest position.  This is the insertion step of
+    Vansteenwegen, Souffriau, Vanden Berghe and Van Oudheusden ("Iterated
+    local search for the team orienteering problem with time windows",
+    C&OR 2009).  The reward only grows."""
+    order = list(order)
+    step = next(_insertions(x, order), None)
+    while step is not None:
+        order.insert(step[1], (step[0], True))
+        step = next(_insertions(x, order), None)
+    return evaluate_walk(x, order)
 
 
 # ----- the layered subset DP --------------------------------------------------

@@ -4,9 +4,8 @@ can keep its shared work in it.
 A top-level solve (algorithms.solve_auto, or a registered solver called
 directly) opens one memo for its length (_one_solve), and _kept keeps in it
 the staircases of each distinct block or release-group entry
-(oracles.exit_staircases), each instance's integer view (instance._view),
-the label DP's units (modular.dp_units) and, in a start-only fan-out
-(_FAN_OUT), the ends' share table (modular._shared).
+(oracles.exit_staircases), each instance's integer view (instance._view)
+and the label DP's units (modular.dp_units).
 """
 
 from __future__ import annotations
@@ -30,15 +29,6 @@ def _one_solve():
         yield
     finally:
         _MEMO.reset(token)
-
-
-# the memo key that marks a start-only fan-out (algorithms._auto_start_only)
-_FAN_OUT = ("fan-out",)
-
-
-def _fanning_out() -> bool:
-    """Whether the solve under way is a start-only fan-out."""
-    return _FAN_OUT in (_MEMO.get() or ())
 
 
 def _kept(key: tuple, held: tuple, build, check=None):

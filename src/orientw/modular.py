@@ -10,12 +10,10 @@ walks each block offers.  solve_reward_indexed offers the earliest walk
 per reward the oracle reaches, on any rationals.
 
 It takes a point-to-point orienteering oracle and inherits its ratio;
-each block keeps its own oracle answers as moves, and in a start-only
-fan-out the ends share a DP's label loop and moves (_shared).  The
-answers come from exit_staircases, whose memo lets every DP of one solve
-share an equal entry's answer.  With
-EXACT_ORACLE (ratio 1) the DP is exact, so the exact modular DP is
-solve_reward_indexed on that oracle.
+each block keeps its own oracle answers as moves.  The answers come from
+exit_staircases, whose memo lets every DP of one solve share an equal
+entry's answer.  With EXACT_ORACLE (ratio 1) the DP is exact, so the exact
+modular DP is solve_reward_indexed on that oracle.
 
 The release-group DP (_release_group_solve) feeds _label_loop the same
 way, with groups of windows that share a release as its blocks and a
@@ -41,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import PreconditionError
 from .instance import (ANCHORED, FREE, TwInstance, WalkSolution, _view,
                        ensure_reachable_anchors, evaluate_walk)
-from .memo import _fanning_out, _kept
+from .memo import _kept
 from .oracles import DeadlineOracle, OrienteeringOracle, exit_staircases
 from .rational import ONE, ZERO, Units, units_for
 
@@ -67,28 +65,34 @@ def verify_modular(x: TwInstance, part: ModularPartition) -> List[str]:
     any, can be picked up at the anchor visits), but when listed as members
     they are checked like anyone else.
 
-    Members are checked on x's view (instance._view): a window [r, d] in
-    units of tscale contains a block's [p/q, p'/q'] when r * q <= p * tscale
-    and d * q' >= p' * tscale.
+    Everything is checked on x's view (instance._view), with no Fraction
+    compared: a block's bound p/q is held as the pair (p, q), and p/q <=
+    p'/q' when p * q' <= p' * q.  So a window [r, d] in units of tscale
+    contains a block's [p/q, p'/q'] when r * q <= p * tscale and
+    d * q' >= p' * tscale, and the budget B in those units bounds p'/q'
+    when p' * tscale <= B * q'.
     """
     problems: List[str] = []
     units, span = _view(x)
+    tscale, budget = units.tscale, units.time(x.budget)
     blocks = part.blocks
+    bounds = [(b.release.numerator, b.release.denominator,
+               b.deadline.numerator, b.deadline.denominator) for b in blocks]
     for i, b in enumerate(blocks):
-        if b.release > b.deadline:
+        rp, rq, dp, dq = bounds[i]
+        if rp * dq > dp * rq:
             problems.append("block %d interval is reversed" % i)
-        if b.release < 0 or b.deadline > x.budget:
+        if rp < 0 or dp * tscale > budget * dq:
             problems.append("block %d interval leaves [0, budget]" % i)
-        rq, rp = b.release.denominator, b.release.numerator * units.tscale
-        dq, dp = b.deadline.denominator, b.deadline.numerator * units.tscale
         for v in sorted(b.members):
             if not (0 <= v < x.n):
                 problems.append("block %d lists unknown vertex %d" % (i, v))
                 continue
-            if span[v][0] * rq > rp or span[v][1] * dq < dp:
+            if span[v][0] * rq > rp * tscale or span[v][1] * dq < dp * tscale:
                 problems.append("vertex %d window does not contain block %d interval" % (v, i))
     for i in range(len(blocks) - 1):
-        if blocks[i].deadline > blocks[i + 1].release:
+        (_rp, _rq, dp, dq), (rp, rq, _dp, _dq) = bounds[i], bounds[i + 1]
+        if dp * rq > rp * dq:
             problems.append("blocks %d and %d are out of order" % (i, i + 1))
     counts: Dict[int, int] = {}
     for b in blocks:
@@ -218,22 +222,6 @@ def _eligible_blocks(x: TwInstance, part: ModularPartition):
 def _positions(labels) -> list:
     """labels' positions as the label DP visits them: None (not started) first."""
     return [None] * (None in labels) + sorted(p for p in labels if p is not None)
-
-
-def _shared(key: tuple, held: tuple, x: TwInstance, build, *same):
-    """build(), or, in a start-only fan-out, what it built or refused
-    earlier in the fan-out (memo._kept) at key, for the held objects and
-    x's metric and windows objects, at equal rewards, budget and same.
-    Outside a fan-out no entry would be read again, so none is kept."""
-    if not _fanning_out():
-        return build()
-    return _kept(key, held + (x.metric, x.windows), build, (x.rewards, x.budget) + same)
-
-
-def _chain(key: tuple, held: tuple, x: TwInstance, units: Units, steps, *same) -> DpResult:
-    """The label loop's best walk; the ends of a start-only solve share the loop."""
-    labels = _shared(key + (x.s,), held, x, lambda: _label_loop(x, units, steps), *same)
-    return harvest_labels(x, units, labels)
 
 
 # ----- the label loop --------------------------------------------------------
@@ -383,7 +371,7 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
 
             yield bi, release, deadline, ids, moves
 
-    return _chain(("reward-indexed",), (oracle,), x, units, steps(), part)
+    return harvest_labels(x, units, _label_loop(x, units, steps()))
 
 
 # ----- release-group DP ------------------------------------------------------
@@ -420,9 +408,8 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
     """
     ensure_reachable_anchors(x)
     # (group, u, e) -> every exit's paying steps as moves in units, e being
-    # the entry time in units too; none reads an anchor, so ends share them
-    groups, units, stairs = _shared(("groups",), (deadline_oracle,), x,
-                                    lambda: (_release_groups(x), dp_units(x), {}))
+    # the entry time in units too
+    groups, units, stairs = _release_groups(x), dp_units(x), {}
 
     def steps():
         for gi, (rel, members, dmax) in enumerate(groups):
@@ -439,4 +426,4 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
             # the groups are in the view's time units, which dp_units(x) keeps
             yield gi, rel, dmax, members, moves
 
-    return _chain(("release-group",), (deadline_oracle,), x, units, steps())
+    return harvest_labels(x, units, _label_loop(x, units, steps()))

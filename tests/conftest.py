@@ -12,7 +12,9 @@ referee of the modular DP the solvers run (modular.solve_reward_indexed):
 one oracle point query per integral budget instead of one staircase search
 per entry; and ref_label_loop and ref_push_label are those of the label
 DP's loop and frontier insert: every frontier copied per block, and each
-push filtered, appended and sorted.  ref_window_stats, ref_length_split,
+push filtered, appended and sorted.  ref_fan_out is the referee of the
+start-only solve (algorithms._auto_start_only): one anchored solve_auto
+per reachable end vertex, the best kept.  ref_window_stats, ref_length_split,
 ref_reach, ref_blocks_from_identical_windows, ref_verify_modular and
 ref_release_groups are the Fraction referees of the functions that read an
 instance's integer view (instance._view).
@@ -29,9 +31,10 @@ import orientw.modular as modular
 from orientw import (EXACT_ORACLE, INF, WAIT, DeadlineQuery, Graph, InfeasibleInstanceError,
                      Metric, ModularBlock, ModularPartition, OrienteeringOracle,
                      OrienteeringQuery, PreconditionError, TimeWindow, TwInstance, WalkResult,
-                     WalkSolution, WindowStats, best_orienteering_walk, metric_closure,
-                     walk_from_claims)
+                     WalkSolution, WindowStats, best_orienteering_walk, evaluate_walk,
+                     metric_closure, solve_auto, walk_from_claims)
 from orientw.instance import ANCHORED, FREE, START_ONLY
+from orientw.memo import _one_solve
 from orientw.modular import DpResult
 from orientw.oracles import INFEASIBLE_RESULT, _result_better, earliest_limits
 from orientw.rational import ZERO, as_fraction, floor_log2, is_finite
@@ -543,6 +546,36 @@ def ref_push_label(frontier: list, entry: tuple):
     frontier[:] = [e for e in frontier if not (t <= e[0] and r >= e[1])]
     frontier.append(entry)
     frontier.sort(key=lambda e: (e[0], -e[1]))
+
+
+# ----- the start-only fan-out, referee of the sink solve ---------------------
+
+def ref_fan_out(x: TwInstance, oracle, deadline_oracle) -> Optional[tuple]:
+    """The start-only solve as one anchored solve_auto per end vertex that s
+    reaches by the budget: each end's walk, its repeated end anchor
+    dropped, is evaluated on x, and the first best is kept as (anchored
+    report, walk on x); None when no end yields a walk.  The start-only
+    solve ran this way until the sink solve replaced it.  The ends share
+    one memo (memo._one_solve), which moves no report, so that each
+    distinct staircase search runs once."""
+    best = None
+    with _one_solve():
+        for t2 in range(x.n):
+            leg = x.metric.d[x.s][t2]
+            if not is_finite(leg) or leg > x.budget:
+                continue
+            x2 = TwInstance(x.metric, x.windows, x.rewards, x.s, t2, x.budget, x.wait_policy)
+            try:
+                sub = solve_auto(x2, oracle, deadline_oracle)
+            except PreconditionError:
+                continue
+            order = [(v, c) for (v, _t, c) in sub.walk.schedule]
+            if len(order) > 1 and order[-1] == (order[-2][0], False):
+                order.pop()
+            sol = evaluate_walk(x, order)
+            if sol.feasible and (best is None or sol.reward > best[1].reward):
+                best = (sub, sol)
+    return best
 
 
 # ----- the Fraction referees of the readers of an instance's integer view ----

@@ -14,6 +14,7 @@ from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
                      solve_free_general, solve_free_l_le_2, solve_general,
                      solve_integer_endpoints, solve_l_le_2, window_stats, zero_window_dp)
 import orientw.algorithms as algorithms
+import orientw.memo as memo
 import orientw.modular as modular
 import orientw.oracles as oracles
 from orientw.generate import (gen_deadline_instance, gen_general_instance,
@@ -446,30 +447,20 @@ def test_release_group_walks_each_entry_down_the_grid_once(monkeypatch):
     assert len(queries) == len(set(queries))
 
 
-def test_start_only_skips_a_refused_end_vertex(monkeypatch):
-    x = gen_ratio2_instance(5, mode="start-only")
-    best = solve_auto(x)
-    end = best.walk.schedule[-1][0]
-    real = algorithms.solve_auto
-
-    def refuse_best_end(y, oracle, deadline_oracle):
-        if y.t == end:
-            raise PreconditionError("refused for the test")
-        return real(y, oracle, deadline_oracle)
-
-    monkeypatch.setattr(algorithms, "solve_auto", refuse_best_end)
-    rep = real(x)
-    assert rep.walk.schedule[-1][0] != end
-    assert rep.walk.feasible and rep.walk.reward <= best.walk.reward
-
-
-def test_start_only_raises_when_every_end_vertex_refuses(monkeypatch):
+def test_start_only_raises_when_every_solver_refuses(monkeypatch):
+    # the sink solve is the start-only solve's only solve, so its refusal,
+    # which names every solver's, is the start-only solve's; the memo
+    # closes with it
     _refuse_l2_and_general(monkeypatch)
     x = _dense16(integral=False)
     x = TwInstance(x.metric, x.windows, x.rewards, x.s, None, x.budget, x.wait_policy)
-    with pytest.raises(PreconditionError, match="no end vertex yields a walk") as info:
+    with pytest.raises(PreconditionError, match="every solver refused") as info:
         solve_auto(x)
-    assert "end 1: every solver refused" in str(info.value)
+    text = str(info.value)
+    assert "integer-endpoints: vertex 1 window [19/4, 18] has fractional endpoints" in text
+    assert "l2: refused for the test" in text
+    assert "general: refused for the test" in text
+    assert memo._MEMO.get() is None
 
 
 def test_every_algorithm_bound_dominates_optimum():

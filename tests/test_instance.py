@@ -9,8 +9,8 @@ from orientw import (ContainmentError, InfeasibleInstanceError, NO_WAIT,
                      brute_force_opt, drop_vertices, evaluate_walk, restrict,
                      scale_times, time_reversed, walk_from_claims,
                      window_stats)
-from orientw.algorithms import _anchored
 from orientw.generate import FAMILIES, generate_instance
+from orientw.instance import _derived
 
 from conftest import build_instance, line4_instance, window
 
@@ -265,7 +265,7 @@ def test_derived_instances_equal_what_replace_builds(mode):
                 assert y == replace(x, rewards=rewards) == revalidated(y)
             ends = [None] + list(range(x.n))
             for (s, t) in [(None, None)] + [(s, t) for s in range(x.n) for t in ends]:
-                y = _anchored(x, s, t)
+                y = _derived(x, s=s, t=t)
                 assert y == replace(x, s=s, t=t) == revalidated(y)
 
 
@@ -275,7 +275,7 @@ def test_anchored_refuses_what_the_constructor_refuses(s, t):
     with pytest.raises(PreconditionError) as full:
         replace(x, s=s, t=t)
     with pytest.raises(PreconditionError) as mine:
-        _anchored(x, s, t)
+        _derived(x, s=s, t=t)
     assert str(mine.value) == str(full.value)
 
 
@@ -290,7 +290,7 @@ def test_derived_instances_skip_the_full_validation(monkeypatch):
     monkeypatch.setattr(TwInstance, "__post_init__", refuse)
     restrict(x, {1: None, 2: TimeWindow(x.windows[2].release, x.windows[2].release)})
     drop_vertices(x, {1, 3})
-    _anchored(x, x.s, None)
+    _derived(x, t=None)
     derived = [(b, c, scale_times(b, c)) for b in bases for c in (F(3, 7), F(4))]
     derived += [(b, None, time_reversed(b)) for b in bases]
     monkeypatch.undo()

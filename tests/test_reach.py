@@ -69,20 +69,23 @@ def test_a_met_bound_runs_no_later_solver(monkeypatch):
 
 
 def test_a_start_only_solve_judges_optimal_on_the_start_only_instance(monkeypatch):
-    # the end that wins meets its own anchored bound, 3, but the start-only
-    # bound counts the vertices of every end, 4
-    x = generate_instance("random-metric", 5, 1, mode="start-only")
-    ends = []
+    # the sink instance has x's reachability bound, 5; the sink solve's walk
+    # collects 4 and is not optimal there, and the insertion repair lifts it
+    # to 5, so the start-only report, judged after the repair, is
+    x = generate_instance("random-metric", 6, 3, mode="start-only")
+    subs = []
     real_auto = algorithms.solve_auto
 
     def recorded_auto(y, *args):
-        ends.append(real_auto(y, *args))
-        return ends[-1]
+        subs.append((y, real_auto(y, *args)))
+        return subs[-1][1]
 
     monkeypatch.setattr(algorithms, "solve_auto", recorded_auto)
     rep = solve_auto(x)
-    assert (rep.walk.reward, algorithms._reach(x), rep.optimal) == (3, 4, False)
-    assert any(sub.optimal and sub.walk.reward == 3 for sub in ends)
+    [(sink, sub)] = subs
+    assert algorithms._reach(sink) == algorithms._reach(x) == 5
+    assert (sub.walk.reward, sub.optimal) == (4, False)
+    assert (rep.walk.reward, rep.optimal) == (5, True)
 
 
 # ----- the bound ----------------------------------------------------------------

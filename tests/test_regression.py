@@ -16,7 +16,7 @@ from fractions import Fraction as F
 from orientw import GREEDY_ORACLE, layered_deadline_oracle, solve_auto
 from orientw.generate import generate_instance
 
-PINNED = "51843348c3944890094e47867a157f6e444189cd06b475f6426b7aea1d460d19"
+PINNED = "18b99d083fbfefefec9ba668882af4e0e47a2ed8fef8aad8f5fb435424e6f716"
 
 DENSE = dict(horizon=F(20), l_low=F(8), l_high=F(16))
 

@@ -10,8 +10,8 @@ messages and refusal texts included, outside a solve and inside one, on
 every instance the solvers read a view for.  Block bounds off the view's
 scale go through verify_modular and solve_reward_indexed, whose DP units
 (modular.dp_units) then leave the view's.  Once a view is built, none of
-these readers but verify_modular compares Fractions, and verify_modular
-only per block, not per member.
+these readers compares Fractions: verify_modular cross-multiplies a
+block's bounds as integer pairs.
 """
 
 from __future__ import annotations
@@ -201,6 +201,24 @@ def test_view_readers_compare_no_fractions_once_the_view_is_built(monkeypatch, c
             assert comparisons[0] == 0, shape
 
 
+def _per_block_partitions():
+    """Partitions of line4 (budget 5) whose block bounds, thirds and
+    sevenths off the view's scale, trip each per-block check: reversed,
+    below 0, past the budget, out of order, or only just in order."""
+    one, two = frozenset({1}), frozenset({2})
+    cases = {
+        "reversed": ((F(5, 3), F(4, 3)),),
+        "below zero": ((F(-1, 3), F(5, 3)),),
+        "past the budget": ((F(4, 3), F(36, 7)),),
+        "at the budget": ((F(4, 3), F(35, 7)),),
+        "out of order": ((F(4, 3), F(16, 7)), (F(15, 7), F(8, 3))),
+        "in order": ((F(4, 3), F(15, 7)), (F(15, 7), F(8, 3))),
+    }
+    return {name: ModularPartition(tuple(ModularBlock(members, r, d) for (members, (r, d))
+                                         in zip((one, two), bounds)))
+            for name, bounds in cases.items()}
+
+
 def test_verify_modular_compares_fractions_per_block_not_per_member(comparisons):
     n = 10
     x = TwInstance(line_metric(n), (window(0, 9),) * n, (F(1),) * n, 0, n - 1, F(9))
@@ -214,3 +232,23 @@ def test_verify_modular_compares_fractions_per_block_not_per_member(comparisons)
             counts.append(comparisons[0])
             assert problems == ref_verify_modular(x, part)
     assert counts == [counts[0]] * n
+
+
+def test_verify_modular_checks_each_block_on_integers(comparisons):
+    # every per-block check, off the view's scale, against its referee and
+    # with no Fraction compared
+    x = line4_instance(rewards=(F(0), F(1), F(1), F(0)))
+    found = {}
+    with memo._one_solve():
+        _view(x)
+        for name, part in _per_block_partitions().items():
+            comparisons[0] = 0
+            found[name] = verify_modular(x, part)
+            assert comparisons[0] == 0, name
+            assert found[name] == ref_verify_modular(x, part), name
+    assert "block 0 interval is reversed" in found["reversed"]
+    assert "block 0 interval leaves [0, budget]" in found["below zero"]
+    assert "block 0 interval leaves [0, budget]" in found["past the budget"]
+    assert "blocks 0 and 1 are out of order" in found["out of order"]
+    assert not any("budget" in p or "order" in p
+                   for p in found["at the budget"] + found["in order"])
