@@ -447,10 +447,10 @@ def test_release_group_walks_each_entry_down_the_grid_once(monkeypatch):
     assert len(queries) == len(set(queries))
 
 
-def test_start_only_raises_when_every_solver_refuses(monkeypatch):
-    # the sink solve is the start-only solve's only solve, so its refusal,
-    # which names every solver's, is the start-only solve's; the memo
-    # closes with it
+def test_start_only_raises_when_every_end_vertex_refuses(monkeypatch):
+    # the sink is the start-only solve's one end vertex and its solve the
+    # only solve, so its refusal, which names every solver's, is the
+    # start-only solve's; the memo closes with it
     _refuse_l2_and_general(monkeypatch)
     x = _dense16(integral=False)
     x = TwInstance(x.metric, x.windows, x.rewards, x.s, None, x.budget, x.wait_policy)

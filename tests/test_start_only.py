@@ -15,8 +15,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE, Metric, TwInstance,
-                     brute_force_opt, evaluate_walk, layered_deadline_oracle, solve_auto)
+from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE, Metric, PreconditionError,
+                     TwInstance, brute_force_opt, evaluate_walk, layered_deadline_oracle,
+                     solve_auto)
 import orientw.algorithms as algorithms
 import orientw.memo as memo
 import orientw.metric as metric
@@ -159,4 +160,25 @@ def test_every_label_loop_of_a_solve_runs_inside_one_memo(monkeypatch):
                 memos.append(opened)
     # the memo leaves with its solve: no two solves share one
     assert len({id(m) for m in memos}) == len(memos) == 12
+    assert memo._MEMO.get() is None
+
+
+def test_the_share_table_closes_when_every_end_vertex_refuses(monkeypatch):
+    # the memo is the solve's one share table: every solver of the sink
+    # solve, the start-only solve's one end vertex, reads the same table,
+    # and the table closes when they all refuse
+    opened = []
+
+    def refuse(y, oracle, deadline_oracle):
+        opened.append(memo._MEMO.get())
+        raise PreconditionError("refused for the test")
+
+    monkeypatch.setattr(algorithms, "solve_l_le_2", refuse)
+    monkeypatch.setattr(algorithms, "solve_general", refuse)
+    x = generate_instance("random-metric", 16, 3, horizon=F(20), l_low=F(8), l_high=F(16))
+    x = TwInstance(x.metric, x.windows, x.rewards, x.s, None, x.budget, x.wait_policy)
+    with pytest.raises(PreconditionError, match="every solver refused"):
+        solve_auto(x)
+    assert opened and all(table is opened[0] for table in opened)
+    assert isinstance(opened[0], dict)
     assert memo._MEMO.get() is None
