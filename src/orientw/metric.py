@@ -49,8 +49,10 @@ class Metric:
     ints[u][v] is an int, or None where d[u][v] is INF, and
     d[u][v] == Fraction(ints[u][v], scale) for every reachable pair.  Both
     are derived from d and take no part in equality.  A Metric built from d
-    alone computes them once, and rejects any float entry other than the
-    INF marker itself; closure, scaled() and transposed() hand them over.
+    alone computes them once, and rejects a table that is not n x n, any
+    float entry other than the INF marker itself, a negative entry and an
+    asymmetric undirected table; closure, scaled() and transposed() hand
+    them over.
     """
 
     directed: bool
@@ -61,7 +63,7 @@ class Metric:
 
     def __post_init__(self):
         if self.ints is None:
-            scale, ints = _integer_table(self.d)
+            scale, ints = _integer_table(self.directed, self.n, self.d)
             object.__setattr__(self, "scale", scale)
             object.__setattr__(self, "ints", ints)
 
@@ -83,8 +85,10 @@ class Metric:
         return _from_ints(self.directed, self.n, scale, ints)
 
 
-def _integer_table(d) -> tuple:
-    """(scale, ints) for a table given in Fractions and INF."""
+def _integer_table(directed: bool, n: int, d) -> tuple:
+    """(scale, ints) for an n x n table given in Fractions and INF."""
+    if len(d) != n or any(len(row) != n for row in d):
+        raise GraphError("distance table is not %d x %d" % (n, n))
     dens = []
     for row in d:
         for x in row:
@@ -97,6 +101,10 @@ def _integer_table(d) -> tuple:
     scale = lcm(*dens)
     ints = tuple(tuple(None if x is INF else x.numerator * (scale // x.denominator)
                        for x in row) for row in d)
+    if any(x is not None and x < 0 for row in ints for x in row):
+        raise GraphError("distance table has a negative entry")
+    if not directed and any(ints[u][v] != ints[v][u] for u in range(n) for v in range(u)):
+        raise GraphError("undirected distance table is not symmetric")
     return scale, ints
 
 

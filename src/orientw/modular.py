@@ -147,19 +147,19 @@ class DpResult:
 def assemble_walk(x: TwInstance, segments: List[Tuple[int, tuple]]) -> WalkSolution:
     """Turn per-block visit orders into one walk and evaluate it.
 
-    Members are flagged at their first occurrence across the segments;
-    anchors travel unflagged and, when they carry reward that no block
-    covers, the best of the four flag combinations is kept.
+    Vertices with positive reward are flagged at their first occurrence
+    across the segments, and any other vertex an oracle passes through
+    travels unflagged; anchors travel unflagged and, when they carry reward
+    that no block covers, the best of the four flag combinations is kept.
     """
     covered = set()
     core: List[Tuple[int, bool]] = []
     for (_bi, order) in segments:
         for v in order:
-            if v in covered:
-                core.append((v, False))
-            else:
+            flag = v not in covered and x.rewards[v] > 0
+            if flag:
                 covered.add(v)
-                core.append((v, True))
+            core.append((v, flag))
 
     combos: List[Tuple[bool, bool]] = [(False, False)]
     if x.s is not None and x.rewards[x.s] > 0 and x.s not in covered:

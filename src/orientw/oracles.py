@@ -9,9 +9,10 @@ exact oracles, the default at desk scale, read every answer off one run of
 the package's layered subset DP (instance._subset_dp) per entry
 (exact_staircases).  A greedy insertion heuristic and a layered deadline heuristic
 are provided as scalable stand-ins with no proven ratio.  All of them
-compute in integer units: a public Fraction query is converted once
-(_answer), and a block or release-group entry comes in the units its DP
-already fixed.  Only a custom fn sees Fractions, built at each probe.
+compute in integer units: each fn is _answer over an entry builder, so a
+public Fraction query is converted once, and a block or release-group
+entry runs the builder in the units its DP already fixed (_entry_ask).
+Only a custom fn sees Fractions, built at each probe.
 
 A block or release-group entry reaches an oracle only through
 exit_staircases, which asks for every exit's staircase at once.  An oracle
@@ -339,32 +340,22 @@ def best_orienteering_walk(oracle: OrienteeringOracle, q: OrienteeringQuery) -> 
     return _answer(partial(_checked, oracle), q)
 
 
-def exact_orienteering(q: OrienteeringQuery) -> WalkResult:
-    """Exact orienteering, read off the subset DP with v as the one exit.
-
-    Every due is the budget and no walk passes v before it ends there.  Of
-    the optimal walks the one that ends soonest is returned, then the
-    smallest order.  Intended for roughly a dozen eligible vertices.
-    """
-    return _answer(partial(_entry_ask, EXACT_ORACLE), q)
-
-
-def greedy_orienteering(q: OrienteeringQuery) -> WalkResult:
-    """Cheapest-insertion heuristic: repeatedly insert the vertex with the
-    best reward-per-detour at its cheapest feasible position.
-
-    No approximation guarantee; kept as the scalable stand-in.  All ties
-    break deterministically: on an equal reward per detour the smaller
-    vertex id wins, even when its detour is larger, and per vertex the
-    smallest detour wins, then the leftmost position.  The search runs in
-    integer units (_greedy).
-    """
-    return _answer(partial(_entry_ask, GREEDY_ORACLE), q)
+def _exact_entry(revisit: bool, metric: Metric, units: Units, credit, u: int, t0: int):
+    """The exact oracles' point query (end, limit) from an entry, in units
+    (_exact_point): exact_orienteering's walks never pass v before they end
+    there, and exact_deadline's may credit the end anchor on the way
+    (revisit).  Intended for roughly a dozen eligible vertices."""
+    return partial(_exact_point, units.table, credit, u, t0, revisit=revisit)
 
 
 def _greedy(table, credit, u: int, t0: int, v: int, limit: int) -> WalkResult:
-    """greedy_orienteering in units: a walk from u at t0 to v by limit,
-    each vertex of credit paying its reward; dues are not read."""
+    """Cheapest-insertion heuristic in units, with no approximation
+    guarantee: a walk from u at t0 to v by limit that repeatedly inserts the
+    vertex of credit with the best reward-per-detour at its cheapest
+    feasible position; dues are not read.  Ties break deterministically: on
+    an equal reward per detour the smaller vertex id wins, even when its
+    detour is larger, and per vertex the smallest detour wins, then the
+    leftmost position."""
     budget = limit - t0
     if table[u][v] is None or table[u][v] > budget:
         return INFEASIBLE_RESULT
@@ -403,6 +394,11 @@ def _greedy(table, credit, u: int, t0: int, v: int, limit: int) -> WalkResult:
     return WalkResult(tuple(order), reward, duration)
 
 
+def _greedy_entry(metric: Metric, units: Units, credit, u: int, t0: int):
+    """greedy_orienteering's point query (end, limit) from an entry, in units."""
+    return partial(_greedy, units.table, credit, u, t0)
+
+
 def _ratio_better(r1: int, d1: int, r2: int, d2: int) -> bool:
     """Is reward r1 per detour d1 strictly better than r2 per d2?"""
     if d1 == 0 or d2 == 0:  # a zero detour beats any other
@@ -410,6 +406,10 @@ def _ratio_better(r1: int, d1: int, r2: int, d2: int) -> bool:
     return r1 * d2 > r2 * d1
 
 
+# the built-in point oracles' fns: each is _answer over its entry builder
+exact_orienteering = partial(_answer, partial(_exact_entry, False))
+exact_deadline = partial(_answer, partial(_exact_entry, True))
+greedy_orienteering = partial(_answer, _greedy_entry)
 EXACT_ORACLE = OrienteeringOracle(OracleSpec("exact", ONE), exact_orienteering,
                                   partial(exact_staircases, revisit=False))
 GREEDY_ORACLE = OrienteeringOracle(OracleSpec("greedy", ONE, guaranteed=False), greedy_orienteering)
@@ -501,27 +501,13 @@ def best_deadline_walk(oracle: DeadlineOracle, q: DeadlineQuery) -> WalkResult:
     return _answer(partial(_checked, oracle), q)
 
 
-def exact_deadline(q: DeadlineQuery) -> WalkResult:
-    """Exact deadline walk, read off the subset DP with the end anchor (or a
-    free end) as the one exit.
-
-    The end anchor may pay off as an early interior visit too (hit its
-    deadline, wander, come back).  Of the optimal walks the one that ends
-    soonest is returned, then the smallest order.
-    """
-    return _answer(partial(_entry_ask, EXACT_DEADLINE), q)
-
-
 def _entry_ask(oracle, metric: Metric, units: Units, credit, u: int, t0: int):
     """oracle's unchecked point query (end, limit) -> WalkResult from an
-    entry, in units: the built-in fns' own searches, or a custom fn on a
-    Fraction query built at the probe and its answer converted back."""
-    fn, table, tscale, rscale = oracle.fn, units.table, units.tscale, units.rscale
-    if fn is greedy_orienteering:
-        return partial(_greedy, table, credit, u, t0)
-    if fn is exact_orienteering or fn is exact_deadline:
-        return partial(_exact_point, table, credit, u, t0, revisit=fn is exact_deadline)
-    if isinstance(fn, partial) and fn.func is _answer:  # such as layered_deadline_fn's
+    entry, in units.  One rule: a fn built on _answer, as every built-in fn
+    is, runs its entry builder in units; any other fn gets a Fraction query
+    built at the probe, and its answer is converted back."""
+    fn, tscale, rscale = oracle.fn, units.tscale, units.rscale
+    if isinstance(fn, partial) and fn.func is _answer:
         return fn.args[0](metric, units, credit, u, t0)
     closed = isinstance(oracle, OrienteeringOracle)
     eligible = {v: Fraction(r, rscale) if closed else (Fraction(r, rscale), Fraction(due, tscale))
@@ -590,15 +576,8 @@ def _search_exits(oracle, metric: Metric, units: Units, credit, u: int,
     return out
 
 
-def layered_deadline_fn(oracle: OrienteeringOracle) -> Callable[[DeadlineQuery], WalkResult]:
-    """Deadline heuristic: split eligible vertices into geometric deadline
-    classes [2**j, 2**(j+1)), answer one orienteering query per class with
-    budget 2**j - t0 (clamped to the horizon), and keep the best class."""
-    return partial(_answer, partial(_layered_entry, oracle))
-
-
 def _layered_entry(oracle, metric: Metric, units: Units, credit, u: int, t0: int):
-    """layered_deadline_fn(oracle)'s point query from an entry, in units.
+    """layered_deadline_oracle(oracle)'s point query from an entry, in units.
     The classes are computed once per entry, and class j's cutoff 2**j is
     floored into units, which decides every comparison with a whole
     duration as 2**j would."""
@@ -640,8 +619,11 @@ EXACT_DEADLINE = DeadlineOracle(OracleSpec("exact", ONE), exact_deadline, exact_
 
 
 def layered_deadline_oracle(oracle: OrienteeringOracle) -> DeadlineOracle:
+    """Deadline heuristic: split eligible vertices into geometric deadline
+    classes [2**j, 2**(j+1)), answer one orienteering query per class with
+    budget 2**j - t0 (clamped to the horizon), and keep the best class."""
     return DeadlineOracle(OracleSpec("layered", ONE, guaranteed=False),
-                          layered_deadline_fn(oracle))
+                          partial(_answer, partial(_layered_entry, oracle)))
 
 
 # deadline oracles by name, each built around the point-to-point oracle in use

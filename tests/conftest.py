@@ -268,7 +268,7 @@ def _ref_base_walk(m: Metric, eligible, u, end, t0, limit) -> WalkResult:
 
 
 def ref_layered_deadline(fn):
-    """layered_deadline_fn in Fraction arithmetic around an orienteering fn:
+    """layered_deadline_oracle's fn in Fraction arithmetic around an orienteering fn:
     classes floor(log2(deadline)), class j asked with the budget
     min(2**j, horizon) - t0 (the deadline-0 class with budget 0) through
     ref_checked, each answer rescored on the deadlines, the best kept."""

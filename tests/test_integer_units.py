@@ -226,6 +226,18 @@ def test_metric_rejects_float_entries_other_than_inf(bad):
         Metric(False, 2, ((F(0), bad), (bad, F(0))))
 
 
+@pytest.mark.parametrize("directed, n, d", [
+    (False, 3, ((F(0), F(1)), (F(1), F(0)))),  # 2 x 2 with n = 3
+    (True, 2, ((F(0), F(1)), (F(1),))),  # a short row
+    (True, 2, ((F(0), F(-1)), (F(1), F(0)))),  # a negative entry
+    (False, 2, ((F(0), F(1)), (F(2), F(0)))),  # asymmetric but undirected
+    (False, 2, ((F(0), F(1)), (INF, F(0)))),  # one way unreachable, undirected
+])
+def test_metric_rejects_a_malformed_table(directed, n, d):
+    with pytest.raises(GraphError):
+        Metric(directed, n, d)
+
+
 # ----- the exact oracles against their Fraction referees -------------------
 
 @st.composite

@@ -251,6 +251,32 @@ def test_segments_claim_what_the_walk_collects():
     assert visited & members <= set(res.walk.collected)
 
 
+def test_a_walk_listed_edge_by_edge_flags_only_rewarded_vertices():
+    # the unit path 0-3-1-5-2-4, one block {2, 3, 5} on [0, 10]; vertex 1
+    # has no reward and the window [0, 0], so a walk that passes it at time
+    # 2 must not flag it there
+    line = [0, 3, 1, 5, 2, 4]
+    where = {v: i for i, v in enumerate(line)}
+    x = build_instance(6, list(zip(line, line[1:], [1] * 5)),
+                       [(0, 10), (0, 0), (0, 10), (0, 10), (0, 10), (0, 10)],
+                       [0, 0, 1, 1, 0, 1], 0, 4, 10)
+    part = ModularPartition((ModularBlock(frozenset({2, 3, 5}), F(0), F(10)),))
+
+    def edge_by_edge(q):
+        # exact_orienteering's walk with every vertex between two stops listed
+        res = exact_orienteering(q)
+        order = list(res.order[:1])
+        for a, b in zip(res.order, res.order[1:]):
+            step = 1 if where[b] > where[a] else -1
+            order += [line[i] for i in range(where[a] + step, where[b] + step, step)]
+        return WalkResult(tuple(order), res.reward, res.duration)
+
+    oracle = OrienteeringOracle(OracleSpec("edge-by-edge", F(1)), edge_by_edge)
+    res = solve_reward_indexed(x, part, oracle)
+    assert res.claimed == 3
+    assert res.walk.feasible and res.walk.reward == 3
+
+
 def test_earliest_limits_finds_leftmost_durations():
     from orientw import OrienteeringQuery, best_orienteering_walk
     from orientw.oracles import earliest_limits

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orientw.oracles as oracles
 from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
                      DeadlineQuery, Graph, OracleSpec, OrienteeringOracle,
                      OrienteeringQuery, PreconditionError,
@@ -14,7 +15,7 @@ from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE,
 from orientw.generate import random_metric
 from orientw.oracles import (INFEASIBLE_RESULT, DeadlineOracle, WalkResult, _greedy,
                              _result_better, earliest_limits, exit_staircases,
-                             greedy_orienteering)
+                             exact_deadline, exact_orienteering, greedy_orienteering)
 from orientw.rational import units_for
 
 from conftest import (exact_profile, line_metric, ref_checked, ref_deadline_reward, ref_duration,
@@ -730,3 +731,35 @@ def test_a_walk_down_builds_each_base_walk_once_per_exit(monkeypatch):
             assert len(built) == len(set(built)) and set(built) <= set(found), (u, t0, eligible)
             stepped += sum(len(steps) > 1 for steps in found.values())
     assert stepped > 20
+
+
+def test_patching_an_integer_search_intercepts_every_built_in_fn(monkeypatch):
+    # each built-in fn is _answer over an entry builder that looks its search
+    # up when an entry is built, so a patched _exact_point or _greedy runs
+    # for the public fn and for a layered query over the built-in oracle
+    calls = []
+
+    def recorded(name):
+        real = getattr(oracles, name)
+
+        def search(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return search
+
+    monkeypatch.setattr(oracles, "_exact_point", recorded("_exact_point"))
+    monkeypatch.setattr(oracles, "_greedy", recorded("_greedy"))
+    m = line_metric(4)
+    q = OrienteeringQuery(m, {1: F(1), 2: F(1)}, 0, 3, F(5))
+    # both deadlines in the class [4, 8), whose layer has the budget 4
+    dq = DeadlineQuery(m, {1: (F(1), F(4)), 2: (F(1), F(4))}, 0, F(0), 3, F(5))
+    for fn, query, name in ((exact_orienteering, q, "_exact_point"),
+                            (exact_deadline, dq, "_exact_point"),
+                            (greedy_orienteering, q, "_greedy")):
+        calls.clear()
+        assert fn(query).reward == 2
+        assert calls == [name]
+    for inner, name in ((EXACT_ORACLE, "_exact_point"), (GREEDY_ORACLE, "_greedy")):
+        calls.clear()
+        assert best_deadline_walk(layered_deadline_oracle(inner), dq).reward == 2
+        assert calls == [name]

@@ -139,6 +139,15 @@ def test_the_exact_searches_run_the_one_subset_dp():
         assert not any(isinstance(sub, ast.While) for sub in ast.walk(node)), name
 
 
+def test_one_rule_runs_every_oracle_fn():
+    # a fn built on oracles._answer runs its entry builder in units and any
+    # other fn gets the Fraction adapter: _entry_ask tells no built-in fn
+    # apart by name
+    names = _read_names(_function(PACKAGE / "oracles.py", "_entry_ask"))
+    assert sorted(names & {"exact_orienteering", "exact_deadline", "greedy_orienteering",
+                           "_exact_point", "_greedy", "_layered_entry"}) == []
+
+
 def test_package_imports_only_itself_and_the_standard_library():
     # README promises no runtime dependencies and pyproject lists none
     foreign = []
