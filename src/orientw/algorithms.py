@@ -137,13 +137,13 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     rewards = []
     bound = ZERO
     for (label, claims, ratio) in versions():
-        sol = assemble_walk(x, [(0, claims)] if claims else [])
+        sol = assemble_walk(x, [(0, claims)] if claims else [], [claims])
         rewards.append((label, sol.reward))
         bound += ratio
         if best is None or sol.reward > best.reward:
             best = sol
     if best is None:
-        best = assemble_walk(x, [])
+        best = assemble_walk(x, [], [])
         bound = ONE
     return SolveReport(name, best, tuple(rewards), bound)
 
@@ -275,10 +275,11 @@ def _shift_version(base: TwInstance, ver: TwInstance, head: bool) -> TwInstance:
     unit, which maps any claim inside a head piece [r, h] into [h, h + 1/2]
     and any claim inside a tail piece [g, d] into [g - 1/2, g].  Both target
     windows stay inside the vertex's original window because, at this scale,
-    every window is at least one unit long."""
+    every window is at least one unit long.  ver's rewards are read off
+    its view (instance._view)."""
     assignment: Dict[int, Optional[TimeWindow]] = {}
-    for v in range(ver.n):
-        if ver.rewards[v] > 0:
+    for v, (_r, _d, g) in enumerate(_view(ver)[1]):
+        if g:
             w = ver.windows[v]
             if head:
                 assignment[v] = _window(w.deadline, w.deadline + HALF)
@@ -427,7 +428,9 @@ def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     """Try every solver of the instance's anchor mode, keep the first report
     with the highest reward, and raise only when every solver refuses.
     Once a report's reward meets the reachability bound (_reach) it is
-    optimal: no later solver runs and the report says so.
+    optimal: no later solver runs and the report says so.  A free instance
+    whose window lengths agree within less than a factor 2 skips
+    free-general, which could only solve free-l2's versions again.
     A start-anchored instance without an end anchor is solved once, anchored
     at a zero-cost sink, and its walk is then repaired by insertion (see
     _auto_start_only).  Every solver tried shares the call's one memo
@@ -443,6 +446,11 @@ def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     elif x.mode == ANCHORED:
         candidates = (("integer-endpoints", solve_integer_endpoints),
                       ("l2", solve_l_le_2), ("general", solve_general))
+    elif window_stats(x).l_ratio < 2:
+        # every window falls in free-general's band 0, whose one version
+        # has the windows and rewards free-l2 splits: its walk is one that
+        # free-l2 already assembled on x, so it can never be kept
+        candidates = (("free-l2", solve_free_l_le_2),)
     else:
         candidates = (("free-l2", solve_free_l_le_2), ("free-general", solve_free_general))
     return _keep_best(((name, partial(solver, x, oracle, deadline_oracle))
@@ -455,11 +463,13 @@ def _with_sink(x: TwInstance) -> TwInstance:
     reward 0 and window [0, budget].  A walk of x done by the budget
     reaches n by then, so both instances have the same optimum and the same
     reachability bound (_reach).  The metric extends x's ints, and its
-    Fractions, by one row and column."""
+    Fractions, by one row and column, and in a solve its view extends x's
+    by the sink's (0, budget, 0)."""
     n, m = x.n, x.metric
     d = tuple(tuple(row) + (ZERO,) for row in m.d) + ((INF,) * n + (ZERO,),)
     ints = tuple(tuple(row) + (0,) for row in m.ints) + ((None,) * n + (0,),)
-    return _derived(x, metric=Metric(True, n + 1, d, m.scale, ints), t=n,
+    return _derived(x, lambda units, span: (units.tscale, span + [(0, units.time(x.budget), 0)]),
+                    metric=Metric(True, n + 1, d, m.scale, ints), t=n,
                     windows=x.windows + (_window(ZERO, x.budget),), rewards=x.rewards + (ZERO,))
 
 

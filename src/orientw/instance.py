@@ -22,7 +22,14 @@ The public constructor checks every field.  Every instance derived from a
 checked one (restrict, drop_vertices, scale_times, time_reversed, the
 start-only solve's sink instance) is built by _derived, which checks only
 new anchors; derived windows are built through _window, which checks
-nothing.
+nothing, and restrict checks containment on the parent's view.  Inside a
+solve _derived also keeps the new instance's view, built from its
+parent's: an unchanged vertex keeps its ints, a new window is converted
+in the parent's units and a zeroed reward reads 0, a reversed window is
+(B - d, B - r) and a scaled one the parent's ints times the scale, both
+scales then cut to the least (_least), so that it equals a fresh one.  A
+new window off the parent's scale leaves the view to be built when read,
+and outside a solve no view is derived.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContainmentError, InfeasibleInstanceError, PreconditionError
 from .metric import Metric
-from .memo import _kept
-from .rational import ZERO, as_fraction, is_finite, units_for
+from .memo import _MEMO, _kept
+from .rational import ZERO, Units, as_fraction, is_finite, units_for
 
 WAIT = "wait"
 NO_WAIT = "no-wait"
@@ -149,20 +156,55 @@ def ensure_reachable_anchors(x: TwInstance):
                 "cannot reach %d from %d within budget %s" % (x.t, x.s, x.budget))
 
 
-def _derived(x: TwInstance, **changed) -> TwInstance:
+def _derived(x: TwInstance, derive=None, **changed) -> TwInstance:
     """x with the changed fields, checking only new anchors.
 
     x passed TwInstance's checks, and each caller keeps what it changes
     valid by construction: windows inside x's (restrict checks containment)
     or x's scaled by c > 0 or reversed about the budget, or one more vertex
     with window [0, budget] (algorithms._with_sink), rewards x's or zero, so
-    only new anchors are checked here, against the new vertex count."""
+    only new anchors are checked here, against the new vertex count.
+
+    Inside a solve (memo._kept), derive(units, span), given x's view,
+    returns (tscale, the new instance's span in units tscale and x's
+    rscale), or None when the new windows are off that scale; the new
+    instance's view is then _least of it, else built when read."""
     y = object.__new__(TwInstance)
     for name in TwInstance.__slots__:
         object.__setattr__(y, name, changed.get(name, getattr(x, name)))
     if (y.s, y.t) != (x.s, x.t):
         _check_anchors(y.n, y.s, y.t)
+    if derive is not None and _MEMO.get() is not None:
+        units, span = _view(x)
+        made = derive(units, span)
+        if made is not None:
+            tscale, span = made
+            same = y.metric is x.metric and tscale == units.tscale
+            view = _least(y, tscale, units.rscale, span, units.table if same else None)
+            _kept(("view",), (y.metric, y.windows, y.rewards), lambda: view, y.budget)
     return y
+
+
+def _least(y: TwInstance, tscale: int, rscale: int, span: list, table):
+    """y's view, equal to _scoring(y, []), from span: y's (release,
+    deadline, reward) in units tscale and rscale that make y's metric,
+    budget, windows and rewards whole, table being y's distances in tscale
+    units or None.  Both scales are cut to the least that do, as units_for
+    picks them: times whole in units T are whole in units T / g for g the
+    gcd of T and their ints, and in no finer ones."""
+    g = math.gcd(tscale, y.budget.numerator * (tscale // y.budget.denominator))
+    h = rscale
+    for (r, d, gain) in span:
+        if g == h == 1:
+            break
+        g, h = math.gcd(g, r, d), math.gcd(h, gain)
+    least = math.lcm(y.metric.scale, tscale // g)
+    k, j = tscale // least, h
+    if k > 1 or j > 1:
+        span = [(r // k, d // k, gain // j) for (r, d, gain) in span]
+    if table is None or k > 1:
+        table = units_for(y.metric, [Fraction(1, least)], ()).table
+    return Units(least, rscale // h, table), span
 
 
 @dataclass(frozen=True)
@@ -242,7 +284,10 @@ def scale_times(x: TwInstance, c: Fraction) -> TwInstance:
     if c <= 0:
         raise PreconditionError("scale factor must be positive, got %s" % c)
     windows = tuple(_window(w.release * c, w.deadline * c) for w in x.windows)
-    return _derived(x, metric=x.metric.scaled(c), windows=windows, budget=x.budget * c)
+    # in units tscale * c's denominator a time t * c is its int times c's numerator
+    return _derived(x, lambda units, span: (units.tscale * c.denominator, [
+        (r * c.numerator, d * c.numerator, g) for (r, d, g) in span]),
+        metric=x.metric.scaled(c), windows=windows, budget=x.budget * c)
 
 
 def restrict(x: TwInstance, new_windows: Mapping[int, Optional[TimeWindow]]) -> TwInstance:
@@ -250,8 +295,13 @@ def restrict(x: TwInstance, new_windows: Mapping[int, Optional[TimeWindow]]) -> 
     original window, or is dropped (None: reward zeroed, window kept).
 
     Raises PreconditionError naming the first id outside 0..n-1, else
-    ContainmentError naming the first offending vertex.
+    ContainmentError naming the first offending vertex.  Containment is
+    checked on x's view (_view), cross-multiplied as in
+    modular.verify_modular: x's window [r, d] in units of tscale contains
+    [p/q, p'/q'] when r * q <= p * tscale and p' * tscale <= d * q'.
     """
+    units, span = _view(x)
+    tscale = units.tscale
     windows = list(x.windows)
     rewards = list(x.rewards)
     for v in sorted(new_windows):
@@ -261,19 +311,38 @@ def restrict(x: TwInstance, new_windows: Mapping[int, Optional[TimeWindow]]) -> 
         if w is None:
             rewards[v] = ZERO
             continue
-        if not x.windows[v].contains(w):
+        r, d = w.release, w.deadline
+        if (span[v][0] * r.denominator > r.numerator * tscale
+                or d.numerator * tscale > span[v][1] * d.denominator):
             raise ContainmentError(
                 "vertex %d: window [%s, %s] escapes [%s, %s]"
-                % (v, w.release, w.deadline, x.windows[v].release, x.windows[v].deadline))
+                % (v, r, d, x.windows[v].release, x.windows[v].deadline))
         windows[v] = w
-    return _derived(x, windows=tuple(windows), rewards=tuple(rewards))
+
+    def derive(units, span):
+        # each new window in the units of x's view, or None off its scale
+        tscale, span = units.tscale, list(span)
+        for v, w in new_windows.items():
+            r, d, g = span[v]
+            if w is None:
+                span[v] = (r, d, 0)
+                continue
+            rq, dq = w.release.denominator, w.deadline.denominator
+            if tscale % rq or tscale % dq:
+                return None
+            span[v] = (w.release.numerator * (tscale // rq),
+                       w.deadline.numerator * (tscale // dq), g)
+        return tscale, span
+
+    return _derived(x, derive, windows=tuple(windows), rewards=tuple(rewards))
 
 
 def drop_vertices(x: TwInstance, keep) -> TwInstance:
     """Zero out rewards outside `keep`; windows are left untouched."""
     keep = set(keep)
     rewards = tuple(r if v in keep else ZERO for v, r in enumerate(x.rewards))
-    return _derived(x, rewards=rewards)
+    return _derived(x, lambda units, span: (units.tscale, [
+        (r, d, g if v in keep else 0) for v, (r, d, g) in enumerate(span)]), rewards=rewards)
 
 
 def time_reversed(x: TwInstance) -> TwInstance:
@@ -284,7 +353,12 @@ def time_reversed(x: TwInstance) -> TwInstance:
     policy this is reward-preserving for anchored instances.
     """
     windows = tuple(_window(x.budget - w.deadline, x.budget - w.release) for w in x.windows)
-    return _derived(x, metric=x.metric.transposed(), windows=windows, s=x.t, t=x.s)
+
+    def derive(units, span):
+        budget = units.time(x.budget)
+        return units.tscale, [(budget - d, budget - r, g) for (r, d, g) in span]
+
+    return _derived(x, derive, metric=x.metric.transposed(), windows=windows, s=x.t, t=x.s)
 
 
 # ----- walk evaluation -------------------------------------------------------

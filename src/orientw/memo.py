@@ -4,8 +4,9 @@ can keep its shared work in it.
 A top-level solve (algorithms.solve_auto, or a registered solver called
 directly) opens one memo for its length (_one_solve), and _kept keeps in it
 the staircases of each distinct block or release-group entry
-(oracles.exit_staircases), each instance's integer view (instance._view)
-and the label DP's units (modular.dp_units).
+(oracles.exit_staircases), each instance's integer view (instance._view,
+or instance._derived from the parent's) and the label DP's units
+(modular.dp_units).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _kept(key: tuple, held: tuple, build, check=None):
         return build()
     key += tuple(map(id, held))
     hit = memo.get(key)
-    if hit is None or hit[1] != check:
+    if hit is None or hit[1] is not check and hit[1] != check:
         try:
             built = build()
         except PreconditionError as refusal:

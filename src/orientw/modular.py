@@ -144,27 +144,32 @@ class DpResult:
 
 # ----- shared assembly -------------------------------------------------------
 
-def assemble_walk(x: TwInstance, segments: List[Tuple[int, tuple]]) -> WalkSolution:
+def assemble_walk(x: TwInstance, segments: List[Tuple[int, tuple]], held) -> WalkSolution:
     """Turn per-block visit orders into one walk and evaluate it.
 
-    Vertices with positive reward are flagged at their first occurrence
-    across the segments, and any other vertex an oracle passes through
-    travels unflagged; anchors travel unflagged and, when they carry reward
-    that no block covers, the best of the four flag combinations is kept.
+    held[bi] holds the vertices of block bi.  A vertex with positive
+    reward is flagged at its first occurrence in a segment of the block
+    that holds it, and any other vertex an oracle passes through travels
+    unflagged, so a walk that passes a vertex outside its window on the
+    way to another block stays feasible; anchors travel unflagged and,
+    when they carry reward that no block covers, the best of the four flag
+    combinations is kept.  Rewards are read off x's view (instance._view).
     """
+    span = _view(x)[1]
     covered = set()
     core: List[Tuple[int, bool]] = []
-    for (_bi, order) in segments:
+    for (bi, order) in segments:
+        holds = held[bi]
         for v in order:
-            flag = v not in covered and x.rewards[v] > 0
+            flag = v in holds and v not in covered and span[v][2] > 0
             if flag:
                 covered.add(v)
             core.append((v, flag))
 
     combos: List[Tuple[bool, bool]] = [(False, False)]
-    if x.s is not None and x.rewards[x.s] > 0 and x.s not in covered:
+    if x.s is not None and span[x.s][2] > 0 and x.s not in covered:
         combos += [(True, False)]
-    if x.t is not None and x.rewards[x.t] > 0 and x.t not in covered:
+    if x.t is not None and span[x.t][2] > 0 and x.t not in covered:
         combos += [(c[0], True) for c in list(combos)]
 
     best: Optional[WalkSolution] = None
@@ -212,9 +217,11 @@ def dp_units(x: TwInstance, alpha: Fraction = ONE, times=()) -> Units:
 
 def _eligible_blocks(x: TwInstance, part: ModularPartition):
     """(index, block, member rewards, sorted member ids) for every block
-    with a positive-reward member; the others offer the label loop nothing."""
+    with a positive-reward member; the others offer the label loop nothing.
+    Which rewards are positive is read off x's view (instance._view)."""
+    span = _view(x)[1]
     for bi, b in enumerate(part.blocks):
-        eligible = {v: x.rewards[v] for v in sorted(b.members) if x.rewards[v] > 0}
+        eligible = {v: x.rewards[v] for v in sorted(b.members) if span[v][2] > 0}
         if eligible:
             yield bi, b, eligible, sorted(eligible)
 
@@ -244,12 +251,16 @@ def _label_loop(x: TwInstance, units: Units, steps) -> dict:
     what it would pick on Fractions.  Only claimed is converted back.
 
     A block copies a frontier only when it first pushes to it; the others
-    stay shared with the last block's.
+    stay shared with the last block's.  A block enters each (u, e) once per
+    reward it improves on: moves(u, e) offers the same walks every time,
+    so a label entering where an earlier one of at least its reward
+    entered would push only labels that the earlier one's pushes weakly
+    dominate, which push_label rejects.
     """
     table = units.table
     labels: Dict[object, List[tuple]] = {start_position(x): [(0, 0, None)]}
     for (bi, release, deadline, entries, moves) in steps:
-        new_labels, copied = dict(labels), set()
+        new_labels, copied, entered = dict(labels), set(), {}
         for p in _positions(labels):
             row = None if p is None else table[p]
             for (tau, rew, back) in labels[p]:
@@ -265,6 +276,9 @@ def _label_loop(x: TwInstance, units: Units, steps) -> dict:
                             e = release
                     if e > deadline:
                         continue
+                    if entered.get((u, e), -1) >= rew:
+                        continue
+                    entered[(u, e)] = rew
                     for (w, duration, gain, order) in moves(u, e):
                         if w not in copied:
                             copied.add(w)
@@ -290,9 +304,10 @@ def push_label(frontier: List[tuple], entry: tuple):
     frontier[i:j] = (entry,)
 
 
-def harvest_labels(x: TwInstance, units: Units, labels) -> DpResult:
+def harvest_labels(x: TwInstance, units: Units, labels, held) -> DpResult:
     """Pick the best label that can still reach the end anchor by the
-    budget and rebuild its segment list."""
+    budget and rebuild its segment list; held[bi] holds the vertices of
+    block bi (assemble_walk)."""
     budget = units.time(x.budget)
     best = None
     for p in _positions(labels):
@@ -310,7 +325,7 @@ def harvest_labels(x: TwInstance, units: Units, labels) -> DpResult:
             if best is None or key > best[0]:
                 best = (key, entry)
     if best is None:
-        return DpResult(assemble_walk(x, []), ZERO, ())
+        return DpResult(assemble_walk(x, [], held), ZERO, ())
     segments: List[Tuple[int, tuple]] = []
     back = best[1][2]
     while back is not None:
@@ -318,7 +333,7 @@ def harvest_labels(x: TwInstance, units: Units, labels) -> DpResult:
         segments.append((bi, order))
         back = prev
     segments.reverse()
-    walk = assemble_walk(x, segments)
+    walk = assemble_walk(x, segments, held)
     return DpResult(walk, Fraction(best[1][1], units.rscale), tuple(segments))
 
 
@@ -371,7 +386,8 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
 
             yield bi, release, deadline, ids, moves
 
-    return harvest_labels(x, units, _label_loop(x, units, steps()))
+    return harvest_labels(x, units, _label_loop(x, units, steps()),
+                          [b.members for b in part.blocks])
 
 
 # ----- release-group DP ------------------------------------------------------
@@ -426,4 +442,5 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
             # the groups are in the view's time units, which dp_units(x) keeps
             yield gi, rel, dmax, members, moves
 
-    return harvest_labels(x, units, _label_loop(x, units, steps()))
+    return harvest_labels(x, units, _label_loop(x, units, steps()),
+                          [members for (_rel, members, _dmax) in groups])

@@ -13,7 +13,8 @@ multiple of t.denominator, and rewards likewise over the lcm of their
 denominators.  Units holds both scales and the distances in time units
 (units_for builds it).  Times enter units in three places: a public
 oracle query once (oracles._answer); an instance once per solve, in its
-integer view (instance._view), which walk scoring, the window statistics,
+integer view (instance._view; a derived one's is built from its parent's
+by instance._derived), which walk scoring, the window statistics,
 the solvers' splits and reach bound and the block and release-group checks
 read, and where each chain DP's units start (modular.dp_units), its
 oracles and labels then staying in those units; and a walk with explicit

@@ -502,7 +502,8 @@ def solve_time_indexed(x: TwInstance, part: ModularPartition,
 
             yield bi, units.time(b.release), deadline, ids, moves
 
-    return modular.harvest_labels(x, units, modular._label_loop(x, units, steps()))
+    return modular.harvest_labels(x, units, modular._label_loop(x, units, steps()),
+                                  [b.members for b in part.blocks])
 
 
 # ----- the label loop and its frontier insert, referees of modular's -------

@@ -553,6 +553,56 @@ def test_free_general_bands_follow_window_lengths():
     assert rep.walk.reward * rep.bound >= _opt(x)
 
 
+def _free_below_ratio_two():
+    """Free instances whose positive window lengths agree within less than
+    a factor 2, on both grids, sparse and dense."""
+    xs = [generate_instance("random-metric", n, seed, mode="free", integral=integral, **shape)
+          for seed in range(8) for integral in (True, False)
+          for (n, shape) in ((8, {}), (10, {}),
+                             (6, dict(horizon=F(20), l_low=F(8), l_high=F(16))))]
+    return [x for x in xs if window_stats(x).l_ratio < 2]
+
+
+@pytest.mark.parametrize("heuristic", [False, True], ids=["exact", "greedy-layered"])
+def test_free_general_never_beats_free_l2_below_ratio_two(heuristic):
+    # every window falls in band 0, whose one version is free-l2's own
+    pair = (GREEDY_ORACLE, layered_deadline_oracle(GREEDY_ORACLE)) if heuristic else ()
+    xs = _free_below_ratio_two()
+    assert len(xs) >= 20
+    ties = 0
+    for x in xs:
+        general, l2 = solve_free_general(x, *pair), solve_free_l_le_2(x, *pair)
+        assert {label for (label, _r) in general.version_rewards} == {"band0"}
+        assert general.walk.reward <= l2.walk.reward
+        ties += general.walk.reward == l2.walk.reward
+    assert ties >= len(xs) // 2
+
+
+def test_auto_skips_free_general_below_ratio_two(monkeypatch):
+    # the report is the one both free solvers give, with free-general never run
+    xs = _free_below_ratio_two()
+    both = [algorithms._keep_best(((name, lambda solver=solver, x=x: solver(x)) for (name, solver)
+                                   in (("free-l2", solve_free_l_le_2),
+                                       ("free-general", solve_free_general))), algorithms._reach(x))
+            for x in xs]
+
+    def refuse(*args):
+        raise AssertionError("free-general ran below ratio 2")
+
+    monkeypatch.setattr(algorithms, "solve_free_general", refuse)
+    assert [solve_auto(x) for x in xs] == both
+
+
+def test_auto_runs_free_general_at_ratio_two():
+    # lengths 1 and 2 fall in two bands, and the band walks win here
+    x = generate_instance("random-metric", 20, 2051, mode="free", integral=True)
+    assert window_stats(x).l_ratio == 2
+    assert solve_free_l_le_2(x).walk.reward == 16
+    rep = solve_auto(x)
+    assert (rep.algorithm, rep.walk.reward) == ("free-general", 17)
+    assert {label for (label, _r) in rep.version_rewards} == {"band0", "band1"}
+
+
 def test_reduce_deadline_frozen_shape():
     x = build_instance(2, [(0, 1, 1)], [(0, 1), (0, 2)],
                        [1, 1], 0, 1, F(2))

@@ -251,19 +251,12 @@ def test_segments_claim_what_the_walk_collects():
     assert visited & members <= set(res.walk.collected)
 
 
-def test_a_walk_listed_edge_by_edge_flags_only_rewarded_vertices():
-    # the unit path 0-3-1-5-2-4, one block {2, 3, 5} on [0, 10]; vertex 1
-    # has no reward and the window [0, 0], so a walk that passes it at time
-    # 2 must not flag it there
-    line = [0, 3, 1, 5, 2, 4]
+def _edge_by_edge(line):
+    """An oracle whose walks are exact_orienteering's on the unit path
+    line, with every vertex between two stops listed."""
     where = {v: i for i, v in enumerate(line)}
-    x = build_instance(6, list(zip(line, line[1:], [1] * 5)),
-                       [(0, 10), (0, 0), (0, 10), (0, 10), (0, 10), (0, 10)],
-                       [0, 0, 1, 1, 0, 1], 0, 4, 10)
-    part = ModularPartition((ModularBlock(frozenset({2, 3, 5}), F(0), F(10)),))
 
-    def edge_by_edge(q):
-        # exact_orienteering's walk with every vertex between two stops listed
+    def listed(q):
         res = exact_orienteering(q)
         order = list(res.order[:1])
         for a, b in zip(res.order, res.order[1:]):
@@ -271,10 +264,41 @@ def test_a_walk_listed_edge_by_edge_flags_only_rewarded_vertices():
             order += [line[i] for i in range(where[a] + step, where[b] + step, step)]
         return WalkResult(tuple(order), res.reward, res.duration)
 
-    oracle = OrienteeringOracle(OracleSpec("edge-by-edge", F(1)), edge_by_edge)
-    res = solve_reward_indexed(x, part, oracle)
+    return OrienteeringOracle(OracleSpec("edge-by-edge", F(1)), listed)
+
+
+def test_a_walk_listed_edge_by_edge_flags_only_rewarded_vertices():
+    # the unit path 0-3-1-5-2-4, one block {2, 3, 5} on [0, 10]; vertex 1
+    # has no reward and the window [0, 0], so a walk that passes it at time
+    # 2 must not flag it there
+    line = [0, 3, 1, 5, 2, 4]
+    x = build_instance(6, list(zip(line, line[1:], [1] * 5)),
+                       [(0, 10), (0, 0), (0, 10), (0, 10), (0, 10), (0, 10)],
+                       [0, 0, 1, 1, 0, 1], 0, 4, 10)
+    part = ModularPartition((ModularBlock(frozenset({2, 3, 5}), F(0), F(10)),))
+    res = solve_reward_indexed(x, part, _edge_by_edge(line))
     assert res.claimed == 3
     assert res.walk.feasible and res.walk.reward == 3
+
+
+def test_a_vertex_is_flagged_only_in_the_segment_of_its_block():
+    # the unit path 0-3-1-5-2-4: block {2, 3, 5} on [0, 5] walks 3-1-5-2,
+    # passing vertex 1 at time 2, long before its own block {1} on [8, 10];
+    # flagged there, the walk was infeasible and collapsed to reward 0
+    line = [0, 3, 1, 5, 2, 4]
+    x = build_instance(6, list(zip(line, line[1:], [1] * 5)),
+                       [(0, 12), (8, 10), (0, 5), (0, 5), (0, 12), (0, 5)],
+                       [0, 1, 1, 1, 0, 1], 0, 4, 12)
+    part = ModularPartition((ModularBlock(frozenset({2, 3, 5}), F(0), F(5)),
+                             ModularBlock(frozenset({1}), F(8), F(10))))
+    res = solve_reward_indexed(x, part, _edge_by_edge(line))
+    assert res.segments == ((0, (3, 1, 5, 2)), (1, (1,)))
+    assert res.claimed == 4
+    assert res.walk.feasible and res.walk.reward == 4
+    assert res.walk.collected == {1, 2, 3, 5}
+    assert res.walk.reward == solve_reward_indexed(x, part, EXACT_ORACLE).walk.reward
+    assert [(v, c) for (v, _t, c) in res.walk.schedule] == [
+        (0, False), (3, True), (1, False), (5, True), (2, True), (1, True), (4, False)]
 
 
 def test_earliest_limits_finds_leftmost_durations():
@@ -479,6 +503,47 @@ def test_label_loop_matches_the_copy_everything_referee(monkeypatch, mode, integ
             loops += len(got[1])
             labels += sum(len(ls) for run in got[1] for (_p, ls) in run)
     assert loops >= 40 and labels >= 300
+
+
+@pytest.mark.parametrize("integral", [True, False], ids=["integral", "quarter"])
+@pytest.mark.parametrize("mode", ["anchored", "start-only", "free"])
+def test_label_loop_matches_the_referee_on_sparse_versions(monkeypatch, mode, integral):
+    # n=20 at the generator's default horizon: many small blocks, entered
+    # again and again at the same (u, e), which the loop enters once per
+    # reward it improves on and the referee enters every time
+    real, loops = modular._label_loop, 0
+    for seed in range(6):
+        x = generate_instance("random-metric", 20, seed, mode=mode, integral=integral)
+        got = _label_loop_runs(monkeypatch, real, x, {})
+        assert got == _label_loop_runs(monkeypatch, ref_label_loop, x, {}), seed
+        loops += len(got[1])
+    assert loops >= 20
+
+
+def _pushes(monkeypatch, module, name, loop, x):
+    """_label_loop_runs of loop on x, and the calls of module.name, the
+    push it makes."""
+    real, calls = getattr(module, name), [0]
+
+    def counted(frontier, entry):
+        calls[0] += 1
+        real(frontier, entry)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(module, name, counted)
+        runs = _label_loop_runs(monkeypatch, loop, x, {})
+    return runs, calls[0]
+
+
+def test_a_block_enters_each_entry_once_per_better_reward(monkeypatch):
+    # the referee's labels from under half its pushes on one sparse
+    # instance: 329 pushes against 845
+    import conftest
+    x = generate_instance("random-metric", 20, 1)
+    got, pushed = _pushes(monkeypatch, modular, "push_label", modular._label_loop, x)
+    expected, ref_pushed = _pushes(monkeypatch, conftest, "ref_push_label", ref_label_loop, x)
+    assert got == expected
+    assert 0 < 2 * pushed < ref_pushed, (pushed, ref_pushed)
 
 
 def test_label_loop_pushes_from_the_unstarted_position_first():

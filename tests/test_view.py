@@ -25,10 +25,11 @@ import orientw.algorithms as algorithms
 import orientw.instance as instance
 import orientw.memo as memo
 import orientw.modular as modular
-from orientw import (EXACT_DEADLINE, EXACT_ORACLE, ModularBlock, ModularPartition,
-                     PreconditionError, TimeWindow, TwInstance, brute_force_opt, restrict,
-                     solve_auto, window_stats)
-from orientw.algorithms import _length_split, _reach
+from orientw import (ContainmentError, EXACT_DEADLINE, EXACT_ORACLE, ModularBlock,
+                     ModularPartition, PreconditionError, TimeWindow, TwInstance, brute_force_opt,
+                     drop_vertices, five_split, restrict, scale_times, solve_auto, time_reversed,
+                     window_stats)
+from orientw.algorithms import _length_split, _reach, _with_sink
 from orientw.generate import generate_instance
 from orientw.instance import ANCHORED, FREE, START_ONLY, _view
 from orientw.modular import (_release_group_solve, _release_groups, blocks_from_identical_windows,
@@ -252,3 +253,153 @@ def test_verify_modular_checks_each_block_on_integers(comparisons):
     assert "blocks 0 and 1 are out of order" in found["out of order"]
     assert not any("budget" in p or "order" in p
                    for p in found["at the budget"] + found["in order"])
+
+
+# ----- derived views -------------------------------------------------------------
+
+def _full(view) -> tuple:
+    units, span = view
+    return units.tscale, units.rscale, [tuple(row) for row in units.table], span
+
+
+def _kept_view(y):
+    """y's view as the solve's memo holds it, or None."""
+    hit = memo._MEMO.get().get(("view", id(y.metric), id(y.windows), id(y.rewards)))
+    return None if hit is None else hit[2]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("integral", [True, False])
+@pytest.mark.parametrize("mode", [ANCHORED, START_ONLY, FREE])
+def test_every_view_a_solve_reads_equals_a_fresh_one(monkeypatch, mode, integral, shape):
+    # derived from a parent's view (instance._derived) or built when read,
+    # every view solve_auto reads has _scoring's scales, table and span
+    x = generate_instance("random-metric", seed=1, mode=mode, integral=integral, **SHAPES[shape])
+    real_view, real_scoring = instance._view, instance._scoring
+    checked, built = {}, []
+
+    def recording(y):
+        view = real_view(y)
+        if id(y) not in checked:
+            checked[id(y)] = y
+            assert _full(view) == _full(real_scoring(y, [])), (mode, integral, shape)
+        return view
+
+    def counting(y, times):
+        built.append(y)
+        return real_scoring(y, times)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(instance, "_scoring", counting)
+        for module in (instance, modular, algorithms):
+            patched.setattr(module, "_view", recording)
+        report = solve_auto(x)
+    assert report == solve_auto(x)
+    distinct = {(id(y.metric), id(y.windows), id(y.rewards)) for y in checked.values()}
+    # only x's own view and those off their parent's scale are built: the
+    # anchored splits cut on the integers of their scaled base, five_split
+    # on its half-grid
+    if mode == FREE:
+        assert 1 <= len(built) < len(distinct)
+    else:
+        assert built == [x] and len(distinct) > 5
+
+
+def _halves_instance():
+    """A free instance on integral windows of lengths 1 and 2, which
+    five_split cuts on the half-grid without scaling."""
+    return line4_instance(s=None, t=None, rewards=(F(0), F(1), F(1), F(0)),
+                          windows=(window(0, 5), window(1, 2), window(2, 4), window(0, 5)))
+
+
+def test_views_off_the_parent_scale_are_built_when_read():
+    x = _halves_instance()
+    with memo._one_solve():
+        assert _view(x)[0].tscale == 1
+        halves = [ver for (_label, ver) in five_split(x).versions]
+        seventh = restrict(x, {1: TimeWindow(F(8, 7), F(2))})
+        whole = restrict(x, {2: window(3, 4)})
+        # off x's scale no view is derived, and the one built when read is fresh
+        for y in halves + [seventh]:
+            assert _kept_view(y) is None
+            assert _full(_view(y)) == _full(instance._scoring(y, []))
+        assert [_view(y)[0].tscale for y in halves] == [2] * len(halves)
+        assert _view(seventh)[0].tscale == 7
+        # on it, the derived view is kept before anyone reads it
+        assert _full(_kept_view(whole)) == _full(instance._scoring(whole, []))
+
+
+@pytest.mark.parametrize("opened", [False, True])
+def test_containment_is_refused_with_the_fraction_text(opened):
+    # on integral windows (the view's tscale is 1) and on thirds and
+    # quarters (12), by pieces in sevenths, sixths and halves
+    halves, mixed = _halves_instance(), _mixed_instance()
+    refused = {
+        (halves, 1, F(6, 7), F(2)): "vertex 1: window [6/7, 2] escapes [1, 2]",
+        (halves, 1, F(1), F(15, 7)): "vertex 1: window [1, 15/7] escapes [1, 2]",
+        (halves, 2, F(3, 2), F(4)): "vertex 2: window [3/2, 4] escapes [2, 4]",
+        (mixed, 1, F(1, 4), F(2)): "vertex 1: window [1/4, 2] escapes [1/3, 8/3]",
+        (mixed, 1, F(1, 3), F(17, 6)): "vertex 1: window [1/3, 17/6] escapes [1/3, 8/3]",
+        (mixed, 2, F(5, 7), F(5)): "vertex 2: window [5/7, 5] escapes [3/4, 5]",
+        (mixed, 2, F(3, 4), F(36, 7)): "vertex 2: window [3/4, 36/7] escapes [3/4, 5]",
+    }
+    contained = [(halves, 1, F(1), F(2)), (mixed, 1, F(1, 3), F(8, 3)),
+                 (mixed, 1, F(3, 7), F(5, 2)), (mixed, 2, F(5, 6), F(35, 7))]
+    with memo._one_solve() if opened else nullcontext():
+        for (x, v, r, d), text in refused.items():
+            with pytest.raises(ContainmentError) as refusal:
+                restrict(x, {0: None, v: TimeWindow(r, d)})
+            assert str(refusal.value) == text
+        for (x, v, r, d) in contained:
+            assert restrict(x, {v: TimeWindow(r, d)}).windows[v] == TimeWindow(r, d)
+
+
+def _mixed_instance():
+    """line4 with windows in thirds and quarters and rewards in halves and
+    thirds, so the transforms can both keep and cut each scale."""
+    return line4_instance(budget=F(6), rewards=(F(0), F(1, 2), F(2, 3), F(1)),
+                          windows=(window(0, 6), TimeWindow(F(1, 3), F(8, 3)),
+                                   TimeWindow(F(3, 4), F(5)), window(1, 6)))
+
+
+def test_each_transform_derives_the_view_it_builds():
+    x = _mixed_instance()
+    start_only = line4_instance(budget=F(6), t=None, windows=x.windows, rewards=x.rewards)
+    with memo._one_solve():
+        assert _full(_view(x))[:2] == (12, 6)
+        derived = {
+            "restrict": restrict(x, {1: TimeWindow(F(2, 3), F(7, 3)), 2: None}),
+            # the only thirds become whole, the only thirds in rewards go
+            "restrict, cut": restrict(x, {1: window(1, 2), 2: None}),
+            "drop": drop_vertices(x, {1, 3}),
+            "drop, cut": drop_vertices(x, {3}),
+            "scale 3/7": scale_times(x, F(3, 7)),
+            "scale 4": scale_times(x, F(4)),
+            "scale 1/12": scale_times(x, F(1, 12)),
+            "reversed": time_reversed(x),
+            "sink": _with_sink(start_only),
+        }
+        scales = {}
+        for name, y in derived.items():
+            view = _kept_view(y)
+            assert view is not None, name
+            assert _full(view) == _full(instance._scoring(y, [])), name
+            scales[name] = view[0].tscale, view[0].rscale
+    assert scales == {"restrict": (12, 2), "restrict, cut": (4, 2), "drop": (12, 2),
+                      "drop, cut": (12, 1), "scale 3/7": (28, 6), "scale 4": (3, 6),
+                      "scale 1/12": (144, 6), "reversed": (12, 6), "sink": (12, 6)}
+
+
+def test_no_view_is_derived_outside_a_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a view derived outside a solve")
+
+    monkeypatch.setattr(instance, "_least", refuse)
+    x = _mixed_instance()
+    restrict(x, {1: window(1, 2), 2: None})
+    drop_vertices(x, {3})
+    scale_times(x, F(3, 7))
+    time_reversed(x)
+    _with_sink(line4_instance(t=None))
+    five_split(_halves_instance())
+    assert memo._MEMO.get() is None
