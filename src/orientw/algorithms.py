@@ -9,8 +9,9 @@ claims are evaluated back on the original instance and the best walk wins.
 The reported bound is the sum of the versions' ratios, which by the
 pigeonhole argument is a proven divisor: reward >= optimum / bound.  A
 solver only adds its precondition, its split and how it solves a version.
-solve_auto solves a start-only instance once, anchored at a zero-cost
-sink, and repairs the walk by insertion (_auto_start_only).
+solve_auto finishes every solver's walk with one step, an insertion repair
+on the caller's instance (_keep_best), which only adds reward and so keeps
+every bound; a start-only instance is solved anchored at a zero-cost sink.
 
 All solvers need waiting allowed; the no-wait policy only changes walk
 evaluation, not the solvers.
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from .decompose import dyadic_family, five_split, three_split_ceil, three_split_floor
+from .decompose import dyadic_family, shifted_five_split, three_split_ceil, three_split_floor
 from .errors import PreconditionError
 from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
                        WalkSolution, _derived, _view, _window, drop_vertices,
@@ -35,7 +36,7 @@ from .metric import Metric
 from .modular import (ModularBlock, ModularPartition, _release_group_solve, assemble_walk,
                       blocks_from_identical_windows, solve_reward_indexed, verify_modular)
 from .oracles import EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle
-from .rational import HALF, INF, ONE, ZERO, floor_log2, is_finite, is_integral
+from .rational import INF, ONE, ZERO, floor_log2, is_finite, is_integral
 
 
 # every live report's walk, mapped to (a weak reference to itself, the
@@ -51,9 +52,16 @@ class SolveReport:
     walk is re-evaluated on the instance the caller passed in, so its reward
     is certified independently of any internal bookkeeping.  bound is the
     proven worst-case divisor for this run: walk.reward >= optimum / bound
-    whenever the supplied oracles honor their declared ratios.  optimal is
-    set by solve_auto alone: True when the reward meets the reachability
-    bound of the caller's instance, which certifies it as the optimum.
+    whenever the supplied oracles honor their declared ratios.
+    version_rewards are the proof's own accounting: each version's walk
+    evaluated on the original instance.
+
+    From solve_auto, walk is the kept solver's walk repaired by insertion,
+    so its reward may exceed every version's; bound is the least of the
+    solvers run, so it may come from another solver than the one named in
+    algorithm and version_rewards; and optimal is True when the reward
+    meets the reachability bound of the caller's instance, which certifies
+    it as the optimum.  Only solve_auto sets optimal.
     """
 
     algorithm: str
@@ -268,28 +276,6 @@ def solve_general(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
 
 # ----- free endpoints ----------------------------------------------------------
 
-def _shift_version(base: TwInstance, ver: TwInstance, head: bool) -> TwInstance:
-    """Move a head (or tail) version's windows onto the half-grid.
-
-    A free walk can be delayed (or started earlier) by exactly one half
-    unit, which maps any claim inside a head piece [r, h] into [h, h + 1/2]
-    and any claim inside a tail piece [g, d] into [g - 1/2, g].  Both target
-    windows stay inside the vertex's original window because, at this scale,
-    every window is at least one unit long.  ver's rewards are read off
-    its view (instance._view)."""
-    assignment: Dict[int, Optional[TimeWindow]] = {}
-    for v, (_r, _d, g) in enumerate(_view(ver)[1]):
-        if g:
-            w = ver.windows[v]
-            if head:
-                assignment[v] = _window(w.deadline, w.deadline + HALF)
-            else:
-                assignment[v] = _window(w.release - HALF, w.release)
-        else:
-            assignment[v] = None
-    return restrict(base, assignment)
-
-
 def solve_free_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
                       deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
     """Free-endpoint solver when positive window lengths agree within a
@@ -301,14 +287,8 @@ def solve_free_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     if x.mode != FREE:
         raise PreconditionError("free-endpoint solver needs unanchored ends")
 
-    def split(xp):
-        fam = five_split(xp)
-        for (label, ver) in fam.versions:
-            if label in ("B1", "B5"):
-                ver = _shift_version(fam.base, ver, head=label == "B1")
-            yield label, ver
-
-    return _compose("free-l2", x, split, lambda _label, ver: _modular_version(ver, oracle))
+    return _compose("free-l2", x, lambda xp: shifted_five_split(xp).versions,
+                    lambda _label, ver: _modular_version(ver, oracle))
 
 
 def solve_free_general(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
@@ -395,16 +375,24 @@ def _reach(x: TwInstance) -> Fraction:
     return Fraction(total, units.rscale)
 
 
-def _keep_best(tries, ceiling: Fraction) -> SolveReport:
-    """Run each (name, attempt) of tries and keep the first report with the
-    highest reward.  An attempt that raises PreconditionError is noted as
-    "name: text"; when every attempt raises, raise PreconditionError("every
-    solver refused (notes)").
+def _keep_best(x: TwInstance, tries) -> SolveReport:
+    """Run each (name, attempt) of tries, repair each report's walk on x by
+    insertion (instance.repair_by_insertion), and keep the first report with
+    the highest repaired reward.  An attempt solves x, or, when x is
+    start-only, its sink instance (_with_sink), whose walk is mapped onto x
+    by dropping the sink.  An attempt that raises PreconditionError is noted
+    as "name: text"; when every attempt raises, raise
+    PreconditionError("every solver refused (notes)").
 
-    ceiling is an upper bound on every report's reward: once the best
-    reward meets it no later attempt can beat it, so none is run, and the
-    report returned is marked optimal exactly when its reward meets it."""
-    best: Optional[SolveReport] = None
+    The repair only adds reward, so the kept walk earns at least each run
+    report's walk, and every run report's bound holds for it: the kept
+    report cites the least.  _reach(x) bounds every reward: once the best
+    meets it no later attempt can beat it, so none is run, and the kept
+    report is marked optimal exactly when its reward meets it."""
+    ceiling = _reach(x)
+    end = -1 if x.mode == START_ONLY else None
+    best: Optional[Tuple[SolveReport, WalkSolution]] = None
+    bound = None
     refusals = []
     for (name, attempt) in tries:
         try:
@@ -412,49 +400,49 @@ def _keep_best(tries, ceiling: Fraction) -> SolveReport:
         except PreconditionError as exc:
             refusals.append("%s: %s" % (name, exc))
             continue
-        if best is None or rep.walk.reward > best.walk.reward:
-            best = rep
-            if best.walk.reward == ceiling:
+        bound = rep.bound if bound is None else min(bound, rep.bound)
+        walk = repair_by_insertion(x, [(v, c) for (v, _t, c) in rep.walk.schedule[:end]])
+        if best is None or walk.reward > best[1].reward:
+            best = (rep, walk)
+            if walk.reward == ceiling:
                 break
     if best is None:
         raise PreconditionError("every solver refused (%s)" % "; ".join(refusals))
-    best.optimal = best.walk.reward == ceiling
-    return best
+    rep, walk = best
+    return SolveReport(rep.algorithm, walk, rep.version_rewards, bound, walk.reward == ceiling)
 
 
 @_one_solve()
 def solve_auto(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
                deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
-    """Try every solver of the instance's anchor mode, keep the first report
-    with the highest reward, and raise only when every solver refuses.
-    Once a report's reward meets the reachability bound (_reach) it is
-    optimal: no later solver runs and the report says so.  A free instance
-    whose window lengths agree within less than a factor 2 skips
-    free-general, which could only solve free-l2's versions again.
-    A start-anchored instance without an end anchor is solved once, anchored
-    at a zero-cost sink, and its walk is then repaired by insertion (see
-    _auto_start_only).  Every solver tried shares the call's one memo
-    (memo._one_solve): each distinct block or release-group entry is
-    searched once per call."""
+    """Try every solver of the instance's anchor mode, repair each walk by
+    insertion and keep the first report with the highest repaired reward,
+    at the least bound of the solvers run (_keep_best); raise only when
+    every solver refuses.  Once a reward meets the reachability bound
+    (_reach) it is optimal: no later solver runs and the report says so.  A
+    start-only instance is solved anchored at a zero-cost sink (_with_sink).
+    A free instance whose window lengths agree within less than a factor 2
+    skips free-general, which could only solve free-l2's versions again.
+    Every solver tried shares the call's one memo (memo._one_solve): each
+    distinct block or release-group entry is searched once per call."""
     _require_wait(x)
-    if x.mode == START_ONLY:
-        return _auto_start_only(x, oracle, deadline_oracle)
-    _zero, pos = _length_split(x)
+    y = _with_sink(x) if x.mode == START_ONLY else x
+    _zero, pos = _length_split(y)
     # built per call from the module globals, so a patched global sees its calls
     if not pos:
         candidates = (("zero-window", zero_window_dp),)
-    elif x.mode == ANCHORED:
+    elif y.mode == ANCHORED:
         candidates = (("integer-endpoints", solve_integer_endpoints),
                       ("l2", solve_l_le_2), ("general", solve_general))
-    elif window_stats(x).l_ratio < 2:
+    elif window_stats(y).l_ratio < 2:
         # every window falls in free-general's band 0, whose one version
         # has the windows and rewards free-l2 splits: its walk is one that
-        # free-l2 already assembled on x, so it can never be kept
+        # free-l2 already assembled on x, so it solves nothing new
         candidates = (("free-l2", solve_free_l_le_2),)
     else:
         candidates = (("free-l2", solve_free_l_le_2), ("free-general", solve_free_general))
-    return _keep_best(((name, partial(solver, x, oracle, deadline_oracle))
-                       for (name, solver) in candidates), _reach(x))
+    return _keep_best(x, ((name, partial(solver, y, oracle, deadline_oracle))
+                          for (name, solver) in candidates))
 
 
 def _with_sink(x: TwInstance) -> TwInstance:
@@ -471,22 +459,6 @@ def _with_sink(x: TwInstance) -> TwInstance:
     return _derived(x, lambda units, span: (units.tscale, span + [(0, units.time(x.budget), 0)]),
                     metric=Metric(True, n + 1, d, m.scale, ints), t=n,
                     windows=x.windows + (_window(ZERO, x.budget),), rewards=x.rewards + (ZERO,))
-
-
-def _auto_start_only(x: TwInstance, oracle: OrienteeringOracle,
-                     deadline_oracle: DeadlineOracle) -> SolveReport:
-    """A walk that may end anywhere ends at the sink of _with_sink(x): solve
-    that anchored instance once, drop the sink from its walk, and repair the
-    walk by insertion (instance.repair_by_insertion), which wins back the
-    vertices that no version's blocks cover, such as a rewarded last stop.
-    The report keeps the sink solve's algorithm, version rewards and bound,
-    which holds for x since both instances have the same optimum; optimal
-    is judged on x after the repair."""
-    sub = solve_auto(_with_sink(x), oracle, deadline_oracle)
-    walk = repair_by_insertion(x, [(v, c) for (v, _t, c) in sub.walk.schedule[:-1]])
-    rep = SolveReport(sub.algorithm, walk, sub.version_rewards, sub.bound)
-    rep.optimal = walk.reward == _reach(x)
-    return rep
 
 
 def run_algorithm(name: str, x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
 from .instance import TimeWindow, TwInstance, _window, restrict, scale_times, window_stats
-from .rational import ONE, is_integral
+from .rational import HALF, ONE, is_integral
 
 
 @dataclass(frozen=True)
@@ -223,6 +223,28 @@ def five_split(x: TwInstance) -> RestrictedFamily:
         yield "B1", pieces[0]
         yield "B5", pieces[-1]
         yield from zip(("B2", "B3", "B4"), pieces[1:-1])
+
+    return _split(x, cut, ratio_two=True)
+
+
+def shifted_five_split(x: TwInstance) -> RestrictedFamily:
+    """five_split with its head and tail slid half a unit inward, the split
+    of the free-endpoint solver.
+
+    A free walk can be delayed (or started earlier) by exactly one half
+    unit, which maps any claim inside a head piece [R, h] into [h, h + 1/2]
+    and any claim inside a tail piece [g, D] into [g - 1/2, g], where h and
+    g are the first and last interior multiples of one half.  So B1 gets
+    [h, h + 1/2], B5 gets [g - 1/2, g] and the middles are five_split's.
+    Both slid pieces stay inside [R, D] because, at this scale, every
+    window is at least one unit long.
+    """
+
+    def cut(w: TimeWindow):
+        inner = _half_grid_interior(w.release, w.deadline)
+        yield "B1", _window(inner[0], inner[0] + HALF)
+        yield "B5", _window(inner[-1] - HALF, inner[-1])
+        yield from zip(("B2", "B3", "B4"), (_window(lo, hi) for (lo, hi) in zip(inner, inner[1:])))
 
     return _split(x, cut, ratio_two=True)
 

@@ -19,8 +19,6 @@ from .metric import Graph, Metric, metric_closure
 from .modular import ModularBlock, ModularPartition
 from .rational import ONE, ZERO
 
-QUARTER = Fraction(1, 4)
-
 FAMILIES = ("random-metric", "euclidean-grid", "directed-random", "line")
 
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
-from .instance import (ANCHORED, FREE, TwInstance, WalkSolution, _view,
+from .instance import (ANCHORED, TwInstance, WalkSolution, _view,
                        ensure_reachable_anchors, evaluate_walk)
 from .memo import _kept
 from .oracles import DeadlineOracle, OrienteeringOracle, exit_staircases
@@ -189,13 +189,6 @@ def assemble_walk(x: TwInstance, segments: List[Tuple[int, tuple]], held) -> Wal
     return best
 
 
-def start_position(x: TwInstance):
-    # position None means the walk has not started yet (free endpoints)
-    if x.mode == FREE:
-        return None
-    return x.s
-
-
 def dp_units(x: TwInstance, alpha: Fraction = ONE, times=()) -> Units:
     """The units one label loop runs in: distances, the budget, every window
     endpoint, the extra times (block bounds) and every sum of them are
@@ -258,7 +251,8 @@ def _label_loop(x: TwInstance, units: Units, steps) -> dict:
     dominate, which push_label rejects.
     """
     table = units.table
-    labels: Dict[object, List[tuple]] = {start_position(x): [(0, 0, None)]}
+    # a walk starts at the start anchor, or at no position (None) when free
+    labels: Dict[object, List[tuple]] = {x.s: [(0, 0, None)]}
     for (bi, release, deadline, entries, moves) in steps:
         new_labels, copied, entered = dict(labels), set(), {}
         for p in _positions(labels):

@@ -12,9 +12,14 @@ referee of the modular DP the solvers run (modular.solve_reward_indexed):
 one oracle point query per integral budget instead of one staircase search
 per entry; and ref_label_loop and ref_push_label are those of the label
 DP's loop and frontier insert: every frontier copied per block, and each
-push filtered, appended and sorted.  ref_fan_out is the referee of the
-start-only solve (algorithms._auto_start_only): one anchored solve_auto
-per reachable end vertex, the best kept.  ref_window_stats, ref_length_split,
+push filtered, appended and sorted.  ref_solve_auto is the referee of
+solve_auto's one finishing step, the insertion repair of every solver's
+walk (algorithms._keep_best): solve_auto as it ran before, which kept the
+best solver report unrepaired (ref_keep_best) and repaired a start-only
+walk alone.  ref_fan_out is the referee of the start-only solve: one
+unrepaired anchored solve per reachable end vertex, the best kept; and
+solver_runs records the solvers that a solve_auto call runs, with the
+instance each solves.  ref_window_stats, ref_length_split,
 ref_reach, ref_blocks_from_identical_windows, ref_verify_modular and
 ref_release_groups are the Fraction referees of the functions that read an
 instance's integer view (instance._view).
@@ -23,17 +28,19 @@ instance's integer view (instance._view).
 from __future__ import annotations
 
 from fractions import Fraction as F
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
 import pytest
 
+import orientw.algorithms as algorithms
 import orientw.modular as modular
-from orientw import (EXACT_ORACLE, INF, WAIT, DeadlineQuery, Graph, InfeasibleInstanceError,
-                     Metric, ModularBlock, ModularPartition, OrienteeringOracle,
-                     OrienteeringQuery, PreconditionError, TimeWindow, TwInstance, WalkResult,
-                     WalkSolution, WindowStats, best_orienteering_walk, evaluate_walk,
-                     metric_closure, solve_auto, walk_from_claims)
-from orientw.instance import ANCHORED, FREE, START_ONLY
+from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE, INF, WAIT, DeadlineQuery, Graph,
+                     InfeasibleInstanceError, Metric, ModularBlock, ModularPartition,
+                     OrienteeringOracle, OrienteeringQuery, PreconditionError, SolveReport,
+                     TimeWindow, TwInstance, WalkResult, WalkSolution, WindowStats,
+                     best_orienteering_walk, evaluate_walk, metric_closure, walk_from_claims)
+from orientw.instance import ANCHORED, FREE, START_ONLY, repair_by_insertion
 from orientw.memo import _one_solve
 from orientw.modular import DpResult
 from orientw.oracles import INFEASIBLE_RESULT, _result_better, earliest_limits
@@ -512,7 +519,7 @@ def ref_label_loop(x: TwInstance, units, steps) -> dict:
     """modular._label_loop with every frontier copied per block and the
     positions visited in key order, pushing through ref_push_label."""
     table = units.table
-    labels = {modular.start_position(x): [(0, 0, None)]}
+    labels = {x.s: [(0, 0, None)]}
     for (bi, release, deadline, entries, moves) in steps:
         new_labels = {p: list(ls) for p, ls in labels.items()}
         for p in sorted(labels, key=lambda p: (p is not None, p if p is not None else -1)):
@@ -549,16 +556,88 @@ def ref_push_label(frontier: list, entry: tuple):
     frontier.sort(key=lambda e: (e[0], -e[1]))
 
 
+# ----- the unrepaired finisher, referee of solve_auto's repair ---------------
+
+def ref_keep_best(tries, ceiling) -> SolveReport:
+    """_keep_best before it repaired: run each (name, attempt) of tries and
+    keep the first report with the highest reward, at its own bound, noting
+    each PreconditionError as "name: text"; stop once the best reward meets
+    ceiling, and mark the report optimal exactly when it does."""
+    best = None
+    refusals = []
+    for (name, attempt) in tries:
+        try:
+            rep = attempt()
+        except PreconditionError as exc:
+            refusals.append("%s: %s" % (name, exc))
+            continue
+        if best is None or rep.walk.reward > best.walk.reward:
+            best = rep
+            if best.walk.reward == ceiling:
+                break
+    if best is None:
+        raise PreconditionError("every solver refused (%s)" % "; ".join(refusals))
+    best.optimal = best.walk.reward == ceiling
+    return best
+
+
+def ref_solve_auto(x: TwInstance, oracle=EXACT_ORACLE, deadline_oracle=EXACT_DEADLINE
+                   ) -> SolveReport:
+    """solve_auto as it ran before every solver's walk was repaired: an
+    anchored or free instance keeps its first best solver report as the
+    solver returned it (ref_keep_best), and a start-only instance is that
+    solve of its sink instance (algorithms._with_sink), the only walk
+    repaired, with the sink solve's algorithm, versions and bound and
+    optimal judged on x.  It runs inside one memo (memo._one_solve), which
+    moves no report."""
+    with _one_solve():
+        if x.mode == START_ONLY:
+            sub = ref_solve_auto(algorithms._with_sink(x), oracle, deadline_oracle)
+            walk = repair_by_insertion(x, [(v, c) for (v, _t, c) in sub.walk.schedule[:-1]])
+            return SolveReport(sub.algorithm, walk, sub.version_rewards, sub.bound,
+                               walk.reward == algorithms._reach(x))
+        if not ref_length_split(x)[1]:
+            names = ("zero-window",)
+        elif x.mode == ANCHORED:
+            names = ("integer-endpoints", "l2", "general")
+        elif ref_window_stats(x).l_ratio < 2:
+            names = ("free-l2",)
+        else:
+            names = ("free-l2", "free-general")
+        return ref_keep_best(((name, partial(ALGORITHMS[name], x, oracle, deadline_oracle))
+                              for name in names), algorithms._reach(x))
+
+
+# ----- the solver runs of a solve_auto call ----------------------------------
+
+def solver_runs(monkeypatch) -> list:
+    """The (instance, report) of every solver that solve_auto runs from now
+    on, in order, as algorithms._keep_best receives them."""
+    runs = []
+    real = algorithms._keep_best
+
+    def recorded(x, tries):
+        def recording(name, attempt):
+            def run():
+                runs.append((attempt.args[0], attempt()))
+                return runs[-1][1]
+            return name, run
+        return real(x, (recording(*t) for t in tries))
+
+    monkeypatch.setattr(algorithms, "_keep_best", recorded)
+    return runs
+
+
 # ----- the start-only fan-out, referee of the sink solve ---------------------
 
 def ref_fan_out(x: TwInstance, oracle, deadline_oracle) -> Optional[tuple]:
-    """The start-only solve as one anchored solve_auto per end vertex that s
-    reaches by the budget: each end's walk, its repeated end anchor
-    dropped, is evaluated on x, and the first best is kept as (anchored
-    report, walk on x); None when no end yields a walk.  The start-only
-    solve ran this way until the sink solve replaced it.  The ends share
-    one memo (memo._one_solve), which moves no report, so that each
-    distinct staircase search runs once."""
+    """The start-only solve as one unrepaired anchored solve (ref_solve_auto)
+    per end vertex that s reaches by the budget: each end's walk, its
+    repeated end anchor dropped, is evaluated on x, and the first best is
+    kept as (anchored report, walk on x); None when no end yields a walk.
+    The start-only solve ran this way until the sink solve replaced it.
+    The ends share one memo (memo._one_solve), which moves no report, so
+    that each distinct staircase search runs once."""
     best = None
     with _one_solve():
         for t2 in range(x.n):
@@ -567,7 +646,7 @@ def ref_fan_out(x: TwInstance, oracle, deadline_oracle) -> Optional[tuple]:
                 continue
             x2 = TwInstance(x.metric, x.windows, x.rewards, x.s, t2, x.budget, x.wait_policy)
             try:
-                sub = solve_auto(x2, oracle, deadline_oracle)
+                sub = ref_solve_auto(x2, oracle, deadline_oracle)
             except PreconditionError:
                 continue
             order = [(v, c) for (v, _t, c) in sub.walk.schedule]

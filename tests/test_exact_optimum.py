@@ -118,4 +118,4 @@ def test_the_exact_optimum_of_the_dense_n17_instance():
     x = generate_instance("random-metric", 17, 3, integral=True, **DENSE)
     opt, rep = _referee(x)
     assert (opt, algorithms._reach(x)) == (14, 15)
-    assert (rep.algorithm, rep.walk.reward, rep.bound, rep.optimal) == ("general", 13, 4, False)
+    assert (rep.algorithm, rep.walk.reward, rep.bound, rep.optimal) == ("l2", 13, 3, False)

@@ -493,7 +493,7 @@ def test_label_loop_matches_the_copy_everything_referee(monkeypatch, mode, integ
     if heuristic:
         kwargs = dict(oracle=GREEDY_ORACLE, deadline_oracle=layered_deadline_oracle(GREEDY_ORACLE))
     real, loops, labels = modular._label_loop, 0, 0
-    for seed in range(6):
+    for seed in range(7):
         # many small blocks, then a few wide ones with frontiers of up to 36 labels
         for x in (generate_instance("random-metric", 8, seed, mode=mode, integral=integral),
                   generate_instance("random-metric", 6, seed, mode=mode, integral=integral,

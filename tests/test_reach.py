@@ -3,7 +3,8 @@
 _reach(x) sums the rewards of the vertices a walk could collect on its own,
 so no walk on x collects more.  solve_auto stops once its best report meets
 it.  The differential tests below patch _reach so that nothing stops and
-require the stopping run to return the same report; the bound tests check
+require the stopping run to return the same walk and versions, and the
+same bound unless the report is optimal; the bound tests check
 OPT <= _reach against brute force, and every solver's reward against it
 past brute-force sizes.
 """
@@ -21,6 +22,8 @@ import orientw.algorithms as algorithms
 from orientw.generate import (FAMILIES, gen_deadline_instance, gen_zero_window_instance,
                               generate_instance)
 
+from conftest import solver_runs
+
 DENSE = dict(horizon=F(20), l_low=F(8), l_high=F(16))
 GREEDY = (GREEDY_ORACLE, layered_deadline_oracle(GREEDY_ORACLE))
 ORACLES = ((EXACT_ORACLE, EXACT_DEADLINE), GREEDY)
@@ -36,24 +39,28 @@ def _instance(mode, i):
 
 
 def _report(rep):
-    return rep.algorithm, rep.walk.schedule, rep.version_rewards, rep.bound
+    return rep.algorithm, rep.walk.schedule, rep.version_rewards
 
 
 @pytest.mark.parametrize("oracles", ORACLES, ids=("exact", "greedy-layered"))
 @pytest.mark.parametrize("mode", MODES + ("zero-window",))
 def test_the_stop_returns_the_report_of_the_full_run(monkeypatch, mode, oracles):
+    # the full run cites the least bound of more solvers, so its bound may
+    # be smaller, but only where the stop fired, on an optimal report
     stopped, optimal = [], 0
     for i in range(12):
         x = _instance(mode, i)
         rep = solve_auto(x, *oracles)
         assert rep.optimal == (rep.walk.reward == algorithms._reach(x)), i
         optimal += rep.optimal
-        stopped.append(_report(rep))
+        stopped.append(rep)
     # some solves meet the bound, so the stop is exercised
     assert optimal > 0
     monkeypatch.setattr(algorithms, "_reach", lambda x: None)
     for i in range(12):
-        assert _report(solve_auto(_instance(mode, i), *oracles)) == stopped[i], i
+        full, rep = solve_auto(_instance(mode, i), *oracles), stopped[i]
+        assert _report(full) == _report(rep), i
+        assert full.bound <= rep.bound if rep.optimal else full.bound == rep.bound, i
 
 
 def test_a_met_bound_runs_no_later_solver(monkeypatch):
@@ -69,22 +76,16 @@ def test_a_met_bound_runs_no_later_solver(monkeypatch):
 
 
 def test_a_start_only_solve_judges_optimal_on_the_start_only_instance(monkeypatch):
-    # the sink instance has x's reachability bound, 5; the sink solve's walk
+    # the sink instance has x's reachability bound, 5; l2's walk on it
     # collects 4 and is not optimal there, and the insertion repair lifts it
-    # to 5, so the start-only report, judged after the repair, is
+    # to 5, so the start-only report, judged after the repair, is, and no
+    # later solver runs
     x = generate_instance("random-metric", 6, 3, mode="start-only")
-    subs = []
-    real_auto = algorithms.solve_auto
-
-    def recorded_auto(y, *args):
-        subs.append((y, real_auto(y, *args)))
-        return subs[-1][1]
-
-    monkeypatch.setattr(algorithms, "solve_auto", recorded_auto)
+    runs = solver_runs(monkeypatch)
     rep = solve_auto(x)
-    [(sink, sub)] = subs
+    [(sink, sub)] = runs
     assert algorithms._reach(sink) == algorithms._reach(x) == 5
-    assert (sub.walk.reward, sub.optimal) == (4, False)
+    assert (sub.algorithm, sub.walk.reward, sub.optimal) == ("l2", 4, False)
     assert (rep.walk.reward, rep.optimal) == (5, True)
 
 

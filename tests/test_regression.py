@@ -16,7 +16,7 @@ from fractions import Fraction as F
 from orientw import GREEDY_ORACLE, layered_deadline_oracle, solve_auto
 from orientw.generate import generate_instance
 
-PINNED = "18b99d083fbfefefec9ba668882af4e0e47a2ed8fef8aad8f5fb435424e6f716"
+PINNED = "0ab71c95e9457585e404ee0da1e2d59857a34d9656cd5e504297411c41b2f55d"
 
 DENSE = dict(horizon=F(20), l_low=F(8), l_high=F(16))
 

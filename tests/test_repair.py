@@ -8,6 +8,12 @@ and directed metrics, the tries must be exactly the insertions that
 evaluate_walk, and its Fraction referee, finds feasible, each worth the
 inserted vertex's reward, in the repair's order of preference; a repaired
 walk is never worth less than its input, and no try is left in it.
+
+solve_auto repairs every solver's walk (algorithms._keep_best) and cites
+the least bound of the solvers run.  Against the finisher that kept the
+best walk unrepaired (conftest.ref_solve_auto), no reward may be lower,
+optimal may only turn from False to True, and a report that is not optimal
+may not cite a larger bound.
 """
 
 from __future__ import annotations
@@ -17,11 +23,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from orientw import evaluate_walk
+from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE, evaluate_walk,
+                     layered_deadline_oracle, solve_auto)
 from orientw.generate import FAMILIES, generate_instance
 from orientw.instance import _insertions, repair_by_insertion
 
-from conftest import line4_instance, ref_evaluate_walk, window
+from conftest import line4_instance, ref_evaluate_walk, ref_solve_auto, window
+from test_regression import CASES
 
 DENSE = dict(horizon=F(20), l_low=F(8), l_high=F(16))
 
@@ -107,3 +115,50 @@ def test_a_try_waits_for_the_release_and_pushes_back_the_next_visit():
                            rewards=(F(0), F(1), F(1), F(0)))
     assert list(_insertions(tight, [(0, False), (3, False)])) == [(1, 1), (2, 1)]
     assert list(_insertions(tight, [(0, False), (2, True), (3, False)])) == [(1, 1)]
+
+
+# ----- solve_auto's one finishing step ---------------------------------------
+
+ORACLES = ((EXACT_ORACLE, EXACT_DEADLINE),
+           (GREEDY_ORACLE, layered_deadline_oracle(GREEDY_ORACLE)))
+MODES = ("anchored", "free", "start-only")
+
+
+def _finisher_cases(block):
+    """Block 0: the instances of PINNED (test_regression) and REPORT_PIN
+    (test_staircase_memo), each on its oracle pairs.  Block 1: seeded sparse
+    n=20 and dense n=16 instances in every anchor mode on both oracle
+    pairs."""
+    if block == 0:
+        for i, (family, n, mode, integral, dense, heuristic) in enumerate(CASES):
+            yield (generate_instance(family, n, 100 + i, mode=mode, integral=integral,
+                                     **(DENSE if dense else {})), ORACLES[heuristic])
+        for n in range(6, 13):
+            for shape in (DENSE, {}):
+                for mode in MODES:
+                    for integral in (True, False):
+                        for pair in ORACLES:
+                            yield (generate_instance("random-metric", n, n, mode=mode,
+                                                     integral=integral, **shape), pair)
+        return
+    for seed in range(4):
+        for mode in MODES:
+            for pair in ORACLES:
+                yield (generate_instance(FAMILIES[seed], 20, seed, mode=mode,
+                                         integral=seed % 2 == 0), pair)
+                yield (generate_instance("random-metric", 16, seed, mode=mode,
+                                         integral=seed % 2 == 0, **DENSE), pair)
+
+
+@pytest.mark.parametrize("block", [0, 1], ids=["pinned", "seeded"])
+def test_the_repair_never_loses_to_the_unrepaired_finisher(block):
+    rose = turned = 0
+    for k, (x, pair) in enumerate(_finisher_cases(block)):
+        rep, ref = solve_auto(x, *pair), ref_solve_auto(x, *pair)
+        assert rep.walk.reward >= ref.walk.reward, k
+        assert rep.optimal >= ref.optimal, k
+        assert rep.optimal or rep.bound <= ref.bound, k
+        rose += rep.walk.reward > ref.walk.reward
+        turned += rep.optimal > ref.optimal
+    # the repair moves rewards and optimal on both blocks
+    assert rose and turned

@@ -1,12 +1,13 @@
-"""Start-only solves: one anchored solve at a zero-cost sink, then a repair
-by insertion.
+"""Start-only solves: anchored solves at a zero-cost sink, each walk then
+repaired by insertion.
 
 algorithms._with_sink anchors a start-only instance's end at a new vertex
-that every vertex reaches at cost 0 and that reaches nothing; the sink
-solve's walk, the sink dropped, is repaired by insertion
-(instance.repair_by_insertion).  The referee is the fan-out that ran
-before, one anchored solve per reachable end vertex (conftest.ref_fan_out):
-the start-only reward must never be lower than its.
+that every vertex reaches at cost 0 and that reaches nothing; each solver
+solves that sink instance, and its walk, the sink dropped, is repaired by
+insertion (instance.repair_by_insertion) in algorithms._keep_best.  The
+referee is the fan-out that ran before, one unrepaired anchored solve per
+reachable end vertex (conftest.ref_fan_out): the start-only reward must
+never be lower than its.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from orientw.algorithms import _reach, _with_sink
 from orientw.generate import FAMILIES, generate_instance
 from orientw.instance import repair_by_insertion
 
-from conftest import ref_fan_out
+from conftest import ref_fan_out, solver_runs
 from test_regression import CASES
 
 DENSE = dict(horizon=F(20), l_low=F(8), l_high=F(16))
@@ -117,23 +118,25 @@ def test_the_sink_instance_extends_the_integer_table(monkeypatch):
 
 def test_a_start_only_solve_is_one_sink_solve(monkeypatch):
     x = generate_instance("random-metric", 9, 4, mode="start-only")
-    subs = []
-    real_auto = algorithms.solve_auto
-
-    def recorded_auto(y, *args):
-        subs.append((y, real_auto(y, *args)))
-        return subs[-1][1]
-
-    monkeypatch.setattr(algorithms, "solve_auto", recorded_auto)
+    runs = solver_runs(monkeypatch)
     rep = solve_auto(x)
-    [(sink, sub)] = subs
-    assert sink == _with_sink(x)
-    assert sub.walk.schedule[-1][0] == x.n
-    order = [(v, c) for (v, _t, c) in sub.walk.schedule[:-1]]
-    assert rep.walk == repair_by_insertion(x, order)
-    assert rep.walk.reward >= evaluate_walk(x, order).reward == sub.walk.reward
-    assert (rep.algorithm, rep.version_rewards, rep.bound) == (
-        sub.algorithm, sub.version_rewards, sub.bound)
+    # l2 and general solve the one sink instance; integer-endpoints refuses
+    # the quarter grid
+    assert [sub.algorithm for (_y, sub) in runs] == ["l2", "general"]
+    sink = runs[0][0]
+    assert sink == _with_sink(x) and all(y is sink for (y, _sub) in runs)
+    walks = []
+    for (_y, sub) in runs:
+        assert sub.walk.schedule[-1][0] == x.n
+        order = [(v, c) for (v, _t, c) in sub.walk.schedule[:-1]]
+        walks.append(repair_by_insertion(x, order))
+        assert walks[-1].reward >= evaluate_walk(x, order).reward == sub.walk.reward
+    # the first best repaired walk, at the least bound of the two
+    kept = max(range(len(runs)), key=lambda i: (walks[i].reward, -i))
+    assert rep.walk == walks[kept]
+    sub = runs[kept][1]
+    assert (rep.algorithm, rep.version_rewards) == (sub.algorithm, sub.version_rewards)
+    assert rep.bound == min(sub.bound for (_y, sub) in runs)
 
 
 def test_every_label_loop_of_a_solve_runs_inside_one_memo(monkeypatch):

@@ -297,8 +297,8 @@ def test_every_view_a_solve_reads_equals_a_fresh_one(monkeypatch, mode, integral
     assert report == solve_auto(x)
     distinct = {(id(y.metric), id(y.windows), id(y.rewards)) for y in checked.values()}
     # only x's own view and those off their parent's scale are built: the
-    # anchored splits cut on the integers of their scaled base, five_split
-    # on its half-grid
+    # anchored splits cut on the integers of their scaled base, the free
+    # split (shifted_five_split) on its half-grid
     if mode == FREE:
         assert 1 <= len(built) < len(distinct)
     else:
