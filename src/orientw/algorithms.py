@@ -23,12 +23,13 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .decompose import dyadic_family, shifted_five_split, three_split_ceil, three_split_floor
+from .decompose import (band_family, dyadic_family, shifted_five_split, three_split_ceil,
+                        three_split_floor)
 from .errors import PreconditionError
 from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
-                       WalkSolution, _derived, _view, _window, drop_vertices,
+                       WalkSolution, _derived, _view, _window,
                        ensure_reachable_anchors, repair_by_insertion, restrict, time_reversed,
                        window_stats)
 from .memo import _one_solve
@@ -36,7 +37,7 @@ from .metric import Metric
 from .modular import (ModularBlock, ModularPartition, _release_group_solve, assemble_walk,
                       blocks_from_identical_windows, solve_reward_indexed, verify_modular)
 from .oracles import EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle
-from .rational import INF, ONE, ZERO, floor_log2, is_finite, is_integral
+from .rational import INF, ONE, ZERO, is_finite, is_integral
 
 
 # every live report's walk, mapped to (a weak reference to itself, the
@@ -120,7 +121,8 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
 
     The fixed instants form the exact "Z" version at ratio 1.  When some
     window has positive length, split takes the instance that keeps only
-    those windows and yields (label, version) pairs, and
+    those windows (x itself when it has no fixed instant) and yields
+    (label, version) pairs, and
     solve_version(label, version) returns the version's claims and ratio.
     Every version's claims are evaluated on x: the first best walk wins and
     the bound sums the ratios.  With no version at all the report is the
@@ -132,7 +134,8 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     """
     zero, pos = _length_split(x)
     z = restrict(x, {v: None for v in pos}) if zero else None
-    split_versions = tuple(split(restrict(x, {v: None for v in zero}))) if pos else ()
+    xp = restrict(x, {v: None for v in zero}) if zero and pos else x
+    split_versions = tuple(split(xp)) if pos else ()
     ensure_reachable_anchors(x)
 
     def versions():
@@ -294,22 +297,14 @@ def solve_free_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
 def solve_free_general(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
                        deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
     """Free-endpoint solver without length restrictions: band the vertices
-    by the power of two their window length falls in (relative to the
-    shortest), then run the factor-2 free solver per band."""
+    by the power of two their window length falls in, relative to the
+    shortest (decompose.band_family), then run the factor-2 free solver per
+    band."""
     _require_wait(x)
     if x.mode != FREE:
         raise PreconditionError("free-endpoint solver needs unanchored ends")
 
-    def split(xp):
-        stats = window_stats(xp)
-        bands: Dict[int, List[int]] = {}
-        for v in xp.positive_vertices():
-            j = floor_log2(xp.windows[v].length / stats.l_min)
-            bands.setdefault(j, []).append(v)
-        for j in sorted(bands):
-            yield "band%d" % j, drop_vertices(xp, set(bands[j]))
-
-    return _compose("free-general", x, split,
+    return _compose("free-general", x, lambda xp: band_family(xp).versions,
                     lambda _label, ver: _sub_version(solve_free_l_le_2(ver, oracle)))
 
 

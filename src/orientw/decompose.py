@@ -7,7 +7,7 @@ then loses at most a factor beta = len(versions).
 
 Every construction is one cut rule on one skeleton (_family): the rule cuts
 each positive-length window into keyed, labeled pieces, and each key becomes
-one version.  The three splits also share their scaling and refusals
+one version.  The splits also share their scaling and refusals
 (_split) and key their versions by label.
 """
 
@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
 from .instance import TimeWindow, TwInstance, _window, restrict, scale_times, window_stats
-from .rational import HALF, ONE, is_integral
+from .rational import HALF, ONE, floor_log2, is_integral
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,21 @@ def dyadic_family(x: TwInstance) -> RestrictedFamily:
         for piece in dyadic_partition(int(w.release), int(w.deadline)):
             yield ((piece.level, piece.slot), "B%d_%d" % (piece.slot, piece.level),
                    _window(Fraction(piece.lo), Fraction(piece.hi)))
+
+    return _family(x, ONE, cut)
+
+
+def band_family(x: TwInstance) -> RestrictedFamily:
+    """One restricted version per band of window lengths: band j keeps the
+    positive-reward vertices whose windows, whole, are 2**j to 2**(j+1)
+    times the shortest positive length, and is labelled band<j>."""
+    l_min = window_stats(x).l_min
+    if l_min is None:
+        raise PreconditionError("no positive-length windows to band")
+
+    def cut(v: int, w: TimeWindow):
+        j = floor_log2(w.length / l_min)
+        yield j, "band%d" % j, w
 
     return _family(x, ONE, cut)
 

@@ -12,37 +12,36 @@ and brute_force_opt.
 
 An instance's times enter integer units in its one view (_view): Units over
 the budget and every window and reward, and each vertex's (release,
-deadline, reward) in them, kept per instance per solve in the solve's memo
-(memo._kept).  evaluate_walk scores untimed walks on it, and window_stats,
-the solvers' splits and reach bound (algorithms), the block and release
-group checks and label DP units (modular) and the insertion repair's tries
-read it; Fractions come back only at the edges, such as a schedule, a
-reward or a statistic.
-The public constructor checks every field.  Every instance derived from a
-checked one (restrict, drop_vertices, scale_times, time_reversed, the
-start-only solve's sink instance) is built by _derived, which checks only
-new anchors; derived windows are built through _window, which checks
-nothing, and restrict checks containment on the parent's view.  Inside a
-solve _derived also keeps the new instance's view, built from its
-parent's: an unchanged vertex keeps its ints, a new window is converted
-in the parent's units and a zeroed reward reads 0, a reversed window is
-(B - d, B - r) and a scaled one the parent's ints times the scale, both
-scales then cut to the least (_least), so that it equals a fresh one.  A
-new window off the parent's scale leaves the view to be built when read,
-and outside a solve no view is derived.
+deadline, reward) in them, held on the instance itself.  evaluate_walk
+scores untimed walks on it, and window_stats, the solvers' splits and reach
+bound (algorithms), the block and release group checks and label DP units
+(modular) and the insertion repair's tries read it; Fractions come back
+only at the edges, such as a schedule, a reward or a statistic.
+The public constructor checks every field, and the view is built on its
+first read.  Every instance derived from a checked one (restrict,
+drop_vertices, scale_times, time_reversed, the start-only solve's sink
+instance) is built by _derived, which checks only new anchors; derived
+windows are built through _window, which checks nothing, and restrict
+checks containment on the parent's view.  _derived also gives the new
+instance its view, derived from its parent's in the parent's scales: an
+unchanged vertex keeps its ints, a zeroed reward reads 0, a reversed window
+is (B - d, B - r), a scaled one the parent's ints times the scale's
+numerator over a tscale times its denominator, and a new window is
+converted in the parent's tscale, widened to the lcm where its
+denominators call for it.  Each DP decision compares sums of whole units,
+which the same factor on every unit leaves as they are.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContainmentError, InfeasibleInstanceError, PreconditionError
 from .metric import Metric
-from .memo import _MEMO, _kept
 from .rational import ZERO, Units, as_fraction, is_finite, units_for
 
 WAIT = "wait"
@@ -100,6 +99,8 @@ class TwInstance:
     t: Optional[int]
     budget: Fraction
     wait_policy: str = WAIT
+    # the integer view (_view), set by _derived or when first read
+    _integer_view: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.metric.n
@@ -165,46 +166,24 @@ def _derived(x: TwInstance, derive=None, **changed) -> TwInstance:
     with window [0, budget] (algorithms._with_sink), rewards x's or zero, so
     only new anchors are checked here, against the new vertex count.
 
-    Inside a solve (memo._kept), derive(units, span), given x's view,
-    returns (tscale, the new instance's span in units tscale and x's
-    rscale), or None when the new windows are off that scale; the new
-    instance's view is then _least of it, else built when read."""
+    derive(units, span), given x's view, returns (tscale, the new
+    instance's span in units tscale and x's rscale), tscale widening x's
+    only where a new window or a scaled time needs it.  Without derive
+    (only the tests leave it out) the view is built when first read."""
     y = object.__new__(TwInstance)
     for name in TwInstance.__slots__:
         object.__setattr__(y, name, changed.get(name, getattr(x, name)))
     if (y.s, y.t) != (x.s, x.t):
         _check_anchors(y.n, y.s, y.t)
-    if derive is not None and _MEMO.get() is not None:
+    view = None
+    if derive is not None:
         units, span = _view(x)
-        made = derive(units, span)
-        if made is not None:
-            tscale, span = made
-            same = y.metric is x.metric and tscale == units.tscale
-            view = _least(y, tscale, units.rscale, span, units.table if same else None)
-            _kept(("view",), (y.metric, y.windows, y.rewards), lambda: view, y.budget)
+        tscale, span = derive(units, span)
+        if y.metric is not x.metric or tscale != units.tscale:
+            units = Units(tscale, units.rscale, units_for(y.metric, [Fraction(1, tscale)], ()).table)
+        view = units, span
+    object.__setattr__(y, "_integer_view", view)
     return y
-
-
-def _least(y: TwInstance, tscale: int, rscale: int, span: list, table):
-    """y's view, equal to _scoring(y, []), from span: y's (release,
-    deadline, reward) in units tscale and rscale that make y's metric,
-    budget, windows and rewards whole, table being y's distances in tscale
-    units or None.  Both scales are cut to the least that do, as units_for
-    picks them: times whole in units T are whole in units T / g for g the
-    gcd of T and their ints, and in no finer ones."""
-    g = math.gcd(tscale, y.budget.numerator * (tscale // y.budget.denominator))
-    h = rscale
-    for (r, d, gain) in span:
-        if g == h == 1:
-            break
-        g, h = math.gcd(g, r, d), math.gcd(h, gain)
-    least = math.lcm(y.metric.scale, tscale // g)
-    k, j = tscale // least, h
-    if k > 1 or j > 1:
-        span = [(r // k, d // k, gain // j) for (r, d, gain) in span]
-    if table is None or k > 1:
-        table = units_for(y.metric, [Fraction(1, least)], ()).table
-    return Units(least, rscale // h, table), span
 
 
 @dataclass(frozen=True)
@@ -320,29 +299,28 @@ def restrict(x: TwInstance, new_windows: Mapping[int, Optional[TimeWindow]]) -> 
         windows[v] = w
 
     def derive(units, span):
-        # each new window in the units of x's view, or None off its scale
-        tscale, span = units.tscale, list(span)
+        # x's span, widened to the lcm of x's tscale and the new windows'
+        # denominators, with each new window in those units
+        tscale = units.tscale
+        for w in new_windows.values():
+            if w is not None:
+                tscale = math.lcm(tscale, w.release.denominator, w.deadline.denominator)
+        k = tscale // units.tscale
+        span = [(r * k, d * k, g) for (r, d, g) in span]
         for v, w in new_windows.items():
             r, d, g = span[v]
-            if w is None:
-                span[v] = (r, d, 0)
-                continue
-            rq, dq = w.release.denominator, w.deadline.denominator
-            if tscale % rq or tscale % dq:
-                return None
-            span[v] = (w.release.numerator * (tscale // rq),
-                       w.deadline.numerator * (tscale // dq), g)
+            span[v] = (r, d, 0) if w is None else (
+                w.release.numerator * (tscale // w.release.denominator),
+                w.deadline.numerator * (tscale // w.deadline.denominator), g)
         return tscale, span
 
     return _derived(x, derive, windows=tuple(windows), rewards=tuple(rewards))
 
 
 def drop_vertices(x: TwInstance, keep) -> TwInstance:
-    """Zero out rewards outside `keep`; windows are left untouched."""
+    """Zero out rewards outside `keep` (restrict); windows are left untouched."""
     keep = set(keep)
-    rewards = tuple(r if v in keep else ZERO for v, r in enumerate(x.rewards))
-    return _derived(x, lambda units, span: (units.tscale, [
-        (r, d, g if v in keep else 0) for v, (r, d, g) in enumerate(span)]), rewards=rewards)
+    return restrict(x, {v: None for v in range(x.n) if v not in keep})
 
 
 def time_reversed(x: TwInstance) -> TwInstance:
@@ -377,9 +355,13 @@ def _scoring(x: TwInstance, times: list):
 
 
 def _view(x: TwInstance):
-    """x's integer view, _scoring(x, []): one per metric, windows and rewards
-    object in the solve under way (memo._kept), checked by budget."""
-    return _kept(("view",), (x.metric, x.windows, x.rewards), lambda: _scoring(x, []), x.budget)
+    """x's integer view: equal by value to _scoring(x, []), which builds it
+    on first read unless _derived derived it from x's parent."""
+    view = x._integer_view
+    if view is None:
+        view = _scoring(x, [])
+        object.__setattr__(x, "_integer_view", view)
+    return view
 
 
 def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = None) -> WalkSolution:

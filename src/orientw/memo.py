@@ -3,10 +3,10 @@ can keep its shared work in it.
 
 A top-level solve (algorithms.solve_auto, or a registered solver called
 directly) opens one memo for its length (_one_solve), and _kept keeps in it
-the staircases of each distinct block or release-group entry
-(oracles.exit_staircases), each instance's integer view (instance._view,
-or instance._derived from the parent's) and the label DP's units
-(modular.dp_units).
+what distinct instances share: the label DP's units (modular.dp_units)
+and the staircases of each distinct block or release-group entry
+(oracles.exit_staircases).  Each instance's integer view is held on the
+instance itself (instance._view).
 """
 
 from __future__ import annotations
@@ -32,23 +32,23 @@ def _one_solve():
         _MEMO.reset(token)
 
 
-def _kept(key: tuple, held: tuple, build, check=None):
+def _kept(key: tuple, held: tuple, build):
     """build(), or what it built or refused earlier in the solve under way
-    (_one_solve) at key, the ids of the held objects and an equal check.
-    The memo holds the held objects, so no id is reused, and keeps a
-    refusal without its traceback, which would hold the memo in a cycle."""
+    (_one_solve) at key and the ids of the held objects.  The memo holds
+    the held objects, so no id is reused, and keeps a refusal without its
+    traceback, which would hold the memo in a cycle."""
     memo = _MEMO.get()
     if memo is None:
         return build()
     key += tuple(map(id, held))
     hit = memo.get(key)
-    if hit is None or hit[1] is not check and hit[1] != check:
+    if hit is None:
         try:
             built = build()
         except PreconditionError as refusal:
             built = refusal.with_traceback(None)
-        hit = memo[key] = (held, check, built)
-    if isinstance(hit[2], PreconditionError):
+        hit = memo[key] = (held, built)
+    if isinstance(hit[1], PreconditionError):
         # a copy: the kept refusal, raised, would hold the memo in its traceback
-        raise type(hit[2])(*hit[2].args)
-    return hit[2]
+        raise type(hit[1])(*hit[1].args)
+    return hit[1]

@@ -68,6 +68,9 @@ class Metric:
             object.__setattr__(self, "ints", ints)
 
     def transposed(self) -> "Metric":
+        """Every distance reversed: the metric itself when undirected."""
+        if not self.directed:
+            return self
         n = self.n
         table = tuple(tuple(row[u] for row in self.d) for u in range(n))
         ints = tuple(tuple(row[u] for row in self.ints) for u in range(n))

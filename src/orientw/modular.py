@@ -192,18 +192,18 @@ def assemble_walk(x: TwInstance, segments: List[Tuple[int, tuple]], held) -> Wal
 def dp_units(x: TwInstance, alpha: Fraction = ONE, times=()) -> Units:
     """The units one label loop runs in: distances, the budget, every window
     endpoint, the extra times (block bounds) and every sum of them are
-    whole, and rewards are whole over the lcm of their denominators, times
-    alpha's so that each reward claimed at alpha times its value is too.
+    whole, and rewards are whole in the view's rscale, times alpha's
+    denominator so that each reward claimed at alpha times its value is.
     They start from x's view (instance._view), whose Units make all but the
     extra times whole; only an extra time whose denominator does not divide
     the view's tscale (never a block of identical or zero-length windows)
-    calls for new ones.  Within one solve (memo._kept) these are the
-    solve's first Units of equal scales and table, the object
-    exit_staircases keys on."""
+    widens it.  Within one solve (memo._kept) these are the solve's first
+    Units of equal scales and table, the object exit_staircases keys on."""
     units = _view(x)[0]
     if any(units.tscale % t.denominator for t in times):
         # 1 / tscale keeps every time the view makes whole
-        units = units_for(x.metric, [Fraction(1, units.tscale)] + list(times), x.rewards)
+        wider = units_for(x.metric, [Fraction(1, units.tscale)] + list(times), ())
+        units = Units(wider.tscale, units.rscale, wider.table)
     units = Units(units.tscale, units.rscale * alpha.denominator, units.table)
     return _kept(("units", units.tscale, units.rscale, tuple(units.table)), (), lambda: units)
 

@@ -12,14 +12,14 @@ a time t enters as t.numerator * (scale // t.denominator) once scale is a
 multiple of t.denominator, and rewards likewise over the lcm of their
 denominators.  Units holds both scales and the distances in time units
 (units_for builds it).  Times enter units in three places: a public
-oracle query once (oracles._answer); an instance once per solve, in its
-integer view (instance._view; a derived one's is built from its parent's
-by instance._derived), which walk scoring, the window statistics,
-the solvers' splits and reach bound and the block and release-group checks
-read, and where each chain DP's units start (modular.dp_units), its
-oracles and labels then staying in those units; and a walk with explicit
-times, or a DP whose block bounds the view's scale does not cover, which
-builds its own.  Outside a solve a view is built per call.
+oracle query once (oracles._answer); an instance once, in the integer view
+it holds (instance._view; a derived one's is derived from its parent's, in
+the parent's scales, by instance._derived), which walk scoring, the window
+statistics, the solvers' splits and reach bound and the block and
+release-group checks read, and where each chain DP's units start
+(modular.dp_units), its oracles and labels then staying in those units;
+and a walk with explicit times, or a DP whose block bounds the view's
+scale does not cover, which builds its own.
 """
 
 from __future__ import annotations

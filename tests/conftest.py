@@ -22,7 +22,10 @@ solver_runs records the solvers that a solve_auto call runs, with the
 instance each solves.  ref_window_stats, ref_length_split,
 ref_reach, ref_blocks_from_identical_windows, ref_verify_modular and
 ref_release_groups are the Fraction referees of the functions that read an
-instance's integer view (instance._view).
+instance's integer view (instance._view), and assert_fresh_view holds a
+view, built or derived, to a fresh one by value.  ref_band_split is the
+referee of free-general's split (decompose.band_family): the band split as
+solve_free_general built it before, one drop_vertices per band.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE, INF, WAIT, Deadli
                      InfeasibleInstanceError, Metric, ModularBlock, ModularPartition,
                      OrienteeringOracle, OrienteeringQuery, PreconditionError, SolveReport,
                      TimeWindow, TwInstance, WalkResult, WalkSolution, WindowStats,
-                     best_orienteering_walk, evaluate_walk, metric_closure, walk_from_claims)
-from orientw.instance import ANCHORED, FREE, START_ONLY, repair_by_insertion
+                     best_orienteering_walk, drop_vertices, evaluate_walk, metric_closure,
+                     walk_from_claims, window_stats)
+from orientw.instance import ANCHORED, FREE, START_ONLY, _scoring, repair_by_insertion
 from orientw.memo import _one_solve
 from orientw.modular import DpResult
 from orientw.oracles import INFEASIBLE_RESULT, _result_better, earliest_limits
@@ -760,3 +764,35 @@ def ref_release_groups(x: TwInstance) -> list:
             raise PreconditionError(
                 "windows released at %s overrun the next release" % out[i][0])
     return out
+
+
+def view_in_fractions(view) -> tuple:
+    """A view's (release, deadline, reward) per vertex and its distances
+    as Fractions: equal for two views of one instance, whatever their
+    scales."""
+    units, span = view
+    tscale, rscale = units.tscale, units.rscale
+    return ([(F(r, tscale), F(d, tscale), F(g, rscale)) for (r, d, g) in span],
+            [[None if d is None else F(d, tscale) for d in row] for row in units.table])
+
+
+def assert_fresh_view(x: TwInstance, view):
+    """view's scales make x's metric and budget whole, and view equals a
+    fresh _scoring(x, []) by value: every window, reward and distance."""
+    units = view[0]
+    assert units.tscale % x.metric.scale == 0
+    assert (x.budget * units.tscale).denominator == 1
+    assert view_in_fractions(view) == view_in_fractions(_scoring(x, []))
+
+
+def ref_band_split(x: TwInstance) -> list:
+    """(label, version) per band of free-general's split, as
+    solve_free_general built it before decompose.band_family: band j holds
+    the positive-reward vertices whose window length is 2**j to 2**(j+1)
+    times the shortest, and its version drops every other vertex.  x has
+    no positive-reward zero-length window."""
+    l_min = window_stats(x).l_min
+    bands = {}
+    for v in x.positive_vertices():
+        bands.setdefault(floor_log2(x.windows[v].length / l_min), []).append(v)
+    return [("band%d" % j, drop_vertices(x, set(bands[j]))) for j in sorted(bands)]

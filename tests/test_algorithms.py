@@ -290,6 +290,32 @@ def test_every_composed_solver_adds_the_z_version(name, s, t):
     assert rep.walk.reward * rep.bound >= _opt(x)
 
 
+@pytest.mark.parametrize("name, s, t", [
+    ("integer-endpoints", 0, 5), ("l2", 0, 5), ("general", 0, 5),
+    ("free-l2", None, None), ("free-general", None, None)])
+def test_a_split_takes_x_itself_unless_a_window_is_a_fixed_instant(monkeypatch, name, s, t):
+    # _compose copies x for its split only to drop the fixed instants
+    split_on = []
+    real = algorithms._compose
+
+    def recording(label, x, split, solve_version):
+        def spying(xp):
+            split_on.append((x, xp))
+            return split(xp)
+        return real(label, x, spying, solve_version)
+
+    monkeypatch.setattr(algorithms, "_compose", recording)
+    x = _fixed_instants_among_windows(s, t)
+    for y in (x, restrict(x, {1: None, 3: None})):
+        split_on.clear()
+        ALGORITHMS[name](y)
+        assert split_on[0][0] is y and (split_on[0][1] is y) == (y is not x)
+        for (z, zp) in split_on:
+            zero = algorithms._length_split(z)[0]
+            assert (zp is z) == (not zero)
+            assert zp == restrict(z, {v: None for v in zero})
+
+
 def test_integer_endpoints_accepts_a_fractional_fixed_instant():
     # only positive-length windows need integral endpoints; vertex 1's
     # instant 3/2 goes to the exact "Z" version

@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orientw import (PreconditionError, TimeWindow, brute_force_opt,
-                     dyadic_family, dyadic_partition, evaluate_walk,
-                     five_split, solve_auto, three_split_ceil, three_split_floor)
+                     dyadic_family, dyadic_partition, evaluate_walk, five_split,
+                     restrict, solve_auto, three_split_ceil, three_split_floor)
+from orientw.algorithms import _length_split
+from orientw.decompose import band_family
 from orientw.generate import generate_instance
+from orientw.instance import _view
 
-from conftest import build_instance, line4_instance, line_metric, window
+from conftest import (assert_fresh_view, build_instance, line4_instance, line_metric,
+                      ref_band_split, view_in_fractions, window)
 
 
 def _pieces(parts):
@@ -338,3 +342,35 @@ def test_derived_windows_skip_the_window_check(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(PreconditionError, match="exceeds deadline"):
         TimeWindow(3, 1)
+
+
+# ----- the band family ---------------------------------------------------------
+
+def test_band_family_matches_the_band_split_referee():
+    # free-general's split, a cut rule on the skeleton, against the drop
+    # split it replaced: the same labels, windows, rewards and views by value
+    bands = []
+    for n in range(5, 21):
+        for integral in (True, False):
+            for l_high in (F(2), F(8)):
+                x = generate_instance("random-metric", n, n, mode="free", integral=integral,
+                                      l_high=l_high)
+                zero, _pos = _length_split(x)
+                xp = restrict(x, {v: None for v in zero}) if zero else x
+                family = band_family(xp)
+                assert family.base is xp and family.scale == 1
+                got, want = family.versions, ref_band_split(xp)
+                assert [label for (label, _y) in got] == [label for (label, _y) in want]
+                for (label, y), (_label, ref) in zip(got, want):
+                    assert (y.windows, y.rewards) == (ref.windows, ref.rewards), (n, label)
+                    assert view_in_fractions(_view(y)) == view_in_fractions(_view(ref))
+                    assert_fresh_view(y, _view(y))
+                bands.append(len(got))
+    assert min(bands) == 1 and max(bands) >= 3
+
+
+def test_band_family_refuses_without_a_positive_length_window():
+    x = line4_instance(windows=(window(0, 5), window(1, 1), window(2, 2), window(0, 5)),
+                       rewards=(F(0), F(1), F(1), F(0)))
+    with pytest.raises(PreconditionError, match="no positive-length windows"):
+        band_family(x)

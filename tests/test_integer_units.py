@@ -38,8 +38,8 @@ from orientw.modular import dp_units
 from orientw.oracles import INFEASIBLE_RESULT, WalkResult, exact_deadline, exact_orienteering
 from orientw.rational import floor_log2
 
-from conftest import (exact_profile, line4_instance, ref_deadline_reward, ref_duration,
-                      ref_evaluate_walk, ref_pareto, ref_reward, window)
+from conftest import (assert_fresh_view, exact_profile, line4_instance, ref_deadline_reward,
+                      ref_duration, ref_evaluate_walk, ref_pareto, ref_reward, window)
 
 DENOMINATORS = (1, 3, 7, 2)  # edge weights such as 1/3, 1/7 and 5/2
 ODD_DENOMINATORS = (11, 13)  # never divide an edge scale built from DENOMINATORS
@@ -421,14 +421,24 @@ def test_evaluate_walk_matches_the_fraction_referee_on_seeded_instances(mode, in
     assert feasible > 300
 
 
-def _view_keys() -> list:
-    return [key for key in memo._MEMO.get() if key[0] == "view"]
+@pytest.fixture
+def scored(monkeypatch) -> list:
+    """The instances instance._scoring scores, in order, one per call."""
+    built = []
+    real = instance._scoring
+
+    def counting(x, times):
+        built.append(x)
+        return real(x, times)
+
+    monkeypatch.setattr(instance, "_scoring", counting)
+    return built
 
 
-def test_one_solve_scores_instances_sharing_windows_by_their_own_budget():
+def test_one_solve_scores_instances_sharing_windows_by_their_own_budget(scored):
     # three instances share the metric, windows and rewards objects and
-    # differ in budget, one of them in thirds; their one view entry is
-    # rebuilt whenever the budget it was built for differs
+    # differ in budget, one of them in thirds; each is scored once, on its
+    # first untimed walk, for its own budget
     x = line4_instance(budget=F(4), windows=(window(0, 4), window(1, 2), window(2, 3),
                                              window(0, 4)))
     budgets = (F(4), F(5), F(13, 3))
@@ -446,22 +456,22 @@ def test_one_solve_scores_instances_sharing_windows_by_their_own_budget():
             for i, y in enumerate(versions):
                 for j, order in enumerate(orders):
                     assert evaluate_walk(y, order) == expected[(i, j)], (budgets[i], order)
-        assert len(_view_keys()) == 1
+    assert scored == versions
+    assert [instance._view(y)[0].tscale for y in versions] == [1, 1, 3]
 
 
 @pytest.mark.parametrize("mode", [ANCHORED, START_ONLY, FREE])
-def test_one_solve_keeps_one_scoring_table_per_metric_windows_and_rewards(monkeypatch, mode):
-    # every instance whose view is read inside the solve, by every module
-    # that reads it: one entry per (metric, windows, rewards) triple, built
-    # for the budget of the instance that reads it, equal to a fresh one
+def test_one_solve_keeps_one_scoring_table_per_metric_windows_and_rewards(monkeypatch, scored,
+                                                                         mode):
+    # one solve scores one table, the solved instance's, and a second
+    # solve scores none: every other instance whose view is read inside
+    # the solve, by every module that reads it, whatever its metric,
+    # windows and rewards, derives its view, equal to a fresh one by value
     read = []
 
     def recording(x):
         view = real(x)
-        key = ("view", id(x.metric), id(x.windows), id(x.rewards))
-        assert memo._MEMO.get()[key][1] == x.budget
-        units, span = instance._scoring(x, [])
-        assert (view[0].tscale, view[0].rscale, view[1]) == (units.tscale, units.rscale, span)
+        assert_fresh_view(x, view)
         read.append(x)
         return view
 
@@ -471,15 +481,11 @@ def test_one_solve_keeps_one_scoring_table_per_metric_windows_and_rewards(monkey
     for seed in range(3):
         x = generate_instance("random-metric", 8, seed, mode=mode, integral=seed % 2 == 0)
         read.clear()
-        token = memo._MEMO.set({})
-        try:
-            solve_auto(x)
-            keys = _view_keys()
-        finally:
-            memo._MEMO.reset(token)
-        distinct = {(id(y.metric), id(y.windows), id(y.rewards)) for y in read}
-        assert len(read) > len(distinct) > 1
-        assert sorted(keys) == sorted(("view",) + triple for triple in distinct)
+        scored.clear()
+        report = solve_auto(x)
+        assert solve_auto(x) == report
+        assert scored == [x]
+        assert len(read) > len({id(y) for y in read}) > 1
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -4,11 +4,13 @@ replaced.
 window_stats, algorithms._length_split and _reach, and modular's
 blocks_from_identical_windows, verify_modular and _release_groups read the
 view, which holds the instance's Units and each vertex's (release,
-deadline, reward) as ints, one per metric, windows and rewards object per
-solve.  Each is held to its Fraction referee in conftest (ref_*), results,
+deadline, reward) as ints, one per instance: built on first read, or
+derived from the parent's by the transform that made the instance.  Each
+reader is held to its Fraction referee in conftest (ref_*), results,
 messages and refusal texts included, outside a solve and inside one, on
-every instance the solvers read a view for.  Block bounds off the view's
-scale go through verify_modular and solve_reward_indexed, whose DP units
+every instance the solvers read a view for, and every view to a fresh one
+by value (assert_fresh_view).  Block bounds off the view's scale go
+through verify_modular and solve_reward_indexed, whose DP units
 (modular.dp_units) then leave the view's.  Once a view is built, none of
 these readers compares Fractions: verify_modular cross-multiplies a
 block's bounds as integer pairs.
@@ -25,17 +27,18 @@ import orientw.algorithms as algorithms
 import orientw.instance as instance
 import orientw.memo as memo
 import orientw.modular as modular
-from orientw import (ContainmentError, EXACT_DEADLINE, EXACT_ORACLE, ModularBlock,
+from orientw import (ALGORITHMS, ContainmentError, EXACT_DEADLINE, EXACT_ORACLE, ModularBlock,
                      ModularPartition, PreconditionError, TimeWindow, TwInstance, brute_force_opt,
-                     drop_vertices, five_split, restrict, scale_times, solve_auto, time_reversed,
-                     window_stats)
+                     drop_vertices, five_split, restrict, run_algorithm, scale_times, solve_auto,
+                     time_reversed, window_stats)
 from orientw.algorithms import _length_split, _reach, _with_sink
 from orientw.generate import generate_instance
-from orientw.instance import ANCHORED, FREE, START_ONLY, _view
+from orientw.instance import ANCHORED, FREE, START_ONLY, _derived, _view
 from orientw.modular import (_release_group_solve, _release_groups, blocks_from_identical_windows,
                              dp_units, solve_reward_indexed, verify_modular)
 
-from conftest import (line4_instance, line_metric, ref_blocks_from_identical_windows,
+from conftest import (assert_fresh_view, line4_instance, line_metric,
+                      ref_blocks_from_identical_windows,
                       ref_length_split, ref_reach, ref_release_groups, ref_verify_modular,
                       ref_window_stats, window)
 
@@ -257,23 +260,14 @@ def test_verify_modular_checks_each_block_on_integers(comparisons):
 
 # ----- derived views -------------------------------------------------------------
 
-def _full(view) -> tuple:
-    units, span = view
-    return units.tscale, units.rscale, [tuple(row) for row in units.table], span
-
-
-def _kept_view(y):
-    """y's view as the solve's memo holds it, or None."""
-    hit = memo._MEMO.get().get(("view", id(y.metric), id(y.windows), id(y.rewards)))
-    return None if hit is None else hit[2]
-
-
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("integral", [True, False])
 @pytest.mark.parametrize("mode", [ANCHORED, START_ONLY, FREE])
 def test_every_view_a_solve_reads_equals_a_fresh_one(monkeypatch, mode, integral, shape):
-    # derived from a parent's view (instance._derived) or built when read,
-    # every view solve_auto reads has _scoring's scales, table and span
+    # derived from a parent's view (instance._derived), every view that
+    # solve_auto and each solver run on x read makes its instance's times
+    # whole and equals _scoring's by value; only x's own view is scored,
+    # once over all of them and a second solve_auto
     x = generate_instance("random-metric", seed=1, mode=mode, integral=integral, **SHAPES[shape])
     real_view, real_scoring = instance._view, instance._scoring
     checked, built = {}, []
@@ -282,7 +276,7 @@ def test_every_view_a_solve_reads_equals_a_fresh_one(monkeypatch, mode, integral
         view = real_view(y)
         if id(y) not in checked:
             checked[id(y)] = y
-            assert _full(view) == _full(real_scoring(y, [])), (mode, integral, shape)
+            assert_fresh_view(y, view)
         return view
 
     def counting(y, times):
@@ -294,15 +288,10 @@ def test_every_view_a_solve_reads_equals_a_fresh_one(monkeypatch, mode, integral
         for module in (instance, modular, algorithms):
             patched.setattr(module, "_view", recording)
         report = solve_auto(x)
-    assert report == solve_auto(x)
-    distinct = {(id(y.metric), id(y.windows), id(y.rewards)) for y in checked.values()}
-    # only x's own view and those off their parent's scale are built: the
-    # anchored splits cut on the integers of their scaled base, the free
-    # split (shifted_five_split) on its half-grid
-    if mode == FREE:
-        assert 1 <= len(built) < len(distinct)
-    else:
-        assert built == [x] and len(distinct) > 5
+        for name in sorted(ALGORITHMS):
+            _outcome(run_algorithm, name, x)
+        assert built == [x] and len(checked) > 5
+        assert solve_auto(x) == report and built == [x]
 
 
 def _halves_instance():
@@ -312,21 +301,23 @@ def _halves_instance():
                           windows=(window(0, 5), window(1, 2), window(2, 4), window(0, 5)))
 
 
-def test_views_off_the_parent_scale_are_built_when_read():
+def test_views_off_the_parent_scale_widen_its_scales():
+    # a derived view keeps its parent's scales, widened only by a new
+    # window's denominator: the half-grid pieces of an integral instance go
+    # to halves, a piece in sevenths to sevenths, and one in sevenths of a
+    # half-grid version to fourteenths
     x = _halves_instance()
-    with memo._one_solve():
-        assert _view(x)[0].tscale == 1
-        halves = [ver for (_label, ver) in five_split(x).versions]
-        seventh = restrict(x, {1: TimeWindow(F(8, 7), F(2))})
-        whole = restrict(x, {2: window(3, 4)})
-        # off x's scale no view is derived, and the one built when read is fresh
-        for y in halves + [seventh]:
-            assert _kept_view(y) is None
-            assert _full(_view(y)) == _full(instance._scoring(y, []))
-        assert [_view(y)[0].tscale for y in halves] == [2] * len(halves)
-        assert _view(seventh)[0].tscale == 7
-        # on it, the derived view is kept before anyone reads it
-        assert _full(_kept_view(whole)) == _full(instance._scoring(whole, []))
+    assert (_view(x)[0].tscale, _view(x)[0].rscale) == (1, 1)
+    halves = [ver for (_label, ver) in five_split(x).versions]
+    seventh = restrict(x, {1: TimeWindow(F(8, 7), F(2))})
+    whole = restrict(x, {2: window(3, 4)})
+    both = restrict(halves[0], {2: TimeWindow(F(15, 7), F(5, 2))})
+    for y in halves + [seventh, whole, both]:
+        assert y._integer_view is not None
+        assert_fresh_view(y, _view(y))
+    assert [_view(y)[0].tscale for y in halves] == [2] * len(halves)
+    assert [_view(y)[0].tscale for y in (seventh, whole, both)] == [7, 1, 14]
+    assert {_view(y)[0].rscale for y in halves + [seventh, whole, both]} == {1}
 
 
 @pytest.mark.parametrize("opened", [False, True])
@@ -356,50 +347,89 @@ def test_containment_is_refused_with_the_fraction_text(opened):
 
 def _mixed_instance():
     """line4 with windows in thirds and quarters and rewards in halves and
-    thirds, so the transforms can both keep and cut each scale."""
+    thirds, so the transforms can keep each scale where a fresh view would
+    cut it."""
     return line4_instance(budget=F(6), rewards=(F(0), F(1, 2), F(2, 3), F(1)),
                           windows=(window(0, 6), TimeWindow(F(1, 3), F(8, 3)),
                                    TimeWindow(F(3, 4), F(5)), window(1, 6)))
 
 
 def test_each_transform_derives_the_view_it_builds():
+    # with or without an open solve, each transform derives its output's
+    # view from x's, before anyone reads it: x's scales (12, 6), widened
+    # only by a scale's or a new window's denominator, never cut
     x = _mixed_instance()
     start_only = line4_instance(budget=F(6), t=None, windows=x.windows, rewards=x.rewards)
-    with memo._one_solve():
-        assert _full(_view(x))[:2] == (12, 6)
-        derived = {
-            "restrict": restrict(x, {1: TimeWindow(F(2, 3), F(7, 3)), 2: None}),
-            # the only thirds become whole, the only thirds in rewards go
-            "restrict, cut": restrict(x, {1: window(1, 2), 2: None}),
-            "drop": drop_vertices(x, {1, 3}),
-            "drop, cut": drop_vertices(x, {3}),
-            "scale 3/7": scale_times(x, F(3, 7)),
-            "scale 4": scale_times(x, F(4)),
-            "scale 1/12": scale_times(x, F(1, 12)),
-            "reversed": time_reversed(x),
-            "sink": _with_sink(start_only),
-        }
-        scales = {}
-        for name, y in derived.items():
-            view = _kept_view(y)
-            assert view is not None, name
-            assert _full(view) == _full(instance._scoring(y, [])), name
-            scales[name] = view[0].tscale, view[0].rscale
-    assert scales == {"restrict": (12, 2), "restrict, cut": (4, 2), "drop": (12, 2),
-                      "drop, cut": (12, 1), "scale 3/7": (28, 6), "scale 4": (3, 6),
-                      "scale 1/12": (144, 6), "reversed": (12, 6), "sink": (12, 6)}
-
-
-def test_no_view_is_derived_outside_a_solve(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a view derived outside a solve")
-
-    monkeypatch.setattr(instance, "_least", refuse)
-    x = _mixed_instance()
-    restrict(x, {1: window(1, 2), 2: None})
-    drop_vertices(x, {3})
-    scale_times(x, F(3, 7))
-    time_reversed(x)
-    _with_sink(line4_instance(t=None))
-    five_split(_halves_instance())
+    for opened in (False, True):
+        with memo._one_solve() if opened else nullcontext():
+            assert (_view(x)[0].tscale, _view(x)[0].rscale) == (12, 6)
+            derived = {
+                "restrict": restrict(x, {1: TimeWindow(F(2, 3), F(7, 3)), 2: None}),
+                "restrict, whole": restrict(x, {1: window(1, 2), 2: None}),
+                "restrict, sevenths": restrict(x, {1: TimeWindow(F(3, 7), F(2))}),
+                "drop": drop_vertices(x, {1, 3}),
+                "drop all but 3": drop_vertices(x, {3}),
+                "scale 3/7": scale_times(x, F(3, 7)),
+                "scale 4": scale_times(x, F(4)),
+                "scale 1/12": scale_times(x, F(1, 12)),
+                "reversed": time_reversed(x),
+                "sink": _with_sink(start_only),
+            }
+            scales = {}
+            for name, y in derived.items():
+                view = y._integer_view
+                assert view is not None, name
+                assert_fresh_view(y, view)
+                scales[name] = view[0].tscale, view[0].rscale
+        assert scales == {"restrict": (12, 6), "restrict, whole": (12, 6),
+                          "restrict, sevenths": (84, 6), "drop": (12, 6),
+                          "drop all but 3": (12, 6), "scale 3/7": (84, 6), "scale 4": (12, 6),
+                          "scale 1/12": (144, 6), "reversed": (12, 6), "sink": (12, 6)}, opened
     assert memo._MEMO.get() is None
+
+
+def test_time_reversal_keeps_an_undirected_metric_and_its_table():
+    # an undirected metric is its own transpose, so the reversed instance
+    # and its view keep x's; a directed one is still transposed
+    x = _mixed_instance()
+    assert not x.metric.directed
+    y = time_reversed(x)
+    assert y.metric is x.metric and _view(y)[0].table is _view(x)[0].table
+    directed = generate_instance("directed-random", 6, 1)
+    assert directed.metric.directed
+    z = time_reversed(directed)
+    assert z.metric is not directed.metric
+    assert z.metric.d == tuple(zip(*directed.metric.d)) != directed.metric.d
+    assert_fresh_view(z, _view(z))
+
+
+def test_a_view_not_derived_is_built_when_read(monkeypatch):
+    # _derived without derive, which only the tests call, leaves the view
+    # to its first read, which scores the instance once; every transform
+    # and the sink instance pass one
+    x = _mixed_instance()
+    y = _derived(x, budget=F(7))
+    assert y._integer_view is None
+    built = []
+    real_scoring, real_derived = instance._scoring, instance._derived
+
+    def counting(z, times):
+        built.append(z)
+        return real_scoring(z, times)
+
+    monkeypatch.setattr(instance, "_scoring", counting)
+    view = _view(y)
+    assert built == [y] and _view(y) is view
+    assert_fresh_view(y, view)
+
+    def deriving(z, derive=None, **changed):
+        assert derive is not None
+        return real_derived(z, derive, **changed)
+
+    for module in (instance, algorithms):
+        monkeypatch.setattr(module, "_derived", deriving)
+    for mode in (ANCHORED, START_ONLY, FREE):
+        for shape in SHAPES.values():
+            built.clear()
+            solve_auto(generate_instance("random-metric", seed=3, mode=mode, **shape))
+            assert len(built) == 1
