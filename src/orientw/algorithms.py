@@ -5,8 +5,9 @@ vertices form an exact "Z" version.  The positive-length windows are split
 into restricted versions whose optima together cover the original optimum,
 and each version is solved by a block DP from modular (over identical
 windows or release groups) or by another composed solver.  Each version's
-claims are evaluated back on the original instance and the best walk wins.
-The reported bound is the sum of the versions' ratios, which by the
+claims are evaluated back on the original instance and the best walk wins;
+a version whose reachable reward cannot beat the best walk so far is not
+solved, and counts at ratio 1.  The reported bound is the sum of the versions' ratios, which by the
 pigeonhole argument is a proven divisor: reward >= optimum / bound.  A
 solver only adds its precondition, its split and how it solves a version.
 solve_auto finishes every solver's walk with one step, an insertion repair
@@ -55,23 +56,29 @@ class SolveReport:
     proven worst-case divisor for this run: walk.reward >= optimum / bound
     whenever the supplied oracles honor their declared ratios.
     version_rewards are the proof's own accounting: each version's walk
-    evaluated on the original instance.
+    evaluated on the original instance, or None for a version that was not
+    solved because it could not beat the best walk before it (_compose).
+    bound_from names the solver whose bound is cited; it defaults to
+    algorithm.
 
     From solve_auto, walk is the kept solver's walk repaired by insertion,
     so its reward may exceed every version's; bound is the least of the
-    solvers run, so it may come from another solver than the one named in
-    algorithm and version_rewards; and optimal is True when the reward
+    solvers run, so bound_from may name another solver than the one named
+    in algorithm and version_rewards; and optimal is True when the reward
     meets the reachability bound of the caller's instance, which certifies
     it as the optimum.  Only solve_auto sets optimal.
     """
 
     algorithm: str
     walk: WalkSolution
-    version_rewards: tuple  # ((label, reward on the original instance), ...)
+    version_rewards: tuple  # ((label, reward on the original instance or None), ...)
     bound: Fraction
     optimal: bool = False
+    bound_from: Optional[str] = None
 
     def __post_init__(self):
+        if self.bound_from is None:
+            self.bound_from = self.algorithm
         # callers keep reports by the thousand: a report holds the live walk
         # equal to its own when there is one, and that walk's entry's version
         # rewards and bound when they equal its own
@@ -125,7 +132,10 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     (label, version) pairs, and
     solve_version(label, version) returns the version's claims and ratio.
     Every version's claims are evaluated on x: the first best walk wins and
-    the bound sums the ratios.  With no version at all the report is the
+    the bound sums the ratios.  A split version whose cap (_cap) is at most
+    the best reward so far is not solved: no walk of it could win, its
+    optimum is at most that best, so it counts at ratio 1, and its reward
+    in version_rewards is None.  With no version at all the report is the
     bare anchor walk at bound 1.  The split is built before the anchors
     are checked, so a split's refusal (a window ratio over 2, say) comes
     before an unreachable end anchor.  The whole recipe runs inside one
@@ -140,14 +150,21 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
 
     def versions():
         if z is not None:
-            yield "Z", _claims_of(zero_window_dp(z).walk), ONE
+            yield "Z", z, lambda: (_claims_of(zero_window_dp(z).walk), ONE)
         for (label, ver) in split_versions:
-            yield (label,) + solve_version(label, ver)
+            yield label, ver, partial(solve_version, label, ver)
 
     best: Optional[WalkSolution] = None
     rewards = []
     bound = ZERO
-    for (label, claims, ratio) in versions():
+    for (label, ver, solve) in versions():
+        if best is not None and _cap(x, ver) <= best.reward:
+            # OPT(ver) <= _cap <= best: the version counts at ratio 1, and
+            # its walk, no better than the best, could never be kept
+            rewards.append((label, None))
+            bound += ONE
+            continue
+        claims, ratio = solve()
         sol = assemble_walk(x, [(0, claims)] if claims else [], [claims])
         rewards.append((label, sol.reward))
         bound += ratio
@@ -354,10 +371,17 @@ def _reach(x: TwInstance) -> Fraction:
     max(d[s][v], R(v)) + d[v][t] <= budget; a start-only walk then always
     ends in time, because R(v) <= D(v) <= budget.  On a free instance every
     positive reward counts.  Summed on x's view (instance._view)."""
+    return Fraction(sum(g for (_v, g) in _reachable(x)), _view(x)[0].rscale)
+
+
+def _reachable(x: TwInstance):
+    """Yield (v, reward in x's view's rscale) for every vertex that _reach
+    counts."""
     units, span = _view(x)
     if x.s is None:
-        return Fraction(sum(g for (_r, _d, g) in span), units.rscale)
-    table, budget, total = units.table, units.time(x.budget), 0
+        yield from ((v, g) for v, (_r, _d, g) in enumerate(span) if g)
+        return
+    table, budget = units.table, units.time(x.budget)
     for v, (r, d, g) in enumerate(span):
         leg = table[x.s][v]
         if not g or leg is None or leg > d:
@@ -366,8 +390,18 @@ def _reach(x: TwInstance) -> Fraction:
             back = table[v][x.t]
             if back is None or max(leg, r) + back > budget:
                 continue
-        total += g
-    return Fraction(total, units.rscale)
+        yield v, g
+
+
+def _cap(x: TwInstance, ver: TwInstance) -> Fraction:
+    """A bound on the reward, on x, of any walk _compose assembles from a
+    version ver of x: the reward of ver's vertices that _reach(ver) counts,
+    x's anchors aside, plus x's anchor rewards.  Every claim of a version
+    walk is such a vertex, with x's reward, and an anchor is the only other
+    vertex assemble_walk can collect.  So OPT(ver) <= _reach(ver) <= _cap."""
+    anchors = {x.s, x.t} - {None}
+    claims = sum(g for (v, g) in _reachable(ver) if v not in anchors)
+    return Fraction(claims, _view(ver)[0].rscale) + sum(x.rewards[a] for a in anchors)
 
 
 def _keep_best(x: TwInstance, tries) -> SolveReport:
@@ -381,13 +415,14 @@ def _keep_best(x: TwInstance, tries) -> SolveReport:
 
     The repair only adds reward, so the kept walk earns at least each run
     report's walk, and every run report's bound holds for it: the kept
-    report cites the least.  _reach(x) bounds every reward: once the best
-    meets it no later attempt can beat it, so none is run, and the kept
-    report is marked optimal exactly when its reward meets it."""
+    report cites the least, the first run's on a tie, and names its solver
+    in bound_from.  _reach(x) bounds every reward: once the best meets it
+    no later attempt can beat it, so none is run, and the kept report is
+    marked optimal exactly when its reward meets it."""
     ceiling = _reach(x)
     end = -1 if x.mode == START_ONLY else None
     best: Optional[Tuple[SolveReport, WalkSolution]] = None
-    bound = None
+    bound = cited = None
     refusals = []
     for (name, attempt) in tries:
         try:
@@ -395,7 +430,8 @@ def _keep_best(x: TwInstance, tries) -> SolveReport:
         except PreconditionError as exc:
             refusals.append("%s: %s" % (name, exc))
             continue
-        bound = rep.bound if bound is None else min(bound, rep.bound)
+        if bound is None or rep.bound < bound:
+            bound, cited = rep.bound, name
         walk = repair_by_insertion(x, [(v, c) for (v, _t, c) in rep.walk.schedule[:end]])
         if best is None or walk.reward > best[1].reward:
             best = (rep, walk)
@@ -404,7 +440,8 @@ def _keep_best(x: TwInstance, tries) -> SolveReport:
     if best is None:
         raise PreconditionError("every solver refused (%s)" % "; ".join(refusals))
     rep, walk = best
-    return SolveReport(rep.algorithm, walk, rep.version_rewards, bound, walk.reward == ceiling)
+    return SolveReport(rep.algorithm, walk, rep.version_rewards, bound, walk.reward == ceiling,
+                       cited)
 
 
 @_one_solve()

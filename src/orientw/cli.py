@@ -122,10 +122,16 @@ def _cmd_solve(args) -> int:
         "beta: %d" % report.beta,
     ]
     if report.version_rewards:
-        parts = ["%s=%s" % (label, reward) for label, reward in report.version_rewards]
+        parts = ["%s=%s" % (label, "skipped" if reward is None else reward)
+                 for label, reward in report.version_rewards]
         lines.append("versions: %s" % ",".join(parts))
     # only solve_auto checks the reward against the reachability bound
     lines.append("optimal: %s" % ("yes" if report.optimal else "unknown"))
+    lines.append("bound from: %s" % report.bound_from)
+    # the bound is a proof only when every oracle honors its declared ratio
+    unproven = [o.spec.name for o in (oracle, dl) if not o.spec.guaranteed]
+    lines.append("proven: %s" % ("no (%s not guaranteed)" % ", ".join(unproven)
+                                 if unproven else "yes"))
     lines.extend(_walk_lines(report.walk))
     _emit("\n".join(lines), args.out)
     return 0

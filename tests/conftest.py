@@ -16,8 +16,12 @@ push filtered, appended and sorted.  ref_solve_auto is the referee of
 solve_auto's one finishing step, the insertion repair of every solver's
 walk (algorithms._keep_best): solve_auto as it ran before, which kept the
 best solver report unrepaired (ref_keep_best) and repaired a start-only
-walk alone.  ref_fan_out is the referee of the start-only solve: one
-unrepaired anchored solve per reachable end vertex, the best kept; and
+walk alone.  ref_compose is the referee of the composition recipe
+(algorithms._compose), which skips a version that cannot beat the best
+walk before it: the recipe as it ran before, every version solved, with
+ref_cap, the Fraction referee of each version's cap.  ref_fan_out is the
+referee of the start-only solve: one unrepaired anchored solve per
+reachable end vertex, the best kept; and
 solver_runs records the solvers that a solve_auto call runs, with the
 instance each solves.  ref_window_stats, ref_length_split,
 ref_reach, ref_blocks_from_identical_windows, ref_verify_modular and
@@ -44,7 +48,8 @@ from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE, INF, WAIT, Deadli
                      TimeWindow, TwInstance, WalkResult, WalkSolution, WindowStats,
                      best_orienteering_walk, drop_vertices, evaluate_walk, metric_closure,
                      walk_from_claims, window_stats)
-from orientw.instance import ANCHORED, FREE, START_ONLY, _scoring, repair_by_insertion
+from orientw.instance import (ANCHORED, FREE, START_ONLY, _scoring, ensure_reachable_anchors,
+                              repair_by_insertion, restrict)
 from orientw.memo import _one_solve
 from orientw.modular import DpResult
 from orientw.oracles import INFEASIBLE_RESULT, _result_better, earliest_limits
@@ -612,6 +617,52 @@ def ref_solve_auto(x: TwInstance, oracle=EXACT_ORACLE, deadline_oracle=EXACT_DEA
                               for name in names), algorithms._reach(x))
 
 
+# ----- the compose that solves every version, referee of the skip ----------
+
+def ref_cap(x: TwInstance, ver: TwInstance) -> F:
+    """algorithms._cap: what ver's reachable vertices other than x's anchors
+    earn, plus x's anchor rewards."""
+    anchors = {x.s, x.t} - {None}
+    return ref_reach(ver, anchors) + sum((x.rewards[a] for a in anchors), ZERO)
+
+
+@_one_solve()
+def ref_compose(name: str, x: TwInstance, split, solve_version, trail=None) -> SolveReport:
+    """algorithms._compose as it ran before a version could be skipped:
+    every version is solved and counted at its own ratio.  When trail is a
+    list, the call appends (name, x, ((label, version, reward, ref_cap),
+    ...)) to it as it returns, so an outer call's record follows its inner
+    ones'."""
+    zero, pos = ref_length_split(x)
+    z = restrict(x, dict.fromkeys(pos)) if zero else None
+    xp = restrict(x, dict.fromkeys(zero)) if zero and pos else x
+    split_versions = tuple(split(xp)) if pos else ()
+    ensure_reachable_anchors(x)
+
+    def claims_of(walk):
+        return tuple(v for (v, _t, c) in walk.schedule if c)
+
+    def versions():
+        if z is not None:
+            yield "Z", z, claims_of(algorithms.zero_window_dp(z).walk), F(1)
+        for (label, ver) in split_versions:
+            yield (label, ver) + solve_version(label, ver)
+
+    best, records, bound = None, [], ZERO
+    for (label, ver, claims, ratio) in versions():
+        sol = modular.assemble_walk(x, [(0, claims)] if claims else [], [claims])
+        records.append((label, ver, sol.reward, ref_cap(x, ver)))
+        bound += ratio
+        if best is None or sol.reward > best.reward:
+            best = sol
+    if best is None:
+        best = modular.assemble_walk(x, [], [])
+        bound = F(1)
+    if trail is not None:
+        trail.append((name, x, tuple(records)))
+    return SolveReport(name, best, tuple((label, r) for (label, _v, r, _c) in records), bound)
+
+
 # ----- the solver runs of a solve_auto call ----------------------------------
 
 def solver_runs(monkeypatch) -> list:
@@ -688,12 +739,15 @@ def ref_length_split(x: TwInstance) -> Tuple[list, list]:
     return zero, pos
 
 
-def ref_reach(x: TwInstance) -> F:
+def ref_reach(x: TwInstance, skip=()) -> F:
+    """algorithms._reach, the vertices of skip left out."""
     if x.s is None:
-        return sum(x.rewards, ZERO)
+        return sum((r for v, r in enumerate(x.rewards) if v not in skip), ZERO)
     d = x.metric.d
     total = ZERO
     for v in x.positive_vertices():
+        if v in skip:
+            continue
         leg = d[x.s][v]
         w = x.windows[v]
         if not is_finite(leg) or leg > w.deadline:

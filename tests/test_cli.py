@@ -292,6 +292,33 @@ def test_solve_auto_from_file_and_l2_refusal(tmp_path):
     assert "error:" in bad.stderr
 
 
+def test_solve_names_skipped_versions_the_cited_solver_and_the_proof(tmp_path):
+    # README's session: l2's B3 cannot beat B1's walk, so it is skipped
+    demo = tmp_path / "demo.json"
+    _run("gen", "--family", "line", "--n", "5", "--seed", "7", "--out", str(demo))
+    r = _run("solve", str(demo))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[:8] == [
+        "algorithm: l2", "reward: 3", "bound: 2", "beta: 2", "versions: B1=3,B3=skipped",
+        "optimal: yes", "bound from: l2", "proven: yes"]
+    # on greedy and layered, integer-endpoints' walk is kept at l2's bound,
+    # and neither oracle declares a proven ratio
+    big = tmp_path / "int30.json"
+    _run("gen", "--n", "30", "--seed", "3", "--horizon", "20", "--l-low", "8",
+         "--l-high", "16", "--integral", "--out", str(big))
+    r = _run("solve", str(big), "--oracle", "greedy", "--deadline-oracle", "layered")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "algorithm: integer-endpoints" and lines[2] == "bound: 2"
+    assert "B2_0=skipped" in lines[4]
+    assert lines[6:8] == ["bound from: l2", "proven: no (greedy, layered not guaranteed)"]
+    # a solver run alone cites its own bound
+    r = _run("solve", str(demo), "--algorithm", "general", "--deadline-oracle", "layered")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[6:8] == ["bound from: general",
+                                          "proven: no (layered not guaranteed)"]
+
+
 def test_directed_family_is_actually_asymmetric():
     from orientw.generate import generate_instance
     found = False

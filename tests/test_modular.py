@@ -493,7 +493,10 @@ def test_label_loop_matches_the_copy_everything_referee(monkeypatch, mode, integ
     if heuristic:
         kwargs = dict(oracle=GREEDY_ORACLE, deadline_oracle=layered_deadline_oracle(GREEDY_ORACLE))
     real, loops, labels = modular._label_loop, 0, 0
-    for seed in range(7):
+    # twelve seeds: a version that cannot beat the best walk before it runs
+    # no label loop (algorithms._compose), and seven read as few as 24 loops
+    # and 229 labels
+    for seed in range(12):
         # many small blocks, then a few wide ones with frontiers of up to 36 labels
         for x in (generate_instance("random-metric", 8, seed, mode=mode, integral=integral),
                   generate_instance("random-metric", 6, seed, mode=mode, integral=integral,
@@ -512,7 +515,8 @@ def test_label_loop_matches_the_referee_on_sparse_versions(monkeypatch, mode, in
     # again and again at the same (u, e), which the loop enters once per
     # reward it improves on and the referee enters every time
     real, loops = modular._label_loop, 0
-    for seed in range(6):
+    # eight seeds: with skipped versions, six read 17-19 loops on the quarter grid
+    for seed in range(8):
         x = generate_instance("random-metric", 20, seed, mode=mode, integral=integral)
         got = _label_loop_runs(monkeypatch, real, x, {})
         assert got == _label_loop_runs(monkeypatch, ref_label_loop, x, {}), seed

@@ -51,22 +51,27 @@ def _counting_oracles():
 
 
 # (solver, mode, integral, n, seed, kinds of entry searched): the anchored
-# solve runs l2 and general, since integer-endpoints refuses its quarter
-# grid, and they share 12 of their release-group entries; before the memo,
-# the free solve searched 6 of its 12 block entries two or three times, and
-# general alone each of its 15 release-group entries twice, once per inner
-# l2 solve.
+# solve runs integer-endpoints, whose versions share 2 block entries, then
+# l2's release groups; the quarter-grid anchored solve runs l2 and general,
+# since integer-endpoints refuses its grid, and they share 10 release-group
+# entries, but no block: each version of unit cells there has a cap no
+# higher than the best walk before it, so it is skipped
+# (algorithms._compose).  Before the memo, the free solve searched 6 of its
+# 12 block entries two or three times, and general alone each of its 15
+# release-group entries twice, once per inner l2 solve.
 # Every DP of the rebuilt-table case runs at a tscale other than the
 # metric's, so each builds its own table; only units shared by content
 # (modular.dp_units) keep its 6 entries from being searched 6 times each.
-CASES = [(solve_auto, "anchored", False, 12, 2, {"block", "group"}),
+CASES = [(solve_auto, "anchored", True, 12, 9, {"block", "group"}),
+         (solve_auto, "anchored", False, 12, 2, {"group"}),
          (solve_auto, "free", False, 6, 3, {"block"}),
          (solve_general, "anchored", True, 10, 3, {"group"}),
          (solve_auto, "free", False, 6, 4, {"block"})]
 
 
 @pytest.mark.parametrize("solver, mode, integral, n, seed, kinds", CASES,
-                         ids=["anchored", "free", "general-alone", "rebuilt-table"])
+                         ids=["anchored", "anchored-quarter", "free", "general-alone",
+                              "rebuilt-table"])
 def test_each_entry_is_searched_once_per_solve(solver, mode, integral, n, seed, kinds):
     x = generate_instance("random-metric", n, seed, mode=mode, integral=integral, **DENSE)
     seen, oracle, deadline_oracle = _counting_oracles()
@@ -179,8 +184,10 @@ def test_a_refused_entry_is_searched_once_per_solve(seed):
 # start-only records moved, none lower, when a start-only solve became one
 # sink solve and an insertion repair, and its records of every mode moved,
 # none lower, when solve_auto began to repair every solver's walk and cite
-# the least bound of the solvers run
-REPORT_PIN = "ec97ce414941cf2b2489da2a576cbeaddea04a8b5c7654fc4f2cb5c6e6b588d0"
+# the least bound of the solvers run; its version rewards and bounds moved,
+# no walk and no bound higher, when a version that cannot beat the best
+# walk before it was skipped (None) and counted at ratio 1
+REPORT_PIN = "3ef2219cad557c846d893f65bf4758e47f4838096e069c4d2738fcef67efc601"
 
 
 def test_solve_auto_reports_match_the_pinned_digest():
