@@ -30,15 +30,15 @@ from .decompose import (band_family, dyadic_family, shifted_five_split, three_sp
                         three_split_floor)
 from .errors import PreconditionError
 from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
-                       WalkSolution, _derived, _view, _window,
+                       WalkSolution, _derived, _fraction, _view,
                        ensure_reachable_anchors, repair_by_insertion, restrict, time_reversed,
                        window_stats)
 from .memo import _one_solve
-from .metric import Metric
+from .metric import Metric, _from_ints
 from .modular import (ModularBlock, ModularPartition, _release_group_solve, assemble_walk,
                       blocks_from_identical_windows, solve_reward_indexed, verify_modular)
 from .oracles import EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle
-from .rational import INF, ONE, ZERO, is_finite, is_integral
+from .rational import ONE, ZERO, is_finite
 
 
 # every live report's walk, mapped to (a weak reference to itself, the
@@ -66,7 +66,8 @@ class SolveReport:
     solvers run, so bound_from may name another solver than the one named
     in algorithm and version_rewards; and optimal is True when the reward
     meets the reachability bound of the caller's instance, which certifies
-    it as the optimum.  Only solve_auto sets optimal.
+    it as the optimum; repair_gain is what the repair added to the kept
+    solver's own walk.  Only solve_auto sets optimal and repair_gain.
     """
 
     algorithm: str
@@ -75,6 +76,7 @@ class SolveReport:
     bound: Fraction
     optimal: bool = False
     bound_from: Optional[str] = None
+    repair_gain: Fraction = ZERO
 
     def __post_init__(self):
         if self.bound_from is None:
@@ -206,8 +208,10 @@ def zero_window_dp(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
         raise PreconditionError(
             "vertex %d has a positive-length window; this solver needs "
             "fixed visit instants" % pos[0])
-    instants = sorted((x.windows[v].release, v) for v in zero)
-    part = ModularPartition(tuple(ModularBlock(frozenset((v,)), at, at) for (at, v) in instants))
+    units, span = _view(x)
+    instants = sorted((span[v][0], v) for v in zero)
+    part = ModularPartition(tuple(ModularBlock(frozenset((v,)), at, at) for (at, v) in (
+        (_fraction(r, units.tscale), v) for (r, v) in instants)))
     walk = solve_reward_indexed(x, part, EXACT_ORACLE).walk
     return SolveReport("zero-window", walk, (("Z", walk.reward),), ONE)
 
@@ -229,11 +233,12 @@ def solve_integer_endpoints(x: TwInstance, oracle: OrienteeringOracle = EXACT_OR
     _require_wait(x)
     if x.mode != ANCHORED:
         raise PreconditionError("integer-endpoints solver needs both anchors")
-    for v in x.positive_vertices():
-        w = x.windows[v]
-        if w.release < w.deadline and not (is_integral(w.release) and is_integral(w.deadline)):
-            raise PreconditionError(
-                "vertex %d window [%s, %s] has fractional endpoints" % (v, w.release, w.deadline))
+    units, span = _view(x)
+    tscale = units.tscale
+    for v, (r, d, g) in enumerate(span):
+        if g and r < d and (r % tscale or d % tscale):
+            raise PreconditionError("vertex %d window [%s, %s] has fractional endpoints"
+                                    % (v, _fraction(r, tscale), _fraction(d, tscale)))
 
     def split(xp):
         if not verify_modular(xp, blocks_from_identical_windows(xp)):
@@ -418,7 +423,8 @@ def _keep_best(x: TwInstance, tries) -> SolveReport:
     report cites the least, the first run's on a tie, and names its solver
     in bound_from.  _reach(x) bounds every reward: once the best meets it
     no later attempt can beat it, so none is run, and the kept report is
-    marked optimal exactly when its reward meets it."""
+    marked optimal exactly when its reward meets it.  Its repair_gain is
+    its repaired reward less its solver's own walk's."""
     ceiling = _reach(x)
     end = -1 if x.mode == START_ONLY else None
     best: Optional[Tuple[SolveReport, WalkSolution]] = None
@@ -440,8 +446,10 @@ def _keep_best(x: TwInstance, tries) -> SolveReport:
     if best is None:
         raise PreconditionError("every solver refused (%s)" % "; ".join(refusals))
     rep, walk = best
+    # one Fraction per distinct gain, as for the walk's own numbers
+    gain = walk.reward - rep.walk.reward
     return SolveReport(rep.algorithm, walk, rep.version_rewards, bound, walk.reward == ceiling,
-                       cited)
+                       cited, _fraction(gain.numerator, gain.denominator))
 
 
 @_one_solve()
@@ -482,15 +490,13 @@ def _with_sink(x: TwInstance) -> TwInstance:
     every vertex reaches n at cost 0, n reaches no other vertex, and n has
     reward 0 and window [0, budget].  A walk of x done by the budget
     reaches n by then, so both instances have the same optimum and the same
-    reachability bound (_reach).  The metric extends x's ints, and its
-    Fractions, by one row and column, and in a solve its view extends x's
-    by the sink's (0, budget, 0)."""
+    reachability bound (_reach).  The metric extends x's ints by one row
+    and column, and the view extends x's by the sink's (0, budget, 0)."""
     n, m = x.n, x.metric
-    d = tuple(tuple(row) + (ZERO,) for row in m.d) + ((INF,) * n + (ZERO,),)
     ints = tuple(tuple(row) + (0,) for row in m.ints) + ((None,) * n + (0,),)
     return _derived(x, lambda units, span: (units.tscale, span + [(0, units.time(x.budget), 0)]),
-                    metric=Metric(True, n + 1, d, m.scale, ints), t=n,
-                    windows=x.windows + (_window(ZERO, x.budget),), rewards=x.rewards + (ZERO,))
+                    metric=_from_ints(True, n + 1, m.scale, ints), t=n,
+                    rewards=x.rewards + (ZERO,))
 
 
 def run_algorithm(name: str, x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,

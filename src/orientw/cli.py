@@ -133,6 +133,8 @@ def _cmd_solve(args) -> int:
     lines.append("proven: %s" % ("no (%s not guaranteed)" % ", ".join(unproven)
                                  if unproven else "yes"))
     lines.extend(_walk_lines(report.walk))
+    # last, so that the lines above keep their places
+    lines.append("repair: +%s" % report.repair_gain)
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -5,22 +5,25 @@ labeled restricted versions whose windows, per vertex, exactly cover that
 vertex's original window.  Solving every version and keeping the best answer
 then loses at most a factor beta = len(versions).
 
-Every construction is one cut rule on one skeleton (_family): the rule cuts
-each positive-length window into keyed, labeled pieces, and each key becomes
-one version.  The splits also share their scaling and refusals
-(_split) and key their versions by label.
+Every construction is one cut rule on one skeleton (_family): the rule
+cut(v, r, d, unit) cuts each positive-length window [r, d], given in the
+integer units of the base instance's view (instance._view) with unit ints
+to one time unit, into keyed, labeled pieces (lo, hi) in the same ints, and
+each key becomes one version, built in ints (instance._restricted); its
+Fraction windows are built only when read.  The splits also share their
+scaling and refusals (_split) and key their versions by label; the
+five-way splits double an odd unit, so that a half unit is whole.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import PreconditionError
-from .instance import TimeWindow, TwInstance, _window, restrict, scale_times, window_stats
-from .rational import HALF, ONE, floor_log2, is_integral
+from .instance import TwInstance, _restricted, _view, scale_times, window_stats
+from .rational import ONE
 
 
 @dataclass(frozen=True)
@@ -106,14 +109,14 @@ def dyadic_family(x: TwInstance) -> RestrictedFamily:
     simply dropped from every version.
     """
 
-    def cut(v: int, w: TimeWindow):
-        if not (is_integral(w.release) and is_integral(w.deadline)):
+    def cut(v: int, r: int, d: int, unit: int):
+        if r % unit or d % unit:
             raise PreconditionError(
                 "vertex %d: window [%s, %s] does not have integer endpoints"
-                % (v, w.release, w.deadline))
-        for piece in dyadic_partition(int(w.release), int(w.deadline)):
+                % (v, Fraction(r, unit), Fraction(d, unit)))
+        for piece in dyadic_partition(r // unit, d // unit):
             yield ((piece.level, piece.slot), "B%d_%d" % (piece.slot, piece.level),
-                   _window(Fraction(piece.lo), Fraction(piece.hi)))
+                   (piece.lo * unit, piece.hi * unit))
 
     return _family(x, ONE, cut)
 
@@ -122,48 +125,56 @@ def band_family(x: TwInstance) -> RestrictedFamily:
     """One restricted version per band of window lengths: band j keeps the
     positive-reward vertices whose windows, whole, are 2**j to 2**(j+1)
     times the shortest positive length, and is labelled band<j>."""
-    l_min = window_stats(x).l_min
-    if l_min is None:
+    lengths = [d - r for (r, d, g) in _view(x)[1] if g and r < d]
+    if not lengths:
         raise PreconditionError("no positive-length windows to band")
+    shortest = min(lengths)
 
-    def cut(v: int, w: TimeWindow):
-        j = floor_log2(w.length / l_min)
-        yield j, "band%d" % j, w
+    def cut(v: int, r: int, d: int, unit: int):
+        # 2**j <= length / shortest exactly when 2**j <= length // shortest
+        j = ((d - r) // shortest).bit_length() - 1
+        yield j, "band%d" % j, (r, d)
 
     return _family(x, ONE, cut)
 
 
 # ----- the construction skeleton ---------------------------------------------
 
-def _family(base: TwInstance, factor: Fraction, cut) -> RestrictedFamily:
+def _family(base: TwInstance, factor: Fraction, cut, halves: bool = False) -> RestrictedFamily:
     """The family that cut describes, one version per key in sorted order.
 
-    cut(v, window) yields (key, label, piece) for every positive-reward
-    vertex with a positive-length window.  A version keeps its key's pieces
-    and zeroes every other positive-reward vertex, those with zero-length
-    windows included.  A piece is cut from a checked window, so the rules
-    build it unchecked (instance._window), and restrict checks containment.
+    cut(v, r, d, unit) yields (key, label, (lo, hi)) for every
+    positive-reward vertex with a positive-length window, in the ints of
+    base's view, doubled when halves asks for a whole half unit and the
+    view's tscale is odd.  A version keeps its key's pieces and zeroes
+    every other positive-reward vertex, those with zero-length windows
+    included.  A piece is cut from a checked window, so nothing is checked
+    again (instance._restricted).
     """
-    positive = base.positive_vertices()
-    groups: Dict[object, Tuple[str, Dict[int, TimeWindow]]] = {}
-    for v in positive:
-        w = base.windows[v]
-        if w.release < w.deadline:
-            for (key, label, piece) in cut(v, w):
-                groups.setdefault(key, (label, {}))[1][v] = piece
-    zeroed: Dict[int, Optional[TimeWindow]] = dict.fromkeys(positive)
-    versions = []
-    for key in sorted(groups):
-        label, pieces = groups[key]
-        versions.append((label, restrict(base, {**zeroed, **pieces})))
-    return RestrictedFamily(base, tuple(versions), scale=factor)
+    parent = base
+    if halves and _view(base)[0].tscale % 2:
+        # the versions' one parent, whose doubled units (and distance table) they share
+        parent = _restricted(base, _view(base)[0].tscale * 2, {})
+    units, span = _view(parent)
+    unit = units.tscale
+    groups: Dict[object, Tuple[str, dict]] = {}
+    zeroed: dict = {}
+    for v, (r, d, g) in enumerate(span):
+        if g:
+            zeroed[v] = None
+            if r < d:
+                for (key, label, piece) in cut(v, r, d, unit):
+                    groups.setdefault(key, (label, {}))[1][v] = piece
+    versions = tuple((label, _restricted(parent, unit, {**zeroed, **pieces}))
+                     for (_key, (label, pieces)) in sorted(groups.items()))
+    return RestrictedFamily(base, versions, scale=factor)
 
 
-def _split(x: TwInstance, cut, ratio_two: bool) -> RestrictedFamily:
+def _split(x: TwInstance, cut, ratio_two: bool, halves: bool = False) -> RestrictedFamily:
     """A split family: scale so the shortest positive window has length 1,
-    then cut(window) yields (label, piece) per carrier, and the label is the
-    version's key.  With ratio_two, windows whose positive lengths differ by
-    more than a factor 2 are refused."""
+    then cut(r, d, unit) yields (label, piece) per carrier, and the label
+    is the version's key.  With ratio_two, windows whose positive lengths
+    differ by more than a factor 2 are refused."""
     stats = window_stats(x)
     if stats.l_min is None:
         raise PreconditionError("no positive-length windows to split")
@@ -171,8 +182,8 @@ def _split(x: TwInstance, cut, ratio_two: bool) -> RestrictedFamily:
         raise PreconditionError("window length ratio %s exceeds 2" % stats.l_ratio)
     factor = ONE / stats.l_min
     scaled = scale_times(x, factor) if factor != 1 else x
-    return _family(scaled, factor,
-                   lambda v, w: ((label, label, piece) for (label, piece) in cut(w)))
+    return _family(scaled, factor, lambda v, r, d, unit: (
+        (label, label, piece) for (label, piece) in cut(r, d, unit)), halves)
 
 
 # ----- the splits ------------------------------------------------------------
@@ -189,15 +200,15 @@ def three_split_floor(x: TwInstance) -> RestrictedFamily:
     unit-length windows) the whole window goes to B1 only.
     """
 
-    def cut(w: TimeWindow):
-        a = Fraction(math.floor(w.release) + 1)
-        b = Fraction(math.ceil(w.deadline) - 1)
-        yield "B1", _window(w.release, a)
-        if a == b + 1:
+    def cut(r: int, d: int, unit: int):
+        a = (r // unit + 1) * unit
+        b = (-(-d // unit) - 1) * unit
+        yield "B1", (r, a)
+        if a == b + unit:
             return
-        yield "B3", _window(b, w.deadline)
+        yield "B3", (b, d)
         if a < b:
-            yield "B2", _window(a, b)
+            yield "B2", (a, b)
 
     return _split(x, cut, ratio_two=True)
 
@@ -212,13 +223,13 @@ def three_split_ceil(x: TwInstance) -> RestrictedFamily:
     a < b.  Unioned per vertex the three cover [R, D] exactly.
     """
 
-    def cut(w: TimeWindow):
-        a = Fraction(math.ceil(w.release + 1))
-        b = Fraction(math.floor(w.deadline - 1))
-        yield "B1", _window(w.release, min(a, w.deadline))
-        yield "B3", _window(max(b, w.release), w.deadline)
+    def cut(r: int, d: int, unit: int):
+        a = (-(-r // unit) + 1) * unit
+        b = (d // unit - 1) * unit
+        yield "B1", (r, min(a, d))
+        yield "B3", (max(b, r), d)
         if a < b:
-            yield "B2", _window(a, b)
+            yield "B2", (a, b)
 
     return _split(x, cut, ratio_two=False)
 
@@ -232,14 +243,14 @@ def five_split(x: TwInstance) -> RestrictedFamily:
     always B5; the (half-aligned, length-1/2) middles fill B2..B4 in order.
     """
 
-    def cut(w: TimeWindow):
-        bounds = [w.release] + _half_grid_interior(w.release, w.deadline) + [w.deadline]
-        pieces = [_window(lo, hi) for (lo, hi) in zip(bounds, bounds[1:])]
+    def cut(r: int, d: int, unit: int):
+        bounds = [r] + _half_grid_interior(r, d, unit // 2) + [d]
+        pieces = list(zip(bounds, bounds[1:]))
         yield "B1", pieces[0]
         yield "B5", pieces[-1]
         yield from zip(("B2", "B3", "B4"), pieces[1:-1])
 
-    return _split(x, cut, ratio_two=True)
+    return _split(x, cut, ratio_two=True, halves=True)
 
 
 def shifted_five_split(x: TwInstance) -> RestrictedFamily:
@@ -255,17 +266,16 @@ def shifted_five_split(x: TwInstance) -> RestrictedFamily:
     window is at least one unit long.
     """
 
-    def cut(w: TimeWindow):
-        inner = _half_grid_interior(w.release, w.deadline)
-        yield "B1", _window(inner[0], inner[0] + HALF)
-        yield "B5", _window(inner[-1] - HALF, inner[-1])
-        yield from zip(("B2", "B3", "B4"), (_window(lo, hi) for (lo, hi) in zip(inner, inner[1:])))
+    def cut(r: int, d: int, unit: int):
+        half = unit // 2
+        inner = _half_grid_interior(r, d, half)
+        yield "B1", (inner[0], inner[0] + half)
+        yield "B5", (inner[-1] - half, inner[-1])
+        yield from zip(("B2", "B3", "B4"), zip(inner, inner[1:]))
 
-    return _split(x, cut, ratio_two=True)
+    return _split(x, cut, ratio_two=True, halves=True)
 
 
-def _half_grid_interior(lo: Fraction, hi: Fraction) -> List[Fraction]:
-    """Multiples of 1/2 strictly between lo and hi, in order."""
-    first = math.floor(lo * 2) + 1
-    last = math.ceil(hi * 2) - 1
-    return [Fraction(k, 2) for k in range(first, last + 1)]
+def _half_grid_interior(lo: int, hi: int, half: int) -> List[int]:
+    """Multiples of half strictly between lo and hi, in order."""
+    return list(range((lo // half + 1) * half, hi, half))

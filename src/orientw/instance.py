@@ -20,16 +20,17 @@ only at the edges, such as a schedule, a reward or a statistic.
 The public constructor checks every field, and the view is built on its
 first read.  Every instance derived from a checked one (restrict,
 drop_vertices, scale_times, time_reversed, the start-only solve's sink
-instance) is built by _derived, which checks only new anchors; derived
-windows are built through _window, which checks nothing, and restrict
-checks containment on the parent's view.  _derived also gives the new
-instance its view, derived from its parent's in the parent's scales: an
-unchanged vertex keeps its ints, a zeroed reward reads 0, a reversed window
-is (B - d, B - r), a scaled one the parent's ints times the scale's
-numerator over a tscale times its denominator, and a new window is
-converted in the parent's tscale, widened to the lcm where its
-denominators call for it.  Each DP decision compares sums of whole units,
-which the same factor on every unit leaves as they are.
+instance, decompose's versions) is built by _derived, which checks only
+new anchors and gives the new instance its view, derived from its
+parent's in the parent's scales: an unchanged vertex keeps its ints, a
+zeroed reward reads 0, a reversed window is (B - d, B - r), a scaled one
+the parent's ints times the scale's numerator over a tscale times its
+denominator, and a new window comes in ints (_restricted), in the
+parent's tscale widened where it must be; restrict checks Fraction
+windows and converts them so.  Each DP decision compares sums of whole units,
+which the same factor on every unit leaves as they are.  A derived
+instance's windows, and a derived metric's d (metric._from_ints), are
+built from the ints on first read, which no solve makes.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContainmentError, InfeasibleInstanceError, PreconditionError
 from .metric import Metric
-from .rational import ZERO, Units, as_fraction, is_finite, units_for
+from .rational import ZERO, Units, as_fraction, units_for
 
 WAIT = "wait"
 NO_WAIT = "no-wait"
@@ -75,8 +76,7 @@ class TimeWindow:
 
 def _window(release: Fraction, deadline: Fraction) -> TimeWindow:
     """TimeWindow(release, deadline) without its checks, for Fractions with
-    release <= deadline: a window derived from a checked one (a cut rule's
-    piece, or a window scaled or reversed in time)."""
+    release <= deadline: a derived instance's window, read off its view."""
     w = object.__new__(TimeWindow)
     object.__setattr__(w, "release", release)
     object.__setattr__(w, "deadline", deadline)
@@ -101,6 +101,16 @@ class TwInstance:
     wait_policy: str = WAIT
     # the integer view (_view), set by _derived or when first read
     _integer_view: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+
+    def __getattr__(self, name):
+        # reached only when lookup fails: windows, unset by _derived, is read off the view
+        if name != "windows":
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        units, span = self._integer_view
+        windows = tuple(_window(_fraction(r, units.tscale), _fraction(d, units.tscale))
+                        for (r, d, _g) in span)
+        object.__setattr__(self, "windows", windows)
+        return windows
 
     def __post_init__(self):
         n = self.metric.n
@@ -151,8 +161,9 @@ def ensure_reachable_anchors(x: TwInstance):
     """Raise InfeasibleInstanceError when x is anchored and t cannot be
     reached from s within the budget: no walk of x is feasible."""
     if x.mode == ANCHORED:
-        leg = x.metric.d[x.s][x.t]
-        if not is_finite(leg) or leg > x.budget:
+        units = _view(x)[0]
+        leg = units.table[x.s][x.t]
+        if leg is None or leg > units.time(x.budget):
             raise InfeasibleInstanceError(
                 "cannot reach %d from %d within budget %s" % (x.t, x.s, x.budget))
 
@@ -168,11 +179,13 @@ def _derived(x: TwInstance, derive=None, **changed) -> TwInstance:
 
     derive(units, span), given x's view, returns (tscale, the new
     instance's span in units tscale and x's rscale), tscale widening x's
-    only where a new window or a scaled time needs it.  Without derive
+    only where a new window or a scaled time needs it; the new windows are
+    then left unset, built from that view on first read.  Without derive
     (only the tests leave it out) the view is built when first read."""
     y = object.__new__(TwInstance)
     for name in TwInstance.__slots__:
-        object.__setattr__(y, name, changed.get(name, getattr(x, name)))
+        if derive is None or name != "windows":
+            object.__setattr__(y, name, changed.get(name, getattr(x, name)))
     if (y.s, y.t) != (x.s, x.t):
         _check_anchors(y.n, y.s, y.t)
     view = None
@@ -262,11 +275,10 @@ def scale_times(x: TwInstance, c: Fraction) -> TwInstance:
     c = as_fraction(c)
     if c <= 0:
         raise PreconditionError("scale factor must be positive, got %s" % c)
-    windows = tuple(_window(w.release * c, w.deadline * c) for w in x.windows)
     # in units tscale * c's denominator a time t * c is its int times c's numerator
     return _derived(x, lambda units, span: (units.tscale * c.denominator, [
         (r * c.numerator, d * c.numerator, g) for (r, d, g) in span]),
-        metric=x.metric.scaled(c), windows=windows, budget=x.budget * c)
+        metric=x.metric.scaled(c), budget=x.budget * c)
 
 
 def restrict(x: TwInstance, new_windows: Mapping[int, Optional[TimeWindow]]) -> TwInstance:
@@ -277,44 +289,47 @@ def restrict(x: TwInstance, new_windows: Mapping[int, Optional[TimeWindow]]) -> 
     ContainmentError naming the first offending vertex.  Containment is
     checked on x's view (_view), cross-multiplied as in
     modular.verify_modular: x's window [r, d] in units of tscale contains
-    [p/q, p'/q'] when r * q <= p * tscale and p' * tscale <= d * q'.
+    [p/q, p'/q'] when r * q <= p * tscale and p' * tscale <= d * q'.  The
+    windows enter _restricted in that tscale widened to their denominators.
     """
     units, span = _view(x)
-    tscale = units.tscale
-    windows = list(x.windows)
-    rewards = list(x.rewards)
+    tscale = wide = units.tscale
     for v in sorted(new_windows):
         if not 0 <= v < x.n:
             raise PreconditionError("vertex %r outside 0..%d" % (v, x.n - 1))
         w = new_windows[v]
         if w is None:
-            rewards[v] = ZERO
             continue
         r, d = w.release, w.deadline
         if (span[v][0] * r.denominator > r.numerator * tscale
                 or d.numerator * tscale > span[v][1] * d.denominator):
             raise ContainmentError(
                 "vertex %d: window [%s, %s] escapes [%s, %s]"
-                % (v, r, d, x.windows[v].release, x.windows[v].deadline))
-        windows[v] = w
+                % (v, r, d, _fraction(span[v][0], tscale), _fraction(span[v][1], tscale)))
+        wide = math.lcm(wide, r.denominator, d.denominator)
+    return _restricted(x, wide, {v: None if w is None else (
+        w.release.numerator * (wide // w.release.denominator),
+        w.deadline.numerator * (wide // w.deadline.denominator))
+        for v, w in new_windows.items()})
+
+
+def _restricted(x: TwInstance, tscale: int, pieces: Mapping[int, Optional[tuple]]) -> TwInstance:
+    """x with each vertex of pieces given the window (lo, hi) in units of
+    tscale, a multiple of x's view's, or dropped (None: reward zeroed,
+    window kept).  Nothing is checked: each window lies inside the
+    vertex's own, as restrict checks and a cut rule (decompose) builds."""
+    rewards = tuple(ZERO if v in pieces and pieces[v] is None else r
+                    for v, r in enumerate(x.rewards))
 
     def derive(units, span):
-        # x's span, widened to the lcm of x's tscale and the new windows'
-        # denominators, with each new window in those units
-        tscale = units.tscale
-        for w in new_windows.values():
-            if w is not None:
-                tscale = math.lcm(tscale, w.release.denominator, w.deadline.denominator)
         k = tscale // units.tscale
         span = [(r * k, d * k, g) for (r, d, g) in span]
-        for v, w in new_windows.items():
+        for v, piece in pieces.items():
             r, d, g = span[v]
-            span[v] = (r, d, 0) if w is None else (
-                w.release.numerator * (tscale // w.release.denominator),
-                w.deadline.numerator * (tscale // w.deadline.denominator), g)
+            span[v] = (r, d, 0) if piece is None else piece + (g,)
         return tscale, span
 
-    return _derived(x, derive, windows=tuple(windows), rewards=tuple(rewards))
+    return _derived(x, derive, rewards=rewards)
 
 
 def drop_vertices(x: TwInstance, keep) -> TwInstance:
@@ -330,13 +345,11 @@ def time_reversed(x: TwInstance) -> TwInstance:
     transposed, and the anchors swap roles.  Under the waiting-allowed
     policy this is reward-preserving for anchored instances.
     """
-    windows = tuple(_window(x.budget - w.deadline, x.budget - w.release) for w in x.windows)
-
     def derive(units, span):
         budget = units.time(x.budget)
         return units.tscale, [(budget - d, budget - r, g) for (r, d, g) in span]
 
-    return _derived(x, derive, metric=x.metric.transposed(), windows=windows, s=x.t, t=x.s)
+    return _derived(x, derive, metric=x.metric.transposed(), s=x.t, t=x.s)
 
 
 # ----- walk evaluation -------------------------------------------------------
@@ -399,7 +412,6 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
             return _infeasible("times must match the walk length")
         times = [as_fraction(t) for t in times]
 
-    windows = x.windows
     if times is None:
         units, span = _view(x)
     else:
@@ -438,7 +450,7 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
             if waiting:
                 if gap < step:
                     return _infeasible("gap %s shorter than travel %s at step %d"
-                                       % (Fraction(gap, tscale), x.metric.d[u][v], i))
+                                       % (Fraction(gap, tscale), _fraction(step, tscale), i))
             elif gap != step:
                 return _infeasible("no-wait gaps must equal travel exactly (step %d)" % i)
 
@@ -448,10 +460,10 @@ def evaluate_walk(x: TwInstance, order: Sequence, times: Optional[Sequence] = No
             if span[v][0] <= now <= span[v][1]:
                 collected.add(v)
             elif waiting:
-                w = windows[v]
                 return _infeasible(
                     "vertex %d flagged at time %s outside its window [%s, %s]"
-                    % (v, Fraction(now, tscale), w.release, w.deadline))
+                    % (v, Fraction(now, tscale), _fraction(span[v][0], tscale),
+                       _fraction(span[v][1], tscale)))
             else:
                 flag = False
         schedule.append((v, _fraction(now, tscale), flag))

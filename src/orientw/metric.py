@@ -48,11 +48,11 @@ class Metric:
     The same table in integer units rides along for the search kernels:
     ints[u][v] is an int, or None where d[u][v] is INF, and
     d[u][v] == Fraction(ints[u][v], scale) for every reachable pair.  Both
-    are derived from d and take no part in equality.  A Metric built from d
-    alone computes them once, and rejects a table that is not n x n, any
-    float entry other than the INF marker itself, a negative entry and an
-    asymmetric undirected table; closure, scaled() and transposed() hand
-    them over.
+    take no part in equality.  A Metric built from d alone computes them
+    once, and rejects a table that is not n x n, any float entry other than
+    the INF marker itself, a negative entry and an asymmetric undirected
+    table.  closure, scaled() and transposed() build ints alone
+    (_from_ints), and d is built from them on its first read.
     """
 
     directed: bool
@@ -67,14 +67,23 @@ class Metric:
             object.__setattr__(self, "scale", scale)
             object.__setattr__(self, "ints", ints)
 
+    def __getattr__(self, name):
+        # reached only when lookup fails: d, unset by _from_ints, is read off ints
+        if name != "d":
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        fractions = {x: Fraction(x, self.scale) for row in self.ints for x in row
+                     if x is not None}
+        fractions[None] = INF
+        d = tuple(tuple(fractions[x] for x in row) for row in self.ints)
+        object.__setattr__(self, "d", d)
+        return d
+
     def transposed(self) -> "Metric":
         """Every distance reversed: the metric itself when undirected."""
         if not self.directed:
             return self
-        n = self.n
-        table = tuple(tuple(row[u] for row in self.d) for u in range(n))
-        ints = tuple(tuple(row[u] for row in self.ints) for u in range(n))
-        return Metric(self.directed, n, table, self.scale, ints)
+        return _from_ints(self.directed, self.n, self.scale,
+                          tuple(zip(*self.ints)))
 
     def scaled(self, c: Fraction) -> "Metric":
         """Every distance times c > 0; ints times c's numerator over a scale
@@ -112,21 +121,11 @@ def _integer_table(directed: bool, n: int, d) -> tuple:
 
 
 def _from_ints(directed: bool, n: int, scale: int, ints: tuple) -> Metric:
-    """Metric whose Fraction table is read off an integer table."""
-    fractions: dict = {}
-    rows = []
-    for row in ints:
-        out = []
-        for x in row:
-            if x is None:
-                out.append(INF)
-                continue
-            f = fractions.get(x)
-            if f is None:
-                f = fractions[x] = Fraction(x, scale)
-            out.append(f)
-        rows.append(tuple(out))
-    return Metric(directed, n, tuple(rows), scale, ints)
+    """Metric of an integer table, its Fraction table d built when first read."""
+    m = object.__new__(Metric)
+    for name, value in (("directed", directed), ("n", n), ("scale", scale), ("ints", ints)):
+        object.__setattr__(m, name, value)
+    return m
 
 
 def metric_closure(g: Graph) -> Metric:

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
-from .instance import (ANCHORED, TwInstance, WalkSolution, _view,
+from .instance import (ANCHORED, TwInstance, WalkSolution, _fraction, _view,
                        ensure_reachable_anchors, evaluate_walk)
 from .memo import _kept
 from .oracles import DeadlineOracle, OrienteeringOracle, exit_staircases
@@ -111,15 +111,16 @@ def verify_modular(x: TwInstance, part: ModularPartition) -> List[str]:
 def blocks_from_identical_windows(x: TwInstance) -> ModularPartition:
     """Partition built by grouping positive-reward vertices with identical
     windows.  The result is only claimed, not checked; run verify_modular.
-    Grouped and sorted on x's view (instance._view); a block's bounds are
-    its first member's window."""
-    span = _view(x)[1]
-    groups: Dict[Tuple[int, int], tuple] = {}
+    Grouped and sorted on x's view (instance._view), which also gives a
+    block's bounds."""
+    units, span = _view(x)
+    groups: Dict[Tuple[int, int], set] = {}
     for v, (r, d, g) in enumerate(span):
         if g:
-            groups.setdefault((r, d), (x.windows[v], set()))[1].add(v)
-    return ModularPartition(tuple(ModularBlock(frozenset(mem), w.release, w.deadline)
-                                  for (_rd, (w, mem)) in sorted(groups.items())))
+            groups.setdefault((r, d), set()).add(v)
+    return ModularPartition(tuple(
+        ModularBlock(frozenset(mem), _fraction(r, units.tscale), _fraction(d, units.tscale))
+        for ((r, d), mem) in sorted(groups.items())))
 
 
 def require_modular(x: TwInstance, part: ModularPartition):
@@ -391,17 +392,17 @@ def _release_groups(x: TwInstance):
     members, latest deadline) in the time units of x's view
     (instance._view); each group's windows must end by the next group's
     release."""
-    span = _view(x)[1]
+    units, span = _view(x)
     grouped: Dict[int, List[int]] = {}
     for v, (r, _d, g) in enumerate(span):
         if g:
             grouped.setdefault(r, []).append(v)
     out = [(rel, members, max(span[v][1] for v in members))
            for rel, members in sorted(grouped.items())]
-    for (_rel, members, dmax), later in zip(out, out[1:]):
+    for (rel, _members, dmax), later in zip(out, out[1:]):
         if dmax > later[0]:
             raise PreconditionError("windows released at %s overrun the next release"
-                                    % x.windows[members[0]].release)
+                                    % _fraction(rel, units.tscale))
     return out
 
 
@@ -420,11 +421,11 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
     # (group, u, e) -> every exit's paying steps as moves in units, e being
     # the entry time in units too
     groups, units, stairs = _release_groups(x), dp_units(x), {}
+    span = _view(x)[1]
 
     def steps():
         for gi, (rel, members, dmax) in enumerate(groups):
-            credit = {v: (units.reward(x.rewards[v]), units.time(x.windows[v].deadline))
-                      for v in members}
+            credit = {v: (span[v][2], span[v][1]) for v in members}
 
             def moves(u, e):
                 if (gi, u, e) not in stairs:
@@ -433,7 +434,7 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
                                           if step[1] > 0]
                 return stairs[(gi, u, e)]
 
-            # the groups are in the view's time units, which dp_units(x) keeps
+            # the groups and credits are in the view's units, which dp_units(x) keeps
             yield gi, rel, dmax, members, moves
 
     return harvest_labels(x, units, _label_loop(x, units, steps()),

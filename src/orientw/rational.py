@@ -19,7 +19,9 @@ statistics, the solvers' splits and reach bound and the block and
 release-group checks read, and where each chain DP's units start
 (modular.dp_units), its oracles and labels then staying in those units;
 and a walk with explicit times, or a DP whose block bounds the view's
-scale does not cover, which builds its own.
+scale does not cover, which builds its own.  Fractions come back from
+these ints only when read: a derived instance's windows (from its view)
+and a derived metric's table d (from ints) are built on their first read.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ INF = math.inf
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 def is_finite(value) -> bool:
@@ -46,10 +47,6 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError("expected an int or Fraction, got %r" % (value,))
-
-
-def is_integral(value: Fraction) -> bool:
-    return value.denominator == 1
 
 
 def floor_log2(x: Fraction) -> int:

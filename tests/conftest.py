@@ -30,10 +30,17 @@ instance's integer view (instance._view), and assert_fresh_view holds a
 view, built or derived, to a fresh one by value.  ref_band_split is the
 referee of free-general's split (decompose.band_family): the band split as
 solve_free_general built it before, one drop_vertices per band.
+ref_dyadic_family, ref_band_family, ref_three_split_floor,
+ref_three_split_ceil, ref_five_split and ref_shifted_five_split are the
+Fraction referees of decompose's six cut rules, which cut in the integer
+units of the base instance's view: each rule as it cut Fraction windows,
+on the same skeleton (_ref_family), giving the family's scale and each
+version's label, windows and rewards.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 from functools import partial
 from typing import Optional, Sequence, Tuple
@@ -53,6 +60,7 @@ from orientw.instance import (ANCHORED, FREE, START_ONLY, _scoring, ensure_reach
 from orientw.memo import _one_solve
 from orientw.modular import DpResult
 from orientw.oracles import INFEASIBLE_RESULT, _result_better, earliest_limits
+from orientw.decompose import dyadic_partition
 from orientw.rational import ZERO, as_fraction, floor_log2, is_finite
 
 
@@ -850,3 +858,114 @@ def ref_band_split(x: TwInstance) -> list:
     for v in x.positive_vertices():
         bands.setdefault(floor_log2(x.windows[v].length / l_min), []).append(v)
     return [("band%d" % j, drop_vertices(x, set(bands[j]))) for j in sorted(bands)]
+
+
+# ----- the cut rules in Fractions, referees of decompose's -------------------
+
+def _ref_family(x: TwInstance, factor: F, cut) -> tuple:
+    """(factor, ((label, windows, rewards), ...)) of the family that cut
+    describes on x's windows times factor: cut(v, window) yields (key,
+    label, piece) for every positive-reward vertex with a positive-length
+    window, one version per key in sorted order, which keeps its key's
+    pieces, every other window and zeroes every other reward."""
+    windows = [TimeWindow(w.release * factor, w.deadline * factor) for w in x.windows]
+    groups = {}
+    for v in x.positive_vertices():
+        w = windows[v]
+        if w.release < w.deadline:
+            for (key, label, piece) in cut(v, w):
+                groups.setdefault(key, (label, {}))[1][v] = piece
+    versions = []
+    for key in sorted(groups):
+        label, pieces = groups[key]
+        versions.append((label, tuple(pieces.get(v, w) for v, w in enumerate(windows)),
+                         tuple(x.rewards[v] if v in pieces else ZERO for v in range(x.n))))
+    return factor, tuple(versions)
+
+
+def ref_dyadic_family(x: TwInstance) -> tuple:
+    def cut(v, w):
+        if w.release.denominator != 1 or w.deadline.denominator != 1:
+            raise PreconditionError(
+                "vertex %d: window [%s, %s] does not have integer endpoints"
+                % (v, w.release, w.deadline))
+        for piece in dyadic_partition(int(w.release), int(w.deadline)):
+            yield ((piece.level, piece.slot), "B%d_%d" % (piece.slot, piece.level),
+                   TimeWindow(F(piece.lo), F(piece.hi)))
+
+    return _ref_family(x, F(1), cut)
+
+
+def ref_band_family(x: TwInstance) -> tuple:
+    l_min = ref_window_stats(x).l_min
+    if l_min is None:
+        raise PreconditionError("no positive-length windows to band")
+
+    def cut(v, w):
+        j = floor_log2(w.length / l_min)
+        yield j, "band%d" % j, w
+
+    return _ref_family(x, F(1), cut)
+
+
+def _ref_split(x: TwInstance, cut, ratio_two: bool) -> tuple:
+    stats = ref_window_stats(x)
+    if stats.l_min is None:
+        raise PreconditionError("no positive-length windows to split")
+    if ratio_two and stats.l_ratio > 2:
+        raise PreconditionError("window length ratio %s exceeds 2" % stats.l_ratio)
+    return _ref_family(x, 1 / stats.l_min,
+                       lambda v, w: ((label, label, piece) for (label, piece) in cut(w)))
+
+
+def ref_three_split_floor(x: TwInstance) -> tuple:
+    def cut(w):
+        a = F(math.floor(w.release) + 1)
+        b = F(math.ceil(w.deadline) - 1)
+        yield "B1", TimeWindow(w.release, a)
+        if a == b + 1:
+            return
+        yield "B3", TimeWindow(b, w.deadline)
+        if a < b:
+            yield "B2", TimeWindow(a, b)
+
+    return _ref_split(x, cut, ratio_two=True)
+
+
+def ref_three_split_ceil(x: TwInstance) -> tuple:
+    def cut(w):
+        a = F(math.ceil(w.release + 1))
+        b = F(math.floor(w.deadline - 1))
+        yield "B1", TimeWindow(w.release, min(a, w.deadline))
+        yield "B3", TimeWindow(max(b, w.release), w.deadline)
+        if a < b:
+            yield "B2", TimeWindow(a, b)
+
+    return _ref_split(x, cut, ratio_two=False)
+
+
+def _ref_half_grid_interior(lo: F, hi: F) -> list:
+    """Multiples of 1/2 strictly between lo and hi, in order."""
+    return [F(k, 2) for k in range(math.floor(lo * 2) + 1, math.ceil(hi * 2))]
+
+
+def ref_five_split(x: TwInstance) -> tuple:
+    def cut(w):
+        bounds = [w.release] + _ref_half_grid_interior(w.release, w.deadline) + [w.deadline]
+        pieces = [TimeWindow(lo, hi) for (lo, hi) in zip(bounds, bounds[1:])]
+        yield "B1", pieces[0]
+        yield "B5", pieces[-1]
+        yield from zip(("B2", "B3", "B4"), pieces[1:-1])
+
+    return _ref_split(x, cut, ratio_two=True)
+
+
+def ref_shifted_five_split(x: TwInstance) -> tuple:
+    def cut(w):
+        inner = _ref_half_grid_interior(w.release, w.deadline)
+        yield "B1", TimeWindow(inner[0], inner[0] + F(1, 2))
+        yield "B5", TimeWindow(inner[-1] - F(1, 2), inner[-1])
+        yield from zip(("B2", "B3", "B4"),
+                       (TimeWindow(lo, hi) for (lo, hi) in zip(inner, inner[1:])))
+
+    return _ref_split(x, cut, ratio_two=True)

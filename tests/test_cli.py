@@ -319,6 +319,26 @@ def test_solve_names_skipped_versions_the_cited_solver_and_the_proof(tmp_path):
                                           "proven: no (layered not guaranteed)"]
 
 
+def test_solve_prints_what_the_repair_added_last(tmp_path):
+    # the start-only smoke on greedy and layered: the sink solve's versions
+    # collect 4 and 2, and the insertion repair adds 7 to the kept walk
+    start = tmp_path / "start.json"
+    _run("gen", "--n", "12", "--seed", "3", "--mode", "start-only", "--horizon", "20",
+         "--l-low", "8", "--l-high", "16", "--out", str(start))
+    r = _run("solve", str(start), "--oracle", "greedy", "--deadline-oracle", "layered")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[:6] == ["algorithm: l2", "reward: 11", "bound: 2", "beta: 2",
+                         "versions: B1=4,B3=2", "optimal: yes"]
+    assert lines[-1] == "repair: +7"
+    # a solver run alone is not repaired
+    demo = tmp_path / "demo.json"
+    _run("gen", "--family", "line", "--n", "5", "--seed", "7", "--out", str(demo))
+    r = _run("solve", str(demo), "--algorithm", "l2")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "repair: +0"
+
+
 def test_directed_family_is_actually_asymmetric():
     from orientw.generate import generate_instance
     found = False

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orientw import (PreconditionError, TimeWindow, brute_force_opt,
+from orientw import (PreconditionError, TimeWindow, TwInstance, brute_force_opt,
                      dyadic_family, dyadic_partition, evaluate_walk, five_split,
                      restrict, solve_auto, three_split_ceil, three_split_floor)
 from orientw.algorithms import _length_split
-from orientw.decompose import band_family
+from orientw.decompose import band_family, shifted_five_split
 from orientw.generate import generate_instance
 from orientw.instance import _view
 
 from conftest import (assert_fresh_view, build_instance, line4_instance, line_metric,
-                      ref_band_split, view_in_fractions, window)
+                      ref_band_family, ref_band_split, ref_dyadic_family, ref_five_split,
+                      ref_shifted_five_split, ref_three_split_ceil, ref_three_split_floor,
+                      view_in_fractions, window)
 
 
 def _pieces(parts):
@@ -374,3 +376,74 @@ def test_band_family_refuses_without_a_positive_length_window():
                        rewards=(F(0), F(1), F(1), F(0)))
     with pytest.raises(PreconditionError, match="no positive-length windows"):
         band_family(x)
+
+
+# ----- the cut rules in integer units against their Fraction referees ---------
+
+CUT_RULES = ((dyadic_family, ref_dyadic_family), (band_family, ref_band_family),
+             (three_split_floor, ref_three_split_floor), (three_split_ceil, ref_three_split_ceil),
+             (five_split, ref_five_split), (shifted_five_split, ref_shifted_five_split))
+
+
+def _narrowed(x, picked):
+    """x, built whole, with the windows of picked narrowed to their release
+    instants."""
+    windows = tuple(TimeWindow(w.release, w.release) if v in picked else w
+                    for v, w in enumerate(x.windows))
+    return TwInstance(x.metric, windows, x.rewards, x.s, x.t, x.budget, x.wait_policy)
+
+
+def _cut_cases():
+    """Seeded n=8 instances on both grids, undirected and directed, in
+    every anchor mode, with window lengths 1-2, 3-6 (an integral instance
+    whose shortest length is 3 or 5 has an odd unit once scaled) and 1-8;
+    each also with every third positive-reward window narrowed to a fixed
+    instant, and at seed 0 with all of them narrowed."""
+    modes = ("anchored", "free", "start-only")
+    for seed in range(6):
+        for family in ("random-metric", "directed-random"):
+            for integral in (True, False):
+                for (low, high) in ((1, 2), (3, 6), (1, 8)):
+                    x = generate_instance(family, 8, seed, mode=modes[seed % 3],
+                                          integral=integral, l_low=F(low), l_high=F(high))
+                    positive = x.positive_vertices()
+                    yield x
+                    yield _narrowed(x, positive[::3])
+                    if seed == 0:
+                        yield _narrowed(x, positive)
+
+
+def _outcome(construct, x):
+    try:
+        return construct(x)
+    except PreconditionError as exc:
+        return "refused: %s" % exc
+
+
+@pytest.mark.parametrize("construct,ref", CUT_RULES, ids=[c.__name__ for (c, _r) in CUT_RULES])
+def test_cut_rules_match_their_fraction_referees(construct, ref):
+    # each rule cuts the view's ints; its versions' windows, built when
+    # read, are the Fraction pieces that the rule cut before
+    built, refused, odd = 0, set(), 0
+    for k, x in enumerate(_cut_cases()):
+        got, want = _outcome(construct, x), _outcome(ref, x)
+        if isinstance(want, str):
+            assert got == want, k
+            refused.add(want)
+            continue
+        scale, versions = want
+        assert type(got.scale) is F and got.scale == scale, k
+        assert got.base.windows == tuple(TimeWindow(w.release * scale, w.deadline * scale)
+                                         for w in x.windows), k
+        assert [label for (label, _y) in got.versions] == [v[0] for v in versions], k
+        for (label, y), (_label, windows, rewards) in zip(got.versions, versions):
+            assert (y.windows, y.rewards) == (windows, rewards), (k, label)
+            assert all(type(w.release) is type(w.deadline) is F for w in y.windows)
+            assert all(type(r) is F for r in y.rewards)
+            assert_fresh_view(y, _view(y))
+        built += 1
+        odd += _view(got.base)[0].tscale % 2
+    assert built > 50 and refused
+    if construct in (five_split, shifted_five_split):
+        # some scaled units are odd, so the five-splits widen them by 2
+        assert odd

@@ -13,7 +13,8 @@ solve_auto repairs every solver's walk (algorithms._keep_best) and cites
 the least bound of the solvers run.  Against the finisher that kept the
 best walk unrepaired (conftest.ref_solve_auto), no reward may be lower,
 optimal may only turn from False to True, and a report that is not optimal
-may not cite a larger bound.
+may not cite a larger bound.  The report's repair_gain is its reward less
+that of the kept solver's own walk.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from fractions import Fraction as F
 import pytest
 
 from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE, evaluate_walk,
-                     layered_deadline_oracle, solve_auto)
+                     layered_deadline_oracle, run_algorithm, solve_auto)
 from orientw.generate import FAMILIES, generate_instance
 from orientw.instance import _insertions, repair_by_insertion
 
-from conftest import line4_instance, ref_evaluate_walk, ref_solve_auto, window
+from conftest import line4_instance, ref_evaluate_walk, ref_solve_auto, solver_runs, window
 from test_regression import CASES
 
 DENSE = dict(horizon=F(20), l_low=F(8), l_high=F(16))
@@ -162,3 +163,25 @@ def test_the_repair_never_loses_to_the_unrepaired_finisher(block):
         turned += rep.optimal > ref.optimal
     # the repair moves rewards and optimal on both blocks
     assert rose and turned
+
+
+def test_the_report_says_what_the_repair_added(monkeypatch):
+    runs = solver_runs(monkeypatch)
+    gained = 0
+    for k, (x, pair) in enumerate(_finisher_cases(1)):
+        runs.clear()
+        rep = solve_auto(x, *pair)
+        own = {r.algorithm: r for (_y, r) in runs}[rep.algorithm]
+        assert type(rep.repair_gain) is F, k
+        assert rep.repair_gain == rep.walk.reward - own.walk.reward >= 0, k
+        # a solver run alone repairs nothing
+        assert own.repair_gain == 0, k
+        gained += rep.repair_gain > 0
+    assert gained
+    # the start-only CI smoke: the sink solve's best version walk collects
+    # 4, and the repair lifts it to 11
+    x = generate_instance("random-metric", 12, 3, mode="start-only", **DENSE)
+    rep = solve_auto(x, *ORACLES[1])
+    assert (rep.walk.reward, rep.repair_gain) == (11, 7)
+    assert rep.version_rewards == (("B1", 4), ("B3", 2))
+    assert run_algorithm("general", line4_instance()).repair_gain == 0

@@ -87,8 +87,8 @@ def _problems_against_referees(x, other) -> list:
     assert type(reach) is F and reach == ref_reach(x)
     part = blocks_from_identical_windows(x)
     assert part == ref_blocks_from_identical_windows(x)
-    # a block's bounds are its members' own window Fractions
-    assert all(any(x.windows[v].release is b.release and x.windows[v].deadline is b.deadline
+    # a block's bounds equal its members' windows by value
+    assert all(any(x.windows[v].release == b.release and x.windows[v].deadline == b.deadline
                    for v in b.members) for b in part.blocks)
     problems = []
     for p in (part, blocks_from_identical_windows(other)):
