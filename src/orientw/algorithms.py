@@ -494,7 +494,8 @@ def _with_sink(x: TwInstance) -> TwInstance:
     and column, and the view extends x's by the sink's (0, budget, 0)."""
     n, m = x.n, x.metric
     ints = tuple(tuple(row) + (0,) for row in m.ints) + ((None,) * n + (0,),)
-    return _derived(x, lambda units, span: (units.tscale, span + [(0, units.time(x.budget), 0)]),
+    units, span = _view(x)
+    return _derived(x, units.tscale, span + [(0, units.time(x.budget), 0)],
                     metric=_from_ints(True, n + 1, m.scale, ints), t=n,
                     rewards=x.rewards + (ZERO,))
 

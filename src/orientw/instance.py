@@ -14,23 +14,26 @@ An instance's times enter integer units in its one view (_view): Units over
 the budget and every window and reward, and each vertex's (release,
 deadline, reward) in them, held on the instance itself.  evaluate_walk
 scores untimed walks on it, and window_stats, the solvers' splits and reach
-bound (algorithms), the block and release group checks and label DP units
+bound (algorithms), the block and release group checks and the label DPs
 (modular) and the insertion repair's tries read it; Fractions come back
 only at the edges, such as a schedule, a reward or a statistic.
 The public constructor checks every field, and the view is built on its
 first read.  Every instance derived from a checked one (restrict,
 drop_vertices, scale_times, time_reversed, the start-only solve's sink
 instance, decompose's versions) is built by _derived, which checks only
-new anchors and gives the new instance its view, derived from its
-parent's in the parent's scales: an unchanged vertex keeps its ints, a
-zeroed reward reads 0, a reversed window is (B - d, B - r), a scaled one
-the parent's ints times the scale's numerator over a tscale times its
-denominator, and a new window comes in ints (_restricted), in the
-parent's tscale widened where it must be; restrict checks Fraction
-windows and converts them so.  Each DP decision compares sums of whole units,
-which the same factor on every unit leaves as they are.  A derived
-instance's windows, and a derived metric's d (metric._from_ints), are
-built from the ints on first read, which no solve makes.
+new anchors and gives the new instance the view that its transform
+derived from the parent's, in the parent's scales: an unchanged vertex
+keeps its ints, a zeroed reward reads 0, a reversed window is (B - d,
+B - r), a scaled one the parent's ints times the scale's numerator over a
+tscale times its denominator, and a new window comes in ints
+(_restricted), in the parent's tscale widened where it must be; restrict
+checks Fraction windows and converts them so.  A new distance table's
+Units are the solve's first of equal scales and table, so the label DPs
+of every instance on it share one.  Each DP decision compares sums of
+whole units, which the same factor on every unit leaves as they are.  A
+derived instance's windows, and a derived metric's d
+(metric._from_ints), are built from the ints on first read, which no
+solve makes.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContainmentError, InfeasibleInstanceError, PreconditionError
+from .memo import _kept
 from .metric import Metric
 from .rational import ZERO, Units, as_fraction, units_for
 
@@ -168,34 +172,33 @@ def ensure_reachable_anchors(x: TwInstance):
                 "cannot reach %d from %d within budget %s" % (x.t, x.s, x.budget))
 
 
-def _derived(x: TwInstance, derive=None, **changed) -> TwInstance:
-    """x with the changed fields, checking only new anchors.
+def _derived(x: TwInstance, tscale: int, span: list, **changed) -> TwInstance:
+    """x with the changed fields, checking only new anchors, and the view
+    (tscale, span): the new instance's span in units tscale and x's rscale,
+    derived from x's view by the transform that calls.
 
     x passed TwInstance's checks, and each caller keeps what it changes
     valid by construction: windows inside x's (restrict checks containment)
     or x's scaled by c > 0 or reversed about the budget, or one more vertex
     with window [0, budget] (algorithms._with_sink), rewards x's or zero, so
-    only new anchors are checked here, against the new vertex count.
+    only new anchors are checked here, against the new vertex count.  The
+    new windows are left unset, built from the view on first read.
 
-    derive(units, span), given x's view, returns (tscale, the new
-    instance's span in units tscale and x's rscale), tscale widening x's
-    only where a new window or a scaled time needs it; the new windows are
-    then left unset, built from that view on first read.  Without derive
-    (only the tests leave it out) the view is built when first read."""
+    The view keeps x's Units when the metric and tscale stay; otherwise,
+    within one solve (memo._kept), its Units are the solve's first of equal
+    scales and table, the object exit_staircases keys on."""
     y = object.__new__(TwInstance)
     for name in TwInstance.__slots__:
-        if derive is None or name != "windows":
+        if name != "windows":
             object.__setattr__(y, name, changed.get(name, getattr(x, name)))
     if (y.s, y.t) != (x.s, x.t):
         _check_anchors(y.n, y.s, y.t)
-    view = None
-    if derive is not None:
-        units, span = _view(x)
-        tscale, span = derive(units, span)
-        if y.metric is not x.metric or tscale != units.tscale:
-            units = Units(tscale, units.rscale, units_for(y.metric, [Fraction(1, tscale)], ()).table)
-        view = units, span
-    object.__setattr__(y, "_integer_view", view)
+    units = _view(x)[0]
+    if y.metric is not x.metric or tscale != units.tscale:
+        rscale, table = units.rscale, units_for(y.metric, [Fraction(1, tscale)], ()).table
+        units = _kept(("units", tscale, rscale, tuple(table)), (),
+                      lambda: Units(tscale, rscale, table))
+    object.__setattr__(y, "_integer_view", (units, span))
     return y
 
 
@@ -275,19 +278,21 @@ def scale_times(x: TwInstance, c: Fraction) -> TwInstance:
     c = as_fraction(c)
     if c <= 0:
         raise PreconditionError("scale factor must be positive, got %s" % c)
+    units, span = _view(x)
     # in units tscale * c's denominator a time t * c is its int times c's numerator
-    return _derived(x, lambda units, span: (units.tscale * c.denominator, [
-        (r * c.numerator, d * c.numerator, g) for (r, d, g) in span]),
-        metric=x.metric.scaled(c), budget=x.budget * c)
+    return _derived(x, units.tscale * c.denominator,
+                    [(r * c.numerator, d * c.numerator, g) for (r, d, g) in span],
+                    metric=x.metric.scaled(c), budget=x.budget * c)
 
 
 def restrict(x: TwInstance, new_windows: Mapping[int, Optional[TimeWindow]]) -> TwInstance:
     """Restricted version of x: each mapped vertex gets a sub-window of its
     original window, or is dropped (None: reward zeroed, window kept).
 
-    Raises PreconditionError naming the first id outside 0..n-1, else
-    ContainmentError naming the first offending vertex.  Containment is
-    checked on x's view (_view), cross-multiplied as in
+    Checks the mapped ids in increasing order and raises at the first that
+    fails: PreconditionError for an id outside 0..n-1, ContainmentError
+    for a window that escapes its vertex's.  Containment is checked on x's
+    view (_view), cross-multiplied as in
     modular.verify_modular: x's window [r, d] in units of tscale contains
     [p/q, p'/q'] when r * q <= p * tscale and p' * tscale <= d * q'.  The
     windows enter _restricted in that tscale widened to their denominators.
@@ -321,15 +326,13 @@ def _restricted(x: TwInstance, tscale: int, pieces: Mapping[int, Optional[tuple]
     rewards = tuple(ZERO if v in pieces and pieces[v] is None else r
                     for v, r in enumerate(x.rewards))
 
-    def derive(units, span):
-        k = tscale // units.tscale
-        span = [(r * k, d * k, g) for (r, d, g) in span]
-        for v, piece in pieces.items():
-            r, d, g = span[v]
-            span[v] = (r, d, 0) if piece is None else piece + (g,)
-        return tscale, span
-
-    return _derived(x, derive, rewards=rewards)
+    units, span = _view(x)
+    k = tscale // units.tscale
+    span = [(r * k, d * k, g) for (r, d, g) in span]
+    for v, piece in pieces.items():
+        r, d, g = span[v]
+        span[v] = (r, d, 0) if piece is None else piece + (g,)
+    return _derived(x, tscale, span, rewards=rewards)
 
 
 def drop_vertices(x: TwInstance, keep) -> TwInstance:
@@ -345,11 +348,10 @@ def time_reversed(x: TwInstance) -> TwInstance:
     transposed, and the anchors swap roles.  Under the waiting-allowed
     policy this is reward-preserving for anchored instances.
     """
-    def derive(units, span):
-        budget = units.time(x.budget)
-        return units.tscale, [(budget - d, budget - r, g) for (r, d, g) in span]
-
-    return _derived(x, derive, metric=x.metric.transposed(), s=x.t, t=x.s)
+    units, span = _view(x)
+    budget = units.time(x.budget)
+    return _derived(x, units.tscale, [(budget - d, budget - r, g) for (r, d, g) in span],
+                    metric=x.metric.transposed(), s=x.t, t=x.s)
 
 
 # ----- walk evaluation -------------------------------------------------------

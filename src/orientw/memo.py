@@ -3,10 +3,11 @@ can keep its shared work in it.
 
 A top-level solve (algorithms.solve_auto, or a registered solver called
 directly) opens one memo for its length (_one_solve), and _kept keeps in it
-what distinct instances share: the label DP's units (modular.dp_units)
-and the staircases of each distinct block or release-group entry
-(oracles.exit_staircases).  Each instance's integer view is held on the
-instance itself (instance._view).
+what distinct instances share: the Units of a derived instance's view, one
+per scales and distance table (instance._derived), and the staircases of
+each distinct block or release-group entry (oracles.exit_staircases).
+Each instance's integer view is held on the instance itself
+(instance._view).
 """
 
 from __future__ import annotations

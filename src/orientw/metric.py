@@ -48,24 +48,24 @@ class Metric:
     The same table in integer units rides along for the search kernels:
     ints[u][v] is an int, or None where d[u][v] is INF, and
     d[u][v] == Fraction(ints[u][v], scale) for every reachable pair.  Both
-    take no part in equality.  A Metric built from d alone computes them
-    once, and rejects a table that is not n x n, any float entry other than
-    the INF marker itself, a negative entry and an asymmetric undirected
-    table.  closure, scaled() and transposed() build ints alone
-    (_from_ints), and d is built from them on its first read.
+    take no part in equality, and neither is a constructor argument: a
+    Metric built from d alone computes them once, and rejects a table that
+    is not n x n, any float entry other than the INF marker itself, a
+    negative entry and an asymmetric undirected table.  closure, scaled()
+    and transposed() build ints alone (_from_ints), and d is built from
+    them on its first read.
     """
 
     directed: bool
     n: int
     d: tuple
-    scale: int = field(default=1, compare=False, repr=False)
-    ints: Optional[tuple] = field(default=None, compare=False, repr=False)
+    scale: int = field(init=False, compare=False, repr=False)
+    ints: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.ints is None:
-            scale, ints = _integer_table(self.directed, self.n, self.d)
-            object.__setattr__(self, "scale", scale)
-            object.__setattr__(self, "ints", ints)
+        scale, ints = _integer_table(self.directed, self.n, self.d)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ints", ints)
 
     def __getattr__(self, name):
         # reached only when lookup fails: d, unset by _from_ints, is read off ints

@@ -23,10 +23,12 @@ only, one call per entry; how an oracle answers is decided there.  The
 composed solvers in algorithms call solve_reward_indexed and this DP only;
 the step protocol stays in this module.
 
-The label loop runs on ints.  Each DP fixes its units once (dp_units), and
-a block converts an oracle answer to them when it stores the answer, so
-the label loop does no Fraction arithmetic; only claimed is a Fraction
-again.
+The label loop runs on ints, in the units of its instance's view
+(instance._view), which its oracles answer in too, so it does no Fraction
+arithmetic; only claimed is a Fraction again.  solve_reward_indexed widens
+them for a partition whose block bounds lie off the view's scale, and
+nothing else does: an oracle's ratio scales the claimed total, once, and
+changes no choice the DP makes.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ from typing import Dict, List, Optional, Tuple
 from .errors import PreconditionError
 from .instance import (ANCHORED, TwInstance, WalkSolution, _fraction, _view,
                        ensure_reachable_anchors, evaluate_walk)
-from .memo import _kept
 from .oracles import DeadlineOracle, OrienteeringOracle, exit_staircases
-from .rational import ONE, ZERO, Units, units_for
+from .rational import ZERO, Units, units_for
 
 
 @dataclass(frozen=True)
@@ -190,25 +191,6 @@ def assemble_walk(x: TwInstance, segments: List[Tuple[int, tuple]], held) -> Wal
     return best
 
 
-def dp_units(x: TwInstance, alpha: Fraction = ONE, times=()) -> Units:
-    """The units one label loop runs in: distances, the budget, every window
-    endpoint, the extra times (block bounds) and every sum of them are
-    whole, and rewards are whole in the view's rscale, times alpha's
-    denominator so that each reward claimed at alpha times its value is.
-    They start from x's view (instance._view), whose Units make all but the
-    extra times whole; only an extra time whose denominator does not divide
-    the view's tscale (never a block of identical or zero-length windows)
-    widens it.  Within one solve (memo._kept) these are the solve's first
-    Units of equal scales and table, the object exit_staircases keys on."""
-    units = _view(x)[0]
-    if any(units.tscale % t.denominator for t in times):
-        # 1 / tscale keeps every time the view makes whole
-        wider = units_for(x.metric, [Fraction(1, units.tscale)] + list(times), ())
-        units = Units(wider.tscale, units.rscale, wider.table)
-    units = Units(units.tscale, units.rscale * alpha.denominator, units.table)
-    return _kept(("units", units.tscale, units.rscale, tuple(units.table)), (), lambda: units)
-
-
 def _eligible_blocks(x: TwInstance, part: ModularPartition):
     """(index, block, member rewards, sorted member ids) for every block
     with a positive-reward member; the others offer the label loop nothing.
@@ -347,32 +329,36 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
     exact oracle the staircases are the block's Pareto frontier, which
     makes the DP exact.
 
-    With a ratio-a oracle each answer is claimed at a times its reward.  For
-    any budget b the staircase holds an answer that ends by b and earns at
-    least the oracle's answer at some budget of at least b, so claimed is at
-    least the modular optimum, and the returned walk collects at least
-    claimed / a.
+    The DP runs in the units of x's view, widened only when a block bound
+    lies off the view's scale, which a block of identical or zero-length
+    windows never does.  With a ratio-a oracle the labels collect each
+    answer's own reward, and claimed is a times the best label's.  For any
+    budget b the staircase holds an answer that ends by b and earns at least
+    the oracle's answer at some budget of at least b, so claimed is at least
+    the modular optimum, and the returned walk collects at least claimed / a.
     """
     require_modular(x, part)
     ensure_reachable_anchors(x)
 
-    alpha = oracle.spec.ratio
-    units = dp_units(x, alpha, [t for b in part.blocks for t in (b.release, b.deadline)])
+    units = _view(x)[0]
+    times = [t for b in part.blocks for t in (b.release, b.deadline)]
+    if any(units.tscale % t.denominator for t in times):
+        # 1 / tscale keeps every time the view makes whole
+        wider = units_for(x.metric, [Fraction(1, units.tscale)] + times, ())
+        units = Units(wider.tscale, units.rscale, wider.table)
 
     def steps():
         for bi, b, eligible, ids in _eligible_blocks(x, part):
             release, deadline = units.time(b.release), units.time(b.deadline)
             credit = {v: (units.reward(r), deadline - release) for v, r in eligible.items()}
-            # u -> (every exit's staircase as moves in units, gains claimed
-            # at alpha; the longest move's duration)
+            # u -> (every exit's staircase as moves in units; the longest
+            # move's duration)
             stairs: Dict[int, tuple] = {}
 
             def moves(u, e):
                 if u not in stairs:
                     found = exit_staircases(oracle, x.metric, units, credit, u, 0)
-                    # a reward in units is a multiple of alpha's denominator
-                    listed = [(w, d, r * alpha.numerator // alpha.denominator, order)
-                              for w in ids for (d, r, order) in found[w]]
+                    listed = [(w,) + step for w in ids for step in found[w]]
                     stairs[u] = (listed, max((move[1] for move in listed), default=0))
                 listed, longest = stairs[u]
                 if e + longest <= deadline:
@@ -381,8 +367,10 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
 
             yield bi, release, deadline, ids, moves
 
-    return harvest_labels(x, units, _label_loop(x, units, steps()),
-                          [b.members for b in part.blocks])
+    res = harvest_labels(x, units, _label_loop(x, units, steps()),
+                         [b.members for b in part.blocks])
+    res.claimed *= oracle.spec.ratio
+    return res
 
 
 # ----- release-group DP ------------------------------------------------------
@@ -420,8 +408,7 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
     ensure_reachable_anchors(x)
     # (group, u, e) -> every exit's paying steps as moves in units, e being
     # the entry time in units too
-    groups, units, stairs = _release_groups(x), dp_units(x), {}
-    span = _view(x)[1]
+    groups, (units, span), stairs = _release_groups(x), _view(x), {}
 
     def steps():
         for gi, (rel, members, dmax) in enumerate(groups):
@@ -434,7 +421,6 @@ def _release_group_solve(x: TwInstance, deadline_oracle: DeadlineOracle):
                                           if step[1] > 0]
                 return stairs[(gi, u, e)]
 
-            # the groups and credits are in the view's units, which dp_units(x) keeps
             yield gi, rel, dmax, members, moves
 
     return harvest_labels(x, units, _label_loop(x, units, steps()),

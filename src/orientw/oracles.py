@@ -545,7 +545,7 @@ def exit_staircases(oracle, metric: Metric, units: Units, credit, u: int,
 
     Within one solve (memo._kept) equal entries share one answer or refusal:
     the key is the oracle, the units (one object per scales and table
-    content in a solve: modular.dp_units), the metric's scale, the credit,
+    content in a solve: instance._derived), the metric's scale, the credit,
     u and t0.
     """
     return _kept(("stairs", metric.scale, tuple(credit.items()), u, t0), (oracle, units),

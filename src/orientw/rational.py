@@ -14,14 +14,14 @@ denominators.  Units holds both scales and the distances in time units
 (units_for builds it).  Times enter units in three places: a public
 oracle query once (oracles._answer); an instance once, in the integer view
 it holds (instance._view; a derived one's is derived from its parent's, in
-the parent's scales, by instance._derived), which walk scoring, the window
+the parent's scales, by its transform), which walk scoring, the window
 statistics, the solvers' splits and reach bound and the block and
-release-group checks read, and where each chain DP's units start
-(modular.dp_units), its oracles and labels then staying in those units;
-and a walk with explicit times, or a DP whose block bounds the view's
-scale does not cover, which builds its own.  Fractions come back from
-these ints only when read: a derived instance's windows (from its view)
-and a derived metric's table d (from ints) are built on their first read.
+release-group checks read, and which each label DP, its oracles and its
+labels run in; and a walk with explicit times, or a DP on a partition
+whose block bounds the view's scale does not cover, which builds its
+own.  Fractions come back from these ints only when read: a derived
+instance's windows (from its view) and a derived metric's table d (from
+ints) are built on their first read.
 """
 
 from __future__ import annotations

@@ -55,8 +55,8 @@ from orientw import (ALGORITHMS, EXACT_DEADLINE, EXACT_ORACLE, INF, WAIT, Deadli
                      TimeWindow, TwInstance, WalkResult, WalkSolution, WindowStats,
                      best_orienteering_walk, drop_vertices, evaluate_walk, metric_closure,
                      walk_from_claims, window_stats)
-from orientw.instance import (ANCHORED, FREE, START_ONLY, _scoring, ensure_reachable_anchors,
-                              repair_by_insertion, restrict)
+from orientw.instance import (ANCHORED, FREE, START_ONLY, _scoring, _view,
+                              ensure_reachable_anchors, repair_by_insertion, restrict)
 from orientw.memo import _one_solve
 from orientw.modular import DpResult
 from orientw.oracles import INFEASIBLE_RESULT, _result_better, earliest_limits
@@ -496,7 +496,8 @@ def solve_time_indexed(x: TwInstance, part: ModularPartition,
     assert all(t.denominator == 1 for t in bounds + [x.budget] +
                [d for row in x.metric.d for d in row if d != INF]), \
         "the time-indexed DP needs integral distances, budget and block bounds"
-    units = modular.dp_units(x, times=bounds)
+    # integral bounds lie on the view's scale, so the DP runs in its units
+    units = _view(x)[0]
 
     def steps():
         for bi, b, eligible, ids in modular._eligible_blocks(x, part):

@@ -1,4 +1,8 @@
+import ast
+import dataclasses
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -484,6 +488,40 @@ def test_readme_lists_exactly_the_registered_algorithms():
     names |= set(re.findall(r"--algorithm ([a-z0-9-]+)", readme))
     assert sorted(names - set(ALGORITHMS)) == []
     assert sorted(set(ALGORITHMS) - names) == []
+
+
+def test_readme_names_only_code_that_exists():
+    # every snake_case name README cites in backticks, optionally behind a
+    # module prefix, is an attribute of an orientw module (of that module,
+    # when prefixed), a dataclass field, a serialized key or a top-level
+    # definition of tests/conftest.py
+    root = Path(__file__).resolve().parents[1]
+    modules = {m.name: importlib.import_module("orientw." + m.name)
+               for m in pkgutil.iter_modules(orientw.__path__)}
+    modules["orientw"] = orientw
+    known = set(serialize._KEYS)
+    for module in modules.values():
+        known |= set(vars(module))
+        known |= {f.name for obj in vars(module).values()
+                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                  for f in dataclasses.fields(obj)}
+    for node in ast.parse((root / "tests" / "conftest.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            known.add(node.name)
+        elif isinstance(node, ast.Assign):
+            known |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    missing = []
+    for prefix, name in re.findall(r"`(?:([a-z_]\w*)\.)?([a-z_][a-z0-9_]*)`", readme):
+        if "_" not in name:
+            continue
+        if prefix in modules:
+            found = hasattr(modules[prefix], name)
+        else:
+            found = not prefix and name in known
+        if not found:
+            missing.append("%s.%s" % (prefix, name) if prefix else name)
+    assert sorted(set(missing)) == []
 
 
 def test_readme_python_session_runs_as_quoted():

@@ -12,7 +12,9 @@ identical, not merely close.
 
 from __future__ import annotations
 
+import pickle
 import random
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction as F
 from typing import List
@@ -25,16 +27,15 @@ import orientw.algorithms as algorithms
 import orientw.instance as instance
 import orientw.memo as memo
 import orientw.modular as modular
-from orientw import (EXACT_DEADLINE, EXACT_ORACLE, INF, NO_WAIT, WAIT, DeadlineQuery, Graph,
-                     GraphError, Metric, ModularBlock, ModularPartition, OracleSpec,
-                     OrienteeringOracle, OrienteeringQuery, TimeWindow, TwInstance,
+from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE, INF, NO_WAIT, WAIT,
+                     DeadlineQuery, Graph, GraphError, Metric, ModularBlock, ModularPartition,
+                     OracleSpec, OrienteeringOracle, OrienteeringQuery, TimeWindow, TwInstance,
                      best_orienteering_walk, brute_force_opt, evaluate_walk, metric_closure,
                      reduce_deadline_to_tw, scale_times, serialize, solve_free_l_le_2,
                      solve_auto, solve_reward_indexed, time_reversed, zero_window_dp)
 from orientw.generate import (FAMILIES, gen_modular_instance, gen_ratio2_instance,
                               generate_instance, random_metric)
-from orientw.instance import ANCHORED, FREE, START_ONLY, _derived
-from orientw.modular import dp_units
+from orientw.instance import ANCHORED, FREE, START_ONLY
 from orientw.oracles import INFEASIBLE_RESULT, WalkResult, exact_deadline, exact_orienteering
 from orientw.rational import floor_log2
 
@@ -236,6 +237,24 @@ def test_metric_rejects_float_entries_other_than_inf(bad):
 def test_metric_rejects_a_malformed_table(directed, n, d):
     with pytest.raises(GraphError):
         Metric(directed, n, d)
+
+
+def test_metric_takes_no_integer_table_of_its_own():
+    # scale and ints are derived from d: a table passed beside it could
+    # contradict it, or carry a negative entry past _integer_table's checks
+    with pytest.raises(TypeError):
+        Metric(False, 2, ((0, 1), (1, 0)), 1, ((0, 5), (5, 0)))
+    with pytest.raises(TypeError):
+        Metric(False, 2, ((0, -1), (-1, 0)), ints=((0, 1), (1, 0)))
+    built = Metric(True, 2, ((F(0), F(5, 2)), (F(1, 3), F(3))))
+    closed = metric_closure(Graph.build(False, 3, [(0, 1, F(1, 2)), (1, 2, 3), (0, 2, 9)]))
+    for m in (built, closed, closed.scaled(F(2, 3)), closed.transposed()):
+        # replace derives them again from d; a copy keeps them
+        assert replace(m, n=m.n) == m
+        assert_integer_table(replace(m, n=m.n))
+        for y in (pickle.loads(pickle.dumps(m)), deepcopy(m)):
+            assert y == m and (y.scale, y.ints) == (m.scale, m.ints)
+            assert_integer_table(y)
 
 
 # ----- the exact oracles against their Fraction referees -------------------
@@ -442,7 +461,7 @@ def test_one_solve_scores_instances_sharing_windows_by_their_own_budget(scored):
     x = line4_instance(budget=F(4), windows=(window(0, 4), window(1, 2), window(2, 3),
                                              window(0, 4)))
     budgets = (F(4), F(5), F(13, 3))
-    versions = [_derived(x, budget=b) for b in budgets]
+    versions = [replace(x, budget=b) for b in budgets]
     orders = ([(0, False), (1, True), (2, True), (3, True)],
               [(0, True), (1, True), (2, True), (3, False), (2, False), (3, False)],
               [(0, False), (1, False), (0, False), (1, True), (2, False), (3, False)])
@@ -547,11 +566,11 @@ def test_windows_in_thirds_on_an_integral_metric():
 
 # ----- the label DP in integer units ---------------------------------------
 #
-# chain_dp runs in the units of dp_units: times over the lcm of the metric's
-# scale and every window endpoint's denominator, rewards over the lcm of
-# their denominators times the claimed ratio's.  Every case below puts
-# windows off the metric's grid, the last one also claims at a ratio with a
-# denominator, and each checks the DP against an exact referee.
+# Each label DP runs in its instance's view (instance._view): times over the
+# lcm of the metric's scale and every window endpoint's denominator, rewards
+# over the lcm of their denominators.  Every case below puts windows off the
+# metric's grid, the last one also claims at ratios with a denominator, and
+# each checks the DP against an exact referee.
 
 THIRD = F(1, 3)
 
@@ -599,14 +618,14 @@ def _release_groups_thirds(seed: int) -> TwInstance:
 def test_zero_window_dp_on_thirds_matches_brute_force():
     for seed in range(12):
         x = _zero_window_thirds(seed)
-        assert (x.metric.scale, dp_units(x).tscale) == (1, 3), seed
+        assert (x.metric.scale, instance._view(x)[0].tscale) == (1, 3), seed
         assert zero_window_dp(x).walk.reward == brute_force_opt(x).reward, seed
 
 
 def test_release_groups_on_thirds_claim_the_optimum():
     for seed in range(12):
         x = _release_groups_thirds(seed)
-        assert dp_units(x).tscale == 3 * x.metric.scale, seed
+        assert instance._view(x)[0].tscale == 3 * x.metric.scale, seed
         res = modular._release_group_solve(x, EXACT_DEADLINE)
         assert res.claimed == res.walk.reward == brute_force_opt(x).reward, seed
 
@@ -628,15 +647,28 @@ def test_free_l2_shifted_versions_solve_exactly_in_units(monkeypatch):
     for (x, part, res) in solved:
         opt = brute_force_opt(x).reward
         assert res.claimed == res.walk.reward == opt
-        off_grid += dp_units(x).tscale > x.metric.scale
+        off_grid += instance._view(x)[0].tscale > x.metric.scale
     assert off_grid >= 3
 
 
-def test_ratio_three_halves_oracle_claims_its_ratio_on_thirds():
-    alpha = F(3, 2)
-    loose = OrienteeringOracle(OracleSpec("three-halves", alpha), exact_orienteering)
-    # the same claim when every block entry's staircases come from one search
-    searched = OrienteeringOracle(loose.spec, exact_orienteering, EXACT_ORACLE.staircases)
+# the exact search, the exact walk-down (no staircases) and greedy, at ratio 1
+RATIO_ONE = {"search": EXACT_ORACLE, "walk-down": OrienteeringOracle(EXACT_ORACLE.spec,
+                                                                     exact_orienteering),
+             "greedy": GREEDY_ORACLE}
+
+
+@pytest.mark.parametrize("alpha", [F(3, 2), F(2), F(7, 3)], ids=["3_2", "2", "7_3"])
+def test_ratio_oracles_claim_their_ratio_on_thirds(monkeypatch, alpha):
+    # a ratio-alpha oracle's DP makes the choices of the same oracle at
+    # ratio 1, in the view's units, and claims alpha times its claim
+    units = []
+    real = modular._label_loop
+
+    def recorded(x, ran, steps):
+        units.append(ran)
+        return real(x, ran, steps)
+
+    monkeypatch.setattr(modular, "_label_loop", recorded)
     for seed in range(10):
         x, part = gen_modular_instance(seed, n_low=4, n_high=7)
         # move every block a third later and pay rewards in thirds
@@ -646,10 +678,15 @@ def test_ratio_three_halves_oracle_claims_its_ratio_on_thirds():
         x = replace(x, windows=windows, rewards=rewards, budget=x.budget + THIRD)
         part = ModularPartition(tuple(ModularBlock(b.members, b.release + THIRD,
                                                    b.deadline + THIRD) for b in part.blocks))
-        units = dp_units(x, alpha, [t for b in part.blocks for t in (b.release, b.deadline)])
-        assert (units.tscale, units.rscale) == (3 * x.metric.scale, 6), seed
+        assert instance._view(x)[0].tscale == 3 * x.metric.scale, seed
         opt = brute_force_opt(x).reward
-        assert solve_reward_indexed(x, part, EXACT_ORACLE).claimed == opt, seed
-        res = solve_reward_indexed(x, part, loose)
-        assert res.claimed == alpha * opt and res.walk.reward == opt, seed
-        assert solve_reward_indexed(x, part, searched) == res, seed
+        for name, at_one in RATIO_ONE.items():
+            loose = OrienteeringOracle(OracleSpec(name, alpha, at_one.spec.guaranteed),
+                                       at_one.fn, at_one.staircases)
+            units.clear()
+            expected, res = (solve_reward_indexed(x, part, o) for o in (at_one, loose))
+            assert units == [instance._view(x)[0]] * 2, (seed, name)
+            assert (res.walk, res.segments) == (expected.walk, expected.segments), (seed, name)
+            assert res.claimed == alpha * expected.claimed, (seed, name)
+            if name != "greedy":
+                assert expected.claimed == res.walk.reward == opt, (seed, name)

@@ -11,6 +11,7 @@ from orientw import (EXACT_DEADLINE, EXACT_ORACLE, GREEDY_ORACLE, InfeasibleInst
                      blocks_from_identical_windows, layered_deadline_oracle, solve_auto,
                      solve_reward_indexed, verify_modular, zero_window_dp)
 from orientw.generate import gen_modular_instance, gen_zero_window_instance, generate_instance
+from orientw.instance import _view
 from orientw.modular import (_release_group_solve, ensure_reachable_anchors, push_label,
                              require_modular)
 from orientw.oracles import DeadlineOracle, WalkResult, exact_orienteering, exact_staircases
@@ -555,7 +556,7 @@ def test_label_loop_pushes_from_the_unstarted_position_first():
     # second block at the same time with the same reward, so their labels
     # tie and the first push's back-pointer is kept: None's, as in the referee
     x = line4_instance(s=None, t=None)
-    units = modular.dp_units(x)
+    units = _view(x)[0]
 
     def steps():
         yield 0, 0, 8, [0], lambda u, e: [(0, 0, 0, (0,))]

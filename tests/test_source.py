@@ -66,14 +66,14 @@ def test_every_private_definition_is_used():
 
 def test_only_modular_runs_the_chain_dp():
     # the step protocol (int units, (index, release, deadline, entries, moves))
-    # stays behind modular's block DPs: no other module runs the label loop,
-    # harvests its labels or fixes its units
+    # stays behind modular's block DPs: no other module runs the label loop
+    # or harvests its labels
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "modular.py":
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             offenders += ["%s:%s" % (path.name, name)
-                          for name in sorted(_read_names(tree) & {"_label_loop", "harvest_labels", "dp_units"})]
+                          for name in sorted(_read_names(tree) & {"_label_loop", "harvest_labels"})]
     assert offenders == []
 
 

@@ -60,8 +60,9 @@ def _counting_oracles():
 # 12 block entries two or three times, and general alone each of its 15
 # release-group entries twice, once per inner l2 solve.
 # Every DP of the rebuilt-table case runs at a tscale other than the
-# metric's, so each builds its own table; only units shared by content
-# (modular.dp_units) keep its 6 entries from being searched 6 times each.
+# metric's, so each version's view builds its own table; only units shared
+# by content (instance._derived) keep its 6 entries from being searched 6
+# times each.
 CASES = [(solve_auto, "anchored", True, 12, 9, {"block", "group"}),
          (solve_auto, "anchored", False, 12, 2, {"group"}),
          (solve_auto, "free", False, 6, 3, {"block"}),

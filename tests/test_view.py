@@ -10,10 +10,10 @@ reader is held to its Fraction referee in conftest (ref_*), results,
 messages and refusal texts included, outside a solve and inside one, on
 every instance the solvers read a view for, and every view to a fresh one
 by value (assert_fresh_view).  Block bounds off the view's scale go
-through verify_modular and solve_reward_indexed, whose DP units
-(modular.dp_units) then leave the view's.  Once a view is built, none of
-these readers compares Fractions: verify_modular cross-multiplies a
-block's bounds as integer pairs.
+through verify_modular and solve_reward_indexed, which widens the view's
+units for them alone.  Once a view is built, none of these readers
+compares Fractions: verify_modular cross-multiplies a block's bounds as
+integer pairs.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from orientw import (ALGORITHMS, ContainmentError, EXACT_DEADLINE, EXACT_ORACLE,
                      time_reversed, window_stats)
 from orientw.algorithms import _length_split, _reach, _with_sink
 from orientw.generate import generate_instance
-from orientw.instance import ANCHORED, FREE, START_ONLY, _derived, _view
+from orientw.instance import ANCHORED, FREE, START_ONLY, _view
 from orientw.modular import (_release_group_solve, _release_groups, blocks_from_identical_windows,
-                             dp_units, solve_reward_indexed, verify_modular)
+                             solve_reward_indexed, verify_modular)
 
 from conftest import (assert_fresh_view, line4_instance, line_metric,
                       ref_blocks_from_identical_windows,
@@ -131,32 +131,42 @@ def _thirds_and_sevenths():
     return x, {name: ModularPartition(blocks) for name, blocks in parts.items()}
 
 
-def _off_scale_outcomes(x, parts) -> dict:
-    out = {}
+def _off_scale_outcomes(monkeypatch, x, parts) -> dict:
+    """Per partition: what verify_modular finds and, when it finds nothing,
+    the tscale of the units that solve_reward_indexed runs its label loop
+    in and the DP's claim."""
+    out, ran = {}, []
+    real = modular._label_loop
+
+    def recorded(y, units, steps):
+        ran.append(units.tscale)
+        return real(y, units, steps)
+
+    monkeypatch.setattr(modular, "_label_loop", recorded)
     for name, part in parts.items():
         problems = verify_modular(x, part)
         assert problems == ref_verify_modular(x, part), name
-        bounds = [t for b in part.blocks for t in (b.release, b.deadline)]
-        out[name] = (problems, dp_units(x, times=bounds).tscale)
+        out[name] = (problems, None)
         if not problems:
             res = solve_reward_indexed(x, part, EXACT_ORACLE)
             restricted = restrict(x, {v: TimeWindow(b.release, b.deadline)
                                       for b in part.blocks for v in b.members})
             assert res.claimed == res.walk.reward == brute_force_opt(restricted).reward, name
-            out[name] += (res.claimed,)
+            out[name] = (problems, ran.pop(), res.claimed)
+    assert ran == []
     return out
 
 
-def test_block_bounds_off_the_view_scale():
+def test_block_bounds_off_the_view_scale(monkeypatch):
     x, parts = _thirds_and_sevenths()
     assert _view(x)[0].tscale == 1
     expected = {"both": ([], 3, 2), "one": ([], 21, 1), "meets": ([], 1, 2),
                 "misses": (["vertex 1 window does not contain block 0 interval",
-                            "vertex 2 window does not contain block 1 interval"], 21)}
-    assert _off_scale_outcomes(x, parts) == expected
+                            "vertex 2 window does not contain block 1 interval"], None)}
+    assert _off_scale_outcomes(monkeypatch, x, parts) == expected
     with memo._one_solve():
         for _ in range(2):
-            assert _off_scale_outcomes(x, parts) == expected
+            assert _off_scale_outcomes(monkeypatch, x, parts) == expected
 
 
 def test_release_groups_that_overrun_are_refused_with_their_fraction():
@@ -341,6 +351,16 @@ def test_containment_is_refused_with_the_fraction_text(opened):
             with pytest.raises(ContainmentError) as refusal:
                 restrict(x, {0: None, v: TimeWindow(r, d)})
             assert str(refusal.value) == text
+        # ids are checked in increasing order, each refused by the first
+        # check it fails, whichever kind
+        line = generate_instance("line", 5, 1)
+        escaping = TimeWindow(F(0), F(1000))
+        with pytest.raises(ContainmentError, match=r"^vertex 2: window \[0, 1000\] escapes "
+                                                   r"\[55/4, 61/4\]$"):
+            restrict(line, {2: escaping, 99: None})
+        with pytest.raises(PreconditionError, match=r"^vertex -1 outside 0\.\.4$") as refusal:
+            restrict(line, {-1: None, 2: escaping})
+        assert type(refusal.value) is PreconditionError
         for (x, v, r, d) in contained:
             assert restrict(x, {v: TimeWindow(r, d)}).windows[v] == TimeWindow(r, d)
 
@@ -404,32 +424,29 @@ def test_time_reversal_keeps_an_undirected_metric_and_its_table():
 
 
 def test_a_view_not_derived_is_built_when_read(monkeypatch):
-    # _derived without derive, which only the tests call, leaves the view
-    # to its first read, which scores the instance once; every transform
-    # and the sink instance pass one
-    x = _mixed_instance()
-    y = _derived(x, budget=F(7))
-    assert y._integer_view is None
-    built = []
+    # a solve scores only the instance it is handed, once, on the view's
+    # first read; every transform and the sink instance hand _derived the
+    # view they derive from their parent's
+    built, derived = [], []
     real_scoring, real_derived = instance._scoring, instance._derived
 
     def counting(z, times):
         built.append(z)
         return real_scoring(z, times)
 
+    def deriving(z, tscale, span, **changed):
+        y = real_derived(z, tscale, span, **changed)
+        assert y._integer_view[0].tscale == tscale and y._integer_view[1] is span
+        derived.append(y)
+        return y
+
     monkeypatch.setattr(instance, "_scoring", counting)
-    view = _view(y)
-    assert built == [y] and _view(y) is view
-    assert_fresh_view(y, view)
-
-    def deriving(z, derive=None, **changed):
-        assert derive is not None
-        return real_derived(z, derive, **changed)
-
     for module in (instance, algorithms):
         monkeypatch.setattr(module, "_derived", deriving)
     for mode in (ANCHORED, START_ONLY, FREE):
         for shape in SHAPES.values():
             built.clear()
-            solve_auto(generate_instance("random-metric", seed=3, mode=mode, **shape))
-            assert len(built) == 1
+            derived.clear()
+            x = generate_instance("random-metric", seed=3, mode=mode, **shape)
+            solve_auto(x)
+            assert built == [x] and derived
