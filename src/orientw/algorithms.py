@@ -7,9 +7,12 @@ and each version is solved by a block DP from modular (over identical
 windows or release groups) or by another composed solver.  Each version's
 claims are evaluated back on the original instance and the best walk wins;
 a version whose reachable reward cannot beat the best walk so far is not
-solved, and counts at ratio 1.  The reported bound is the sum of the versions' ratios, which by the
-pigeonhole argument is a proven divisor: reward >= optimum / bound.  A
-solver only adds its precondition, its split and how it solves a version.
+solved, and counts at ratio 1.  The reported bound is the sum of the
+versions' ratios, which by the pigeonhole argument is a proven divisor:
+reward >= optimum / bound.  A solver only names its anchor mode, its split,
+which raises the solver's own refusals, and how it solves a version; the
+recipe checks the wait policy and the anchor mode.  zero_window_dp is the
+recipe whose split refuses every positive-length window.
 solve_auto finishes every solver's walk with one step, an insertion repair
 on the caller's instance (_keep_best), which only adds reward and so keeps
 every bound; a start-only instance is solved anchored at a zero-cost sink.
@@ -35,8 +38,8 @@ from .instance import (ANCHORED, FREE, START_ONLY, WAIT, TimeWindow, TwInstance,
                        window_stats)
 from .memo import _one_solve
 from .metric import Metric, _from_ints
-from .modular import (ModularBlock, ModularPartition, _release_group_solve, assemble_walk,
-                      blocks_from_identical_windows, solve_reward_indexed, verify_modular)
+from .modular import (_release_group_solve, assemble_walk, blocks_from_identical_windows,
+                      solve_reward_indexed, verify_modular)
 from .oracles import EXACT_DEADLINE, EXACT_ORACLE, DeadlineOracle, OrienteeringOracle
 from .rational import ONE, ZERO, is_finite
 
@@ -125,13 +128,17 @@ def _length_split(x: TwInstance) -> Tuple[List[int], List[int]]:
 
 
 @_one_solve()
-def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
-    """The recipe of every composed solver, run after its precondition.
+def _compose(name: str, x: TwInstance, mode: Optional[str], split,
+             solve_version) -> SolveReport:
+    """The recipe of every registered solver but solve_auto: x must allow
+    waiting and, unless mode is None, be in that anchor mode.
 
-    The fixed instants form the exact "Z" version at ratio 1.  When some
-    window has positive length, split takes the instance that keeps only
-    those windows (x itself when it has no fixed instant) and yields
-    (label, version) pairs, and
+    The fixed instants form the exact "Z" version at ratio 1, the
+    reward-indexed DP on the exact oracle, one block per instant
+    (_modular_version).  When some window has positive length,
+    split takes the instance that keeps only those windows (x itself when
+    it has no fixed instant) and yields (label, version) pairs, or raises
+    the solver's own refusal, and
     solve_version(label, version) returns the version's claims and ratio.
     Every version's claims are evaluated on x: the first best walk wins and
     the bound sums the ratios.  A split version whose cap (_cap) is at most
@@ -144,6 +151,11 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
     memo (memo._one_solve): this call's when the solver is called directly,
     else the enclosing solve's.
     """
+    _require_wait(x)
+    if mode == ANCHORED and x.mode != ANCHORED:
+        raise PreconditionError("this solver needs both anchors")
+    if mode == FREE and x.mode != FREE:
+        raise PreconditionError("free-endpoint solver needs unanchored ends")
     zero, pos = _length_split(x)
     z = restrict(x, {v: None for v in pos}) if zero else None
     xp = restrict(x, {v: None for v in zero}) if zero and pos else x
@@ -152,7 +164,7 @@ def _compose(name: str, x: TwInstance, split, solve_version) -> SolveReport:
 
     def versions():
         if z is not None:
-            yield "Z", z, lambda: (_claims_of(zero_window_dp(z).walk), ONE)
+            yield "Z", z, partial(_modular_version, z, EXACT_ORACLE)
         for (label, ver) in split_versions:
             yield label, ver, partial(solve_version, label, ver)
 
@@ -192,28 +204,19 @@ def _sub_version(sub: SolveReport) -> tuple:
 
 # ----- fixed-instant vertices ------------------------------------------------
 
-@_one_solve()
 def zero_window_dp(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
                    deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
     """Exact solver for instances whose positive-reward vertices all have
     zero-length windows: each must be hit at one fixed instant, so feasible
-    claim sets are chains in a DAG ordered by time.  Every vertex is a
-    one-member block at its instant, in (instant, id) order, and the
-    reward-indexed DP on the exact oracle solves those blocks exactly: a
-    block's only walk stays at its member, the one walk its staircase
-    search starts from."""
-    _require_wait(x)
-    zero, pos = _length_split(x)
-    if pos:
-        raise PreconditionError(
-            "vertex %d has a positive-length window; this solver needs "
-            "fixed visit instants" % pos[0])
-    units, span = _view(x)
-    instants = sorted((span[v][0], v) for v in zero)
-    part = ModularPartition(tuple(ModularBlock(frozenset((v,)), at, at) for (at, v) in (
-        (_fraction(r, units.tscale), v) for (r, v) in instants)))
-    walk = solve_reward_indexed(x, part, EXACT_ORACLE).walk
-    return SolveReport("zero-window", walk, (("Z", walk.reward),), ONE)
+    claim sets are chains in a DAG ordered by time.  It is the recipe with
+    the "Z" version alone (_compose): its split refuses any positive-length
+    window."""
+
+    def split(xp):
+        raise PreconditionError("vertex %d has a positive-length window; this solver needs "
+                                "fixed visit instants" % _length_split(xp)[1][0])
+
+    return _compose("zero-window", x, None, split, None)
 
 
 # ----- integral window endpoints ---------------------------------------------
@@ -221,8 +224,8 @@ def zero_window_dp(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
 def solve_integer_endpoints(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
                             deadline_oracle: DeadlineOracle = EXACT_DEADLINE) -> SolveReport:
     """Anchored solver for integral endpoints on every positive-length
-    window; fixed instants go to the exact "Z" version and may be
-    fractional.
+    window, which its split checks before it cuts; fixed instants go to
+    the exact "Z" version and may be fractional.
 
     When the windows of the positive-reward vertices already form a valid
     modular partition (identical windows per block, e.g. all lengths <= 1)
@@ -230,22 +233,19 @@ def solve_integer_endpoints(x: TwInstance, oracle: OrienteeringOracle = EXACT_OR
     aligned power-of-two pieces, pieces of equal size and alignment class
     form one restricted version each, and every version is modular.
     """
-    _require_wait(x)
-    if x.mode != ANCHORED:
-        raise PreconditionError("integer-endpoints solver needs both anchors")
-    units, span = _view(x)
-    tscale = units.tscale
-    for v, (r, d, g) in enumerate(span):
-        if g and r < d and (r % tscale or d % tscale):
-            raise PreconditionError("vertex %d window [%s, %s] has fractional endpoints"
-                                    % (v, _fraction(r, tscale), _fraction(d, tscale)))
 
     def split(xp):
+        units, span = _view(xp)
+        tscale = units.tscale
+        for v, (r, d, g) in enumerate(span):
+            if g and r < d and (r % tscale or d % tscale):
+                raise PreconditionError("vertex %d window [%s, %s] has fractional endpoints"
+                                        % (v, _fraction(r, tscale), _fraction(d, tscale)))
         if not verify_modular(xp, blocks_from_identical_windows(xp)):
             return [("direct", xp)]
         return dyadic_family(xp).versions
 
-    return _compose("integer-endpoints", x, split,
+    return _compose("integer-endpoints", x, ANCHORED, split,
                     lambda _label, ver: _modular_version(ver, oracle))
 
 
@@ -260,9 +260,6 @@ def solve_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     integer cells); the tail version groups by a shared release and the head
     version, run backwards in time, does too.
     """
-    _require_wait(x)
-    if x.mode != ANCHORED:
-        raise PreconditionError("this solver needs both anchors")
 
     def solve_version(label, ver):
         if label == "B2":
@@ -276,7 +273,7 @@ def solve_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
             claims = tuple(reversed(_claims_of(rev.walk)))
         return claims, deadline_oracle.spec.ratio
 
-    return _compose("l2", x, lambda xp: three_split_floor(xp).versions, solve_version)
+    return _compose("l2", x, ANCHORED, lambda xp: three_split_floor(xp).versions, solve_version)
 
 
 # ----- general window lengths -------------------------------------------------
@@ -287,16 +284,14 @@ def solve_general(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     the outermost interior integers (after scaling), hand the head and tail
     versions to the factor-2 solver and the integral middle to the
     integer-endpoints solver."""
-    _require_wait(x)
-    if x.mode != ANCHORED:
-        raise PreconditionError("this solver needs both anchors")
 
     def solve_version(label, ver):
         if label == "B2":
             return _sub_version(solve_integer_endpoints(ver, oracle))
         return _sub_version(solve_l_le_2(ver, oracle, deadline_oracle))
 
-    return _compose("general", x, lambda xp: three_split_ceil(xp).versions, solve_version)
+    return _compose("general", x, ANCHORED, lambda xp: three_split_ceil(xp).versions,
+                    solve_version)
 
 
 # ----- free endpoints ----------------------------------------------------------
@@ -308,11 +303,7 @@ def solve_free_l_le_2(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     (half-unit cells are modular), and shift the head and tail versions onto
     adjacent half-cells, which a free walk reaches by sliding half a unit.
     Free walks need no deadline oracle."""
-    _require_wait(x)
-    if x.mode != FREE:
-        raise PreconditionError("free-endpoint solver needs unanchored ends")
-
-    return _compose("free-l2", x, lambda xp: shifted_five_split(xp).versions,
+    return _compose("free-l2", x, FREE, lambda xp: shifted_five_split(xp).versions,
                     lambda _label, ver: _modular_version(ver, oracle))
 
 
@@ -322,11 +313,7 @@ def solve_free_general(x: TwInstance, oracle: OrienteeringOracle = EXACT_ORACLE,
     by the power of two their window length falls in, relative to the
     shortest (decompose.band_family), then run the factor-2 free solver per
     band."""
-    _require_wait(x)
-    if x.mode != FREE:
-        raise PreconditionError("free-endpoint solver needs unanchored ends")
-
-    return _compose("free-general", x, lambda xp: band_family(xp).versions,
+    return _compose("free-general", x, FREE, lambda xp: band_family(xp).versions,
                     lambda _label, ver: _sub_version(solve_free_l_le_2(ver, oracle)))
 
 
@@ -507,7 +494,8 @@ def run_algorithm(name: str, x: TwInstance, oracle: OrienteeringOracle = EXACT_O
     return ALGORITHMS[name](x, oracle, deadline_oracle)
 
 
-# every solver takes (x, oracle, deadline_oracle) and checks its own precondition
+# every solver takes (x, oracle, deadline_oracle); all but solve_auto are the
+# recipe (_compose), whose checks and split refuse what the solver cannot solve
 ALGORITHMS = {
     "integer-endpoints": solve_integer_endpoints,
     "l2": solve_l_le_2,

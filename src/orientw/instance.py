@@ -74,9 +74,6 @@ class TimeWindow:
     def length(self) -> Fraction:
         return self.deadline - self.release
 
-    def contains(self, other: "TimeWindow") -> bool:
-        return self.release <= other.release and other.deadline <= self.deadline
-
 
 def _window(release: Fraction, deadline: Fraction) -> TimeWindow:
     """TimeWindow(release, deadline) without its checks, for Fractions with

@@ -25,24 +25,25 @@ the step protocol stays in this module.
 
 The label loop runs on ints, in the units of its instance's view
 (instance._view), which its oracles answer in too, so it does no Fraction
-arithmetic; only claimed is a Fraction again.  solve_reward_indexed widens
-them for a partition whose block bounds lie off the view's scale, and
-nothing else does: an oracle's ratio scales the claimed total, once, and
-changes no choice the DP makes.
+arithmetic; only claimed is a Fraction again.  A partition whose block
+bounds lie off the view's scale runs in the view of x on a scale that
+makes them whole (instance._restricted, with no piece).  An oracle's
+ratio scales the claimed total, once, and changes no choice the DP makes.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError
-from .instance import (ANCHORED, TwInstance, WalkSolution, _fraction, _view,
+from .instance import (ANCHORED, TwInstance, WalkSolution, _fraction, _restricted, _view,
                        ensure_reachable_anchors, evaluate_walk)
 from .oracles import DeadlineOracle, OrienteeringOracle, exit_staircases
-from .rational import ZERO, Units, units_for
+from .rational import ZERO, Units
 
 
 @dataclass(frozen=True)
@@ -329,13 +330,13 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
     exact oracle the staircases are the block's Pareto frontier, which
     makes the DP exact.
 
-    The DP runs in the units of x's view, widened only when a block bound
-    lies off the view's scale, which a block of identical or zero-length
-    windows never does.  With a ratio-a oracle the labels collect each
-    answer's own reward, and claimed is a times the best label's.  For any
-    budget b the staircase holds an answer that ends by b and earns at least
-    the oracle's answer at some budget of at least b, so claimed is at least
-    the modular optimum, and the returned walk collects at least claimed / a.
+    The DP runs in the units of x's view, widened to the least scale that
+    makes every block bound whole; only a hand-made block widens it.  With
+    a ratio-a oracle the labels collect each answer's own reward, and
+    claimed is a times the best label's.  For any budget b the staircase
+    holds an answer that ends by b and earns at least the oracle's answer
+    at some budget of at least b, so claimed is at least the modular
+    optimum, and the returned walk collects at least claimed / a.
     """
     require_modular(x, part)
     ensure_reachable_anchors(x)
@@ -343,9 +344,9 @@ def solve_reward_indexed(x: TwInstance, part: ModularPartition,
     units = _view(x)[0]
     times = [t for b in part.blocks for t in (b.release, b.deadline)]
     if any(units.tscale % t.denominator for t in times):
-        # 1 / tscale keeps every time the view makes whole
-        wider = units_for(x.metric, [Fraction(1, units.tscale)] + times, ())
-        units = Units(wider.tscale, units.rscale, wider.table)
+        # x's view on the least scale that makes every block bound whole
+        wide = math.lcm(units.tscale, *(t.denominator for t in times))
+        units = _view(_restricted(x, wide, {}))[0]
 
     def steps():
         for bi, b, eligible, ids in _eligible_blocks(x, part):

@@ -17,11 +17,12 @@ it holds (instance._view; a derived one's is derived from its parent's, in
 the parent's scales, by its transform), which walk scoring, the window
 statistics, the solvers' splits and reach bound and the block and
 release-group checks read, and which each label DP, its oracles and its
-labels run in; and a walk with explicit times, or a DP on a partition
-whose block bounds the view's scale does not cover, which builds its
-own.  Fractions come back from these ints only when read: a derived
-instance's windows (from its view) and a derived metric's table d (from
-ints) are built on their first read.
+labels run in; and a walk with explicit times, which builds its own.  A
+DP on a partition whose block bounds the view's scale does not cover
+takes the view of its instance derived on a wider scale.  Fractions come
+back from these ints only when read: a derived instance's windows (from
+its view) and a derived metric's table d (from ints) are built on their
+first read.
 """
 
 from __future__ import annotations

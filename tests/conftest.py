@@ -19,7 +19,9 @@ best solver report unrepaired (ref_keep_best) and repaired a start-only
 walk alone.  ref_compose is the referee of the composition recipe
 (algorithms._compose), which skips a version that cannot beat the best
 walk before it: the recipe as it ran before, every version solved, with
-ref_cap, the Fraction referee of each version's cap.  ref_fan_out is the
+ref_cap, the Fraction referee of each version's cap, and its "Z" version
+solved by ref_zero_window, the zero-window DP as it ran before it was the
+recipe: one one-member block per fixed instant.  ref_fan_out is the
 referee of the start-only solve: one unrepaired anchored solve per
 reachable end vertex, the best kept; and
 solver_runs records the solvers that a solve_auto call runs, with the
@@ -635,13 +637,38 @@ def ref_cap(x: TwInstance, ver: TwInstance) -> F:
     return ref_reach(ver, anchors) + sum((x.rewards[a] for a in anchors), ZERO)
 
 
+def ref_zero_window(x: TwInstance) -> SolveReport:
+    """algorithms.zero_window_dp as it ran before it was the recipe: one
+    one-member block per rewarded vertex at its instant, in (instant, id)
+    order, solved by the reward-indexed DP on the exact oracle."""
+    zero, pos = ref_length_split(x)
+    if pos:
+        raise PreconditionError("vertex %d has a positive-length window; this solver needs "
+                                "fixed visit instants" % pos[0])
+    instants = sorted((x.windows[v].release, v) for v in zero)
+    part = ModularPartition(tuple(ModularBlock(frozenset((v,)), at, at)
+                                  for (at, v) in instants))
+    walk = modular.solve_reward_indexed(x, part, EXACT_ORACLE).walk
+    return SolveReport("zero-window", walk, (("Z", walk.reward),), F(1))
+
+
 @_one_solve()
-def ref_compose(name: str, x: TwInstance, split, solve_version, trail=None) -> SolveReport:
+def ref_compose(name: str, x: TwInstance, mode, split, solve_version,
+                trail=None) -> SolveReport:
     """algorithms._compose as it ran before a version could be skipped:
-    every version is solved and counted at its own ratio.  When trail is a
-    list, the call appends (name, x, ((label, version, reward, ref_cap),
+    every version is solved and counted at its own ratio, and the "Z"
+    version by ref_zero_window.  It checks the wait policy and, unless
+    mode is None, the anchor mode first, as the recipe does.  When trail is
+    a list, the call appends (name, x, ((label, version, reward, ref_cap),
     ...)) to it as it returns, so an outer call's record follows its inner
     ones'."""
+    if x.wait_policy != WAIT:
+        raise PreconditionError("solvers require the wait policy; "
+                                "no-wait only changes walk evaluation")
+    if mode == ANCHORED and x.mode != ANCHORED:
+        raise PreconditionError("this solver needs both anchors")
+    if mode == FREE and x.mode != FREE:
+        raise PreconditionError("free-endpoint solver needs unanchored ends")
     zero, pos = ref_length_split(x)
     z = restrict(x, dict.fromkeys(pos)) if zero else None
     xp = restrict(x, dict.fromkeys(zero)) if zero and pos else x
@@ -653,7 +680,7 @@ def ref_compose(name: str, x: TwInstance, split, solve_version, trail=None) -> S
 
     def versions():
         if z is not None:
-            yield "Z", z, claims_of(algorithms.zero_window_dp(z).walk), F(1)
+            yield "Z", z, claims_of(ref_zero_window(z).walk), F(1)
         for (label, ver) in split_versions:
             yield (label, ver) + solve_version(label, ver)
 

@@ -298,11 +298,11 @@ def test_a_split_takes_x_itself_unless_a_window_is_a_fixed_instant(monkeypatch, 
     split_on = []
     real = algorithms._compose
 
-    def recording(label, x, split, solve_version):
+    def recording(label, x, mode, split, solve_version):
         def spying(xp):
             split_on.append((x, xp))
             return split(xp)
-        return real(label, x, spying, solve_version)
+        return real(label, x, mode, spying, solve_version)
 
     monkeypatch.setattr(algorithms, "_compose", recording)
     x = _fixed_instants_among_windows(s, t)

@@ -178,3 +178,39 @@ def test_no_function_calls_itself():
                 if node.name in called:
                     offenders.append("%s:%s" % (path.name, node.name))
     assert offenders == []
+
+
+def test_every_registered_solver_but_auto_is_the_recipe():
+    # the wait policy, the anchor mode and the "Z" version are the recipe's
+    # (algorithms._compose): a registered solver ends by handing its split
+    # over, and only the recipe and solve_auto, which refuses a no-wait
+    # instance once, check the wait policy
+    tree = ast.parse((PACKAGE / "algorithms.py").read_text(encoding="utf-8"))
+    registry = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["ALGORITHMS"])
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    not_recipe = []
+    for value in registry.values:
+        if value.id == "solve_auto":
+            continue
+        last = functions[value.id].body[-1]
+        if not (isinstance(last, ast.Return) and isinstance(last.value, ast.Call)
+                and isinstance(last.value.func, ast.Name) and last.value.func.id == "_compose"):
+            not_recipe.append(value.id)
+    assert not_recipe == []
+    readers = sorted(name for name, node in functions.items()
+                     if "_require_wait" in _read_names(node))
+    assert readers == ["_compose", "solve_auto"]
+
+
+def test_only_rational_and_instance_build_units():
+    # units_for makes the units of a query or a walk, and instance._derived
+    # keeps one Units per scales and table; every other reader takes an
+    # instance's view (instance._view)
+    offenders = []
+    for path in MODULES:
+        if path.name not in ("rational.py", "instance.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            offenders += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                          if isinstance(node, ast.Call) and "Units" in _read_names(node.func)]
+    assert offenders == []
